@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cmath>
-#include <mutex>
 #include <numeric>
 
 #include "algo/baselines.h"
@@ -80,29 +79,36 @@ StatusOr<Solution> Dmm(const Dataset& data, const std::vector<int>& rows,
   const size_t n = rows.size();
 
   // Happiness matrix, point-major: H[i*m + j] = hr(u_j, {p_i}). Raw scores
-  // fill per-point slices in parallel; denominators come from block-local
-  // maxima merged with exact max, then the normalize pass splits over
-  // directions — every value bit-identical for any lane count.
+  // fill per-point slices in parallel over a fixed block partition; each
+  // block keeps its own maxima, merged afterwards with exact max, then the
+  // normalize pass splits over directions — every value bit-identical for
+  // any lane count.
   std::vector<float> happiness(n * m);
   {
-    std::vector<double> best(m, 0.0);
-    std::mutex best_mu;
-    ParallelFor(opts.threads, n, [&](size_t i_begin, size_t i_end) {
-      std::vector<double> local_best(m, 0.0);
-      for (size_t i = i_begin; i < i_end; ++i) {
-        const double* p = data.point(static_cast<size_t>(rows[i]));
-        for (size_t j = 0; j < m; ++j) {
-          const double s = Dot(&dirs[j * static_cast<size_t>(d)], p,
-                               static_cast<size_t>(d));
-          happiness[i * m + j] = static_cast<float>(s);
-          if (s > local_best[j]) local_best[j] = s;
+    const size_t blocks =
+        std::min(n, static_cast<size_t>(ResolveThreads(opts.threads)));
+    std::vector<std::vector<double>> block_best(blocks);
+    ParallelFor(opts.threads, blocks, [&](size_t b0, size_t b1) {
+      for (size_t b = b0; b < b1; ++b) {
+        std::vector<double>& local_best = block_best[b];
+        local_best.assign(m, 0.0);
+        for (size_t i = n * b / blocks; i < n * (b + 1) / blocks; ++i) {
+          const double* p = data.point(static_cast<size_t>(rows[i]));
+          for (size_t j = 0; j < m; ++j) {
+            const double s = Dot(&dirs[j * static_cast<size_t>(d)], p,
+                                 static_cast<size_t>(d));
+            happiness[i * m + j] = static_cast<float>(s);
+            if (s > local_best[j]) local_best[j] = s;
+          }
         }
       }
-      std::lock_guard<std::mutex> lock(best_mu);
+    });
+    std::vector<double> best(m, 0.0);
+    for (const std::vector<double>& local_best : block_best) {
       for (size_t j = 0; j < m; ++j) {
         if (local_best[j] > best[j]) best[j] = local_best[j];
       }
-    });
+    }
     ParallelFor(opts.threads, m, [&](size_t j_begin, size_t j_end) {
       for (size_t j = j_begin; j < j_end; ++j) {
         const float inv = best[j] > 1e-12 ? static_cast<float>(1.0 / best[j])

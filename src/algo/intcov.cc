@@ -5,7 +5,6 @@
 #include "api/registry.h"
 #include <cassert>
 #include <cmath>
-#include <mutex>
 
 #include "algo/algo_util.h"
 #include "algo/fair_interval_cover.h"
@@ -77,33 +76,39 @@ StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
       if (max_x > 0) cand.push_back(std::min(1.0, x / max_x));
       if (max_y > 0) cand.push_back(std::min(1.0, y / max_y));
     }
-    // Pairwise line crossings, fanned out over blocks of outer rows. Each
-    // block collects into its own vector; the sort + unique below erases
-    // any ordering differences, so the candidate set is bit-identical for
-    // every thread count.
+    // Pairwise line crossings, fanned out over a fixed partition of the
+    // outer rows. Each block collects into its own vector, concatenated
+    // afterwards; the sort + unique below makes the candidate set
+    // bit-identical for every thread count.
     {
-      std::mutex cand_mu;
-      ParallelFor(opts.threads, pool_n, [&](size_t i_begin, size_t i_end) {
-        std::vector<double> local;
-        for (size_t i = i_begin; i < i_end; ++i) {
-          const double xi = data.at(static_cast<size_t>(input.pool[i]), 0);
-          const double yi = data.at(static_cast<size_t>(input.pool[i]), 1);
-          for (size_t j = i + 1; j < pool_n; ++j) {
-            const double xj = data.at(static_cast<size_t>(input.pool[j]), 0);
-            const double yj = data.at(static_cast<size_t>(input.pool[j]), 1);
-            const double denom = (xi - yi) - (xj - yj);
-            if (std::fabs(denom) < 1e-15) continue;
-            const double lambda = (yj - yi) / denom;
-            if (lambda < 0.0 || lambda > 1.0) continue;
-            const double env = env_db.Eval(lambda);
-            if (env <= 0.0) continue;
-            const double score = yi + (xi - yi) * lambda;
-            local.push_back(std::clamp(score / env, 0.0, 1.0));
+      const size_t blocks = std::min<size_t>(
+          pool_n, static_cast<size_t>(ResolveThreads(opts.threads)));
+      std::vector<std::vector<double>> block_cand(blocks);
+      ParallelFor(opts.threads, blocks, [&](size_t b0, size_t b1) {
+        for (size_t b = b0; b < b1; ++b) {
+          std::vector<double>& local = block_cand[b];
+          for (size_t i = pool_n * b / blocks; i < pool_n * (b + 1) / blocks;
+               ++i) {
+            const double xi = data.at(static_cast<size_t>(input.pool[i]), 0);
+            const double yi = data.at(static_cast<size_t>(input.pool[i]), 1);
+            for (size_t j = i + 1; j < pool_n; ++j) {
+              const double xj = data.at(static_cast<size_t>(input.pool[j]), 0);
+              const double yj = data.at(static_cast<size_t>(input.pool[j]), 1);
+              const double denom = (xi - yi) - (xj - yj);
+              if (std::fabs(denom) < 1e-15) continue;
+              const double lambda = (yj - yi) / denom;
+              if (lambda < 0.0 || lambda > 1.0) continue;
+              const double env = env_db.Eval(lambda);
+              if (env <= 0.0) continue;
+              const double score = yi + (xi - yi) * lambda;
+              local.push_back(std::clamp(score / env, 0.0, 1.0));
+            }
           }
         }
-        std::lock_guard<std::mutex> lock(cand_mu);
-        cand.insert(cand.end(), local.begin(), local.end());
       });
+      for (const std::vector<double>& local : block_cand) {
+        cand.insert(cand.end(), local.begin(), local.end());
+      }
     }
     cand.push_back(1.0);
     std::sort(cand.begin(), cand.end());

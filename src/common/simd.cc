@@ -2,17 +2,11 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <mutex>
 
 #include "common/simd_kernels.h"
 #include "common/string_util.h"
 #include "common/thread_annotations.h"
-
-#if defined(__SSE2__) || defined(_M_X64)
-#include <emmintrin.h>
-#define FAIRHMS_SIMD_HAVE_SSE2 1
-#endif
 
 namespace fairhms {
 namespace simd {
@@ -33,311 +27,23 @@ const KernelTable* ScalarKernels() {
   return &table;
 }
 
-// ---------------------------------------------------------------------------
-// SSE2 table (x86-64 baseline). Two hardware lanes; the canonical
-// four-virtual-lane sums pair two accumulators so the reduction order
-// matches the scalar simulation exactly.
-
-#ifdef FAIRHMS_SIMD_HAVE_SSE2
-namespace {
-
-inline __m128d DotPair(const double* const* net, size_t j, const double* p,
-                       size_t d) {
-  __m128d acc = _mm_setzero_pd();
-  for (size_t k = 0; k < d; ++k) {
-    acc = _mm_add_pd(acc, _mm_mul_pd(_mm_set1_pd(p[k]),
-                                     _mm_loadu_pd(net[k] + j)));
+std::vector<const KernelTable*> RunnableKernels() {
+  std::vector<const KernelTable*> tables = {ScalarKernels()};
+  // The W = 2 body needs only the baseline ISA; other targets run scalar.
+#if defined(__SSE2__)
+  static constexpr KernelTable w2 = MakeTable<2>(DispatchLevel::kSse2);
+  tables.push_back(&w2);
+#elif defined(__aarch64__)
+  static constexpr KernelTable w2 = MakeTable<2>(DispatchLevel::kNeon);
+  tables.push_back(&w2);
+#endif
+#if defined(__GNUC__) && defined(__x86_64__)
+  if (Avx2Kernels() != nullptr && __builtin_cpu_supports("avx2")) {
+    tables.push_back(Avx2Kernels());
   }
-  return acc;
+#endif
+  return tables;
 }
-
-/// mask ? a : b, SSE2-style (no blendv).
-inline __m128d Select(__m128d mask, __m128d a, __m128d b) {
-  return _mm_or_pd(_mm_and_pd(mask, a), _mm_andnot_pd(mask, b));
-}
-
-/// Vector HappinessOf: best > eps ? min(1, s / best) : 1. Division happens
-/// against a blended-safe denominator so inactive lanes never divide by
-/// zero (the quotient is discarded by the final select).
-inline __m128d HappinessPair(__m128d s, __m128d b, __m128d epsv,
-                             __m128d one) {
-  const __m128d active = _mm_cmpgt_pd(b, epsv);
-  const __m128d safe = Select(active, b, one);
-  const __m128d q = _mm_min_pd(_mm_div_pd(s, safe), one);
-  return Select(active, q, one);
-}
-
-void NetBestSse2(const double* const* net, size_t j0, size_t j1,
-                 const double* pts, size_t nrows, size_t d, double* best) {
-  for (size_t r = 0; r < nrows; ++r) {
-    const double* p = pts + r * d;
-    size_t j = j0;
-    for (; j + 2 <= j1; j += 2) {
-      const __m128d s = DotPair(net, j, p, d);
-      const __m128d b = _mm_loadu_pd(best + j);
-      _mm_storeu_pd(best + j, _mm_max_pd(b, s));
-    }
-    for (; j < j1; ++j) {
-      const double s = DotDir(net, j, p, d);
-      if (s > best[j]) best[j] = s;
-    }
-  }
-}
-
-void HappinessRangeSse2(const double* const* net, size_t j0, size_t j1,
-                        const double* p, size_t d, const double* best,
-                        double eps, double* out) {
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d epsv = _mm_set1_pd(eps);
-  size_t j = j0;
-  for (; j + 2 <= j1; j += 2) {
-    const __m128d s = DotPair(net, j, p, d);
-    const __m128d b = _mm_loadu_pd(best + j);
-    _mm_storeu_pd(out + j, HappinessPair(s, b, epsv, one));
-  }
-  for (; j < j1; ++j) {
-    out[j] = HappinessOf(DotDir(net, j, p, d), best[j], eps);
-  }
-}
-
-double MhrRangeSse2(const double* const* net, size_t j0, size_t j1,
-                    const double* best, double eps, const double* pts,
-                    size_t nrows, size_t d) {
-  alignas(kAlign) double smax[kDirTile];
-  const size_t len = j1 - j0;
-  for (size_t jj = 0; jj < len; ++jj) smax[jj] = 0.0;
-  for (size_t r = 0; r < nrows; ++r) {
-    const double* p = pts + r * d;
-    size_t jj = 0;
-    for (; jj + 2 <= len; jj += 2) {
-      const __m128d s = DotPair(net, j0 + jj, p, d);
-      const __m128d m = _mm_load_pd(smax + jj);
-      _mm_store_pd(smax + jj, _mm_max_pd(m, s));
-    }
-    for (; jj < len; ++jj) {
-      const double s = DotDir(net, j0 + jj, p, d);
-      if (s > smax[jj]) smax[jj] = s;
-    }
-  }
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d epsv = _mm_set1_pd(eps);
-  __m128d mnv = one;
-  size_t jj = 0;
-  for (; jj + 2 <= len; jj += 2) {
-    const __m128d h = HappinessPair(_mm_load_pd(smax + jj),
-                                    _mm_loadu_pd(best + j0 + jj), epsv, one);
-    mnv = _mm_min_pd(mnv, h);
-  }
-  alignas(16) double lanes[2];
-  _mm_store_pd(lanes, mnv);
-  double mn = std::min(lanes[0], lanes[1]);
-  for (; jj < len; ++jj) {
-    mn = std::min(mn, HappinessOf(smax[jj], best[j0 + jj], eps));
-  }
-  return mn;
-}
-
-void AddHappinessMaxSse2(const double* const* net, size_t j0, size_t j1,
-                         const double* p, size_t d, const double* best,
-                         double eps, double* cur) {
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d epsv = _mm_set1_pd(eps);
-  size_t j = j0;
-  for (; j + 2 <= j1; j += 2) {
-    const __m128d h = HappinessPair(DotPair(net, j, p, d),
-                                    _mm_loadu_pd(best + j), epsv, one);
-    const __m128d c = _mm_loadu_pd(cur + j);
-    _mm_storeu_pd(cur + j, _mm_max_pd(c, h));
-  }
-  for (; j < j1; ++j) {
-    const double h = HappinessOf(DotDir(net, j, p, d), best[j], eps);
-    if (h > cur[j]) cur[j] = h;
-  }
-}
-
-void MaxAccumulateSse2(const double* src, double* dst, size_t n) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d s = _mm_loadu_pd(src + i);
-    const __m128d t = _mm_loadu_pd(dst + i);
-    _mm_storeu_pd(dst + i, _mm_max_pd(t, s));
-  }
-  for (; i < n; ++i) {
-    if (src[i] > dst[i]) dst[i] = src[i];
-  }
-}
-
-inline __m128d TruncGainPairCached(const double* hrow, const double* cur,
-                                   size_t j, __m128d tauv) {
-  const __m128d c = _mm_loadu_pd(cur + j);
-  const __m128d h = _mm_loadu_pd(hrow + j);
-  const __m128d before = _mm_min_pd(c, tauv);
-  const __m128d after = _mm_min_pd(_mm_max_pd(c, h), tauv);
-  return _mm_sub_pd(after, before);
-}
-
-double TruncGainCachedSse2(const double* hrow, const double* cur, size_t n,
-                           double tau) {
-  const __m128d tauv = _mm_set1_pd(tau);
-  __m128d acc01 = _mm_setzero_pd();  // virtual lanes 0,1
-  __m128d acc23 = _mm_setzero_pd();  // virtual lanes 2,3
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < n4; j += 4) {
-    acc01 = _mm_add_pd(acc01, TruncGainPairCached(hrow, cur, j, tauv));
-    acc23 = _mm_add_pd(acc23, TruncGainPairCached(hrow, cur, j + 2, tauv));
-  }
-  alignas(16) double a[2], b[2];
-  _mm_store_pd(a, acc01);
-  _mm_store_pd(b, acc23);
-  double total = (a[0] + a[1]) + (b[0] + b[1]);
-  for (size_t j = n4; j < n; ++j) {
-    total += TruncGainTermCached(hrow, cur, j, tau);
-  }
-  return total;
-}
-
-inline __m128d TruncGainPairEval(const double* const* net, const double* p,
-                                 size_t d, const double* best, __m128d epsv,
-                                 __m128d one, const double* cur, size_t j,
-                                 __m128d tauv) {
-  const __m128d c = _mm_loadu_pd(cur + j);
-  const __m128d h =
-      HappinessPair(DotPair(net, j, p, d), _mm_loadu_pd(best + j), epsv, one);
-  const __m128d before = _mm_min_pd(c, tauv);
-  const __m128d after = _mm_min_pd(_mm_max_pd(c, h), tauv);
-  return _mm_sub_pd(after, before);
-}
-
-double TruncGainEvalSse2(const double* const* net, size_t m, const double* p,
-                         size_t d, const double* best, double eps,
-                         const double* cur, double tau) {
-  const __m128d tauv = _mm_set1_pd(tau);
-  const __m128d one = _mm_set1_pd(1.0);
-  const __m128d epsv = _mm_set1_pd(eps);
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  const size_t m4 = m & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < m4; j += 4) {
-    acc01 = _mm_add_pd(acc01, TruncGainPairEval(net, p, d, best, epsv, one,
-                                                cur, j, tauv));
-    acc23 = _mm_add_pd(acc23, TruncGainPairEval(net, p, d, best, epsv, one,
-                                                cur, j + 2, tauv));
-  }
-  alignas(16) double a[2], b[2];
-  _mm_store_pd(a, acc01);
-  _mm_store_pd(b, acc23);
-  double total = (a[0] + a[1]) + (b[0] + b[1]);
-  for (size_t j = m4; j < m; ++j) {
-    total += TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
-  }
-  return total;
-}
-
-double TruncSumSse2(const double* cur, size_t n, double tau) {
-  const __m128d tauv = _mm_set1_pd(tau);
-  __m128d acc01 = _mm_setzero_pd();
-  __m128d acc23 = _mm_setzero_pd();
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < n4; j += 4) {
-    acc01 = _mm_add_pd(acc01, _mm_min_pd(_mm_loadu_pd(cur + j), tauv));
-    acc23 = _mm_add_pd(acc23, _mm_min_pd(_mm_loadu_pd(cur + j + 2), tauv));
-  }
-  alignas(16) double a[2], b[2];
-  _mm_store_pd(a, acc01);
-  _mm_store_pd(b, acc23);
-  double total = (a[0] + a[1]) + (b[0] + b[1]);
-  for (size_t j = n4; j < n; ++j) total += std::min(cur[j], tau);
-  return total;
-}
-
-double MinReduceSse2(const double* x, size_t n) {
-  __m128d mnv = _mm_set1_pd(1.0);
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) mnv = _mm_min_pd(mnv, _mm_loadu_pd(x + i));
-  alignas(16) double lanes[2];
-  _mm_store_pd(lanes, mnv);
-  double mn = std::min(lanes[0], lanes[1]);
-  for (; i < n; ++i) mn = std::min(mn, x[i]);
-  return mn;
-}
-
-void RowSumsSse2(const double* const* cols, size_t nrows, size_t d,
-                 double* out) {
-  size_t i = 0;
-  for (; i + 2 <= nrows; i += 2) {
-    __m128d acc = _mm_setzero_pd();
-    for (size_t k = 0; k < d; ++k) {
-      acc = _mm_add_pd(acc, _mm_loadu_pd(cols[k] + i));
-    }
-    _mm_storeu_pd(out + i, acc);
-  }
-  for (; i < nrows; ++i) {
-    double s = 0.0;
-    for (size_t k = 0; k < d; ++k) s += cols[k][i];
-    out[i] = s;
-  }
-}
-
-bool AnyDominatesSse2(const double* const* cols, size_t nrows, size_t d,
-                      const double* p) {
-  const __m128d ones = _mm_castsi128_pd(_mm_set1_epi32(-1));
-  size_t r = 0;
-  for (; r + 2 <= nrows; r += 2) {
-    __m128d ge = ones;
-    __m128d gt = _mm_setzero_pd();
-    for (size_t k = 0; k < d; ++k) {
-      const __m128d v = _mm_loadu_pd(cols[k] + r);
-      const __m128d pk = _mm_set1_pd(p[k]);
-      ge = _mm_and_pd(ge, _mm_cmpge_pd(v, pk));
-      gt = _mm_or_pd(gt, _mm_cmpgt_pd(v, pk));
-      if (_mm_movemask_pd(ge) == 0) break;
-    }
-    if (_mm_movemask_pd(_mm_and_pd(ge, gt)) != 0) return true;
-  }
-  for (; r < nrows; ++r) {
-    if (DominatesRow(cols, r, d, p)) return true;
-  }
-  return false;
-}
-
-bool AnyWeakDominatesSse2(const double* const* cols, size_t nrows, size_t d,
-                          const double* p) {
-  const __m128d ones = _mm_castsi128_pd(_mm_set1_epi32(-1));
-  size_t r = 0;
-  for (; r + 2 <= nrows; r += 2) {
-    __m128d ge = ones;
-    for (size_t k = 0; k < d; ++k) {
-      const __m128d v = _mm_loadu_pd(cols[k] + r);
-      ge = _mm_and_pd(ge, _mm_cmpge_pd(v, _mm_set1_pd(p[k])));
-      if (_mm_movemask_pd(ge) == 0) break;
-    }
-    if (_mm_movemask_pd(ge) != 0) return true;
-  }
-  for (; r < nrows; ++r) {
-    if (WeaklyDominatesRow(cols, r, d, p)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-const KernelTable* Sse2Kernels() {
-  static const KernelTable table = {
-      DispatchLevel::kSse2, NetBestSse2,        HappinessRangeSse2,
-      MhrRangeSse2,         AddHappinessMaxSse2, MaxAccumulateSse2,
-      TruncGainCachedSse2,  TruncGainEvalSse2,   TruncSumSse2,
-      MinReduceSse2,        RowSumsSse2,         AnyDominatesSse2,
-      AnyWeakDominatesSse2,
-      // Min/max over raw coordinates is the one reduction whose result can
-      // depend on visit order (±0.0 ties select an operand); it stays on
-      // the scalar body at every dispatch level.
-      ColMinMaxScalar,
-  };
-  return &table;
-}
-#else   // !FAIRHMS_SIMD_HAVE_SSE2
-const KernelTable* Sse2Kernels() { return nullptr; }
-#endif  // FAIRHMS_SIMD_HAVE_SSE2
 
 }  // namespace internal
 
@@ -356,17 +62,7 @@ std::atomic<int> g_mode{static_cast<int>(SimdMode::kAuto)};
 std::once_flag g_env_once;
 
 const KernelTable* BestTable() {
-  static const KernelTable* const best = [] {
-    const KernelTable* t = internal::ScalarKernels();
-    if (const KernelTable* s = internal::Sse2Kernels()) t = s;
-    if (const KernelTable* n = internal::NeonKernels()) t = n;
-#if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-    if (__builtin_cpu_supports("avx2")) {
-      if (const KernelTable* a = internal::Avx2Kernels()) t = a;
-    }
-#endif
-    return t;
-  }();
+  static const KernelTable* const best = internal::RunnableKernels().back();
   return best;
 }
 

@@ -3,9 +3,14 @@
 // This is the data-parallel floor of the evaluation stack: a
 // structure-of-arrays block type (`ColumnBlock`) plus flat-range kernels
 // over it (dot/max/min reductions, truncated-gain sums, Pareto-dominance
-// tests). Every kernel has a scalar reference implementation and, where the
-// build targets support it, SSE2 / AVX2 / NEON implementations selected
-// once at startup by CPU detection (`DispatchLevel`).
+// tests). Every kernel is written once, in simd_kernels.h: a scalar
+// reference plus one body over GCC/Clang vector extensions at two widths.
+// Level names: "scalar" is the reference; "sse2" and "neon" are the body at
+// W = 2 on x86-64 and aarch64 (simd.cc, baseline ISA); "avx2" is W = 4
+// (simd_avx2.cc, -mavx2). The widest level the host runs is selected once
+// at startup by CPU detection (`DispatchLevel`). A TU compiled with ISA
+// flags gives everything it compiles internal linkage (see
+// simd_kernels.h), so none of its code can stand in for baseline code.
 //
 // Bit-identity contract
 // ---------------------
@@ -19,13 +24,14 @@
 //    expression chain, so lane width cannot change results.
 //  * Dot products accumulate over dimensions sequentially per lane —
 //    the same chain as `Dot()` in geom/vec.h.
-//  * min/max reductions are order-independent for the value domain
+//  * min/max are independent of order and tie choice for the value domain
 //    (finite, non-NaN, and sums of non-negative products are never -0.0).
 //  * Sum reductions (`TruncGain*`, `TruncSum`) use one fixed reduction
 //    order on every path: four virtual accumulator lanes striped
 //    j % 4, combined as (p0 + p1) + (p2 + p3), with the tail (n % 4)
-//    added sequentially afterwards. The scalar path simulates the same
-//    four lanes.
+//    added sequentially afterwards. A W-lane body keeps 4 / W vector
+//    accumulators; the scalar path simulates the same four lanes.
+//  * Vector loop tails run the scalar reference helpers themselves.
 //  * No FMA, ever — fused multiply-add rounds differently than mul+add.
 //    The kernel translation units are compiled with -ffp-contract=off so
 //    the compiler cannot contract on its own.
@@ -77,8 +83,8 @@ constexpr size_t kAlign = 64;
 constexpr size_t kDirTile = 512;
 
 /// Virtual accumulator lanes of the canonical sum-reduction order. Fixed
-/// across all dispatch levels (AVX2 uses exactly 4 hardware lanes; SSE2 and
-/// NEON pair two 2-lane accumulators; scalar simulates all four).
+/// across all dispatch levels (W = 4 uses exactly 4 hardware lanes; W = 2
+/// pairs two 2-lane accumulators; scalar simulates all four).
 constexpr size_t kSumLanes = 4;
 
 // ---------------------------------------------------------------------------

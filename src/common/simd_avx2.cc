@@ -1,390 +1,26 @@
-// AVX2 kernel table. This translation unit is compiled with -mavx2 (and
-// -ffp-contract=off) on x86-64 targets only, and its kernels are invoked
-// solely behind the runtime dispatch in simd.cc after
-// __builtin_cpu_supports("avx2") succeeds. Keep everything AVX2-touching
-// inside this file.
-//
-// Four hardware lanes equal the four virtual lanes of the canonical sum
-// order, so sum reductions are a plain vector accumulator plus the fixed
-// (p0 + p1) + (p2 + p3) horizontal combine. No FMA anywhere: fused
-// rounding would break bit-identity with the scalar reference.
+// AVX2 kernel table: the vector body of simd_kernels.h at W = 4. This is
+// the only translation unit compiled with -mavx2 (x86-64 targets only),
+// and its table runs solely behind the runtime CPU check in simd.cc.
+// Everything the header defines has internal linkage, so nothing compiled
+// here can stand in for the baseline code elsewhere in the link; the
+// simd.avx2_exports test checks that Avx2Kernels() is the only symbol this
+// object exports.
 
 #include "common/simd_kernels.h"
 
-#if (defined(__x86_64__) || defined(_M_X64)) && defined(__AVX2__)
-
-#include <immintrin.h>
-
 namespace fairhms {
 namespace simd {
 namespace internal {
-namespace {
-
-inline __m256d DotQuad(const double* const* net, size_t j, const double* p,
-                       size_t d) {
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t k = 0; k < d; ++k) {
-    acc = _mm256_add_pd(
-        acc, _mm256_mul_pd(_mm256_set1_pd(p[k]), _mm256_loadu_pd(net[k] + j)));
-  }
-  return acc;
-}
-
-/// Row-coordinate hoisting bound for the hot direction-swept kernels.
-/// Re-broadcasting p[k] per direction quad costs more load-port uops than
-/// the column loads themselves; the coordinates are invariant per row, so
-/// the hot loops broadcast them once into a register array. Dimensions
-/// beyond this (no shipped dataset comes close) fall back to DotQuad.
-constexpr size_t kHoistDims = 16;
-
-inline void BroadcastRow(const double* p, size_t d, __m256d* pk) {
-  for (size_t k = 0; k < d; ++k) pk[k] = _mm256_set1_pd(p[k]);
-}
-
-/// Dot of one row against directions [j, j+4) from pre-broadcast coords.
-inline __m256d DotQuadHoisted(const double* const* net, size_t j,
-                              const __m256d* pk, size_t d) {
-  __m256d acc = _mm256_setzero_pd();
-  for (size_t k = 0; k < d; ++k) {
-    acc = _mm256_add_pd(acc, _mm256_mul_pd(pk[k], _mm256_loadu_pd(net[k] + j)));
-  }
-  return acc;
-}
-
-/// Dots against directions [j, j+8): two independent accumulator chains,
-/// so the sequential per-lane add chain (unchanged — bit-identity) no
-/// longer serializes the loop on add latency. Each output still sums its
-/// d terms in dimension order.
-inline void DotOctHoisted(const double* const* net, size_t j,
-                          const __m256d* pk, size_t d, __m256d* s0,
-                          __m256d* s1) {
-  __m256d a0 = _mm256_setzero_pd();
-  __m256d a1 = _mm256_setzero_pd();
-  for (size_t k = 0; k < d; ++k) {
-    a0 = _mm256_add_pd(a0, _mm256_mul_pd(pk[k], _mm256_loadu_pd(net[k] + j)));
-    a1 = _mm256_add_pd(a1,
-                       _mm256_mul_pd(pk[k], _mm256_loadu_pd(net[k] + j + 4)));
-  }
-  *s0 = a0;
-  *s1 = a1;
-}
-
-/// best > eps ? min(1, s / best) : 1, with a blended-safe denominator so
-/// inactive lanes never divide by zero.
-inline __m256d HappinessQuad(__m256d s, __m256d b, __m256d epsv, __m256d one) {
-  const __m256d active = _mm256_cmp_pd(b, epsv, _CMP_GT_OQ);
-  const __m256d safe = _mm256_blendv_pd(one, b, active);
-  const __m256d q = _mm256_min_pd(_mm256_div_pd(s, safe), one);
-  return _mm256_blendv_pd(one, q, active);
-}
-
-/// The canonical (p0 + p1) + (p2 + p3) horizontal combine.
-inline double CanonicalSum(__m256d acc) {
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, acc);
-  return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
-}
-
-void NetBestAvx2(const double* const* net, size_t j0, size_t j1,
-                 const double* pts, size_t nrows, size_t d, double* best) {
-  __m256d pk[kHoistDims];
-  for (size_t r = 0; r < nrows; ++r) {
-    const double* p = pts + r * d;
-    size_t j = j0;
-    if (d <= kHoistDims) {
-      BroadcastRow(p, d, pk);
-      for (; j + 8 <= j1; j += 8) {
-        __m256d s0, s1;
-        DotOctHoisted(net, j, pk, d, &s0, &s1);
-        _mm256_storeu_pd(best + j,
-                         _mm256_max_pd(_mm256_loadu_pd(best + j), s0));
-        _mm256_storeu_pd(best + j + 4,
-                         _mm256_max_pd(_mm256_loadu_pd(best + j + 4), s1));
-      }
-      for (; j + 4 <= j1; j += 4) {
-        const __m256d s = DotQuadHoisted(net, j, pk, d);
-        const __m256d b = _mm256_loadu_pd(best + j);
-        _mm256_storeu_pd(best + j, _mm256_max_pd(b, s));
-      }
-    }
-    for (; j + 4 <= j1; j += 4) {
-      const __m256d s = DotQuad(net, j, p, d);
-      const __m256d b = _mm256_loadu_pd(best + j);
-      _mm256_storeu_pd(best + j, _mm256_max_pd(b, s));
-    }
-    for (; j < j1; ++j) {
-      const double s = DotDir(net, j, p, d);
-      if (s > best[j]) best[j] = s;
-    }
-  }
-}
-
-void HappinessRangeAvx2(const double* const* net, size_t j0, size_t j1,
-                        const double* p, size_t d, const double* best,
-                        double eps, double* out) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  size_t j = j0;
-  if (d <= kHoistDims) {
-    __m256d pk[kHoistDims];
-    BroadcastRow(p, d, pk);
-    for (; j + 8 <= j1; j += 8) {
-      __m256d s0, s1;
-      DotOctHoisted(net, j, pk, d, &s0, &s1);
-      _mm256_storeu_pd(
-          out + j, HappinessQuad(s0, _mm256_loadu_pd(best + j), epsv, one));
-      _mm256_storeu_pd(
-          out + j + 4,
-          HappinessQuad(s1, _mm256_loadu_pd(best + j + 4), epsv, one));
-    }
-    for (; j + 4 <= j1; j += 4) {
-      const __m256d s = DotQuadHoisted(net, j, pk, d);
-      const __m256d b = _mm256_loadu_pd(best + j);
-      _mm256_storeu_pd(out + j, HappinessQuad(s, b, epsv, one));
-    }
-  }
-  for (; j + 4 <= j1; j += 4) {
-    const __m256d s = DotQuad(net, j, p, d);
-    const __m256d b = _mm256_loadu_pd(best + j);
-    _mm256_storeu_pd(out + j, HappinessQuad(s, b, epsv, one));
-  }
-  for (; j < j1; ++j) {
-    out[j] = HappinessOf(DotDir(net, j, p, d), best[j], eps);
-  }
-}
-
-double MhrRangeAvx2(const double* const* net, size_t j0, size_t j1,
-                    const double* best, double eps, const double* pts,
-                    size_t nrows, size_t d) {
-  alignas(kAlign) double smax[kDirTile];
-  const size_t len = j1 - j0;
-  for (size_t jj = 0; jj < len; ++jj) smax[jj] = 0.0;
-  for (size_t r = 0; r < nrows; ++r) {
-    const double* p = pts + r * d;
-    size_t jj = 0;
-    if (d <= kHoistDims) {
-      __m256d pk[kHoistDims];
-      BroadcastRow(p, d, pk);
-      for (; jj + 8 <= len; jj += 8) {
-        __m256d s0, s1;
-        DotOctHoisted(net, j0 + jj, pk, d, &s0, &s1);
-        _mm256_store_pd(smax + jj,
-                        _mm256_max_pd(_mm256_load_pd(smax + jj), s0));
-        _mm256_store_pd(smax + jj + 4,
-                        _mm256_max_pd(_mm256_load_pd(smax + jj + 4), s1));
-      }
-    }
-    for (; jj + 4 <= len; jj += 4) {
-      const __m256d s = DotQuad(net, j0 + jj, p, d);
-      const __m256d m = _mm256_load_pd(smax + jj);
-      _mm256_store_pd(smax + jj, _mm256_max_pd(m, s));
-    }
-    for (; jj < len; ++jj) {
-      const double s = DotDir(net, j0 + jj, p, d);
-      if (s > smax[jj]) smax[jj] = s;
-    }
-  }
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  __m256d mnv = one;
-  size_t jj = 0;
-  for (; jj + 4 <= len; jj += 4) {
-    const __m256d h = HappinessQuad(_mm256_load_pd(smax + jj),
-                                    _mm256_loadu_pd(best + j0 + jj), epsv,
-                                    one);
-    mnv = _mm256_min_pd(mnv, h);
-  }
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, mnv);
-  double mn = std::min(std::min(lanes[0], lanes[1]),
-                       std::min(lanes[2], lanes[3]));
-  for (; jj < len; ++jj) {
-    mn = std::min(mn, HappinessOf(smax[jj], best[j0 + jj], eps));
-  }
-  return mn;
-}
-
-void AddHappinessMaxAvx2(const double* const* net, size_t j0, size_t j1,
-                         const double* p, size_t d, const double* best,
-                         double eps, double* cur) {
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  size_t j = j0;
-  for (; j + 4 <= j1; j += 4) {
-    const __m256d h = HappinessQuad(DotQuad(net, j, p, d),
-                                    _mm256_loadu_pd(best + j), epsv, one);
-    const __m256d c = _mm256_loadu_pd(cur + j);
-    _mm256_storeu_pd(cur + j, _mm256_max_pd(c, h));
-  }
-  for (; j < j1; ++j) {
-    const double h = HappinessOf(DotDir(net, j, p, d), best[j], eps);
-    if (h > cur[j]) cur[j] = h;
-  }
-}
-
-void MaxAccumulateAvx2(const double* src, double* dst, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d s = _mm256_loadu_pd(src + i);
-    const __m256d t = _mm256_loadu_pd(dst + i);
-    _mm256_storeu_pd(dst + i, _mm256_max_pd(t, s));
-  }
-  for (; i < n; ++i) {
-    if (src[i] > dst[i]) dst[i] = src[i];
-  }
-}
-
-double TruncGainCachedAvx2(const double* hrow, const double* cur, size_t n,
-                           double tau) {
-  const __m256d tauv = _mm256_set1_pd(tau);
-  __m256d acc = _mm256_setzero_pd();
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < n4; j += 4) {
-    const __m256d c = _mm256_loadu_pd(cur + j);
-    const __m256d h = _mm256_loadu_pd(hrow + j);
-    const __m256d before = _mm256_min_pd(c, tauv);
-    const __m256d after = _mm256_min_pd(_mm256_max_pd(c, h), tauv);
-    acc = _mm256_add_pd(acc, _mm256_sub_pd(after, before));
-  }
-  double total = CanonicalSum(acc);
-  for (size_t j = n4; j < n; ++j) {
-    total += TruncGainTermCached(hrow, cur, j, tau);
-  }
-  return total;
-}
-
-double TruncGainEvalAvx2(const double* const* net, size_t m, const double* p,
-                         size_t d, const double* best, double eps,
-                         const double* cur, double tau) {
-  const __m256d tauv = _mm256_set1_pd(tau);
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d epsv = _mm256_set1_pd(eps);
-  __m256d acc = _mm256_setzero_pd();
-  const size_t m4 = m & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < m4; j += 4) {
-    const __m256d c = _mm256_loadu_pd(cur + j);
-    const __m256d h = HappinessQuad(DotQuad(net, j, p, d),
-                                    _mm256_loadu_pd(best + j), epsv, one);
-    const __m256d before = _mm256_min_pd(c, tauv);
-    const __m256d after = _mm256_min_pd(_mm256_max_pd(c, h), tauv);
-    acc = _mm256_add_pd(acc, _mm256_sub_pd(after, before));
-  }
-  double total = CanonicalSum(acc);
-  for (size_t j = m4; j < m; ++j) {
-    total += TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
-  }
-  return total;
-}
-
-double TruncSumAvx2(const double* cur, size_t n, double tau) {
-  const __m256d tauv = _mm256_set1_pd(tau);
-  __m256d acc = _mm256_setzero_pd();
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < n4; j += 4) {
-    acc = _mm256_add_pd(acc, _mm256_min_pd(_mm256_loadu_pd(cur + j), tauv));
-  }
-  double total = CanonicalSum(acc);
-  for (size_t j = n4; j < n; ++j) total += std::min(cur[j], tau);
-  return total;
-}
-
-double MinReduceAvx2(const double* x, size_t n) {
-  __m256d mnv = _mm256_set1_pd(1.0);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) mnv = _mm256_min_pd(mnv, _mm256_loadu_pd(x + i));
-  alignas(32) double lanes[4];
-  _mm256_store_pd(lanes, mnv);
-  double mn = std::min(std::min(lanes[0], lanes[1]),
-                       std::min(lanes[2], lanes[3]));
-  for (; i < n; ++i) mn = std::min(mn, x[i]);
-  return mn;
-}
-
-void RowSumsAvx2(const double* const* cols, size_t nrows, size_t d,
-                 double* out) {
-  size_t i = 0;
-  for (; i + 4 <= nrows; i += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (size_t k = 0; k < d; ++k) {
-      acc = _mm256_add_pd(acc, _mm256_loadu_pd(cols[k] + i));
-    }
-    _mm256_storeu_pd(out + i, acc);
-  }
-  for (; i < nrows; ++i) {
-    double s = 0.0;
-    for (size_t k = 0; k < d; ++k) s += cols[k][i];
-    out[i] = s;
-  }
-}
-
-bool AnyDominatesAvx2(const double* const* cols, size_t nrows, size_t d,
-                      const double* p) {
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi32(-1));
-  size_t r = 0;
-  for (; r + 4 <= nrows; r += 4) {
-    __m256d ge = ones;
-    __m256d gt = _mm256_setzero_pd();
-    for (size_t k = 0; k < d; ++k) {
-      const __m256d v = _mm256_loadu_pd(cols[k] + r);
-      const __m256d pk = _mm256_set1_pd(p[k]);
-      ge = _mm256_and_pd(ge, _mm256_cmp_pd(v, pk, _CMP_GE_OQ));
-      gt = _mm256_or_pd(gt, _mm256_cmp_pd(v, pk, _CMP_GT_OQ));
-      if (_mm256_movemask_pd(ge) == 0) break;
-    }
-    if (_mm256_movemask_pd(_mm256_and_pd(ge, gt)) != 0) return true;
-  }
-  for (; r < nrows; ++r) {
-    if (DominatesRow(cols, r, d, p)) return true;
-  }
-  return false;
-}
-
-bool AnyWeakDominatesAvx2(const double* const* cols, size_t nrows, size_t d,
-                          const double* p) {
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi32(-1));
-  size_t r = 0;
-  for (; r + 4 <= nrows; r += 4) {
-    __m256d ge = ones;
-    for (size_t k = 0; k < d; ++k) {
-      const __m256d v = _mm256_loadu_pd(cols[k] + r);
-      ge = _mm256_and_pd(ge, _mm256_cmp_pd(v, _mm256_set1_pd(p[k]),
-                                           _CMP_GE_OQ));
-      if (_mm256_movemask_pd(ge) == 0) break;
-    }
-    if (_mm256_movemask_pd(ge) != 0) return true;
-  }
-  for (; r < nrows; ++r) {
-    if (WeaklyDominatesRow(cols, r, d, p)) return true;
-  }
-  return false;
-}
-
-}  // namespace
 
 const KernelTable* Avx2Kernels() {
-  static const KernelTable table = {
-      DispatchLevel::kAvx2, NetBestAvx2,        HappinessRangeAvx2,
-      MhrRangeAvx2,         AddHappinessMaxAvx2, MaxAccumulateAvx2,
-      TruncGainCachedAvx2,  TruncGainEvalAvx2,   TruncSumAvx2,
-      MinReduceAvx2,        RowSumsAvx2,         AnyDominatesAvx2,
-      AnyWeakDominatesAvx2,
-      ColMinMaxScalar,  // ±0.0 tie order; see simd.cc.
-  };
+#if defined(__AVX2__)
+  static constexpr KernelTable table = MakeTable<4>(DispatchLevel::kAvx2);
   return &table;
+#else
+  return nullptr;
+#endif
 }
 
 }  // namespace internal
 }  // namespace simd
 }  // namespace fairhms
-
-#else  // Non-x86-64 build or AVX2 not enabled for this TU.
-
-namespace fairhms {
-namespace simd {
-namespace internal {
-const KernelTable* Avx2Kernels() { return nullptr; }
-}  // namespace internal
-}  // namespace simd
-}  // namespace fairhms
-
-#endif

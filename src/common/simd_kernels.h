@@ -1,17 +1,25 @@
-// Internal dispatch table for src/common/simd.h — not part of the public
-// surface. Each implementation TU (scalar+SSE2 in simd.cc, AVX2 in
-// simd_avx2.cc, NEON in simd_neon.cc) fills one KernelTable; simd.cc picks
-// the active table once at startup.
+// Internal kernel layer behind src/common/simd.h — not part of the public
+// surface. Every kernel is written here once: a scalar reference body and
+// one lane-width template over GCC/Clang vector extensions, which simd.cc
+// instantiates at W = 2 and simd_avx2.cc (the only -mavx2 TU) at W = 4.
+// simd.h lists the level names and the bit-identity rules.
 //
-// The scalar reference implementations live here as inline functions so the
-// vector TUs reuse the exact same code for loop tails — tail bits must match
-// the scalar path by construction, not by reimplementation.
+// Linkage rule for ISA-flagged TUs: everything after the KernelTable
+// declarations sits in an unnamed namespace, so each TU compiles private
+// copies under its own flags. An inline function with external linkage
+// compiled under -mavx2 would be a weak symbol the linker may keep for
+// every caller, including the scalar path on a host without AVX2 (SIGILL).
+// For the same reason the bodies use the local Min/Max instead of
+// std::min/std::max, whose out-of-line instances (-O0) are weak too. The
+// simd.avx2_exports test fails if the AVX2 object exports anything but
+// Avx2Kernels().
 
 #ifndef FAIRHMS_COMMON_SIMD_KERNELS_H_
 #define FAIRHMS_COMMON_SIMD_KERNELS_H_
 
-#include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <vector>
 
 #include "common/simd.h"
 
@@ -51,13 +59,20 @@ struct KernelTable {
 
 /// Always available. Never returns nullptr.
 const KernelTable* ScalarKernels();
-/// Return nullptr when the build target lacks the instruction set.
-const KernelTable* Sse2Kernels();
+/// The W = 4 table; nullptr unless the build targets x86-64.
 const KernelTable* Avx2Kernels();
-const KernelTable* NeonKernels();
+/// Every table this build contains that the host CPU can run: scalar first,
+/// the widest (auto mode's pick) last. Tests compare each against scalar.
+std::vector<const KernelTable*> RunnableKernels();
+
+namespace {
 
 // ---------------------------------------------------------------------------
-// Scalar reference bodies (used verbatim by vector TUs for tails).
+// Scalar reference bodies (also the tails of every vector kernel).
+
+/// std::min / std::max semantics exactly (first argument wins ties).
+inline double Min(double a, double b) { return b < a ? b : a; }
+inline double Max(double a, double b) { return a < b ? b : a; }
 
 /// <u_j, p>: sequential accumulation over dimensions — the canonical
 /// per-lane chain (identical to geom/vec.h Dot()).
@@ -70,7 +85,7 @@ inline double DotDir(const double* const* net, size_t j, const double* p,
 
 inline double HappinessOf(double s, double b, double eps) {
   if (b <= eps) return 1.0;
-  return std::min(1.0, s / b);
+  return Min(1.0, s / b);
 }
 
 inline void NetBestScalar(const double* const* net, size_t j0, size_t j1,
@@ -108,7 +123,7 @@ inline double MhrRangeScalar(const double* const* net, size_t j0, size_t j1,
   }
   double mn = 1.0;
   for (size_t jj = 0; jj < len; ++jj) {
-    mn = std::min(mn, HappinessOf(smax[jj], best[j0 + jj], eps));
+    mn = Min(mn, HappinessOf(smax[jj], best[j0 + jj], eps));
   }
   return mn;
 }
@@ -131,8 +146,8 @@ inline void MaxAccumulateScalar(const double* src, double* dst, size_t n) {
 
 inline double TruncGainTermCached(const double* hrow, const double* cur,
                                   size_t j, double tau) {
-  const double before = std::min(cur[j], tau);
-  const double after = std::min(std::max(cur[j], hrow[j]), tau);
+  const double before = Min(cur[j], tau);
+  const double after = Min(Max(cur[j], hrow[j]), tau);
   return after - before;
 }
 
@@ -159,9 +174,9 @@ inline double TruncGainCachedScalar(const double* hrow, const double* cur,
 inline double TruncGainTermEval(const double* const* net, const double* p,
                                 size_t d, const double* best, double eps,
                                 const double* cur, size_t j, double tau) {
-  const double before = std::min(cur[j], tau);
+  const double before = Min(cur[j], tau);
   const double h = HappinessOf(DotDir(net, j, p, d), best[j], eps);
-  const double after = std::min(std::max(cur[j], h), tau);
+  const double after = Min(Max(cur[j], h), tau);
   return after - before;
 }
 
@@ -188,19 +203,19 @@ inline double TruncSumScalar(const double* cur, size_t n, double tau) {
   double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
   const size_t n4 = n & ~static_cast<size_t>(3);
   for (size_t j = 0; j < n4; j += 4) {
-    p0 += std::min(cur[j], tau);
-    p1 += std::min(cur[j + 1], tau);
-    p2 += std::min(cur[j + 2], tau);
-    p3 += std::min(cur[j + 3], tau);
+    p0 += Min(cur[j], tau);
+    p1 += Min(cur[j + 1], tau);
+    p2 += Min(cur[j + 2], tau);
+    p3 += Min(cur[j + 3], tau);
   }
   double total = (p0 + p1) + (p2 + p3);
-  for (size_t j = n4; j < n; ++j) total += std::min(cur[j], tau);
+  for (size_t j = n4; j < n; ++j) total += Min(cur[j], tau);
   return total;
 }
 
 inline double MinReduceScalar(const double* x, size_t n) {
   double mn = 1.0;
-  for (size_t i = 0; i < n; ++i) mn = std::min(mn, x[i]);
+  for (size_t i = 0; i < n; ++i) mn = Min(mn, x[i]);
   return mn;
 }
 
@@ -248,18 +263,377 @@ inline bool AnyWeakDominatesScalar(const double* const* cols, size_t nrows,
   return false;
 }
 
+/// Min/max over raw coordinates is the one reduction whose result can
+/// depend on visit order (±0.0 ties select an operand), so it stays on
+/// this body at every dispatch level.
 inline void ColMinMaxScalar(const double* x, size_t n, double* mn,
                             double* mx) {
   if (n == 0) return;
   double lo = x[0], hi = x[0];
   for (size_t i = 1; i < n; ++i) {
-    lo = std::min(lo, x[i]);
-    hi = std::max(hi, x[i]);
+    lo = Min(lo, x[i]);
+    hi = Max(hi, x[i]);
   }
   *mn = lo;
   *mx = hi;
 }
 
+// ---------------------------------------------------------------------------
+// The vector body: W lanes of doubles, one net direction (or one row) per
+// lane. Each lane evaluates the scalar expression above — the dot chain
+// sums in dimension order, there is no FMA, max updates and selects keep
+// the scalar comparisons, and min/max differ only on ties no happiness
+// value can show — so the lane width cannot change a bit.
+
+template <size_t W>
+struct Lanes {
+  typedef double V __attribute__((vector_size(W * sizeof(double))));
+};
+
+/// Rows wider than this take the scalar body in the direction-swept
+/// kernels, which broadcast the row's coordinates once into a local array
+/// (re-broadcasting p[k] per direction block costs more load-port uops than
+/// the column loads themselves). No shipped dataset comes close.
+constexpr size_t kHoistDims = 16;
+
+/// Unaligned, alias-safe access to W doubles — the same type the compilers'
+/// own unaligned-load intrinsics use. (A __builtin_memcpy load measured 4-6%
+/// slower in the dot loops: GCC folds it into an indexed vmulpd operand,
+/// which Intel cores split into two uops.)
+template <typename V>
+inline V Load(const double* p) {
+  typedef V Unaligned __attribute__((may_alias, aligned(1)));
+  return *reinterpret_cast<const Unaligned*>(p);
+}
+
+template <typename V>
+inline void Store(double* p, V v) {
+  typedef V Unaligned __attribute__((may_alias, aligned(1)));
+  *reinterpret_cast<Unaligned*>(p) = v;
+}
+
+/// All lanes = x. x - (+0.0) == x exactly, -0.0 included (x + 0.0 is not).
+template <typename V>
+inline V Splat(double x) {
+  return x - V{};
+}
+
+/// Lane-wise min/max with the hardware operand rule (minpd/maxpd). They
+/// differ from std::min/std::max only in which of two equal operands they
+/// return, which no happiness value (never NaN or -0.0) can show.
+template <typename V>
+inline V VMin(V a, V b) {
+  return a < b ? a : b;
+}
+
+template <typename V>
+inline V VMax(V a, V b) {
+  return a > b ? a : b;
+}
+
+/// True iff any lane of the comparison mask m is set (branch-free OR).
+template <typename M>
+inline bool AnyLane(M m) {
+  uint64_t lanes[sizeof(M) / sizeof(uint64_t)];
+  __builtin_memcpy(lanes, &m, sizeof(M));
+  uint64_t any = 0;
+  for (const uint64_t lane : lanes) any |= lane;
+  return any != 0;
+}
+
+/// HappinessOf per lane. Inactive lanes divide by 1 instead of a possibly
+/// zero best[j]; the quotient is discarded by the final select.
+template <typename V>
+inline V HappinessV(V s, V b, V epsv) {
+  const V one = Splat<V>(1.0);
+  const auto inactive = b <= epsv;
+  return inactive ? one : VMin(s / (inactive ? one : b), one);
+}
+
+/// Dot of one row (coordinates pre-broadcast into pk, once per row) with
+/// directions [j, j + W).
+template <typename V>
+inline V Dot(const double* const* net, size_t j, const V* pk, size_t d) {
+  V acc = {};
+  for (size_t k = 0; k < d; ++k) acc += pk[k] * Load<V>(net[k] + j);
+  return acc;
+}
+
+/// Calls f(j, s) for each W-direction block [j, j + W) of [j0, j1), with s
+/// the row's dot vector there. Blocks go two at a time while they fit: two
+/// independent accumulator chains, so the sequential per-lane add chain
+/// does not serialize the loop on add latency. Returns the first direction
+/// left for the scalar tail.
+template <size_t W, typename V, typename F>
+inline size_t SweepDirections(const double* const* net, size_t j0, size_t j1,
+                              const V* pk, size_t d, F&& f) {
+  size_t j = j0;
+  for (; j + 2 * W <= j1; j += 2 * W) {
+    V a0 = {}, a1 = {};
+    for (size_t k = 0; k < d; ++k) {
+      a0 += pk[k] * Load<V>(net[k] + j);
+      a1 += pk[k] * Load<V>(net[k] + j + W);
+    }
+    f(j, a0);
+    f(j + W, a1);
+  }
+  for (; j + W <= j1; j += W) f(j, Dot(net, j, pk, d));
+  return j;
+}
+
+/// Canonical 4-virtual-lane sum of term(j) (the W lanes from j) over the
+/// first n4 = n & ~3 indices: 4 / W accumulators holding virtual lanes
+/// 0..3 in order, combined as (p0 + p1) + (p2 + p3). The caller adds the
+/// tail.
+template <size_t W, typename Term>
+inline double CanonicalSum(size_t n4, Term&& term) {
+  static_assert(W == 2 || W == 4, "4 / W accumulators");
+  using V = typename Lanes<W>::V;
+  V acc[2] = {};
+  for (size_t j = 0; j < n4; j += kSumLanes) {
+    acc[0] += term(j);
+    if (W == 2) acc[1] += term(j + 2);
+  }
+  double p[kSumLanes];
+  __builtin_memcpy(p, acc, sizeof(p));
+  return (p[0] + p[1]) + (p[2] + p[3]);
+}
+
+/// Lane-sequential min of v (exact: no NaN, no -0.0 in the happiness
+/// domain, so min is order-independent).
+template <typename V>
+inline double MinLanes(V v) {
+  double mn = v[0];
+  for (size_t i = 1; i < sizeof(V) / sizeof(double); ++i) mn = Min(mn, v[i]);
+  return mn;
+}
+
+template <size_t W>
+void NetBestV(const double* const* net, size_t j0, size_t j1,
+              const double* pts, size_t nrows, size_t d, double* best) {
+  using V = typename Lanes<W>::V;
+  if (d > kHoistDims) return NetBestScalar(net, j0, j1, pts, nrows, d, best);
+  V pk[kHoistDims];
+  for (size_t r = 0; r < nrows; ++r) {
+    const double* p = pts + r * d;
+    for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
+    const size_t j = SweepDirections<W>(net, j0, j1, pk, d, [&](size_t i, V s) {
+      const V b = Load<V>(best + i);
+      Store(best + i, s > b ? s : b);
+    });
+    NetBestScalar(net, j, j1, p, 1, d, best);
+  }
+}
+
+template <size_t W>
+void HappinessRangeV(const double* const* net, size_t j0, size_t j1,
+                     const double* p, size_t d, const double* best, double eps,
+                     double* out) {
+  using V = typename Lanes<W>::V;
+  if (d > kHoistDims) {
+    return HappinessRangeScalar(net, j0, j1, p, d, best, eps, out);
+  }
+  V pk[kHoistDims];
+  for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
+  const V epsv = Splat<V>(eps);
+  const size_t j = SweepDirections<W>(net, j0, j1, pk, d, [&](size_t jj, V s) {
+    Store(out + jj, HappinessV(s, Load<V>(best + jj), epsv));
+  });
+  HappinessRangeScalar(net, j, j1, p, d, best, eps, out);
+}
+
+template <size_t W>
+double MhrRangeV(const double* const* net, size_t j0, size_t j1,
+                 const double* best, double eps, const double* pts,
+                 size_t nrows, size_t d) {
+  using V = typename Lanes<W>::V;
+  if (d > kHoistDims) {
+    return MhrRangeScalar(net, j0, j1, best, eps, pts, nrows, d);
+  }
+  alignas(kAlign) double smax[kDirTile];
+  const size_t len = j1 - j0;
+  for (size_t jj = 0; jj < len; ++jj) smax[jj] = 0.0;
+  V pk[kHoistDims];
+  for (size_t r = 0; r < nrows; ++r) {
+    const double* p = pts + r * d;
+    for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
+    size_t j = SweepDirections<W>(net, j0, j1, pk, d, [&](size_t jj, V s) {
+      const V m = Load<V>(smax + (jj - j0));
+      Store(smax + (jj - j0), s > m ? s : m);
+    });
+    for (; j < j1; ++j) {
+      const double s = DotDir(net, j, p, d);
+      if (s > smax[j - j0]) smax[j - j0] = s;
+    }
+  }
+  const V epsv = Splat<V>(eps);
+  V mnv = Splat<V>(1.0);
+  size_t jj = 0;
+  for (; jj + W <= len; jj += W) {
+    mnv = VMin(mnv, HappinessV(Load<V>(smax + jj), Load<V>(best + j0 + jj),
+                               epsv));
+  }
+  double mn = MinLanes(mnv);
+  for (; jj < len; ++jj) {
+    mn = Min(mn, HappinessOf(smax[jj], best[j0 + jj], eps));
+  }
+  return mn;
+}
+
+template <size_t W>
+void AddHappinessMaxV(const double* const* net, size_t j0, size_t j1,
+                      const double* p, size_t d, const double* best,
+                      double eps, double* cur) {
+  using V = typename Lanes<W>::V;
+  if (d > kHoistDims) {
+    return AddHappinessMaxScalar(net, j0, j1, p, d, best, eps, cur);
+  }
+  V pk[kHoistDims];
+  for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
+  const V epsv = Splat<V>(eps);
+  const size_t j = SweepDirections<W>(net, j0, j1, pk, d, [&](size_t jj, V s) {
+    const V h = HappinessV(s, Load<V>(best + jj), epsv);
+    const V c = Load<V>(cur + jj);
+    Store(cur + jj, h > c ? h : c);
+  });
+  AddHappinessMaxScalar(net, j, j1, p, d, best, eps, cur);
+}
+
+template <size_t W>
+void MaxAccumulateV(const double* src, double* dst, size_t n) {
+  using V = typename Lanes<W>::V;
+  size_t i = 0;
+  for (; i + W <= n; i += W) {
+    const V s = Load<V>(src + i);
+    const V t = Load<V>(dst + i);
+    Store(dst + i, s > t ? s : t);
+  }
+  MaxAccumulateScalar(src + i, dst + i, n - i);
+}
+
+template <size_t W>
+double TruncGainCachedV(const double* hrow, const double* cur, size_t n,
+                        double tau) {
+  using V = typename Lanes<W>::V;
+  const V tauv = Splat<V>(tau);
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  double total = CanonicalSum<W>(n4, [&](size_t j) {
+    const V c = Load<V>(cur + j);
+    const V h = Load<V>(hrow + j);
+    return VMin(VMax(c, h), tauv) - VMin(c, tauv);
+  });
+  for (size_t j = n4; j < n; ++j) {
+    total += TruncGainTermCached(hrow, cur, j, tau);
+  }
+  return total;
+}
+
+template <size_t W>
+double TruncGainEvalV(const double* const* net, size_t m, const double* p,
+                      size_t d, const double* best, double eps,
+                      const double* cur, double tau) {
+  using V = typename Lanes<W>::V;
+  if (d > kHoistDims) {
+    return TruncGainEvalScalar(net, m, p, d, best, eps, cur, tau);
+  }
+  V pk[kHoistDims];
+  for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
+  const V epsv = Splat<V>(eps);
+  const V tauv = Splat<V>(tau);
+  const size_t m4 = m & ~static_cast<size_t>(3);
+  double total = CanonicalSum<W>(m4, [&](size_t j) {
+    const V c = Load<V>(cur + j);
+    const V h = HappinessV(Dot(net, j, pk, d), Load<V>(best + j), epsv);
+    return VMin(VMax(c, h), tauv) - VMin(c, tauv);
+  });
+  for (size_t j = m4; j < m; ++j) {
+    total += TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
+  }
+  return total;
+}
+
+template <size_t W>
+double TruncSumV(const double* cur, size_t n, double tau) {
+  using V = typename Lanes<W>::V;
+  const V tauv = Splat<V>(tau);
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  double total = CanonicalSum<W>(
+      n4, [&](size_t j) { return VMin(Load<V>(cur + j), tauv); });
+  for (size_t j = n4; j < n; ++j) total += Min(cur[j], tau);
+  return total;
+}
+
+template <size_t W>
+double MinReduceV(const double* x, size_t n) {
+  using V = typename Lanes<W>::V;
+  V mnv = Splat<V>(1.0);
+  size_t i = 0;
+  for (; i + W <= n; i += W) mnv = VMin(mnv, Load<V>(x + i));
+  double mn = MinLanes(mnv);
+  for (; i < n; ++i) mn = Min(mn, x[i]);
+  return mn;
+}
+
+template <size_t W>
+void RowSumsV(const double* const* cols, size_t nrows, size_t d,
+              double* out) {
+  using V = typename Lanes<W>::V;
+  size_t i = 0;
+  for (; i + W <= nrows; i += W) {
+    V acc = {};
+    for (size_t k = 0; k < d; ++k) acc += Load<V>(cols[k] + i);
+    Store(out + i, acc);
+  }
+  for (; i < nrows; ++i) {
+    double s = 0.0;
+    for (size_t k = 0; k < d; ++k) s += cols[k][i];
+    out[i] = s;
+  }
+}
+
+/// AnyDominates (Strict) / AnyWeaklyDominates, one row per lane, two
+/// W-row blocks per step so the early-exit test (a horizontal OR, once
+/// per dimension) is paid per 2W rows. A lane stops mattering once its row
+/// is below p somewhere.
+template <size_t W, bool Strict>
+bool AnyDominatesV(const double* const* cols, size_t nrows, size_t d,
+                   const double* p) {
+  using V = typename Lanes<W>::V;
+  using M = decltype(V{} < V{});
+  size_t r = 0;
+  for (; r + 2 * W <= nrows; r += 2 * W) {
+    M ge0 = ~M{}, ge1 = ~M{}, gt0 = {}, gt1 = {};
+    for (size_t k = 0; k < d && AnyLane(ge0 | ge1); ++k) {
+      const V pk = Splat<V>(p[k]);
+      const V v0 = Load<V>(cols[k] + r);
+      const V v1 = Load<V>(cols[k] + r + W);
+      ge0 &= v0 >= pk;
+      ge1 &= v1 >= pk;
+      gt0 |= v0 > pk;
+      gt1 |= v1 > pk;
+    }
+    if (AnyLane(Strict ? (ge0 & gt0) | (ge1 & gt1) : ge0 | ge1)) return true;
+  }
+  for (; r < nrows; ++r) {
+    if (Strict ? DominatesRow(cols, r, d, p)
+               : WeaklyDominatesRow(cols, r, d, p)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+/// The W-lane kernel table for dispatch level `level`.
+template <size_t W>
+constexpr KernelTable MakeTable(DispatchLevel level) {
+  return {level,          NetBestV<W>,          HappinessRangeV<W>,
+          MhrRangeV<W>,   AddHappinessMaxV<W>,  MaxAccumulateV<W>,
+          TruncGainCachedV<W>, TruncGainEvalV<W>, TruncSumV<W>,
+          MinReduceV<W>,  RowSumsV<W>,          AnyDominatesV<W, true>,
+          AnyDominatesV<W, false>, ColMinMaxScalar};
+}
+
+}  // namespace
 }  // namespace internal
 }  // namespace simd
 }  // namespace fairhms

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <mutex>
 
 #include "common/thread_pool.h"
 #include "geom/vec.h"
@@ -84,37 +83,22 @@ double NetEvaluator::Mhr(const std::vector<int>& rows) const {
   // Per tile, MhrRange max-accumulates the raw scores of every row, then
   // divides once per direction: division by a positive denominator is
   // monotone and max selects an element, so this matches the per-row
-  // division formulation bit for bit. The early break only skips work — an
-  // mhr of 0 cannot rise.
-  if (threads_ <= 1) {
-    double mhr = 1.0;
-    for (size_t t = 0; t < TileCount(m); ++t) {
-      const size_t j0 = t * kTile;
-      const size_t j1 = std::min(m, j0 + kTile);
-      mhr = std::min(mhr, simd::MhrRange(net_cols_.cols(), j0, j1,
-                                         best_.data(), kDegenerate,
-                                         pts.data(), rows.size(), d));
-      if (mhr <= 0.0) break;
-    }
-    return mhr;
-  }
-  // Tile-local minima merged with exact min, which is order-independent,
-  // so the result is identical to the serial sweep.
-  std::mutex mu;
-  double mhr = 1.0;
-  ParallelFor(threads_, TileCount(m), [&](size_t t0, size_t t1) {
-    double local = 1.0;
+  // division formulation bit for bit. Each tile writes its own minimum and
+  // one exact min merges them, so any lane count gives the serial result.
+  // The early break only skips work — a block's remaining tiles keep 1.0,
+  // and an mhr of 0 cannot rise.
+  std::vector<double> tile_min(TileCount(m), 1.0);
+  ParallelFor(threads_, tile_min.size(), [&](size_t t0, size_t t1) {
     for (size_t t = t0; t < t1; ++t) {
       const size_t j0 = t * kTile;
       const size_t j1 = std::min(m, j0 + kTile);
-      local = std::min(local, simd::MhrRange(net_cols_.cols(), j0, j1,
-                                             best_.data(), kDegenerate,
-                                             pts.data(), rows.size(), d));
-      if (local <= 0.0) break;
+      tile_min[t] = simd::MhrRange(net_cols_.cols(), j0, j1, best_.data(),
+                                   kDegenerate, pts.data(), rows.size(), d);
+      if (tile_min[t] <= 0.0) break;
     }
-    std::lock_guard<std::mutex> lock(mu);
-    mhr = std::min(mhr, local);
   });
+  double mhr = 1.0;
+  for (const double v : tile_min) mhr = std::min(mhr, v);
   return mhr;
 }
 

@@ -22,6 +22,7 @@
 #include "data/grouping.h"
 #include "fairness/group_bounds.h"
 #include "skyline/incremental.h"
+#include "testing/test_util.h"
 
 namespace fairhms {
 namespace {
@@ -165,8 +166,7 @@ TEST(CatalogTest, SaveLoadPreservesSolveResultsForEveryAlgorithm) {
     warm.push_back(std::move(*result));
   }
 
-  const std::string path =
-      ::testing::TempDir() + "fairhms_catalog_roundtrip.snap";
+  const std::string path = testing::UniqueTempPath("fairhms_catalog_roundtrip");
   ASSERT_TRUE(live.Save("d", path).ok());
 
   DatasetCatalog restored_catalog;
@@ -213,8 +213,7 @@ TEST(CatalogTest, CostModelSidecarSurvivesSaveLoad) {
   EXPECT_EQ((*session)->cost_model()->observations(), 2u);
   const std::string serialized = (*session)->cost_model()->Serialize();
 
-  const std::string path =
-      ::testing::TempDir() + "fairhms_catalog_costmodel.snap";
+  const std::string path = testing::UniqueTempPath("fairhms_catalog_costmodel");
   ASSERT_TRUE(live.Save("d", path).ok());
 
   DatasetCatalog restored;
@@ -262,11 +261,12 @@ TEST(CatalogTest, EmptiedComboRouteSurvivesRestore) {
       static_cast<size_t>(*row)];
   ASSERT_TRUE((*session)->Erase({*row}).ok());  // Empty the combination.
 
-  const std::string path = ::testing::TempDir() + "fairhms_catalog_combo.snap";
+  const std::string path = testing::UniqueTempPath("fairhms_catalog_combo");
   ASSERT_TRUE(live.Save("d", path).ok());
   DatasetCatalog restored;
   ASSERT_TRUE(restored.Load("d", path).ok());
   std::remove(path.c_str());
+  std::remove((path + ".plan").c_str());
 
   auto restored_session = restored.Session("d");
   ASSERT_TRUE(restored_session.ok());

@@ -1,13 +1,14 @@
 // Bit-identity and dispatch tests for the common/simd.h kernel layer.
 //
 // The layer's contract is that every kernel produces *bitwise identical*
-// results at every dispatch level. These tests run each kernel with
-// SetMode(kOff) (scalar reference) and SetMode(kAuto) (best level the host
-// supports) over shapes chosen to hit every code path — sub-lane sizes,
-// unaligned tails, full tiles — and over value sets with the classic
+// results at every dispatch level. The kernel tests run every table the
+// build contains and the host can run (simd::internal::RunnableKernels():
+// W = 2 and, on AVX2 hosts, W = 4) against the scalar reference, over
+// shapes chosen to hit every code path — sub-lane sizes, unaligned starts
+// and tails, full tiles — and over value sets with the classic
 // floating-point traps: ±0.0, denormals, exact duplicates and all-zero
-// rows. On a scalar-only host auto == off and the comparisons are trivially
-// true; on SSE2/AVX2/NEON hosts they exercise the vector paths.
+// rows. The evaluator tests then flip the public mode (off vs auto) end to
+// end. On a scalar-only host the comparisons are trivially true.
 
 #include "common/simd.h"
 
@@ -15,12 +16,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd_kernels.h"
 #include "common/string_util.h"
 #include "core/exact_evaluator.h"
 #include "core/net_evaluator.h"
@@ -33,6 +36,7 @@
 namespace fairhms {
 namespace {
 
+using simd::internal::KernelTable;
 using testing::MakeDataset;
 
 bool BitEq(double a, double b) {
@@ -115,8 +119,22 @@ std::vector<double> TrapPoints(size_t n, size_t d, Rng* rng) {
 }
 
 const size_t kDims[] = {2, 3, 6, 7};
-const size_t kNetSizes[] = {1, 7, 333};
+const size_t kNetSizes[] = {1, 7, 333, simd::kDirTile, 1031};
 const size_t kRowCounts[] = {1, 5, 8, 129};
+
+const KernelTable& Scalar() { return *simd::internal::ScalarKernels(); }
+
+/// The runnable tables other than the scalar reference.
+std::vector<const KernelTable*> VectorTables() {
+  std::vector<const KernelTable*> tables = simd::internal::RunnableKernels();
+  tables.erase(tables.begin());
+  return tables;
+}
+
+std::string Shape(const KernelTable* t, size_t d, size_t m, size_t n) {
+  return StrFormat("level=%s d=%zu m=%zu n=%zu",
+                   simd::DispatchLevelName(t->level), d, m, n);
+}
 
 TEST(SimdModeTest, ParseAcceptsExactlyAutoAndOff) {
   ASSERT_TRUE(simd::ParseSimdMode("auto").ok());
@@ -169,59 +187,64 @@ TEST(SimdModeTest, LayoutKeyTracksActiveLevel) {
   EXPECT_EQ(off_key >> 8, static_cast<uint32_t>(simd::kLayoutVersion));
 }
 
+TEST(SimdKernelTest, EveryCompiledWidthIsCompared) {
+  // The comparisons below run every table this build contains and the host
+  // can run, so the W = 2 body (the NEON table on aarch64) is checked on
+  // x86 hosts too, not only the widest one auto mode picks.
+  const std::vector<const KernelTable*> tables =
+      simd::internal::RunnableKernels();
+  ASSERT_FALSE(tables.empty());
+  EXPECT_EQ(tables.front()->level, simd::DispatchLevel::kScalar);
+  EXPECT_EQ(tables.back()->level, simd::DetectedLevel());
+#if defined(__SSE2__)
+  ASSERT_GE(tables.size(), 2u);
+  EXPECT_EQ(tables[1]->level, simd::DispatchLevel::kSse2);
+#elif defined(__aarch64__)
+  ASSERT_GE(tables.size(), 2u);
+  EXPECT_EQ(tables[1]->level, simd::DispatchLevel::kNeon);
+#endif
+}
+
 TEST(SimdKernelTest, NetBestAndHappinessAndMhrBitIdentical) {
-  ModeGuard guard;
   Rng rng(101);
   for (size_t d : kDims) {
     for (size_t m : kNetSizes) {
       for (size_t n : kRowCounts) {
         const simd::ColumnBlock net = TrapBlock(m, d, &rng);
         const std::vector<double> pts = TrapPoints(n, d, &rng);
-
-        simd::SetMode(simd::SimdMode::kOff);
-        std::vector<double> best_off(m, 0.0);
-        simd::NetBestRange(net.cols(), 0, m, pts.data(), n, d,
-                           best_off.data());
-        std::vector<double> hap_off(m, 0.0);
-        simd::HappinessRange(net.cols(), 0, m, pts.data(), d, best_off.data(),
-                             1e-12, hap_off.data());
-        const double mhr_off = simd::MhrRange(net.cols(), 0, std::min(m, simd::kDirTile),
-                                              best_off.data(), 1e-12,
-                                              pts.data(), n, d);
-
-        simd::SetMode(simd::SimdMode::kAuto);
-        std::vector<double> best_auto(m, 0.0);
-        simd::NetBestRange(net.cols(), 0, m, pts.data(), n, d,
-                           best_auto.data());
-        std::vector<double> hap_auto(m, 0.0);
-        simd::HappinessRange(net.cols(), 0, m, pts.data(), d,
-                             best_auto.data(), 1e-12, hap_auto.data());
-        const double mhr_auto = simd::MhrRange(net.cols(), 0, std::min(m, simd::kDirTile),
-                                               best_auto.data(), 1e-12,
-                                               pts.data(), n, d);
-
-        EXPECT_TRUE(BitsEqual(best_off, best_auto)) << "d=" << d << " m=" << m
-                                                    << " n=" << n;
-        EXPECT_TRUE(BitsEqual(hap_off, hap_auto)) << "d=" << d << " m=" << m
-                                                  << " n=" << n;
-        EXPECT_TRUE(BitEq(mhr_off, mhr_auto)) << "d=" << d << " m=" << m
-                                              << " n=" << n;
+        // An offset range too, so vector blocks start off the alignment.
+        const size_t j0 = m / 3;
+        const size_t mhr_end = std::min(m, j0 + simd::kDirTile);
+        std::vector<double> best_ref(m, 0.0), hap_ref(m, 0.0);
+        Scalar().net_best(net.cols(), 0, m, pts.data(), n, d, best_ref.data());
+        Scalar().happiness_range(net.cols(), j0, m, pts.data(), d,
+                                 best_ref.data(), 1e-12, hap_ref.data());
+        const double mhr_ref = Scalar().mhr_range(
+            net.cols(), j0, mhr_end, best_ref.data(), 1e-12, pts.data(), n, d);
+        for (const KernelTable* t : VectorTables()) {
+          std::vector<double> best(m, 0.0), hap(m, 0.0);
+          t->net_best(net.cols(), 0, m, pts.data(), n, d, best.data());
+          t->happiness_range(net.cols(), j0, m, pts.data(), d, best.data(),
+                             1e-12, hap.data());
+          const double mhr = t->mhr_range(net.cols(), j0, mhr_end,
+                                          best.data(), 1e-12, pts.data(), n, d);
+          SCOPED_TRACE(Shape(t, d, m, n));
+          EXPECT_TRUE(BitsEqual(best_ref, best));
+          EXPECT_TRUE(BitsEqual(hap_ref, hap));
+          EXPECT_TRUE(BitEq(mhr_ref, mhr));
+        }
       }
     }
   }
 }
 
 TEST(SimdKernelTest, MhrRangeMatchesPerRowDivisionFormulation) {
-  ModeGuard guard;
-  simd::SetMode(simd::SimdMode::kAuto);
   Rng rng(202);
   const size_t d = 6, m = 333, n = 40;
   const simd::ColumnBlock net = TrapBlock(m, d, &rng);
   const std::vector<double> pts = TrapPoints(n, d, &rng);
   std::vector<double> best(m, 0.0);
-  simd::NetBestRange(net.cols(), 0, m, pts.data(), n, d, best.data());
-  const double hoisted =
-      simd::MhrRange(net.cols(), 0, m, best.data(), 1e-12, pts.data(), n, d);
+  Scalar().net_best(net.cols(), 0, m, pts.data(), n, d, best.data());
   // Naive max_r min(1, s_r / b) per direction: the kernel hoists the
   // division (max selects an element, division by a positive constant is
   // monotone), which must match bit for bit, not approximately.
@@ -240,11 +263,16 @@ TEST(SimdKernelTest, MhrRangeMatchesPerRowDivisionFormulation) {
     }
     naive = std::min(naive, hr);
   }
-  EXPECT_TRUE(BitEq(hoisted, naive)) << hoisted << " vs " << naive;
+  for (const KernelTable* t : simd::internal::RunnableKernels()) {
+    const double hoisted =
+        t->mhr_range(net.cols(), 0, m, best.data(), 1e-12, pts.data(), n, d);
+    EXPECT_TRUE(BitEq(hoisted, naive))
+        << simd::DispatchLevelName(t->level) << ": " << hoisted << " vs "
+        << naive;
+  }
 }
 
 TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
-  ModeGuard guard;
   Rng rng(303);
   for (size_t d : kDims) {
     for (size_t m : kNetSizes) {
@@ -255,49 +283,37 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
       for (double& v : cur) v = TrapHappiness(&rng);
       for (double& v : hrow) v = TrapHappiness(&rng);
       const double tau = 0.85;
-
-      simd::SetMode(simd::SimdMode::kOff);
-      const double gc_off = simd::TruncGainCached(hrow.data(), cur.data(), m, tau);
-      const double ge_off =
-          simd::TruncGainEval(net.cols(), m, p.data(), d, best.data(), 1e-12,
-                              cur.data(), tau);
-      const double ts_off = simd::TruncSum(cur.data(), m, tau);
-      const double mr_off = simd::MinReduce(cur.data(), m);
-      std::vector<double> acc_off = cur;
-      simd::MaxAccumulate(hrow.data(), acc_off.data(), m);
-      std::vector<double> add_off = cur;
-      simd::AddHappinessMax(net.cols(), 0, m, p.data(), d, best.data(), 1e-12,
-                            add_off.data());
-
-      simd::SetMode(simd::SimdMode::kAuto);
-      const double gc_auto = simd::TruncGainCached(hrow.data(), cur.data(), m, tau);
-      const double ge_auto =
-          simd::TruncGainEval(net.cols(), m, p.data(), d, best.data(), 1e-12,
-                              cur.data(), tau);
-      const double ts_auto = simd::TruncSum(cur.data(), m, tau);
-      const double mr_auto = simd::MinReduce(cur.data(), m);
-      std::vector<double> acc_auto = cur;
-      simd::MaxAccumulate(hrow.data(), acc_auto.data(), m);
-      std::vector<double> add_auto = cur;
-      simd::AddHappinessMax(net.cols(), 0, m, p.data(), d, best.data(), 1e-12,
-                            add_auto.data());
-
-      EXPECT_TRUE(BitEq(gc_off, gc_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitEq(ge_off, ge_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitEq(ts_off, ts_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitEq(mr_off, mr_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitsEqual(acc_off, acc_auto)) << "d=" << d << " m=" << m;
-      EXPECT_TRUE(BitsEqual(add_off, add_auto)) << "d=" << d << " m=" << m;
+      // Every kernel of the table in one pass, as bits.
+      auto run = [&](const KernelTable& t) {
+        std::vector<double> acc = cur, add = cur;
+        t.max_accumulate(hrow.data(), acc.data(), m);
+        t.add_happiness_max(net.cols(), 0, m, p.data(), d, best.data(), 1e-12,
+                            add.data());
+        std::vector<double> out = {
+            t.trunc_gain_cached(hrow.data(), cur.data(), m, tau),
+            t.trunc_gain_eval(net.cols(), m, p.data(), d, best.data(), 1e-12,
+                              cur.data(), tau),
+            t.trunc_sum(cur.data(), m, tau), t.min_reduce(cur.data(), m)};
+        out.insert(out.end(), acc.begin(), acc.end());
+        out.insert(out.end(), add.begin(), add.end());
+        return out;
+      };
+      const std::vector<double> ref = run(Scalar());
+      for (const KernelTable* t : VectorTables()) {
+        SCOPED_TRACE(Shape(t, d, m, 1));
+        EXPECT_TRUE(BitsEqual(ref, run(*t)));
+      }
     }
   }
 }
 
 TEST(SimdKernelTest, MinReduceOfEmptyIsOne) {
-  EXPECT_EQ(simd::MinReduce(nullptr, 0), 1.0);
+  for (const KernelTable* t : simd::internal::RunnableKernels()) {
+    EXPECT_EQ(t->min_reduce(nullptr, 0), 1.0);
+  }
 }
 
 TEST(SimdKernelTest, RowSumsAndDominanceBitIdentical) {
-  ModeGuard guard;
   Rng rng(404);
   for (size_t d : kDims) {
     for (size_t n : kRowCounts) {
@@ -310,41 +326,36 @@ TEST(SimdKernelTest, RowSumsAndDominanceBitIdentical) {
       for (size_t k = 0; k < d; ++k) dup[k] = block.cols()[k][n / 2];
       probes.push_back(dup);
       probes.emplace_back(d, 0.0);
-
-      simd::SetMode(simd::SimdMode::kOff);
-      std::vector<double> sums_off(block.padded_rows(), 0.0);
-      simd::RowSums(block.cols(), n, d, sums_off.data());
-      std::vector<int> dom_off, weak_off;
-      for (const auto& p : probes) {
-        dom_off.push_back(simd::AnyDominates(block.cols(), n, d, p.data()));
-        weak_off.push_back(
-            simd::AnyWeaklyDominates(block.cols(), n, d, p.data()));
-      }
-
-      simd::SetMode(simd::SimdMode::kAuto);
-      std::vector<double> sums_auto(block.padded_rows(), 0.0);
-      simd::RowSums(block.cols(), n, d, sums_auto.data());
-      std::vector<int> dom_auto, weak_auto;
-      for (const auto& p : probes) {
-        dom_auto.push_back(simd::AnyDominates(block.cols(), n, d, p.data()));
-        weak_auto.push_back(
-            simd::AnyWeaklyDominates(block.cols(), n, d, p.data()));
-      }
-
-      EXPECT_TRUE(BitsEqual(sums_off, sums_auto)) << "d=" << d << " n=" << n;
-      EXPECT_EQ(dom_off, dom_auto) << "d=" << d << " n=" << n;
-      EXPECT_EQ(weak_off, weak_auto) << "d=" << d << " n=" << n;
+      auto run = [&](const KernelTable& t, std::vector<double>* sums,
+                     std::vector<int>* dom, std::vector<int>* weak) {
+        sums->assign(block.padded_rows(), 0.0);
+        t.row_sums(block.cols(), n, d, sums->data());
+        for (const auto& p : probes) {
+          dom->push_back(t.any_dominates(block.cols(), n, d, p.data()));
+          weak->push_back(t.any_weak_dominates(block.cols(), n, d, p.data()));
+        }
+      };
+      std::vector<double> sums_ref;
+      std::vector<int> dom_ref, weak_ref;
+      run(Scalar(), &sums_ref, &dom_ref, &weak_ref);
       // A duplicate of a block row is weakly dominated but never strictly
       // dominated by that row (it can still be strictly dominated by some
       // other row, so only the weak direction is asserted).
-      EXPECT_TRUE(weak_off[1]);
+      EXPECT_TRUE(weak_ref[1]);
+      for (const KernelTable* t : VectorTables()) {
+        std::vector<double> sums;
+        std::vector<int> dom, weak;
+        run(*t, &sums, &dom, &weak);
+        SCOPED_TRACE(Shape(t, d, 0, n));
+        EXPECT_TRUE(BitsEqual(sums_ref, sums));
+        EXPECT_EQ(dom_ref, dom);
+        EXPECT_EQ(weak_ref, weak);
+      }
     }
   }
 }
 
 TEST(SimdKernelTest, DominancePaddingIsNeverAWitness) {
-  ModeGuard guard;
-  simd::SetMode(simd::SimdMode::kAuto);
   // Three all-zero rows (padded out to kPadRows with more zeros). An
   // all-zero probe is weakly dominated by the real rows, but nothing
   // strictly dominates it — if a vector path read the zero padding as
@@ -354,35 +365,36 @@ TEST(SimdKernelTest, DominancePaddingIsNeverAWitness) {
   simd::ColumnBlock block(static_cast<int>(d));
   const std::vector<double> zero(d, 0.0);
   for (int i = 0; i < 3; ++i) block.Append(zero.data());
-  EXPECT_FALSE(simd::AnyDominates(block.cols(), 3, d, zero.data()));
-  EXPECT_TRUE(simd::AnyWeaklyDominates(block.cols(), 3, d, zero.data()));
   // Zero rows, padded capacity present: no witness of any kind.
   simd::ColumnBlock empty(static_cast<int>(d));
   empty.ResizeRows(0);
-  EXPECT_FALSE(simd::AnyDominates(empty.cols(), 0, d, zero.data()));
-  EXPECT_FALSE(simd::AnyWeaklyDominates(empty.cols(), 0, d, zero.data()));
+  for (const KernelTable* t : simd::internal::RunnableKernels()) {
+    SCOPED_TRACE(simd::DispatchLevelName(t->level));
+    EXPECT_FALSE(t->any_dominates(block.cols(), 3, d, zero.data()));
+    EXPECT_TRUE(t->any_weak_dominates(block.cols(), 3, d, zero.data()));
+    EXPECT_FALSE(t->any_dominates(empty.cols(), 0, d, zero.data()));
+    EXPECT_FALSE(t->any_weak_dominates(empty.cols(), 0, d, zero.data()));
+  }
 }
 
 TEST(SimdKernelTest, ColMinMaxHandlesSignedZeroAndDenormals) {
-  ModeGuard guard;
   const std::vector<double> x = {0.5, -0.0, 5e-324, 0.0, 1e-310, 0.25, -0.0};
-  for (simd::SimdMode mode :
-       {simd::SimdMode::kOff, simd::SimdMode::kAuto}) {
-    simd::SetMode(mode);
+  // std::min/std::max keep the first argument on ties, so the scalar visit
+  // order pins which zero representation wins; ColMinMax stays scalar at
+  // every level precisely so this is reproducible.
+  double ref_mn = 1e300, ref_mx = -1e300;
+  for (double v : x) {
+    ref_mn = std::min(ref_mn, v);
+    ref_mx = std::max(ref_mx, v);
+  }
+  for (const KernelTable* t : simd::internal::RunnableKernels()) {
+    SCOPED_TRACE(simd::DispatchLevelName(t->level));
     double mn = 1e300, mx = -1e300;
-    simd::ColMinMax(x.data(), x.size(), &mn, &mx);
-    // std::min/std::max keep the first argument on ties, so the scalar
-    // visit order pins which zero representation wins; ColMinMax stays
-    // scalar at every level precisely so this is reproducible.
-    double ref_mn = 1e300, ref_mx = -1e300;
-    for (double v : x) {
-      ref_mn = std::min(ref_mn, v);
-      ref_mx = std::max(ref_mx, v);
-    }
+    t->col_min_max(x.data(), x.size(), &mn, &mx);
     EXPECT_TRUE(BitEq(mn, ref_mn));
     EXPECT_TRUE(BitEq(mx, ref_mx));
     double a = 1.0, b = 2.0;
-    simd::ColMinMax(x.data(), 0, &a, &b);  // n == 0: outputs untouched.
+    t->col_min_max(x.data(), 0, &a, &b);  // n == 0: outputs untouched.
     EXPECT_EQ(a, 1.0);
     EXPECT_EQ(b, 2.0);
   }

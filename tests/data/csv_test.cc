@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "testing/test_util.h"
 
 namespace fairhms {
 namespace {
@@ -17,7 +18,7 @@ namespace {
 class CsvTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/fairhms_csv_test.csv";
+    path_ = testing::UniqueTempPath("fairhms_csv_test") + ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

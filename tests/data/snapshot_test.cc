@@ -25,6 +25,7 @@
 #include "data/snapshot.h"
 #include "fairness/group_bounds.h"
 #include "skyline/incremental.h"
+#include "testing/test_util.h"
 
 namespace fairhms {
 namespace {
@@ -127,7 +128,7 @@ TEST(SnapshotTest, FileRoundTripAndMissingFile) {
   auto served = MakeServed();
   const Snapshot snapshot = MakeSnapshot(served.get());
 
-  const std::string path = ::testing::TempDir() + "fairhms_snapshot_rt.snap";
+  const std::string path = testing::UniqueTempPath("fairhms_snapshot_rt");
   ASSERT_TRUE(WriteSnapshotFile(snapshot, path).ok());
   auto read = ReadSnapshotFile(path);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
@@ -278,9 +279,9 @@ TEST(SnapshotTest, StructurallyInvalidStatesRejectedAsInvalidArgument) {
 TEST(SnapshotTest, FailedCatalogLoadNeverPartiallyMutates) {
   auto served = MakeServed();
   const Snapshot snapshot = MakeSnapshot(served.get());
-  const std::string dir = ::testing::TempDir();
-  const std::string good_path = dir + "fairhms_snapshot_good.snap";
-  const std::string bad_path = dir + "fairhms_snapshot_bad.snap";
+  const std::string good_path =
+      testing::UniqueTempPath("fairhms_snapshot_good");
+  const std::string bad_path = testing::UniqueTempPath("fairhms_snapshot_bad");
   ASSERT_TRUE(WriteSnapshotFile(snapshot, good_path).ok());
   {
     // A truncated copy of a valid snapshot.

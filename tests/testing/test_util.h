@@ -1,13 +1,19 @@
 // Shared helpers for the FairHMS test suite: tiny dataset builders,
-// brute-force reference implementations, and the paper's Table 1 example.
+// brute-force reference implementations, the paper's Table 1 example, and
+// per-test temp paths.
 
 #ifndef FAIRHMS_TESTS_TESTING_TEST_UTIL_H_
 #define FAIRHMS_TESTS_TESTING_TEST_UTIL_H_
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "data/dataset.h"
@@ -17,6 +23,24 @@
 
 namespace fairhms {
 namespace testing {
+
+/// A temp-file path no other test case can collide with:
+/// TempDir()/<stem>_<suite>_<test>_<pid>. ctest runs every case as its own
+/// process, concurrently under -j, so a fixed file name per suite races.
+inline std::string UniqueTempPath(const std::string& stem) {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name = stem;
+  if (info != nullptr) {
+    name += std::string("_") + info->test_suite_name() + "_" + info->name();
+  }
+  name += "_" + std::to_string(::getpid());
+  // Parameterized names carry '/', which must not become a directory.
+  std::replace(name.begin(), name.end(), '/', '_');
+  std::string dir = ::testing::TempDir();
+  if (!dir.empty() && dir.back() != '/') dir += '/';
+  return dir + name;
+}
 
 /// Builds a dataset from a point list.
 inline Dataset MakeDataset(const std::vector<std::vector<double>>& pts) {
