@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/simd.h"
@@ -285,16 +286,12 @@ inline void ColMinMaxScalar(const double* x, size_t n, double* mn,
 // the scalar comparisons, and min/max differ only on ties no happiness
 // value can show — so the lane width cannot change a bit.
 
+/// W doubles as one vector. Each width is spelled out: GCC drops a
+/// vector_size that depends on a template parameter in an alias.
+using Vec2 = double __attribute__((vector_size(16)));
+using Vec4 = double __attribute__((vector_size(32)));
 template <size_t W>
-struct Lanes {
-  typedef double V __attribute__((vector_size(W * sizeof(double))));
-};
-
-/// Rows wider than this take the scalar body in the direction-swept
-/// kernels, which broadcast the row's coordinates once into a local array
-/// (re-broadcasting p[k] per direction block costs more load-port uops than
-/// the column loads themselves). No shipped dataset comes close.
-constexpr size_t kHoistDims = 16;
+using Vec = std::conditional_t<W == 2, Vec2, Vec4>;
 
 /// Unaligned, alias-safe access to W doubles — the same type the compilers'
 /// own unaligned-load intrinsics use. (A __builtin_memcpy load measured 4-6%
@@ -302,13 +299,13 @@ constexpr size_t kHoistDims = 16;
 /// which Intel cores split into two uops.)
 template <typename V>
 inline V Load(const double* p) {
-  typedef V Unaligned __attribute__((may_alias, aligned(1)));
+  using Unaligned [[gnu::may_alias, gnu::aligned(1)]] = V;
   return *reinterpret_cast<const Unaligned*>(p);
 }
 
 template <typename V>
 inline void Store(double* p, V v) {
-  typedef V Unaligned __attribute__((may_alias, aligned(1)));
+  using Unaligned [[gnu::may_alias, gnu::aligned(1)]] = V;
   *reinterpret_cast<Unaligned*>(p) = v;
 }
 
@@ -350,12 +347,38 @@ inline V HappinessV(V s, V b, V epsv) {
   return inactive ? one : VMin(s / (inactive ? one : b), one);
 }
 
-/// Dot of one row (coordinates pre-broadcast into pk, once per row) with
-/// directions [j, j + W).
+/// One row's coordinates as lane vectors for the direction-swept kernels.
+/// The first kHoistDims are broadcast once per row instead of once per
+/// direction block (re-broadcasting p[k] per block costs more load-port
+/// uops than the column loads themselves); the rest where they are used.
 template <typename V>
-inline V Dot(const double* const* net, size_t j, const V* pk, size_t d) {
+struct Row {
+  static constexpr size_t kHoistDims = 16;
+
+  Row(const double* p, size_t d)
+      : p(p), d(d), hoisted(d < kHoistDims ? d : kHoistDims) {
+    for (size_t k = 0; k < hoisted; ++k) pk[k] = Splat<V>(p[k]);
+  }
+
+  /// Calls f(k, p[k] in every lane) for k = 0, ..., d - 1 in order.
+  template <typename F>
+  void ForEachDim(F&& f) const {
+    size_t k = 0;
+    for (; k < hoisted; ++k) f(k, pk[k]);
+    for (; k < d; ++k) f(k, Splat<V>(p[k]));
+  }
+
+  const double* p;
+  size_t d;
+  size_t hoisted;
+  V pk[kHoistDims];
+};
+
+/// Dot of one row with directions [j, j + W).
+template <typename V>
+inline V Dot(const double* const* net, size_t j, const Row<V>& row) {
   V acc = {};
-  for (size_t k = 0; k < d; ++k) acc += pk[k] * Load<V>(net[k] + j);
+  row.ForEachDim([&](size_t k, V pk) { acc += pk * Load<V>(net[k] + j); });
   return acc;
 }
 
@@ -366,58 +389,63 @@ inline V Dot(const double* const* net, size_t j, const V* pk, size_t d) {
 /// left for the scalar tail.
 template <size_t W, typename V, typename F>
 inline size_t SweepDirections(const double* const* net, size_t j0, size_t j1,
-                              const V* pk, size_t d, F&& f) {
+                              const Row<V>& row, F&& f) {
   size_t j = j0;
   for (; j + 2 * W <= j1; j += 2 * W) {
     V a0 = {}, a1 = {};
-    for (size_t k = 0; k < d; ++k) {
-      a0 += pk[k] * Load<V>(net[k] + j);
-      a1 += pk[k] * Load<V>(net[k] + j + W);
-    }
+    row.ForEachDim([&](size_t k, V pk) {
+      a0 += pk * Load<V>(net[k] + j);
+      a1 += pk * Load<V>(net[k] + j + W);
+    });
     f(j, a0);
     f(j + W, a1);
   }
-  for (; j + W <= j1; j += W) f(j, Dot(net, j, pk, d));
+  for (; j + W <= j1; j += W) f(j, Dot(net, j, row));
   return j;
 }
 
-/// Canonical 4-virtual-lane sum of term(j) (the W lanes from j) over the
-/// first n4 = n & ~3 indices: 4 / W accumulators holding virtual lanes
-/// 0..3 in order, combined as (p0 + p1) + (p2 + p3). The caller adds the
-/// tail.
-template <size_t W, typename Term>
-inline double CanonicalSum(size_t n4, Term&& term) {
+/// Canonical 4-virtual-lane sum over [0, n). vterm(j) gives the W lanes
+/// from j for the first n4 = n & ~3 indices, summed in 4 / W accumulators
+/// holding virtual lanes 0..3 in order and combined as (p0 + p1) +
+/// (p2 + p3); the scalar term(j) of the tail is then added in order.
+template <size_t W, typename VTerm, typename Term>
+inline double CanonicalSum(size_t n, VTerm&& vterm, Term&& term) {
   static_assert(W == 2 || W == 4, "4 / W accumulators");
-  using V = typename Lanes<W>::V;
-  V acc[2] = {};
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  Vec<W> acc[2] = {};
   for (size_t j = 0; j < n4; j += kSumLanes) {
-    acc[0] += term(j);
-    if (W == 2) acc[1] += term(j + 2);
+    acc[0] += vterm(j);
+    if (W == 2) acc[1] += vterm(j + 2);
   }
   double p[kSumLanes];
   __builtin_memcpy(p, acc, sizeof(p));
-  return (p[0] + p[1]) + (p[2] + p[3]);
+  double total = (p[0] + p[1]) + (p[2] + p[3]);
+  for (size_t j = n4; j < n; ++j) total += term(j);
+  return total;
 }
 
-/// Lane-sequential min of v (exact: no NaN, no -0.0 in the happiness
-/// domain, so min is order-independent).
-template <typename V>
-inline double MinLanes(V v) {
-  double mn = v[0];
-  for (size_t i = 1; i < sizeof(V) / sizeof(double); ++i) mn = Min(mn, v[i]);
+/// min(1, term(0), ..., term(n - 1)), with vterm(i) the W lanes from i and
+/// the scalar term(i) for the tail — exact in any order: no NaN and no
+/// -0.0 in the happiness domain.
+template <size_t W, typename VTerm, typename Term>
+inline double MinOf(size_t n, VTerm&& vterm, Term&& term) {
+  Vec<W> mnv = Splat<Vec<W>>(1.0);
+  size_t i = 0;
+  for (; i + W <= n; i += W) mnv = VMin(mnv, vterm(i));
+  double mn = mnv[0];
+  for (size_t k = 1; k < W; ++k) mn = Min(mn, mnv[k]);
+  for (; i < n; ++i) mn = Min(mn, term(i));
   return mn;
 }
 
 template <size_t W>
 void NetBestV(const double* const* net, size_t j0, size_t j1,
               const double* pts, size_t nrows, size_t d, double* best) {
-  using V = typename Lanes<W>::V;
-  if (d > kHoistDims) return NetBestScalar(net, j0, j1, pts, nrows, d, best);
-  V pk[kHoistDims];
+  using V = Vec<W>;
   for (size_t r = 0; r < nrows; ++r) {
     const double* p = pts + r * d;
-    for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
-    const size_t j = SweepDirections<W>(net, j0, j1, pk, d, [&](size_t i, V s) {
+    const Row<V> row(p, d);
+    const size_t j = SweepDirections<W>(net, j0, j1, row, [&](size_t i, V s) {
       const V b = Load<V>(best + i);
       Store(best + i, s > b ? s : b);
     });
@@ -429,14 +457,10 @@ template <size_t W>
 void HappinessRangeV(const double* const* net, size_t j0, size_t j1,
                      const double* p, size_t d, const double* best, double eps,
                      double* out) {
-  using V = typename Lanes<W>::V;
-  if (d > kHoistDims) {
-    return HappinessRangeScalar(net, j0, j1, p, d, best, eps, out);
-  }
-  V pk[kHoistDims];
-  for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
+  using V = Vec<W>;
+  const Row<V> row(p, d);
   const V epsv = Splat<V>(eps);
-  const size_t j = SweepDirections<W>(net, j0, j1, pk, d, [&](size_t jj, V s) {
+  const size_t j = SweepDirections<W>(net, j0, j1, row, [&](size_t jj, V s) {
     Store(out + jj, HappinessV(s, Load<V>(best + jj), epsv));
   });
   HappinessRangeScalar(net, j, j1, p, d, best, eps, out);
@@ -446,18 +470,14 @@ template <size_t W>
 double MhrRangeV(const double* const* net, size_t j0, size_t j1,
                  const double* best, double eps, const double* pts,
                  size_t nrows, size_t d) {
-  using V = typename Lanes<W>::V;
-  if (d > kHoistDims) {
-    return MhrRangeScalar(net, j0, j1, best, eps, pts, nrows, d);
-  }
+  using V = Vec<W>;
   alignas(kAlign) double smax[kDirTile];
   const size_t len = j1 - j0;
   for (size_t jj = 0; jj < len; ++jj) smax[jj] = 0.0;
-  V pk[kHoistDims];
   for (size_t r = 0; r < nrows; ++r) {
     const double* p = pts + r * d;
-    for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
-    size_t j = SweepDirections<W>(net, j0, j1, pk, d, [&](size_t jj, V s) {
+    const Row<V> row(p, d);
+    size_t j = SweepDirections<W>(net, j0, j1, row, [&](size_t jj, V s) {
       const V m = Load<V>(smax + (jj - j0));
       Store(smax + (jj - j0), s > m ? s : m);
     });
@@ -467,31 +487,22 @@ double MhrRangeV(const double* const* net, size_t j0, size_t j1,
     }
   }
   const V epsv = Splat<V>(eps);
-  V mnv = Splat<V>(1.0);
-  size_t jj = 0;
-  for (; jj + W <= len; jj += W) {
-    mnv = VMin(mnv, HappinessV(Load<V>(smax + jj), Load<V>(best + j0 + jj),
-                               epsv));
-  }
-  double mn = MinLanes(mnv);
-  for (; jj < len; ++jj) {
-    mn = Min(mn, HappinessOf(smax[jj], best[j0 + jj], eps));
-  }
-  return mn;
+  return MinOf<W>(
+      len,
+      [&](size_t i) {
+        return HappinessV(Load<V>(smax + i), Load<V>(best + j0 + i), epsv);
+      },
+      [&](size_t i) { return HappinessOf(smax[i], best[j0 + i], eps); });
 }
 
 template <size_t W>
 void AddHappinessMaxV(const double* const* net, size_t j0, size_t j1,
                       const double* p, size_t d, const double* best,
                       double eps, double* cur) {
-  using V = typename Lanes<W>::V;
-  if (d > kHoistDims) {
-    return AddHappinessMaxScalar(net, j0, j1, p, d, best, eps, cur);
-  }
-  V pk[kHoistDims];
-  for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
+  using V = Vec<W>;
+  const Row<V> row(p, d);
   const V epsv = Splat<V>(eps);
-  const size_t j = SweepDirections<W>(net, j0, j1, pk, d, [&](size_t jj, V s) {
+  const size_t j = SweepDirections<W>(net, j0, j1, row, [&](size_t jj, V s) {
     const V h = HappinessV(s, Load<V>(best + jj), epsv);
     const V c = Load<V>(cur + jj);
     Store(cur + jj, h > c ? h : c);
@@ -501,7 +512,7 @@ void AddHappinessMaxV(const double* const* net, size_t j0, size_t j1,
 
 template <size_t W>
 void MaxAccumulateV(const double* src, double* dst, size_t n) {
-  using V = typename Lanes<W>::V;
+  using V = Vec<W>;
   size_t i = 0;
   for (; i + W <= n; i += W) {
     const V s = Load<V>(src + i);
@@ -514,70 +525,58 @@ void MaxAccumulateV(const double* src, double* dst, size_t n) {
 template <size_t W>
 double TruncGainCachedV(const double* hrow, const double* cur, size_t n,
                         double tau) {
-  using V = typename Lanes<W>::V;
+  using V = Vec<W>;
   const V tauv = Splat<V>(tau);
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  double total = CanonicalSum<W>(n4, [&](size_t j) {
-    const V c = Load<V>(cur + j);
-    const V h = Load<V>(hrow + j);
-    return VMin(VMax(c, h), tauv) - VMin(c, tauv);
-  });
-  for (size_t j = n4; j < n; ++j) {
-    total += TruncGainTermCached(hrow, cur, j, tau);
-  }
-  return total;
+  return CanonicalSum<W>(
+      n,
+      [&](size_t j) {
+        const V c = Load<V>(cur + j);
+        const V h = Load<V>(hrow + j);
+        return VMin(VMax(c, h), tauv) - VMin(c, tauv);
+      },
+      [&](size_t j) { return TruncGainTermCached(hrow, cur, j, tau); });
 }
 
 template <size_t W>
 double TruncGainEvalV(const double* const* net, size_t m, const double* p,
                       size_t d, const double* best, double eps,
                       const double* cur, double tau) {
-  using V = typename Lanes<W>::V;
-  if (d > kHoistDims) {
-    return TruncGainEvalScalar(net, m, p, d, best, eps, cur, tau);
-  }
-  V pk[kHoistDims];
-  for (size_t k = 0; k < d; ++k) pk[k] = Splat<V>(p[k]);
+  using V = Vec<W>;
+  const Row<V> row(p, d);
   const V epsv = Splat<V>(eps);
   const V tauv = Splat<V>(tau);
-  const size_t m4 = m & ~static_cast<size_t>(3);
-  double total = CanonicalSum<W>(m4, [&](size_t j) {
-    const V c = Load<V>(cur + j);
-    const V h = HappinessV(Dot(net, j, pk, d), Load<V>(best + j), epsv);
-    return VMin(VMax(c, h), tauv) - VMin(c, tauv);
-  });
-  for (size_t j = m4; j < m; ++j) {
-    total += TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
-  }
-  return total;
+  return CanonicalSum<W>(
+      m,
+      [&](size_t j) {
+        const V c = Load<V>(cur + j);
+        const V h = HappinessV(Dot(net, j, row), Load<V>(best + j), epsv);
+        return VMin(VMax(c, h), tauv) - VMin(c, tauv);
+      },
+      [&](size_t j) {
+        return TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
+      });
 }
 
 template <size_t W>
 double TruncSumV(const double* cur, size_t n, double tau) {
-  using V = typename Lanes<W>::V;
+  using V = Vec<W>;
   const V tauv = Splat<V>(tau);
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  double total = CanonicalSum<W>(
-      n4, [&](size_t j) { return VMin(Load<V>(cur + j), tauv); });
-  for (size_t j = n4; j < n; ++j) total += Min(cur[j], tau);
-  return total;
+  return CanonicalSum<W>(
+      n, [&](size_t j) { return VMin(Load<V>(cur + j), tauv); },
+      [&](size_t j) { return Min(cur[j], tau); });
 }
 
 template <size_t W>
 double MinReduceV(const double* x, size_t n) {
-  using V = typename Lanes<W>::V;
-  V mnv = Splat<V>(1.0);
-  size_t i = 0;
-  for (; i + W <= n; i += W) mnv = VMin(mnv, Load<V>(x + i));
-  double mn = MinLanes(mnv);
-  for (; i < n; ++i) mn = Min(mn, x[i]);
-  return mn;
+  return MinOf<W>(
+      n, [&](size_t i) { return Load<Vec<W>>(x + i); },
+      [&](size_t i) { return x[i]; });
 }
 
 template <size_t W>
 void RowSumsV(const double* const* cols, size_t nrows, size_t d,
               double* out) {
-  using V = typename Lanes<W>::V;
+  using V = Vec<W>;
   size_t i = 0;
   for (; i + W <= nrows; i += W) {
     V acc = {};
@@ -598,7 +597,7 @@ void RowSumsV(const double* const* cols, size_t nrows, size_t d,
 template <size_t W, bool Strict>
 bool AnyDominatesV(const double* const* cols, size_t nrows, size_t d,
                    const double* p) {
-  using V = typename Lanes<W>::V;
+  using V = Vec<W>;
   using M = decltype(V{} < V{});
   size_t r = 0;
   for (; r + 2 * W <= nrows; r += 2 * W) {

@@ -118,7 +118,8 @@ std::vector<double> TrapPoints(size_t n, size_t d, Rng* rng) {
   return pts;
 }
 
-const size_t kDims[] = {2, 3, 6, 7};
+// 24 exceeds the 16 row coordinates the direction-swept kernels hoist.
+const size_t kDims[] = {2, 3, 6, 7, 24};
 const size_t kNetSizes[] = {1, 7, 333, simd::kDirTile, 1031};
 const size_t kRowCounts[] = {1, 5, 8, 129};
 
@@ -195,7 +196,6 @@ TEST(SimdKernelTest, EveryCompiledWidthIsCompared) {
       simd::internal::RunnableKernels();
   ASSERT_FALSE(tables.empty());
   EXPECT_EQ(tables.front()->level, simd::DispatchLevel::kScalar);
-  EXPECT_EQ(tables.back()->level, simd::DetectedLevel());
 #if defined(__SSE2__)
   ASSERT_GE(tables.size(), 2u);
   EXPECT_EQ(tables[1]->level, simd::DispatchLevel::kSse2);
