@@ -374,46 +374,21 @@ Status SolverSession::Erase(const std::vector<int>& rows) {
 const Dataset& SolverSession::Projection2D() {
   MutexLock lock(*projection_mu_);
   const bool hit = projection2d_ != nullptr &&
-                   projection_synced_version_ == data_->version();
-  // Account only the rows added by this (re)build: the projection is one
-  // growing buffer, so a resync after a mutation must not re-count what
-  // is already resident (inflated stats would trip --cache_budget_mb).
+                   projection2d_->version() == data_->version();
+  // Account only the rows added since the last build: the projection is
+  // one resident object, so a rebuild after a mutation must not re-count
+  // what is already resident (inflated stats would trip the cache budget).
   const uint64_t resident_before =
       projection2d_ == nullptr ? 0 : projection2d_->size() * 2 * sizeof(double);
   cache_->AccountProjection(hit,
                             data_->size() * 2 * sizeof(double) -
                                 resident_before);
+  // Rebuilt in place, so the projection keeps its address and takes the
+  // pinned table's (monotonic) version: its cache keys never repeat.
   if (projection2d_ == nullptr) {
-    auto proj = std::make_unique<Dataset>(std::vector<std::string>{
-        data_->attr_names()[0], data_->attr_names()[1]});
-    proj->Reserve(data_->size());
-    for (size_t i = 0; i < data_->size(); ++i) {
-      proj->AddPoint({data_->at(i, 0), data_->at(i, 1)});
-    }
-    projection2d_ = std::move(proj);
+    projection2d_ = std::make_unique<Dataset>(data_->Project2D());
   } else if (!hit) {
-    // Mutated since the last sync: rows only ever append, so extend
-    // one-to-one...
-    for (size_t i = projection2d_->size(); i < data_->size(); ++i) {
-      projection2d_->AddPoint({data_->at(i, 0), data_->at(i, 1)});
-    }
-  }
-  if (!hit) {
-    // ...and mirror tombstones so the projection's live view matches the
-    // pinned table row for row (a fresh build can also need this: erased
-    // rows are copied to keep indices aligned).
-    std::vector<int> newly_dead;
-    for (size_t i = 0; i < data_->size(); ++i) {
-      if (!data_->live(i) && projection2d_->live(i)) {
-        newly_dead.push_back(static_cast<int>(i));
-      }
-    }
-    if (!newly_dead.empty()) {
-      // Rows validated live above; ErasePoints cannot fail.
-      const Status st = projection2d_->ErasePoints(newly_dead);
-      (void)st;
-    }
-    projection_synced_version_ = data_->version();
+    *projection2d_ = data_->Project2D();
   }
   return *projection2d_;
 }

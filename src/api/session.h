@@ -179,8 +179,8 @@ class SolverSession {
   SolverSession(const Dataset* data, const Grouping* grouping);
 
   /// The pinned dataset projected to its first two attributes, built on
-  /// first use (exact-2D algorithms on dim > 2 data) and kept in sync
-  /// with mutations: appended rows extend it, tombstones are mirrored.
+  /// first use (exact-2D algorithms on dim > 2 data) and rebuilt by the
+  /// first call after a mutation (Dataset::Project2D).
   const Dataset& Projection2D() FAIRHMS_EXCLUDES(*projection_mu_);
 
   /// Builds the dynamic machinery (combo table + SkylineIndex) on the
@@ -219,7 +219,6 @@ class SolverSession {
   std::map<std::string, WarmMemo> warm_memo_ FAIRHMS_GUARDED_BY(*warm_mu_);
   std::unique_ptr<Mutex> projection_mu_;
   std::unique_ptr<Dataset> projection2d_ FAIRHMS_GUARDED_BY(*projection_mu_);
-  uint64_t projection_synced_version_ FAIRHMS_GUARDED_BY(*projection_mu_) = 0;
 
   // Dynamic-session state (null/empty for Create'd sessions).
   Dataset* mutable_data_ = nullptr;

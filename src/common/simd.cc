@@ -22,7 +22,7 @@ const KernelTable* ScalarKernels() {
       MhrRangeScalar,         AddHappinessMaxScalar, MaxAccumulateScalar,
       TruncGainCachedScalar,  TruncGainEvalScalar,   TruncSumScalar,
       MinReduceScalar,        RowSumsScalar,         AnyDominatesScalar,
-      AnyWeakDominatesScalar, ColMinMaxScalar,
+      AnyWeakDominatesScalar,
   };
   return &table;
 }
@@ -222,10 +222,6 @@ bool AnyDominates(const double* const* cols, size_t nrows, size_t d,
 bool AnyWeaklyDominates(const double* const* cols, size_t nrows, size_t d,
                         const double* p) {
   return Active()->any_weak_dominates(cols, nrows, d, p);
-}
-
-void ColMinMax(const double* x, size_t n, double* mn, double* mx) {
-  Active()->col_min_max(x, n, mn, mx);
 }
 
 // ---------------------------------------------------------------------------

@@ -386,9 +386,6 @@ bool AnyDominates(const double* const* cols, size_t nrows, size_t d,
 bool AnyWeaklyDominates(const double* const* cols, size_t nrows, size_t d,
                         const double* p);
 
-/// Min and max of x[0..n). No-op (outputs untouched) when n == 0.
-void ColMinMax(const double* x, size_t n, double* mn, double* mx);
-
 }  // namespace simd
 }  // namespace fairhms
 

@@ -55,7 +55,6 @@ struct KernelTable {
                         const double* p);
   bool (*any_weak_dominates)(const double* const* cols, size_t nrows,
                              size_t d, const double* p);
-  void (*col_min_max)(const double* x, size_t n, double* mn, double* mx);
 };
 
 /// Always available. Never returns nullptr.
@@ -262,21 +261,6 @@ inline bool AnyWeakDominatesScalar(const double* const* cols, size_t nrows,
     if (WeaklyDominatesRow(cols, r, d, p)) return true;
   }
   return false;
-}
-
-/// Min/max over raw coordinates is the one reduction whose result can
-/// depend on visit order (±0.0 ties select an operand), so it stays on
-/// this body at every dispatch level.
-inline void ColMinMaxScalar(const double* x, size_t n, double* mn,
-                            double* mx) {
-  if (n == 0) return;
-  double lo = x[0], hi = x[0];
-  for (size_t i = 1; i < n; ++i) {
-    lo = Min(lo, x[i]);
-    hi = Max(hi, x[i]);
-  }
-  *mn = lo;
-  *mx = hi;
 }
 
 // ---------------------------------------------------------------------------
@@ -629,7 +613,7 @@ constexpr KernelTable MakeTable(DispatchLevel level) {
           MhrRangeV<W>,   AddHappinessMaxV<W>,  MaxAccumulateV<W>,
           TruncGainCachedV<W>, TruncGainEvalV<W>, TruncSumV<W>,
           MinReduceV<W>,  RowSumsV<W>,          AnyDominatesV<W, true>,
-          AnyDominatesV<W, false>, ColMinMaxScalar};
+          AnyDominatesV<W, false>};
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 
 namespace fairhms {
 
-Dataset::Dataset(int dim) : dim_(dim), soa_(dim) {
+Dataset::Dataset(int dim) : dim_(dim) {
   assert(dim >= 1);
   attr_names_.reserve(static_cast<size_t>(dim));
   for (int j = 0; j < dim; ++j) {
@@ -19,21 +19,18 @@ Dataset::Dataset(int dim) : dim_(dim), soa_(dim) {
 
 Dataset::Dataset(std::vector<std::string> attr_names)
     : dim_(static_cast<int>(attr_names.size())),
-      soa_(static_cast<int>(attr_names.size())),
       attr_names_(std::move(attr_names)) {
   assert(dim_ >= 1);
 }
 
 void Dataset::Reserve(size_t n) {
   values_.reserve(n * static_cast<size_t>(dim_));
-  soa_.Reserve(n);
   for (auto& c : cats_) c.codes.reserve(n);
 }
 
 void Dataset::AddPoint(const std::vector<double>& coords) {
   assert(static_cast<int>(coords.size()) == dim_);
   values_.insert(values_.end(), coords.begin(), coords.end());
-  soa_.Append(coords.data());
   for (auto& c : cats_) c.codes.push_back(0);
   if (!dead_.empty()) dead_.push_back(0);
   ++n_;
@@ -46,7 +43,6 @@ void Dataset::AddRow(const std::vector<double>& coords,
   assert(static_cast<int>(coords.size()) == dim_);
   assert(codes.size() == cats_.size());
   values_.insert(values_.end(), coords.begin(), coords.end());
-  soa_.Append(coords.data());
   for (size_t c = 0; c < cats_.size(); ++c) cats_[c].codes.push_back(codes[c]);
   if (!dead_.empty()) dead_.push_back(0);
   ++n_;
@@ -121,7 +117,6 @@ StatusOr<int> Dataset::AppendRows(
   const int first = static_cast<int>(n_);
   for (size_t r = 0; r < coords.size(); ++r) {
     values_.insert(values_.end(), coords[r].begin(), coords[r].end());
-    soa_.Append(coords[r].data());
     for (size_t c = 0; c < cats_.size(); ++c) {
       cats_[c].codes.push_back(codes[r][c]);
     }
@@ -207,59 +202,55 @@ Status Dataset::Validate() const {
   return Status::OK();
 }
 
-Dataset Dataset::NormalizedMinMax() const {
-  Dataset out = *this;
-  for (int j = 0; j < dim_; ++j) {
-    // Column stats come from live rows only so erased outliers cannot skew
-    // the scaling; erased rows are rescaled with everything else (their
-    // values are never read, but stay finite). Stats stream the contiguous
-    // column view; without tombstones the whole column goes through the
-    // kernel layer.
-    const double* col = column(j);
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = -std::numeric_limits<double>::infinity();
-    if (!has_tombstones()) {
-      simd::ColMinMax(col, n_, &lo, &hi);
-    } else {
-      for (size_t i = 0; i < n_; ++i) {
-        if (!live(i)) continue;
-        lo = std::min(lo, col[i]);
-        hi = std::max(hi, col[i]);
-      }
+namespace {
+
+// Attribute-wise min and max over the live rows only, so erased outliers
+// cannot skew the scaling. One row-major pass folding from +/-inf with
+// std::min/std::max: on a +/-0.0 tie the first-seen value wins. With no
+// live rows lo stays +inf and hi -inf, which both callers map to their
+// constant-column value.
+void LiveBounds(const Dataset& data, std::vector<double>* lo,
+                std::vector<double>* hi) {
+  const size_t d = static_cast<size_t>(data.dim());
+  lo->assign(d, std::numeric_limits<double>::infinity());
+  hi->assign(d, -std::numeric_limits<double>::infinity());
+  for (size_t i = 0; i < data.size(); ++i) {
+    if (!data.live(i)) continue;
+    const double* p = data.point(i);
+    for (size_t j = 0; j < d; ++j) {
+      (*lo)[j] = std::min((*lo)[j], p[j]);
+      (*hi)[j] = std::max((*hi)[j], p[j]);
     }
-    if (live_count_ == 0) lo = hi = 0.0;
-    const double span = hi - lo;
-    double* out_col = out.soa_.mutable_col(j);
-    for (size_t i = 0; i < n_; ++i) {
-      double& v = out.values_[i * static_cast<size_t>(dim_) + static_cast<size_t>(j)];
-      v = span > 0 ? (v - lo) / span : 1.0;
-      out_col[i] = v;
+  }
+}
+
+}  // namespace
+
+// Erased rows are rescaled with everything else in both normalizations:
+// their values are never read, but stay finite.
+Dataset Dataset::NormalizedMinMax() const {
+  std::vector<double> lo, hi;
+  LiveBounds(*this, &lo, &hi);
+  Dataset out = *this;
+  const size_t d = static_cast<size_t>(dim_);
+  for (size_t i = 0; i < n_; ++i) {
+    double* p = &out.values_[i * d];
+    for (size_t j = 0; j < d; ++j) {
+      const double span = hi[j] - lo[j];
+      p[j] = span > 0 ? (p[j] - lo[j]) / span : 1.0;
     }
   }
   return out;
 }
 
 Dataset Dataset::ScaledByMax() const {
+  std::vector<double> lo, hi;
+  LiveBounds(*this, &lo, &hi);
   Dataset out = *this;
-  for (int j = 0; j < dim_; ++j) {
-    const double* col = column(j);
-    double hi = 0.0;
-    if (!has_tombstones()) {
-      double lo = 0.0;
-      double mx = 0.0;
-      simd::ColMinMax(col, n_, &lo, &mx);
-      hi = std::max(hi, mx);
-    } else {
-      for (size_t i = 0; i < n_; ++i) {
-        if (live(i)) hi = std::max(hi, col[i]);
-      }
-    }
-    double* out_col = out.soa_.mutable_col(j);
-    for (size_t i = 0; i < n_; ++i) {
-      double& v = out.values_[i * static_cast<size_t>(dim_) + static_cast<size_t>(j)];
-      v = hi > 0 ? v / hi : 0.0;
-      out_col[i] = v;
-    }
+  const size_t d = static_cast<size_t>(dim_);
+  for (size_t i = 0; i < n_; ++i) {
+    double* p = &out.values_[i * d];
+    for (size_t j = 0; j < d; ++j) p[j] = hi[j] > 0 ? p[j] / hi[j] : 0.0;
   }
   return out;
 }
@@ -267,12 +258,13 @@ Dataset Dataset::ScaledByMax() const {
 simd::ColumnBlock Dataset::PackColumns(const std::vector<int>& rows) const {
   simd::ColumnBlock block(dim_);
   block.ResizeRows(rows.size());
-  for (int j = 0; j < dim_; ++j) {
-    const double* src = column(j);
-    double* dst = block.mutable_col(j);
-    for (size_t i = 0; i < rows.size(); ++i) {
-      dst[i] = src[rows[i]];
-    }
+  std::vector<double*> dst(static_cast<size_t>(dim_));
+  for (size_t j = 0; j < dst.size(); ++j) {
+    dst[j] = block.mutable_col(static_cast<int>(j));
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const double* p = point(static_cast<size_t>(rows[i]));
+    for (size_t j = 0; j < dst.size(); ++j) dst[j][i] = p[j];
   }
   return block;
 }
@@ -304,6 +296,22 @@ Dataset Dataset::Subset(const std::vector<int>& rows) const {
     }
     out.AddRow(coords, codes);
   }
+  return out;
+}
+
+Dataset Dataset::Project2D() const {
+  assert(dim_ >= 2);
+  Dataset out(std::vector<std::string>{attr_names_[0], attr_names_[1]});
+  out.values_.reserve(n_ * 2);
+  for (size_t i = 0; i < n_; ++i) {
+    const double* p = point(i);
+    out.values_.push_back(p[0]);
+    out.values_.push_back(p[1]);
+  }
+  out.n_ = n_;
+  out.live_count_ = live_count_;
+  out.dead_ = dead_;
+  out.version_ = version_;
   return out;
 }
 

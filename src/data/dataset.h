@@ -1,10 +1,10 @@
 // Dataset: n points with d nonnegative numeric attributes plus any number
-// of categorical (demographic) columns, stored twice: flat row-major
-// (`point(i)` — the gather-friendly view a single row reads in one cache
-// line) and dimension-major structure-of-arrays (`column(j)` — padded,
-// cache-line-aligned columns the SIMD kernel layer in common/simd.h streams
-// through). Both views are maintained on every mutation; tombstones give
-// live views via LiveRows() + PackColumns()/PackRows().
+// of categorical (demographic) columns. Coordinates live in one flat
+// row-major store (`point(i)` reads a row in one cache line), because every
+// algorithm and kernel scores a tuple at a time. Kernels that want another
+// shape gather it: PackColumns() builds a dimension-major block for the
+// dominance/sum kernels, PackRows() a dense row block for the net kernels;
+// with LiveRows() they give live views that skip tombstones.
 //
 // Numeric attributes drive scoring; categorical columns define the fairness
 // groups (see data/grouping.h). Algorithms reference points by row index so
@@ -109,13 +109,6 @@ class Dataset {
   const double* point(size_t i) const { return &values_[i * static_cast<size_t>(dim_)]; }
   double at(size_t i, int j) const { return values_[i * static_cast<size_t>(dim_) + static_cast<size_t>(j)]; }
 
-  /// Dimension-major view: attribute j of every row (size() doubles,
-  /// cache-line aligned, zero-padded to a multiple of simd::kPadRows).
-  /// Includes tombstoned rows — combine with LiveRows()/PackColumns() for a
-  /// live view.
-  const double* column(int j) const { return soa_.col(j); }
-  const simd::ColumnBlock& columns() const { return soa_; }
-
   /// Gathers the given rows into a fresh dimension-major block (padded,
   /// aligned) for the SIMD dominance/sum kernels. Row order is preserved:
   /// block row i is dataset row rows[i].
@@ -150,14 +143,18 @@ class Dataset {
   /// columns carried over). Out-of-range rows are a programming error.
   Dataset Subset(const std::vector<int>& rows) const;
 
+  /// Returns the first two attributes of every row (dim() >= 2). Unlike
+  /// Subset, row indices, tombstones and version() carry over, so the
+  /// projection's live view and cache keys follow this table's.
+  Dataset Project2D() const;
+
  private:
   int dim_;
   size_t n_ = 0;
   size_t live_count_ = 0;
   uint64_t version_ = 0;
-  std::vector<double> values_;
-  simd::ColumnBlock soa_;      ///< Dimension-major mirror of values_.
-  std::vector<uint8_t> dead_;  ///< Tombstones; empty until the first erase.
+  std::vector<double> values_;  ///< Row-major, size() * dim() doubles.
+  std::vector<uint8_t> dead_;   ///< Tombstones; empty until the first erase.
   std::vector<std::string> attr_names_;
   std::vector<CategoricalColumn> cats_;
 };

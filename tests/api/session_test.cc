@@ -231,6 +231,27 @@ TEST(SolverSessionTest, ProjectionPreparedOncePerSession) {
   EXPECT_EQ(session->cache_stats().projections.misses, 1u);
   EXPECT_EQ(session->cache_stats().projections.hits, 1u);
   ExpectSameResult(*first, *second, "projected intcov repeat");
+
+  // A dynamic session re-projects once per mutation: the first exact-2D
+  // query after an Insert misses, the next one hits, and the bytes count
+  // only the appended row.
+  Instance dyn = MakeInstance(/*dim=*/4);
+  auto live = SolverSession::CreateDynamic(&dyn.data, &dyn.grouping);
+  ASSERT_TRUE(live.ok());
+  const SolverRequest dyn_req = MakeRequest(dyn, "intcov");
+  ASSERT_TRUE(live->Solve(dyn_req).ok());
+  ASSERT_TRUE(live->Insert({0.9, 0.9, 0.1, 0.1}, {}, 0).ok());
+  auto after_insert = live->Solve(dyn_req);
+  ASSERT_TRUE(after_insert.ok()) << after_insert.status().ToString();
+  EXPECT_EQ(live->cache_stats().projections.misses, 2u);
+  EXPECT_EQ(live->cache_stats().projections.hits, 0u);
+  EXPECT_EQ(live->cache_stats().projections.bytes,
+            dyn.data.size() * 2 * sizeof(double));
+  auto repeat = live->Solve(dyn_req);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_EQ(live->cache_stats().projections.misses, 2u);
+  EXPECT_EQ(live->cache_stats().projections.hits, 1u);
+  ExpectSameResult(*after_insert, *repeat, "re-projected intcov repeat");
 }
 
 TEST(SolverSessionTest, SkylineSharedAcrossUnconstrainedBaselines) {

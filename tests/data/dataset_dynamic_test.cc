@@ -2,6 +2,8 @@
 // and the live views layered on it (LiveRows, Grouping::LiveCounts /
 // MembersLive, live-filtered skylines).
 
+#include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,6 +100,50 @@ TEST(DatasetDynamicTest, NormalizationIgnoresErasedRows) {
   const Dataset scaled = data.ScaledByMax();
   EXPECT_DOUBLE_EQ(scaled.at(2, 0), 1.0);
   EXPECT_DOUBLE_EQ(scaled.at(1, 0), 0.5);
+}
+
+TEST(DatasetDynamicTest, NormalizationKeepsFirstSeenSignedZero) {
+  // The live-row bounds fold with std::min from +inf, so on a +/-0.0 tie
+  // the first-seen zero is the minimum, and v - lo shows which one won:
+  // -0.0 - +0.0 is -0.0, while +0.0 - -0.0 is +0.0. An erased row outside
+  // the tie must not change the pick.
+  for (const bool erase : {false, true}) {
+    SCOPED_TRACE(erase ? "with tombstone" : "no tombstone");
+    Dataset data = MakeDataset({{0.0, -0.0}, {-0.0, 0.0}, {1.0, 1.0}});
+    if (erase) {
+      ASSERT_TRUE(data.AppendRows({{0.5, 0.5}}, {{}}).ok());
+      ASSERT_TRUE(data.ErasePoints({3}).ok());
+    }
+    const Dataset norm = data.NormalizedMinMax();
+    EXPECT_TRUE(std::signbit(norm.at(1, 0)));   // lo = +0.0 (row 0).
+    EXPECT_EQ(norm.at(1, 0), 0.0);
+    EXPECT_FALSE(std::signbit(norm.at(0, 1)));  // lo = -0.0 (row 0).
+    EXPECT_EQ(norm.at(0, 1), 0.0);
+    EXPECT_EQ(norm.at(2, 0), 1.0);
+  }
+}
+
+TEST(DatasetDynamicTest, Project2DCarriesRowsTombstonesAndVersion) {
+  Dataset data(std::vector<std::string>{"x", "y", "z"});
+  data.AddPoint({0.1, 0.2, 0.3});
+  ASSERT_TRUE(
+      data.AppendRows({{0.4, 0.5, 0.6}, {0.7, 0.8, 0.9}}, {{}, {}}).ok());
+  ASSERT_TRUE(data.ErasePoints({1}).ok());
+  ASSERT_TRUE(data.AppendRows({{0.3, 0.2, 0.1}}, {{}}).ok());
+
+  const Dataset proj = data.Project2D();
+  EXPECT_EQ(proj.dim(), 2);
+  EXPECT_EQ(proj.attr_names(), (std::vector<std::string>{"x", "y"}));
+  ASSERT_EQ(proj.size(), data.size());
+  EXPECT_EQ(proj.live_size(), data.live_size());
+  EXPECT_EQ(proj.version(), data.version());
+  EXPECT_EQ(proj.LiveRows(), (std::vector<int>{0, 2, 3}));
+  for (size_t i = 0; i < data.size(); ++i) {
+    EXPECT_EQ(proj.live(i), data.live(i));
+    EXPECT_EQ(proj.at(i, 0), data.at(i, 0));
+    EXPECT_EQ(proj.at(i, 1), data.at(i, 1));
+  }
+  EXPECT_EQ(proj.at(1, 1), 0.5);  // Erased rows stay addressable.
 }
 
 TEST(GroupingLiveTest, LiveCountsAndMembersExcludeErased) {

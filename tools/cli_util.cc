@@ -1,7 +1,6 @@
 #include "cli_util.h"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "common/json.h"
@@ -228,32 +227,8 @@ StatusOr<Grouping> MakeGroupingFromFlags(const Flags& flags,
   return GroupBySumRank(data, c_num);
 }
 
-StatusOr<uint64_t> ResolveCacheBudgetBytes(const Flags& flags,
-                                           const char* prog) {
-  const bool has_legacy = flags.Has("cache_budget_mb");
-  const bool has_global = flags.Has("global_cache_budget_mb");
-  int64_t mb = 1024;
-  if (has_legacy && has_global &&
-      flags.GetInt("cache_budget_mb", 1024) !=
-          flags.GetInt("global_cache_budget_mb", 1024)) {
-    return Status::InvalidArgument(
-        "--cache_budget_mb and --global_cache_budget_mb disagree; "
-        "--cache_budget_mb is a deprecated alias — drop it and keep "
-        "--global_cache_budget_mb");
-  }
-  if (has_legacy) {
-    static bool warned = false;
-    if (!warned) {
-      warned = true;
-      std::fprintf(stderr,
-                   "%s: warning: --cache_budget_mb is deprecated; "
-                   "the budget is process-wide across the whole catalog — "
-                   "use --global_cache_budget_mb\n",
-                   prog);
-    }
-    mb = flags.GetInt("cache_budget_mb", 1024);
-  }
-  if (has_global) mb = flags.GetInt("global_cache_budget_mb", 1024);
+StatusOr<uint64_t> ResolveCacheBudgetBytes(const Flags& flags) {
+  const int64_t mb = flags.GetInt("global_cache_budget_mb", 1024);
   if (mb < 0) {
     return Status::InvalidArgument("--global_cache_budget_mb must be >= 0");
   }

@@ -100,12 +100,10 @@ StatusOr<Dataset> NormalizeDatasetFromFlags(const Flags& flags, Dataset raw);
 StatusOr<Grouping> MakeGroupingFromFlags(const Flags& flags,
                                          const Dataset& data);
 
-/// Resolves the process-wide cache budget from --global_cache_budget_mb,
-/// honoring the deprecated --cache_budget_mb spelling with a one-time
-/// stderr warning prefixed by `prog`. Both flags with different values is
-/// a contradiction, not a preference order.
-StatusOr<uint64_t> ResolveCacheBudgetBytes(const Flags& flags,
-                                           const char* prog);
+/// Resolves the process-wide cache budget in bytes from
+/// --global_cache_budget_mb (default 1024; 0 = unbounded; negative is an
+/// error).
+StatusOr<uint64_t> ResolveCacheBudgetBytes(const Flags& flags);
 
 /// Applies the SIMD dispatch controls, shared by fairhms_cli and
 /// fairhms_serve: refuses an unknown FAIRHMS_SIMD value up front (the

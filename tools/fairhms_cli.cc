@@ -172,10 +172,6 @@ Batch serving (many queries over a catalog of named datasets):
                            session last), so an undersized budget degrades
                            to recomputation — results are bit-identical
                            regardless.
-  --cache_budget_mb=N      deprecated alias for --global_cache_budget_mb
-                           (the budget has been process-wide since the
-                           catalog landed); warns once on stderr. Giving
-                           both with different values is an error.
 
 Snapshots (versioned binary serving state; see data/snapshot.h):
   --snapshot_save=PATH     after the batch stream completes, write the
@@ -300,7 +296,6 @@ void WarnUnusedFlags(const cli::Flags& flags) {
                      "bounds", "alpha", "lower", "upper", "algo", "format",
                      "latency_budget_ms", "quality_target",
                      "threads", "simd", "list_algos", "queries",
-                     "cache_budget_mb",
                      "global_cache_budget_mb", "snapshot_save",
                      "snapshot_load", "snapshot_info", "help"});
   for (const auto& key : flags.Unknown()) {
@@ -356,7 +351,7 @@ int RunBatch(const cli::Flags& flags, uint64_t seed, int threads) {
   // per line forever. The arbiter evicts the coldest sessions' caches
   // when the global total crosses it (results are bit-identical either
   // way); 0 disables.
-  auto budget_bytes = cli::ResolveCacheBudgetBytes(flags, "fairhms_cli");
+  auto budget_bytes = cli::ResolveCacheBudgetBytes(flags);
   if (!budget_bytes.ok()) return Fail(budget_bytes.status());
   DatasetCatalog catalog(DatasetCatalog::Options{*budget_bytes});
 

@@ -109,8 +109,7 @@ void WarnUnusedFlags(const cli::Flags& flags) {
   static const std::set<std::string> documented = {
       "unix", "port", "host", "csv", "numeric", "categorical", "synthetic",
       "n", "dim", "snapshot_load", "normalize", "groups", "group_by", "seed",
-      "threads", "global_cache_budget_mb", "cache_budget_mb", "simd",
-      "workers",
+      "threads", "global_cache_budget_mb", "simd", "workers",
       "max_queue", "rate_limit", "rate_burst", "queue_deadline_ms",
       "max_line_bytes", "protocol", "reload_dir", "client", "help"};
   for (const auto& key : flags.Unknown()) {
@@ -296,7 +295,7 @@ int RunDaemon(const cli::Flags& flags) {
   SetDefaultThreads(static_cast<int>(threads_raw));
   if (Status st = cli::ApplySimdFlags(flags); !st.ok()) return Fail(st);
 
-  auto budget_bytes = cli::ResolveCacheBudgetBytes(flags, "fairhms_serve");
+  auto budget_bytes = cli::ResolveCacheBudgetBytes(flags);
   if (!budget_bytes.ok()) return Fail(budget_bytes.status());
   DatasetCatalog catalog(DatasetCatalog::Options{*budget_bytes});
 
