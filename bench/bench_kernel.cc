@@ -13,14 +13,20 @@
 //                      (SetMode(kAuto)).
 //
 // bench_to_json then does exactly the right thing: "speedup" is
-// pass-vs-legacy, --min_speedup=mhr_sweep:3:3.0 gates the SIMD pass
-// against the pre-refactor baseline, and the checksum gate proves all
-// three implementations produce bit-identical results.
+// pass-vs-legacy (over the min of the reps; the median rides along in a
+// fifth column), --min_speedup=mhr_sweep:3:3.0 gates the SIMD pass against
+// the pre-refactor baseline, and the checksum gate proves all three
+// implementations produce bit-identical results. The candidate cache holds
+// floats rounded up, so the legacy pass digests its double row after the
+// same rounding. The config line carries the host's parallel-capacity
+// probe (bench::CapacityProbe).
 //
 //   bench_kernel --n=10000 --dim=6 --net=20000 --k=20 --reps=5
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -43,19 +49,29 @@ constexpr double kEps = NetEvaluator::kDegenerate;
 struct OpResult {
   std::string op;
   int pass = 0;
-  double ms = 0.0;
+  std::vector<double> ms;  ///< One wall time per rep.
   std::string checksum;
 };
 
 /// Serial, order-fixed digest (same scheme as bench_parallel_eval).
-std::string Digest(const double* values, size_t count) {
+template <typename T>
+std::string Digest(const T* values, size_t count) {
   double sum = 0.0;
   double alt = 0.0;
   for (size_t i = 0; i < count; ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
+    const double v = static_cast<double>(values[i]);
+    sum += v;
+    alt += v * static_cast<double>((i % 64) + 1);
   }
   return StrFormat("%.17g|%.17g", sum, alt);
+}
+
+/// The candidate cache's rounding rule: the smallest float >= h.
+float RoundUpToFloat(double h) {
+  const float f = static_cast<float>(h);
+  return static_cast<double>(f) < h
+             ? std::nextafter(f, std::numeric_limits<float>::infinity())
+             : f;
 }
 
 // ---------------------------------------------------------------------------
@@ -144,11 +160,12 @@ int Run(int argc, char** argv) {
   std::fprintf(stdout,
                "# bench=kernel n=%zu dim=%d net=%zu k=%d cand=%zu reps=%d "
                "sweep_iters=%d seed=%llu simd_detected=%s "
-               "passes=1:legacy,2:kernel-scalar,3:kernel-simd\n",
+               "passes=1:legacy,2:kernel-scalar,3:kernel-simd %s\n",
                n, dim, net_size, k, cand_rows.size(), reps, sweep_iters,
                static_cast<unsigned long long>(seed),
-               simd::DispatchLevelName(simd::DetectedLevel()));
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
+               simd::DispatchLevelName(simd::DetectedLevel()),
+               bench::CapacityProbe().c_str());
+  std::fprintf(stdout, "op,threads,ms,checksum,ms_median\n");
 
   std::vector<OpResult> results;
   for (int pass = 1; pass <= 3; ++pass) {
@@ -158,30 +175,26 @@ int Run(int argc, char** argv) {
     // net_build: the denominator precompute over the skyline.
     std::vector<double> legacy_best;
     {
-      double best_ms = -1.0;
-      std::string checksum;
+      OpResult res{"net_build", pass, {}, {}};
       for (int r = 0; r < reps; ++r) {
         if (pass == 1) {
           Stopwatch sw;
           LegacyNetBuild(data, net, skyline, &legacy_best);
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-          checksum = Digest(legacy_best.data(), legacy_best.size());
+          res.ms.push_back(sw.ElapsedMillis());
+          res.checksum = Digest(legacy_best.data(), legacy_best.size());
         } else {
           Stopwatch sw;
           const NetEvaluator eval(&data, &net, skyline, /*threads=*/1);
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-          checksum = Digest(eval.best_data(), net_size);
+          res.ms.push_back(sw.ElapsedMillis());
+          res.checksum = Digest(eval.best_data(), net_size);
         }
       }
-      results.push_back({"net_build", pass, best_ms, checksum});
+      results.push_back(std::move(res));
     }
 
     // cache_fill: the candidates x directions happiness matrix.
     {
-      double best_ms = -1.0;
-      std::string checksum;
+      OpResult res{"cache_fill", pass, {}, {}};
       for (int r = 0; r < reps; ++r) {
         if (pass == 1) {
           // The allocation is timed on purpose: the pre-refactor
@@ -195,25 +208,29 @@ int Run(int argc, char** argv) {
             LegacyHappinessRow(data, net, legacy_best, cand_rows[i],
                                &cache[i * net_size]);
           }
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-          checksum = Digest(cache.data(), net_size);  // First row.
+          res.ms.push_back(sw.ElapsedMillis());
+          // The kernel passes cache floats rounded up; digest the first
+          // row after the same rounding so the checksums compare bits.
+          std::vector<float> first_row(net_size);
+          for (size_t j = 0; j < net_size; ++j) {
+            first_row[j] = RoundUpToFloat(cache[j]);
+          }
+          res.checksum = Digest(first_row.data(), net_size);
         } else {
           NetEvaluator fresh(&data, &net, skyline, /*threads=*/1);
           Stopwatch sw;
           fresh.CacheCandidates(cand_rows);
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-          const double* row = fresh.cached_row(cand_rows.front());
-          checksum = row != nullptr ? Digest(row, net_size) : "uncached";
+          res.ms.push_back(sw.ElapsedMillis());
+          const float* row = fresh.cached_row(cand_rows.front());
+          res.checksum = row != nullptr ? Digest(row, net_size) : "uncached";
         }
       }
-      results.push_back({"cache_fill", pass, best_ms, checksum});
+      results.push_back(std::move(res));
     }
 
     // mhr_sweep: batched full min-over-net sweeps for the solution set.
     {
-      double best_ms = -1.0;
+      OpResult res{"mhr_sweep", pass, {}, {}};
       double mhr = 0.0;
       if (pass == 1) {
         for (int r = 0; r < reps; ++r) {
@@ -221,25 +238,29 @@ int Run(int argc, char** argv) {
           for (int it = 0; it < sweep_iters; ++it) {
             mhr = LegacyMhr(data, net, legacy_best, solution);
           }
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
+          res.ms.push_back(sw.ElapsedMillis());
         }
       } else {
         const NetEvaluator eval(&data, &net, skyline, /*threads=*/1);
         for (int r = 0; r < reps; ++r) {
           Stopwatch sw;
           for (int it = 0; it < sweep_iters; ++it) mhr = eval.Mhr(solution);
-          const double ms = sw.ElapsedMillis();
-          if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
+          res.ms.push_back(sw.ElapsedMillis());
         }
       }
-      results.push_back({"mhr_sweep", pass, best_ms, StrFormat("%.17g", mhr)});
+      res.checksum = StrFormat("%.17g", mhr);
+      results.push_back(std::move(res));
     }
   }
 
-  for (const OpResult& r : results) {
-    std::fprintf(stdout, "%s,%d,%.3f,%s\n", r.op.c_str(), r.pass, r.ms,
-                 r.checksum.c_str());
+  for (OpResult& r : results) {
+    std::sort(r.ms.begin(), r.ms.end());
+    const size_t mid = r.ms.size() / 2;
+    const double median = r.ms.size() % 2 == 1
+                              ? r.ms[mid]
+                              : (r.ms[mid - 1] + r.ms[mid]) / 2.0;
+    std::fprintf(stdout, "%s,%d,%.3f,%s,%.3f\n", r.op.c_str(), r.pass,
+                 r.ms.front(), r.checksum.c_str(), median);
   }
   return 0;
 }

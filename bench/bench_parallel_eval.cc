@@ -44,12 +44,14 @@ struct OpResult {
 
 /// Serial, order-fixed digest of a value sequence (bit-identical values
 /// digest to the same string regardless of how they were computed).
-std::string Digest(const double* values, size_t count) {
+template <typename T>
+std::string Digest(const T* values, size_t count) {
   double sum = 0.0;
   double alt = 0.0;  // Position-sensitive companion: catches reorderings.
   for (size_t i = 0; i < count; ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
+    const double v = static_cast<double>(values[i]);
+    sum += v;
+    alt += v * static_cast<double>((i % 64) + 1);
   }
   return StrFormat("%.17g|%.17g", sum, alt);
 }
@@ -137,7 +139,7 @@ int Run(int argc, char** argv) {
         fresh.CacheCandidates(cand_rows);
         const double ms = sw.ElapsedMillis();
         if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-        const double* row = fresh.cached_row(cand_rows.front());
+        const float* row = fresh.cached_row(cand_rows.front());
         checksum = row != nullptr ? Digest(row, net_size) : "uncached";
       }
       results.push_back({"cache_fill", threads, best_ms, checksum});

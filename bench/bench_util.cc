@@ -1,7 +1,10 @@
 #include "bench/bench_util.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <thread>
 
 #include "algo/baselines.h"
 #include "algo/bigreedy.h"
@@ -9,6 +12,7 @@
 #include "algo/group_adapter.h"
 #include "algo/intcov.h"
 #include "common/random.h"
+#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/evaluate.h"
 #include "data/generators.h"
@@ -16,6 +20,46 @@
 
 namespace fairhms {
 namespace bench {
+
+std::string CapacityProbe() {
+  auto spin = [](uint64_t iters) {
+    uint64_t x = 88172645463325252ull;
+    for (uint64_t i = 0; i < iters; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+    }
+    return x;
+  };
+  std::atomic<uint64_t> sink{0};
+  auto wall_ms = [&](int threads, uint64_t iters) {
+    Stopwatch sw;
+    std::vector<std::thread> pool;
+    for (int t = 0; t < threads; ++t) {
+      pool.emplace_back([&] { sink += spin(iters); });
+    }
+    for (std::thread& t : pool) t.join();
+    return sw.ElapsedMillis();
+  };
+  // Calibrate to about 40 ms of single-thread work, then wake every
+  // virtual CPU the 4-thread run will use before timing anything.
+  uint64_t iters = uint64_t{1} << 20;
+  double ms = wall_ms(1, iters);
+  while (ms < 10.0) {
+    iters *= 4;
+    ms = wall_ms(1, iters);
+  }
+  iters = static_cast<uint64_t>(static_cast<double>(iters) * 40.0 / ms);
+  for (int i = 0; i < 5; ++i) wall_ms(4, iters);
+  const double t1 = std::min(wall_ms(1, iters), wall_ms(1, iters));
+  std::string out;
+  for (const int n : {1, 2, 4}) {
+    const double tn = std::min(wall_ms(n, iters), wall_ms(n, iters));
+    out += StrFormat("%scapacity_x%d=%.2f", out.empty() ? "" : " ", n,
+                     n * t1 / tn);
+  }
+  return out;
+}
 
 Flags::Flags(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {

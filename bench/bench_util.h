@@ -38,6 +38,13 @@ class Flags {
   std::map<std::string, std::string> kv_;
 };
 
+/// Measures how many cores' worth of a fixed integer spin the host really
+/// delivers at 1, 2 and 4 threads (n * t1 / tn, min of two runs each,
+/// after a short warm-up that wakes idle virtual CPUs). Returns config
+/// tokens for a "# bench=..." line: "capacity_x1=1.00 capacity_x2=1.97
+/// capacity_x4=3.81".
+std::string CapacityProbe();
+
 /// One benchmark instance: normalized data + grouping + labels.
 struct DatasetCase {
   std::string name;      ///< Display name, e.g. "Adult (Gender)".

@@ -5,6 +5,7 @@
 #include "api/registry.h"
 #include <cassert>
 #include <cmath>
+#include <functional>
 #include <queue>
 
 #include "common/random.h"
@@ -17,17 +18,105 @@ namespace fairhms {
 
 namespace {
 
-/// Lazy-greedy priority queue entry: a candidate with its (possibly stale)
-/// marginal gain and the selection size at which the gain was computed.
+/// Lazy-greedy heap entry: an upper bound on a candidate's marginal gain,
+/// the selection size it was computed at, and whether it is the exact gain
+/// there (a float-cache bound is not; an uncached row's bound is).
 struct LazyEntry {
-  double gain;
+  double key;
   int row;
   int stamp;
+  bool exact;
   bool operator<(const LazyEntry& other) const {
-    if (gain != other.gain) return gain < other.gain;
+    if (key != other.key) return key < other.key;
     return row > other.row;  // Deterministic tie-break: smaller row first.
   }
 };
+
+/// True when (gain, row) wins over the running best in plain greedy's
+/// order: larger gain, then smaller row.
+bool Beats(double gain, int row, double best_gain, int best_row) {
+  return gain > best_gain ||
+         (gain == best_gain && best_row >= 0 && row < best_row);
+}
+
+/// Pulls a cached float row towards L1 ahead of its gain evaluation.
+void PrefetchRow(const float* row, size_t m) {
+  if (row == nullptr) return;
+  constexpr size_t kLine = 64 / sizeof(float);
+  for (size_t j = 0; j < m; j += kLine) __builtin_prefetch(row + j);
+}
+
+/// Greedy maximization of mhr_tau over `candidates` under the fairness
+/// matroid: adds the best feasible candidate to `sel` and `state` until the
+/// selection is maximal or no feasible candidate is left. The pick is
+/// always the largest exact gain, smaller row on ties.
+///
+/// Lazy: a heap of upper bounds (GainBound, over the float cache). A stale
+/// entry is refreshed to min(key, bound); a fresh bound is verified with
+/// the exact gain; only a fresh exact entry is selected. Every key stays
+/// at or above its row's exact gain, because bounds are never below exact
+/// gains and neither rises as the set grows, so a fresh exact top is the
+/// plain scan's pick and only rows near the top pay an exact evaluation.
+/// Plain (the ablation): a full scan per insertion that verifies exactly
+/// only the candidates whose bound can beat its running best.
+void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
+            const NetEvaluator* eval, TruncatedMhrState* state,
+            FairSelection* sel) {
+  const auto bound_is_exact = [eval](int row) {
+    return eval->cached_row(row) == nullptr;
+  };
+  if (!lazy) {
+    // Selected rows leave the scan: once every gain is 0, a selected row
+    // would otherwise win the smaller-row tie-break again.
+    std::vector<int> left = candidates;
+    while (!sel->IsMaximal()) {
+      int best_row = -1;
+      double best_gain = -1.0;
+      for (int row : left) {
+        if (!sel->CanAdd(row)) continue;
+        double gain = state->GainBound(row, tau);
+        if (!Beats(gain, row, best_gain, best_row)) continue;
+        if (!bound_is_exact(row)) gain = state->MarginalGain(row, tau);
+        if (Beats(gain, row, best_gain, best_row)) {
+          best_gain = gain;
+          best_row = row;
+        }
+      }
+      if (best_row < 0) break;
+      left.erase(std::find(left.begin(), left.end(), best_row));
+      sel->Add(best_row);
+      state->Add(best_row);
+    }
+    return;
+  }
+  std::vector<LazyEntry> heap;
+  heap.reserve(candidates.size());
+  for (int row : candidates) {
+    heap.push_back({state->GainBound(row, tau), row, 0, bound_is_exact(row)});
+  }
+  std::priority_queue<LazyEntry> pq(std::less<LazyEntry>(), std::move(heap));
+  while (!pq.empty() && !sel->IsMaximal()) {
+    LazyEntry top = pq.top();
+    pq.pop();
+    if (!pq.empty()) {
+      PrefetchRow(eval->cached_row(pq.top().row), eval->net_size());
+    }
+    if (!sel->CanAdd(top.row)) continue;  // Permanently infeasible now.
+    if (top.stamp != sel->size()) {
+      top.key = std::min(top.key, state->GainBound(top.row, tau));
+      top.stamp = sel->size();
+      top.exact = bound_is_exact(top.row);
+    } else if (!top.exact) {
+      top.key = state->MarginalGain(top.row, tau);
+      top.exact = true;
+    } else {
+      sel->Add(top.row);
+      state->Add(top.row);
+      continue;
+    }
+    pq.push(top);
+  }
+}
 
 /// One MRGreedy invocation (paper Algorithm 3, lines 10-22).
 ///
@@ -46,57 +135,22 @@ bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
   TruncatedMhrState union_state(eval);
   std::vector<int> union_rows;
   std::vector<bool> used(input.data->size(), false);
+  std::vector<int> candidates;
 
   const int max_rounds = strict ? 1 : gamma;
   for (int round = 1; round <= max_rounds; ++round) {
     TruncatedMhrState round_state(eval);
     FairSelection sel(&matroid, &grouping);
-
-    if (lazy) {
-      std::priority_queue<LazyEntry> pq;
-      for (int row : input.pool) {
-        if (used[static_cast<size_t>(row)]) continue;
-        pq.push({round_state.MarginalGain(row, tau), row, 0});
-      }
-
-      while (!pq.empty() && !sel.IsMaximal()) {
-        LazyEntry top = pq.top();
-        pq.pop();
-        if (!sel.CanAdd(top.row)) continue;  // Permanently infeasible now.
-        if (top.stamp == sel.size()) {
-          sel.Add(top.row);
-          round_state.Add(top.row);
-          union_state.Add(top.row);
-        } else {
-          top.gain = round_state.MarginalGain(top.row, tau);
-          top.stamp = sel.size();
-          pq.push(top);
-        }
-      }
-    } else {
-      // Plain greedy: full candidate re-scan per insertion (ablation).
-      while (!sel.IsMaximal()) {
-        int best_row = -1;
-        double best_gain = -1.0;
-        for (int row : input.pool) {
-          if (used[static_cast<size_t>(row)] || !sel.CanAdd(row)) continue;
-          const double gain = round_state.MarginalGain(row, tau);
-          if (gain > best_gain ||
-              (gain == best_gain && best_row >= 0 && row < best_row)) {
-            best_gain = gain;
-            best_row = row;
-          }
-        }
-        if (best_row < 0) break;
-        sel.Add(best_row);
-        round_state.Add(best_row);
-        union_state.Add(best_row);
-      }
+    candidates.clear();
+    for (int row : input.pool) {
+      if (!used[static_cast<size_t>(row)]) candidates.push_back(row);
     }
+    Greedy(candidates, tau, lazy, eval, &round_state, &sel);
 
     for (int row : sel.rows()) {
       used[static_cast<size_t>(row)] = true;
       union_rows.push_back(row);
+      union_state.Add(row);
     }
     *rounds_used = round;
 
@@ -115,21 +169,7 @@ std::vector<int> GreedyFill(const ProblemInput& input,
   const FairnessMatroid matroid(input.bounds);
   FairSelection sel(&matroid, input.grouping);
   TruncatedMhrState state(eval);
-  std::priority_queue<LazyEntry> pq;
-  for (int row : input.pool) pq.push({state.MarginalGain(row, 1.0), row, 0});
-  while (!pq.empty() && !sel.IsMaximal()) {
-    LazyEntry top = pq.top();
-    pq.pop();
-    if (!sel.CanAdd(top.row)) continue;
-    if (top.stamp == sel.size()) {
-      sel.Add(top.row);
-      state.Add(top.row);
-    } else {
-      top.gain = state.MarginalGain(top.row, 1.0);
-      top.stamp = sel.size();
-      pq.push(top);
-    }
-  }
+  Greedy(input.pool, 1.0, /*lazy=*/true, eval, &state, &sel);
   return sel.rows();
 }
 

@@ -54,9 +54,11 @@ struct BiGreedyOptions {
   /// size <= gamma * k with gamma-scaled bounds (the bicriteria object of
   /// Lemma 4.5).
   bool strict_feasible = true;
-  /// Lazy (priority-queue) marginal-gain evaluation. The plain variant
-  /// re-scans every candidate per insertion; identical output, kept as an
-  /// ablation knob.
+  /// Lazy greedy: a priority queue of upper bounds on the marginal gains
+  /// (read from the evaluator's float candidate cache), each verified with
+  /// the exact gain before it is selected. The plain variant re-scans every
+  /// candidate per insertion, verifying exactly only those whose bound can
+  /// beat its running best. Identical output; kept as an ablation knob.
   bool lazy = true;
   uint64_t seed = 13;
   /// Evaluation-engine lanes for the net denominator precompute, candidate

@@ -404,11 +404,13 @@ std::string RenderStatsBody(const StatsResponse& r) {
     out += StrFormat(
         "%s{\"name\": \"%s\", \"live_rows\": %llu, \"rows\": %llu, "
         "\"dim\": %d, \"groups\": %d, \"version\": %llu, "
+        "\"coord_bytes\": %llu, "
         "\"cache_hits\": %llu, \"cache_misses\": %llu, \"cache_bytes\": %llu",
         i == 0 ? "" : ", ", JsonEscape(d.name).c_str(),
         static_cast<unsigned long long>(d.live_rows),
         static_cast<unsigned long long>(d.total_rows), d.dim, d.groups,
         static_cast<unsigned long long>(d.version),
+        static_cast<unsigned long long>(d.coord_bytes),
         static_cast<unsigned long long>(d.cache_hits),
         static_cast<unsigned long long>(d.cache_misses),
         static_cast<unsigned long long>(d.cache_bytes));

@@ -249,6 +249,8 @@ struct StatsResponse {
     int dim = 0;
     int groups = 0;
     uint64_t version = 0;
+    /// Dataset::CoordBytes(): the table's resident per-row storage.
+    uint64_t coord_bytes = 0;
     uint64_t cache_hits = 0;
     uint64_t cache_misses = 0;
     uint64_t cache_bytes = 0;

@@ -475,6 +475,7 @@ void ProtocolService::ExecuteStats(StatsResponse* out) {
     ds.dim = session->data().dim();
     ds.groups = session->grouping().num_groups;
     ds.version = session->version();
+    ds.coord_bytes = session->data().CoordBytes();
     ds.cache_hits = cache.TotalHits();
     ds.cache_misses = cache.TotalMisses();
     ds.cache_bytes = cache.TotalBytes();

@@ -19,7 +19,7 @@ namespace internal {
 const KernelTable* ScalarKernels() {
   static const KernelTable table = {
       DispatchLevel::kScalar, NetBestScalar,        HappinessRangeScalar,
-      MhrRangeScalar,         AddHappinessMaxScalar, MaxAccumulateScalar,
+      HappinessRangeUpScalar, MhrRangeScalar,       AddHappinessMaxScalar,
       TruncGainCachedScalar,  TruncGainEvalScalar,   TruncSumScalar,
       MinReduceScalar,        RowSumsScalar,         AnyDominatesScalar,
       AnyWeakDominatesScalar,
@@ -175,6 +175,12 @@ void HappinessRange(const double* const* net, size_t j0, size_t j1,
   Active()->happiness_range(net, j0, j1, p, d, best, eps, out);
 }
 
+void HappinessRangeUp(const double* const* net, size_t j0, size_t j1,
+                      const double* p, size_t d, const double* best,
+                      double eps, float* out) {
+  Active()->happiness_range_up(net, j0, j1, p, d, best, eps, out);
+}
+
 double MhrRange(const double* const* net, size_t j0, size_t j1,
                 const double* best, double eps, const double* pts,
                 size_t nrows, size_t d) {
@@ -187,11 +193,7 @@ void AddHappinessMax(const double* const* net, size_t j0, size_t j1,
   Active()->add_happiness_max(net, j0, j1, p, d, best, eps, cur);
 }
 
-void MaxAccumulate(const double* src, double* dst, size_t n) {
-  Active()->max_accumulate(src, dst, n);
-}
-
-double TruncGainCached(const double* hrow, const double* cur, size_t n,
+double TruncGainCached(const float* hrow, const double* cur, size_t n,
                        double tau) {
   return Active()->trunc_gain_cached(hrow, cur, n, tau);
 }
@@ -240,8 +242,8 @@ constexpr size_t kScratchPoolMaxBytes = 256u << 20;  // 256 MiB.
 struct ScratchPool {
   Mutex mu;
   struct Entry {
-    double* ptr;
-    size_t cap;  // Doubles.
+    float* ptr;
+    size_t cap;  // Floats.
   };
   Entry entries[kScratchPoolMaxEntries] FAIRHMS_GUARDED_BY(mu);
   size_t count FAIRHMS_GUARDED_BY(mu) = 0;
@@ -253,17 +255,17 @@ ScratchPool& Pool() {
   return *pool;
 }
 
-double* ScratchAlloc(size_t cap) {
-  return static_cast<double*>(
-      ::operator new(cap * sizeof(double), std::align_val_t(kAlign)));
+float* ScratchAlloc(size_t cap) {
+  return static_cast<float*>(
+      ::operator new(cap * sizeof(float), std::align_val_t(kAlign)));
 }
 
-void ScratchFree(double* ptr) {
+void ScratchFree(float* ptr) {
   ::operator delete(ptr, std::align_val_t(kAlign));
 }
 
 /// Smallest pooled allocation with capacity >= n, or nullptr.
-double* PoolAcquire(size_t n, size_t* cap_out) {
+float* PoolAcquire(size_t n, size_t* cap_out) {
   ScratchPool& pool = Pool();
   MutexLock lock(&pool.mu);
   size_t pick = pool.count;
@@ -276,21 +278,21 @@ double* PoolAcquire(size_t n, size_t* cap_out) {
   if (pick == pool.count) return nullptr;
   const ScratchPool::Entry entry = pool.entries[pick];
   pool.entries[pick] = pool.entries[--pool.count];
-  pool.bytes -= entry.cap * sizeof(double);
+  pool.bytes -= entry.cap * sizeof(float);
   *cap_out = entry.cap;
   return entry.ptr;
 }
 
 /// True if the allocation was pooled; false means the caller must free it.
-bool PoolRelease(double* ptr, size_t cap) {
+bool PoolRelease(float* ptr, size_t cap) {
   ScratchPool& pool = Pool();
   MutexLock lock(&pool.mu);
   if (pool.count == kScratchPoolMaxEntries ||
-      pool.bytes + cap * sizeof(double) > kScratchPoolMaxBytes) {
+      pool.bytes + cap * sizeof(float) > kScratchPoolMaxBytes) {
     return false;
   }
   pool.entries[pool.count++] = {ptr, cap};
-  pool.bytes += cap * sizeof(double);
+  pool.bytes += cap * sizeof(float);
   return true;
 }
 
@@ -303,7 +305,7 @@ void ScratchBuffer::ResizeUninitialized(size_t n) {
   }
   Release();
   size_t cap = 0;
-  double* ptr = PoolAcquire(n, &cap);
+  float* ptr = PoolAcquire(n, &cap);
   if (ptr == nullptr) {
     cap = n;
     ptr = ScratchAlloc(cap);

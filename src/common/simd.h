@@ -31,6 +31,12 @@
 //    j % 4, combined as (p0 + p1) + (p2 + p3), with the tail (n % 4)
 //    added sequentially afterwards. A W-lane body keeps 4 / W vector
 //    accumulators; the scalar path simulates the same four lanes.
+//  * The cache fill (`HappinessRangeUp`) stores the smallest float >= each
+//    happiness. That float is unique, so every way of computing it agrees:
+//    the reference rounds to nearest and steps one ulp up when it landed
+//    below; the vector body rounds the double's bit pattern up to float
+//    precision (exact from 2^-126 up) and hands a range holding a smaller
+//    value to the reference.
 //  * Vector loop tails run the scalar reference helpers themselves.
 //  * No FMA, ever — fused multiply-add rounds differently than mul+add.
 //    The kernel translation units are compiled with -ffp-contract=off so
@@ -66,8 +72,8 @@ namespace simd {
 // Layout constants.
 
 /// Bump when the SoA layout or kernel reduction orders change in a way that
-/// invalidates cached evaluator artifacts.
-constexpr int kLayoutVersion = 1;
+/// invalidates cached evaluator artifacts (2: float candidate cache).
+constexpr int kLayoutVersion = 2;
 
 /// Column padding granularity, in rows (64 bytes of doubles).
 constexpr size_t kPadRows = 8;
@@ -126,9 +132,11 @@ using AlignedVector = std::vector<double, AlignedAllocator<double>>;
 // ---------------------------------------------------------------------------
 // Pooled scratch storage.
 
-/// Cache-line-aligned double buffer for bulk matrices whose every cell the
-/// fill kernels overwrite (e.g. the candidate-happiness cache). Two
-/// deliberate differences from AlignedVector:
+/// Cache-line-aligned float buffer for bulk matrices whose every cell the
+/// fill kernels overwrite: the candidate cache, NetEvaluator's matrix of
+/// happiness rows rounded up to float (HappinessRangeUp), which lazy greedy
+/// reads as upper bounds on its gains. Two deliberate differences from
+/// AlignedVector:
 ///
 ///  * ResizeUninitialized() does not zero-fill. Zeroing a 100+ MB matrix
 ///    that the very next kernel pass overwrites doubles the write traffic
@@ -136,7 +144,7 @@ using AlignedVector = std::vector<double, AlignedAllocator<double>>;
 ///  * Freed allocations are recycled through a small, bounded,
 ///    process-wide pool (see simd.cc), so rebuilding an evaluator does not
 ///    re-pay the page-fault cost of a buffer an evicted evaluator just
-///    released — first-touch faults on a fresh 160 MB allocation cost more
+///    released — first-touch faults on a fresh 100 MB allocation cost more
 ///    than the fill kernels themselves.
 ///
 /// Callers must write every cell they later read; reading an
@@ -167,7 +175,7 @@ class ScratchBuffer {
   ScratchBuffer(const ScratchBuffer&) = delete;
   ScratchBuffer& operator=(const ScratchBuffer&) = delete;
 
-  /// Sizes the buffer to n doubles with UNINITIALIZED contents (both on
+  /// Sizes the buffer to n floats with UNINITIALIZED contents (both on
   /// growth and on reuse of the current allocation). Reuses the current or
   /// a pooled allocation when one is large enough.
   void ResizeUninitialized(size_t n);
@@ -176,17 +184,17 @@ class ScratchBuffer {
   /// full) and empties the buffer.
   void Release();
 
-  double* data() { return data_; }
-  const double* data() const { return data_; }
+  float* data() { return data_; }
+  const float* data() const { return data_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  double& operator[](size_t i) { return data_[i]; }
-  const double& operator[](size_t i) const { return data_[i]; }
+  float& operator[](size_t i) { return data_[i]; }
+  const float& operator[](size_t i) const { return data_[i]; }
 
  private:
-  double* data_ = nullptr;
-  size_t size_ = 0;  // Doubles, as sized by the caller.
-  size_t cap_ = 0;   // Doubles, as allocated (>= size_).
+  float* data_ = nullptr;
+  size_t size_ = 0;  // Floats, as sized by the caller.
+  size_t cap_ = 0;   // Floats, as allocated (>= size_).
 };
 
 /// Bytes currently held idle in the scratch pool. Idle scratch is bounded
@@ -340,6 +348,13 @@ void HappinessRange(const double* const* net, size_t j0, size_t j1,
                     const double* p, size_t d, const double* best, double eps,
                     double* out);
 
+/// out[j] = the smallest float >= the HappinessRange value, for j in
+/// [j0, j1): the cache fill. Rounding up keeps every cell an upper bound on
+/// the exact happiness, which TruncGainCached relies on.
+void HappinessRangeUp(const double* const* net, size_t j0, size_t j1,
+                      const double* p, size_t d, const double* best,
+                      double eps, float* out);
+
 /// min over j in [j0, j1) of hr(u_j, pts) where
 /// hr = best[j] <= eps ? 1.0 : min(1.0, (max_r <u_j, p_r>) / best[j]).
 /// Requires j1 - j0 <= kDirTile (callers tile). Bitwise equal to the
@@ -355,11 +370,12 @@ void AddHappinessMax(const double* const* net, size_t j0, size_t j1,
                      const double* p, size_t d, const double* best, double eps,
                      double* cur);
 
-/// dst[i] = max(dst[i], src[i]) for i in [0, n).
-void MaxAccumulate(const double* src, double* dst, size_t n);
-
-/// Canonical-order sum of min(max(cur[j], hrow[j]), tau) - min(cur[j], tau).
-double TruncGainCached(const double* hrow, const double* cur, size_t n,
+/// Canonical-order sum of min(max(cur[j], hrow[j]), tau) - min(cur[j], tau)
+/// over a rounded-up float row (HappinessRangeUp). Widening, min, max,
+/// subtraction and the canonical sum are all monotone, so the result is
+/// never below TruncGainEval's exact gain for the same point: an upper
+/// bound, not a gain.
+double TruncGainCached(const float* hrow, const double* cur, size_t n,
                        double tau);
 
 /// Same gain, computing happiness on the fly (no scratch, canonical order).

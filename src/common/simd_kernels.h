@@ -35,14 +35,16 @@ struct KernelTable {
   void (*happiness_range)(const double* const* net, size_t j0, size_t j1,
                           const double* p, size_t d, const double* best,
                           double eps, double* out);
+  void (*happiness_range_up)(const double* const* net, size_t j0, size_t j1,
+                             const double* p, size_t d, const double* best,
+                             double eps, float* out);
   double (*mhr_range)(const double* const* net, size_t j0, size_t j1,
                       const double* best, double eps, const double* pts,
                       size_t nrows, size_t d);
   void (*add_happiness_max)(const double* const* net, size_t j0, size_t j1,
                             const double* p, size_t d, const double* best,
                             double eps, double* cur);
-  void (*max_accumulate)(const double* src, double* dst, size_t n);
-  double (*trunc_gain_cached)(const double* hrow, const double* cur, size_t n,
+  double (*trunc_gain_cached)(const float* hrow, const double* cur, size_t n,
                               double tau);
   double (*trunc_gain_eval)(const double* const* net, size_t m,
                             const double* p, size_t d, const double* best,
@@ -88,6 +90,19 @@ inline double HappinessOf(double s, double b, double eps) {
   return Min(1.0, s / b);
 }
 
+/// The smallest float >= h, for h in the happiness domain [0, 1] (no NaN,
+/// no -0.0): the round-to-nearest conversion, moved one ulp up when it
+/// landed below h. For a non-negative finite float, bits + 1 is the next
+/// float up (+0.0 becomes the smallest denormal).
+inline float RoundUp(double h) {
+  float f = static_cast<float>(h);
+  uint32_t bits;
+  __builtin_memcpy(&bits, &f, sizeof(f));
+  bits += static_cast<uint32_t>(static_cast<double>(f) < h);  // Branch-free.
+  __builtin_memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
 inline void NetBestScalar(const double* const* net, size_t j0, size_t j1,
                           const double* pts, size_t nrows, size_t d,
                           double* best) {
@@ -128,6 +143,15 @@ inline double MhrRangeScalar(const double* const* net, size_t j0, size_t j1,
   return mn;
 }
 
+inline void HappinessRangeUpScalar(const double* const* net, size_t j0,
+                                   size_t j1, const double* p, size_t d,
+                                   const double* best, double eps,
+                                   float* out) {
+  for (size_t j = j0; j < j1; ++j) {
+    out[j] = RoundUp(HappinessOf(DotDir(net, j, p, d), best[j], eps));
+  }
+}
+
 inline void AddHappinessMaxScalar(const double* const* net, size_t j0,
                                   size_t j1, const double* p, size_t d,
                                   const double* best, double eps,
@@ -138,23 +162,20 @@ inline void AddHappinessMaxScalar(const double* const* net, size_t j0,
   }
 }
 
-inline void MaxAccumulateScalar(const double* src, double* dst, size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    if (src[i] > dst[i]) dst[i] = src[i];
-  }
-}
-
-inline double TruncGainTermCached(const double* hrow, const double* cur,
+/// The gain term over a rounded-up float row. Widening is exact and min,
+/// max and subtraction are monotone, so the term is never below the term
+/// of the exact happiness it bounds.
+inline double TruncGainTermCached(const float* hrow, const double* cur,
                                   size_t j, double tau) {
   const double before = Min(cur[j], tau);
-  const double after = Min(Max(cur[j], hrow[j]), tau);
+  const double after = Min(Max(cur[j], static_cast<double>(hrow[j])), tau);
   return after - before;
 }
 
 /// Canonical 4-virtual-lane sum: lanes stripe j % 4, combine as
 /// (p0 + p1) + (p2 + p3), tail added sequentially afterwards. Every
 /// dispatch level reproduces exactly this order.
-inline double TruncGainCachedScalar(const double* hrow, const double* cur,
+inline double TruncGainCachedScalar(const float* hrow, const double* cur,
                                     size_t n, double tau) {
   double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
   const size_t n4 = n & ~static_cast<size_t>(3);
@@ -277,18 +298,28 @@ using Vec4 = double __attribute__((vector_size(32)));
 template <size_t W>
 using Vec = std::conditional_t<W == 2, Vec2, Vec4>;
 
-/// Unaligned, alias-safe access to W doubles — the same type the compilers'
-/// own unaligned-load intrinsics use. (A __builtin_memcpy load measured 4-6%
-/// slower in the dot loops: GCC folds it into an indexed vmulpd operand,
-/// which Intel cores split into two uops.)
-template <typename V>
-inline V Load(const double* p) {
+/// W floats (the cached rows) and W int64 lanes (double bit patterns).
+using VecF2 = float __attribute__((vector_size(8)));
+using VecF4 = float __attribute__((vector_size(16)));
+template <size_t W>
+using VecF = std::conditional_t<W == 2, VecF2, VecF4>;
+using VecL2 = int64_t __attribute__((vector_size(16)));
+using VecL4 = int64_t __attribute__((vector_size(32)));
+template <size_t W>
+using VecL = std::conditional_t<W == 2, VecL2, VecL4>;
+
+/// Unaligned, alias-safe access to one vector of T — the same type the
+/// compilers' own unaligned-load intrinsics use. (A __builtin_memcpy load
+/// measured 4-6% slower in the dot loops: GCC folds it into an indexed
+/// vmulpd operand, which Intel cores split into two uops.)
+template <typename V, typename T>
+inline V Load(const T* p) {
   using Unaligned [[gnu::may_alias, gnu::aligned(1)]] = V;
   return *reinterpret_cast<const Unaligned*>(p);
 }
 
-template <typename V>
-inline void Store(double* p, V v) {
+template <typename T, typename V>
+inline void Store(T* p, V v) {
   using Unaligned [[gnu::may_alias, gnu::aligned(1)]] = V;
   *reinterpret_cast<Unaligned*>(p) = v;
 }
@@ -329,6 +360,37 @@ inline V HappinessV(V s, V b, V epsv) {
   const V one = Splat<V>(1.0);
   const auto inactive = b <= epsv;
   return inactive ? one : VMin(s / (inactive ? one : b), one);
+}
+
+/// W floats widened to doubles. Spelled per element: GCC 12 lowers
+/// __builtin_convertvector here to two half-width conversions and a lane
+/// insert, where this form compiles to one vcvtps2pd.
+template <size_t W>
+inline Vec<W> Widen(VecF<W> f) {
+  if constexpr (W == 2) {
+    return Vec2{f[0], f[1]};
+  } else {
+    return Vec4{f[0], f[1], f[2], f[3]};
+  }
+}
+
+/// Smallest normal float, as a double.
+constexpr double kMinNormalFloat = 0x1p-126;
+
+/// RoundUp per lane for h = 0 and h >= 2^-126, without a compare-and-bump:
+/// from 2^-126 up, the doubles a float can hold are exactly those whose low
+/// 29 mantissa bits are zero, and bit patterns of non-negative doubles
+/// order like their values, so rounding the pattern up to a multiple of
+/// 2^29 (a carry into the exponent included) gives the smallest float >= h,
+/// which then narrows exactly. Floats below 2^-126 are denormal, with fewer
+/// mantissa bits: callers track the smallest h and redo a range holding one
+/// below 2^-126 with the scalar reference.
+template <size_t W>
+inline VecF<W> RoundUpV(Vec<W> h) {
+  using L = VecL<W>;
+  constexpr int64_t kDropped = (int64_t{1} << 29) - 1;
+  const L up = (reinterpret_cast<L>(h) + kDropped) & ~kDropped;
+  return __builtin_convertvector(reinterpret_cast<Vec<W>>(up), VecF<W>);
 }
 
 /// One row's coordinates as lane vectors for the direction-swept kernels.
@@ -451,6 +513,26 @@ void HappinessRangeV(const double* const* net, size_t j0, size_t j1,
 }
 
 template <size_t W>
+void HappinessRangeUpV(const double* const* net, size_t j0, size_t j1,
+                       const double* p, size_t d, const double* best,
+                       double eps, float* out) {
+  using V = Vec<W>;
+  const Row<V> row(p, d);
+  const V epsv = Splat<V>(eps);
+  V lowest = Splat<V>(1.0);
+  const size_t j = SweepDirections<W>(net, j0, j1, row, [&](size_t jj, V s) {
+    const V h = HappinessV(s, Load<V>(best + jj), epsv);
+    lowest = VMin(lowest, h);
+    Store(out + jj, RoundUpV<W>(h));
+  });
+  // A happiness below 2^-126 (zero included, to keep the check one min)
+  // sends the range through the scalar reference; only a zero or
+  // denormal-scale score produces one.
+  const bool redo = AnyLane(lowest < Splat<V>(kMinNormalFloat));
+  HappinessRangeUpScalar(net, redo ? j0 : j, j1, p, d, best, eps, out);
+}
+
+template <size_t W>
 double MhrRangeV(const double* const* net, size_t j0, size_t j1,
                  const double* best, double eps, const double* pts,
                  size_t nrows, size_t d) {
@@ -495,19 +577,7 @@ void AddHappinessMaxV(const double* const* net, size_t j0, size_t j1,
 }
 
 template <size_t W>
-void MaxAccumulateV(const double* src, double* dst, size_t n) {
-  using V = Vec<W>;
-  size_t i = 0;
-  for (; i + W <= n; i += W) {
-    const V s = Load<V>(src + i);
-    const V t = Load<V>(dst + i);
-    Store(dst + i, s > t ? s : t);
-  }
-  MaxAccumulateScalar(src + i, dst + i, n - i);
-}
-
-template <size_t W>
-double TruncGainCachedV(const double* hrow, const double* cur, size_t n,
+double TruncGainCachedV(const float* hrow, const double* cur, size_t n,
                         double tau) {
   using V = Vec<W>;
   const V tauv = Splat<V>(tau);
@@ -515,7 +585,7 @@ double TruncGainCachedV(const double* hrow, const double* cur, size_t n,
       n,
       [&](size_t j) {
         const V c = Load<V>(cur + j);
-        const V h = Load<V>(hrow + j);
+        const V h = Widen<W>(Load<VecF<W>>(hrow + j));
         return VMin(VMax(c, h), tauv) - VMin(c, tauv);
       },
       [&](size_t j) { return TruncGainTermCached(hrow, cur, j, tau); });
@@ -610,7 +680,7 @@ bool AnyDominatesV(const double* const* cols, size_t nrows, size_t d,
 template <size_t W>
 constexpr KernelTable MakeTable(DispatchLevel level) {
   return {level,          NetBestV<W>,          HappinessRangeV<W>,
-          MhrRangeV<W>,   AddHappinessMaxV<W>,  MaxAccumulateV<W>,
+          HappinessRangeUpV<W>, MhrRangeV<W>,   AddHappinessMaxV<W>,
           TruncGainCachedV<W>, TruncGainEvalV<W>, TruncSumV<W>,
           MinReduceV<W>,  RowSumsV<W>,          AnyDominatesV<W, true>,
           AnyDominatesV<W, false>};

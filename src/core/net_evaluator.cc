@@ -57,13 +57,7 @@ double NetEvaluator::PointHappiness(size_t j, int row) const {
 }
 
 void NetEvaluator::PointHappinessRow(int row, double* out) const {
-  const size_t m = net_->size();
-  const double* cached = cached_row(row);
-  if (cached != nullptr) {
-    std::copy(cached, cached + m, out);
-    return;
-  }
-  simd::HappinessRange(net_cols_.cols(), 0, m,
+  simd::HappinessRange(net_cols_.cols(), 0, net_->size(),
                        data_->point(static_cast<size_t>(row)),
                        static_cast<size_t>(data_->dim()), best_.data(),
                        kDegenerate, out);
@@ -124,8 +118,8 @@ void NetEvaluator::CacheCandidates(const std::vector<int>& rows,
       const size_t j0 = t * kTile;
       const size_t j1 = std::min(m, j0 + kTile);
       for (size_t i = 0; i < rows.size(); ++i) {
-        simd::HappinessRange(net_cols_.cols(), j0, j1, &pts[i * d], d,
-                             best_.data(), kDegenerate, &cache_[i * m]);
+        simd::HappinessRangeUp(net_cols_.cols(), j0, j1, &pts[i * d], d,
+                               best_.data(), kDegenerate, &cache_[i * m]);
       }
     }
   });
@@ -138,32 +132,28 @@ void TruncatedMhrState::Reset() { std::fill(cur_.begin(), cur_.end(), 0.0); }
 
 double TruncatedMhrState::MarginalGain(int row, double tau) const {
   const size_t m = cur_.size();
-  const double* hrow = eval_->cached_row(row);
-  double gain;
-  if (hrow != nullptr) {
-    gain = simd::TruncGainCached(hrow, cur_.data(), m, tau);
-  } else {
-    gain = simd::TruncGainEval(
-        eval_->net_columns().cols(), m,
-        eval_->data().point(static_cast<size_t>(row)),
-        static_cast<size_t>(eval_->data().dim()), eval_->best_data(),
-        NetEvaluator::kDegenerate, cur_.data(), tau);
-  }
-  return gain / static_cast<double>(m);
+  return simd::TruncGainEval(eval_->net_columns().cols(), m,
+                             eval_->data().point(static_cast<size_t>(row)),
+                             static_cast<size_t>(eval_->data().dim()),
+                             eval_->best_data(), NetEvaluator::kDegenerate,
+                             cur_.data(), tau) /
+         static_cast<double>(m);
+}
+
+double TruncatedMhrState::GainBound(int row, double tau) const {
+  const float* hrow = eval_->cached_row(row);
+  if (hrow == nullptr) return MarginalGain(row, tau);
+  // Dividing both sides by the same positive m keeps the bound a bound.
+  return simd::TruncGainCached(hrow, cur_.data(), cur_.size(), tau) /
+         static_cast<double>(cur_.size());
 }
 
 void TruncatedMhrState::Add(int row) {
-  const size_t m = cur_.size();
-  const double* hrow = eval_->cached_row(row);
-  if (hrow != nullptr) {
-    simd::MaxAccumulate(hrow, cur_.data(), m);
-  } else {
-    simd::AddHappinessMax(eval_->net_columns().cols(), 0, m,
-                          eval_->data().point(static_cast<size_t>(row)),
-                          static_cast<size_t>(eval_->data().dim()),
-                          eval_->best_data(), NetEvaluator::kDegenerate,
-                          cur_.data());
-  }
+  simd::AddHappinessMax(eval_->net_columns().cols(), 0, cur_.size(),
+                        eval_->data().point(static_cast<size_t>(row)),
+                        static_cast<size_t>(eval_->data().dim()),
+                        eval_->best_data(), NetEvaluator::kDegenerate,
+                        cur_.data());
 }
 
 double TruncatedMhrState::TruncatedValue(double tau) const {

@@ -26,6 +26,12 @@ namespace fairhms {
 /// Every result is bit-identical across thread counts AND across SIMD
 /// dispatch levels (see the bit-identity contract in common/simd.h);
 /// threads = 1 takes the exact serial path.
+///
+/// The optional candidate cache holds each cached row's happiness as
+/// floats rounded up, half the bytes of doubles. Its cells are upper
+/// bounds, never answers: TruncatedMhrState::GainBound reads them to order
+/// a lazy-greedy heap, and every gain a caller acts on, every Add and every
+/// mhr is computed exactly from the coordinates.
 class NetEvaluator {
  public:
   /// Degenerate-denominator cutoff: directions whose best database score is
@@ -52,7 +58,8 @@ class NetEvaluator {
   /// <u_j, p> / best(j), clamped to [0, 1]; 1 on degenerate directions.
   double PointHappiness(size_t j, int row) const;
 
-  /// Fills out[0..m) with the happiness of `row` under every direction.
+  /// Fills out[0..m) with the exact happiness of `row` under every
+  /// direction (computed, never read from the float cache).
   void PointHappinessRow(int row, double* out) const;
 
   /// hr(u_j, S): best happiness among S under direction j (0 if S empty).
@@ -61,14 +68,16 @@ class NetEvaluator {
   /// mhr(S | N): minimum over the net of Hr.
   double Mhr(const std::vector<int>& rows) const;
 
-  /// Optionally caches the happiness rows of the given candidate rows for
-  /// O(m) lookups inside greedy loops. Caching is skipped when it would
-  /// exceed `max_entries` matrix cells.
+  /// Optionally caches the happiness rows of the given candidate rows, as
+  /// floats rounded up, for O(m) gain bounds inside greedy loops. Caching
+  /// is skipped when it would exceed `max_entries` matrix cells.
   void CacheCandidates(const std::vector<int>& rows,
                        size_t max_entries = 40'000'000);
 
-  /// Cached happiness row of `row`, or nullptr when not cached.
-  const double* cached_row(int row) const {
+  /// Cached row of `row`, or nullptr when not cached: m floats, cell j the
+  /// smallest float >= PointHappiness(j, row). An upper bound per cell, not
+  /// the happiness itself.
+  const float* cached_row(int row) const {
     if (cache_offset_.empty()) return nullptr;
     const int64_t off = cache_offset_[static_cast<size_t>(row)];
     return off < 0 ? nullptr : &cache_[static_cast<size_t>(off)];
@@ -77,7 +86,7 @@ class NetEvaluator {
   /// Resident bytes of the candidate cache (0 when CacheCandidates was
   /// never called or declined because of its entry budget).
   size_t CandidateCacheBytes() const {
-    return cache_.size() * sizeof(double) +
+    return cache_.size() * sizeof(float) +
            cache_offset_.size() * sizeof(int64_t);
   }
 
@@ -98,7 +107,8 @@ class NetEvaluator {
   simd::AlignedVector db_pts_;  ///< db_rows_ coords, dense row-major.
   simd::AlignedVector best_;
   std::vector<int64_t> cache_offset_;  // Per dataset row; -1 = not cached.
-  /// Concatenated happiness rows. A pooled ScratchBuffer, not a vector:
+  /// Concatenated rounded-up happiness rows. A pooled ScratchBuffer, not a
+  /// vector:
   /// the fill in CacheCandidates writes every cell, so zero-initialization
   /// would only double the memory traffic, and recycling the allocation
   /// across evaluator rebuilds skips the first-touch page faults that
@@ -119,10 +129,17 @@ class TruncatedMhrState {
   /// Clears back to the empty set.
   void Reset();
 
-  /// mhr_tau gain of adding `row` to the current set.
+  /// Exact mhr_tau gain of adding `row` to the current set, computed from
+  /// the coordinates (O(m * d)).
   double MarginalGain(int row, double tau) const;
 
-  /// Commits `row` into the current set.
+  /// Upper bound on MarginalGain(row, tau): the same gain over the row's
+  /// rounded-up float cache row (O(m), half the bytes), or the exact gain
+  /// when the row is not cached. Like the gain, it never rises as the set
+  /// grows.
+  double GainBound(int row, double tau) const;
+
+  /// Commits `row` into the current set (exact happiness).
   void Add(int row);
 
   /// Current truncated value mhr_tau(S | N).

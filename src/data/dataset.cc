@@ -279,6 +279,15 @@ simd::AlignedVector Dataset::PackRows(const std::vector<int>& rows) const {
   return pts;
 }
 
+size_t Dataset::CoordBytes() const {
+  size_t bytes = values_.capacity() * sizeof(double) +
+                 dead_.capacity() * sizeof(uint8_t);
+  for (const CategoricalColumn& c : cats_) {
+    bytes += c.codes.capacity() * sizeof(int);
+  }
+  return bytes;
+}
+
 Dataset Dataset::Subset(const std::vector<int>& rows) const {
   Dataset out(attr_names_);
   for (const auto& c : cats_) {

@@ -105,6 +105,12 @@ class Dataset {
   size_t size() const { return n_; }
   int dim() const { return dim_; }
 
+  /// Resident bytes of the per-row storage: the row-major coordinate
+  /// store, each categorical column's per-row code (label index) vector
+  /// and the tombstone flags, by allocated capacity. Labels and attribute
+  /// names are per-column, not per-row, and are not counted.
+  size_t CoordBytes() const;
+
   /// Pointer to row i's numeric attributes (dim() doubles).
   const double* point(size_t i) const { return &values_[i * static_cast<size_t>(dim_)]; }
   double at(size_t i, int j) const { return values_[i * static_cast<size_t>(dim_) + static_cast<size_t>(j)]; }

@@ -1,5 +1,7 @@
 #include "algo/bigreedy.h"
 
+#include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -8,6 +10,7 @@
 #include "common/random.h"
 #include "core/exact_evaluator.h"
 #include "data/generators.h"
+#include "fairness/matroid.h"
 #include "skyline/skyline.h"
 #include "testing/test_util.h"
 
@@ -208,6 +211,142 @@ TEST(BiGreedyTest, LazyAndPlainGreedyEquivalent) {
     auto plain_sol = BiGreedy(data, g, bounds, plain_opts);
     ASSERT_TRUE(lazy_sol.ok() && plain_sol.ok());
     EXPECT_EQ(lazy_sol->rows, plain_sol->rows) << "trial " << trial;
+  }
+}
+
+TEST(BiGreedyTest, BoundLoopMatchesPlainScanAcrossModes) {
+  // The lazy loop orders its heap by float-cache bounds and verifies only
+  // the top exactly; the plain scan verifies every candidate whose bound
+  // can beat its running best. Both must pick exactly what a scan over
+  // exact gains picks, in every search and feasibility mode.
+  Rng rng(23);
+  for (int d : {3, 4, 6}) {
+    for (int trial = 0; trial < 2; ++trial) {
+      const Dataset data = GenAntiCorrelated(160, d, &rng);
+      const Grouping g = GroupBySumRank(data, 3);
+      const GroupBounds bounds = GroupBounds::Proportional(7, g.Counts(), 0.2);
+      for (bool strict : {true, false}) {
+        for (TauSearch search : {TauSearch::kBinary, TauSearch::kLinear}) {
+          BiGreedyOptions lazy_opts;
+          lazy_opts.seed = 40 + static_cast<uint64_t>(trial);
+          lazy_opts.net_size = 150;
+          lazy_opts.eps = 0.1;
+          lazy_opts.strict_feasible = strict;
+          lazy_opts.tau_search = search;
+          BiGreedyOptions plain_opts = lazy_opts;
+          plain_opts.lazy = false;
+          BiGreedyRunInfo lazy_info, plain_info;
+          auto lazy_sol = BiGreedy(data, g, bounds, lazy_opts, &lazy_info);
+          auto plain_sol = BiGreedy(data, g, bounds, plain_opts, &plain_info);
+          ASSERT_TRUE(lazy_sol.ok() && plain_sol.ok());
+          SCOPED_TRACE(::testing::Message()
+                       << "d=" << d << " trial=" << trial << " strict="
+                       << strict << " linear="
+                       << (search == TauSearch::kLinear));
+          EXPECT_EQ(lazy_sol->rows, plain_sol->rows);
+          EXPECT_EQ(lazy_sol->mhr, plain_sol->mhr);
+          EXPECT_EQ(lazy_info.tau_index, plain_info.tau_index);
+          EXPECT_EQ(lazy_info.mrgreedy_calls, plain_info.mrgreedy_calls);
+        }
+      }
+    }
+  }
+}
+
+TEST(BiGreedyTest, FloatBoundsNeverDecideASelection) {
+  // Two axis directions and denominators of 1, so happiness is the
+  // coordinate itself. Row 0's cells are floats (their bound is exact);
+  // row 1's first cell sits just above a float and rounds up a whole ulp,
+  // its second just below 0.5 and rounds to 0.5. Row 1 has the larger
+  // bound but the smaller exact gain, so a loop that selected on bounds
+  // would pick it; greedy over exact gains picks row 0.
+  const double above = 0.5 + std::ldexp(1.0, -40);
+  const double below = 0.5 - std::ldexp(1.0, -39);
+  const Dataset data = MakeDataset({{0.5, 0.5}, {above, below}, {1.0, 1.0}});
+  const Grouping g = SingleGroup(3);
+  auto bounds = GroupBounds::Explicit(1, {0}, {1});
+  ASSERT_TRUE(bounds.ok());
+  auto input = PrepareProblem(data, g, *bounds, /*pool_override=*/{0, 1},
+                              /*db_override=*/{0, 1, 2});
+  ASSERT_TRUE(input.ok()) << input.status();
+  const UtilityNet net = UtilityNet::Grid2D(2);
+  NetEvaluator eval(&data, &net, input->db_rows);
+  eval.CacheCandidates(input->pool);
+
+  // eps = 0.3 puts a grid value, 0.85^4, just above 0.5: the largest that
+  // certifies, and one where the inversion holds.
+  const double tau = std::pow(0.85, 4);
+  const TruncatedMhrState empty(&eval);
+  ASSERT_GT(empty.GainBound(1, tau), empty.GainBound(0, tau));
+  ASSERT_LT(empty.MarginalGain(1, tau), empty.MarginalGain(0, tau));
+
+  for (bool lazy : {true, false}) {
+    BiGreedyOptions opts;
+    opts.eps = 0.3;
+    opts.lazy = lazy;
+    BiGreedyRunInfo info;
+    auto sol = BiGreedyOnNet(*input, &eval, opts, &info);
+    ASSERT_TRUE(sol.ok()) << sol.status();
+    EXPECT_EQ(info.tau, tau) << "lazy=" << lazy;
+    EXPECT_EQ(sol->rows, (std::vector<int>{0})) << "lazy=" << lazy;
+  }
+}
+
+TEST(BiGreedyTest, GreedyFillFallbackPicksExactGreedy) {
+  // Group 1's only point towers over every direction with a z component,
+  // and the bounds forbid picking it, so no capped value certifies and
+  // BiGreedy falls back to GreedyFill. Its bound-then-verify loop must
+  // pick what a plain scan over exact, untruncated gains picks.
+  const Dataset data = MakeDataset({{1.0, 0.2, 0.001},
+                                    {0.3, 1.0, 0.002},
+                                    {0.7, 0.7, 0.0015},
+                                    {0.9, 0.5, 0.0005},
+                                    {0.5, 0.9, 0.001},
+                                    {0.0, 0.0, 1000.0}});
+  const Grouping g = MakeGrouping({0, 0, 0, 0, 0, 1}, 2);
+  auto bounds = GroupBounds::Explicit(2, {2, 0}, {2, 0});
+  ASSERT_TRUE(bounds.ok());
+  auto input = PrepareProblem(data, g, *bounds);
+  ASSERT_TRUE(input.ok()) << input.status();
+  Rng rng(3);
+  const UtilityNet net = UtilityNet::SampleRandom(3, 40, &rng);
+  NetEvaluator eval(&data, &net, input->db_rows);
+  eval.CacheCandidates(input->pool);
+  ASSERT_NE(eval.cached_row(input->pool.front()), nullptr);
+
+  // Reference: plain matroid greedy on exact gains at tau = 1.
+  const FairnessMatroid matroid(input->bounds);
+  FairSelection sel(&matroid, &g);
+  TruncatedMhrState state(&eval);
+  while (!sel.IsMaximal()) {
+    int best_row = -1;
+    double best_gain = -1.0;
+    for (int row : input->pool) {
+      if (!sel.CanAdd(row)) continue;
+      const double gain = state.MarginalGain(row, 1.0);
+      if (gain > best_gain || (gain == best_gain && row < best_row)) {
+        best_gain = gain;
+        best_row = row;
+      }
+    }
+    ASSERT_GE(best_row, 0);
+    sel.Add(best_row);
+    state.Add(best_row);
+  }
+  std::vector<int> want = sel.rows();
+  std::sort(want.begin(), want.end());
+
+  for (bool strict : {true, false}) {
+    for (bool lazy : {true, false}) {
+      BiGreedyOptions opts;
+      opts.strict_feasible = strict;
+      opts.lazy = lazy;
+      BiGreedyRunInfo info;
+      auto sol = BiGreedyOnNet(*input, &eval, opts, &info);
+      ASSERT_TRUE(sol.ok()) << sol.status();
+      EXPECT_EQ(info.tau_index, -1) << "strict=" << strict;
+      EXPECT_EQ(sol->rows, want) << "strict=" << strict << " lazy=" << lazy;
+    }
   }
 }
 

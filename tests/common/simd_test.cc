@@ -13,6 +13,7 @@
 #include "common/simd.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <numeric>
@@ -38,19 +39,22 @@ namespace {
 
 using simd::internal::KernelTable;
 using testing::MakeDataset;
+using testing::RoundUpReference;
 
 bool BitEq(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-::testing::AssertionResult BitsEqual(const std::vector<double>& a,
-                                     const std::vector<double>& b) {
+/// Bitwise equality of two double or float sequences.
+template <typename T>
+::testing::AssertionResult BitsEqual(const std::vector<T>& a,
+                                     const std::vector<T>& b) {
   if (a.size() != b.size()) {
     return ::testing::AssertionFailure()
            << "size mismatch: " << a.size() << " vs " << b.size();
   }
   for (size_t i = 0; i < a.size(); ++i) {
-    if (!BitEq(a[i], b[i])) {
+    if (std::memcmp(&a[i], &b[i], sizeof(T)) != 0) {
       return ::testing::AssertionFailure()
              << "bit mismatch at " << i << ": " << a[i] << " vs " << b[i];
     }
@@ -216,21 +220,32 @@ TEST(SimdKernelTest, NetBestAndHappinessAndMhrBitIdentical) {
         const size_t j0 = m / 3;
         const size_t mhr_end = std::min(m, j0 + simd::kDirTile);
         std::vector<double> best_ref(m, 0.0), hap_ref(m, 0.0);
+        std::vector<float> up_ref(m, 0.0f);
         Scalar().net_best(net.cols(), 0, m, pts.data(), n, d, best_ref.data());
         Scalar().happiness_range(net.cols(), j0, m, pts.data(), d,
                                  best_ref.data(), 1e-12, hap_ref.data());
+        Scalar().happiness_range_up(net.cols(), j0, m, pts.data(), d,
+                                    best_ref.data(), 1e-12, up_ref.data());
+        // The float fill is the double fill rounded up, cell by cell.
+        for (size_t j = j0; j < m; ++j) {
+          ASSERT_EQ(up_ref[j], RoundUpReference(hap_ref[j])) << j;
+        }
         const double mhr_ref = Scalar().mhr_range(
             net.cols(), j0, mhr_end, best_ref.data(), 1e-12, pts.data(), n, d);
         for (const KernelTable* t : VectorTables()) {
           std::vector<double> best(m, 0.0), hap(m, 0.0);
+          std::vector<float> up(m, 0.0f);
           t->net_best(net.cols(), 0, m, pts.data(), n, d, best.data());
           t->happiness_range(net.cols(), j0, m, pts.data(), d, best.data(),
                              1e-12, hap.data());
+          t->happiness_range_up(net.cols(), j0, m, pts.data(), d,
+                                best.data(), 1e-12, up.data());
           const double mhr = t->mhr_range(net.cols(), j0, mhr_end,
                                           best.data(), 1e-12, pts.data(), n, d);
           SCOPED_TRACE(Shape(t, d, m, n));
           EXPECT_TRUE(BitsEqual(best_ref, best));
           EXPECT_TRUE(BitsEqual(hap_ref, hap));
+          EXPECT_TRUE(BitsEqual(up_ref, up));
           EXPECT_TRUE(BitEq(mhr_ref, mhr));
         }
       }
@@ -278,15 +293,36 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
     for (size_t m : kNetSizes) {
       const simd::ColumnBlock net = TrapBlock(m, d, &rng);
       const std::vector<double> p = TrapPoints(1, d, &rng);
-      std::vector<double> best(m), cur(m), hrow(m);
+      std::vector<double> best(m), cur(m), exact(m);
+      std::vector<float> hrow(m);
       for (double& v : best) v = rng.Uniform();
       for (double& v : cur) v = TrapHappiness(&rng);
-      for (double& v : hrow) v = TrapHappiness(&rng);
+      for (size_t j = 0; j < m; ++j) {
+        exact[j] = TrapHappiness(&rng);
+        hrow[j] = RoundUpReference(exact[j]);
+      }
       const double tau = 0.85;
+      // The bound over the rounded-up row is never below the gain over the
+      // doubles it was rounded from (the canonical sum over exact terms).
+      double exact_gain = 0.0;
+      {
+        double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+        const size_t m4 = m & ~static_cast<size_t>(3);
+        for (size_t j = 0; j < m4; ++j) {
+          lanes[j % 4] += std::min(std::max(cur[j], exact[j]), tau) -
+                          std::min(cur[j], tau);
+        }
+        exact_gain = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+        for (size_t j = m4; j < m; ++j) {
+          exact_gain += std::min(std::max(cur[j], exact[j]), tau) -
+                        std::min(cur[j], tau);
+        }
+      }
+      EXPECT_GE(Scalar().trunc_gain_cached(hrow.data(), cur.data(), m, tau),
+                exact_gain);
       // Every kernel of the table in one pass, as bits.
       auto run = [&](const KernelTable& t) {
-        std::vector<double> acc = cur, add = cur;
-        t.max_accumulate(hrow.data(), acc.data(), m);
+        std::vector<double> add = cur;
         t.add_happiness_max(net.cols(), 0, m, p.data(), d, best.data(), 1e-12,
                             add.data());
         std::vector<double> out = {
@@ -294,7 +330,6 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
             t.trunc_gain_eval(net.cols(), m, p.data(), d, best.data(), 1e-12,
                               cur.data(), tau),
             t.trunc_sum(cur.data(), m, tau), t.min_reduce(cur.data(), m)};
-        out.insert(out.end(), acc.begin(), acc.end());
         out.insert(out.end(), add.begin(), add.end());
         return out;
       };
@@ -305,6 +340,52 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
       }
     }
   }
+}
+
+TEST(SimdKernelTest, HappinessRangeUpIsSmallestFloatAtOrAbove) {
+  // One attribute, p = 1 and best = 1, so direction j's happiness is
+  // exactly its coordinate h_j and the fill must store RoundUp(h_j).
+  const double denorm_min = std::ldexp(1.0, -149);  // Smallest float.
+  const double float_exact = static_cast<double>(0.1f);
+  std::vector<double> h = {
+      0.0,
+      1.0,
+      denorm_min,
+      float_exact,
+      std::nextafter(float_exact, 2.0),
+      std::nextafter(1.0, 0.0),     // Rounds to nearest 1.0f, not above.
+      1e-300,                       // Below every float: 2^-149.
+      std::nextafter(denorm_min, 0.0),
+      std::nextafter(denorm_min, 1.0),
+      1.0 / 3.0,
+  };
+  Rng rng(505);
+  while (h.size() < 1031) h.push_back(rng.Uniform());
+  const size_t m = h.size();
+  simd::ColumnBlock net(1);
+  for (const double v : h) net.Append(&v);
+  const double one = 1.0;
+  const std::vector<double> best(m, 1.0);
+  for (const KernelTable* t : simd::internal::RunnableKernels()) {
+    SCOPED_TRACE(simd::DispatchLevelName(t->level));
+    for (const size_t j0 : {size_t{0}, size_t{3}}) {
+      std::vector<float> out(m, -1.0f);
+      t->happiness_range_up(net.cols(), j0, m, &one, 1, best.data(), 1e-12,
+                            out.data());
+      for (size_t j = j0; j < m; ++j) {
+        const float want = RoundUpReference(h[j]);
+        ASSERT_EQ(std::memcmp(&out[j], &want, sizeof(float)), 0)
+            << "j=" << j << " h=" << h[j] << " got " << out[j];
+        ASSERT_GE(static_cast<double>(out[j]), h[j]);
+      }
+    }
+  }
+  EXPECT_EQ(RoundUpReference(0.0), 0.0f);
+  EXPECT_EQ(RoundUpReference(1.0), 1.0f);
+  EXPECT_EQ(static_cast<double>(RoundUpReference(denorm_min)), denorm_min);
+  EXPECT_EQ(static_cast<double>(RoundUpReference(float_exact)), float_exact);
+  EXPECT_EQ(RoundUpReference(std::nextafter(float_exact, 2.0)),
+            std::nextafter(0.1f, 1.0f));
 }
 
 TEST(SimdKernelTest, MinReduceOfEmptyIsOne) {
@@ -382,9 +463,10 @@ TEST(SimdKernelTest, DominancePaddingIsNeverAWitness) {
 
 struct EvalProbe {
   std::vector<double> best;
-  std::vector<double> cached;
+  std::vector<float> cached;
   double mhr = 0.0;
   double gain = 0.0;
+  double bound = 0.0;
   double gain_uncached = 0.0;
   double value = 0.0;
   double net_mhr = 0.0;
@@ -408,6 +490,7 @@ EvalProbe RunPipeline(const Dataset& data, const std::vector<int>& rows,
   TruncatedMhrState state(&eval);
   state.Add(half[0]);
   out.gain = state.MarginalGain(half.back(), 0.9);
+  out.bound = state.GainBound(half.back(), 0.9);
   out.gain_uncached = state.MarginalGain(rows.back(), 0.9);
   state.Add(rows.back());
   out.value = state.TruncatedValue(0.9);
@@ -438,6 +521,8 @@ TEST(SimdEvaluatorTest, PipelineBitIdenticalAcrossModesAndThreads) {
       EXPECT_TRUE(BitsEqual(ref.cached, got.cached));
       EXPECT_TRUE(BitEq(ref.mhr, got.mhr));
       EXPECT_TRUE(BitEq(ref.gain, got.gain));
+      EXPECT_TRUE(BitEq(ref.bound, got.bound));
+      EXPECT_GE(got.bound, got.gain);
       EXPECT_TRUE(BitEq(ref.gain_uncached, got.gain_uncached));
       EXPECT_TRUE(BitEq(ref.value, got.value));
       EXPECT_TRUE(BitEq(ref.net_mhr, got.net_mhr));
@@ -487,29 +572,29 @@ TEST(ScratchBufferTest, ResizePreservesDataWithinCapacityAndTracksSize) {
   EXPECT_TRUE(buf.empty());
   buf.ResizeUninitialized(100);
   ASSERT_EQ(buf.size(), 100u);
-  for (size_t i = 0; i < 100; ++i) buf[i] = static_cast<double>(i);
+  for (size_t i = 0; i < 100; ++i) buf[i] = static_cast<float>(i);
   // Shrinking and re-growing within capacity must not move the allocation
   // (CacheCandidates relies on rewriting every cell, not on the resize).
-  double* data = buf.data();
+  float* data = buf.data();
   buf.ResizeUninitialized(10);
   EXPECT_EQ(buf.size(), 10u);
   buf.ResizeUninitialized(100);
   EXPECT_EQ(buf.data(), data);
   for (size_t i = 0; i < 100; ++i) {
-    EXPECT_TRUE(BitEq(buf[i], static_cast<double>(i)));
+    EXPECT_EQ(buf[i], static_cast<float>(i));
   }
 }
 
 TEST(ScratchBufferTest, ReleaseRecyclesThroughPool) {
   simd::ScratchPoolTrim();
   ASSERT_EQ(simd::ScratchPoolIdleBytes(), 0u);
-  double* first = nullptr;
+  float* first = nullptr;
   {
     simd::ScratchBuffer buf;
     buf.ResizeUninitialized(1 << 12);
     first = buf.data();
   }  // Destructor releases to the pool.
-  EXPECT_EQ(simd::ScratchPoolIdleBytes(), (1u << 12) * sizeof(double));
+  EXPECT_EQ(simd::ScratchPoolIdleBytes(), (1u << 12) * sizeof(float));
   simd::ScratchBuffer reuse;
   reuse.ResizeUninitialized(1 << 10);  // Smaller request, pooled block fits.
   EXPECT_EQ(reuse.data(), first);
@@ -523,10 +608,10 @@ TEST(ScratchBufferTest, MoveTransfersOwnership) {
   simd::ScratchPoolTrim();
   simd::ScratchBuffer a;
   a.ResizeUninitialized(16);
-  for (size_t i = 0; i < 16; ++i) a[i] = 3.5;
+  for (size_t i = 0; i < 16; ++i) a[i] = 3.5f;
   simd::ScratchBuffer b = std::move(a);
   ASSERT_EQ(b.size(), 16u);
-  EXPECT_TRUE(BitEq(b[7], 3.5));
+  EXPECT_EQ(b[7], 3.5f);
   EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): documented.
   simd::ScratchPoolTrim();
 }

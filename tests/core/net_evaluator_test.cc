@@ -14,6 +14,7 @@ namespace fairhms {
 namespace {
 
 using testing::MakeDataset;
+using testing::RoundUpReference;
 
 TEST(NetEvaluatorTest, BestAndHappinessOnAxes) {
   const Dataset data = MakeDataset({{1, 0}, {0, 1}, {0.5, 0.5}});
@@ -56,21 +57,34 @@ TEST(NetEvaluatorTest, MhrMonotoneInSubset) {
 }
 
 TEST(NetEvaluatorTest, CachedRowsMatchUncached) {
+  // Every cached cell is the smallest float >= the exact happiness, and
+  // caching changes nothing computed: PointHappinessRow stays exact.
   Rng rng(7);
   const Dataset data = GenIndependent(40, 4, &rng);
-  const UtilityNet net = UtilityNet::SampleRandom(4, 128, &rng);
+  const UtilityNet net = UtilityNet::SampleRandom(4, 131, &rng);
   std::vector<int> all(40);
   std::iota(all.begin(), all.end(), 0);
   NetEvaluator eval(&data, &net, all);
-  std::vector<double> uncached(net.size());
-  eval.PointHappinessRow(7, uncached.data());
-  eval.CacheCandidates(all);
-  ASSERT_NE(eval.cached_row(7), nullptr);
-  std::vector<double> cached(net.size());
-  eval.PointHappinessRow(7, cached.data());
-  for (size_t j = 0; j < net.size(); ++j) {
-    EXPECT_DOUBLE_EQ(cached[j], uncached[j]);
+  std::vector<std::vector<double>> uncached(40,
+                                            std::vector<double>(net.size()));
+  for (int row : all) {
+    eval.PointHappinessRow(row, uncached[static_cast<size_t>(row)].data());
   }
+  eval.CacheCandidates(all);
+  std::vector<double> after(net.size());
+  for (int row : all) {
+    const float* cached = eval.cached_row(row);
+    ASSERT_NE(cached, nullptr);
+    eval.PointHappinessRow(row, after.data());
+    for (size_t j = 0; j < net.size(); ++j) {
+      const double h = uncached[static_cast<size_t>(row)][j];
+      ASSERT_EQ(cached[j], RoundUpReference(h)) << "row " << row << " j " << j;
+      ASSERT_GE(static_cast<double>(cached[j]), h);
+      ASSERT_EQ(after[j], h);
+    }
+  }
+  EXPECT_EQ(eval.CandidateCacheBytes(),
+            40 * net.size() * sizeof(float) + 40 * sizeof(int64_t));
 }
 
 TEST(NetEvaluatorTest, CacheSkippedWhenOverBudget) {
@@ -163,6 +177,37 @@ TEST(TruncatedMhrStateTest, SubmodularityProperty) {
     for (int p = 8; p < 30; ++p) {
       EXPECT_GE(s1.MarginalGain(p, tau), s2.MarginalGain(p, tau) - 1e-12)
           << "trial " << trial << " p " << p;
+    }
+  }
+}
+
+TEST(TruncatedMhrStateTest, GainBoundIsAtLeastExactGain) {
+  // Cached rows (the even ones) bound the exact gain from above; uncached
+  // rows have no float row, so their bound is the exact gain itself.
+  for (uint64_t seed : {29u, 31u, 37u}) {
+    Rng rng(seed);
+    const Dataset data = GenAntiCorrelated(60, 4, &rng);
+    const UtilityNet net = UtilityNet::SampleRandom(4, 203, &rng);
+    std::vector<int> all(60);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<int> even;
+    for (int r = 0; r < 60; r += 2) even.push_back(r);
+    NetEvaluator eval(&data, &net, all);
+    eval.CacheCandidates(even);
+    TruncatedMhrState state(&eval);
+    for (int step = 0; step < 6; ++step) {
+      for (double tau : {0.05, 0.5, 0.9, 1.0}) {
+        for (int row : all) {
+          const double exact = state.MarginalGain(row, tau);
+          const double bound = state.GainBound(row, tau);
+          if (row % 2 == 0) {
+            EXPECT_GE(bound, exact) << "row " << row << " tau " << tau;
+          } else {
+            EXPECT_EQ(bound, exact) << "row " << row << " tau " << tau;
+          }
+        }
+      }
+      state.Add(static_cast<int>(rng.UniformInt(60)));
     }
   }
 }

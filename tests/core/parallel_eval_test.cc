@@ -3,6 +3,7 @@
 // for any thread count.
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <vector>
 
@@ -61,14 +62,12 @@ TEST(ParallelEvalTest, CacheCandidatesIsBitIdentical) {
     NetEvaluator parallel(&data, &net, sky, threads);
     parallel.CacheCandidates(sky);
     for (int row : sky) {
-      const double* a = serial.cached_row(row);
-      const double* b = parallel.cached_row(row);
+      const float* a = serial.cached_row(row);
+      const float* b = parallel.cached_row(row);
       ASSERT_NE(a, nullptr);
       ASSERT_NE(b, nullptr);
-      for (size_t j = 0; j < net.size(); ++j) {
-        ASSERT_EQ(a[j], b[j]) << "row " << row << " dir " << j << " at "
-                              << threads << " threads";
-      }
+      ASSERT_EQ(std::memcmp(a, b, net.size() * sizeof(float)), 0)
+          << "row " << row << " at " << threads << " threads";
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,16 @@ inline std::string UniqueTempPath(const std::string& stem) {
   std::string dir = ::testing::TempDir();
   if (!dir.empty() && dir.back() != '/') dir += '/';
   return dir + name;
+}
+
+/// The candidate cache's rounding rule, spelled independently of the
+/// kernels: the nearest float, moved toward +inf when it landed below h,
+/// i.e. the smallest float >= h.
+inline float RoundUpReference(double h) {
+  const float f = static_cast<float>(h);
+  return static_cast<double>(f) < h
+             ? std::nextafter(f, std::numeric_limits<float>::infinity())
+             : f;
 }
 
 /// Builds a dataset from a point list.

@@ -6,6 +6,9 @@
 //   * throughput — each --min_speedup=op:threads:factor entry must hold
 //     against the op's 1-thread baseline (exit 1 otherwise).
 //
+// A row may carry a fifth column, the median over the bench's repetitions
+// (`ms` is their minimum); it is echoed as "ms_median" and not gated.
+//
 //   bench_parallel_eval --threads=1,2,4 |
 //       bench_to_json --out=BENCH_parallel_eval.json
 //                     --min_speedup=mhr_sweep:4:1.5
@@ -30,6 +33,7 @@ struct Entry {
   int threads = 0;
   double ms = 0.0;
   std::string checksum;
+  double ms_median = -1.0;  ///< Optional fifth column; < 0 when absent.
 };
 
 struct OpSeries {
@@ -50,7 +54,8 @@ int Run(int argc, char** argv) {
     std::fputs(
         "bench_to_json --in=FILE|- --out=FILE "
         "[--min_speedup=op:threads:factor,...]\n"
-        "Reads bench_parallel_eval CSV, writes a JSON speedup report.\n"
+        "Reads bench CSV (op,threads,ms,checksum[,ms_median]), writes a\n"
+        "JSON speedup report.\n"
         "Exits 1 on an unmet --min_speedup, 2 on a checksum mismatch\n"
         "(determinism regression across thread counts).\n",
         stdout);
@@ -84,7 +89,9 @@ int Run(int argc, char** argv) {
       continue;
     }
     const auto cells = Split(trimmed, ',');
-    if (cells.size() != 4) return Fail("malformed CSV line: %s", line);
+    if (cells.size() != 4 && cells.size() != 5) {
+      return Fail("malformed CSV line: %s", line);
+    }
     if (cells[0] == "op") continue;  // Header.
     Entry e;
     int64_t threads = 0;
@@ -94,6 +101,9 @@ int Run(int argc, char** argv) {
     }
     e.threads = static_cast<int>(threads);
     e.checksum = cells[3];
+    if (cells.size() == 5 && !ParseDouble(cells[4], &e.ms_median)) {
+      return Fail("malformed CSV line: %s", line);
+    }
     OpSeries* s = nullptr;
     for (OpSeries& existing : series) {
       if (existing.op == cells[0]) s = &existing;
@@ -156,8 +166,11 @@ int Run(int argc, char** argv) {
     for (size_t i = 0; i < s.entries.size(); ++i) {
       const Entry& e = s.entries[i];
       json << (i == 0 ? "" : ", ")
-           << StrFormat("{\"threads\": %d, \"ms\": %.3f, \"speedup\": %.3f}",
-                        e.threads, e.ms, speedup_of(s, e));
+           << StrFormat("{\"threads\": %d, \"ms\": %.3f", e.threads, e.ms);
+      if (e.ms_median >= 0.0) {
+        json << StrFormat(", \"ms_median\": %.3f", e.ms_median);
+      }
+      json << StrFormat(", \"speedup\": %.3f}", speedup_of(s, e));
     }
     json << "]}" << (si + 1 < series.size() ? "," : "") << "\n";
   }
