@@ -71,11 +71,12 @@ void Panel(const DatasetCase& c, int k) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const cli::Flags flags(argc, argv);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
   const size_t anticor_n = static_cast<size_t>(
       flags.GetInt("anticor_n", flags.Has("full") ? 10000 : 2000));
-  const int k = static_cast<int>(flags.GetInt("k", 12));
+  const int k = flags.GetInt("k", 12);
+  if (!bench::CheckFlags(flags, "bench_ablation_bounds")) return 1;
 
   std::printf("=== Ablation: fairness-scheme comparison (not a paper "
               "figure; extends Sec. 2's two instantiations) ===\n");

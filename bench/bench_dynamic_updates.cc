@@ -98,14 +98,14 @@ std::vector<Op> MakeSchedule(size_t n0, int dim, int groups, int updates,
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
-  const int dim = static_cast<int>(flags.GetInt("dim", 6));
-  const int groups = static_cast<int>(flags.GetInt("groups", 4));
+  const int dim = flags.GetInt("dim", 6);
+  const int groups = flags.GetInt("groups", 4);
   const double alpha = flags.GetDouble("alpha", 0.2);
-  const int updates = static_cast<int>(flags.GetInt("updates", 40));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const int threads = static_cast<int>(flags.GetInt("solver_threads", 1));
+  const int updates = flags.GetInt("updates", 40);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
+  const int threads = flags.GetInt("solver_threads", 1);
   const size_t ref_net = static_cast<size_t>(flags.GetInt("ref_net", 20000));
   // Default mix: algorithms whose queries are artifact-bound (skylines,
   // pools, evaluator precomputes), i.e. the costs the dynamic subsystem
@@ -115,6 +115,7 @@ int Run(int argc, char** argv) {
   const std::string algos_flag =
       flags.GetString("algos", "intcov,g_greedy");
   const std::string ks_flag = flags.GetString("ks", "6,10,14,18,22");
+  if (!bench::CheckFlags(flags, "bench_dynamic_updates")) return 1;
 
   std::vector<std::string> algos;
   for (const std::string& a : Split(algos_flag, ',')) {

@@ -35,10 +35,11 @@ void Panel(const DatasetCase& c, const std::vector<int>& ks) {
 }
 
 int Run(int argc, char** argv) {
-  const Flags flags(argc, argv);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const cli::Flags flags(argc, argv);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
   const size_t anticor_n = static_cast<size_t>(
       flags.GetInt("anticor_n", flags.Has("full") ? 10000 : 2000));
+  if (!bench::CheckFlags(flags, "bench_fig6_time_md")) return 1;
 
   std::printf("=== Fig. 6: running time on multi-dimensional datasets ===\n");
 

@@ -57,15 +57,16 @@ std::string Digest(const T* values, size_t count) {
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
-  const int dim = static_cast<int>(flags.GetInt("dim", 6));
+  const int dim = flags.GetInt("dim", 6);
   const size_t net_size = static_cast<size_t>(flags.GetInt("net", 20000));
-  const int k = static_cast<int>(flags.GetInt("k", 20));
-  const int reps = static_cast<int>(flags.GetInt("reps", 5));
-  const int sweep_iters = static_cast<int>(flags.GetInt("sweep_iters", 50));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const int k = flags.GetInt("k", 20);
+  const int reps = flags.GetInt("reps", 5);
+  const int sweep_iters = flags.GetInt("sweep_iters", 50);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
   const bool with_lp = flags.Has("lp");
+  const size_t cand_target = static_cast<size_t>(flags.GetInt("cand", 1000));
 
   std::vector<int> thread_grid;
   for (const std::string& t :
@@ -77,6 +78,7 @@ int Run(int argc, char** argv) {
     }
     thread_grid.push_back(static_cast<int>(v));
   }
+  if (!bench::CheckFlags(flags, "bench_parallel_eval")) return 1;
 
   Rng rng(seed);
   const Dataset data = GenAntiCorrelated(n, dim, &rng).NormalizedMinMax();
@@ -84,7 +86,6 @@ int Run(int argc, char** argv) {
   // Cache workload: a strided candidate subset sized to stay within the
   // default CacheCandidates budget (anti-correlated skylines are ~0.9 n).
   std::vector<int> cand_rows;
-  const size_t cand_target = static_cast<size_t>(flags.GetInt("cand", 1000));
   const size_t cand_count = std::min(cand_target, skyline.size());
   for (size_t i = 0; i < cand_count; ++i) {
     cand_rows.push_back(skyline[i * skyline.size() / cand_count]);

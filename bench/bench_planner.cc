@@ -66,16 +66,17 @@ struct PassStats {
 };
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
-  const int dim = static_cast<int>(flags.GetInt("dim", 6));
-  const int groups = static_cast<int>(flags.GetInt("groups", 4));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const int threads = static_cast<int>(flags.GetInt("solver_threads", 1));
-  const int k_min = static_cast<int>(flags.GetInt("k_min", 8));
-  const int k_max = static_cast<int>(flags.GetInt("k_max", 24));
-  const int sweeps = static_cast<int>(flags.GetInt("sweeps", 2));
+  const int dim = flags.GetInt("dim", 6);
+  const int groups = flags.GetInt("groups", 4);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
+  const int threads = flags.GetInt("solver_threads", 1);
+  const int k_min = flags.GetInt("k_min", 8);
+  const int k_max = flags.GetInt("k_max", 24);
+  const int sweeps = flags.GetInt("sweeps", 2);
   const double alpha = flags.GetDouble("alpha", 0.2);
+  if (!bench::CheckFlags(flags, "bench_planner")) return 1;
   if (k_min < 1 || k_max < k_min) {
     std::fprintf(stderr, "bad k range [%d, %d]\n", k_min, k_max);
     return 1;

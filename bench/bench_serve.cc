@@ -141,13 +141,13 @@ bool RunClient(int port, const std::vector<std::string>& lines,
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 20000));
-  const int dim = static_cast<int>(flags.GetInt("dim", 4));
-  const int groups = static_cast<int>(flags.GetInt("groups", 3));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
+  const int dim = flags.GetInt("dim", 4);
+  const int groups = flags.GetInt("groups", 3);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
   const size_t lines = static_cast<size_t>(flags.GetInt("lines", 240));
-  const int workers = static_cast<int>(flags.GetInt("workers", 4));
+  const int workers = flags.GetInt("workers", 4);
 
   std::vector<int> client_counts;
   for (const std::string& t :
@@ -159,6 +159,7 @@ int Run(int argc, char** argv) {
     }
     client_counts.push_back(static_cast<int>(v));
   }
+  if (!bench::CheckFlags(flags, "bench_serve")) return 1;
 
   // The fixed read-only battery: a deterministic mix of algorithms, k and
   // alpha values across two catalog datasets, each line with a unique id.
@@ -207,8 +208,6 @@ int Run(int argc, char** argv) {
     ServiceOptions service_opts;
     service_opts.default_seed = seed;
     service_opts.default_threads = 1;
-    service_opts.envelope.version = 1;
-    service_opts.envelope.emit_seq = true;
     ProtocolService service(&catalog, service_opts);
     ServerOptions server_opts;
     server_opts.tcp_port = 0;  // Ephemeral.

@@ -75,13 +75,13 @@ void FoldResult(const SolverResult& result, double reference_mhr,
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
-  const int dim = static_cast<int>(flags.GetInt("dim", 6));
-  const int groups = static_cast<int>(flags.GetInt("groups", 4));
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const int threads = static_cast<int>(flags.GetInt("solver_threads", 1));
-  const int repeat = static_cast<int>(flags.GetInt("repeat_grid", 1));
+  const int dim = flags.GetInt("dim", 6);
+  const int groups = flags.GetInt("groups", 4);
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
+  const int threads = flags.GetInt("solver_threads", 1);
+  const int repeat = flags.GetInt("repeat_grid", 1);
   const size_t ref_net = static_cast<size_t>(flags.GetInt("ref_net", 20000));
 
   std::vector<std::string> algos;
@@ -109,6 +109,7 @@ int Run(int argc, char** argv) {
     }
     alphas.push_back(v);
   }
+  if (!bench::CheckFlags(flags, "bench_session_amortization")) return 1;
 
   Rng rng(seed);
   const Dataset data = GenIndependent(n, dim, &rng).NormalizedMinMax();

@@ -79,16 +79,17 @@ void FoldIndexState(const SkylineIndex& index, std::vector<double>* digest) {
 }
 
 int Run(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const cli::Flags flags(argc, argv);
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
-  const int dim = static_cast<int>(flags.GetInt("dim", 6));
-  const int groups = static_cast<int>(flags.GetInt("groups", 4));
+  const int dim = flags.GetInt("dim", 6);
+  const int groups = flags.GetInt("groups", 4);
   const double alpha = flags.GetDouble("alpha", 0.2);
-  const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
-  const int threads = static_cast<int>(flags.GetInt("solver_threads", 1));
+  const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
+  const int threads = flags.GetInt("solver_threads", 1);
   const std::string algos_flag = flags.GetString("algos", "intcov,g_greedy");
   const std::string ks_flag = flags.GetString("ks", "6,10,14");
   const std::string work_dir = flags.GetString("work_dir", ".");
+  if (!bench::CheckFlags(flags, "bench_snapshot")) return 1;
 
   std::vector<std::string> algos;
   for (const std::string& a : Split(algos_flag, ',')) {

@@ -44,7 +44,11 @@ void PrintSet(const char* label, const std::vector<int>& rows, double mhr,
   std::printf("]\n");
 }
 
-int Run() {
+int Run(int argc, char** argv) {
+  // No flags: anything given is a typo, warned about.
+  if (!bench::CheckFlags(cli::Flags(argc, argv), "bench_table1_example")) {
+    return 1;
+  }
   const Dataset raw = MakeLsacTable1();
   const Dataset data = raw.ScaledByMax();
 
@@ -98,4 +102,4 @@ int Run() {
 }  // namespace
 }  // namespace fairhms
 
-int main() { return fairhms::Run(); }
+int main(int argc, char** argv) { return fairhms::Run(argc, argv); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstring>
 #include <thread>
 
 #include "algo/baselines.h"
@@ -61,42 +60,12 @@ std::string CapacityProbe() {
   return out;
 }
 
-Flags::Flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) continue;
-    const std::string s(arg + 2);
-    const size_t eq = s.find('=');
-    if (eq == std::string::npos) {
-      kv_[s] = "1";
-    } else {
-      kv_[s.substr(0, eq)] = s.substr(eq + 1);
-    }
+bool CheckFlags(const cli::Flags& flags, const char* prog) {
+  const Status status = flags.Finish(prog);
+  if (!status.ok()) {
+    std::fprintf(stderr, "%s: %s\n", prog, status.ToString().c_str());
   }
-}
-
-bool Flags::Has(const std::string& key) const { return kv_.count(key) > 0; }
-
-int64_t Flags::GetInt(const std::string& key, int64_t def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  int64_t v = def;
-  ParseInt64(it->second, &v);
-  return v;
-}
-
-double Flags::GetDouble(const std::string& key, double def) const {
-  auto it = kv_.find(key);
-  if (it == kv_.end()) return def;
-  double v = def;
-  ParseDouble(it->second, &v);
-  return v;
-}
-
-std::string Flags::GetString(const std::string& key,
-                             const std::string& def) const {
-  auto it = kv_.find(key);
-  return it == kv_.end() ? def : it->second;
+  return status.ok();
 }
 
 namespace {

@@ -11,11 +11,11 @@
 #define FAIRHMS_BENCH_BENCH_UTIL_H_
 
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cli_util.h"
 #include "common/statusor.h"
 #include "core/solution.h"
 #include "data/dataset.h"
@@ -25,18 +25,11 @@
 namespace fairhms {
 namespace bench {
 
-/// Parsed command-line flags: --key=value and boolean --key.
-class Flags {
- public:
-  Flags(int argc, char** argv);
-  bool Has(const std::string& key) const;
-  int64_t GetInt(const std::string& key, int64_t def) const;
-  double GetDouble(const std::string& key, double def) const;
-  std::string GetString(const std::string& key, const std::string& def) const;
-
- private:
-  std::map<std::string, std::string> kv_;
-};
+/// Ends a bench's flag lookups (cli::Flags::Finish): warns on stderr
+/// about every flag it never read and reports a malformed value. Returns
+/// false when a value was malformed; the bench must then exit non-zero
+/// rather than run with a default in its place.
+bool CheckFlags(const cli::Flags& flags, const char* prog);
 
 /// Measures how many cores' worth of a fixed integer spin the host really
 /// delivers at 1, 2 and 4 threads (n * t1 / tn, min of two runs each,

@@ -1,5 +1,6 @@
 #include "api/protocol.h"
 
+#include <limits>
 #include <utility>
 
 #include "api/registry.h"
@@ -126,6 +127,14 @@ Status ParseQuery(const JsonValue& line, QueryRequest* out) {
       std::vector<int> out;
       for (const JsonValue& item : v->items()) {
         FAIRHMS_ASSIGN_OR_RETURN(const int64_t value, item.AsInt64());
+        // Range-check before narrowing, as for "threads": 2^32 + 1 must
+        // fail, not wrap to 1.
+        if (value < std::numeric_limits<int>::min() ||
+            value > std::numeric_limits<int>::max()) {
+          return Status::InvalidArgument(StrFormat(
+              "\"%s\" entry %lld is out of range", key,
+              static_cast<long long>(value)));
+        }
         out.push_back(static_cast<int>(value));
       }
       return out;
@@ -480,17 +489,6 @@ std::string RenderBody(const Response& r) {
   return std::string();
 }
 
-/// The versioned-envelope prefix after "ok": protocol_version and, when
-/// enabled, the linearization sequence number.
-std::string VersionedPrefix(const Response& r, const EnvelopeOptions& env) {
-  std::string out = StrFormat("\"protocol_version\": %d, ", kProtocolVersion);
-  if (env.emit_seq && r.has_seq) {
-    out += StrFormat("\"seq\": %llu, ",
-                     static_cast<unsigned long long>(r.seq));
-  }
-  return out;
-}
-
 }  // namespace
 
 const char* ProtocolOpName(ProtocolOp op) {
@@ -607,31 +605,25 @@ Status ParseRequest(const JsonValue& line, Request* out) {
 
 std::string RenderResponse(const Response& response,
                            const EnvelopeOptions& envelope) {
+  std::string out = StrFormat("{\"id\": %s, \"ok\": %s, "
+                              "\"protocol_version\": %d, ",
+                              response.id.c_str(),
+                              response.ok ? "true" : "false",
+                              kProtocolVersion);
+  if (envelope.emit_seq && response.has_seq) {
+    out += StrFormat("\"seq\": %llu, ",
+                     static_cast<unsigned long long>(response.seq));
+  }
+  if (!response.dataset.empty()) {
+    out += StrFormat("\"dataset\": \"%s\", ",
+                     JsonEscape(response.dataset).c_str());
+  }
   if (!response.ok) {
-    if (envelope.version == 0) {
-      return StrFormat("{\"id\": %s, \"ok\": false, \"error\": \"%s\"}",
-                       response.id.c_str(),
-                       JsonEscape(response.error.ToString()).c_str());
-    }
-    std::string out = StrFormat("{\"id\": %s, \"ok\": false, ",
-                                response.id.c_str());
-    out += VersionedPrefix(response, envelope);
-    if (!response.dataset.empty()) {
-      out += StrFormat("\"dataset\": \"%s\", ",
-                       JsonEscape(response.dataset).c_str());
-    }
     out += StrFormat(
         "\"error\": {\"code\": \"%s\", \"message\": \"%s\"}}",
         StatusCodeToString(response.error.code()),
         JsonEscape(response.error.message()).c_str());
     return out;
-  }
-  std::string out = StrFormat("{\"id\": %s, \"ok\": true, ",
-                              response.id.c_str());
-  if (envelope.version != 0) out += VersionedPrefix(response, envelope);
-  if (!response.dataset.empty()) {
-    out += StrFormat("\"dataset\": \"%s\", ",
-                     JsonEscape(response.dataset).c_str());
   }
   if (response.has_catalog_version) {
     out += StrFormat("\"catalog_version\": %llu, ",

@@ -15,23 +15,14 @@
 // "default"). Ops: query, insert, delete, register, save, drop, list,
 // stats.
 //
-// Responses: one JSON object per line, rendered by RenderResponse under an
-// EnvelopeOptions:
-//
-//   * version 0 — the legacy envelope, byte-identical to what the batch
-//     CLI emitted before this layer existed:
-//       {"id": 3, "ok": true, "dataset": "d", "catalog_version": 1, ...}
-//       {"id": 3, "ok": false, "error": "InvalidArgument: ..."}
-//   * version 1 (kProtocolVersion) — every response carries
-//     "protocol_version" and errors become structured objects whose
-//     "code" is the canonical StatusCode spelling (common/status.h):
-//       {"id": 3, "ok": false, "protocol_version": 1,
-//        "error": {"code": "InvalidArgument", "message": "..."}}
-//     (The transitional "error_string" free-text duplicate was removed
-//     after its announced one-release deprecation window.)
-//
-// Payload fields are rendered identically under both envelope versions, so
-// upgrading only changes the envelope, never the results.
+// Responses: one JSON object per line, rendered by RenderResponse. Every
+// response carries "protocol_version" (kProtocolVersion) and the service's
+// "seq" stamp, and errors are structured objects whose "code" is the
+// canonical StatusCode spelling (common/status.h):
+//   {"id": 3, "ok": true, "protocol_version": 1, "seq": 3, "dataset": "d",
+//    "catalog_version": 1, ...payload...}
+//   {"id": 3, "ok": false, "protocol_version": 1, "seq": 4,
+//    "error": {"code": "InvalidArgument", "message": "..."}}
 //
 // Parsing splits structural validation (ParseRequest — field presence and
 // JSON types) from state-dependent validation (api/service.h — dimension
@@ -54,8 +45,8 @@
 
 namespace fairhms {
 
-/// The envelope version RenderResponse emits for EnvelopeOptions::version 1
-/// — bump when the envelope (not a payload) changes incompatibly.
+/// The envelope version every response carries — bump when the envelope
+/// (not a payload) changes incompatibly.
 inline constexpr int kProtocolVersion = 1;
 
 enum class ProtocolOp : int {
@@ -307,8 +298,7 @@ struct Response {
   std::string dataset;
   bool has_catalog_version = false;
   uint64_t catalog_version = 0;
-  /// Linearization sequence number (daemon envelopes only; see
-  /// EnvelopeOptions::emit_seq).
+  /// Linearization sequence number (see EnvelopeOptions::emit_seq).
   bool has_seq = false;
   uint64_t seq = 0;
   Status error;  ///< Meaningful when !ok.
@@ -323,17 +313,18 @@ struct Response {
   StatsResponse stats;
 };
 
+/// The defaults are the one envelope there is: RenderResponse never reads
+/// `version`, and nothing sets `emit_seq` to false. Both members stay only
+/// because the benchmark's replay (perfbench/replay.cc) assigns them;
+/// remove them together with those assignments.
 struct EnvelopeOptions {
-  /// 0 = legacy envelope (byte-identical to the pre-protocol batch CLI);
-  /// 1 = versioned envelope with structured errors (kProtocolVersion).
-  int version = 0;
-  /// Stamp Response::seq as "seq" (versioned envelope only) — the daemon
-  /// sets it so clients can order concurrently served responses.
-  bool emit_seq = false;
+  int version = kProtocolVersion;
+  /// Stamp Response::seq as "seq" when has_seq is set.
+  bool emit_seq = true;
 };
 
-/// Renders one response line (no trailing newline) under the given
-/// envelope. Deterministic: equal inputs yield equal bytes.
+/// Renders one response line (no trailing newline). Deterministic: equal
+/// inputs yield equal bytes.
 std::string RenderResponse(const Response& response,
                            const EnvelopeOptions& envelope);
 

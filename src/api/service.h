@@ -1,6 +1,6 @@
 // ProtocolService: the one implementation of the FairHMS wire protocol
 // (api/protocol.h) over a DatasetCatalog. Both transports — the
-// `fairhms_cli --queries` batch driver and the fairhms_serve daemon — feed
+// `fairhms_cli` line driver and the fairhms_serve daemon — feed
 // request lines through HandleLine and write the returned response line,
 // so protocol behavior cannot fork between them.
 //
@@ -49,9 +49,8 @@ struct ServiceOptions {
   uint64_t default_seed = 42;
   /// Thread count for queries that do not carry their own (0 = all).
   int default_threads = 0;
-  /// Envelope the rendered responses use: the batch CLI keeps the legacy
-  /// version-0 envelope (bit-identical output); the daemon serves the
-  /// versioned envelope with sequence numbers.
+  /// Envelope of the rendered responses; the default (protocol_version
+  /// and "seq" on every line) is what both transports serve.
   EnvelopeOptions envelope;
 };
 

@@ -1,7 +1,6 @@
 // Wire-protocol round-trip tests: a scripted request battery (every op,
 // every error class) served through a fresh ProtocolService and compared
-// byte-for-byte against golden files under golden/, once per envelope
-// version. Timing-valued fields (and the two solve-quality doubles, which
+// byte-for-byte against golden files under golden/. Timing-valued fields (and the two solve-quality doubles, which
 // may differ in the last ulp across compilers) are normalized to `T`
 // before the comparison; everything else — member order, separators,
 // ids, error codes and messages, catalog versions, seq numbers — must
@@ -94,9 +93,9 @@ std::string Normalize(std::string s) {
 }
 
 /// Serves golden/requests.jsonl through a freshly bootstrapped service
-/// (fixed seeds, one "default" dataset) under the given envelope version
-/// and returns the normalized response lines.
-std::vector<std::string> ServeBattery(int version, bool normalize = true) {
+/// (fixed seeds, one "default" dataset) and returns the normalized
+/// response lines.
+std::vector<std::string> ServeBattery(bool normalize = true) {
   DatasetCatalog catalog;
   Rng rng(1234);
   Dataset data = GenIndependent(60, 3, &rng).NormalizedMinMax();
@@ -106,8 +105,6 @@ std::vector<std::string> ServeBattery(int version, bool normalize = true) {
   ServiceOptions opts;
   opts.default_seed = 7;
   opts.default_threads = 1;
-  opts.envelope.version = version;
-  opts.envelope.emit_seq = version >= 1;
   ProtocolService service(&catalog, opts);
 
   std::vector<std::string> responses;
@@ -145,64 +142,12 @@ void CheckGolden(const std::string& name,
   EXPECT_EQ(buffer.str(), actual) << "golden mismatch for " << name;
 }
 
-TEST(ProtocolGoldenTest, LegacyEnvelopeBattery) {
-  CheckGolden("responses_v0.jsonl", ServeBattery(0));
-}
-
 TEST(ProtocolGoldenTest, VersionedEnvelopeBattery) {
-  CheckGolden("responses_v1.jsonl", ServeBattery(1));
-}
-
-TEST(ProtocolGoldenTest, VersionedEnvelopeOnlyChangesTheEnvelope) {
-  const std::vector<std::string> v0 = ServeBattery(0);
-  const std::vector<std::string> v1 = ServeBattery(1);
-  ASSERT_EQ(v0.size(), v1.size());
-  for (size_t i = 0; i < v0.size(); ++i) {
-    // Strip the version-1 additions: the protocol_version stamp and the
-    // seq number.
-    std::string stripped = v1[i];
-    const std::string version_tag =
-        StrFormat("\"protocol_version\": %d, ", kProtocolVersion);
-    size_t pos = stripped.find(version_tag);
-    ASSERT_NE(pos, std::string::npos) << stripped;
-    stripped.erase(pos, version_tag.size());
-    pos = stripped.find("\"seq\": ");
-    if (pos != std::string::npos) {
-      size_t end = pos + 7;
-      while (end < stripped.size() &&
-             std::isdigit(static_cast<unsigned char>(stripped[end]))) {
-        ++end;
-      }
-      ASSERT_EQ(stripped.substr(end, 2), ", ") << stripped;
-      stripped.erase(pos, end + 2 - pos);
-    }
-    if (v0[i].find("\"ok\": true") != std::string::npos) {
-      // Success payloads must be byte-identical under both envelopes.
-      EXPECT_EQ(stripped, v0[i]) << "line " << i + 1;
-    } else {
-      // Error lines: the v1 structured error must carry the same code and
-      // message that the v0 free-text rendering concatenates.
-      const std::string prefix = "\"error\": \"";
-      pos = v0[i].find(prefix);
-      ASSERT_NE(pos, std::string::npos) << v0[i];
-      const size_t start = pos + prefix.size();
-      const size_t end = v0[i].rfind("\"}");
-      ASSERT_NE(end, std::string::npos);
-      const std::string legacy = v0[i].substr(start, end - start);
-      const size_t sep = legacy.find(": ");
-      ASSERT_NE(sep, std::string::npos) << legacy;
-      const std::string structured = "\"error\": {\"code\": \"" +
-                                     legacy.substr(0, sep) +
-                                     "\", \"message\": \"" +
-                                     legacy.substr(sep + 2) + "\"}}";
-      EXPECT_NE(v1[i].find(structured), std::string::npos)
-          << "line " << i + 1 << ": " << v1[i] << " vs legacy " << legacy;
-    }
-  }
+  CheckGolden("responses_v1.jsonl", ServeBattery());
 }
 
 TEST(ProtocolGoldenTest, VersionedResponsesAreValidJson) {
-  for (const std::string& line : ServeBattery(1, /*normalize=*/false)) {
+  for (const std::string& line : ServeBattery(/*normalize=*/false)) {
     auto parsed = ParseJson(line);
     ASSERT_TRUE(parsed.ok()) << line;
     ASSERT_TRUE(parsed->is_object()) << line;
@@ -287,6 +232,14 @@ TEST(ParseRequestTest, ExplicitBoundsNeedBothLists) {
       R"({"algorithm": "intcov", "k": 3, "bounds": "explicit", "lower": [1]})");
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("\"upper\""), std::string::npos);
+  // Entries beyond int range are refused, not wrapped (2^32 + 1 -> 1).
+  auto wrapped = Parse(
+      R"({"algorithm": "intcov", "k": 4, "bounds": "explicit",)"
+      R"( "lower": [4294967297, 4294967297],)"
+      R"( "upper": [4294967298, 4294967298]})");
+  ASSERT_FALSE(wrapped.ok());
+  EXPECT_NE(wrapped.status().message().find("out of range"), std::string::npos)
+      << wrapped.status().message();
 }
 
 TEST(ParseRequestTest, EveryOpParses) {
@@ -314,11 +267,11 @@ TEST(RenderRequestIdTest, FallsBackToTheLineNumber) {
 }
 
 // ---------------------------------------------------------------------------
-// RenderErrorLine: every status code of the taxonomy under both envelopes
-// (the server-layer codes — ResourceExhausted, DeadlineExceeded,
-// Unavailable — only reach the wire through this path).
+// RenderErrorLine: every status code of the taxonomy (the server-layer
+// codes — ResourceExhausted, DeadlineExceeded, Unavailable — only reach the
+// wire through this path).
 
-TEST(RenderErrorLineTest, EveryErrorClassUnderBothEnvelopes) {
+TEST(RenderErrorLineTest, EveryErrorClass) {
   const std::pair<Status, const char*> kCases[] = {
       {Status::InvalidArgument("m"), "InvalidArgument"},
       {Status::NotFound("m"), "NotFound"},
@@ -332,15 +285,8 @@ TEST(RenderErrorLineTest, EveryErrorClassUnderBothEnvelopes) {
       {Status::DeadlineExceeded("m"), "DeadlineExceeded"},
       {Status::Unavailable("m"), "Unavailable"},
   };
-  EnvelopeOptions v0;
-  EnvelopeOptions v1;
-  v1.version = 1;
   for (const auto& [status, code] : kCases) {
-    EXPECT_EQ(RenderErrorLine("\"x\"", status, v0),
-              StrFormat("{\"id\": \"x\", \"ok\": false, \"error\": "
-                        "\"%s: m\"}",
-                        code));
-    EXPECT_EQ(RenderErrorLine("\"x\"", status, v1),
+    EXPECT_EQ(RenderErrorLine("\"x\"", status, EnvelopeOptions()),
               StrFormat("{\"id\": \"x\", \"ok\": false, "
                         "\"protocol_version\": 1, \"error\": {\"code\": "
                         "\"%s\", \"message\": \"m\"}}",
@@ -349,10 +295,8 @@ TEST(RenderErrorLineTest, EveryErrorClassUnderBothEnvelopes) {
 }
 
 TEST(RenderErrorLineTest, MessagesAreJsonEscaped) {
-  EnvelopeOptions v1;
-  v1.version = 1;
-  const std::string line =
-      RenderErrorLine("1", Status::InvalidArgument("a \"quoted\"\nline"), v1);
+  const std::string line = RenderErrorLine(
+      "1", Status::InvalidArgument("a \"quoted\"\nline"), EnvelopeOptions());
   auto parsed = ParseJson(line);
   ASSERT_TRUE(parsed.ok()) << line;
   EXPECT_EQ(parsed->Find("error")->Find("message")->string_value(),

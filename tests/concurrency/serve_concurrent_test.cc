@@ -65,8 +65,6 @@ ServiceOptions ServiceOpts() {
   ServiceOptions opts;
   opts.default_seed = 7;
   opts.default_threads = 1;
-  opts.envelope.version = 1;
-  opts.envelope.emit_seq = true;
   return opts;
 }
 

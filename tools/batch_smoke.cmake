@@ -2,7 +2,9 @@
 # (including one bad line and interleaved insert/delete update ops)
 # through a single dynamic SolverSession and check that every good line
 # produced an ok record while the bad one failed without stopping the
-# stream. Expects -DCLI=..., -DOUT_DIR=... .
+# stream. Then check that a single solve is a one-line batch: flags
+# equivalent to the first query line print exactly that line's response.
+# Expects -DCLI=..., -DOUT_DIR=... .
 
 set(queries ${OUT_DIR}/smoke_queries.jsonl)
 file(WRITE ${queries}
@@ -65,4 +67,28 @@ list(GET row_lists 1 second_rows)
 if(NOT first_rows STREQUAL second_rows)
   message(FATAL_ERROR "warm repeat diverged from first serve:\n"
           "${first_rows}\nvs\n${second_rows}")
+endif()
+
+# A single solve whose flags say what the first line says prints exactly
+# the response that line got (timings blanked). The stray --format, a flag
+# that no longer exists, draws the unknown-flag warning and nothing else.
+execute_process(
+  COMMAND ${CLI} --synthetic=independent --n=400 --dim=3 --groups=2
+          --algo=bigreedy --k=6 --alpha=0.2 --net_size=120 --format=json
+  OUTPUT_VARIABLE single
+  ERROR_VARIABLE single_err
+  RESULT_VARIABLE single_rc)
+if(NOT single_rc EQUAL 0)
+  message(FATAL_ERROR "single solve failed, rc=${single_rc}\n${single_err}")
+endif()
+if(NOT single_err MATCHES "warning: unknown flag --format ignored")
+  message(FATAL_ERROR "no unknown-flag warning for --format:\n${single_err}")
+endif()
+set(timings "\"(solve_ms|total_ms)\": [0-9.]+")
+string(REGEX REPLACE "\n.*" "" first_line "${out}")
+string(REGEX REPLACE "${timings}" "\"\\1\": T" first_line "${first_line}")
+string(REGEX REPLACE "${timings}" "\"\\1\": T" single "${single}")
+if(NOT single STREQUAL "${first_line}\n")
+  message(FATAL_ERROR "single solve differs from its batch line:\n"
+          "${single}vs\n${first_line}")
 endif()

@@ -64,6 +64,10 @@ int Run(int argc, char** argv) {
 
   const std::string in_path = flags.GetString("in", "-");
   const std::string out_path = flags.GetString("out", "BENCH_parallel_eval.json");
+  const std::vector<std::string> gates = flags.GetList("min_speedup");
+  if (Status st = flags.Finish("bench_to_json"); !st.ok()) {
+    return Fail("%s", st.ToString());
+  }
 
   std::ifstream file;
   if (in_path != "-") {
@@ -187,7 +191,7 @@ int Run(int argc, char** argv) {
 
   // Throughput gates: --min_speedup=op:threads:factor[,op:threads:factor].
   int failures = 0;
-  for (const std::string& gate : flags.GetList("min_speedup")) {
+  for (const std::string& gate : gates) {
     const auto parts = Split(gate, ':');
     int64_t want_threads = 0;
     double want_factor = 0.0;

@@ -1,13 +1,16 @@
 #include "cli_util.h"
 
-#include <cmath>
+#include <cstdio>
+#include <limits>
 #include <utility>
 
-#include "common/json.h"
+#include "common/random.h"
 #include "common/simd.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "data/csv.h"
 #include "data/generators.h"
+#include "data/grouping.h"
 
 namespace fairhms {
 namespace cli {
@@ -18,11 +21,9 @@ Flags::Flags(int argc, char** argv) {
     if (arg.rfind("--", 0) != 0) {
       // A stray positional or single-dash token ("-k=20") must not slip
       // through the typo guard and run with defaults.
-      if (parse_error_.ok()) {
-        parse_error_ = Status::InvalidArgument(StrFormat(
-            "unrecognized argument '%s' (flags are --key=value)",
-            arg.c_str()));
-      }
+      Error(Status::InvalidArgument(StrFormat(
+          "unrecognized argument '%s' (flags are --key=value)",
+          arg.c_str())));
       continue;
     }
     arg = arg.substr(2);
@@ -35,22 +36,36 @@ Flags::Flags(int argc, char** argv) {
   }
 }
 
+void Flags::Error(Status status) const {
+  if (parse_error_.ok()) parse_error_ = std::move(status);
+}
+
 bool Flags::Has(const std::string& key) const {
   seen_.insert(key);
   return kv_.count(key) > 0;
 }
 
-int64_t Flags::GetInt(const std::string& key, int64_t def) const {
+int Flags::GetInt(const std::string& key, int def) const {
+  const int64_t v = GetInt64(key, def);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    Error(Status::InvalidArgument(StrFormat(
+        "--%s: %lld is out of range", key.c_str(),
+        static_cast<long long>(v))));
+    return def;
+  }
+  return static_cast<int>(v);
+}
+
+int64_t Flags::GetInt64(const std::string& key, int64_t def) const {
   seen_.insert(key);
   auto it = kv_.find(key);
   if (it == kv_.end()) return def;
   int64_t v = 0;
   if (!ParseInt64(it->second, &v)) {
-    if (parse_error_.ok()) {
-      parse_error_ = Status::InvalidArgument(
-          StrFormat("--%s: '%s' is not an integer", key.c_str(),
-                    it->second.c_str()));
-    }
+    Error(Status::InvalidArgument(
+        StrFormat("--%s: '%s' is not an integer", key.c_str(),
+                  it->second.c_str())));
     return def;
   }
   return v;
@@ -62,11 +77,9 @@ double Flags::GetDouble(const std::string& key, double def) const {
   if (it == kv_.end()) return def;
   double v = 0.0;
   if (!ParseDouble(it->second, &v)) {
-    if (parse_error_.ok()) {
-      parse_error_ = Status::InvalidArgument(
-          StrFormat("--%s: '%s' is not a number", key.c_str(),
-                    it->second.c_str()));
-    }
+    Error(Status::InvalidArgument(
+        StrFormat("--%s: '%s' is not a number", key.c_str(),
+                  it->second.c_str())));
     return def;
   }
   return v;
@@ -89,14 +102,15 @@ std::vector<std::string> Flags::GetList(const std::string& key) const {
   return out;
 }
 
-StatusOr<std::vector<int>> Flags::GetIntList(const std::string& key) const {
+std::vector<int> Flags::GetIntList(const std::string& key) const {
   std::vector<int> out;
   for (const auto& part : GetList(key)) {
     int64_t v = 0;
-    if (!ParseInt64(part, &v)) {
-      return Status::InvalidArgument(
-          StrFormat("--%s: '%s' is not an integer", key.c_str(),
-                    part.c_str()));
+    if (!ParseInt64(part, &v) || v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      Error(Status::InvalidArgument(
+          StrFormat("--%s: '%s' is not an int", key.c_str(), part.c_str())));
+      continue;
     }
     out.push_back(static_cast<int>(v));
   }
@@ -105,138 +119,36 @@ StatusOr<std::vector<int>> Flags::GetIntList(const std::string& key) const {
 
 Status Flags::ParseError() const { return parse_error_; }
 
-std::vector<std::string> Flags::Unknown() const {
-  std::vector<std::string> out;
+Status Flags::Finish(const char* prog,
+                     const std::set<std::string>& documented) const {
   for (const auto& [key, value] : kv_) {
     (void)value;
-    if (!seen_.count(key)) out.push_back(key);
+    if (seen_.count(key)) continue;
+    if (documented.count(key)) {
+      std::fprintf(stderr,
+                   "%s: warning: --%s has no effect with the chosen "
+                   "options; ignored\n",
+                   prog, key.c_str());
+    } else {
+      std::fprintf(stderr, "%s: warning: unknown flag --%s ignored\n", prog,
+                   key.c_str());
+    }
   }
-  return out;
+  return parse_error_;
 }
 
-void Report::AddString(const std::string& key, const std::string& value) {
-  entries_.push_back({key, value, Kind::kString});
-}
-
-void Report::AddInt(const std::string& key, int64_t value) {
-  entries_.push_back({key, StrFormat("%lld", static_cast<long long>(value)),
-                      Kind::kNumber});
-}
-
-void Report::AddDouble(const std::string& key, double value) {
-  if (std::isfinite(value)) {
-    entries_.push_back({key, StrFormat("%.6g", value), Kind::kNumber});
-  } else {
-    entries_.push_back({key, "null", Kind::kNumber});
-  }
-}
-
-std::string Report::ToPlain() const {
-  size_t width = 0;
-  for (const auto& e : entries_) width = std::max(width, e.key.size());
-  std::string out;
-  for (const auto& e : entries_) {
-    out += StrFormat("%-*s %s\n", static_cast<int>(width + 1),
-                     (e.key + ":").c_str(), e.value.c_str());
-  }
-  return out;
-}
-
-std::string Report::ToCsv() const {
-  std::vector<std::string> header;
-  std::vector<std::string> row;
-  for (const auto& e : entries_) {
-    header.push_back(CsvEscape(e.key));
-    row.push_back(CsvEscape(e.value));
-  }
-  return Join(header, ",") + "\n" + Join(row, ",") + "\n";
-}
-
-std::string Report::ToJson() const {
-  std::vector<std::string> fields;
-  for (const auto& e : entries_) {
-    const std::string value = e.kind == Kind::kNumber
-                                  ? e.value
-                                  : "\"" + fairhms::JsonEscape(e.value) + "\"";
-    fields.push_back("\"" + fairhms::JsonEscape(e.key) + "\": " + value);
-  }
-  return "{" + Join(fields, ", ") + "}\n";
-}
-
-StatusOr<std::string> Report::Render(const std::string& format) const {
-  if (format == "plain") return ToPlain();
-  if (format == "csv") return ToCsv();
-  if (format == "json") return ToJson();
-  return Status::InvalidArgument(
-      StrFormat("unknown --format '%s' (want plain, csv or json)",
-                format.c_str()));
-}
-
-std::string CsvEscape(const std::string& s) {
-  if (s.find_first_of(",\"\n\r") == std::string::npos) return s;
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += "\"\"";
-    else out += c;
-  }
-  out += "\"";
-  return out;
-}
-
-StatusOr<Dataset> LoadDatasetFromFlags(const Flags& flags, Rng* rng) {
-  const bool has_csv = flags.Has("csv");
-  const bool has_syn = flags.Has("synthetic");
-  if (has_csv == has_syn) {
+StatusOr<ServiceOptions> ServiceOptionsFromFlags(const Flags& flags) {
+  ServiceOptions opts;
+  const int64_t seed = flags.GetInt64("seed", 42);
+  if (seed < 0) return Status::InvalidArgument("--seed must be >= 0");
+  opts.default_seed = static_cast<uint64_t>(seed);
+  opts.default_threads = flags.GetInt("threads", 0);
+  if (opts.default_threads < 0 || opts.default_threads > 4096) {
     return Status::InvalidArgument(
-        "pass exactly one of --csv=PATH or --synthetic=NAME (--help for "
-        "usage)");
+        "--threads must be in [0, 4096] (0 = all hardware threads)");
   }
-  if (has_csv) {
-    CsvReadOptions opts;
-    for (const auto& c : flags.GetList("numeric")) {
-      opts.numeric_columns.push_back(c);
-    }
-    for (const auto& c : flags.GetList("categorical")) {
-      opts.categorical_columns.push_back(c);
-    }
-    if (opts.numeric_columns.empty()) {
-      return Status::InvalidArgument("--csv requires --numeric=col1,col2,...");
-    }
-    return ReadCsv(flags.GetString("csv", ""), opts);
-  }
-  return MakeSyntheticDataset(flags.GetString("synthetic", ""),
-                              flags.GetInt("n", 0), flags.GetInt("dim", 4),
-                              rng);
-}
-
-StatusOr<Dataset> NormalizeDatasetFromFlags(const Flags& flags, Dataset raw) {
-  return NormalizeDatasetByName(flags.GetString("normalize", "minmax"),
-                                std::move(raw));
-}
-
-StatusOr<Grouping> MakeGroupingFromFlags(const Flags& flags,
-                                         const Dataset& data) {
-  const auto by = flags.GetList("group_by");
-  if (!by.empty()) return GroupByCategoricalProduct(data, by);
-  const int c_num = static_cast<int>(flags.GetInt("groups", 1));
-  if (c_num < 1) return Status::InvalidArgument("--groups must be >= 1");
-  if (c_num > static_cast<int>(data.size())) {
-    return Status::InvalidArgument("--groups exceeds dataset size");
-  }
-  if (c_num == 1) return SingleGroup(data.size());
-  return GroupBySumRank(data, c_num);
-}
-
-StatusOr<uint64_t> ResolveCacheBudgetBytes(const Flags& flags) {
-  const int64_t mb = flags.GetInt("global_cache_budget_mb", 1024);
-  if (mb < 0) {
-    return Status::InvalidArgument("--global_cache_budget_mb must be >= 0");
-  }
-  return static_cast<uint64_t>(mb) * 1024 * 1024;
-}
-
-Status ApplySimdFlags(const Flags& flags) {
-  if (Status st = simd::ValidateSimdEnv(); !st.ok()) return st;
+  SetDefaultThreads(opts.default_threads);
+  FAIRHMS_RETURN_IF_ERROR(simd::ValidateSimdEnv());
   if (flags.Has("simd")) {
     auto mode = simd::ParseSimdMode(flags.GetString("simd", "auto"));
     if (!mode.ok()) {
@@ -246,7 +158,111 @@ Status ApplySimdFlags(const Flags& flags) {
     }
     simd::SetMode(*mode);
   }
-  return Status::OK();
+  return opts;
+}
+
+namespace {
+
+StatusOr<Dataset> LoadDataset(const Flags& flags, uint64_t seed) {
+  const bool has_csv = flags.Has("csv");
+  const bool has_syn = flags.Has("synthetic");
+  if (has_csv == has_syn) {
+    return Status::InvalidArgument(
+        "pass exactly one of --csv=PATH or --synthetic=NAME (--help for "
+        "usage)");
+  }
+  if (has_csv) {
+    CsvReadOptions opts;
+    opts.numeric_columns = flags.GetList("numeric");
+    opts.categorical_columns = flags.GetList("categorical");
+    if (opts.numeric_columns.empty()) {
+      return Status::InvalidArgument("--csv requires --numeric=col1,col2,...");
+    }
+    return ReadCsv(flags.GetString("csv", ""), opts);
+  }
+  Rng rng(seed);
+  return MakeSyntheticDataset(flags.GetString("synthetic", ""),
+                              flags.GetInt64("n", 0), flags.GetInt64("dim", 4),
+                              &rng);
+}
+
+StatusOr<Grouping> MakeGrouping(const Flags& flags, const Dataset& data) {
+  const auto by = flags.GetList("group_by");
+  if (!by.empty()) return GroupByCategoricalProduct(data, by);
+  const int c_num = flags.GetInt("groups", 1);
+  if (c_num < 1) return Status::InvalidArgument("--groups must be >= 1");
+  if (c_num > static_cast<int64_t>(data.size())) {
+    return Status::InvalidArgument("--groups exceeds dataset size");
+  }
+  if (c_num == 1) return SingleGroup(data.size());
+  return GroupBySumRank(data, c_num);
+}
+
+}  // namespace
+
+StatusOr<std::unique_ptr<DatasetCatalog>> BootstrapCatalog(const Flags& flags,
+                                                           uint64_t seed) {
+  // Process-wide bound on resident cache bytes across every catalog
+  // session: an unbounded seed/k sweep would pin a fresh net + evaluator
+  // per line forever. The arbiter evicts the coldest sessions' caches
+  // when the global total crosses it (results are bit-identical either
+  // way); 0 disables.
+  const int64_t budget_mb = flags.GetInt64("global_cache_budget_mb", 1024);
+  if (budget_mb < 0) {
+    return Status::InvalidArgument("--global_cache_budget_mb must be >= 0");
+  }
+  auto catalog = std::make_unique<DatasetCatalog>(DatasetCatalog::Options{
+      static_cast<uint64_t>(budget_mb) * 1024 * 1024});
+
+  // Warm from a snapshot, or cold from --csv/--synthetic.
+  if (flags.Has("snapshot_load")) {
+    if (flags.Has("csv") || flags.Has("synthetic")) {
+      return Status::InvalidArgument(
+          "--snapshot_load replaces --csv/--synthetic; pass exactly one "
+          "dataset source");
+    }
+    FAIRHMS_RETURN_IF_ERROR(
+        catalog->Load("default", flags.GetString("snapshot_load", "")));
+    return catalog;
+  }
+  FAIRHMS_ASSIGN_OR_RETURN(Dataset raw, LoadDataset(flags, seed));
+  FAIRHMS_ASSIGN_OR_RETURN(
+      Dataset data, NormalizeDatasetByName(
+                        flags.GetString("normalize", "minmax"), std::move(raw)));
+  FAIRHMS_ASSIGN_OR_RETURN(Grouping grouping, MakeGrouping(flags, data));
+  FAIRHMS_RETURN_IF_ERROR(catalog->Register("default", std::move(data),
+                                            std::move(grouping),
+                                            flags.GetList("group_by")));
+  return catalog;
+}
+
+void PrintCacheReport(const char* prog, const std::string& summary,
+                      DatasetCatalog* catalog) {
+  // Per-session bytes and the arbiter's charged total are printed side by
+  // side so they can be checked against each other.
+  uint64_t hits = 0;
+  uint64_t misses = 0;
+  uint64_t bytes = 0;
+  std::string detail;
+  for (const std::string& name : catalog->List()) {
+    auto s = catalog->Session(name);
+    if (!s.ok()) continue;
+    const CacheStats stats = (*s)->cache_stats();
+    hits += stats.TotalHits();
+    misses += stats.TotalMisses();
+    bytes += stats.TotalBytes();
+    detail += StrFormat("%s: cache detail [%s]: %s\n", prog, name.c_str(),
+                        stats.ToString().c_str());
+  }
+  std::fprintf(stderr,
+               "%s: %s; cache: %llu hits, %llu misses, %.1f KiB resident, "
+               "%llu budget evictions\n%s%s: %s\n",
+               prog, summary.c_str(), static_cast<unsigned long long>(hits),
+               static_cast<unsigned long long>(misses),
+               static_cast<double>(bytes) / 1024.0,
+               static_cast<unsigned long long>(
+                   catalog->arbiter()->evictions()),
+               detail.c_str(), prog, catalog->arbiter()->ToString().c_str());
 }
 
 }  // namespace cli

@@ -1,9 +1,9 @@
 // fairhms_serve: a long-lived daemon serving the FairHMS wire protocol
 // (docs/protocol.md) to concurrent clients over a unix-domain socket, a
 // TCP socket, or both. It is a thin transport: every request line goes
-// through the same ProtocolService that backs `fairhms_cli --queries`, so
-// the two modes cannot drift. The daemon defaults to the versioned
-// envelope (protocol_version 1, structured errors, per-response "seq").
+// through the same ProtocolService that backs `fairhms_cli`, so the two
+// cannot drift: both answer in the one envelope (protocol_version 1,
+// structured errors, per-response "seq").
 //
 //   fairhms_serve --synthetic=independent --n=10000 --groups=3 --port=0
 //   fairhms_serve --snapshot_load=warm.snap --unix=/tmp/fairhms.sock
@@ -36,16 +36,12 @@
 #include <set>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "api/catalog.h"
 #include "api/server.h"
 #include "api/service.h"
 #include "cli_util.h"
-#include "common/random.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 
 namespace fairhms {
 namespace {
@@ -81,9 +77,6 @@ Serving:
   --queue_deadline_ms=MS   max queue wait before a line is refused with
                            DeadlineExceeded (0 = no deadline)
   --max_line_bytes=N       longest accepted request line (default 1 MiB)
-  --protocol=V             response envelope version: 1 (default; adds
-                           protocol_version, structured errors and "seq")
-                           or 0 (the legacy fairhms_cli batch envelope)
   --reload_dir=DIR         SIGHUP snapshot-reload directory (each dataset
                            is saved to DIR/<name>.snap, then reloaded)
 
@@ -103,27 +96,15 @@ int Fail(const Status& status) {
   return 1;
 }
 
-/// Warns on flags never looked up on the taken code path (typo guard,
-/// mirroring fairhms_cli); every documented serve flag is listed.
-void WarnUnusedFlags(const cli::Flags& flags) {
+/// Flags a run may leave unread without it being a typo.
+const std::set<std::string>& DocumentedFlags() {
   static const std::set<std::string> documented = {
       "unix", "port", "host", "csv", "numeric", "categorical", "synthetic",
       "n", "dim", "snapshot_load", "normalize", "groups", "group_by", "seed",
       "threads", "global_cache_budget_mb", "simd", "workers",
       "max_queue", "rate_limit", "rate_burst", "queue_deadline_ms",
-      "max_line_bytes", "protocol", "reload_dir", "client", "help"};
-  for (const auto& key : flags.Unknown()) {
-    if (documented.count(key)) {
-      std::fprintf(stderr,
-                   "fairhms_serve: warning: --%s has no effect with the "
-                   "chosen options; ignored\n",
-                   key.c_str());
-    } else {
-      std::fprintf(stderr,
-                   "fairhms_serve: warning: unknown flag --%s ignored\n",
-                   key.c_str());
-    }
-  }
+      "max_line_bytes", "reload_dir", "client", "help"};
+  return documented;
 }
 
 // ---------------------------------------------------------------------------
@@ -187,12 +168,18 @@ bool SendAll(int fd, const std::string& data) {
 /// the server cancels queued work of disconnected clients, so a premature
 /// shutdown would drop in-flight requests.
 int RunClient(const cli::Flags& flags) {
+  const std::string unix_path = flags.GetString("unix", "");
+  const int port = flags.GetInt("port", -1);
+  const std::string host = flags.GetString("host", "127.0.0.1");
+  if (Status st = flags.Finish("fairhms_serve", DocumentedFlags());
+      !st.ok()) {
+    return Fail(st);
+  }
   int fd = -1;
-  if (flags.Has("unix")) {
-    fd = ConnectUnix(flags.GetString("unix", ""));
-  } else if (flags.Has("port")) {
-    fd = ConnectTcp(flags.GetString("host", "127.0.0.1"),
-                    static_cast<int>(flags.GetInt("port", 0)));
+  if (!unix_path.empty()) {
+    fd = ConnectUnix(unix_path);
+  } else if (port >= 0) {
+    fd = ConnectTcp(host, port);
   } else {
     return Fail(Status::InvalidArgument(
         "--client needs --unix=PATH or --port=N to connect to"));
@@ -283,74 +270,22 @@ int RunClient(const cli::Flags& flags) {
 // Daemon mode.
 
 int RunDaemon(const cli::Flags& flags) {
-  const int64_t seed_raw = flags.GetInt("seed", 42);
-  if (seed_raw < 0) {
-    return Fail(Status::InvalidArgument("--seed must be >= 0"));
-  }
-  const int64_t threads_raw = flags.GetInt("threads", 0);
-  if (threads_raw < 0 || threads_raw > 4096) {
-    return Fail(Status::InvalidArgument(
-        "--threads must be in [0, 4096] (0 = all hardware threads)"));
-  }
-  SetDefaultThreads(static_cast<int>(threads_raw));
-  if (Status st = cli::ApplySimdFlags(flags); !st.ok()) return Fail(st);
-
-  auto budget_bytes = cli::ResolveCacheBudgetBytes(flags);
-  if (!budget_bytes.ok()) return Fail(budget_bytes.status());
-  DatasetCatalog catalog(DatasetCatalog::Options{*budget_bytes});
-
-  // Bootstrap the "default" dataset exactly like the batch CLI: warm from
-  // a snapshot, or cold from --csv/--synthetic.
-  if (flags.Has("snapshot_load")) {
-    if (flags.Has("csv") || flags.Has("synthetic")) {
-      return Fail(Status::InvalidArgument(
-          "--snapshot_load replaces --csv/--synthetic; pass exactly one "
-          "dataset source"));
-    }
-    if (Status st =
-            catalog.Load("default", flags.GetString("snapshot_load", ""));
-        !st.ok()) {
-      return Fail(st);
-    }
-  } else {
-    Rng rng(static_cast<uint64_t>(seed_raw));
-    auto raw = cli::LoadDatasetFromFlags(flags, &rng);
-    if (!raw.ok()) return Fail(raw.status());
-    auto data = cli::NormalizeDatasetFromFlags(flags, std::move(*raw));
-    if (!data.ok()) return Fail(data.status());
-    auto grouping = cli::MakeGroupingFromFlags(flags, *data);
-    if (!grouping.ok()) return Fail(grouping.status());
-    if (Status st = catalog.Register("default", std::move(*data),
-                                     std::move(*grouping),
-                                     flags.GetList("group_by"));
-        !st.ok()) {
-      return Fail(st);
-    }
-  }
-
-  const int64_t protocol = flags.GetInt("protocol", 1);
-  if (protocol != 0 && protocol != 1) {
-    return Fail(Status::InvalidArgument(
-        StrFormat("--protocol must be 0 or 1, got %lld",
-                  static_cast<long long>(protocol))));
-  }
-  ServiceOptions service_opts;
-  service_opts.default_seed = static_cast<uint64_t>(seed_raw);
-  service_opts.default_threads = static_cast<int>(threads_raw);
-  service_opts.envelope.version = static_cast<int>(protocol);
-  service_opts.envelope.emit_seq = protocol >= 1;
-  ProtocolService service(&catalog, service_opts);
+  auto service_opts = cli::ServiceOptionsFromFlags(flags);
+  if (!service_opts.ok()) return Fail(service_opts.status());
+  // Bootstrap the "default" dataset exactly like fairhms_cli.
+  auto catalog = cli::BootstrapCatalog(flags, service_opts->default_seed);
+  if (!catalog.ok()) return Fail(catalog.status());
+  ProtocolService service(catalog->get(), *service_opts);
 
   ServerOptions server_opts;
   server_opts.unix_path = flags.GetString("unix", "");
-  server_opts.tcp_port =
-      flags.Has("port") ? static_cast<int>(flags.GetInt("port", 0)) : -1;
+  server_opts.tcp_port = flags.GetInt("port", -1);
   server_opts.tcp_host = flags.GetString("host", "127.0.0.1");
-  server_opts.workers = static_cast<int>(flags.GetInt("workers", 4));
+  server_opts.workers = flags.GetInt("workers", 4);
   if (server_opts.workers < 1 || server_opts.workers > 1024) {
     return Fail(Status::InvalidArgument("--workers must be in [1, 1024]"));
   }
-  const int64_t max_queue = flags.GetInt("max_queue", 1024);
+  const int64_t max_queue = flags.GetInt64("max_queue", 1024);
   if (max_queue < 1) {
     return Fail(Status::InvalidArgument("--max_queue must be >= 1"));
   }
@@ -364,15 +299,17 @@ int RunDaemon(const cli::Flags& flags) {
     return Fail(Status::InvalidArgument(
         "--rate_limit/--rate_burst/--queue_deadline_ms must be >= 0"));
   }
-  const int64_t max_line = flags.GetInt("max_line_bytes", 1 << 20);
+  const int64_t max_line = flags.GetInt64("max_line_bytes", 1 << 20);
   if (max_line < 64) {
     return Fail(Status::InvalidArgument("--max_line_bytes must be >= 64"));
   }
   server_opts.max_line_bytes = static_cast<size_t>(max_line);
 
   const std::string reload_dir = flags.GetString("reload_dir", "");
-  if (Status st = flags.ParseError(); !st.ok()) return Fail(st);
-  WarnUnusedFlags(flags);
+  if (Status st = flags.Finish("fairhms_serve", DocumentedFlags());
+      !st.ok()) {
+    return Fail(st);
+  }
 
   // Block the lifecycle signals in every thread the server is about to
   // spawn (they inherit this mask); the main thread collects them via
@@ -399,7 +336,7 @@ int RunDaemon(const cli::Flags& flags) {
                 server_opts.tcp_host.c_str(), server.tcp_port());
   }
   std::printf("fairhms_serve: ready (workers=%d, protocol=%d)\n",
-              server_opts.workers, static_cast<int>(protocol));
+              server_opts.workers, kProtocolVersion);
   std::fflush(stdout);
 
   for (;;) {
@@ -426,43 +363,19 @@ int RunDaemon(const cli::Flags& flags) {
 
   server.Drain();
 
-  // Final report, mirroring the batch CLI's: totals, per-session cache
-  // detail, the arbiter's global ledger, plus the server's own counters.
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-  uint64_t bytes = 0;
-  for (const std::string& name : catalog.List()) {
-    auto s = catalog.Session(name);
-    if (!s.ok()) continue;
-    const CacheStats stats = (*s)->cache_stats();
-    hits += stats.TotalHits();
-    misses += stats.TotalMisses();
-    bytes += stats.TotalBytes();
-  }
-  std::fprintf(stderr,
-               "fairhms_serve: served %llu lines (%llu updates, %llu "
-               "failed); connections %llu, rejected %llu, cancelled %llu; "
-               "cache: %llu hits, %llu misses, %.1f KiB resident, %llu "
-               "budget evictions\n",
-               static_cast<unsigned long long>(service.served()),
-               static_cast<unsigned long long>(service.updates()),
-               static_cast<unsigned long long>(service.failed()),
-               static_cast<unsigned long long>(server.connections_accepted()),
-               static_cast<unsigned long long>(server.rejected()),
-               static_cast<unsigned long long>(server.cancelled()),
-               static_cast<unsigned long long>(hits),
-               static_cast<unsigned long long>(misses),
-               static_cast<double>(bytes) / 1024.0,
-               static_cast<unsigned long long>(
-                   catalog.arbiter()->evictions()));
-  for (const std::string& name : catalog.List()) {
-    auto s = catalog.Session(name);
-    if (!s.ok()) continue;
-    std::fprintf(stderr, "fairhms_serve: cache detail [%s]: %s\n",
-                 name.c_str(), (*s)->cache_stats().ToString().c_str());
-  }
-  std::fprintf(stderr, "fairhms_serve: %s\n",
-               catalog.arbiter()->ToString().c_str());
+  // Final report, mirroring fairhms_cli's plus the server's own counters.
+  cli::PrintCacheReport(
+      "fairhms_serve",
+      StrFormat("served %llu lines (%llu updates, %llu failed); "
+                "connections %llu, rejected %llu, cancelled %llu",
+                static_cast<unsigned long long>(service.served()),
+                static_cast<unsigned long long>(service.updates()),
+                static_cast<unsigned long long>(service.failed()),
+                static_cast<unsigned long long>(
+                    server.connections_accepted()),
+                static_cast<unsigned long long>(server.rejected()),
+                static_cast<unsigned long long>(server.cancelled())),
+      catalog->get());
   return 0;
 }
 
