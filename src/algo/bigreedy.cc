@@ -5,14 +5,13 @@
 #include "api/registry.h"
 #include <cassert>
 #include <cmath>
-#include <functional>
-#include <queue>
 
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "core/artifact_cache.h"
 #include "fairness/matroid.h"
 #include "geom/vec.h"
+#include "utility/utility_net.h"
 
 namespace fairhms {
 
@@ -30,6 +29,27 @@ struct LazyEntry {
     if (key != other.key) return key < other.key;
     return row > other.row;  // Deterministic tie-break: smaller row first.
   }
+};
+
+/// Stamp of a key carried in from another tau: it never equals a
+/// selection size, so the loop refreshes the key before trusting it.
+constexpr int kCarriedStamp = -1;
+
+/// Round-1 heap keys carried across the tau probes of one BiGreedyOnNet
+/// call, where every probe's round 1 runs over `input.pool` under the same
+/// matroid. Each gain term min(max(c, h), tau) - min(c, tau) is
+/// nondecreasing in tau under IEEE rounding and the canonical sum is
+/// monotone, so a bound computed at tau' >= tau is at least the computed
+/// exact gain at tau over the same set: the keys need no slack. Keys are
+/// stored by candidate position; -1 marks a row the pass left out.
+struct CarriedKeys {
+  /// Empty-set keys, from the probe with the largest tau so far.
+  double initial_tau = -1.0;
+  std::vector<double> initial;
+  /// Keys right after the first pick `first_row`, computed at `first_tau`.
+  double first_tau = -1.0;
+  int first_row = -1;
+  std::vector<double> after_first;
 };
 
 /// True when (gain, row) wins over the running best in plain greedy's
@@ -57,13 +77,28 @@ void PrefetchRow(const float* row, size_t m) {
 /// at or above its row's exact gain, because bounds are never below exact
 /// gains and neither rises as the set grows, so a fresh exact top is the
 /// plain scan's pick and only rows near the top pay an exact evaluation.
+/// The first pick lowers nearly every gain, so right after it the heap is
+/// rebuilt in one pass over `candidates` in their given order (the order
+/// CacheCandidates laid the float rows out) rather than one pop at a time;
+/// when the pick already holds every direction at tau, no gain is left and
+/// the keys drop to 0 instead. With `carried` (round 1 over the pool), a
+/// probe whose tau is at most a stored one starts from the stored keys
+/// instead of either pass.
 /// Plain (the ablation): a full scan per insertion that verifies exactly
 /// only the candidates whose bound can beat its running best.
 void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
             const NetEvaluator* eval, TruncatedMhrState* state,
-            FairSelection* sel) {
+            FairSelection* sel, CarriedKeys* carried, BiGreedyRunInfo* run) {
   const auto bound_is_exact = [eval](int row) {
     return eval->cached_row(row) == nullptr;
+  };
+  const auto bound = [&](int row) {
+    ++run->bound_rows;
+    return state->GainBound(row, tau);
+  };
+  const auto exact = [&](int row) {
+    ++run->exact_gains;
+    return state->MarginalGain(row, tau);
   };
   if (!lazy) {
     // Selected rows leave the scan: once every gain is 0, a selected row
@@ -74,9 +109,9 @@ void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
       double best_gain = -1.0;
       for (int row : left) {
         if (!sel->CanAdd(row)) continue;
-        double gain = state->GainBound(row, tau);
+        double gain = bound(row);
         if (!Beats(gain, row, best_gain, best_row)) continue;
-        if (!bound_is_exact(row)) gain = state->MarginalGain(row, tau);
+        if (!bound_is_exact(row)) gain = exact(row);
         if (Beats(gain, row, best_gain, best_row)) {
           best_gain = gain;
           best_row = row;
@@ -91,30 +126,80 @@ void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
   }
   std::vector<LazyEntry> heap;
   heap.reserve(candidates.size());
-  for (int row : candidates) {
-    heap.push_back({state->GainBound(row, tau), row, 0, bound_is_exact(row)});
+  // Fresh keys for every candidate except `picked` that is still addable
+  // (a row the matroid refuses now stays refused as the set grows), also
+  // written to `keep` by candidate position when given.
+  const auto bound_pass = [&](int picked, std::vector<double>* keep) {
+    heap.clear();
+    if (keep != nullptr) keep->assign(candidates.size(), -1.0);
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      const int row = candidates[i];
+      if (row == picked || !sel->CanAdd(row)) continue;
+      const double key = bound(row);
+      heap.push_back({key, row, sel->size(), bound_is_exact(row)});
+      if (keep != nullptr) (*keep)[i] = key;
+    }
+  };
+  // No row gains more than a point happy under every direction, so a
+  // carried key from a much larger tau is clipped to that cap: at small
+  // tau most rows reach it, and the clipped keys tie instead of each
+  // waiting for a refresh.
+  const auto load = [&](const std::vector<double>& keys, double cap) {
+    heap.clear();
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (keys[i] < 0.0) continue;
+      heap.push_back(
+          {std::min(keys[i], cap), candidates[i], kCarriedStamp, false});
+    }
+  };
+  if (carried != nullptr && tau <= carried->initial_tau) {
+    load(carried->initial, state->GainCap(tau));
+  } else {
+    bound_pass(-1, carried != nullptr ? &carried->initial : nullptr);
+    if (carried != nullptr) carried->initial_tau = tau;
   }
-  std::priority_queue<LazyEntry> pq(std::less<LazyEntry>(), std::move(heap));
-  while (!pq.empty() && !sel->IsMaximal()) {
-    LazyEntry top = pq.top();
-    pq.pop();
-    if (!pq.empty()) {
-      PrefetchRow(eval->cached_row(pq.top().row), eval->net_size());
+  std::make_heap(heap.begin(), heap.end());
+  while (!heap.empty() && !sel->IsMaximal()) {
+    std::pop_heap(heap.begin(), heap.end());
+    LazyEntry top = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) {
+      PrefetchRow(eval->cached_row(heap.front().row), eval->net_size());
     }
     if (!sel->CanAdd(top.row)) continue;  // Permanently infeasible now.
     if (top.stamp != sel->size()) {
-      top.key = std::min(top.key, state->GainBound(top.row, tau));
+      top.key = std::min(top.key, bound(top.row));
       top.stamp = sel->size();
       top.exact = bound_is_exact(top.row);
     } else if (!top.exact) {
-      top.key = state->MarginalGain(top.row, tau);
+      top.key = exact(top.row);
       top.exact = true;
     } else {
       sel->Add(top.row);
       state->Add(top.row);
+      if (sel->size() == 1 && !sel->IsMaximal()) {
+        const double cap = state->GainCap(tau);
+        if (cap == 0.0) {
+          // The pick holds every direction at tau, so every gain is 0:
+          // the stale keys drop to 0 without reading a row.
+          for (LazyEntry& e : heap) e.key = 0.0;
+        } else if (carried != nullptr && tau <= carried->first_tau &&
+                   top.row == carried->first_row) {
+          load(carried->after_first, cap);
+        } else {
+          bound_pass(top.row,
+                     carried != nullptr ? &carried->after_first : nullptr);
+          if (carried != nullptr) {
+            carried->first_tau = tau;
+            carried->first_row = top.row;
+          }
+        }
+        std::make_heap(heap.begin(), heap.end());
+      }
       continue;
     }
-    pq.push(top);
+    heap.push_back(top);
+    std::push_heap(heap.begin(), heap.end());
   }
 }
 
@@ -123,9 +208,11 @@ void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
 /// Returns true when the capped target was certified; `out_rows` then holds
 /// the solution: the single-round set in strict mode, the multi-round union
 /// otherwise. In strict mode a failing first round aborts immediately
-/// (multi-round unions would be infeasible anyway).
+/// (multi-round unions would be infeasible anyway). `carried` serves
+/// round 1 only, the one round whose candidates are the whole pool.
 bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
               int gamma, double eps, bool strict, bool lazy,
+              CarriedKeys* carried, BiGreedyRunInfo* run,
               std::vector<int>* out_rows, int* rounds_used) {
   const Grouping& grouping = *input.grouping;
   const FairnessMatroid matroid(input.bounds);
@@ -145,7 +232,8 @@ bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
     for (int row : input.pool) {
       if (!used[static_cast<size_t>(row)]) candidates.push_back(row);
     }
-    Greedy(candidates, tau, lazy, eval, &round_state, &sel);
+    Greedy(candidates, tau, lazy, eval, &round_state, &sel,
+           round == 1 ? carried : nullptr, run);
 
     for (int row : sel.rows()) {
       used[static_cast<size_t>(row)] = true;
@@ -164,12 +252,13 @@ bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
 
 /// Fallback when no capped value certifies (degenerate nets / tiny pools):
 /// a single matroid-greedy fill on the untruncated average happiness.
-std::vector<int> GreedyFill(const ProblemInput& input,
-                            const NetEvaluator* eval) {
+std::vector<int> GreedyFill(const ProblemInput& input, const NetEvaluator* eval,
+                            BiGreedyRunInfo* run) {
   const FairnessMatroid matroid(input.bounds);
   FairSelection sel(&matroid, input.grouping);
   TruncatedMhrState state(eval);
-  Greedy(input.pool, 1.0, /*lazy=*/true, eval, &state, &sel);
+  Greedy(input.pool, 1.0, /*lazy=*/true, eval, &state, &sel,
+         /*carried=*/nullptr, run);
   return sel.rows();
 }
 
@@ -208,10 +297,12 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
   double best_tau = -1.0;
   int best_rounds = 0;
 
+  CarriedKeys carried;
   auto attempt = [&](int j, std::vector<int>* rows, int* rounds) {
     ++run.mrgreedy_calls;
     return MrGreedy(input, eval, tau_at(j), gamma, opts.eps,
-                    opts.strict_feasible, opts.lazy, rows, rounds);
+                    opts.strict_feasible, opts.lazy, &carried, &run, rows,
+                    rounds);
   };
 
   if (opts.tau_search == TauSearch::kBinary) {
@@ -309,7 +400,7 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
   }
 
   if (best_tau < 0.0) {
-    best_rows = GreedyFill(input, eval);
+    best_rows = GreedyFill(input, eval, &run);
     best_tau = 0.0;
     best_rounds = 1;
   }
@@ -441,7 +532,7 @@ BiGreedyOptions BiGreedyOptionsFromContext(const SolveContext& ctx) {
 std::vector<ParamSpec> BiGreedyParamSchema() {
   return {
       {"net_size", ParamType::kInt, "direction-net size m", "auto (10*k*d)",
-       1, 1e308, false, false, {}},
+       1, static_cast<double>(UtilityNet::kMaxSize), false, false, {}},
       {"delta", ParamType::kDouble,
        "derive m from a delta-net rule instead (used when net_size unset)",
        "unset", 0.0, 1.0, true, true, {}},
@@ -494,7 +585,8 @@ const AlgorithmRegistrar bigreedy_plus_registrar([] {
   info.params = BiGreedyParamSchema();
   info.params.push_back({"max_net_size", ParamType::kInt,
                          "net-size doubling ceiling M", "auto (10*k*d)", 1,
-                         1e308, false, false, {}});
+                         static_cast<double>(UtilityNet::kMaxSize), false,
+                         false, {}});
   info.params.push_back({"m0_fraction", ParamType::kDouble,
                          "initial net size as a fraction of M", "0.05", 0.0,
                          1.0, true, false, {}});

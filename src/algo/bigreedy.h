@@ -99,6 +99,11 @@ struct BiGreedyRunInfo {
   int mrgreedy_calls = 0; ///< Outer-loop decision calls.
   int tau_index = -1;     ///< Certified grid index (-1 = greedy fallback).
   bool warm_start_used = false;  ///< Warm hint accepted; cold search skipped.
+  /// Work in the greedy loop over every MRGreedy call and the fallback:
+  /// GainBound evaluations (heap passes included) and MarginalGain
+  /// evaluations. Deterministic per instance.
+  int64_t bound_rows = 0;
+  int64_t exact_gains = 0;
 };
 
 /// Runs BiGreedy end to end (builds the net internally).

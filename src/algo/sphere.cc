@@ -122,7 +122,8 @@ SphereOptions SphereOptionsFromContext(const SolveContext& ctx) {
 std::vector<ParamSpec> SphereParamSchema() {
   return {
       {"net_size", ParamType::kInt, "sampled direction count",
-       "auto (10*k*d)", 1, 1e308, false, false, {}},
+       "auto (10*k*d)", 1, static_cast<double>(UtilityNet::kMaxSize), false,
+       false, {}},
   };
 }
 

@@ -148,6 +148,12 @@ double TruncatedMhrState::GainBound(int row, double tau) const {
          static_cast<double>(cur_.size());
 }
 
+double TruncatedMhrState::GainCap(double tau) const {
+  const std::vector<float> ones(cur_.size(), 1.0f);
+  return simd::TruncGainCached(ones.data(), cur_.data(), cur_.size(), tau) /
+         static_cast<double>(cur_.size());
+}
+
 void TruncatedMhrState::Add(int row) {
   simd::AddHappinessMax(eval_->net_columns().cols(), 0, cur_.size(),
                         eval_->data().point(static_cast<size_t>(row)),

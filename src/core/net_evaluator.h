@@ -139,6 +139,11 @@ class TruncatedMhrState {
   /// grows.
   double GainBound(int row, double tau) const;
 
+  /// Gain of a point with happiness 1 under every direction: at least
+  /// every row's MarginalGain and GainBound at the current set, since both
+  /// sum the same terms over happiness cells of at most 1.
+  double GainCap(double tau) const;
+
   /// Commits `row` into the current set (exact happiness).
   void Add(int row);
 

@@ -45,7 +45,7 @@ size_t UtilityNet::DeltaToSampleSize(double delta, int d) {
   const double c_over_delta = 2.0 / delta;
   const double m =
       std::pow(c_over_delta, d - 1) * std::log(c_over_delta);
-  const double capped = std::min(m, 5e7);
+  const double capped = std::min(m, static_cast<double>(kMaxSize));
   return std::max<size_t>(static_cast<size_t>(d),
                           static_cast<size_t>(std::ceil(capped)));
 }

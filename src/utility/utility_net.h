@@ -19,6 +19,11 @@ namespace fairhms {
 /// An immutable set of unit utility vectors in R^d_+ (row-major flat).
 class UtilityNet {
  public:
+  /// Largest net size a request may ask for or a delta may derive:
+  /// DeltaToSampleSize caps at it, and the sampled-net algorithms'
+  /// net-size parameters refuse more.
+  static constexpr size_t kMaxSize = 50'000'000;
+
   /// m directions sampled uniformly on S^{d-1}_+ (|Normal| coordinates,
   /// l2-normalized). Deterministic given the Rng state.
   static UtilityNet SampleRandom(int d, size_t m, Rng* rng);
@@ -28,7 +33,8 @@ class UtilityNet {
   static UtilityNet Grid2D(size_t m);
 
   /// Sample size that makes a random net a delta-net w.h.p.:
-  /// ceil((c/delta)^(d-1) * ln(c/delta)) with c = 2, floored at d.
+  /// ceil((c/delta)^(d-1) * ln(c/delta)) with c = 2, floored at d and
+  /// capped at kMaxSize.
   static size_t DeltaToSampleSize(double delta, int d);
 
   /// The delta achieved (in the Lemma 4.1 sense) by m random samples —

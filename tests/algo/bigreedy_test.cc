@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -215,38 +216,98 @@ TEST(BiGreedyTest, LazyAndPlainGreedyEquivalent) {
 }
 
 TEST(BiGreedyTest, BoundLoopMatchesPlainScanAcrossModes) {
-  // The lazy loop orders its heap by float-cache bounds and verifies only
-  // the top exactly; the plain scan verifies every candidate whose bound
-  // can beat its running best. Both must pick exactly what a scan over
-  // exact gains picks, in every search and feasibility mode.
+  // The lazy loop orders its heap by float-cache bounds, verifies only the
+  // top exactly, rebuilds the heap in one pass after the first pick and
+  // carries round-1 keys down the tau grid; the plain scan verifies every
+  // candidate whose bound can beat its running best. Both must pick exactly
+  // what a scan over exact gains picks, in every search and feasibility
+  // mode, from every warm hint, and when rows leave the heap at the first
+  // pick (every group capped at 1).
+  struct Case {
+    Dataset data;
+    Grouping grouping;
+    GroupBounds bounds;
+    uint64_t seed;
+    std::string name;
+  };
+  std::vector<Case> cases;
   Rng rng(23);
   for (int d : {3, 4, 6}) {
     for (int trial = 0; trial < 2; ++trial) {
-      const Dataset data = GenAntiCorrelated(160, d, &rng);
-      const Grouping g = GroupBySumRank(data, 3);
-      const GroupBounds bounds = GroupBounds::Proportional(7, g.Counts(), 0.2);
-      for (bool strict : {true, false}) {
-        for (TauSearch search : {TauSearch::kBinary, TauSearch::kLinear}) {
-          BiGreedyOptions lazy_opts;
-          lazy_opts.seed = 40 + static_cast<uint64_t>(trial);
-          lazy_opts.net_size = 150;
-          lazy_opts.eps = 0.1;
-          lazy_opts.strict_feasible = strict;
-          lazy_opts.tau_search = search;
+      Dataset data = GenAntiCorrelated(160, d, &rng);
+      Grouping g = GroupBySumRank(data, 3);
+      const GroupBounds prop = GroupBounds::Proportional(7, g.Counts(), 0.2);
+      auto ones = GroupBounds::Explicit(3, {1, 1, 1}, {1, 1, 1});
+      ASSERT_TRUE(ones.ok()) << ones.status();
+      const std::string name =
+          "d=" + std::to_string(d) + " trial=" + std::to_string(trial);
+      const uint64_t seed = 40 + static_cast<uint64_t>(trial);
+      cases.push_back({data, g, prop, seed, name});
+      cases.push_back({data, g, *ones, seed, name + " upper=1"});
+    }
+  }
+  {
+    // A pool large enough for the passes and carried keys to matter.
+    Dataset data = GenAntiCorrelated(2000, 6, &rng);
+    Grouping g = GroupBySumRank(data, 3);
+    const GroupBounds prop = GroupBounds::Proportional(7, g.Counts(), 0.2);
+    cases.push_back({std::move(data), std::move(g), prop, 40, "n=2000 d=6"});
+  }
+
+  for (const Case& inst : cases) {
+    auto input = PrepareProblem(inst.data, inst.grouping, inst.bounds);
+    ASSERT_TRUE(input.ok()) << input.status();
+    const int64_t pool = static_cast<int64_t>(input->pool.size());
+    for (bool strict : {true, false}) {
+      for (TauSearch search : {TauSearch::kBinary, TauSearch::kLinear}) {
+        BiGreedyOptions lazy_opts;
+        lazy_opts.seed = inst.seed;
+        lazy_opts.net_size = 150;
+        lazy_opts.eps = 0.1;
+        lazy_opts.strict_feasible = strict;
+        lazy_opts.tau_search = search;
+        SCOPED_TRACE(::testing::Message()
+                     << inst.name << " strict=" << strict
+                     << " linear=" << (search == TauSearch::kLinear));
+        std::vector<int> hints = {-1};
+        int cold_index = -1;
+        std::vector<int> cold_rows;
+        for (size_t h = 0; h < hints.size(); ++h) {
+          lazy_opts.warm_tau_index = hints[h];
+          SCOPED_TRACE(::testing::Message() << "hint=" << hints[h]);
           BiGreedyOptions plain_opts = lazy_opts;
           plain_opts.lazy = false;
           BiGreedyRunInfo lazy_info, plain_info;
-          auto lazy_sol = BiGreedy(data, g, bounds, lazy_opts, &lazy_info);
-          auto plain_sol = BiGreedy(data, g, bounds, plain_opts, &plain_info);
+          auto lazy_sol =
+              BiGreedy(inst.data, inst.grouping, inst.bounds, lazy_opts,
+                       &lazy_info);
+          auto plain_sol =
+              BiGreedy(inst.data, inst.grouping, inst.bounds, plain_opts,
+                       &plain_info);
           ASSERT_TRUE(lazy_sol.ok() && plain_sol.ok());
-          SCOPED_TRACE(::testing::Message()
-                       << "d=" << d << " trial=" << trial << " strict="
-                       << strict << " linear="
-                       << (search == TauSearch::kLinear));
           EXPECT_EQ(lazy_sol->rows, plain_sol->rows);
           EXPECT_EQ(lazy_sol->mhr, plain_sol->mhr);
           EXPECT_EQ(lazy_info.tau_index, plain_info.tau_index);
           EXPECT_EQ(lazy_info.mrgreedy_calls, plain_info.mrgreedy_calls);
+          EXPECT_EQ(lazy_info.warm_start_used, plain_info.warm_start_used);
+          if (search == TauSearch::kLinear && strict) {
+            // Carried keys spare later probes the heap passes.
+            EXPECT_LT(lazy_info.bound_rows, lazy_info.mrgreedy_calls * pool);
+          }
+          if (hints[h] < 0) {
+            cold_index = lazy_info.tau_index;
+            cold_rows = lazy_sol->rows;
+            if (search == TauSearch::kBinary && cold_index >= 0) {
+              // Warm hints at the certified index, one below, two above.
+              hints.push_back(cold_index);
+              if (cold_index > 0) hints.push_back(cold_index - 1);
+              hints.push_back(cold_index + 2);
+            }
+          } else {
+            // An accepted or discarded hint lands on the cold answer.
+            EXPECT_EQ(lazy_info.tau_index, cold_index);
+            EXPECT_EQ(lazy_sol->rows, cold_rows);
+          }
         }
       }
     }

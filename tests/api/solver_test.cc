@@ -165,6 +165,26 @@ TEST(SolverTest, ParamValidationIsUniform) {
   bad_net.params.SetInt("net_size", 0);
   EXPECT_EQ(Solver::Validate(bad_net).code(), StatusCode::kInvalidArgument);
 
+  // Net sizes above UtilityNet::kMaxSize would only fail to allocate.
+  SolverRequest huge_net = MakeRequest(inst, "bigreedy");
+  huge_net.params.SetInt("net_size", 100000000000);
+  const Status huge_st = Solver::Validate(huge_net);
+  EXPECT_EQ(huge_st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge_st.message().find("out of range"), std::string::npos)
+      << huge_st.message();
+  SolverRequest huge_sphere = MakeRequest(inst, "sphere");
+  huge_sphere.params.SetInt("net_size", 100000000000);
+  const Status huge_sphere_st = Solver::Validate(huge_sphere);
+  EXPECT_EQ(huge_sphere_st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge_sphere_st.message().find("'net_size'"), std::string::npos)
+      << huge_sphere_st.message();
+  SolverRequest huge_max = MakeRequest(inst, "bigreedy+");
+  huge_max.params.SetInt("max_net_size", 100000000000);
+  const Status huge_max_st = Solver::Validate(huge_max);
+  EXPECT_EQ(huge_max_st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge_max_st.message().find("out of range"), std::string::npos)
+      << huge_max_st.message();
+
   SolverRequest bad_lambda = MakeRequest(inst, "bigreedy+");
   bad_lambda.params.SetDouble("lambda", -0.1);
   EXPECT_EQ(Solver::Validate(bad_lambda).code(),

@@ -183,7 +183,8 @@ TEST(TruncatedMhrStateTest, SubmodularityProperty) {
 
 TEST(TruncatedMhrStateTest, GainBoundIsAtLeastExactGain) {
   // Cached rows (the even ones) bound the exact gain from above; uncached
-  // rows have no float row, so their bound is the exact gain itself.
+  // rows have no float row, so their bound is the exact gain itself. No
+  // bound exceeds GainCap, the gain of a point happy everywhere.
   for (uint64_t seed : {29u, 31u, 37u}) {
     Rng rng(seed);
     const Dataset data = GenAntiCorrelated(60, 4, &rng);
@@ -195,9 +196,14 @@ TEST(TruncatedMhrStateTest, GainBoundIsAtLeastExactGain) {
     NetEvaluator eval(&data, &net, all);
     eval.CacheCandidates(even);
     TruncatedMhrState state(&eval);
+    // Ascending taus: computed gains and bounds never fall as tau rises,
+    // so a key computed at a larger tau bounds the gain at a smaller one.
+    const std::vector<double> taus = {0.05, 0.25, 0.5, 0.7, 0.9, 1.0};
     for (int step = 0; step < 6; ++step) {
-      for (double tau : {0.05, 0.5, 0.9, 1.0}) {
-        for (int row : all) {
+      for (int row : all) {
+        double prev_exact = -1.0;
+        double prev_bound = -1.0;
+        for (double tau : taus) {
           const double exact = state.MarginalGain(row, tau);
           const double bound = state.GainBound(row, tau);
           if (row % 2 == 0) {
@@ -205,6 +211,13 @@ TEST(TruncatedMhrStateTest, GainBoundIsAtLeastExactGain) {
           } else {
             EXPECT_EQ(bound, exact) << "row " << row << " tau " << tau;
           }
+          EXPECT_LE(prev_exact, exact) << "row " << row << " tau " << tau;
+          EXPECT_LE(prev_bound, bound) << "row " << row << " tau " << tau;
+          EXPECT_LE(prev_exact, bound) << "row " << row << " tau " << tau;
+          EXPECT_LE(bound, state.GainCap(tau))
+              << "row " << row << " tau " << tau;
+          prev_exact = exact;
+          prev_bound = bound;
         }
       }
       state.Add(static_cast<int>(rng.UniformInt(60)));
