@@ -289,8 +289,9 @@ int Run(int argc, char** argv) {
         eval_opts.net_size = ref_net;
         eval_opts.threads = threads;
         eval_opts.cache = session->cache();
-        const double mhr = EvaluateMhr(data, session->cache()->Skyline(data),
-                                       result->solution.rows, eval_opts);
+        const double mhr = EvaluateMhr(
+            data, *GetOrComputeSkyline(session->cache(), data),
+            result->solution.rows, eval_opts);
         incremental.query_ms += query_timer.ElapsedMillis();
         fold(*result, mhr, &incremental.digest);
       }

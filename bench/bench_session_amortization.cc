@@ -24,6 +24,7 @@
 //     bench_to_json --out=BENCH_session.json --min_speedup=batch:2:2.0
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,7 @@
 #include "data/generators.h"
 #include "data/grouping.h"
 #include "fairness/group_bounds.h"
-#include "skyline/skyline.h"
+#include "core/artifact_cache.h"
 
 namespace fairhms {
 namespace {
@@ -144,16 +145,14 @@ int Run(int argc, char** argv) {
   // amortize; without one each query rebuilds both.
   auto reference_mhr = [&](const std::vector<int>& rows,
                            ArtifactCache* cache) {
-    std::vector<int> local_skyline;
-    const std::vector<int>& skyline =
-        cache != nullptr ? cache->Skyline(data)
-                         : (local_skyline = ComputeSkyline(data));
+    const std::shared_ptr<const std::vector<int>> skyline =
+        GetOrComputeSkyline(cache, data);
     EvalOptions eval_opts;
     eval_opts.method = MhrMethod::kNet;
     eval_opts.net_size = ref_net;
     eval_opts.threads = threads;
     eval_opts.cache = cache;
-    return EvaluateMhr(data, skyline, rows, eval_opts);
+    return EvaluateMhr(data, *skyline, rows, eval_opts);
   };
 
   std::fprintf(stdout,

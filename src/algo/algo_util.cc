@@ -6,7 +6,6 @@
 #include "common/string_util.h"
 #include "core/artifact_cache.h"
 #include "geom/vec.h"
-#include "skyline/skyline.h"
 
 namespace fairhms {
 
@@ -32,14 +31,12 @@ StatusOr<ProblemInput> PrepareProblem(const Dataset& data,
   input.grouping = &grouping;
   input.bounds = bounds;
   if (pool_override.empty()) {
-    input.pool = cache != nullptr ? cache->FairPool(data, grouping)
-                                  : ComputeFairCandidatePool(data, grouping);
+    input.pool = *GetOrComputeFairPool(cache, data, grouping);
   } else {
     input.pool = std::move(pool_override);
   }
   if (db_override.empty()) {
-    input.db_rows = cache != nullptr ? cache->Skyline(data)
-                                     : ComputeSkyline(data);
+    input.db_rows = *GetOrComputeSkyline(cache, data);
   } else {
     input.db_rows = std::move(db_override);
   }

@@ -1,12 +1,12 @@
 #include "algo/group_adapter.h"
 
 #include <algorithm>
+#include <memory>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/artifact_cache.h"
 #include "core/evaluate.h"
-#include "skyline/skyline.h"
 
 namespace fairhms {
 
@@ -23,8 +23,7 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
   }
   Stopwatch timer;
   const std::vector<int> group_counts =
-      opts.cache != nullptr ? opts.cache->GroupCounts(data, grouping)
-                            : grouping.LiveCounts(data);
+      *GetOrComputeGroupCounts(opts.cache, data, grouping);
   FAIRHMS_RETURN_IF_ERROR(bounds.Validate(group_counts, &grouping.names));
 
   // Quotas proportional to group sizes, capped by what each group holds.
@@ -34,15 +33,9 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
 
   // Group tables and skylines are pure functions of (data, grouping);
   // borrow the session's copies when a cache is attached.
-  std::vector<std::vector<int>> local_group_skylines;
-  std::vector<std::vector<int>> local_members;
-  const std::vector<std::vector<int>>& group_skylines =
-      opts.cache != nullptr
-          ? opts.cache->GroupSkylines(data, grouping)
-          : (local_group_skylines = ComputeGroupSkylines(data, grouping));
-  const std::vector<std::vector<int>>& members =
-      opts.cache != nullptr ? opts.cache->GroupMembers(data, grouping)
-                            : (local_members = grouping.MembersLive(data));
+  const auto group_skylines =
+      GetOrComputeGroupSkylines(opts.cache, data, grouping);
+  const auto members = GetOrComputeGroupMembers(opts.cache, data, grouping);
 
   Solution out;
   for (int c = 0; c < grouping.num_groups; ++c) {
@@ -50,10 +43,11 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
     if (kc == 0) continue;
     // Candidates: the group skyline, widened to all members when the
     // skyline alone cannot fill the quota.
-    const std::vector<int>& pool =
-        static_cast<int>(group_skylines[static_cast<size_t>(c)].size()) >= kc
-            ? group_skylines[static_cast<size_t>(c)]
-            : members[static_cast<size_t>(c)];
+    const std::vector<int>& skyline_c =
+        (*group_skylines)[static_cast<size_t>(c)];
+    const std::vector<int>& pool = static_cast<int>(skyline_c.size()) >= kc
+                                       ? skyline_c
+                                       : (*members)[static_cast<size_t>(c)];
     auto sub = solver(data, pool, kc);
     if (!sub.ok()) {
       return Status(sub.status().code(),
@@ -64,13 +58,11 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
   }
 
   std::sort(out.rows.begin(), out.rows.end());
-  std::vector<int> local_db_rows;
+  std::shared_ptr<const std::vector<int>> skyline;
   const std::vector<int>& db_rows =
       !opts.db_rows.empty()
           ? opts.db_rows
-          : (opts.cache != nullptr
-                 ? opts.cache->Skyline(data)
-                 : (local_db_rows = ComputeSkyline(data)));
+          : *(skyline = GetOrComputeSkyline(opts.cache, data));
   EvalOptions eval_opts;
   eval_opts.threads = opts.threads;
   eval_opts.cache = opts.cache;

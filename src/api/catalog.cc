@@ -173,9 +173,8 @@ StatusOr<SolverResult> DatasetCatalog::Solve(const std::string& name,
   SolverSession* session = it->second.session.get();
   arbiter_.Touch(session->cache());
   StatusOr<SolverResult> result = session->Solve(request);
-  // Settle the budget after the solve, never during: eviction mid-solve
-  // would invalidate references the cache handed to the algorithm. The
-  // serving session is evicted last — it is the one demonstrably hot.
+  // Settle the budget after the solve; the serving session is evicted
+  // last — it is the one demonstrably hot.
   arbiter_.Rebalance(session->cache());
   return result;
 }

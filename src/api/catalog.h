@@ -9,12 +9,13 @@
 // process-wide ThreadPool::Shared() worker pool — per-tenant pools would
 // oversubscribe the machine C times.
 //
-// Memory: instead of PR 4's one-budget-per-session, the catalog runs one
-// CacheArbiter (core/artifact_cache.h) over every session's ArtifactCache.
-// Each solve touches its session; Solve() rebalances afterwards, evicting
-// the coldest sessions' whole caches until the global total fits the
-// budget again — so a budget smaller than the sum of per-dataset working
-// sets degrades to recomputation, never to failure.
+// Memory: the catalog runs one CacheArbiter (core/artifact_cache.h) over
+// every session's ArtifactCache. Each solve touches its session; Solve()
+// rebalances afterwards, evicting the coldest sessions' whole caches until
+// the global total fits the budget again — so a budget smaller than the
+// sum of per-dataset working sets degrades to recomputation, never to
+// failure. Eviction may clear a cache another thread is solving against:
+// that solve holds its artifacts by shared_ptr and finishes unaffected.
 //
 // Persistence: Save() serializes a session's full serving state through
 // data/snapshot.h (table + partition + insert-routing provenance +
@@ -24,8 +25,8 @@
 //
 // The catalog is single-writer: Register/Load/Drop/Save and the mutation
 // accessors must not race each other or in-flight solves. Solve() itself
-// is safe for concurrent callers against *distinct* names once
-// registration is done.
+// is safe for concurrent callers once registration is done, including
+// their post-solve rebalances.
 
 #ifndef FAIRHMS_API_CATALOG_H_
 #define FAIRHMS_API_CATALOG_H_

@@ -193,9 +193,8 @@ Status ProtocolService::ExecutePerDataset(const Request& request,
     status = session_or.status();
   } else {
     SolverSession* session = *session_or;
-    // Serving marks this session hot; the global budget settles *after*
-    // the op, never mid-solve (cache references handed to the algorithm
-    // must stay valid).
+    // Serving marks this session hot; the global budget settles after the
+    // op (MaybeRebalance), outside the dataset lock.
     {
       MutexLock arbiter_lock(&arbiter_mu_);
       catalog_->arbiter()->Touch(session->cache());
@@ -240,9 +239,10 @@ void ProtocolService::MaybeRebalance(const std::string& route) {
       return;
     }
   }
-  // Eviction drops other sessions' caches wholesale — quiesce every
-  // dataset so no in-flight solve holds references into one.
-  WriterMutexLock catalog_lock(&catalog_mu_);
+  // Eviction may clear caches other solves are reading — they hold their
+  // artifacts by shared_ptr — so the shared catalog lock suffices; it keeps
+  // Register and Drop, which change the arbiter's sessions, out.
+  ReaderMutexLock catalog_lock(&catalog_mu_);
   MutexLock arbiter_lock(&arbiter_mu_);
   auto session_or = catalog_->Session(route);
   catalog_->arbiter()->Rebalance(
@@ -289,8 +289,9 @@ Status ProtocolService::ExecuteQuery(const QueryRequest& request,
   EvalOptions eval_opts;
   eval_opts.threads = solve.threads;
   eval_opts.cache = session->cache();
-  const double mhr = EvaluateMhr(data, session->cache()->Skyline(data),
-                                 run.solution.rows, eval_opts);
+  const double mhr =
+      EvaluateMhr(data, *GetOrComputeSkyline(session->cache(), data),
+                  run.solution.rows, eval_opts);
 
   out->algorithm = run.algorithm;
   out->k = request.k;

@@ -20,11 +20,10 @@
 //     (queries commute under shared locks; mutations serialize), which is
 //     how the concurrent integration test checks linearizability.
 //   * CacheArbiter calls are serialized by arbiter_mu_; Rebalance — which
-//     may evict *other* sessions' caches — runs only under the exclusive
-//     catalog lock, after the serving op released its locks, and only when
-//     the global total actually exceeds the budget (equivalent to the
-//     legacy unconditional call, which no-ops under budget, but safe to
-//     run next to concurrent solves).
+//     may evict *other* sessions' caches — runs under the shared catalog
+//     lock, after the serving op released its dataset lock, and only when
+//     the global total exceeds the budget. Evicting next to in-flight
+//     solves is safe: they hold their cached artifacts by shared_ptr.
 
 #ifndef FAIRHMS_API_SERVICE_H_
 #define FAIRHMS_API_SERVICE_H_

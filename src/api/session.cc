@@ -8,7 +8,6 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "plan/planner.h"
-#include "skyline/skyline.h"
 
 namespace fairhms {
 
@@ -55,8 +54,7 @@ Status ValidateRequestShape(const SolverRequest& req,
     // specific checks (schema, exact-2D dimension) run against the actual
     // choice. Only the algorithm-independent checks apply here.
     FAIRHMS_RETURN_IF_ERROR(req.bounds.Validate(
-        cache != nullptr ? cache->GroupCounts(*req.data, *req.grouping)
-                         : req.grouping->LiveCounts(*req.data),
+        *GetOrComputeGroupCounts(cache, *req.data, *req.grouping),
         &req.grouping->names));
     if (info_out != nullptr) *info_out = nullptr;
     return Status::OK();
@@ -80,8 +78,7 @@ Status ValidateRequestShape(const SolverRequest& req,
   FAIRHMS_RETURN_IF_ERROR(
       ValidateParams(info->name, info->params, req.params));
   FAIRHMS_RETURN_IF_ERROR(req.bounds.Validate(
-      cache != nullptr ? cache->GroupCounts(*req.data, *req.grouping)
-                       : req.grouping->LiveCounts(*req.data),
+      *GetOrComputeGroupCounts(cache, *req.data, *req.grouping),
       &req.grouping->names));
   if (info_out != nullptr) *info_out = info;
   return Status::OK();
@@ -263,17 +260,23 @@ void SolverSession::PublishIndexIfStale() {
       published_grouping_version_ == grouping_->version) {
     return;
   }
-  cache_->PutSkyline(*data_, index_->skyline());
-  cache_->PutGroupArtifacts(*data_, *grouping_, index_->group_skylines(),
-                            index_->fair_pool(), index_->live_counts(),
-                            index_->live_members());
+  using Kind = ArtifactCache::Kind;
+  const auto key = [this](Kind kind) {
+    return ArtifactCache::VersionedKey(kind, *data_, grouping_);
+  };
+  cache_->Put(ArtifactCache::VersionedKey(Kind::kSkyline, *data_),
+              index_->skyline());
+  cache_->Put(key(Kind::kGroupSkylines), index_->group_skylines());
+  cache_->Put(key(Kind::kFairPool), index_->fair_pool());
+  cache_->Put(key(Kind::kGroupCounts), index_->live_counts());
+  cache_->Put(key(Kind::kGroupMembers), index_->live_members());
   published_data_version_ = data_->version();
   published_grouping_version_ = grouping_->version;
 }
 
-const std::vector<int>& SolverSession::group_counts() {
+std::vector<int> SolverSession::group_counts() {
   PublishIndexIfStale();
-  return cache_->GroupCounts(*data_, *grouping_);
+  return *GetOrComputeGroupCounts(cache_.get(), *data_, *grouping_);
 }
 
 StatusOr<int> SolverSession::ResolveInsertGroup(
@@ -466,9 +469,11 @@ StatusOr<SolverResult> SolverSession::Solve(const SolverRequest& request) {
   // Unconstrained baselines run on the global skyline (memoized per
   // projection key); the bounds are only used for the violation report.
   static const std::vector<int> kNoSkyline;
+  std::shared_ptr<const std::vector<int>> held_skyline;
   const std::vector<int>* skyline = &kNoSkyline;
   if (!info->caps.fairness_aware) {
-    skyline = &cache_->Skyline(*solve_data);
+    held_skyline = GetOrComputeSkyline(cache_.get(), *solve_data);
+    skyline = held_skyline.get();
     if (result.note.empty()) {
       result.note =
           "fairness-unaware baseline; bounds only used for the violation "
@@ -552,6 +557,8 @@ StatusOr<SolverResult> SolverSession::Solve(const SolverRequest& request) {
 }
 
 void SolverSession::ClearCache() {
+  // The 2D projection stays: in-flight solves read it through raw
+  // pointers, and the cache keeps its bytes charged.
   cache_->Clear();
   if (publish_mu_ != nullptr) {
     // The drop also removed the published SkylineIndex artifacts: reset
@@ -561,8 +568,6 @@ void SolverSession::ClearCache() {
     published_data_version_ = ~uint64_t{0};
     published_grouping_version_ = ~uint64_t{0};
   }
-  MutexLock lock(*projection_mu_);
-  projection2d_.reset();
 }
 
 }  // namespace fairhms

@@ -35,9 +35,10 @@
 // after any update a session query is bit-identical to a cold
 // Solver::Solve against the mutated dataset.
 //
-// Solve is safe for concurrent callers once registration has finished; the
-// cache serializes artifact construction internally. ClearCache, Insert
-// and Erase must not race in-flight solves.
+// Solve is safe for concurrent callers once registration has finished, and
+// so is ClearCache: solves hold their cached artifacts by shared_ptr, and
+// the 2D projection they may read is never dropped. Insert and Erase must
+// not race in-flight solves.
 
 #ifndef FAIRHMS_API_SESSION_H_
 #define FAIRHMS_API_SESSION_H_
@@ -156,7 +157,7 @@ class SolverSession {
   Dataset* mutable_data() { return mutable_data_; }
 
   /// Pinned per-group *live* row counts (memoized per version).
-  const std::vector<int>& group_counts();
+  std::vector<int> group_counts();
 
   /// Hit/miss/byte report across every artifact class.
   CacheStats cache_stats() const { return cache_->stats(); }
@@ -171,9 +172,9 @@ class SolverSession {
   CostModel* cost_model() { return cost_model_.get(); }
   const CostModel* cost_model() const { return cost_model_.get(); }
 
-  /// Drops every memoized artifact (hit/miss history survives). Must not
-  /// race in-flight solves.
-  void ClearCache() FAIRHMS_EXCLUDES(*projection_mu_);
+  /// Drops every cached artifact (hit/miss history survives); the
+  /// session-owned 2D projection stays. Safe next to in-flight solves.
+  void ClearCache();
 
  private:
   SolverSession(const Dataset* data, const Grouping* grouping);

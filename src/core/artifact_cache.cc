@@ -1,6 +1,8 @@
 #include "core/artifact_cache.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <set>
 #include <tuple>
 #include <utility>
@@ -13,21 +15,30 @@ namespace fairhms {
 
 namespace {
 
-uint64_t VectorBytes(const std::vector<int>& v) {
-  return v.size() * sizeof(int);
-}
-
-uint64_t NestedVectorBytes(const std::vector<std::vector<int>>& v) {
-  uint64_t bytes = 0;
-  for (const auto& inner : v) bytes += VectorBytes(inner);
-  return bytes;
-}
-
 std::string CounterLine(const char* name, const CacheStats::Counter& c) {
   return StrFormat("%s: %llu hits, %llu misses, %.1f KiB",
                    name, static_cast<unsigned long long>(c.hits),
                    static_cast<unsigned long long>(c.misses),
                    static_cast<double>(c.bytes) / 1024.0);
+}
+
+CacheStats::Counter CacheStats::*SlotOf(ArtifactCache::Kind kind) {
+  switch (kind) {
+    case ArtifactCache::Kind::kNet:
+      return &CacheStats::nets;
+    case ArtifactCache::Kind::kEvaluator:
+      return &CacheStats::evaluators;
+    case ArtifactCache::Kind::kSkyline:
+      return &CacheStats::skylines;
+    case ArtifactCache::Kind::kGroupSkylines:
+      return &CacheStats::group_skylines;
+    case ArtifactCache::Kind::kFairPool:
+      return &CacheStats::pools;
+    case ArtifactCache::Kind::kGroupCounts:
+    case ArtifactCache::Kind::kGroupMembers:
+      return &CacheStats::groups;
+  }
+  return &CacheStats::nets;  // Unreachable.
 }
 
 }  // namespace
@@ -65,14 +76,38 @@ std::string CacheStats::ToString() const {
   return out;
 }
 
-bool ArtifactCache::NetKey::operator<(const NetKey& o) const {
-  return std::tie(d, m, rng_state) < std::tie(o.d, o.m, o.rng_state);
+uint64_t ArtifactBytes(const std::vector<int>& rows) {
+  return rows.size() * sizeof(int);
 }
 
-bool ArtifactCache::EvalKey::operator<(const EvalKey& o) const {
-  return std::tie(data, net, threads, layout, db_rows, cache_rows) <
-         std::tie(o.data, o.net, o.threads, o.layout, o.db_rows,
-                  o.cache_rows);
+uint64_t ArtifactBytes(const std::vector<std::vector<int>>& rows) {
+  uint64_t bytes = 0;
+  for (const auto& inner : rows) bytes += ArtifactBytes(inner);
+  return bytes;
+}
+
+uint64_t ArtifactBytes(const SampledNet& net) {
+  return net.net.size() * static_cast<uint64_t>(net.net.dim()) *
+         sizeof(double);
+}
+
+uint64_t ArtifactBytes(const NetEvaluator& evaluator) {
+  // Covers the denominators, the dimension-major net block, the packed db
+  // rows, and whatever CacheCandidates actually allocated (it declines
+  // oversized pools), so the stats never overstate memory.
+  return evaluator.ResidentBytes();
+}
+
+bool ArtifactCache::Key::operator<(const Key& o) const {
+  return std::tie(kind, data, grouping, id) <
+         std::tie(o.kind, o.data, o.grouping, o.id);
+}
+
+ArtifactCache::Key ArtifactCache::VersionedKey(Kind kind, const Dataset& data,
+                                               const Grouping* grouping) {
+  const std::pair<uint64_t, uint64_t> version{
+      data.version(), grouping != nullptr ? grouping->version : 0};
+  return {kind, &data, grouping, {version.first, version.second}, version};
 }
 
 void ArtifactCache::SetArbiter(CacheArbiter* arbiter) {
@@ -80,322 +115,89 @@ void ArtifactCache::SetArbiter(CacheArbiter* arbiter) {
   arbiter_ = arbiter;
 }
 
-std::shared_ptr<const UtilityNet> ArtifactCache::Net(int d, size_t m,
-                                                     Rng* rng) {
-  NetKey key{d, static_cast<uint64_t>(m), rng->StateKey()};
-  std::shared_ptr<const UtilityNet> result;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = nets_.find(key);
-    if (it != nets_.end()) {
-      ++stats_.nets.hits;
-      *rng = it->second.post_state;  // Continue the stream past the sample.
-      return it->second.net;
-    }
-    ++stats_.nets.misses;
-    auto net = std::make_shared<const UtilityNet>(
-        UtilityNet::SampleRandom(d, m, rng));
-    delta = static_cast<int64_t>(m * static_cast<uint64_t>(d) *
-                                 sizeof(double));
-    stats_.nets.bytes += static_cast<uint64_t>(delta);
-    nets_.emplace(std::move(key), NetEntry{net, *rng});
-    result = std::move(net);
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return result;
+ArtifactCache::Table::iterator ArtifactCache::Drop(Table::iterator it,
+                                                   int64_t* delta) {
+  (stats_.*SlotOf(it->first.kind)).bytes -= it->second.bytes;
+  *delta -= static_cast<int64_t>(it->second.bytes);
+  return entries_.erase(it);
 }
 
-std::shared_ptr<const NetEvaluator> ArtifactCache::Evaluator(
-    const Dataset& data, std::shared_ptr<const UtilityNet> net,
-    const std::vector<int>& db_rows, const std::vector<int>& cache_rows,
-    int threads) {
-  EvalKey key{&data,      net.get(), db_rows,
-              cache_rows, threads,   simd::LayoutKey()};
-  std::shared_ptr<const NetEvaluator> result;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
+void ArtifactCache::Settle(int64_t delta) {
+  if (arbiter_ != nullptr && delta != 0) arbiter_->OnBytesChanged(this, delta);
+}
+
+std::shared_ptr<const void> ArtifactCache::GetOrBuildErased(
+    const Key& key, const std::function<Entry()>& build) {
   {
     MutexLock lock(&mu_);
-    auto it = evaluators_.find(key);
-    if (it != evaluators_.end()) {
-      ++stats_.evaluators.hits;
-      // Still valid at this version (coordinates are immutable, so a key
-      // match means identical precomputes): refresh the stamp so the entry
-      // survives the superseded-version sweep below.
-      it->second.data_version = data.version();
-      return it->second.evaluator;
+    CacheStats::Counter& counter = stats_.*SlotOf(key.kind);
+    for (;;) {
+      const auto it = entries_.find(key);
+      if (it == entries_.end()) break;
+      if (it->second.value != nullptr) {
+        ++counter.hits;
+        it->second.stamp = key.version;
+        return it->second.value;
+      }
+      built_.Wait(mu_);  // Another thread is building this key.
     }
-    ++stats_.evaluators.misses;
-    // Evict this dataset's entries stranded at older versions: their row
-    // sets never recur once the table mutated, so under churn they would
-    // pile up one working set per version. Never-mutated datasets never
-    // evict — a static sweep keeps its full evaluator cache (in-flight
-    // solves must not race mutations, per the class contract, so nothing
-    // holds an evicted reference).
-    for (auto sweep = evaluators_.begin(); sweep != evaluators_.end();) {
-      if (sweep->first.data == &data &&
-          sweep->second.data_version < data.version()) {
-        stats_.evaluators.bytes -= sweep->second.bytes;
-        delta -= static_cast<int64_t>(sweep->second.bytes);
-        sweep = evaluators_.erase(sweep);
-      } else {
-        ++sweep;
+    ++counter.misses;
+    entries_.emplace(key, Entry{});  // Pending: same-key misses wait on it.
+  }
+  Entry built;
+  try {
+    built = build();
+  } catch (...) {
+    {
+      MutexLock lock(&mu_);
+      // Waiters retry and build it themselves.
+      const auto it = entries_.find(key);
+      if (it != entries_.end() && it->second.value == nullptr) {
+        entries_.erase(it);
       }
     }
-    auto eval = std::make_shared<NetEvaluator>(&data, net.get(), db_rows,
-                                               threads);
-    if (!cache_rows.empty()) eval->CacheCandidates(cache_rows);
-    // ResidentBytes covers the denominators, the dimension-major net block,
-    // the packed db rows, and whatever CacheCandidates actually allocated
-    // (it declines oversized pools), so the stats never overstate memory.
-    const uint64_t entry_bytes = eval->ResidentBytes();
-    stats_.evaluators.bytes += entry_bytes;
-    delta += static_cast<int64_t>(entry_bytes);
-    std::shared_ptr<const NetEvaluator> stored = std::move(eval);
-    evaluators_.emplace(std::move(key),
-                        EvalEntry{stored, std::move(net), entry_bytes,
-                                  data.version()});
-    result = std::move(stored);
-    arbiter = arbiter_;
+    built_.NotifyAll();
+    throw;
   }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return result;
+  Store(key, built);
+  return built.value;
 }
 
-namespace {
-
-/// Byte size of a map value, for the pruning helper below.
-uint64_t EntryBytes(const std::vector<int>& v) { return VectorBytes(v); }
-uint64_t EntryBytes(const std::vector<std::vector<int>>& v) {
-  return NestedVectorBytes(v);
-}
-
-}  // namespace
-
-// Erases every entry of `map` whose key matches `same_object` — the
-// superseded versions of a mutated dataset/grouping, plus any entry the
-// caller is about to overwrite — refunding their bytes. Called under the
-// cache lock right before the store; the refunded bytes accumulate into
-// `*delta` so the caller can settle with the arbiter after unlocking.
-template <class Map, class SameObject>
-static void PruneSuperseded(Map* map, const SameObject& same_object,
-                            uint64_t* bytes, int64_t* delta) {
-  for (auto it = map->begin(); it != map->end();) {
-    if (same_object(it->first)) {
-      *bytes -= EntryBytes(it->second);
-      *delta -= static_cast<int64_t>(EntryBytes(it->second));
-      it = map->erase(it);
-    } else {
-      ++it;
+void ArtifactCache::Store(const Key& key, Entry entry) {
+  {
+    MutexLock lock(&mu_);
+    CacheStats::Counter& counter = stats_.*SlotOf(key.kind);
+    int64_t delta = 0;
+    // Same kind and owners sort together; drop the stored entries stamped
+    // at older versions (nets have no owner and never go stale).
+    if (key.data != nullptr) {
+      auto it =
+          entries_.lower_bound({key.kind, key.data, key.grouping, {}, {}});
+      while (it != entries_.end() && it->first.kind == key.kind &&
+             it->first.data == key.data && it->first.grouping == key.grouping) {
+        it = it->second.value != nullptr && it->second.stamp < key.version
+                 ? Drop(it, &delta)
+                 : std::next(it);
+      }
     }
+    Entry& slot = entries_[key];
+    counter.bytes += entry.bytes - slot.bytes;
+    delta += static_cast<int64_t>(entry.bytes) -
+             static_cast<int64_t>(slot.bytes);
+    entry.stamp = key.version;
+    slot = std::move(entry);
+    Settle(delta);
   }
+  built_.NotifyAll();
 }
 
-const std::vector<int>& ArtifactCache::Skyline(const Dataset& data) {
-  const DataKey key{&data, data.version()};
-  const std::vector<int>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = skylines_.find(key);
-    if (it != skylines_.end()) {
-      ++stats_.skylines.hits;
-      return it->second;
-    }
-    ++stats_.skylines.misses;
-    PruneSuperseded(
-        &skylines_, [&](const DataKey& k) { return k.first == &data; },
-        &stats_.skylines.bytes, &delta);
-    auto [pos, inserted] = skylines_.emplace(key, ComputeSkyline(data));
-    (void)inserted;
-    stats_.skylines.bytes += VectorBytes(pos->second);
-    delta += static_cast<int64_t>(VectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
+std::vector<int> ArtifactCache::Skyline(const Dataset& data) {
+  return *GetOrComputeSkyline(this, data);
 }
 
-void ArtifactCache::PutSkyline(const Dataset& data, std::vector<int> skyline) {
-  const DataKey key{&data, data.version()};
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    PruneSuperseded(
-        &skylines_, [&](const DataKey& k) { return k.first == &data; },
-        &stats_.skylines.bytes, &delta);
-    auto [pos, inserted] = skylines_.insert_or_assign(key, std::move(skyline));
-    (void)inserted;
-    stats_.skylines.bytes += VectorBytes(pos->second);
-    delta += static_cast<int64_t>(VectorBytes(pos->second));
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-}
-
-namespace {
-
-/// True when a quad key references the same (dataset, grouping) objects.
-struct SamePair {
-  const void* data;
-  const void* grouping;
-  bool operator()(const std::tuple<const void*, const void*, uint64_t,
-                                   uint64_t>& k) const {
-    return std::get<0>(k) == data && std::get<1>(k) == grouping;
-  }
-};
-
-}  // namespace
-
-const std::vector<std::vector<int>>& ArtifactCache::GroupSkylines(
-    const Dataset& data, const Grouping& grouping) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const std::vector<std::vector<int>>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = group_skylines_.find(key);
-    if (it != group_skylines_.end()) {
-      ++stats_.group_skylines.hits;
-      return it->second;
-    }
-    ++stats_.group_skylines.misses;
-    PruneSuperseded(&group_skylines_, SamePair{&data, &grouping},
-                    &stats_.group_skylines.bytes, &delta);
-    auto [pos, inserted] =
-        group_skylines_.emplace(key, ComputeGroupSkylines(data, grouping));
-    (void)inserted;
-    stats_.group_skylines.bytes += NestedVectorBytes(pos->second);
-    delta += static_cast<int64_t>(NestedVectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
-}
-
-const std::vector<int>& ArtifactCache::FairPool(const Dataset& data,
-                                                const Grouping& grouping) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const std::vector<int>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = pools_.find(key);
-    if (it != pools_.end()) {
-      ++stats_.pools.hits;
-      return it->second;
-    }
-    ++stats_.pools.misses;
-    PruneSuperseded(&pools_, SamePair{&data, &grouping}, &stats_.pools.bytes,
-                    &delta);
-    auto [pos, inserted] =
-        pools_.emplace(key, ComputeFairCandidatePool(data, grouping));
-    (void)inserted;
-    stats_.pools.bytes += VectorBytes(pos->second);
-    delta += static_cast<int64_t>(VectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
-}
-
-const std::vector<int>& ArtifactCache::GroupCounts(const Dataset& data,
-                                                   const Grouping& grouping) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const std::vector<int>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = group_counts_.find(key);
-    if (it != group_counts_.end()) {
-      ++stats_.groups.hits;
-      return it->second;
-    }
-    ++stats_.groups.misses;
-    PruneSuperseded(&group_counts_, SamePair{&data, &grouping},
-                    &stats_.groups.bytes, &delta);
-    auto [pos, inserted] =
-        group_counts_.emplace(key, grouping.LiveCounts(data));
-    (void)inserted;
-    stats_.groups.bytes += VectorBytes(pos->second);
-    delta += static_cast<int64_t>(VectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
-}
-
-const std::vector<std::vector<int>>& ArtifactCache::GroupMembers(
-    const Dataset& data, const Grouping& grouping) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const std::vector<std::vector<int>>* result = nullptr;
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    auto it = group_members_.find(key);
-    if (it != group_members_.end()) {
-      ++stats_.groups.hits;
-      return it->second;
-    }
-    ++stats_.groups.misses;
-    PruneSuperseded(&group_members_, SamePair{&data, &grouping},
-                    &stats_.groups.bytes, &delta);
-    auto [pos, inserted] =
-        group_members_.emplace(key, grouping.MembersLive(data));
-    (void)inserted;
-    stats_.groups.bytes += NestedVectorBytes(pos->second);
-    delta += static_cast<int64_t>(NestedVectorBytes(pos->second));
-    result = &pos->second;
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
-  return *result;
-}
-
-void ArtifactCache::PutGroupArtifacts(
-    const Dataset& data, const Grouping& grouping,
-    std::vector<std::vector<int>> group_skylines, std::vector<int> fair_pool,
-    std::vector<int> live_counts,
-    std::vector<std::vector<int>> live_members) {
-  const DataGroupKey key{&data, &grouping, data.version(), grouping.version};
-  const SamePair same{&data, &grouping};
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    PruneSuperseded(&group_skylines_, same, &stats_.group_skylines.bytes,
-                    &delta);
-    PruneSuperseded(&pools_, same, &stats_.pools.bytes, &delta);
-    PruneSuperseded(&group_counts_, same, &stats_.groups.bytes, &delta);
-    PruneSuperseded(&group_members_, same, &stats_.groups.bytes, &delta);
-    stats_.group_skylines.bytes += NestedVectorBytes(group_skylines);
-    delta += static_cast<int64_t>(NestedVectorBytes(group_skylines));
-    group_skylines_.insert_or_assign(key, std::move(group_skylines));
-    stats_.pools.bytes += VectorBytes(fair_pool);
-    delta += static_cast<int64_t>(VectorBytes(fair_pool));
-    pools_.insert_or_assign(key, std::move(fair_pool));
-    stats_.groups.bytes += VectorBytes(live_counts);
-    delta += static_cast<int64_t>(VectorBytes(live_counts));
-    group_counts_.insert_or_assign(key, std::move(live_counts));
-    stats_.groups.bytes += NestedVectorBytes(live_members);
-    delta += static_cast<int64_t>(NestedVectorBytes(live_members));
-    group_members_.insert_or_assign(key, std::move(live_members));
-    arbiter = arbiter_;
-  }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
+std::vector<int> ArtifactCache::FairPool(const Dataset& data,
+                                         const Grouping& grouping) {
+  return *GetOrComputeFairPool(this, data, grouping);
 }
 
 CacheStats ArtifactCache::stats() const {
@@ -404,45 +206,24 @@ CacheStats ArtifactCache::stats() const {
 }
 
 void ArtifactCache::AccountProjection(bool hit, uint64_t bytes) {
-  CacheArbiter* arbiter = nullptr;
-  int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    if (hit) {
-      ++stats_.projections.hits;
-    } else {
-      ++stats_.projections.misses;
-      stats_.projections.bytes += bytes;
-      delta = static_cast<int64_t>(bytes);
-    }
-    arbiter = arbiter_;
+  MutexLock lock(&mu_);
+  if (hit) {
+    ++stats_.projections.hits;
+    return;
   }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
+  ++stats_.projections.misses;
+  stats_.projections.bytes += bytes;
+  Settle(static_cast<int64_t>(bytes));
 }
 
 void ArtifactCache::Clear() {
-  CacheArbiter* arbiter = nullptr;
+  MutexLock lock(&mu_);
   int64_t delta = 0;
-  {
-    MutexLock lock(&mu_);
-    delta = -static_cast<int64_t>(stats_.TotalBytes());
-    nets_.clear();
-    evaluators_.clear();
-    skylines_.clear();
-    group_skylines_.clear();
-    pools_.clear();
-    group_counts_.clear();
-    group_members_.clear();
-    stats_.nets.bytes = 0;
-    stats_.evaluators.bytes = 0;
-    stats_.skylines.bytes = 0;
-    stats_.group_skylines.bytes = 0;
-    stats_.pools.bytes = 0;
-    stats_.groups.bytes = 0;
-    stats_.projections.bytes = 0;
-    arbiter = arbiter_;
+  for (auto it = entries_.begin(); it != entries_.end();) {
+    // An entry in flight stays: the thread building it publishes it.
+    it = it->second.value != nullptr ? Drop(it, &delta) : std::next(it);
   }
-  if (arbiter != nullptr && delta != 0) arbiter->OnBytesChanged(this, delta);
+  Settle(delta);
 }
 
 void CacheArbiter::Register(ArtifactCache* cache, std::string name,
@@ -586,15 +367,30 @@ std::vector<CacheArbiter::LedgerEntry> CacheArbiter::Ledger() const {
 
 std::shared_ptr<const UtilityNet> GetOrSampleNet(ArtifactCache* cache, int d,
                                                  size_t m, Rng* rng) {
-  if (cache != nullptr) return cache->Net(d, m, rng);
-  return std::make_shared<const UtilityNet>(
-      UtilityNet::SampleRandom(d, m, rng));
+  auto sample = [&] {
+    Rng stream = *rng;
+    UtilityNet net = UtilityNet::SampleRandom(d, m, &stream);
+    return std::make_shared<const SampledNet>(
+        SampledNet{std::move(net), stream});
+  };
+  std::shared_ptr<const SampledNet> sampled;
+  if (cache == nullptr) {
+    sampled = sample();
+  } else {
+    ArtifactCache::Key key{ArtifactCache::Kind::kNet, nullptr, nullptr,
+                           {static_cast<uint64_t>(d), m}, {}};
+    const std::array<uint64_t, 6> state = rng->StateKey();
+    key.id.insert(key.id.end(), state.begin(), state.end());
+    sampled = cache->GetOrBuild<SampledNet>(key, sample);
+  }
+  *rng = sampled->post_state;  // Continue the stream past the sample.
+  return std::shared_ptr<const UtilityNet>(sampled, &sampled->net);
 }
 
 namespace {
 
-/// Transient evaluator bundled with the net it points into (NetEvaluator
-/// holds a raw net pointer).
+/// An evaluator bundled with the net it points into (NetEvaluator holds a
+/// raw net pointer).
 struct EvalWithNet {
   std::shared_ptr<const UtilityNet> net;
   NetEvaluator eval;
@@ -603,20 +399,82 @@ struct EvalWithNet {
       : net(std::move(n)), eval(&data, net.get(), db_rows, threads) {}
 };
 
+/// GetOrBuild for the pure functions of (data, grouping), or `compute()`
+/// wrapped in a shared_ptr without a cache.
+template <class T, class Compute>
+std::shared_ptr<const T> GetOrCompute(ArtifactCache* cache,
+                                      ArtifactCache::Kind kind,
+                                      const Dataset& data,
+                                      const Grouping* grouping,
+                                      const Compute& compute) {
+  auto build = [&] { return std::make_shared<const T>(compute()); };
+  if (cache == nullptr) return build();
+  return cache->GetOrBuild<T>(
+      ArtifactCache::VersionedKey(kind, data, grouping), build);
+}
+
 }  // namespace
 
 std::shared_ptr<const NetEvaluator> GetOrBuildEvaluator(
     ArtifactCache* cache, const Dataset& data,
     std::shared_ptr<const UtilityNet> net, const std::vector<int>& db_rows,
     const std::vector<int>& cache_rows, int threads) {
-  if (cache != nullptr) {
-    return cache->Evaluator(data, std::move(net), db_rows, cache_rows,
-                            threads);
-  }
-  auto holder =
-      std::make_shared<EvalWithNet>(std::move(net), data, db_rows, threads);
-  if (!cache_rows.empty()) holder->eval.CacheCandidates(cache_rows);
-  return std::shared_ptr<const NetEvaluator>(holder, &holder->eval);
+  auto build = [&] {
+    auto holder = std::make_shared<EvalWithNet>(std::move(net), data, db_rows,
+                                                threads);
+    if (!cache_rows.empty()) holder->eval.CacheCandidates(cache_rows);
+    return std::shared_ptr<const NetEvaluator>(holder, &holder->eval);
+  };
+  if (cache == nullptr) return build();
+  // The net's address is identity: the entry's value keeps the net alive,
+  // so the address cannot be reused while the entry lives. The layout key
+  // ties resident blocks to the data layout and the active dispatch level,
+  // so a mid-process simd::SetMode switch builds fresh evaluators. The
+  // stamp is the data version: an entry whose row sets survive a mutation
+  // keeps hitting (coordinates are immutable) and restamps.
+  ArtifactCache::Key key{ArtifactCache::Kind::kEvaluator, &data, nullptr,
+                         {reinterpret_cast<uintptr_t>(net.get()),
+                          static_cast<uint64_t>(threads), simd::LayoutKey(),
+                          db_rows.size()},
+                         {data.version(), 0}};
+  key.id.insert(key.id.end(), db_rows.begin(), db_rows.end());
+  key.id.insert(key.id.end(), cache_rows.begin(), cache_rows.end());
+  return cache->GetOrBuild<NetEvaluator>(key, build);
+}
+
+std::shared_ptr<const std::vector<int>> GetOrComputeSkyline(
+    ArtifactCache* cache, const Dataset& data) {
+  return GetOrCompute<std::vector<int>>(cache, ArtifactCache::Kind::kSkyline,
+                                        data, nullptr,
+                                        [&] { return ComputeSkyline(data); });
+}
+
+std::shared_ptr<const std::vector<std::vector<int>>> GetOrComputeGroupSkylines(
+    ArtifactCache* cache, const Dataset& data, const Grouping& grouping) {
+  return GetOrCompute<std::vector<std::vector<int>>>(
+      cache, ArtifactCache::Kind::kGroupSkylines, data, &grouping,
+      [&] { return ComputeGroupSkylines(data, grouping); });
+}
+
+std::shared_ptr<const std::vector<int>> GetOrComputeFairPool(
+    ArtifactCache* cache, const Dataset& data, const Grouping& grouping) {
+  return GetOrCompute<std::vector<int>>(
+      cache, ArtifactCache::Kind::kFairPool, data, &grouping,
+      [&] { return ComputeFairCandidatePool(data, grouping); });
+}
+
+std::shared_ptr<const std::vector<int>> GetOrComputeGroupCounts(
+    ArtifactCache* cache, const Dataset& data, const Grouping& grouping) {
+  return GetOrCompute<std::vector<int>>(
+      cache, ArtifactCache::Kind::kGroupCounts, data, &grouping,
+      [&] { return grouping.LiveCounts(data); });
+}
+
+std::shared_ptr<const std::vector<std::vector<int>>> GetOrComputeGroupMembers(
+    ArtifactCache* cache, const Dataset& data, const Grouping& grouping) {
+  return GetOrCompute<std::vector<std::vector<int>>>(
+      cache, ArtifactCache::Kind::kGroupMembers, data, &grouping,
+      [&] { return grouping.MembersLive(data); });
 }
 
 }  // namespace fairhms

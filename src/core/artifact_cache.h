@@ -5,16 +5,17 @@
 //
 // A SolverSession (api/session.h) owns one cache and pins it to a dataset +
 // grouping; algorithms reach it through SolveContext::cache (or their
-// Options struct) and fall back to building artifacts locally when it is
-// null, so the cold path and the cached path run the exact same code and
-// produce bit-identical results:
+// Options struct) and go through the cache-optional GetOr* entry points at
+// the bottom of this header, which build a transient artifact when the
+// cache is null — so the cold path and the cached path run the exact same
+// code and produce bit-identical results:
 //
 //   * nets are keyed by (dim, size, full RNG state) and a cache hit
 //     restores the generator to its post-sample state, so the caller's
 //     stream continues exactly as if it had sampled;
 //   * evaluators are keyed by (net identity, denominator rows, cached
 //     candidate rows, thread lanes) and their precomputes are already
-//     bit-identical across thread counts (PR 2 contract);
+//     bit-identical across thread counts;
 //   * skylines / pools / group tables are pure functions of the pinned
 //     dataset and grouping, which the cache identifies by (address,
 //     version) — every keyed object must outlive the cache, and a mutation
@@ -23,26 +24,26 @@
 //     the superseded one, so a churning dataset does not accumulate dead
 //     artifacts. Group tables are *live* views (erased rows excluded).
 //
+// Every kind lives in one keyed table behind one GetOrBuild / Put pair.
 // Dynamic sessions avoid even the one recompute per version: SkylineIndex
-// maintains these artifacts incrementally and publishes them via the Put*
-// hooks; nets are version-free (they never read the dataset) and survive
-// every mutation, while evaluators are keyed by their exact row sets and
-// simply rebuild lazily when the skyline under them changes.
+// maintains these artifacts incrementally and publishes them via Put; nets
+// are version-free (they never read the dataset) and survive every
+// mutation, while evaluators are keyed by their exact row sets and simply
+// rebuild lazily when the skyline under them changes.
 //
-// All lookups are mutex-guarded and safe for concurrent queries; Clear()
-// and the Put* publish hooks must not race in-flight solves (returned
-// references/shared_ptrs stay valid only while their entry lives).
+// Lookups are safe for concurrent callers, and builds run outside the
+// cache lock. Artifacts are handed out as shared_ptrs, so Clear(), Put and
+// an arbiter's eviction may run at any time: a holder's artifact stays
+// alive until it lets go.
 
 #ifndef FAIRHMS_CORE_ARTIFACT_CACHE_H_
 #define FAIRHMS_CORE_ARTIFACT_CACHE_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -84,64 +85,90 @@ struct CacheStats {
 
 class CacheArbiter;
 
+/// A sampled utility net plus the generator state right after sampling: a
+/// cache hit restores that state, so the caller's stream continues as if
+/// it had sampled.
+struct SampledNet {
+  UtilityNet net;
+  Rng post_state;
+};
+
+/// Resident payload bytes of each artifact type the cache stores: the
+/// figures CacheStats reports and a CacheArbiter charges.
+uint64_t ArtifactBytes(const std::vector<int>& rows);
+uint64_t ArtifactBytes(const std::vector<std::vector<int>>& rows);
+uint64_t ArtifactBytes(const SampledNet& net);
+uint64_t ArtifactBytes(const NetEvaluator& evaluator);
+
 class ArtifactCache {
  public:
+  /// The artifact classes. Each reports into one CacheStats counter
+  /// (group counts and member tables share `groups`).
+  enum class Kind : uint8_t {
+    kNet,
+    kEvaluator,
+    kSkyline,
+    kGroupSkylines,
+    kFairPool,
+    kGroupCounts,
+    kGroupMembers,
+  };
+
+  /// One table key. Identity is (kind, data, grouping, id): `data` and
+  /// `grouping` are the objects an artifact is computed from (null for
+  /// nets, which never read the dataset), `id` everything else that selects
+  /// the value. `version` is not identity but the stamp a lookup gives its
+  /// entry: the owners' (data, grouping) versions at the time.
+  struct Key {
+    Kind kind = Kind::kNet;
+    const void* data = nullptr;
+    const void* grouping = nullptr;
+    std::vector<uint64_t> id;
+    std::pair<uint64_t, uint64_t> version{0, 0};
+    bool operator<(const Key& o) const;
+  };
+
+  /// The key of a pure function of `data` (and `grouping`, when given) at
+  /// their current versions, which are both its identity and its stamp.
+  static Key VersionedKey(Kind kind, const Dataset& data,
+                          const Grouping* grouping = nullptr);
+
   ArtifactCache() = default;
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
 
-  /// The net `UtilityNet::SampleRandom(d, m, rng)` would produce, memoized
-  /// on (d, m, rng->StateKey()). On a hit `*rng` is fast-forwarded to its
-  /// post-sample state, so callers that keep drawing see no difference.
-  std::shared_ptr<const UtilityNet> Net(int d, size_t m, Rng* rng)
-      FAIRHMS_EXCLUDES(mu_);
+  /// The artifact under `key`, built by `build()` (a
+  /// std::shared_ptr<const T>) on a miss. The build runs outside the cache
+  /// lock: a concurrent miss on the same key waits for that build and then
+  /// counts a hit; lookups of other keys never wait on it. A hit restamps
+  /// the entry with key.version; storing a build drops the entries of the
+  /// same kind and owners stamped at older versions.
+  template <class T, class Build>
+  std::shared_ptr<const T> GetOrBuild(const Key& key, Build&& build)
+      FAIRHMS_EXCLUDES(mu_) {
+    return std::static_pointer_cast<const T>(
+        GetOrBuildErased(key, [&build]() -> Entry {
+          std::shared_ptr<const T> value = build();
+          const uint64_t bytes = ArtifactBytes(*value);
+          return {std::move(value), bytes, {}};
+        }));
+  }
 
-  /// A NetEvaluator over (data, net, db_rows) with `cache_rows` candidate
-  /// happiness rows pre-filled (skipped when empty), memoized on the net's
-  /// identity + row sets + thread lanes. `net` must stay alive through the
-  /// shared_ptr (pass the pointer returned by Net()).
-  std::shared_ptr<const NetEvaluator> Evaluator(
-      const Dataset& data, std::shared_ptr<const UtilityNet> net,
-      const std::vector<int>& db_rows, const std::vector<int>& cache_rows,
-      int threads) FAIRHMS_EXCLUDES(mu_);
+  /// Publishes an artifact maintained elsewhere (SkylineIndex) under `key`,
+  /// so the next lookup hits instead of recomputing. Counted as neither hit
+  /// nor miss; prunes older versions like a stored build.
+  template <class T>
+  void Put(const Key& key, T value) FAIRHMS_EXCLUDES(mu_) {
+    auto shared = std::make_shared<const T>(std::move(value));
+    const uint64_t bytes = ArtifactBytes(*shared);
+    Store(key, {std::move(shared), bytes, {}});
+  }
 
-  /// Global skyline of `data`'s live rows, memoized per (dataset address,
-  /// dataset version).
-  const std::vector<int>& Skyline(const Dataset& data) FAIRHMS_EXCLUDES(mu_);
-
-  /// Per-group skylines over live rows, memoized per (dataset, grouping)
-  /// address/version quadruple.
-  const std::vector<std::vector<int>>& GroupSkylines(const Dataset& data,
-                                                     const Grouping& grouping)
-      FAIRHMS_EXCLUDES(mu_);
-
-  /// Union of per-group skylines (the fair candidate pool), memoized like
-  /// GroupSkylines.
-  const std::vector<int>& FairPool(const Dataset& data,
-                                   const Grouping& grouping)
-      FAIRHMS_EXCLUDES(mu_);
-
-  /// grouping.LiveCounts(data), memoized like GroupSkylines.
-  const std::vector<int>& GroupCounts(const Dataset& data,
-                                      const Grouping& grouping)
-      FAIRHMS_EXCLUDES(mu_);
-
-  /// grouping.MembersLive(data), memoized like GroupSkylines.
-  const std::vector<std::vector<int>>& GroupMembers(const Dataset& data,
-                                                    const Grouping& grouping)
-      FAIRHMS_EXCLUDES(mu_);
-
-  /// Publish hooks for incrementally maintained artifacts (SkylineIndex):
-  /// store the value under the object's *current* version so the next
-  /// lookup hits instead of recomputing. Counted as neither hit nor miss;
-  /// superseded versions are pruned. Must not race in-flight solves.
-  void PutSkyline(const Dataset& data, std::vector<int> skyline)
-      FAIRHMS_EXCLUDES(mu_);
-  void PutGroupArtifacts(const Dataset& data, const Grouping& grouping,
-                         std::vector<std::vector<int>> group_skylines,
-                         std::vector<int> fair_pool,
-                         std::vector<int> live_counts,
-                         std::vector<std::vector<int>> live_members)
+  /// Copies of the memoized global skyline and fair pool, for tools that
+  /// keep them past a query (counted like GetOrComputeSkyline /
+  /// GetOrComputeFairPool).
+  std::vector<int> Skyline(const Dataset& data) FAIRHMS_EXCLUDES(mu_);
+  std::vector<int> FairPool(const Dataset& data, const Grouping& grouping)
       FAIRHMS_EXCLUDES(mu_);
 
   /// Snapshot of the counters (copied under the lock).
@@ -151,71 +178,43 @@ class ArtifactCache {
   /// under the cache lock; `bytes` is added on a miss.
   void AccountProjection(bool hit, uint64_t bytes) FAIRHMS_EXCLUDES(mu_);
 
-  /// Drops every entry (stats counters keep their hit/miss history; bytes
-  /// reset). Callers must ensure no solve is in flight.
+  /// Drops every stored entry and refunds its bytes (hit/miss history
+  /// survives). Safe next to in-flight solves: holders keep their
+  /// artifacts alive, and builds in flight still publish. The session-owned
+  /// projection stays charged.
   void Clear() FAIRHMS_EXCLUDES(mu_);
 
   /// Attaches a process-wide arbiter: from now on every change to the
-  /// resident byte total is charged/refunded there (after this cache's
-  /// lock is released, so the arbiter can lock its own state freely).
-  /// Call while no solve is in flight; CacheArbiter::Register does this.
+  /// resident byte total is charged/refunded there, in the order the cache
+  /// applies it. CacheArbiter::Register does this.
   void SetArbiter(CacheArbiter* arbiter) FAIRHMS_EXCLUDES(mu_);
 
  private:
-  struct NetKey {
-    int d;
-    uint64_t m;
-    std::array<uint64_t, 6> rng_state;
-    bool operator<(const NetKey& o) const;
+  struct Entry {
+    std::shared_ptr<const void> value;  ///< Null while its build runs.
+    uint64_t bytes = 0;
+    std::pair<uint64_t, uint64_t> stamp{0, 0};
   };
-  struct NetEntry {
-    std::shared_ptr<const UtilityNet> net;
-    Rng post_state;  ///< Generator state right after sampling.
-  };
-  struct EvalKey {
-    const void* data;
-    const UtilityNet* net;
-    std::vector<int> db_rows;
-    std::vector<int> cache_rows;
-    int threads;
-    /// simd::LayoutKey() at build time: an evaluator's resident blocks are
-    /// tied to the data-layout version and active dispatch level, so a
-    /// mid-process SetMode switch builds fresh artifacts instead of mixing.
-    uint32_t layout;
-    bool operator<(const EvalKey& o) const;
-  };
-  struct EvalEntry {
-    std::shared_ptr<const NetEvaluator> evaluator;
-    std::shared_ptr<const UtilityNet> net;  ///< Keeps the raw key pointer live.
-    uint64_t bytes = 0;  ///< Accounted size, refunded on eviction.
-    /// Dataset version this entry was last built or hit under. An entry
-    /// whose row sets survive a mutation keeps hitting (coordinates are
-    /// immutable) and refreshes the stamp; entries left behind by older
-    /// versions are superseded and evicted on the next miss.
-    uint64_t data_version = 0;
-  };
-  /// (address, version): a mutation makes the old entry unreachable and
-  /// the next store for the same address prunes it.
-  using DataKey = std::pair<const void*, uint64_t>;
-  using DataGroupKey = std::tuple<const void*, const void*, uint64_t, uint64_t>;
+  using Table = std::map<Key, Entry>;
 
-  // Never held while calling into the arbiter: methods copy arbiter_ under
-  // mu_, release, then settle the byte delta (lock order cache -> arbiter,
-  // see docs/concurrency.md).
+  std::shared_ptr<const void> GetOrBuildErased(
+      const Key& key, const std::function<Entry()>& build)
+      FAIRHMS_EXCLUDES(mu_);
+  /// Stores a built or published `entry` under `key` (waiters wake to it),
+  /// stamped key.version, and prunes older versions.
+  void Store(const Key& key, Entry entry) FAIRHMS_EXCLUDES(mu_);
+  /// Erases a stored entry, refunding its bytes into `*delta`.
+  Table::iterator Drop(Table::iterator it, int64_t* delta)
+      FAIRHMS_REQUIRES(mu_);
+  /// Charges `delta` to the arbiter. Called under mu_, so the arbiter sees
+  /// this cache's changes in order (lock order cache -> arbiter).
+  void Settle(int64_t delta) FAIRHMS_REQUIRES(mu_);
+
   mutable Mutex mu_;
+  CondVar built_;  ///< Signalled whenever a pending entry is stored.
   CacheStats stats_ FAIRHMS_GUARDED_BY(mu_);
-  /// The pointer is guarded; the arbiter itself is called outside mu_.
   CacheArbiter* arbiter_ FAIRHMS_GUARDED_BY(mu_) = nullptr;
-  std::map<NetKey, NetEntry> nets_ FAIRHMS_GUARDED_BY(mu_);
-  std::map<EvalKey, EvalEntry> evaluators_ FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataKey, std::vector<int>> skylines_ FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataGroupKey, std::vector<std::vector<int>>> group_skylines_
-      FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataGroupKey, std::vector<int>> pools_ FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataGroupKey, std::vector<int>> group_counts_
-      FAIRHMS_GUARDED_BY(mu_);
-  std::map<DataGroupKey, std::vector<std::vector<int>>> group_members_
-      FAIRHMS_GUARDED_BY(mu_);
+  Table entries_ FAIRHMS_GUARDED_BY(mu_);
 };
 
 /// Process-wide cache budget arbitration across many ArtifactCaches (one
@@ -227,12 +226,12 @@ class ArtifactCache {
 /// together with the drop).
 ///
 /// Concurrency contract: OnBytesChanged is pure accounting and safe from
-/// any thread (caches call it after releasing their own lock, so the lock
-/// order is always cache -> arbiter, never the reverse). Rebalance invokes
-/// eviction callbacks *outside* the arbiter lock — callbacks re-enter via
-/// OnBytesChanged when the cleared cache refunds its bytes — and must only
-/// run between queries: evicting mid-solve would dangle the references the
-/// cache handed out. A budget of 0 means unlimited (never evicts).
+/// any thread; caches call it under their own lock (lock order cache ->
+/// arbiter, never the reverse). Rebalance invokes eviction callbacks
+/// *outside* the arbiter lock — callbacks re-enter via OnBytesChanged when
+/// the cleared cache refunds its bytes — and may run next to in-flight
+/// solves, which hold their artifacts by shared_ptr. A budget of 0 means
+/// unlimited (never evicts).
 class CacheArbiter {
  public:
   explicit CacheArbiter(uint64_t budget_bytes) : budget_(budget_bytes) {}
@@ -260,7 +259,6 @@ class CacheArbiter {
   /// Evicts cold caches until the charged total fits the budget again.
   /// `prefer_keep` (the cache that just served a query) is only evicted
   /// when it alone still exceeds the budget after everything else is gone.
-  /// Call between queries only — never while a solve is in flight.
   void Rebalance(ArtifactCache* prefer_keep = nullptr) FAIRHMS_EXCLUDES(mu_);
 
   uint64_t budget_bytes() const FAIRHMS_EXCLUDES(mu_);
@@ -303,14 +301,33 @@ class CacheArbiter {
   std::map<ArtifactCache*, Entry> entries_ FAIRHMS_GUARDED_BY(mu_);
 };
 
-/// Cache-optional conveniences: with a cache they memoize, without one they
-/// build a transient artifact — either way the bits are identical.
+/// Cache-optional entry points, one per artifact kind: with a cache they
+/// memoize through GetOrBuild, without one they build a transient artifact
+/// — either way the bits are identical, and the returned shared_ptr keeps
+/// the artifact alive across Clear() and eviction.
 std::shared_ptr<const UtilityNet> GetOrSampleNet(ArtifactCache* cache, int d,
                                                  size_t m, Rng* rng);
+/// `net` stays alive as long as the evaluator does (NetEvaluator holds a
+/// raw pointer into it).
 std::shared_ptr<const NetEvaluator> GetOrBuildEvaluator(
     ArtifactCache* cache, const Dataset& data,
     std::shared_ptr<const UtilityNet> net, const std::vector<int>& db_rows,
     const std::vector<int>& cache_rows, int threads);
+/// ComputeSkyline(data).
+std::shared_ptr<const std::vector<int>> GetOrComputeSkyline(
+    ArtifactCache* cache, const Dataset& data);
+/// ComputeGroupSkylines(data, grouping).
+std::shared_ptr<const std::vector<std::vector<int>>> GetOrComputeGroupSkylines(
+    ArtifactCache* cache, const Dataset& data, const Grouping& grouping);
+/// ComputeFairCandidatePool(data, grouping).
+std::shared_ptr<const std::vector<int>> GetOrComputeFairPool(
+    ArtifactCache* cache, const Dataset& data, const Grouping& grouping);
+/// grouping.LiveCounts(data).
+std::shared_ptr<const std::vector<int>> GetOrComputeGroupCounts(
+    ArtifactCache* cache, const Dataset& data, const Grouping& grouping);
+/// grouping.MembersLive(data).
+std::shared_ptr<const std::vector<std::vector<int>>> GetOrComputeGroupMembers(
+    ArtifactCache* cache, const Dataset& data, const Grouping& grouping);
 
 }  // namespace fairhms
 

@@ -7,7 +7,9 @@
 // every build.
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -56,10 +58,10 @@ TEST(CacheArbiterConcurrencyTest, AccountingStaysConsistentUnderRaces) {
         // Fresh rng state per (thread, iter): every Net call is a miss
         // that inserts a new entry and charges the arbiter.
         Rng rng(static_cast<uint64_t>(t) * 1000 + i + 1);
-        (void)mine->Net(3, 16 + static_cast<size_t>(t), &rng);
-        (void)mine->Skyline(data);
-        (void)other->GroupSkylines(data, grouping);
-        (void)other->FairPool(data, grouping);
+        (void)GetOrSampleNet(mine, 3, 16 + static_cast<size_t>(t), &rng);
+        (void)GetOrComputeSkyline(mine, data);
+        (void)GetOrComputeGroupSkylines(other, data, grouping);
+        (void)GetOrComputeFairPool(other, data, grouping);
         mine->AccountProjection(i % 2 == 0, 64);
         arbiter.Touch(mine);
         (void)mine->stats();
@@ -79,6 +81,80 @@ TEST(CacheArbiterConcurrencyTest, AccountingStaysConsistentUnderRaces) {
   arbiter.Unregister(&cache_a);
   arbiter.Unregister(&cache_b);
   EXPECT_EQ(arbiter.total_bytes(), 0u);
+}
+
+/// A lookup never waits on another key's build: while one thread sits
+/// inside a build that cannot finish until released, a net hit on another
+/// thread completes. (Were builds run under the cache lock, the hit would
+/// block until the release and the bounded wait below would fail.)
+TEST(ArtifactCacheConcurrencyTest, HitIsNotBlockedByAnotherKeysBuild) {
+  ArtifactCache cache;
+  Rng seed_rng(21);
+  const std::shared_ptr<const UtilityNet> warm =
+      GetOrSampleNet(&cache, 3, 32, &seed_rng);
+
+  std::promise<void> build_started;
+  std::promise<void> release_build;
+  std::shared_future<void> released = release_build.get_future().share();
+  int owner = 0;  // Only its address matters: the slow entry's owner key.
+  std::thread slow_build([&] {
+    ArtifactCache::Key key{ArtifactCache::Kind::kSkyline, &owner, nullptr,
+                           {1}, {1, 0}};
+    (void)cache.GetOrBuild<std::vector<int>>(key, [&] {
+      build_started.set_value();
+      released.wait();
+      return std::make_shared<const std::vector<int>>(3, 7);
+    });
+  });
+  build_started.get_future().wait();
+
+  std::future<std::shared_ptr<const UtilityNet>> hit =
+      std::async(std::launch::async, [&] {
+        Rng rng(21);
+        return GetOrSampleNet(&cache, 3, 32, &rng);
+      });
+  const bool hit_done =
+      hit.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release_build.set_value();
+  slow_build.join();
+  ASSERT_TRUE(hit_done) << "a net hit waited on a skyline build";
+  EXPECT_EQ(hit.get().get(), warm.get());
+  EXPECT_EQ(cache.stats().nets.hits, 1u);
+  EXPECT_EQ(cache.stats().skylines.misses, 1u);
+}
+
+/// Concurrent misses on one evaluator key build it once: the first thread
+/// builds outside the lock, the rest wait for that key and count hits, and
+/// everyone gets the same shared artifact.
+TEST(ArtifactCacheConcurrencyTest, ConcurrentMissesOnOneKeyBuildOnce) {
+  Rng data_rng(31);
+  const Dataset data = GenIndependent(400, 4, &data_rng).NormalizedMinMax();
+  std::vector<int> rows(data.size());
+  for (size_t i = 0; i < rows.size(); ++i) rows[i] = static_cast<int>(i);
+  ArtifactCache cache;
+  Rng net_rng(32);
+  const std::shared_ptr<const UtilityNet> net =
+      GetOrSampleNet(&cache, 4, 2000, &net_rng);
+
+  constexpr int kThreads = 6;
+  std::vector<std::shared_ptr<const NetEvaluator>> got(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      got[static_cast<size_t>(t)] =
+          GetOrBuildEvaluator(&cache, data, net, rows, rows, 1);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.evaluators.misses, 1u);
+  EXPECT_EQ(stats.evaluators.hits, static_cast<uint64_t>(kThreads - 1));
+  EXPECT_EQ(stats.evaluators.bytes, got[0]->ResidentBytes());
+  for (const auto& evaluator : got) EXPECT_EQ(evaluator.get(), got[0].get());
 }
 
 /// Recorders and snapshotters race; afterwards the exact counters
