@@ -17,8 +17,8 @@
 // fifth column), --min_speedup=mhr_sweep:3:3.0 gates the SIMD pass against
 // the pre-refactor baseline, and the checksum gate proves all three
 // implementations produce bit-identical results. The candidate cache holds
-// floats rounded up, so the legacy pass digests its double row after the
-// same rounding. The config line carries the host's parallel-capacity
+// 16-bit fixed-point cells rounded up, so the legacy pass digests its
+// double row after the same rounding. The config line carries the host's parallel-capacity
 // probe (bench::CapacityProbe).
 //
 //   bench_kernel --n=10000 --dim=6 --net=20000 --k=20 --reps=5
@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,12 +65,9 @@ std::string Digest(const T* values, size_t count) {
   return StrFormat("%.17g|%.17g", sum, alt);
 }
 
-/// The candidate cache's rounding rule: the smallest float >= h.
-float RoundUpToFloat(double h) {
-  const float f = static_cast<float>(h);
-  return static_cast<double>(f) < h
-             ? std::nextafter(f, std::numeric_limits<float>::infinity())
-             : f;
+/// The candidate cache's cell rule: ceil(h * 2^15).
+simd::Cell RoundUpToCell(double h) {
+  return static_cast<simd::Cell>(std::ceil(h * simd::kCellScale));
 }
 
 // ---------------------------------------------------------------------------
@@ -210,11 +206,11 @@ int Run(int argc, char** argv) {
                                &cache[i * net_size]);
           }
           res.ms.push_back(sw.ElapsedMillis());
-          // The kernel passes cache floats rounded up; digest the first
+          // The kernel passes cache cells rounded up; digest the first
           // row after the same rounding so the checksums compare bits.
-          std::vector<float> first_row(net_size);
+          std::vector<simd::Cell> first_row(net_size);
           for (size_t j = 0; j < net_size; ++j) {
-            first_row[j] = RoundUpToFloat(cache[j]);
+            first_row[j] = RoundUpToCell(cache[j]);
           }
           res.checksum = Digest(first_row.data(), net_size);
         } else {
@@ -222,7 +218,7 @@ int Run(int argc, char** argv) {
           Stopwatch sw;
           fresh.CacheCandidates(cand_rows);
           res.ms.push_back(sw.ElapsedMillis());
-          const float* row = fresh.cached_row(cand_rows.front());
+          const simd::Cell* row = fresh.cached_row(cand_rows.front());
           res.checksum = row != nullptr ? Digest(row, net_size) : "uncached";
         }
       }

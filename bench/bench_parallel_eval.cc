@@ -140,7 +140,7 @@ int Run(int argc, char** argv) {
         fresh.CacheCandidates(cand_rows);
         const double ms = sw.ElapsedMillis();
         if (best_ms < 0.0 || ms < best_ms) best_ms = ms;
-        const float* row = fresh.cached_row(cand_rows.front());
+        const simd::Cell* row = fresh.cached_row(cand_rows.front());
         checksum = row != nullptr ? Digest(row, net_size) : "uncached";
       }
       results.push_back({"cache_fill", threads, best_ms, checksum});

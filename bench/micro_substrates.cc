@@ -91,7 +91,7 @@ void BM_TruncatedMarginalGain(benchmark::State& state) {
   st.Add(sky[1]);
   size_t i = 0;
   // Arg(0): the exact gain from coordinates; Arg(1): the lazy loop's
-  // bound over the cached float row.
+  // bound over the cached row of cells.
   for (auto _ : state) {
     const int row = sky[i % sky.size()];
     benchmark::DoNotOptimize(cached ? st.GainBound(row, 0.9)

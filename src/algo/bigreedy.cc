@@ -19,7 +19,7 @@ namespace {
 
 /// Lazy-greedy heap entry: an upper bound on a candidate's marginal gain,
 /// the selection size it was computed at, and whether it is the exact gain
-/// there (a float-cache bound is not; an uncached row's bound is).
+/// there (a cached-cell bound is not; an uncached row's bound is).
 struct LazyEntry {
   double key;
   int row;
@@ -59,10 +59,10 @@ bool Beats(double gain, int row, double best_gain, int best_row) {
          (gain == best_gain && best_row >= 0 && row < best_row);
 }
 
-/// Pulls a cached float row towards L1 ahead of its gain evaluation.
-void PrefetchRow(const float* row, size_t m) {
+/// Pulls a cached row towards L1 ahead of its gain evaluation.
+void PrefetchRow(const simd::Cell* row, size_t m) {
   if (row == nullptr) return;
-  constexpr size_t kLine = 64 / sizeof(float);
+  constexpr size_t kLine = 64 / sizeof(simd::Cell);
   for (size_t j = 0; j < m; j += kLine) __builtin_prefetch(row + j);
 }
 
@@ -71,7 +71,7 @@ void PrefetchRow(const float* row, size_t m) {
 /// selection is maximal or no feasible candidate is left. The pick is
 /// always the largest exact gain, smaller row on ties.
 ///
-/// Lazy: a heap of upper bounds (GainBound, over the float cache). A stale
+/// Lazy: a heap of upper bounds (GainBound, over the cell cache). A stale
 /// entry is refreshed to min(key, bound); a fresh bound is verified with
 /// the exact gain; only a fresh exact entry is selected. Every key stays
 /// at or above its row's exact gain, because bounds are never below exact
@@ -79,7 +79,7 @@ void PrefetchRow(const float* row, size_t m) {
 /// plain scan's pick and only rows near the top pay an exact evaluation.
 /// The first pick lowers nearly every gain, so right after it the heap is
 /// rebuilt in one pass over `candidates` in their given order (the order
-/// CacheCandidates laid the float rows out) rather than one pop at a time;
+/// CacheCandidates laid the cell rows out) rather than one pop at a time;
 /// when the pick already holds every direction at tau, no gain is left and
 /// the keys drop to 0 instead. With `carried` (round 1 over the pool), a
 /// probe whose tau is at most a stored one starts from the stored keys

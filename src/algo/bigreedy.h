@@ -55,8 +55,8 @@ struct BiGreedyOptions {
   /// Lemma 4.5).
   bool strict_feasible = true;
   /// Lazy greedy: a priority queue of upper bounds on the marginal gains
-  /// (read from the evaluator's float candidate cache), each verified with
-  /// the exact gain before it is selected. The plain variant re-scans every
+  /// (read from the evaluator's fixed-point candidate cache), each verified
+  /// with the exact gain before it is selected. The plain variant re-scans every
   /// candidate per insertion, verifying exactly only those whose bound can
   /// beat its running best. Identical output; kept as an ablation knob.
   bool lazy = true;

@@ -177,7 +177,7 @@ void HappinessRange(const double* const* net, size_t j0, size_t j1,
 
 void HappinessRangeUp(const double* const* net, size_t j0, size_t j1,
                       const double* p, size_t d, const double* best,
-                      double eps, float* out) {
+                      double eps, Cell* out) {
   Active()->happiness_range_up(net, j0, j1, p, d, best, eps, out);
 }
 
@@ -193,9 +193,16 @@ void AddHappinessMax(const double* const* net, size_t j0, size_t j1,
   Active()->add_happiness_max(net, j0, j1, p, d, best, eps, cur);
 }
 
-double TruncGainCached(const float* hrow, const double* cur, size_t n,
+double TruncGainCached(const Cell* hrow, const double* cur, size_t n,
                        double tau) {
   return Active()->trunc_gain_cached(hrow, cur, n, tau);
+}
+
+double TruncGainCap(const double* cur, size_t n, double tau) {
+  // The scalar reference of TruncGainCached with every cell's value 1.0;
+  // every level sums in this order, so no table entry is needed.
+  return internal::CanonicalSumScalar(
+      n, [&](size_t j) { return internal::TruncTerm(cur[j], 1.0, tau); });
 }
 
 double TruncGainEval(const double* const* net, size_t m, const double* p,
@@ -242,8 +249,8 @@ constexpr size_t kScratchPoolMaxBytes = 256u << 20;  // 256 MiB.
 struct ScratchPool {
   Mutex mu;
   struct Entry {
-    float* ptr;
-    size_t cap;  // Floats.
+    Cell* ptr;
+    size_t cap;  // Cells.
   };
   Entry entries[kScratchPoolMaxEntries] FAIRHMS_GUARDED_BY(mu);
   size_t count FAIRHMS_GUARDED_BY(mu) = 0;
@@ -255,17 +262,17 @@ ScratchPool& Pool() {
   return *pool;
 }
 
-float* ScratchAlloc(size_t cap) {
-  return static_cast<float*>(
-      ::operator new(cap * sizeof(float), std::align_val_t(kAlign)));
+Cell* ScratchAlloc(size_t cap) {
+  return static_cast<Cell*>(
+      ::operator new(cap * sizeof(Cell), std::align_val_t(kAlign)));
 }
 
-void ScratchFree(float* ptr) {
+void ScratchFree(Cell* ptr) {
   ::operator delete(ptr, std::align_val_t(kAlign));
 }
 
 /// Smallest pooled allocation with capacity >= n, or nullptr.
-float* PoolAcquire(size_t n, size_t* cap_out) {
+Cell* PoolAcquire(size_t n, size_t* cap_out) {
   ScratchPool& pool = Pool();
   MutexLock lock(&pool.mu);
   size_t pick = pool.count;
@@ -278,21 +285,21 @@ float* PoolAcquire(size_t n, size_t* cap_out) {
   if (pick == pool.count) return nullptr;
   const ScratchPool::Entry entry = pool.entries[pick];
   pool.entries[pick] = pool.entries[--pool.count];
-  pool.bytes -= entry.cap * sizeof(float);
+  pool.bytes -= entry.cap * sizeof(Cell);
   *cap_out = entry.cap;
   return entry.ptr;
 }
 
 /// True if the allocation was pooled; false means the caller must free it.
-bool PoolRelease(float* ptr, size_t cap) {
+bool PoolRelease(Cell* ptr, size_t cap) {
   ScratchPool& pool = Pool();
   MutexLock lock(&pool.mu);
   if (pool.count == kScratchPoolMaxEntries ||
-      pool.bytes + cap * sizeof(float) > kScratchPoolMaxBytes) {
+      pool.bytes + cap * sizeof(Cell) > kScratchPoolMaxBytes) {
     return false;
   }
   pool.entries[pool.count++] = {ptr, cap};
-  pool.bytes += cap * sizeof(float);
+  pool.bytes += cap * sizeof(Cell);
   return true;
 }
 
@@ -305,7 +312,7 @@ void ScratchBuffer::ResizeUninitialized(size_t n) {
   }
   Release();
   size_t cap = 0;
-  float* ptr = PoolAcquire(n, &cap);
+  Cell* ptr = PoolAcquire(n, &cap);
   if (ptr == nullptr) {
     cap = n;
     ptr = ScratchAlloc(cap);

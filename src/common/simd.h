@@ -31,12 +31,13 @@
 //    j % 4, combined as (p0 + p1) + (p2 + p3), with the tail (n % 4)
 //    added sequentially afterwards. A W-lane body keeps 4 / W vector
 //    accumulators; the scalar path simulates the same four lanes.
-//  * The cache fill (`HappinessRangeUp`) stores the smallest float >= each
-//    happiness. That float is unique, so every way of computing it agrees:
-//    the reference rounds to nearest and steps one ulp up when it landed
-//    below; the vector body rounds the double's bit pattern up to float
-//    precision (exact from 2^-126 up) and hands a range holding a smaller
-//    value to the reference.
+//  * The cache fill (`HappinessRangeUp`) stores each happiness h as the
+//    16-bit fixed-point cell ceil(h * 2^15) (see `Cell`). Scaling by a
+//    power of two, truncation of a value in [0, 2^15] and int -> double
+//    are all exact, so every level computes the same integer: scalar and
+//    W = 2 truncate, then add one where the truncation fell below
+//    h * 2^15; W = 4 rounds up with vroundpd. Readers decode a cell
+//    exactly as cell * 2^-15.
 //  * Vector loop tails run the scalar reference helpers themselves.
 //  * No FMA, ever — fused multiply-add rounds differently than mul+add.
 //    The kernel translation units are compiled with -ffp-contract=off so
@@ -72,8 +73,9 @@ namespace simd {
 // Layout constants.
 
 /// Bump when the SoA layout or kernel reduction orders change in a way that
-/// invalidates cached evaluator artifacts (2: float candidate cache).
-constexpr int kLayoutVersion = 2;
+/// invalidates cached evaluator artifacts (2: float candidate cache;
+/// 3: 16-bit fixed-point candidate cache).
+constexpr int kLayoutVersion = 3;
 
 /// Column padding granularity, in rows (64 bytes of doubles).
 constexpr size_t kPadRows = 8;
@@ -92,6 +94,21 @@ constexpr size_t kDirTile = 512;
 /// across all dispatch levels (W = 4 uses exactly 4 hardware lanes; W = 2
 /// pairs two 2-lane accumulators; scalar simulates all four).
 constexpr size_t kSumLanes = 4;
+
+// ---------------------------------------------------------------------------
+// Candidate-cache cells.
+
+/// One cell of the candidate cache: a happiness h in [0, 1] held as the
+/// 16-bit fixed-point upper bound ceil(h * 2^15), in [0, kCellOne]. Its
+/// value is cell * kCellUlp, exactly, at least h and less than h + 2^-15.
+using Cell = uint16_t;
+
+/// Cells per unit of happiness, and the value of one cell step.
+constexpr double kCellScale = 0x1p15;
+constexpr double kCellUlp = 0x1p-15;
+
+/// The cell of happiness 1.
+constexpr Cell kCellOne = Cell{1} << 15;
 
 // ---------------------------------------------------------------------------
 // Aligned storage.
@@ -132,11 +149,11 @@ using AlignedVector = std::vector<double, AlignedAllocator<double>>;
 // ---------------------------------------------------------------------------
 // Pooled scratch storage.
 
-/// Cache-line-aligned float buffer for bulk matrices whose every cell the
-/// fill kernels overwrite: the candidate cache, NetEvaluator's matrix of
-/// happiness rows rounded up to float (HappinessRangeUp), which lazy greedy
-/// reads as upper bounds on its gains. Two deliberate differences from
-/// AlignedVector:
+/// Cache-line-aligned buffer of cells for bulk matrices whose every cell
+/// the fill kernels overwrite: the candidate cache, NetEvaluator's matrix
+/// of happiness rows as fixed-point upper bounds (HappinessRangeUp), which
+/// lazy greedy reads as upper bounds on its gains. Two deliberate
+/// differences from AlignedVector:
 ///
 ///  * ResizeUninitialized() does not zero-fill. Zeroing a 100+ MB matrix
 ///    that the very next kernel pass overwrites doubles the write traffic
@@ -175,7 +192,7 @@ class ScratchBuffer {
   ScratchBuffer(const ScratchBuffer&) = delete;
   ScratchBuffer& operator=(const ScratchBuffer&) = delete;
 
-  /// Sizes the buffer to n floats with UNINITIALIZED contents (both on
+  /// Sizes the buffer to n cells with UNINITIALIZED contents (both on
   /// growth and on reuse of the current allocation). Reuses the current or
   /// a pooled allocation when one is large enough.
   void ResizeUninitialized(size_t n);
@@ -184,17 +201,17 @@ class ScratchBuffer {
   /// full) and empties the buffer.
   void Release();
 
-  float* data() { return data_; }
-  const float* data() const { return data_; }
+  Cell* data() { return data_; }
+  const Cell* data() const { return data_; }
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
-  float& operator[](size_t i) { return data_[i]; }
-  const float& operator[](size_t i) const { return data_[i]; }
+  Cell& operator[](size_t i) { return data_[i]; }
+  const Cell& operator[](size_t i) const { return data_[i]; }
 
  private:
-  float* data_ = nullptr;
-  size_t size_ = 0;  // Floats, as sized by the caller.
-  size_t cap_ = 0;   // Floats, as allocated (>= size_).
+  Cell* data_ = nullptr;
+  size_t size_ = 0;  // Cells, as sized by the caller.
+  size_t cap_ = 0;   // Cells, as allocated (>= size_).
 };
 
 /// Bytes currently held idle in the scratch pool. Idle scratch is bounded
@@ -348,12 +365,12 @@ void HappinessRange(const double* const* net, size_t j0, size_t j1,
                     const double* p, size_t d, const double* best, double eps,
                     double* out);
 
-/// out[j] = the smallest float >= the HappinessRange value, for j in
-/// [j0, j1): the cache fill. Rounding up keeps every cell an upper bound on
-/// the exact happiness, which TruncGainCached relies on.
+/// out[j] = ceil(h_j * 2^15), the cell of the HappinessRange value h_j,
+/// for j in [j0, j1): the cache fill. Rounding up keeps every cell an
+/// upper bound on the exact happiness, which TruncGainCached relies on.
 void HappinessRangeUp(const double* const* net, size_t j0, size_t j1,
                       const double* p, size_t d, const double* best,
-                      double eps, float* out);
+                      double eps, Cell* out);
 
 /// min over j in [j0, j1) of hr(u_j, pts) where
 /// hr = best[j] <= eps ? 1.0 : min(1.0, (max_r <u_j, p_r>) / best[j]).
@@ -370,13 +387,17 @@ void AddHappinessMax(const double* const* net, size_t j0, size_t j1,
                      const double* p, size_t d, const double* best, double eps,
                      double* cur);
 
-/// Canonical-order sum of min(max(cur[j], hrow[j]), tau) - min(cur[j], tau)
-/// over a rounded-up float row (HappinessRangeUp). Widening, min, max,
-/// subtraction and the canonical sum are all monotone, so the result is
-/// never below TruncGainEval's exact gain for the same point: an upper
-/// bound, not a gain.
-double TruncGainCached(const float* hrow, const double* cur, size_t n,
+/// Canonical-order sum of min(max(cur[j], h_j), tau) - min(cur[j], tau)
+/// over a row of cells (HappinessRangeUp), h_j = hrow[j] * 2^-15. Decoding
+/// is exact, and min, max, subtraction and the canonical sum are all
+/// monotone, so the result is never below TruncGainEval's exact gain for
+/// the same point: an upper bound, not a gain.
+double TruncGainCached(const Cell* hrow, const double* cur, size_t n,
                        double tau);
+
+/// TruncGainCached over a row of kCellOne cells, bit for bit, without the
+/// row: the gain of a point with happiness 1 under every direction.
+double TruncGainCap(const double* cur, size_t n, double tau);
 
 /// Same gain, computing happiness on the fly (no scratch, canonical order).
 double TruncGainEval(const double* const* net, size_t m, const double* p,

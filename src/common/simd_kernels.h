@@ -37,14 +37,14 @@ struct KernelTable {
                           double eps, double* out);
   void (*happiness_range_up)(const double* const* net, size_t j0, size_t j1,
                              const double* p, size_t d, const double* best,
-                             double eps, float* out);
+                             double eps, Cell* out);
   double (*mhr_range)(const double* const* net, size_t j0, size_t j1,
                       const double* best, double eps, const double* pts,
                       size_t nrows, size_t d);
   void (*add_happiness_max)(const double* const* net, size_t j0, size_t j1,
                             const double* p, size_t d, const double* best,
                             double eps, double* cur);
-  double (*trunc_gain_cached)(const float* hrow, const double* cur, size_t n,
+  double (*trunc_gain_cached)(const Cell* hrow, const double* cur, size_t n,
                               double tau);
   double (*trunc_gain_eval)(const double* const* net, size_t m,
                             const double* p, size_t d, const double* best,
@@ -90,17 +90,40 @@ inline double HappinessOf(double s, double b, double eps) {
   return Min(1.0, s / b);
 }
 
-/// The smallest float >= h, for h in the happiness domain [0, 1] (no NaN,
-/// no -0.0): the round-to-nearest conversion, moved one ulp up when it
-/// landed below h. For a non-negative finite float, bits + 1 is the next
-/// float up (+0.0 becomes the smallest denormal).
-inline float RoundUp(double h) {
-  float f = static_cast<float>(h);
-  uint32_t bits;
-  __builtin_memcpy(&bits, &f, sizeof(f));
-  bits += static_cast<uint32_t>(static_cast<double>(f) < h);  // Branch-free.
-  __builtin_memcpy(&f, &bits, sizeof(f));
-  return f;
+/// The cell of h in the happiness domain [0, 1]: ceil(h * 2^15). The
+/// scaling is exact, truncating x in [0, 2^15] to an integer is exact, and
+/// the integer converts back exactly, so adding the compare bumps exactly
+/// the x with a fractional part (branch-free).
+inline Cell CellUp(double h) {
+  const double x = h * kCellScale;
+  const int32_t t = static_cast<int32_t>(x);
+  return static_cast<Cell>(t + (static_cast<double>(t) < x));
+}
+
+/// A cell's value, exactly: q <= 2^15 scaled by a power of two.
+inline double CellValue(Cell q) { return static_cast<double>(q) * kCellUlp; }
+
+/// One term of the truncated gain: how far h lifts cur towards tau.
+inline double TruncTerm(double cur, double h, double tau) {
+  return Min(Max(cur, h), tau) - Min(cur, tau);
+}
+
+/// Canonical 4-virtual-lane sum of term(0), ..., term(n - 1): lanes stripe
+/// j % 4, combine as (p0 + p1) + (p2 + p3), tail added sequentially
+/// afterwards. Every dispatch level reproduces exactly this order.
+template <typename Term>
+inline double CanonicalSumScalar(size_t n, Term&& term) {
+  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
+  const size_t n4 = n & ~static_cast<size_t>(3);
+  for (size_t j = 0; j < n4; j += 4) {
+    p0 += term(j);
+    p1 += term(j + 1);
+    p2 += term(j + 2);
+    p3 += term(j + 3);
+  }
+  double total = (p0 + p1) + (p2 + p3);
+  for (size_t j = n4; j < n; ++j) total += term(j);
+  return total;
 }
 
 inline void NetBestScalar(const double* const* net, size_t j0, size_t j1,
@@ -146,9 +169,9 @@ inline double MhrRangeScalar(const double* const* net, size_t j0, size_t j1,
 inline void HappinessRangeUpScalar(const double* const* net, size_t j0,
                                    size_t j1, const double* p, size_t d,
                                    const double* best, double eps,
-                                   float* out) {
+                                   Cell* out) {
   for (size_t j = j0; j < j1; ++j) {
-    out[j] = RoundUp(HappinessOf(DotDir(net, j, p, d), best[j], eps));
+    out[j] = CellUp(HappinessOf(DotDir(net, j, p, d), best[j], eps));
   }
 }
 
@@ -162,76 +185,38 @@ inline void AddHappinessMaxScalar(const double* const* net, size_t j0,
   }
 }
 
-/// The gain term over a rounded-up float row. Widening is exact and min,
-/// max and subtraction are monotone, so the term is never below the term
-/// of the exact happiness it bounds.
-inline double TruncGainTermCached(const float* hrow, const double* cur,
+/// The gain term over a row of cells. Decoding is exact and min, max and
+/// subtraction are monotone, so the term is never below the term of the
+/// exact happiness it bounds.
+inline double TruncGainTermCached(const Cell* hrow, const double* cur,
                                   size_t j, double tau) {
-  const double before = Min(cur[j], tau);
-  const double after = Min(Max(cur[j], static_cast<double>(hrow[j])), tau);
-  return after - before;
+  return TruncTerm(cur[j], CellValue(hrow[j]), tau);
 }
 
-/// Canonical 4-virtual-lane sum: lanes stripe j % 4, combine as
-/// (p0 + p1) + (p2 + p3), tail added sequentially afterwards. Every
-/// dispatch level reproduces exactly this order.
-inline double TruncGainCachedScalar(const float* hrow, const double* cur,
+inline double TruncGainCachedScalar(const Cell* hrow, const double* cur,
                                     size_t n, double tau) {
-  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < n4; j += 4) {
-    p0 += TruncGainTermCached(hrow, cur, j, tau);
-    p1 += TruncGainTermCached(hrow, cur, j + 1, tau);
-    p2 += TruncGainTermCached(hrow, cur, j + 2, tau);
-    p3 += TruncGainTermCached(hrow, cur, j + 3, tau);
-  }
-  double total = (p0 + p1) + (p2 + p3);
-  for (size_t j = n4; j < n; ++j) {
-    total += TruncGainTermCached(hrow, cur, j, tau);
-  }
-  return total;
+  return CanonicalSumScalar(
+      n, [&](size_t j) { return TruncGainTermCached(hrow, cur, j, tau); });
 }
 
 inline double TruncGainTermEval(const double* const* net, const double* p,
                                 size_t d, const double* best, double eps,
                                 const double* cur, size_t j, double tau) {
-  const double before = Min(cur[j], tau);
-  const double h = HappinessOf(DotDir(net, j, p, d), best[j], eps);
-  const double after = Min(Max(cur[j], h), tau);
-  return after - before;
+  return TruncTerm(cur[j], HappinessOf(DotDir(net, j, p, d), best[j], eps),
+                   tau);
 }
 
 inline double TruncGainEvalScalar(const double* const* net, size_t m,
                                   const double* p, size_t d,
                                   const double* best, double eps,
                                   const double* cur, double tau) {
-  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  const size_t m4 = m & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < m4; j += 4) {
-    p0 += TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
-    p1 += TruncGainTermEval(net, p, d, best, eps, cur, j + 1, tau);
-    p2 += TruncGainTermEval(net, p, d, best, eps, cur, j + 2, tau);
-    p3 += TruncGainTermEval(net, p, d, best, eps, cur, j + 3, tau);
-  }
-  double total = (p0 + p1) + (p2 + p3);
-  for (size_t j = m4; j < m; ++j) {
-    total += TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
-  }
-  return total;
+  return CanonicalSumScalar(m, [&](size_t j) {
+    return TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
+  });
 }
 
 inline double TruncSumScalar(const double* cur, size_t n, double tau) {
-  double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < n4; j += 4) {
-    p0 += Min(cur[j], tau);
-    p1 += Min(cur[j + 1], tau);
-    p2 += Min(cur[j + 2], tau);
-    p3 += Min(cur[j + 3], tau);
-  }
-  double total = (p0 + p1) + (p2 + p3);
-  for (size_t j = n4; j < n; ++j) total += Min(cur[j], tau);
-  return total;
+  return CanonicalSumScalar(n, [&](size_t j) { return Min(cur[j], tau); });
 }
 
 inline double MinReduceScalar(const double* x, size_t n) {
@@ -298,15 +283,16 @@ using Vec4 = double __attribute__((vector_size(32)));
 template <size_t W>
 using Vec = std::conditional_t<W == 2, Vec2, Vec4>;
 
-/// W floats (the cached rows) and W int64 lanes (double bit patterns).
-using VecF2 = float __attribute__((vector_size(8)));
-using VecF4 = float __attribute__((vector_size(16)));
+/// W int32 lanes and W 16-bit lanes: the cells of a cached row on their
+/// way to or from doubles.
+using VecI2 = int32_t __attribute__((vector_size(8)));
+using VecI4 = int32_t __attribute__((vector_size(16)));
 template <size_t W>
-using VecF = std::conditional_t<W == 2, VecF2, VecF4>;
-using VecL2 = int64_t __attribute__((vector_size(16)));
-using VecL4 = int64_t __attribute__((vector_size(32)));
+using VecI = std::conditional_t<W == 2, VecI2, VecI4>;
+using VecC2 = Cell __attribute__((vector_size(4)));
+using VecC4 = Cell __attribute__((vector_size(8)));
 template <size_t W>
-using VecL = std::conditional_t<W == 2, VecL2, VecL4>;
+using VecC = std::conditional_t<W == 2, VecC2, VecC4>;
 
 /// Unaligned, alias-safe access to one vector of T — the same type the
 /// compilers' own unaligned-load intrinsics use. (A __builtin_memcpy load
@@ -362,35 +348,85 @@ inline V HappinessV(V s, V b, V epsv) {
   return inactive ? one : VMin(s / (inactive ? one : b), one);
 }
 
-/// W floats widened to doubles. Spelled per element: GCC 12 lowers
-/// __builtin_convertvector here to two half-width conversions and a lane
-/// insert, where this form compiles to one vcvtps2pd.
+/// The next three spell their conversions per element: GCC 12 lowers
+/// __builtin_convertvector between these lane widths to split half-width
+/// conversions and lane inserts, where these forms compile to one
+/// vpmovzxwd, one vcvtdq2pd and one shuffle respectively.
+
+/// W cells widened to int32 lanes.
 template <size_t W>
-inline Vec<W> Widen(VecF<W> f) {
+inline VecI<W> LoadCells(const Cell* q) {
   if constexpr (W == 2) {
-    return Vec2{f[0], f[1]};
+    return VecI2{q[0], q[1]};
   } else {
-    return Vec4{f[0], f[1], f[2], f[3]};
+    return VecI4{q[0], q[1], q[2], q[3]};
   }
 }
 
-/// Smallest normal float, as a double.
-constexpr double kMinNormalFloat = 0x1p-126;
-
-/// RoundUp per lane for h = 0 and h >= 2^-126, without a compare-and-bump:
-/// from 2^-126 up, the doubles a float can hold are exactly those whose low
-/// 29 mantissa bits are zero, and bit patterns of non-negative doubles
-/// order like their values, so rounding the pattern up to a multiple of
-/// 2^29 (a carry into the exponent included) gives the smallest float >= h,
-/// which then narrows exactly. Floats below 2^-126 are denormal, with fewer
-/// mantissa bits: callers track the smallest h and redo a range holding one
-/// below 2^-126 with the scalar reference.
+/// W int32 lanes as doubles (exact).
 template <size_t W>
-inline VecF<W> RoundUpV(Vec<W> h) {
-  using L = VecL<W>;
-  constexpr int64_t kDropped = (int64_t{1} << 29) - 1;
-  const L up = (reinterpret_cast<L>(h) + kDropped) & ~kDropped;
-  return __builtin_convertvector(reinterpret_cast<Vec<W>>(up), VecF<W>);
+inline Vec<W> ToDoubles(VecI<W> i) {
+  if constexpr (W == 2) {
+    return Vec2{static_cast<double>(i[0]), static_cast<double>(i[1])};
+  } else {
+    return Vec4{static_cast<double>(i[0]), static_cast<double>(i[1]),
+                static_cast<double>(i[2]), static_cast<double>(i[3])};
+  }
+}
+
+/// A double-lane comparison mask (0 or -1 per lane) as int32 lanes.
+template <size_t W, typename M>
+inline VecI<W> NarrowMask(M m) {
+  if constexpr (W == 2) {
+    return VecI2{static_cast<int32_t>(m[0]), static_cast<int32_t>(m[1])};
+  } else {
+    return VecI4{static_cast<int32_t>(m[0]), static_cast<int32_t>(m[1]),
+                 static_cast<int32_t>(m[2]), static_cast<int32_t>(m[3])};
+  }
+}
+
+/// ceil(x) per lane as int32, for x in [0, 2^15]: the truncation, plus one
+/// where it fell below x (the mask is -1 there). Under AVX, vroundpd rounds
+/// up directly; the ceiling is exact either way.
+template <size_t W>
+inline VecI<W> CeilToInt(Vec<W> x) {
+#if defined(__AVX__)
+  if constexpr (W == 4) {
+    constexpr int kTowardPlusInf = 0x0A;  // Ceil, precision exception off.
+    return __builtin_convertvector(
+        __builtin_ia32_roundpd256(x, kTowardPlusInf), VecI4);
+  }
+#endif
+  const VecI<W> t = __builtin_convertvector(x, VecI<W>);
+  return t - NarrowMask<W>(ToDoubles<W>(t) < x);
+}
+
+/// The low 16 bits of each int32 lane, in lane order: the even 16-bit
+/// halves on a little-endian target. One shuffle, where
+/// __builtin_convertvector masks and then packs.
+template <size_t W>
+inline VecC<W> NarrowToCells(VecI<W> q) {
+  static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__, "low halves");
+  if constexpr (W == 2) {
+    const VecC4 halves = reinterpret_cast<VecC4>(q);
+    return __builtin_shufflevector(halves, halves, 0, 2);
+  } else {
+    using VecC8 = Cell __attribute__((vector_size(16)));
+    const VecC8 halves = reinterpret_cast<VecC8>(q);
+    return __builtin_shufflevector(halves, halves, 0, 2, 4, 6);
+  }
+}
+
+/// CellUp per lane, stored to out[0, W).
+template <size_t W>
+inline void StoreCellsV(Cell* out, Vec<W> h) {
+  Store(out, NarrowToCells<W>(CeilToInt<W>(h * Splat<Vec<W>>(kCellScale))));
+}
+
+/// CellValue of the W cells at q.
+template <size_t W>
+inline Vec<W> CellValuesV(const Cell* q) {
+  return ToDoubles<W>(LoadCells<W>(q)) * Splat<Vec<W>>(kCellUlp);
 }
 
 /// One row's coordinates as lane vectors for the direction-swept kernels.
@@ -515,21 +551,14 @@ void HappinessRangeV(const double* const* net, size_t j0, size_t j1,
 template <size_t W>
 void HappinessRangeUpV(const double* const* net, size_t j0, size_t j1,
                        const double* p, size_t d, const double* best,
-                       double eps, float* out) {
+                       double eps, Cell* out) {
   using V = Vec<W>;
   const Row<V> row(p, d);
   const V epsv = Splat<V>(eps);
-  V lowest = Splat<V>(1.0);
   const size_t j = SweepDirections<W>(net, j0, j1, row, [&](size_t jj, V s) {
-    const V h = HappinessV(s, Load<V>(best + jj), epsv);
-    lowest = VMin(lowest, h);
-    Store(out + jj, RoundUpV<W>(h));
+    StoreCellsV<W>(out + jj, HappinessV(s, Load<V>(best + jj), epsv));
   });
-  // A happiness below 2^-126 (zero included, to keep the check one min)
-  // sends the range through the scalar reference; only a zero or
-  // denormal-scale score produces one.
-  const bool redo = AnyLane(lowest < Splat<V>(kMinNormalFloat));
-  HappinessRangeUpScalar(net, redo ? j0 : j, j1, p, d, best, eps, out);
+  HappinessRangeUpScalar(net, j, j1, p, d, best, eps, out);
 }
 
 template <size_t W>
@@ -577,7 +606,7 @@ void AddHappinessMaxV(const double* const* net, size_t j0, size_t j1,
 }
 
 template <size_t W>
-double TruncGainCachedV(const float* hrow, const double* cur, size_t n,
+double TruncGainCachedV(const Cell* hrow, const double* cur, size_t n,
                         double tau) {
   using V = Vec<W>;
   const V tauv = Splat<V>(tau);
@@ -585,7 +614,7 @@ double TruncGainCachedV(const float* hrow, const double* cur, size_t n,
       n,
       [&](size_t j) {
         const V c = Load<V>(cur + j);
-        const V h = Widen<W>(Load<VecF<W>>(hrow + j));
+        const V h = CellValuesV<W>(hrow + j);
         return VMin(VMax(c, h), tauv) - VMin(c, tauv);
       },
       [&](size_t j) { return TruncGainTermCached(hrow, cur, j, tau); });

@@ -122,8 +122,10 @@ ArtifactCache::Table::iterator ArtifactCache::Drop(Table::iterator it,
   return entries_.erase(it);
 }
 
-void ArtifactCache::Settle(int64_t delta) {
-  if (arbiter_ != nullptr && delta != 0) arbiter_->OnBytesChanged(this, delta);
+void ArtifactCache::Settle(int64_t delta, bool pinned) {
+  if (arbiter_ != nullptr && delta != 0) {
+    arbiter_->OnBytesChanged(this, delta, pinned);
+  }
 }
 
 std::shared_ptr<const void> ArtifactCache::GetOrBuildErased(
@@ -213,7 +215,7 @@ void ArtifactCache::AccountProjection(bool hit, uint64_t bytes) {
   }
   ++stats_.projections.misses;
   stats_.projections.bytes += bytes;
-  Settle(static_cast<int64_t>(bytes));
+  Settle(static_cast<int64_t>(bytes), /*pinned=*/true);
 }
 
 void ArtifactCache::Clear() {
@@ -228,7 +230,8 @@ void ArtifactCache::Clear() {
 
 void CacheArbiter::Register(ArtifactCache* cache, std::string name,
                             std::function<void()> evict) {
-  const uint64_t resident = cache->stats().TotalBytes();
+  const CacheStats stats = cache->stats();
+  const uint64_t resident = stats.TotalBytes();
   {
     MutexLock lock(&mu_);
     Entry& entry = entries_[cache];
@@ -236,6 +239,7 @@ void CacheArbiter::Register(ArtifactCache* cache, std::string name,
     entry.name = std::move(name);
     entry.evict = std::move(evict);
     entry.charged = resident;
+    entry.pinned = stats.projections.bytes;
     entry.last_touch = ++touch_seq_;
     total_ += resident;
   }
@@ -251,21 +255,24 @@ void CacheArbiter::Unregister(ArtifactCache* cache) {
   entries_.erase(it);
 }
 
-void CacheArbiter::OnBytesChanged(ArtifactCache* cache, int64_t delta) {
+void CacheArbiter::OnBytesChanged(ArtifactCache* cache, int64_t delta,
+                                  bool pinned) {
   MutexLock lock(&mu_);
   auto it = entries_.find(cache);
   if (it == entries_.end()) return;
+  Entry& entry = it->second;
   // Clamp refunds at zero: the charged figure must never wrap, even if a
   // cache was registered mid-life with bytes it later refunds twice.
   const uint64_t refund =
-      delta < 0 ? std::min(static_cast<uint64_t>(-delta), it->second.charged)
-                : 0;
+      delta < 0 ? std::min(static_cast<uint64_t>(-delta), entry.charged) : 0;
   if (delta < 0) {
-    it->second.charged -= refund;
+    entry.charged -= refund;
     total_ -= refund;
+    entry.pinned = std::min(entry.pinned, entry.charged);
   } else {
-    it->second.charged += static_cast<uint64_t>(delta);
+    entry.charged += static_cast<uint64_t>(delta);
     total_ += static_cast<uint64_t>(delta);
+    if (pinned) entry.pinned += static_cast<uint64_t>(delta);
   }
 }
 
@@ -277,21 +284,23 @@ void CacheArbiter::Touch(ArtifactCache* cache) {
 
 void CacheArbiter::Rebalance(ArtifactCache* prefer_keep) {
   // Evict one victim per pass, callbacks outside the lock (they re-enter
-  // OnBytesChanged to refund). A victim that somehow refunds nothing is
-  // remembered so the loop always terminates.
+  // OnBytesChanged to refund). Only caches holding unpinned bytes are
+  // candidates; a victim that somehow refunds nothing is remembered so the
+  // loop always terminates, and is not counted.
   std::set<ArtifactCache*> already;
+  const auto evictable = [&](ArtifactCache* addr, const Entry& entry) {
+    return entry.charged > entry.pinned && already.count(addr) == 0;
+  };
   for (;;) {
     std::function<void()> evict;
+    ArtifactCache* victim = nullptr;
+    uint64_t before = 0;
     {
       MutexLock lock(&mu_);
       if (budget_ == 0 || total_ <= budget_) return;
-      ArtifactCache* victim = nullptr;
       uint64_t coldest = 0;
       for (auto& [addr, entry] : entries_) {
-        if (addr == prefer_keep || entry.charged == 0 ||
-            already.count(addr) != 0) {
-          continue;
-        }
+        if (addr == prefer_keep || !evictable(addr, entry)) continue;
         if (victim == nullptr || entry.last_touch < coldest) {
           victim = addr;
           coldest = entry.last_touch;
@@ -302,17 +311,19 @@ void CacheArbiter::Rebalance(ArtifactCache* prefer_keep) {
         // alone still exceeds the budget.
         auto it = prefer_keep != nullptr ? entries_.find(prefer_keep)
                                          : entries_.end();
-        if (it == entries_.end() || it->second.charged == 0 ||
-            already.count(prefer_keep) != 0) {
+        if (it == entries_.end() || !evictable(prefer_keep, it->second)) {
           return;
         }
         victim = prefer_keep;
       }
       evict = entries_[victim].evict;
+      before = entries_[victim].charged;
       already.insert(victim);
-      ++evictions_;
     }
     if (evict) evict();
+    MutexLock lock(&mu_);
+    const auto it = entries_.find(victim);
+    if (it != entries_.end() && it->second.charged < before) ++evictions_;
   }
 }
 

@@ -206,9 +206,10 @@ class ArtifactCache {
   /// Erases a stored entry, refunding its bytes into `*delta`.
   Table::iterator Drop(Table::iterator it, int64_t* delta)
       FAIRHMS_REQUIRES(mu_);
-  /// Charges `delta` to the arbiter. Called under mu_, so the arbiter sees
-  /// this cache's changes in order (lock order cache -> arbiter).
-  void Settle(int64_t delta) FAIRHMS_REQUIRES(mu_);
+  /// Charges `delta` to the arbiter (`pinned`: bytes Clear() keeps). Called
+  /// under mu_, so the arbiter sees this cache's changes in order (lock
+  /// order cache -> arbiter).
+  void Settle(int64_t delta, bool pinned = false) FAIRHMS_REQUIRES(mu_);
 
   mutable Mutex mu_;
   CondVar built_;  ///< Signalled whenever a pending entry is stored.
@@ -239,8 +240,9 @@ class CacheArbiter {
   CacheArbiter& operator=(const CacheArbiter&) = delete;
 
   /// Starts arbitrating `cache` (attaches this arbiter to it and charges
-  /// its current resident bytes). `evict` drops the cache's artifacts when
-  /// Rebalance selects it. Re-registering an address replaces its entry.
+  /// its current resident bytes, its projection pinned). `evict` drops the
+  /// cache's artifacts when Rebalance selects it. Re-registering an address
+  /// replaces its entry.
   void Register(ArtifactCache* cache, std::string name,
                 std::function<void()> evict) FAIRHMS_EXCLUDES(mu_);
 
@@ -249,9 +251,11 @@ class CacheArbiter {
   void Unregister(ArtifactCache* cache) FAIRHMS_EXCLUDES(mu_);
 
   /// Charges (delta > 0) or refunds (delta < 0) bytes for `cache`.
-  /// Unknown addresses are ignored (a cache outside catalog control).
-  void OnBytesChanged(ArtifactCache* cache, int64_t delta)
-      FAIRHMS_EXCLUDES(mu_);
+  /// `pinned` charges are bytes eviction cannot free (the session-owned
+  /// projection). Unknown addresses are ignored (a cache outside catalog
+  /// control).
+  void OnBytesChanged(ArtifactCache* cache, int64_t delta,
+                      bool pinned = false) FAIRHMS_EXCLUDES(mu_);
 
   /// Marks `cache` most-recently-used; Rebalance evicts coldest-first.
   void Touch(ArtifactCache* cache) FAIRHMS_EXCLUDES(mu_);
@@ -259,12 +263,15 @@ class CacheArbiter {
   /// Evicts cold caches until the charged total fits the budget again.
   /// `prefer_keep` (the cache that just served a query) is only evicted
   /// when it alone still exceeds the budget after everything else is gone.
+  /// A cache whose charged bytes are all pinned is never picked: clearing
+  /// it would free nothing.
   void Rebalance(ArtifactCache* prefer_keep = nullptr) FAIRHMS_EXCLUDES(mu_);
 
   uint64_t budget_bytes() const FAIRHMS_EXCLUDES(mu_);
   /// Bytes currently charged across every registered cache.
   uint64_t total_bytes() const FAIRHMS_EXCLUDES(mu_);
-  /// Whole-cache evictions performed by Rebalance (telemetry).
+  /// Whole-cache evictions performed by Rebalance that refunded bytes
+  /// (telemetry).
   uint64_t evictions() const FAIRHMS_EXCLUDES(mu_);
 
   /// Per-session charged bytes plus the global total/budget, one line per
@@ -287,6 +294,7 @@ class CacheArbiter {
     std::string name;
     std::function<void()> evict;
     uint64_t charged = 0;
+    uint64_t pinned = 0;  ///< Part of `charged` that eviction cannot free.
     uint64_t last_touch = 0;
   };
 

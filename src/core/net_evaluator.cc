@@ -141,7 +141,7 @@ double TruncatedMhrState::MarginalGain(int row, double tau) const {
 }
 
 double TruncatedMhrState::GainBound(int row, double tau) const {
-  const float* hrow = eval_->cached_row(row);
+  const simd::Cell* hrow = eval_->cached_row(row);
   if (hrow == nullptr) return MarginalGain(row, tau);
   // Dividing both sides by the same positive m keeps the bound a bound.
   return simd::TruncGainCached(hrow, cur_.data(), cur_.size(), tau) /
@@ -149,8 +149,7 @@ double TruncatedMhrState::GainBound(int row, double tau) const {
 }
 
 double TruncatedMhrState::GainCap(double tau) const {
-  const std::vector<float> ones(cur_.size(), 1.0f);
-  return simd::TruncGainCached(ones.data(), cur_.data(), cur_.size(), tau) /
+  return simd::TruncGainCap(cur_.data(), cur_.size(), tau) /
          static_cast<double>(cur_.size());
 }
 

@@ -28,10 +28,11 @@ namespace fairhms {
 /// threads = 1 takes the exact serial path.
 ///
 /// The optional candidate cache holds each cached row's happiness as
-/// floats rounded up, half the bytes of doubles. Its cells are upper
-/// bounds, never answers: TruncatedMhrState::GainBound reads them to order
-/// a lazy-greedy heap, and every gain a caller acts on, every Add and every
-/// mhr is computed exactly from the coordinates.
+/// 16-bit fixed-point cells rounded up (simd::Cell), a quarter of the
+/// bytes of doubles. Its cells are upper bounds, never answers:
+/// TruncatedMhrState::GainBound reads them to order a lazy-greedy heap,
+/// and every gain a caller acts on, every Add and every mhr is computed
+/// exactly from the coordinates.
 class NetEvaluator {
  public:
   /// Degenerate-denominator cutoff: directions whose best database score is
@@ -59,7 +60,7 @@ class NetEvaluator {
   double PointHappiness(size_t j, int row) const;
 
   /// Fills out[0..m) with the exact happiness of `row` under every
-  /// direction (computed, never read from the float cache).
+  /// direction (computed, never read from the candidate cache).
   void PointHappinessRow(int row, double* out) const;
 
   /// hr(u_j, S): best happiness among S under direction j (0 if S empty).
@@ -69,15 +70,15 @@ class NetEvaluator {
   double Mhr(const std::vector<int>& rows) const;
 
   /// Optionally caches the happiness rows of the given candidate rows, as
-  /// floats rounded up, for O(m) gain bounds inside greedy loops. Caching
+  /// cells rounded up, for O(m) gain bounds inside greedy loops. Caching
   /// is skipped when it would exceed `max_entries` matrix cells.
   void CacheCandidates(const std::vector<int>& rows,
                        size_t max_entries = 40'000'000);
 
-  /// Cached row of `row`, or nullptr when not cached: m floats, cell j the
-  /// smallest float >= PointHappiness(j, row). An upper bound per cell, not
-  /// the happiness itself.
-  const float* cached_row(int row) const {
+  /// Cached row of `row`, or nullptr when not cached: m cells, cell j
+  /// ceil(PointHappiness(j, row) * 2^15). An upper bound per cell, not the
+  /// happiness itself.
+  const simd::Cell* cached_row(int row) const {
     if (cache_offset_.empty()) return nullptr;
     const int64_t off = cache_offset_[static_cast<size_t>(row)];
     return off < 0 ? nullptr : &cache_[static_cast<size_t>(off)];
@@ -86,7 +87,7 @@ class NetEvaluator {
   /// Resident bytes of the candidate cache (0 when CacheCandidates was
   /// never called or declined because of its entry budget).
   size_t CandidateCacheBytes() const {
-    return cache_.size() * sizeof(float) +
+    return cache_.size() * sizeof(simd::Cell) +
            cache_offset_.size() * sizeof(int64_t);
   }
 
@@ -134,14 +135,15 @@ class TruncatedMhrState {
   double MarginalGain(int row, double tau) const;
 
   /// Upper bound on MarginalGain(row, tau): the same gain over the row's
-  /// rounded-up float cache row (O(m), half the bytes), or the exact gain
+  /// cached cells (O(m), 2 bytes a direction), or the exact gain
   /// when the row is not cached. Like the gain, it never rises as the set
   /// grows.
   double GainBound(int row, double tau) const;
 
   /// Gain of a point with happiness 1 under every direction: at least
   /// every row's MarginalGain and GainBound at the current set, since both
-  /// sum the same terms over happiness cells of at most 1.
+  /// sum the same terms over happiness cells of at most 1. Allocates
+  /// nothing.
   double GainCap(double tau) const;
 
   /// Commits `row` into the current set (exact happiness).

@@ -39,13 +39,14 @@ namespace {
 
 using simd::internal::KernelTable;
 using testing::MakeDataset;
-using testing::RoundUpReference;
+using testing::CellUpReference;
+using testing::CellValueReference;
 
 bool BitEq(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-/// Bitwise equality of two double or float sequences.
+/// Bitwise equality of two sequences of doubles or cells.
 template <typename T>
 ::testing::AssertionResult BitsEqual(const std::vector<T>& a,
                                      const std::vector<T>& b) {
@@ -220,21 +221,21 @@ TEST(SimdKernelTest, NetBestAndHappinessAndMhrBitIdentical) {
         const size_t j0 = m / 3;
         const size_t mhr_end = std::min(m, j0 + simd::kDirTile);
         std::vector<double> best_ref(m, 0.0), hap_ref(m, 0.0);
-        std::vector<float> up_ref(m, 0.0f);
+        std::vector<simd::Cell> up_ref(m, 0);
         Scalar().net_best(net.cols(), 0, m, pts.data(), n, d, best_ref.data());
         Scalar().happiness_range(net.cols(), j0, m, pts.data(), d,
                                  best_ref.data(), 1e-12, hap_ref.data());
         Scalar().happiness_range_up(net.cols(), j0, m, pts.data(), d,
                                     best_ref.data(), 1e-12, up_ref.data());
-        // The float fill is the double fill rounded up, cell by cell.
+        // The cell fill is the double fill rounded up, cell by cell.
         for (size_t j = j0; j < m; ++j) {
-          ASSERT_EQ(up_ref[j], RoundUpReference(hap_ref[j])) << j;
+          ASSERT_EQ(up_ref[j], CellUpReference(hap_ref[j])) << j;
         }
         const double mhr_ref = Scalar().mhr_range(
             net.cols(), j0, mhr_end, best_ref.data(), 1e-12, pts.data(), n, d);
         for (const KernelTable* t : VectorTables()) {
           std::vector<double> best(m, 0.0), hap(m, 0.0);
-          std::vector<float> up(m, 0.0f);
+          std::vector<simd::Cell> up(m, 0);
           t->net_best(net.cols(), 0, m, pts.data(), n, d, best.data());
           t->happiness_range(net.cols(), j0, m, pts.data(), d, best.data(),
                              1e-12, hap.data());
@@ -294,12 +295,12 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
       const simd::ColumnBlock net = TrapBlock(m, d, &rng);
       const std::vector<double> p = TrapPoints(1, d, &rng);
       std::vector<double> best(m), cur(m), exact(m);
-      std::vector<float> hrow(m);
+      std::vector<simd::Cell> hrow(m);
       for (double& v : best) v = rng.Uniform();
       for (double& v : cur) v = TrapHappiness(&rng);
       for (size_t j = 0; j < m; ++j) {
         exact[j] = TrapHappiness(&rng);
-        hrow[j] = RoundUpReference(exact[j]);
+        hrow[j] = CellUpReference(exact[j]);
       }
       const double tau = 0.85;
       // The bound over the rounded-up row is never below the gain over the
@@ -342,23 +343,25 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
   }
 }
 
-TEST(SimdKernelTest, HappinessRangeUpIsSmallestFloatAtOrAbove) {
+TEST(SimdKernelTest, HappinessRangeUpStoresFixedPointCeiling) {
   // One attribute, p = 1 and best = 1, so direction j's happiness is
-  // exactly its coordinate h_j and the fill must store RoundUp(h_j).
-  const double denorm_min = std::ldexp(1.0, -149);  // Smallest float.
-  const double float_exact = static_cast<double>(0.1f);
+  // exactly its coordinate h_j and the fill must store ceil(h_j * 2^15).
+  const double ulp = simd::kCellUlp;
   std::vector<double> h = {
       0.0,
       1.0,
-      denorm_min,
-      float_exact,
-      std::nextafter(float_exact, 2.0),
-      std::nextafter(1.0, 0.0),     // Rounds to nearest 1.0f, not above.
-      1e-300,                       // Below every float: 2^-149.
-      std::nextafter(denorm_min, 0.0),
-      std::nextafter(denorm_min, 1.0),
+      std::nextafter(1.0, 0.0),  // Rounds up to 1, not past it.
+      1.0 - std::ldexp(1.0, -16),
+      std::ldexp(1.0, -16),      // Inside (0, 2^-15): cell 1.
+      1e-300,
+      5e-324,                    // Smallest denormal double.
+      std::nextafter(ulp, 0.0),
       1.0 / 3.0,
   };
+  for (const double k : {1.0, 2.0, 3.0, 1000.0, 16383.0, 16384.0, 32767.0}) {
+    h.push_back(k * ulp);                       // Exact: cell k.
+    h.push_back(std::nextafter(k * ulp, 2.0));  // Just above: k + 1.
+  }
   Rng rng(505);
   while (h.size() < 1031) h.push_back(rng.Uniform());
   const size_t m = h.size();
@@ -366,26 +369,50 @@ TEST(SimdKernelTest, HappinessRangeUpIsSmallestFloatAtOrAbove) {
   for (const double v : h) net.Append(&v);
   const double one = 1.0;
   const std::vector<double> best(m, 1.0);
-  for (const KernelTable* t : simd::internal::RunnableKernels()) {
-    SCOPED_TRACE(simd::DispatchLevelName(t->level));
-    for (const size_t j0 : {size_t{0}, size_t{3}}) {
-      std::vector<float> out(m, -1.0f);
+  for (const size_t j0 : {size_t{0}, size_t{3}}) {
+    std::vector<simd::Cell> ref(m, 0);
+    Scalar().happiness_range_up(net.cols(), j0, m, &one, 1, best.data(),
+                                1e-12, ref.data());
+    for (size_t j = j0; j < m; ++j) {
+      ASSERT_EQ(ref[j], CellUpReference(h[j])) << "j=" << j << " h=" << h[j];
+      const double value = CellValueReference(ref[j]);
+      // value - h < 2^-15, spelled exactly: value - 2^-15 is a multiple of
+      // 2^-15 in [-2^-15, 1), while value - h rounds for tiny h.
+      ASSERT_GE(value, h[j]) << j;
+      ASSERT_LT(value - ulp, h[j]) << j;
+    }
+    for (const KernelTable* t : VectorTables()) {
+      SCOPED_TRACE(simd::DispatchLevelName(t->level));
+      std::vector<simd::Cell> out(m, 0);
       t->happiness_range_up(net.cols(), j0, m, &one, 1, best.data(), 1e-12,
                             out.data());
-      for (size_t j = j0; j < m; ++j) {
-        const float want = RoundUpReference(h[j]);
-        ASSERT_EQ(std::memcmp(&out[j], &want, sizeof(float)), 0)
-            << "j=" << j << " h=" << h[j] << " got " << out[j];
-        ASSERT_GE(static_cast<double>(out[j]), h[j]);
+      EXPECT_TRUE(BitsEqual(ref, out));
+    }
+  }
+  EXPECT_EQ(CellUpReference(0.0), 0);
+  EXPECT_EQ(CellUpReference(1.0), simd::kCellOne);
+  EXPECT_EQ(CellUpReference(1.0 - std::ldexp(1.0, -16)), simd::kCellOne);
+  EXPECT_EQ(CellUpReference(5e-324), 1);
+  EXPECT_EQ(CellUpReference(3.0 * ulp), 3);
+  EXPECT_EQ(CellUpReference(std::nextafter(3.0 * ulp, 1.0)), 4);
+  EXPECT_EQ(CellValueReference(simd::kCellOne), 1.0);
+}
+
+TEST(SimdKernelTest, TruncGainCapIsCachedGainOverAllOnesRow) {
+  Rng rng(606);
+  for (size_t m : kNetSizes) {
+    std::vector<double> cur(m);
+    for (double& v : cur) v = TrapHappiness(&rng);
+    const std::vector<simd::Cell> ones(m, simd::kCellOne);
+    for (const double tau : {0.0, 0.3, 0.85, 1.0, 1.5}) {
+      const double cap = simd::TruncGainCap(cur.data(), m, tau);
+      for (const KernelTable* t : simd::internal::RunnableKernels()) {
+        SCOPED_TRACE(Shape(t, 1, m, 1));
+        EXPECT_TRUE(
+            BitEq(cap, t->trunc_gain_cached(ones.data(), cur.data(), m, tau)));
       }
     }
   }
-  EXPECT_EQ(RoundUpReference(0.0), 0.0f);
-  EXPECT_EQ(RoundUpReference(1.0), 1.0f);
-  EXPECT_EQ(static_cast<double>(RoundUpReference(denorm_min)), denorm_min);
-  EXPECT_EQ(static_cast<double>(RoundUpReference(float_exact)), float_exact);
-  EXPECT_EQ(RoundUpReference(std::nextafter(float_exact, 2.0)),
-            std::nextafter(0.1f, 1.0f));
 }
 
 TEST(SimdKernelTest, MinReduceOfEmptyIsOne) {
@@ -463,7 +490,7 @@ TEST(SimdKernelTest, DominancePaddingIsNeverAWitness) {
 
 struct EvalProbe {
   std::vector<double> best;
-  std::vector<float> cached;
+  std::vector<simd::Cell> cached;
   double mhr = 0.0;
   double gain = 0.0;
   double bound = 0.0;
@@ -572,29 +599,29 @@ TEST(ScratchBufferTest, ResizePreservesDataWithinCapacityAndTracksSize) {
   EXPECT_TRUE(buf.empty());
   buf.ResizeUninitialized(100);
   ASSERT_EQ(buf.size(), 100u);
-  for (size_t i = 0; i < 100; ++i) buf[i] = static_cast<float>(i);
+  for (size_t i = 0; i < 100; ++i) buf[i] = static_cast<simd::Cell>(i);
   // Shrinking and re-growing within capacity must not move the allocation
   // (CacheCandidates relies on rewriting every cell, not on the resize).
-  float* data = buf.data();
+  simd::Cell* data = buf.data();
   buf.ResizeUninitialized(10);
   EXPECT_EQ(buf.size(), 10u);
   buf.ResizeUninitialized(100);
   EXPECT_EQ(buf.data(), data);
   for (size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(buf[i], static_cast<float>(i));
+    EXPECT_EQ(buf[i], static_cast<simd::Cell>(i));
   }
 }
 
 TEST(ScratchBufferTest, ReleaseRecyclesThroughPool) {
   simd::ScratchPoolTrim();
   ASSERT_EQ(simd::ScratchPoolIdleBytes(), 0u);
-  float* first = nullptr;
+  simd::Cell* first = nullptr;
   {
     simd::ScratchBuffer buf;
     buf.ResizeUninitialized(1 << 12);
     first = buf.data();
   }  // Destructor releases to the pool.
-  EXPECT_EQ(simd::ScratchPoolIdleBytes(), (1u << 12) * sizeof(float));
+  EXPECT_EQ(simd::ScratchPoolIdleBytes(), (1u << 12) * sizeof(simd::Cell));
   simd::ScratchBuffer reuse;
   reuse.ResizeUninitialized(1 << 10);  // Smaller request, pooled block fits.
   EXPECT_EQ(reuse.data(), first);
@@ -608,10 +635,10 @@ TEST(ScratchBufferTest, MoveTransfersOwnership) {
   simd::ScratchPoolTrim();
   simd::ScratchBuffer a;
   a.ResizeUninitialized(16);
-  for (size_t i = 0; i < 16; ++i) a[i] = 3.5f;
+  for (size_t i = 0; i < 16; ++i) a[i] = 35;
   simd::ScratchBuffer b = std::move(a);
   ASSERT_EQ(b.size(), 16u);
-  EXPECT_EQ(b[7], 3.5f);
+  EXPECT_EQ(b[7], 35);
   EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move): documented.
   simd::ScratchPoolTrim();
 }

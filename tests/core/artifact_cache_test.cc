@@ -1,7 +1,8 @@
 // ArtifactCache as a unit: per-kind hit/miss/byte accounting, pruning of
 // superseded versions after dataset mutations, Put publishing, RNG
-// fast-forward on net hits, evaluators that survive a mutation, and
-// Clear() refunding exactly what a CacheArbiter was charged.
+// fast-forward on net hits, evaluators that survive a mutation,
+// Clear() refunding exactly what a CacheArbiter was charged, and
+// CacheArbiter::Rebalance leaving alone a cache it cannot shrink.
 
 #include "core/artifact_cache.h"
 
@@ -222,6 +223,46 @@ TEST(ArtifactCacheTest, ClearRefundsExactlyWhatTheArbiterWasCharged) {
 
   arbiter.Unregister(&cache);
   EXPECT_EQ(arbiter.total_bytes(), 0u);
+}
+
+TEST(ArtifactCacheTest, RebalanceSkipsCachesHoldingOnlyTheirProjection) {
+  // Cache A's only charge is its session-owned projection, which Clear()
+  // keeps; cache B holds a skyline and a net over the budget. Evicting A
+  // would free nothing, so Rebalance(B) must leave A alone, clear B, and
+  // count exactly that one eviction.
+  const Instance inst = MakeInstance();
+  CacheArbiter arbiter(/*budget_bytes=*/8192);
+  ArtifactCache a, b;
+  int a_clears = 0, b_clears = 0;
+  arbiter.Register(&a, "a", [&] {
+    ++a_clears;
+    a.Clear();
+  });
+  arbiter.Register(&b, "b", [&] {
+    ++b_clears;
+    b.Clear();
+  });
+  a.AccountProjection(/*hit=*/false, 4096);
+  arbiter.Touch(&a);
+  Rng rng(1);
+  (void)GetOrSampleNet(&b, 3, 512, &rng);
+  (void)GetOrComputeSkyline(&b, inst.data);
+  arbiter.Touch(&b);
+  ASSERT_GT(arbiter.total_bytes(), arbiter.budget_bytes());
+
+  arbiter.Rebalance(&b);
+  EXPECT_EQ(a_clears, 0);
+  EXPECT_EQ(b_clears, 1);
+  EXPECT_EQ(arbiter.evictions(), 1u);
+  EXPECT_EQ(arbiter.total_bytes(), 4096u);
+
+  // Over budget on pinned bytes alone: nothing is left to evict.
+  a.AccountProjection(/*hit=*/false, 8192);
+  arbiter.Rebalance();
+  EXPECT_EQ(a_clears, 0);
+  EXPECT_EQ(arbiter.evictions(), 1u);
+  arbiter.Unregister(&a);
+  arbiter.Unregister(&b);
 }
 
 }  // namespace

@@ -14,7 +14,8 @@ namespace fairhms {
 namespace {
 
 using testing::MakeDataset;
-using testing::RoundUpReference;
+using testing::CellUpReference;
+using testing::CellValueReference;
 
 TEST(NetEvaluatorTest, BestAndHappinessOnAxes) {
   const Dataset data = MakeDataset({{1, 0}, {0, 1}, {0.5, 0.5}});
@@ -57,7 +58,7 @@ TEST(NetEvaluatorTest, MhrMonotoneInSubset) {
 }
 
 TEST(NetEvaluatorTest, CachedRowsMatchUncached) {
-  // Every cached cell is the smallest float >= the exact happiness, and
+  // Every cached cell is ceil(h * 2^15) for the exact happiness h, and
   // caching changes nothing computed: PointHappinessRow stays exact.
   Rng rng(7);
   const Dataset data = GenIndependent(40, 4, &rng);
@@ -73,18 +74,18 @@ TEST(NetEvaluatorTest, CachedRowsMatchUncached) {
   eval.CacheCandidates(all);
   std::vector<double> after(net.size());
   for (int row : all) {
-    const float* cached = eval.cached_row(row);
+    const simd::Cell* cached = eval.cached_row(row);
     ASSERT_NE(cached, nullptr);
     eval.PointHappinessRow(row, after.data());
     for (size_t j = 0; j < net.size(); ++j) {
       const double h = uncached[static_cast<size_t>(row)][j];
-      ASSERT_EQ(cached[j], RoundUpReference(h)) << "row " << row << " j " << j;
-      ASSERT_GE(static_cast<double>(cached[j]), h);
+      ASSERT_EQ(cached[j], CellUpReference(h)) << "row " << row << " j " << j;
+      ASSERT_GE(CellValueReference(cached[j]), h);
       ASSERT_EQ(after[j], h);
     }
   }
   EXPECT_EQ(eval.CandidateCacheBytes(),
-            40 * net.size() * sizeof(float) + 40 * sizeof(int64_t));
+            40 * net.size() * sizeof(simd::Cell) + 40 * sizeof(int64_t));
 }
 
 TEST(NetEvaluatorTest, CacheSkippedWhenOverBudget) {
@@ -183,7 +184,7 @@ TEST(TruncatedMhrStateTest, SubmodularityProperty) {
 
 TEST(TruncatedMhrStateTest, GainBoundIsAtLeastExactGain) {
   // Cached rows (the even ones) bound the exact gain from above; uncached
-  // rows have no float row, so their bound is the exact gain itself. No
+  // rows have no cached row, so their bound is the exact gain itself. No
   // bound exceeds GainCap, the gain of a point happy everywhere.
   for (uint64_t seed : {29u, 31u, 37u}) {
     Rng rng(seed);

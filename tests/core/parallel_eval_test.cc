@@ -62,11 +62,11 @@ TEST(ParallelEvalTest, CacheCandidatesIsBitIdentical) {
     NetEvaluator parallel(&data, &net, sky, threads);
     parallel.CacheCandidates(sky);
     for (int row : sky) {
-      const float* a = serial.cached_row(row);
-      const float* b = parallel.cached_row(row);
+      const simd::Cell* a = serial.cached_row(row);
+      const simd::Cell* b = parallel.cached_row(row);
       ASSERT_NE(a, nullptr);
       ASSERT_NE(b, nullptr);
-      ASSERT_EQ(std::memcmp(a, b, net.size() * sizeof(float)), 0)
+      ASSERT_EQ(std::memcmp(a, b, net.size() * sizeof(simd::Cell)), 0)
           << "row " << row << " at " << threads << " threads";
     }
   }

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/simd.h"
 #include "data/dataset.h"
 #include "data/grouping.h"
 #include "geom/dominance.h"
@@ -43,15 +44,14 @@ inline std::string UniqueTempPath(const std::string& stem) {
   return dir + name;
 }
 
-/// The candidate cache's rounding rule, spelled independently of the
-/// kernels: the nearest float, moved toward +inf when it landed below h,
-/// i.e. the smallest float >= h.
-inline float RoundUpReference(double h) {
-  const float f = static_cast<float>(h);
-  return static_cast<double>(f) < h
-             ? std::nextafter(f, std::numeric_limits<float>::infinity())
-             : f;
+/// The candidate cache's cell rule, spelled independently of the kernels:
+/// ceil(h * 2^15), the smallest 16-bit fixed-point value >= h.
+inline simd::Cell CellUpReference(double h) {
+  return static_cast<simd::Cell>(std::ceil(std::ldexp(h, 15)));
 }
+
+/// The happiness a cell stands for: q * 2^-15.
+inline double CellValueReference(simd::Cell q) { return std::ldexp(q, -15); }
 
 /// Builds a dataset from a point list.
 inline Dataset MakeDataset(const std::vector<std::vector<double>>& pts) {
