@@ -10,14 +10,14 @@
 //     from the file without a single dominance test, then the same sweep
 //     through the catalog.
 //
-// Emits the machine-readable CSV tools/bench_to_json consumes; `threads`
-// encodes the pass — 1 = cold, 2 = restore (see the pass1/pass2 config
-// keys) — so the restore row's "speedup" is the cold/restore factor, and
-// the checksum gate doubles as the restored-state bit-identity guarantee
-// (every query result plus the full skyline-index state is digested).
+// Ops `warm_start` (the bring-up) and `query` (the sweep) in passes `cold`
+// and `restore`. Both passes share one checksum over every query result
+// plus the full skyline-index state, so the CSV doubles as the
+// restored-state bit-identity check.
 //
 //   bench_snapshot --n=10000 --dim=6 --groups=4 |
-//     bench_to_json --out=BENCH_snapshot.json --min_speedup=warm_start:2:10.0
+//     bench_to_json --out=BENCH_snapshot.json
+//       --gate='warm_start:restore/cold>=10'
 
 #include <cstdio>
 #include <string>
@@ -30,7 +30,6 @@
 #include "common/random.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "data/csv.h"
 #include "data/generators.h"
 #include "data/grouping.h"
@@ -41,73 +40,43 @@
 namespace fairhms {
 namespace {
 
-/// Serial, order-fixed digest (same contract as the other bench harnesses).
-std::string Digest(const std::vector<double>& values) {
-  double sum = 0.0;
-  double alt = 0.0;
-  for (size_t i = 0; i < values.size(); ++i) {
-    sum += values[i];
-    alt += values[i] * static_cast<double>((i % 64) + 1);
-  }
-  return StrFormat("%.17g|%.17g", sum, alt);
-}
-
-/// Folds one query's outcome into the digest.
-void Fold(const SolverResult& result, std::vector<double>* digest) {
-  digest->push_back(static_cast<double>(result.solution.rows.size()));
-  for (int row : result.solution.rows) {
-    digest->push_back(static_cast<double>(row));
-  }
-  digest->push_back(result.solution.mhr);
-  digest->push_back(static_cast<double>(result.violations));
-}
-
 /// Folds the complete maintained skyline-index state, so the checksum also
 /// certifies what the snapshot carried — not just results computed from it.
-void FoldIndexState(const SkylineIndex& index, std::vector<double>* digest) {
+void FoldIndexState(const SkylineIndex& index, bench::Digest* digest) {
   const SkylineIndexState state = index.SaveState();
-  for (int r : state.global.skyline) digest->push_back(r);
+  for (int r : state.global.skyline) digest->Add(r);
   for (const auto& [row, by] : state.global.dominated) {
-    digest->push_back(static_cast<double>(row));
-    digest->push_back(static_cast<double>(by));
+    digest->Add(static_cast<double>(row));
+    digest->Add(static_cast<double>(by));
   }
   for (const IncrementalSkylineState& g : state.per_group) {
-    digest->push_back(static_cast<double>(g.skyline.size()));
-    for (int r : g.skyline) digest->push_back(r);
-    digest->push_back(static_cast<double>(g.dominated.size()));
+    digest->Add(static_cast<double>(g.skyline.size()));
+    for (int r : g.skyline) digest->Add(r);
+    digest->Add(static_cast<double>(g.dominated.size()));
   }
 }
 
 int Run(int argc, char** argv) {
   const cli::Flags flags(argc, argv);
+  bench::Harness harness(flags, "snapshot");
   const size_t n = static_cast<size_t>(flags.GetInt("n", 10000));
   const int dim = flags.GetInt("dim", 6);
   const int groups = flags.GetInt("groups", 4);
   const double alpha = flags.GetDouble("alpha", 0.2);
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt64("seed", 42));
-  const int threads = flags.GetInt("solver_threads", 1);
-  const std::string algos_flag = flags.GetString("algos", "intcov,g_greedy");
-  const std::string ks_flag = flags.GetString("ks", "6,10,14");
   const std::string work_dir = flags.GetString("work_dir", ".");
-  if (!bench::CheckFlags(flags, "bench_snapshot")) return 1;
-
-  std::vector<std::string> algos;
-  for (const std::string& a : Split(algos_flag, ',')) {
-    algos.push_back(std::string(Trim(a)));
-  }
-  std::vector<int> ks;
-  for (const std::string& t : Split(ks_flag, ',')) {
-    int64_t v = 0;
-    if (!ParseInt64(Trim(t), &v) || v < 1) {
-      std::fprintf(stderr, "bad --ks entry '%s'\n", t.c_str());
-      return 1;
-    }
-    ks.push_back(static_cast<int>(v));
+  const std::vector<std::string> algos =
+      harness.Strings("algos", "intcov,g_greedy");
+  const std::vector<int> ks = harness.Ints("ks", "6,10,14");
+  if (!harness.Start(StrFormat("n=%zu dim=%d groups=%d alpha=%g seed=%llu",
+                               n, dim, groups, alpha,
+                               static_cast<unsigned long long>(seed)))) {
+    return 1;
   }
   const std::string csv_path = work_dir + "/bench_snapshot_data.csv";
   const std::string snap_path = work_dir + "/bench_snapshot_state.snap";
 
-  // ---- Setup (untimed): the on-disk CSV a fresh process would ingest.
+  // Setup (untimed): the on-disk CSV a fresh process would ingest.
   {
     Rng rng(seed);
     const Dataset generated = GenIndependent(n, dim, &rng).NormalizedMinMax();
@@ -117,146 +86,77 @@ int Run(int argc, char** argv) {
     }
   }
 
-  std::fprintf(stdout,
-               "# bench=snapshot pass1=cold_ingest pass2=snapshot_restore "
-               "n=%zu dim=%d groups=%d ks=%s alpha=%g algos=%s "
-               "solver_threads=%d seed=%llu hardware_threads=%d\n",
-               n, dim, groups, ks_flag.c_str(), alpha, algos_flag.c_str(),
-               threads, static_cast<unsigned long long>(seed),
-               HardwareThreads());
-  std::fprintf(stdout, "op,threads,ms,checksum\n");
-
-  auto make_request = [&](const Grouping& grouping, const Dataset& data,
-                          const std::string& algo, int k) {
-    SolverRequest request;
-    request.bounds =
-        GroupBounds::Proportional(k, grouping.LiveCounts(data), alpha);
-    request.algorithm = algo;
-    request.seed = seed;
-    request.threads = threads;
-    return request;
+  // Serves the sweep through `solve`, timed as `query`, then folds the
+  // session's skyline-index state into the digest.
+  auto sweep = [&](const SolverSession& session, auto&& solve,
+                   bench::Rep& rep) -> StatusOr<std::string> {
+    bench::Digest digest;
+    for (const std::string& algo : algos) {
+      for (int k : ks) {
+        SolverRequest request;
+        request.bounds = GroupBounds::Proportional(
+            k, session.grouping().LiveCounts(session.data()), alpha);
+        request.algorithm = algo;
+        request.seed = seed;
+        request.threads = 1;
+        Stopwatch timer;
+        StatusOr<SolverResult> result = solve(request);
+        if (!result.ok()) return result.status();
+        rep.Add("query", timer.ElapsedMillis());
+        digest.AddResult(*result);
+      }
+    }
+    FoldIndexState(*session.index(), &digest);
+    return digest.str();
   };
 
-  // ---- Pass 1: cold — CSV ingest + grouping + skyline-index build. ----
-  double cold_start_ms = 0.0;
-  double cold_query_ms = 0.0;
-  std::vector<double> cold_digest;
-  Dataset cold_data(1);
-  Grouping cold_grouping;
-  {
+  // Cold: CSV ingest + grouping + skyline-index build, then the sweep and
+  // an untimed save of the full serving state for the restore pass.
+  auto cold = [&](bench::Rep& rep) -> StatusOr<std::string> {
     Stopwatch start_timer;
     CsvReadOptions opts;
     {
-      // A real restart knows its schema; reading the header for the
-      // column list is part of the ingest it pays.
+      // A real restart knows its schema.
       Rng rng(seed);
-      opts.numeric_columns =
-          GenIndependent(1, dim, &rng).attr_names();
+      opts.numeric_columns = GenIndependent(1, dim, &rng).attr_names();
     }
-    auto read = ReadCsv(csv_path, opts);
-    if (!read.ok()) {
-      std::fprintf(stderr, "read csv: %s\n", read.status().ToString().c_str());
-      return 1;
-    }
-    cold_data = std::move(*read);
-    cold_grouping = GroupBySumRank(cold_data, groups);
-    auto session = SolverSession::CreateDynamic(&cold_data, &cold_grouping);
-    if (!session.ok()) {
-      std::fprintf(stderr, "session: %s\n",
-                   session.status().ToString().c_str());
-      return 1;
-    }
-    if (Status st = session->EnsureIndex(); !st.ok()) {
-      std::fprintf(stderr, "index build: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    cold_start_ms = start_timer.ElapsedMillis();
+    StatusOr<Dataset> data = ReadCsv(csv_path, opts);
+    if (!data.ok()) return data.status();
+    Grouping grouping = GroupBySumRank(*data, groups);
+    auto session = SolverSession::CreateDynamic(&*data, &grouping);
+    if (!session.ok()) return session.status();
+    if (Status st = session->EnsureIndex(); !st.ok()) return st;
+    rep.Add("warm_start", start_timer.ElapsedMillis());
 
-    for (const std::string& algo : algos) {
-      for (int k : ks) {
-        Stopwatch query_timer;
-        auto result = session->Solve(
-            make_request(cold_grouping, cold_data, algo, k));
-        if (!result.ok()) {
-          std::fprintf(stderr, "cold query (%s, k=%d): %s\n", algo.c_str(), k,
-                       result.status().ToString().c_str());
-          return 1;
-        }
-        cold_query_ms += query_timer.ElapsedMillis();
-        Fold(*result, &cold_digest);
-      }
-    }
-    FoldIndexState(*session->index(), &cold_digest);
-
-    // Untimed: persist the cold session's full serving state.
+    auto checksum = sweep(
+        *session, [&](const SolverRequest& r) { return session->Solve(r); },
+        rep);
+    if (!checksum.ok()) return checksum;
     auto snapshot = SnapshotSession(&*session);
-    if (!snapshot.ok()) {
-      std::fprintf(stderr, "snapshot: %s\n",
-                   snapshot.status().ToString().c_str());
-      return 1;
-    }
+    if (!snapshot.ok()) return snapshot.status();
     if (Status st = WriteSnapshotFile(*snapshot, snap_path); !st.ok()) {
-      std::fprintf(stderr, "write snapshot: %s\n", st.ToString().c_str());
-      return 1;
+      return st;
     }
-  }
+    return checksum;
+  };
 
-  // ---- Pass 2: restore — catalog warm-start from the snapshot file. ---
-  double restore_ms = 0.0;
-  double restore_query_ms = 0.0;
-  std::vector<double> restore_digest;
-  {
+  // Restore: DatasetCatalog::Load of that file, then the same sweep
+  // through the catalog.
+  auto restore = [&](bench::Rep& rep) -> StatusOr<std::string> {
     DatasetCatalog catalog;
     Stopwatch restore_timer;
-    if (Status st = catalog.Load("bench", snap_path); !st.ok()) {
-      std::fprintf(stderr, "restore: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    restore_ms = restore_timer.ElapsedMillis();
-
+    if (Status st = catalog.Load("bench", snap_path); !st.ok()) return st;
+    rep.Add("warm_start", restore_timer.ElapsedMillis());
     auto session = catalog.Session("bench");
-    if (!session.ok()) {
-      std::fprintf(stderr, "restored session: %s\n",
-                   session.status().ToString().c_str());
-      return 1;
-    }
-    for (const std::string& algo : algos) {
-      for (int k : ks) {
-        Stopwatch query_timer;
-        auto result = catalog.Solve(
-            "bench",
-            make_request((*session)->grouping(), (*session)->data(), algo, k));
-        if (!result.ok()) {
-          std::fprintf(stderr, "restored query (%s, k=%d): %s\n", algo.c_str(),
-                       k, result.status().ToString().c_str());
-          return 1;
-        }
-        restore_query_ms += query_timer.ElapsedMillis();
-        Fold(*result, &restore_digest);
-      }
-    }
-    FoldIndexState(*(*session)->index(), &restore_digest);
-  }
-
-  std::fprintf(stderr,
-               "cold: ingest+build %.1f ms, queries %.1f ms; restore: "
-               "%.1f ms, queries %.1f ms (%.1fx warm-start)\n",
-               cold_start_ms, cold_query_ms, restore_ms, restore_query_ms,
-               restore_ms > 0.0 ? cold_start_ms / restore_ms : 0.0);
-
-  auto emit = [](const char* op, int pass, double ms,
-                 const std::vector<double>& digest) {
-    std::fprintf(stdout, "%s,%d,%.3f,%s\n", op, pass, ms,
-                 Digest(digest).c_str());
+    if (!session.ok()) return session.status();
+    return sweep(
+        **session,
+        [&](const SolverRequest& r) { return catalog.Solve("bench", r); },
+        rep);
   };
-  // Both passes share the full digest: a restored state that diverges
-  // anywhere — query rows, mhr, violations, or any skyline-index entry —
-  // trips bench_to_json's checksum gate on every series at once.
-  emit("warm_start", 1, cold_start_ms, cold_digest);
-  emit("warm_start", 2, restore_ms, restore_digest);
-  emit("query", 1, cold_query_ms, cold_digest);
-  emit("query", 2, restore_query_ms, restore_digest);
-  return 0;
+  const bool ok =
+      harness.Pass("cold", 1, cold) && harness.Pass("restore", 1, restore);
+  return ok ? 0 : 1;
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Shared infrastructure for the paper-reproduction bench harnesses.
+// Shared infrastructure for the bench binaries.
 //
-// Each bench binary regenerates one table or figure of the paper: it builds
-// the dataset cases (statistical replicas; load the real CSVs via data/csv.h
-// if you have them), runs the algorithm roster, and prints the same
-// rows/series the paper reports. Pass --full for paper-scale extremes
+// The paper benches each regenerate one table or figure of the paper: they
+// build the dataset cases (statistical replicas; load the real CSVs via
+// data/csv.h if you have them), run the algorithm roster, and print the
+// same rows/series the paper reports. Pass --full for paper-scale extremes
 // (larger n / d); defaults keep every binary in the seconds-to-minutes
-// range.
+// range. The perf benches time named passes through the Harness below.
 
 #ifndef FAIRHMS_BENCH_BENCH_UTIL_H_
 #define FAIRHMS_BENCH_BENCH_UTIL_H_
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "api/solver.h"
 #include "cli_util.h"
 #include "common/statusor.h"
 #include "core/solution.h"
@@ -37,6 +38,89 @@ bool CheckFlags(const cli::Flags& flags, const char* prog);
 /// tokens for a "# bench=..." line: "capacity_x1=1.00 capacity_x2=1.97
 /// capacity_x4=3.81".
 std::string CapacityProbe();
+
+// ---------------------------------------------------------------------------
+// The pass harness shared by the perf benches (bench_kernel,
+// bench_session_amortization, bench_dynamic_updates, bench_snapshot). A
+// scenario is a setup, named passes and a checksum: every pass of an op
+// computes the same answer a different way, so every row of an op must
+// carry the same checksum. Output, read by tools/bench_to_json:
+//
+//   # bench=kernel n=10000 ... reps=5 simd=avx2 capacity_x1=1.00 ...
+//   op,pass,threads,reps,ms_min,ms_median,ms_p90,checksum
+//   cache_fill,legacy,1,5,215.546,231.477,240.112,6.25e+06|1.6e+08
+
+/// Serial, order-fixed digest of a value sequence: bit-identical values
+/// digest to the same string however they were computed, and the
+/// position-weighted companion sum catches reorderings.
+class Digest {
+ public:
+  void Add(double v) {
+    sum_ += v;
+    alt_ += v * static_cast<double>((count_++ % 64) + 1);
+  }
+  template <typename T>
+  void Add(const T* values, size_t count) {
+    for (size_t i = 0; i < count; ++i) Add(static_cast<double>(values[i]));
+  }
+  /// Folds a solve's selected rows, its own mhr and its violation count.
+  void AddResult(const SolverResult& result);
+  std::string str() const;
+
+ private:
+  double sum_ = 0.0;
+  double alt_ = 0.0;
+  size_t count_ = 0;
+};
+
+/// The wall times one repetition of a pass recorded, by op.
+class Rep {
+ public:
+  /// Adds `ms` to `op`'s time in this repetition.
+  void Add(const std::string& op, double ms);
+
+ private:
+  friend class Harness;
+  std::vector<std::pair<std::string, double>> ms_;  ///< First-seen order.
+};
+
+class Harness {
+ public:
+  /// One repetition of a pass: records its timed sections on `rep` and
+  /// returns the checksum of what it computed. An error stops the bench.
+  using Body = std::function<StatusOr<std::string>(Rep& rep)>;
+
+  /// Reads --reps (default 3) from `flags`; `name` is the "# bench=" key.
+  Harness(const cli::Flags& flags, std::string name);
+
+  /// --key as a non-empty comma-separated list, `def` when absent. Int
+  /// entries must be >= 1 and double entries >= 0; a bad list fails
+  /// Start().
+  std::vector<std::string> Strings(const std::string& key,
+                                   const std::string& def);
+  std::vector<int> Ints(const std::string& key, const std::string& def);
+  std::vector<double> Doubles(const std::string& key, const std::string& def);
+
+  /// Ends flag parsing like CheckFlags and refuses --reps < 1, then prints
+  /// the config line ("# bench=<name> <config> reps=R simd=<level>" plus
+  /// CapacityProbe()) and the CSV header. False: the bench must exit 1.
+  bool Start(const std::string& config);
+
+  /// Runs `body` --reps times as `pass` at `threads` threads and prints
+  /// one row per op it timed. False, with the reason on stderr, when the
+  /// body fails or times nothing, or two repetitions disagree on the ops
+  /// or the checksum.
+  bool Pass(const std::string& pass, int threads, const Body& body);
+
+ private:
+  /// Records the first bad flag value; Start() reports it.
+  void Refuse(const std::string& message);
+
+  const cli::Flags& flags_;
+  std::string name_;
+  int reps_;
+  Status error_;
+};
 
 /// One benchmark instance: normalized data + grouping + labels.
 struct DatasetCase {

@@ -1,21 +1,27 @@
-// bench_to_json: turns bench_parallel_eval's CSV into the speedup report
-// BENCH_parallel_eval.json tracked by CI, and gates on two regressions:
+// bench_to_json: turns a pass bench's CSV (bench/bench_util.h's Harness)
+// into its BENCH_<name>.json report, and gates on it:
 //
-//   * determinism — every op's checksum must be byte-identical across
-//     thread counts (exit 2 otherwise);
-//   * throughput — each --min_speedup=op:threads:factor entry must hold
-//     against the op's 1-thread baseline (exit 1 otherwise).
+//   * identity — every row of an op must carry the same checksum, since
+//     each pass computes the same answer a different way (exit 2; the
+//     report is still written);
+//   * speed — each --gate=op:pass[@t]/pass[@t]>=x must hold, where the
+//     ratio is ms_min(right) / ms_min(left) and @t defaults to @1 (exit 1;
+//     the report is still written).
 //
-// A row may carry a fifth column, the median over the bench's repetitions
-// (`ms` is their minimum); it is echoed as "ms_median" and not gated.
+// Malformed input exits 1 without writing a report: a row that is not
+// op,pass,threads,reps,ms_min,ms_median,ms_p90,checksum with threads and
+// reps >= 1, times >= 0 and a non-empty checksum; a duplicate (op, pass,
+// threads) row; or a gate whose either side names no row.
 //
-//   bench_parallel_eval --threads=1,2,4 |
-//       bench_to_json --out=BENCH_parallel_eval.json
-//                     --min_speedup=mhr_sweep:4:1.5
+//   bench_kernel --threads=1,2,4 |
+//     bench_to_json --out=BENCH_kernel.json
+//       --gate='cache_fill:simd/legacy>=3,mhr_sweep:simd@4/simd@1>=1.5'
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -29,23 +35,65 @@
 namespace fairhms {
 namespace {
 
-struct Entry {
+struct Row {
+  std::string pass;
   int threads = 0;
-  double ms = 0.0;
+  int reps = 0;
+  double ms_min = 0.0;
+  double ms_median = 0.0;
+  double ms_p90 = 0.0;
   std::string checksum;
-  double ms_median = -1.0;  ///< Optional fifth column; < 0 when absent.
 };
 
-struct OpSeries {
-  std::string op;
-  std::vector<Entry> entries;  ///< Input order (thread grid order).
+struct Op {
+  std::string name;
+  std::vector<Row> rows;  ///< Input order.
+  bool consistent = true;
 };
 
-int Fail(const char* fmt, const std::string& arg) {
-  std::fprintf(stderr, "bench_to_json: ");
-  std::fprintf(stderr, fmt, arg.c_str());
-  std::fprintf(stderr, "\n");
+struct Gate {
+  std::string spec;
+  double ratio = 0.0;
+  bool ok = false;
+};
+
+int Fail(const std::string& message) {
+  std::fprintf(stderr, "bench_to_json: %s\n", message.c_str());
   return 1;
+}
+
+/// Parses "op,pass,threads,reps,ms_min,ms_median,ms_p90,checksum".
+bool ParseRow(const std::vector<std::string>& cells, Row* row) {
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  int64_t threads = 0;
+  int64_t reps = 0;
+  if (cells.size() != 8 || cells[0].empty() || cells[1].empty() ||
+      cells[7].empty() || !ParseInt64(cells[2], &threads) ||
+      !ParseInt64(cells[3], &reps) || threads < 1 || threads > kIntMax ||
+      reps < 1 || reps > kIntMax || !ParseDouble(cells[4], &row->ms_min) ||
+      !ParseDouble(cells[5], &row->ms_median) ||
+      !ParseDouble(cells[6], &row->ms_p90)) {
+    return false;
+  }
+  row->pass = cells[1];
+  row->threads = static_cast<int>(threads);
+  row->reps = static_cast<int>(reps);
+  row->checksum = cells[7];
+  return row->ms_min >= 0.0 && row->ms_median >= 0.0 && row->ms_p90 >= 0.0;
+}
+
+/// The row "pass[@t]" names within `op`, or null.
+const Row* FindRow(const Op& op, const std::string& side) {
+  const auto parts = Split(side, '@');
+  int64_t threads = 1;
+  if (parts.size() > 2 ||
+      (parts.size() == 2 && !ParseInt64(parts[1], &threads))) {
+    return nullptr;
+  }
+  for (const Row& row : op.rows) {
+    if (row.pass == parts[0] && row.threads == threads) return &row;
+  }
+  return nullptr;
 }
 
 int Run(int argc, char** argv) {
@@ -53,37 +101,37 @@ int Run(int argc, char** argv) {
   if (flags.Has("help")) {
     std::fputs(
         "bench_to_json --in=FILE|- --out=FILE "
-        "[--min_speedup=op:threads:factor,...]\n"
-        "Reads bench CSV (op,threads,ms,checksum[,ms_median]), writes a\n"
-        "JSON speedup report.\n"
-        "Exits 1 on an unmet --min_speedup, 2 on a checksum mismatch\n"
-        "(determinism regression across thread counts).\n",
+        "[--gate=op:pass[@t]/pass[@t]>=x,...]\n"
+        "Reads a pass bench's CSV (op,pass,threads,reps,ms_min,ms_median,\n"
+        "ms_p90,checksum) and writes its JSON report. A gate holds when\n"
+        "ms_min(right) / ms_min(left) >= x; @t defaults to @1.\n"
+        "Exits 1 on malformed input (no report) or an unmet gate, 2 when\n"
+        "two rows of an op disagree on the checksum.\n",
         stdout);
     return 0;
   }
-
   const std::string in_path = flags.GetString("in", "-");
-  const std::string out_path = flags.GetString("out", "BENCH_parallel_eval.json");
-  const std::vector<std::string> gates = flags.GetList("min_speedup");
+  const std::string out_path = flags.GetString("out", "BENCH.json");
+  const std::vector<std::string> gate_specs = flags.GetList("gate");
   if (Status st = flags.Finish("bench_to_json"); !st.ok()) {
-    return Fail("%s", st.ToString());
+    return Fail(st.ToString());
   }
 
   std::ifstream file;
   if (in_path != "-") {
     file.open(in_path);
-    if (!file) return Fail("cannot open --in=%s", in_path);
+    if (!file) return Fail("cannot open --in=" + in_path);
   }
   std::istream& in = in_path == "-" ? std::cin : file;
 
   std::map<std::string, std::string> config;
-  std::vector<OpSeries> series;
+  std::vector<Op> ops;
   std::string line;
   while (std::getline(in, line)) {
     const std::string_view trimmed = Trim(line);
     if (trimmed.empty()) continue;
     if (trimmed.front() == '#') {
-      // "# bench=parallel_eval n=10000 dim=6 ..." -> config map.
+      // "# bench=kernel n=10000 dim=6 ..." -> config map.
       for (const std::string& kv : Split(trimmed.substr(1), ' ')) {
         const auto parts = Split(kv, '=');
         if (parts.size() == 2 && !parts[0].empty()) {
@@ -93,67 +141,74 @@ int Run(int argc, char** argv) {
       continue;
     }
     const auto cells = Split(trimmed, ',');
-    if (cells.size() != 4 && cells.size() != 5) {
-      return Fail("malformed CSV line: %s", line);
+    if (!cells.empty() && cells[0] == "op") continue;  // Header.
+    Row row;
+    if (!ParseRow(cells, &row)) return Fail("malformed CSV row: " + line);
+    Op* op = nullptr;
+    for (Op& existing : ops) {
+      if (existing.name == cells[0]) op = &existing;
     }
-    if (cells[0] == "op") continue;  // Header.
-    Entry e;
-    int64_t threads = 0;
-    if (!ParseInt64(cells[1], &threads) || threads < 1 ||
-        !ParseDouble(cells[2], &e.ms)) {
-      return Fail("malformed CSV line: %s", line);
+    if (op == nullptr) {
+      ops.push_back({cells[0], {}, true});
+      op = &ops.back();
     }
-    e.threads = static_cast<int>(threads);
-    e.checksum = cells[3];
-    if (cells.size() == 5 && !ParseDouble(cells[4], &e.ms_median)) {
-      return Fail("malformed CSV line: %s", line);
-    }
-    OpSeries* s = nullptr;
-    for (OpSeries& existing : series) {
-      if (existing.op == cells[0]) s = &existing;
-    }
-    if (s == nullptr) {
-      series.push_back({cells[0], {}});
-      s = &series.back();
-    }
-    s->entries.push_back(std::move(e));
-  }
-  if (series.empty()) return Fail("no data rows in %s", in_path);
-
-  // Baselines and the determinism gate (consistency tracked per op).
-  std::map<std::string, double> baseline_ms;
-  std::map<std::string, bool> op_consistent;
-  bool checksums_ok = true;
-  for (const OpSeries& s : series) {
-    op_consistent[s.op] = true;
-    for (const Entry& e : s.entries) {
-      if (e.threads == 1) baseline_ms[s.op] = e.ms;
-      if (e.checksum != s.entries.front().checksum) {
-        std::fprintf(stderr,
-                     "bench_to_json: DETERMINISM REGRESSION: op %s checksum "
-                     "at %d threads (%s) differs from %d threads (%s)\n",
-                     s.op.c_str(), e.threads, e.checksum.c_str(),
-                     s.entries.front().threads,
-                     s.entries.front().checksum.c_str());
-        op_consistent[s.op] = false;
-        checksums_ok = false;
+    for (const Row& seen : op->rows) {
+      if (seen.pass == row.pass && seen.threads == row.threads) {
+        return Fail("duplicate row: " + line);
       }
     }
-    if (baseline_ms.find(s.op) == baseline_ms.end()) {
-      return Fail("op %s has no 1-thread baseline row", s.op);
+    op->rows.push_back(std::move(row));
+  }
+  if (ops.empty()) return Fail("no data rows in " + in_path);
+
+  // Gates: "op:left/right>=x", every side naming an existing row.
+  std::vector<Gate> gates;
+  for (const std::string& spec : gate_specs) {
+    const size_t colon = spec.find(':');
+    const size_t slash = spec.find('/');
+    const size_t ge = spec.find(">=");
+    double want = 0.0;
+    if (colon == std::string::npos || slash == std::string::npos ||
+        ge == std::string::npos || !(colon < slash && slash < ge) ||
+        !ParseDouble(spec.substr(ge + 2), &want)) {
+      return Fail("malformed --gate '" + spec + "'");
+    }
+    const std::string name = spec.substr(0, colon);
+    const Row* left = nullptr;
+    const Row* right = nullptr;
+    for (const Op& op : ops) {
+      if (op.name != name) continue;
+      left = FindRow(op, spec.substr(colon + 1, slash - colon - 1));
+      right = FindRow(op, spec.substr(slash + 1, ge - slash - 1));
+    }
+    if (left == nullptr || right == nullptr) {
+      return Fail("--gate '" + spec + "' names a missing row");
+    }
+    // Times below the CSV's 0.001 ms resolution count as 0.001 ms.
+    const double ratio = right->ms_min / std::max(left->ms_min, 1e-3);
+    gates.push_back({spec, ratio, ratio >= want});
+  }
+
+  // Identity: every row of an op against its first.
+  bool identical = true;
+  for (Op& op : ops) {
+    const Row& first = op.rows.front();
+    for (const Row& row : op.rows) {
+      if (row.checksum == first.checksum) continue;
+      std::fprintf(stderr,
+                   "bench_to_json: CHECKSUM MISMATCH: op %s pass %s@%d (%s) "
+                   "differs from %s@%d (%s)\n",
+                   op.name.c_str(), row.pass.c_str(), row.threads,
+                   row.checksum.c_str(), first.pass.c_str(), first.threads,
+                   first.checksum.c_str());
+      op.consistent = false;
+      identical = false;
     }
   }
 
-  auto speedup_of = [&](const OpSeries& s, const Entry& e) {
-    return e.ms > 0.0 ? baseline_ms[s.op] / e.ms : 0.0;
-  };
-
-  // The bench names itself via the "# bench=..." config key; default kept
-  // for CSVs from older harness versions.
-  const std::string bench_name =
-      config.count("bench") ? config.at("bench") : "parallel_eval";
   std::ostringstream json;
-  json << "{\n  \"bench\": \"" << JsonEscape(bench_name)
+  json << "{\n  \"bench\": \""
+       << JsonEscape(config.count("bench") ? config.at("bench") : "")
        << "\",\n  \"config\": {";
   bool first = true;
   for (const auto& [key, value] : config) {
@@ -162,61 +217,45 @@ int Run(int argc, char** argv) {
     first = false;
   }
   json << "},\n  \"ops\": [\n";
-  for (size_t si = 0; si < series.size(); ++si) {
-    const OpSeries& s = series[si];
-    json << "    {\"op\": \"" << JsonEscape(s.op)
+  for (size_t i = 0; i < ops.size(); ++i) {
+    json << "    {\"op\": \"" << JsonEscape(ops[i].name)
          << "\", \"checksum_consistent\": "
-         << (op_consistent[s.op] ? "true" : "false") << ", \"results\": [";
-    for (size_t i = 0; i < s.entries.size(); ++i) {
-      const Entry& e = s.entries[i];
-      json << (i == 0 ? "" : ", ")
-           << StrFormat("{\"threads\": %d, \"ms\": %.3f", e.threads, e.ms);
-      if (e.ms_median >= 0.0) {
-        json << StrFormat(", \"ms_median\": %.3f", e.ms_median);
-      }
-      json << StrFormat(", \"speedup\": %.3f}", speedup_of(s, e));
+         << (ops[i].consistent ? "true" : "false") << ", \"rows\": [";
+    for (size_t r = 0; r < ops[i].rows.size(); ++r) {
+      const Row& row = ops[i].rows[r];
+      json << (r == 0 ? "\n" : ",\n")
+           << StrFormat("      {\"pass\": \"%s\", \"threads\": %d, "
+                        "\"reps\": %d, \"ms_min\": %.3f, \"ms_median\": %.3f, "
+                        "\"ms_p90\": %.3f}",
+                        JsonEscape(row.pass).c_str(), row.threads, row.reps,
+                        row.ms_min, row.ms_median, row.ms_p90);
     }
-    json << "]}" << (si + 1 < series.size() ? "," : "") << "\n";
+    json << "]}" << (i + 1 < ops.size() ? "," : "") << "\n";
   }
-  json << "  ]\n}\n";
+  json << "  ],\n  \"gates\": [";
+  for (size_t i = 0; i < gates.size(); ++i) {
+    json << (i == 0 ? "\n" : ",\n")
+         << StrFormat("    {\"gate\": \"%s\", \"ratio\": %.3f, \"ok\": %s}",
+                      JsonEscape(gates[i].spec).c_str(), gates[i].ratio,
+                      gates[i].ok ? "true" : "false");
+  }
+  json << (gates.empty() ? "]\n}\n" : "\n  ]\n}\n");
 
   std::ofstream out(out_path);
-  if (!out) return Fail("cannot write --out=%s", out_path);
+  if (!out) return Fail("cannot write --out=" + out_path);
   out << json.str();
   out.close();
   std::fprintf(stderr, "bench_to_json: wrote %s (%zu ops)\n",
-               out_path.c_str(), series.size());
+               out_path.c_str(), ops.size());
 
-  if (!checksums_ok) return 2;
-
-  // Throughput gates: --min_speedup=op:threads:factor[,op:threads:factor].
-  int failures = 0;
-  for (const std::string& gate : gates) {
-    const auto parts = Split(gate, ':');
-    int64_t want_threads = 0;
-    double want_factor = 0.0;
-    if (parts.size() != 3 || !ParseInt64(parts[1], &want_threads) ||
-        !ParseDouble(parts[2], &want_factor)) {
-      return Fail("malformed --min_speedup entry '%s'", gate);
-    }
-    bool found = false;
-    for (const OpSeries& s : series) {
-      if (s.op != parts[0]) continue;
-      for (const Entry& e : s.entries) {
-        if (e.threads != want_threads) continue;
-        found = true;
-        const double got = speedup_of(s, e);
-        const bool ok = got >= want_factor;
-        std::fprintf(stderr,
-                     "bench_to_json: %s %s@%d speedup %.2fx (want >= %.2fx)\n",
-                     ok ? "PASS" : "FAIL", s.op.c_str(), e.threads, got,
-                     want_factor);
-        if (!ok) ++failures;
-      }
-    }
-    if (!found) return Fail("--min_speedup refers to missing op/threads '%s'", gate);
+  int unmet = 0;
+  for (const Gate& gate : gates) {
+    std::fprintf(stderr, "bench_to_json: %s %s (ratio %.2f)\n",
+                 gate.ok ? "PASS" : "FAIL", gate.spec.c_str(), gate.ratio);
+    if (!gate.ok) ++unmet;
   }
-  return failures > 0 ? 1 : 0;
+  if (!identical) return 2;
+  return unmet > 0 ? 1 : 0;
 }
 
 }  // namespace
