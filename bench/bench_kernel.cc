@@ -15,6 +15,14 @@
 // The candidate cache holds 16-bit fixed-point cells rounded up, so the
 // legacy pass digests its double row after the same rounding.
 //
+// A fourth op, gain_bound, times the lazy greedy's bound refresh: the
+// cell-cache gain bound of every candidate row, on a set whose happiness
+// leaves ~10% of the directions below tau, in two passes at one thread:
+//
+//   full — every quad (4-direction group) listed, as on a fresh set;
+//   live — only the quads with a direction below tau, as
+//          TruncatedMhrState lists them (same bits: dead quads add +0.0).
+//
 //   bench_kernel --n=10000 --dim=6 --net=20000 --k=20 --threads=1,2,4 |
 //     bench_to_json --out=BENCH_kernel.json
 //       --gate='cache_fill:simd/legacy>=3,mhr_sweep:simd@4/simd@1>=1.5'
@@ -215,7 +223,41 @@ int Run(int argc, char** argv) {
   for (int t : threads) {
     if (!kernel_pass("simd", t)) return 1;
   }
-  return 0;
+
+  // gain_bound: the solution's happiness per direction as the set, and tau
+  // its 10% quantile, so ~10% of the directions are still below tau.
+  NetEvaluator cached(&data, &net, skyline, 1);
+  cached.CacheCandidates(cand_rows);
+  simd::AlignedVector cur(net_size, 0.0);
+  for (int row : solution) {
+    simd::AddHappinessMax(cached.net_columns().cols(), 0, net_size,
+                          data.point(static_cast<size_t>(row)),
+                          static_cast<size_t>(dim), cached.best_data(), kEps,
+                          cur.data());
+  }
+  std::vector<double> sorted(cur.begin(), cur.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double tau = sorted[net_size / 10];
+  std::vector<uint32_t> every;
+  simd::AllQuads(net_size, &every);
+  std::vector<uint32_t> live = every;
+  simd::DropDeadQuads(cur.data(), tau, &live);
+  auto bound_pass = [&](const char* pass, const std::vector<uint32_t>& quads) {
+    return harness.Pass(pass, 1, [&](bench::Rep& rep) {
+      std::vector<double> bounds(cand_rows.size());
+      Stopwatch sw;
+      for (int it = 0; it < sweep_iters; ++it) {
+        for (size_t i = 0; i < cand_rows.size(); ++i) {
+          bounds[i] = simd::TruncGainCached(cached.cached_row(cand_rows[i]),
+                                            cur.data(), net_size, tau,
+                                            {quads.data(), quads.size()});
+        }
+      }
+      rep.Add("gain_bound", sw.ElapsedMillis());
+      return DigestOf(bounds.data(), bounds.size());
+    });
+  };
+  return bound_pass("full", every) && bound_pass("live", live) ? 0 : 1;
 }
 
 }  // namespace

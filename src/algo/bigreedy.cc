@@ -35,6 +35,15 @@ struct LazyEntry {
 /// selection size, so the loop refreshes the key before trusting it.
 constexpr int kCarriedStamp = -1;
 
+/// Heap keys right after the first pick `row`, computed at `tau`.
+struct AfterFirstKeys {
+  double tau = -1.0;
+  int row = -1;
+  std::vector<double> keys;
+
+  bool Serves(int pick, double at) const { return pick == row && at <= tau; }
+};
+
 /// Round-1 heap keys carried across the tau probes of one BiGreedyOnNet
 /// call, where every probe's round 1 runs over `input.pool` under the same
 /// matroid. Each gain term min(max(c, h), tau) - min(c, tau) is
@@ -46,11 +55,38 @@ struct CarriedKeys {
   /// Empty-set keys, from the probe with the largest tau so far.
   double initial_tau = -1.0;
   std::vector<double> initial;
-  /// Keys right after the first pick `first_row`, computed at `first_tau`.
-  double first_tau = -1.0;
-  int first_row = -1;
-  std::vector<double> after_first;
+  /// The evaluator's seed keys after its tau = 1 first pick, kept for any
+  /// probe whose first pick is that row.
+  AfterFirstKeys seed;
+  /// Keys from the last after-first pass a probe ran.
+  AfterFirstKeys last;
+
+  /// Keys that bound every gain right after `pick` at `tau`, or nullptr.
+  const AfterFirstKeys* After(int pick, double tau) const {
+    if (last.Serves(pick, tau)) return &last;
+    if (seed.Serves(pick, tau)) return &seed;
+    return nullptr;
+  }
 };
+
+/// Carried keys started from `eval`'s seed keys (NetEvaluator::
+/// BuildSeedKeys, both at tau = 1, so they serve every probe), or empty
+/// ones when some pool row has no seed.
+CarriedKeys SeededKeys(const NetEvaluator& eval, const std::vector<int>& pool) {
+  CarriedKeys carried;
+  if (!eval.has_seed_keys()) return carried;
+  std::vector<double> initial(pool.size());
+  std::vector<double> after(pool.size());
+  for (size_t i = 0; i < pool.size(); ++i) {
+    initial[i] = eval.seed_key_empty(pool[i]);
+    if (initial[i] < 0.0) return carried;
+    after[i] = eval.seed_key_after_first(pool[i]);
+  }
+  carried.initial_tau = 1.0;
+  carried.initial = std::move(initial);
+  carried.seed = {1.0, eval.seed_first_row(), std::move(after)};
+  return carried;
+}
 
 /// True when (gain, row) wins over the running best in plain greedy's
 /// order: larger gain, then smaller row.
@@ -83,7 +119,10 @@ void PrefetchRow(const simd::Cell* row, size_t m) {
 /// when the pick already holds every direction at tau, no gain is left and
 /// the keys drop to 0 instead. With `carried` (round 1 over the pool), a
 /// probe whose tau is at most a stored one starts from the stored keys
-/// instead of either pass.
+/// instead of either pass; keys from the evaluator's seeds serve every
+/// tau. Stale keys only order the heap: a row is verified on a fresh
+/// bound, so looser stale keys change neither the picks nor which rows
+/// are verified, only how many bounds are refreshed.
 /// Plain (the ablation): a full scan per insertion that verifies exactly
 /// only the candidates whose bound can beat its running best.
 void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
@@ -183,15 +222,16 @@ void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
           // The pick holds every direction at tau, so every gain is 0:
           // the stale keys drop to 0 without reading a row.
           for (LazyEntry& e : heap) e.key = 0.0;
-        } else if (carried != nullptr && tau <= carried->first_tau &&
-                   top.row == carried->first_row) {
-          load(carried->after_first, cap);
+        } else if (const AfterFirstKeys* after =
+                       carried != nullptr ? carried->After(top.row, tau)
+                                          : nullptr) {
+          load(after->keys, cap);
         } else {
           bound_pass(top.row,
-                     carried != nullptr ? &carried->after_first : nullptr);
+                     carried != nullptr ? &carried->last.keys : nullptr);
           if (carried != nullptr) {
-            carried->first_tau = tau;
-            carried->first_row = top.row;
+            carried->last.tau = tau;
+            carried->last.row = top.row;
           }
         }
         std::make_heap(heap.begin(), heap.end());
@@ -252,13 +292,13 @@ bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
 
 /// Fallback when no capped value certifies (degenerate nets / tiny pools):
 /// a single matroid-greedy fill on the untruncated average happiness.
+/// It runs over the pool like every probe's round 1, so `carried` serves it.
 std::vector<int> GreedyFill(const ProblemInput& input, const NetEvaluator* eval,
-                            BiGreedyRunInfo* run) {
+                            CarriedKeys* carried, BiGreedyRunInfo* run) {
   const FairnessMatroid matroid(input.bounds);
   FairSelection sel(&matroid, input.grouping);
   TruncatedMhrState state(eval);
-  Greedy(input.pool, 1.0, /*lazy=*/true, eval, &state, &sel,
-         /*carried=*/nullptr, run);
+  Greedy(input.pool, 1.0, /*lazy=*/true, eval, &state, &sel, carried, run);
   return sel.rows();
 }
 
@@ -297,7 +337,7 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
   double best_tau = -1.0;
   int best_rounds = 0;
 
-  CarriedKeys carried;
+  CarriedKeys carried = SeededKeys(*eval, input.pool);
   auto attempt = [&](int j, std::vector<int>* rows, int* rounds) {
     ++run.mrgreedy_calls;
     return MrGreedy(input, eval, tau_at(j), gamma, opts.eps,
@@ -400,7 +440,7 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
   }
 
   if (best_tau < 0.0) {
-    best_rows = GreedyFill(input, eval, &run);
+    best_rows = GreedyFill(input, eval, &carried, &run);
     best_tau = 0.0;
     best_rounds = 1;
   }
@@ -476,6 +516,7 @@ StatusOr<Solution> BiGreedyPlus(const Dataset& data, const Grouping& grouping,
   Solution best;
   double best_quality = -1.0;
   BiGreedyRunInfo best_info;
+  BiGreedyRunInfo work;  // Counters summed over the rounds.
   double prev_tau = 2.0;  // Larger than any capped value.
 
   for (int round = 0;; ++round) {
@@ -488,6 +529,9 @@ StatusOr<Solution> BiGreedyPlus(const Dataset& data, const Grouping& grouping,
     BiGreedyRunInfo run;
     FAIRHMS_ASSIGN_OR_RETURN(
         Solution sol, BiGreedyOnNet(input, eval.get(), opts.base, &run));
+    work.mrgreedy_calls += run.mrgreedy_calls;
+    work.bound_rows += run.bound_rows;
+    work.exact_gains += run.exact_gains;
     const double quality = final_eval->Mhr(sol.rows);
     if (quality > best_quality) {
       best_quality = quality;
@@ -500,6 +544,9 @@ StatusOr<Solution> BiGreedyPlus(const Dataset& data, const Grouping& grouping,
     m = std::min(2 * m, cap);
   }
 
+  best_info.mrgreedy_calls = work.mrgreedy_calls;
+  best_info.bound_rows = work.bound_rows;
+  best_info.exact_gains = work.exact_gains;
   if (info != nullptr) *info = best_info;
   best.mhr = best_quality;
   best.elapsed_ms = timer.ElapsedMillis();
@@ -526,6 +573,13 @@ BiGreedyOptions BiGreedyOptionsFromContext(const SolveContext& ctx) {
   opts.cache = ctx.cache;
   opts.warm_tau_index = ctx.warm_tau_index;
   return opts;
+}
+
+/// The loop's work counters, for the session's per-solve diagnostics.
+void ForwardCounters(const BiGreedyRunInfo& run, SolveRunInfo* out) {
+  out->mrgreedy_calls = run.mrgreedy_calls;
+  out->bound_rows = run.bound_rows;
+  out->exact_gains = run.exact_gains;
 }
 
 /// Schema shared by bigreedy and bigreedy+ (the latter appends its own).
@@ -568,6 +622,7 @@ const AlgorithmRegistrar bigreedy_registrar([] {
     if (ctx.run_info != nullptr) {
       ctx.run_info->tau_index = run.tau_index;
       ctx.run_info->warm_start_used = run.warm_start_used;
+      ForwardCounters(run, ctx.run_info);
     }
     return sol;
   };
@@ -593,7 +648,7 @@ const AlgorithmRegistrar bigreedy_plus_registrar([] {
   info.params.push_back({"lambda", ParamType::kDouble,
                          "stop doubling when tau improves by less than this",
                          "0.04", 0.0, 1e308, false, false, {}});
-  info.solve = [](const SolveContext& ctx) {
+  info.solve = [](const SolveContext& ctx) -> StatusOr<Solution> {
     BiGreedyPlusOptions opts;
     opts.base = BiGreedyOptionsFromContext(ctx);
     // Net-doubling rounds each solve a different net; a tau index from a
@@ -604,7 +659,12 @@ const AlgorithmRegistrar bigreedy_plus_registrar([] {
         "max_net_size", static_cast<int64_t>(opts.max_net_size)));
     opts.m0_fraction = ctx.params->DoubleOr("m0_fraction", opts.m0_fraction);
     opts.lambda = ctx.params->DoubleOr("lambda", opts.lambda);
-    return BiGreedyPlus(*ctx.data, *ctx.grouping, *ctx.bounds, opts);
+    BiGreedyRunInfo run;
+    FAIRHMS_ASSIGN_OR_RETURN(
+        Solution sol,
+        BiGreedyPlus(*ctx.data, *ctx.grouping, *ctx.bounds, opts, &run));
+    if (ctx.run_info != nullptr) ForwardCounters(run, ctx.run_info);
+    return sol;
   };
   return info;
 }());

@@ -92,6 +92,9 @@ struct BiGreedyPlusOptions {
 };
 
 /// Diagnostics of a single BiGreedy run (exposed for BiGreedy+ and tests).
+/// From BiGreedyPlus, the work counters (mrgreedy_calls, bound_rows,
+/// exact_gains) sum over every doubling round; the rest describe the
+/// round whose solution it returns.
 struct BiGreedyRunInfo {
   double tau = 0.0;       ///< Capped value of the returned solution.
   size_t net_size = 0;    ///< m actually used.
@@ -101,7 +104,9 @@ struct BiGreedyRunInfo {
   bool warm_start_used = false;  ///< Warm hint accepted; cold search skipped.
   /// Work in the greedy loop over every MRGreedy call and the fallback:
   /// GainBound evaluations (heap passes included) and MarginalGain
-  /// evaluations. Deterministic per instance.
+  /// evaluations. Deterministic per instance. The seed passes
+  /// (NetEvaluator::BuildSeedKeys) run when the evaluator is built, not
+  /// in the loop, and are not counted.
   int64_t bound_rows = 0;
   int64_t exact_gains = 0;
 };

@@ -66,6 +66,12 @@ struct SolveRunInfo {
   int tau_index = -1;
   /// The warm-start hint was accepted; the solve skipped its cold search.
   bool warm_start_used = false;
+  /// BiGreedy's loop work (BiGreedyRunInfo; bigreedy+ sums its doubling
+  /// rounds): MRGreedy calls, GainBound and MarginalGain evaluations. 0
+  /// for other algorithms. Not rendered on the wire.
+  int mrgreedy_calls = 0;
+  int64_t bound_rows = 0;
+  int64_t exact_gains = 0;
 };
 
 /// Everything Solver::Solve hands an algorithm. `data` is the dataset to

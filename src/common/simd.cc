@@ -193,22 +193,42 @@ void AddHappinessMax(const double* const* net, size_t j0, size_t j1,
   Active()->add_happiness_max(net, j0, j1, p, d, best, eps, cur);
 }
 
+void AllQuads(size_t n, std::vector<uint32_t>* quads) {
+  quads->resize(n / kSumLanes);
+  for (size_t i = 0; i < quads->size(); ++i) {
+    (*quads)[i] = static_cast<uint32_t>(i * kSumLanes);
+  }
+}
+
+void DropDeadQuads(const double* cur, double tau,
+                   std::vector<uint32_t>* quads) {
+  size_t kept = 0;
+  for (const uint32_t j : *quads) {
+    const double* c = cur + j;
+    if (c[0] < tau || c[1] < tau || c[2] < tau || c[3] < tau) {
+      (*quads)[kept++] = j;
+    }
+  }
+  quads->resize(kept);
+}
+
 double TruncGainCached(const Cell* hrow, const double* cur, size_t n,
-                       double tau) {
-  return Active()->trunc_gain_cached(hrow, cur, n, tau);
+                       double tau, QuadList quads) {
+  return Active()->trunc_gain_cached(hrow, cur, n, tau, quads);
 }
 
 double TruncGainCap(const double* cur, size_t n, double tau) {
-  // The scalar reference of TruncGainCached with every cell's value 1.0;
-  // every level sums in this order, so no table entry is needed.
+  // The scalar reference of TruncGainCached over every quad with every
+  // cell's value 1.0; every level sums in this order, so no table entry
+  // is needed.
   return internal::CanonicalSumScalar(
       n, [&](size_t j) { return internal::TruncTerm(cur[j], 1.0, tau); });
 }
 
 double TruncGainEval(const double* const* net, size_t m, const double* p,
                      size_t d, const double* best, double eps,
-                     const double* cur, double tau) {
-  return Active()->trunc_gain_eval(net, m, p, d, best, eps, cur, tau);
+                     const double* cur, double tau, QuadList quads) {
+  return Active()->trunc_gain_eval(net, m, p, d, best, eps, cur, tau, quads);
 }
 
 double TruncSum(const double* cur, size_t n, double tau) {

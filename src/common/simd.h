@@ -31,6 +31,14 @@
 //    j % 4, combined as (p0 + p1) + (p2 + p3), with the tail (n % 4)
 //    added sequentially afterwards. A W-lane body keeps 4 / W vector
 //    accumulators; the scalar path simulates the same four lanes.
+//  * The truncated-gain sums visit only the quads (4-direction groups
+//    below n & ~3) their `QuadList` names, in ascending order; the tail
+//    is always summed. Leaving out a dead quad, one whose four directions
+//    all have cur[j] >= tau, changes no bit: each of its terms is
+//    min(max(c, h), tau) - min(c, tau) = tau - tau = +0.0, and adding +0.0
+//    to a lane changes it only when the lane is -0.0, which a lane never
+//    is (it starts at +0.0 and only adds terms >= +0.0). So every lane,
+//    the combine and the tail match the all-quads sum bit for bit.
 //  * The cache fill (`HappinessRangeUp`) stores each happiness h as the
 //    16-bit fixed-point cell ceil(h * 2^15) (see `Cell`). Scaling by a
 //    power of two, truncation of a value in [0, 2^15] and int -> double
@@ -387,22 +395,44 @@ void AddHappinessMax(const double* const* net, size_t j0, size_t j1,
                      const double* p, size_t d, const double* best, double eps,
                      double* cur);
 
-/// Canonical-order sum of min(max(cur[j], h_j), tau) - min(cur[j], tau)
-/// over a row of cells (HappinessRangeUp), h_j = hrow[j] * 2^-15. Decoding
-/// is exact, and min, max, subtraction and the canonical sum are all
-/// monotone, so the result is never below TruncGainEval's exact gain for
-/// the same point: an upper bound, not a gain.
-double TruncGainCached(const Cell* hrow, const double* cur, size_t n,
-                       double tau);
+/// The quads a truncated-gain sum visits: 4-direction groups [j, j + 4)
+/// with j % 4 == 0 and j + 4 <= n & ~3, named by their first direction j,
+/// strictly ascending. The sums below visit the listed quads plus the tail
+/// [n & ~3, n); a quad left out contributes nothing, which is exact when
+/// it is dead (see the bit-identity contract above).
+struct QuadList {
+  const uint32_t* first = nullptr;
+  size_t count = 0;
+};
 
-/// TruncGainCached over a row of kCellOne cells, bit for bit, without the
-/// row: the gain of a point with happiness 1 under every direction.
+/// Every quad of an n-direction sum: 0, 4, ..., (n & ~3) - 4.
+void AllQuads(size_t n, std::vector<uint32_t>* quads);
+
+/// Drops from `quads`, keeping their order, each quad whose four
+/// directions all have cur[j] >= tau: the dead quads, whose gain terms
+/// are all +0.0 at tau. cur only rising, a dead quad stays dead.
+void DropDeadQuads(const double* cur, double tau,
+                   std::vector<uint32_t>* quads);
+
+/// Canonical-order sum of min(max(cur[j], h_j), tau) - min(cur[j], tau)
+/// over a row of cells (HappinessRangeUp), h_j = hrow[j] * 2^-15, over the
+/// listed quads and the tail. Decoding is exact, and min, max,
+/// subtraction and the canonical sum are all monotone, so the result is
+/// never below TruncGainEval's exact gain for the same point and quads:
+/// an upper bound, not a gain.
+double TruncGainCached(const Cell* hrow, const double* cur, size_t n,
+                       double tau, QuadList quads);
+
+/// TruncGainCached over a row of kCellOne cells and every quad, bit for
+/// bit, without the row: the gain of a point with happiness 1 under every
+/// direction.
 double TruncGainCap(const double* cur, size_t n, double tau);
 
-/// Same gain, computing happiness on the fly (no scratch, canonical order).
+/// Same gain, computing happiness on the fly (no scratch, canonical
+/// order), over the listed quads and the tail.
 double TruncGainEval(const double* const* net, size_t m, const double* p,
                      size_t d, const double* best, double eps,
-                     const double* cur, double tau);
+                     const double* cur, double tau, QuadList quads);
 
 /// Canonical-order sum of min(cur[j], tau).
 double TruncSum(const double* cur, size_t n, double tau);

@@ -45,10 +45,11 @@ struct KernelTable {
                             const double* p, size_t d, const double* best,
                             double eps, double* cur);
   double (*trunc_gain_cached)(const Cell* hrow, const double* cur, size_t n,
-                              double tau);
+                              double tau, QuadList quads);
   double (*trunc_gain_eval)(const double* const* net, size_t m,
                             const double* p, size_t d, const double* best,
-                            double eps, const double* cur, double tau);
+                            double eps, const double* cur, double tau,
+                            QuadList quads);
   double (*trunc_sum)(const double* cur, size_t n, double tau);
   double (*min_reduce)(const double* x, size_t n);
   void (*row_sums)(const double* const* cols, size_t nrows, size_t d,
@@ -108,22 +109,39 @@ inline double TruncTerm(double cur, double h, double tau) {
   return Min(Max(cur, h), tau) - Min(cur, tau);
 }
 
-/// Canonical 4-virtual-lane sum of term(0), ..., term(n - 1): lanes stripe
+/// Canonical 4-virtual-lane sum over the quads j = first(i), i < count
+/// (ascending, below n & ~3), then the tail [n & ~3, n): lanes stripe
 /// j % 4, combine as (p0 + p1) + (p2 + p3), tail added sequentially
 /// afterwards. Every dispatch level reproduces exactly this order.
-template <typename Term>
-inline double CanonicalSumScalar(size_t n, Term&& term) {
+template <typename First, typename Term>
+inline double CanonicalSumScalar(size_t count, First&& first, size_t n,
+                                 Term&& term) {
   double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
-  const size_t n4 = n & ~static_cast<size_t>(3);
-  for (size_t j = 0; j < n4; j += 4) {
+  for (size_t i = 0; i < count; ++i) {
+    const size_t j = first(i);
     p0 += term(j);
     p1 += term(j + 1);
     p2 += term(j + 2);
     p3 += term(j + 3);
   }
   double total = (p0 + p1) + (p2 + p3);
-  for (size_t j = n4; j < n; ++j) total += term(j);
+  for (size_t j = n & ~static_cast<size_t>(3); j < n; ++j) total += term(j);
   return total;
+}
+
+/// The canonical sum of term(0), ..., term(n - 1): every quad, then the
+/// tail.
+template <typename Term>
+inline double CanonicalSumScalar(size_t n, Term&& term) {
+  return CanonicalSumScalar(
+      n / kSumLanes, [](size_t i) { return i * kSumLanes; }, n, term);
+}
+
+/// The same sum over the quads `quads` names.
+template <typename Term>
+inline double CanonicalSumScalar(QuadList quads, size_t n, Term&& term) {
+  return CanonicalSumScalar(
+      quads.count, [&](size_t i) { return size_t{quads.first[i]}; }, n, term);
 }
 
 inline void NetBestScalar(const double* const* net, size_t j0, size_t j1,
@@ -194,9 +212,10 @@ inline double TruncGainTermCached(const Cell* hrow, const double* cur,
 }
 
 inline double TruncGainCachedScalar(const Cell* hrow, const double* cur,
-                                    size_t n, double tau) {
-  return CanonicalSumScalar(
-      n, [&](size_t j) { return TruncGainTermCached(hrow, cur, j, tau); });
+                                    size_t n, double tau, QuadList quads) {
+  return CanonicalSumScalar(quads, n, [&](size_t j) {
+    return TruncGainTermCached(hrow, cur, j, tau);
+  });
 }
 
 inline double TruncGainTermEval(const double* const* net, const double* p,
@@ -209,8 +228,9 @@ inline double TruncGainTermEval(const double* const* net, const double* p,
 inline double TruncGainEvalScalar(const double* const* net, size_t m,
                                   const double* p, size_t d,
                                   const double* best, double eps,
-                                  const double* cur, double tau) {
-  return CanonicalSumScalar(m, [&](size_t j) {
+                                  const double* cur, double tau,
+                                  QuadList quads) {
+  return CanonicalSumScalar(quads, m, [&](size_t j) {
     return TruncGainTermEval(net, p, d, best, eps, cur, j, tau);
   });
 }
@@ -486,24 +506,42 @@ inline size_t SweepDirections(const double* const* net, size_t j0, size_t j1,
   return j;
 }
 
-/// Canonical 4-virtual-lane sum over [0, n). vterm(j) gives the W lanes
-/// from j for the first n4 = n & ~3 indices, summed in 4 / W accumulators
-/// holding virtual lanes 0..3 in order and combined as (p0 + p1) +
-/// (p2 + p3); the scalar term(j) of the tail is then added in order.
-template <size_t W, typename VTerm, typename Term>
-inline double CanonicalSum(size_t n, VTerm&& vterm, Term&& term) {
+/// Canonical 4-virtual-lane sum over the quads j = first(i), i < count,
+/// then the tail [n & ~3, n) (CanonicalSumScalar's order). vterm(j) gives
+/// the W lanes from j, summed in 4 / W accumulators holding virtual lanes
+/// 0..3 in order and combined as (p0 + p1) + (p2 + p3); the scalar
+/// term(j) of the tail is then added in order.
+template <size_t W, typename First, typename VTerm, typename Term>
+inline double CanonicalSum(size_t count, First&& first, size_t n,
+                           VTerm&& vterm, Term&& term) {
   static_assert(W == 2 || W == 4, "4 / W accumulators");
-  const size_t n4 = n & ~static_cast<size_t>(3);
   Vec<W> acc[2] = {};
-  for (size_t j = 0; j < n4; j += kSumLanes) {
+  for (size_t i = 0; i < count; ++i) {
+    const size_t j = first(i);
     acc[0] += vterm(j);
     if (W == 2) acc[1] += vterm(j + 2);
   }
   double p[kSumLanes];
   __builtin_memcpy(p, acc, sizeof(p));
   double total = (p[0] + p[1]) + (p[2] + p[3]);
-  for (size_t j = n4; j < n; ++j) total += term(j);
+  for (size_t j = n & ~static_cast<size_t>(3); j < n; ++j) total += term(j);
   return total;
+}
+
+/// The canonical sum over [0, n): every quad, then the tail.
+template <size_t W, typename VTerm, typename Term>
+inline double CanonicalSum(size_t n, VTerm&& vterm, Term&& term) {
+  return CanonicalSum<W>(
+      n / kSumLanes, [](size_t i) { return i * kSumLanes; }, n, vterm, term);
+}
+
+/// The canonical sum over the quads `quads` names, then the tail.
+template <size_t W, typename VTerm, typename Term>
+inline double CanonicalSum(QuadList quads, size_t n, VTerm&& vterm,
+                           Term&& term) {
+  return CanonicalSum<W>(
+      quads.count, [&](size_t i) { return size_t{quads.first[i]}; }, n,
+      vterm, term);
 }
 
 /// min(1, term(0), ..., term(n - 1)), with vterm(i) the W lanes from i and
@@ -607,11 +645,11 @@ void AddHappinessMaxV(const double* const* net, size_t j0, size_t j1,
 
 template <size_t W>
 double TruncGainCachedV(const Cell* hrow, const double* cur, size_t n,
-                        double tau) {
+                        double tau, QuadList quads) {
   using V = Vec<W>;
   const V tauv = Splat<V>(tau);
   return CanonicalSum<W>(
-      n,
+      quads, n,
       [&](size_t j) {
         const V c = Load<V>(cur + j);
         const V h = CellValuesV<W>(hrow + j);
@@ -623,13 +661,13 @@ double TruncGainCachedV(const Cell* hrow, const double* cur, size_t n,
 template <size_t W>
 double TruncGainEvalV(const double* const* net, size_t m, const double* p,
                       size_t d, const double* best, double eps,
-                      const double* cur, double tau) {
+                      const double* cur, double tau, QuadList quads) {
   using V = Vec<W>;
   const Row<V> row(p, d);
   const V epsv = Splat<V>(eps);
   const V tauv = Splat<V>(tau);
   return CanonicalSum<W>(
-      m,
+      quads, m,
       [&](size_t j) {
         const V c = Load<V>(cur + j);
         const V h = HappinessV(Dot(net, j, row), Load<V>(best + j), epsv);

@@ -93,8 +93,9 @@ uint64_t ArtifactBytes(const SampledNet& net) {
 
 uint64_t ArtifactBytes(const NetEvaluator& evaluator) {
   // Covers the denominators, the dimension-major net block, the packed db
-  // rows, and whatever CacheCandidates actually allocated (it declines
-  // oversized pools), so the stats never overstate memory.
+  // rows, and whatever CacheCandidates and BuildSeedKeys actually
+  // allocated (caching declines oversized pools), so the stats never
+  // overstate memory.
   return evaluator.ResidentBytes();
 }
 
@@ -433,7 +434,10 @@ std::shared_ptr<const NetEvaluator> GetOrBuildEvaluator(
   auto build = [&] {
     auto holder = std::make_shared<EvalWithNet>(std::move(net), data, db_rows,
                                                 threads);
-    if (!cache_rows.empty()) holder->eval.CacheCandidates(cache_rows);
+    if (!cache_rows.empty()) {
+      holder->eval.CacheCandidates(cache_rows);
+      holder->eval.BuildSeedKeys();
+    }
     return std::shared_ptr<const NetEvaluator>(holder, &holder->eval);
   };
   if (cache == nullptr) return build();

@@ -316,7 +316,8 @@ class CacheArbiter {
 std::shared_ptr<const UtilityNet> GetOrSampleNet(ArtifactCache* cache, int d,
                                                  size_t m, Rng* rng);
 /// `net` stays alive as long as the evaluator does (NetEvaluator holds a
-/// raw pointer into it).
+/// raw pointer into it). Non-empty `cache_rows` are cached
+/// (CacheCandidates), then seeded (BuildSeedKeys).
 std::shared_ptr<const NetEvaluator> GetOrBuildEvaluator(
     ArtifactCache* cache, const Dataset& data,
     std::shared_ptr<const UtilityNet> net, const std::vector<int>& db_rows,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "common/thread_pool.h"
 #include "geom/vec.h"
@@ -125,10 +126,89 @@ void NetEvaluator::CacheCandidates(const std::vector<int>& rows,
   });
 }
 
+void NetEvaluator::BuildSeedKeys() {
+  const size_t m = net_->size();
+  if (cache_.empty()) return;
+  const size_t slots = cache_.size() / m;
+  std::vector<int> slot_row(slots, -1);  // -1: a slot a duplicate orphaned.
+  for (size_t r = 0; r < cache_offset_.size(); ++r) {
+    if (cache_offset_[r] >= 0) {
+      slot_row[static_cast<size_t>(cache_offset_[r]) / m] =
+          static_cast<int>(r);
+    }
+  }
+  // Empty-set keys at tau = 1: each term is the cell's value, a multiple of
+  // 2^-15 in [0, 1], so the canonical sum is exact and equals the integer
+  // sum of the cells times 2^-15.
+  seed_empty_.assign(slots, -1.0);
+  ParallelFor(threads_, slots, [&](size_t s0, size_t s1) {
+    for (size_t s = s0; s < s1; ++s) {
+      if (slot_row[s] < 0) continue;
+      const simd::Cell* cells = &cache_[s * m];
+      uint64_t sum = 0;
+      for (size_t j = 0; j < m; ++j) sum += cells[j];
+      seed_empty_[s] = static_cast<double>(sum) * simd::kCellUlp /
+                       static_cast<double>(m);
+    }
+  });
+  // Plain greedy's tau = 1 first pick: exact gains in falling key order,
+  // until no key can beat the best gain found.
+  std::vector<size_t> order;
+  for (size_t s = 0; s < slots; ++s) {
+    if (slot_row[s] >= 0) order.push_back(s);
+  }
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (seed_empty_[a] != seed_empty_[b]) {
+      return seed_empty_[a] > seed_empty_[b];
+    }
+    return slot_row[a] < slot_row[b];
+  });
+  // (gain, row) beats (best_gain, best_row): larger gain, then smaller row.
+  const auto beats = [](double gain, int row, double best_gain,
+                        int best_row) {
+    return gain > best_gain ||
+           (gain == best_gain && best_row >= 0 && row < best_row);
+  };
+  const TruncatedMhrState empty(this);
+  double best_gain = -1.0;
+  seed_first_row_ = -1;
+  for (const size_t s : order) {
+    const int row = slot_row[s];
+    if (!beats(seed_empty_[s], row, best_gain, seed_first_row_)) break;
+    const double gain = empty.MarginalGain(row, 1.0);
+    if (beats(gain, row, best_gain, seed_first_row_)) {
+      best_gain = gain;
+      seed_first_row_ = row;
+    }
+  }
+  // Keys at tau = 1 after that pick; each lane chunk keeps its own state.
+  seed_after_first_.assign(slots, -1.0);
+  ParallelFor(threads_, slots, [&](size_t s0, size_t s1) {
+    TruncatedMhrState state(this);
+    state.Add(seed_first_row_);
+    for (size_t s = s0; s < s1; ++s) {
+      if (slot_row[s] < 0 || slot_row[s] == seed_first_row_) continue;
+      seed_after_first_[s] = state.GainBound(slot_row[s], 1.0);
+    }
+  });
+}
+
 TruncatedMhrState::TruncatedMhrState(const NetEvaluator* eval)
     : eval_(eval), cur_(eval->net_size(), 0.0) {}
 
-void TruncatedMhrState::Reset() { std::fill(cur_.begin(), cur_.end(), 0.0); }
+void TruncatedMhrState::Reset() {
+  std::fill(cur_.begin(), cur_.end(), 0.0);
+  live_tau_ = std::numeric_limits<double>::quiet_NaN();
+}
+
+simd::QuadList TruncatedMhrState::LiveQuads(double tau) const {
+  if (!(tau == live_tau_)) {
+    simd::AllQuads(cur_.size(), &live_);
+    simd::DropDeadQuads(cur_.data(), tau, &live_);
+    live_tau_ = tau;
+  }
+  return {live_.data(), live_.size()};
+}
 
 double TruncatedMhrState::MarginalGain(int row, double tau) const {
   const size_t m = cur_.size();
@@ -136,7 +216,7 @@ double TruncatedMhrState::MarginalGain(int row, double tau) const {
                              eval_->data().point(static_cast<size_t>(row)),
                              static_cast<size_t>(eval_->data().dim()),
                              eval_->best_data(), NetEvaluator::kDegenerate,
-                             cur_.data(), tau) /
+                             cur_.data(), tau, LiveQuads(tau)) /
          static_cast<double>(m);
 }
 
@@ -144,7 +224,8 @@ double TruncatedMhrState::GainBound(int row, double tau) const {
   const simd::Cell* hrow = eval_->cached_row(row);
   if (hrow == nullptr) return MarginalGain(row, tau);
   // Dividing both sides by the same positive m keeps the bound a bound.
-  return simd::TruncGainCached(hrow, cur_.data(), cur_.size(), tau) /
+  return simd::TruncGainCached(hrow, cur_.data(), cur_.size(), tau,
+                               LiveQuads(tau)) /
          static_cast<double>(cur_.size());
 }
 
@@ -159,6 +240,9 @@ void TruncatedMhrState::Add(int row) {
                         static_cast<size_t>(eval_->data().dim()),
                         eval_->best_data(), NetEvaluator::kDegenerate,
                         cur_.data());
+  if (!std::isnan(live_tau_)) {
+    simd::DropDeadQuads(cur_.data(), live_tau_, &live_);
+  }
 }
 
 double TruncatedMhrState::TruncatedValue(double tau) const {

@@ -5,6 +5,7 @@
 #define FAIRHMS_CORE_NET_EVALUATOR_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "common/simd.h"
@@ -84,6 +85,33 @@ class NetEvaluator {
     return off < 0 ? nullptr : &cache_[static_cast<size_t>(off)];
   }
 
+  /// Builds the lazy greedy's seed keys over the candidate cache, two
+  /// doubles per cached row: its GainBound at tau = 1 on the empty set,
+  /// and at tau = 1 right after plain greedy's tau = 1 first pick (the
+  /// largest exact gain, smaller row on ties; no matroid). Since a bound
+  /// at a larger tau or a smaller set bounds the exact gain below it,
+  /// every later greedy over these rows may start from them. Run after
+  /// CacheCandidates; a no-op when it cached nothing.
+  void BuildSeedKeys();
+
+  /// True when BuildSeedKeys ran over a candidate cache.
+  bool has_seed_keys() const { return !seed_empty_.empty(); }
+
+  /// The row whose after-pick keys seed_key_after_first() holds (-1 when
+  /// there are no seeds).
+  int seed_first_row() const { return seed_first_row_; }
+
+  /// `row`'s empty-set seed key, or -1 when it has none (not cached, or
+  /// no seeds). Bit for bit TruncatedMhrState's fresh GainBound(row, 1):
+  /// the sum of its cells times 2^-15, exact in any order, over m.
+  double seed_key_empty(int row) const { return SeedKey(seed_empty_, row); }
+
+  /// `row`'s seed key after the pick seed_first_row(), or -1 when it has
+  /// none (the picked row itself included).
+  double seed_key_after_first(int row) const {
+    return SeedKey(seed_after_first_, row);
+  }
+
   /// Resident bytes of the candidate cache (0 when CacheCandidates was
   /// never called or declined because of its entry budget).
   size_t CandidateCacheBytes() const {
@@ -92,11 +120,14 @@ class NetEvaluator {
   }
 
   /// Total resident bytes: denominators, the dimension-major net block, the
-  /// packed db rows, and the candidate cache. ArtifactCache charges this.
+  /// packed db rows, the candidate cache and its seed keys. ArtifactCache
+  /// charges this.
   size_t ResidentBytes() const {
     return best_.capacity() * sizeof(double) + net_cols_.bytes() +
            db_pts_.capacity() * sizeof(double) +
-           db_rows_.capacity() * sizeof(int) + CandidateCacheBytes();
+           db_rows_.capacity() * sizeof(int) + CandidateCacheBytes() +
+           (seed_empty_.capacity() + seed_after_first_.capacity()) *
+               sizeof(double);
   }
 
  private:
@@ -115,6 +146,17 @@ class NetEvaluator {
   /// across evaluator rebuilds skips the first-touch page faults that
   /// otherwise dominate the fill (see simd.h).
   simd::ScratchBuffer cache_;
+  /// Seed keys by cache slot (cache offset / m); empty without seeds.
+  std::vector<double> seed_empty_;
+  std::vector<double> seed_after_first_;
+  int seed_first_row_ = -1;
+
+  double SeedKey(const std::vector<double>& keys, int row) const {
+    if (keys.empty()) return -1.0;
+    const int64_t off = cache_offset_[static_cast<size_t>(row)];
+    return off < 0 ? -1.0
+                   : keys[static_cast<size_t>(off) / net_->size()];
+  }
 };
 
 /// Incremental state for greedy maximization of the truncated MHR
@@ -123,6 +165,10 @@ class NetEvaluator {
 ///
 /// Gain and value sums run through the kernel layer's canonical reduction
 /// order (common/simd.h), so they are bit-identical across dispatch levels.
+/// Gains and bounds visit only the live quads at their tau, the
+/// 4-direction groups still holding a direction below it; a dead quad's
+/// terms are all +0.0, so leaving it out changes no bit. The list is kept
+/// for the last tau asked for, so a state serves one thread at a time.
 class TruncatedMhrState {
  public:
   explicit TruncatedMhrState(const NetEvaluator* eval);
@@ -131,13 +177,13 @@ class TruncatedMhrState {
   void Reset();
 
   /// Exact mhr_tau gain of adding `row` to the current set, computed from
-  /// the coordinates (O(m * d)).
+  /// the coordinates (O(m * d) over the live quads).
   double MarginalGain(int row, double tau) const;
 
   /// Upper bound on MarginalGain(row, tau): the same gain over the row's
-  /// cached cells (O(m), 2 bytes a direction), or the exact gain
-  /// when the row is not cached. Like the gain, it never rises as the set
-  /// grows.
+  /// cached cells (O(m) over the live quads, 2 bytes a direction), or the
+  /// exact gain when the row is not cached. Like the gain, it never rises
+  /// as the set grows.
   double GainBound(int row, double tau) const;
 
   /// Gain of a point with happiness 1 under every direction: at least
@@ -146,7 +192,8 @@ class TruncatedMhrState {
   /// nothing.
   double GainCap(double tau) const;
 
-  /// Commits `row` into the current set (exact happiness).
+  /// Commits `row` into the current set (exact happiness) and drops the
+  /// quads it makes dead at the tau in use.
   void Add(int row);
 
   /// Current truncated value mhr_tau(S | N).
@@ -156,8 +203,14 @@ class TruncatedMhrState {
   double NetMhr() const;
 
  private:
+  /// The quads live at `tau`, relisted when tau differs from the last.
+  simd::QuadList LiveQuads(double tau) const;
+
   const NetEvaluator* eval_;
   simd::AlignedVector cur_;  // Best happiness per direction over current S.
+  /// The tau live_ lists quads for; NaN: none listed yet.
+  mutable double live_tau_ = std::numeric_limits<double>::quiet_NaN();
+  mutable std::vector<uint32_t> live_;
 };
 
 }  // namespace fairhms

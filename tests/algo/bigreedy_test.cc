@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include "algo/intcov.h"
+#include "api/params.h"
+#include "api/registry.h"
 #include "common/random.h"
+#include "core/artifact_cache.h"
 #include "core/exact_evaluator.h"
 #include "data/generators.h"
 #include "fairness/matroid.h"
@@ -291,11 +294,16 @@ TEST(BiGreedyTest, BoundLoopMatchesPlainScanAcrossModes) {
           EXPECT_EQ(lazy_info.mrgreedy_calls, plain_info.mrgreedy_calls);
           EXPECT_EQ(lazy_info.warm_start_used, plain_info.warm_start_used);
           if (inst.name == "n=2000 d=6" && strict && hints[h] < 0) {
-            // Bound-tightness guard: 2^-15 cells measured 49 (binary) and
-            // 693 (linear) exact gains here; 10% headroom on top. A coarser
-            // cell format would quietly trade reads for exact evaluations.
-            EXPECT_LE(lazy_info.exact_gains,
-                      search == TauSearch::kBinary ? 53 : 762);
+            // Bound-tightness guard: 2^-15 cells give exactly 49 (binary)
+            // and 693 (linear) exact gains here. Fresh keys are the
+            // canonical bounds, so looser stale keys (the evaluator's
+            // tau = 1 seeds) must not move these counts; a coarser cell
+            // format would trade reads for exact evaluations.
+            const bool binary = search == TauSearch::kBinary;
+            EXPECT_EQ(lazy_info.exact_gains, binary ? 49 : 693);
+            // Bound reads: 24716 (binary) and 34398 (linear) before the
+            // seeds and dead-quad skipping; 13029 and 30129 with them.
+            EXPECT_LT(lazy_info.bound_rows, binary ? 24716 : 34398);
           }
           if (search == TauSearch::kLinear && strict) {
             // Carried keys spare later probes the heap passes.
@@ -319,6 +327,102 @@ TEST(BiGreedyTest, BoundLoopMatchesPlainScanAcrossModes) {
       }
     }
   }
+}
+
+TEST(BiGreedyTest, SeededEvaluatorMatchesUnseeded) {
+  // An evaluator from GetOrBuildEvaluator carries seed keys (tau = 1
+  // bounds on the empty set and after plain greedy's first pick); one
+  // built by hand with CacheCandidates alone does not. The seeds only
+  // loosen stale heap keys, so both give the same rows, mhr, certified
+  // index and exact evaluations, cold and from every warm hint, in both
+  // feasibility modes; the seeds spare bound reads.
+  Rng rng(31);
+  const Dataset data = GenAntiCorrelated(1500, 5, &rng);
+  const Grouping g = GroupBySumRank(data, 3);
+  for (int k : {6, 11}) {
+    const GroupBounds bounds = GroupBounds::Proportional(k, g.Counts(), 0.2);
+    auto input = PrepareProblem(data, g, bounds);
+    ASSERT_TRUE(input.ok()) << input.status();
+    Rng net_rng(17);
+    auto net = std::make_shared<const UtilityNet>(
+        UtilityNet::SampleRandom(5, 300, &net_rng));
+    const std::shared_ptr<const NetEvaluator> seeded = GetOrBuildEvaluator(
+        nullptr, data, net, input->db_rows, input->pool, 1);
+    NetEvaluator unseeded(&data, net.get(), input->db_rows, 1);
+    unseeded.CacheCandidates(input->pool);
+    ASSERT_TRUE(seeded->has_seed_keys());
+    ASSERT_FALSE(unseeded.has_seed_keys());
+    for (bool strict : {true, false}) {
+      BiGreedyOptions opts;
+      opts.eps = 0.05;
+      opts.strict_feasible = strict;
+      std::vector<int> hints = {-1};
+      for (size_t h = 0; h < hints.size(); ++h) {
+        opts.warm_tau_index = hints[h];
+        SCOPED_TRACE(::testing::Message() << "k=" << k << " strict=" << strict
+                                          << " hint=" << hints[h]);
+        BiGreedyRunInfo with, without;
+        auto a = BiGreedyOnNet(*input, seeded.get(), opts, &with);
+        auto b = BiGreedyOnNet(*input, &unseeded, opts, &without);
+        ASSERT_TRUE(a.ok() && b.ok());
+        EXPECT_EQ(a->rows, b->rows);
+        EXPECT_EQ(a->mhr, b->mhr);
+        EXPECT_EQ(with.tau_index, without.tau_index);
+        EXPECT_EQ(with.warm_start_used, without.warm_start_used);
+        EXPECT_EQ(with.mrgreedy_calls, without.mrgreedy_calls);
+        EXPECT_EQ(with.exact_gains, without.exact_gains);
+        EXPECT_LT(with.bound_rows, without.bound_rows);
+        if (hints[h] < 0 && with.tau_index >= 0) {
+          hints.push_back(with.tau_index);
+          if (with.tau_index > 0) hints.push_back(with.tau_index - 1);
+          hints.push_back(with.tau_index + 2);
+        }
+      }
+    }
+  }
+}
+
+TEST(BiGreedyTest, RegistryForwardsLoopCounters) {
+  // The registered solves report the loop's work through SolveRunInfo:
+  // bigreedy its own run, bigreedy+ the sum over its doubling rounds.
+  Rng rng(37);
+  const Dataset data = GenAntiCorrelated(400, 4, &rng);
+  const Grouping g = GroupBySumRank(data, 2);
+  const GroupBounds bounds = GroupBounds::Proportional(6, g.Counts(), 0.2);
+  const AlgoParams params;
+  SolveRunInfo run_info;
+  SolveContext ctx;
+  ctx.data = &data;
+  ctx.grouping = &g;
+  ctx.bounds = &bounds;
+  ctx.seed = 11;
+  ctx.threads = 1;
+  ctx.params = &params;
+  ctx.run_info = &run_info;
+
+  BiGreedyOptions opts;
+  opts.seed = 11;
+  opts.threads = 1;
+  BiGreedyRunInfo want;
+  ASSERT_TRUE(BiGreedy(data, g, bounds, opts, &want).ok());
+  ASSERT_TRUE(AlgorithmRegistry::Instance().Find("bigreedy")->solve(ctx).ok());
+  EXPECT_EQ(run_info.mrgreedy_calls, want.mrgreedy_calls);
+  EXPECT_EQ(run_info.bound_rows, want.bound_rows);
+  EXPECT_EQ(run_info.exact_gains, want.exact_gains);
+  EXPECT_GT(run_info.bound_rows, 0);
+
+  BiGreedyPlusOptions plus_opts;
+  plus_opts.base = opts;
+  BiGreedyRunInfo plus_want;
+  ASSERT_TRUE(BiGreedyPlus(data, g, bounds, plus_opts, &plus_want).ok());
+  run_info = SolveRunInfo();
+  ASSERT_TRUE(
+      AlgorithmRegistry::Instance().Find("bigreedy+")->solve(ctx).ok());
+  EXPECT_EQ(run_info.mrgreedy_calls, plus_want.mrgreedy_calls);
+  EXPECT_EQ(run_info.bound_rows, plus_want.bound_rows);
+  EXPECT_EQ(run_info.exact_gains, plus_want.exact_gains);
+  // Several doubling rounds, each with its own tau search.
+  EXPECT_GT(run_info.mrgreedy_calls, want.mrgreedy_calls);
 }
 
 TEST(BiGreedyTest, CachedBoundsNeverDecideASelection) {

@@ -303,6 +303,9 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
         hrow[j] = CellUpReference(exact[j]);
       }
       const double tau = 0.85;
+      std::vector<uint32_t> all;
+      simd::AllQuads(m, &all);
+      const simd::QuadList every{all.data(), all.size()};
       // The bound over the rounded-up row is never below the gain over the
       // doubles it was rounded from (the canonical sum over exact terms).
       double exact_gain = 0.0;
@@ -319,17 +322,18 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
                         std::min(cur[j], tau);
         }
       }
-      EXPECT_GE(Scalar().trunc_gain_cached(hrow.data(), cur.data(), m, tau),
-                exact_gain);
+      EXPECT_GE(
+          Scalar().trunc_gain_cached(hrow.data(), cur.data(), m, tau, every),
+          exact_gain);
       // Every kernel of the table in one pass, as bits.
       auto run = [&](const KernelTable& t) {
         std::vector<double> add = cur;
         t.add_happiness_max(net.cols(), 0, m, p.data(), d, best.data(), 1e-12,
                             add.data());
         std::vector<double> out = {
-            t.trunc_gain_cached(hrow.data(), cur.data(), m, tau),
+            t.trunc_gain_cached(hrow.data(), cur.data(), m, tau, every),
             t.trunc_gain_eval(net.cols(), m, p.data(), d, best.data(), 1e-12,
-                              cur.data(), tau),
+                              cur.data(), tau, every),
             t.trunc_sum(cur.data(), m, tau), t.min_reduce(cur.data(), m)};
         out.insert(out.end(), add.begin(), add.end());
         return out;
@@ -338,6 +342,99 @@ TEST(SimdKernelTest, TruncatedGainKernelsBitIdentical) {
       for (const KernelTable* t : VectorTables()) {
         SCOPED_TRACE(Shape(t, d, m, 1));
         EXPECT_TRUE(BitsEqual(ref, run(*t)));
+      }
+    }
+  }
+}
+
+TEST(SimdKernelTest, LiveQuadListsMatchAllQuadsBitForBit) {
+  // Leaving out dead quads (every cur[j] >= tau) drops only +0.0 terms, so
+  // the live-quad sums equal the all-quads sums bit for bit at every
+  // dispatch level; an empty list leaves exactly the tail's sum.
+  Rng rng(404);
+  const size_t d = 3;
+  for (const size_t n : {size_t{0}, size_t{3}, size_t{4}, size_t{7},
+                         size_t{203}, size_t{1200}}) {
+    const simd::ColumnBlock net = TrapBlock(n, d, &rng);
+    const std::vector<double> p = TrapPoints(1, d, &rng);
+    std::vector<double> best(n);
+    std::vector<simd::Cell> hrow(n);
+    for (double& v : best) v = rng.Uniform();
+    for (simd::Cell& q : hrow) q = CellUpReference(TrapHappiness(&rng));
+    for (const double tau : {0.3, 0.85, 1.0}) {
+      for (const char* name : {"dead", "live", "random"}) {
+        const std::string mode = name;
+        std::vector<double> cur(n);
+        for (double& c : cur) {
+          const bool dead =
+              mode == "dead" || (mode == "random" && rng.UniformInt(10) < 7);
+          if (dead) {
+            // At tau itself, or above it.
+            c = rng.UniformInt(4) == 0 ? tau
+                                       : tau + (1.0 - tau) * rng.Uniform();
+          } else {
+            c = tau * TrapHappiness(&rng);
+          }
+        }
+        std::vector<uint32_t> all;
+        simd::AllQuads(n, &all);
+        std::vector<uint32_t> live = all;
+        simd::DropDeadQuads(cur.data(), tau, &live);
+        // The list holds exactly the quads with a direction below tau.
+        std::vector<uint32_t> want;
+        for (size_t j = 0; j + 4 <= (n & ~size_t{3}); j += 4) {
+          if (std::min({cur[j], cur[j + 1], cur[j + 2], cur[j + 3]}) < tau) {
+            want.push_back(static_cast<uint32_t>(j));
+          }
+        }
+        ASSERT_EQ(live, want);
+        if (mode == "dead") {
+          EXPECT_TRUE(live.empty());
+        } else if (mode == "live") {
+          EXPECT_EQ(live, all);
+        }
+        // The tail alone, summed in order from +0.0.
+        double tail_cached = 0.0, tail_eval = 0.0;
+        for (size_t j = n & ~size_t{3}; j < n; ++j) {
+          double s = 0.0;
+          for (size_t k = 0; k < d; ++k) s += p[k] * net.cols()[k][j];
+          const double h =
+              best[j] <= 1e-12 ? 1.0 : std::min(1.0, s / best[j]);
+          const double cell = CellValueReference(hrow[j]);
+          tail_cached += std::min(std::max(cur[j], cell), tau) -
+                         std::min(cur[j], tau);
+          tail_eval += std::min(std::max(cur[j], h), tau) -
+                       std::min(cur[j], tau);
+        }
+        const simd::QuadList every{all.data(), all.size()};
+        const simd::QuadList listed{live.data(), live.size()};
+        const simd::QuadList none{};
+        const double ref_cached = Scalar().trunc_gain_cached(
+            hrow.data(), cur.data(), n, tau, every);
+        const double ref_eval =
+            Scalar().trunc_gain_eval(net.cols(), n, p.data(), d, best.data(),
+                                     1e-12, cur.data(), tau, every);
+        for (const KernelTable* t : simd::internal::RunnableKernels()) {
+          SCOPED_TRACE(::testing::Message()
+                       << Shape(t, d, n, 1) << " tau=" << tau
+                       << " cur=" << mode);
+          for (const simd::QuadList quads : {every, listed}) {
+            EXPECT_TRUE(BitEq(ref_cached,
+                              t->trunc_gain_cached(hrow.data(), cur.data(), n,
+                                                   tau, quads)));
+            EXPECT_TRUE(BitEq(
+                ref_eval, t->trunc_gain_eval(net.cols(), n, p.data(), d,
+                                             best.data(), 1e-12, cur.data(),
+                                             tau, quads)));
+          }
+          EXPECT_TRUE(BitEq(tail_cached,
+                            t->trunc_gain_cached(hrow.data(), cur.data(), n,
+                                                 tau, none)));
+          EXPECT_TRUE(BitEq(tail_eval,
+                            t->trunc_gain_eval(net.cols(), n, p.data(), d,
+                                               best.data(), 1e-12, cur.data(),
+                                               tau, none)));
+        }
       }
     }
   }
@@ -404,12 +501,15 @@ TEST(SimdKernelTest, TruncGainCapIsCachedGainOverAllOnesRow) {
     std::vector<double> cur(m);
     for (double& v : cur) v = TrapHappiness(&rng);
     const std::vector<simd::Cell> ones(m, simd::kCellOne);
+    std::vector<uint32_t> all;
+    simd::AllQuads(m, &all);
     for (const double tau : {0.0, 0.3, 0.85, 1.0, 1.5}) {
       const double cap = simd::TruncGainCap(cur.data(), m, tau);
       for (const KernelTable* t : simd::internal::RunnableKernels()) {
         SCOPED_TRACE(Shape(t, 1, m, 1));
-        EXPECT_TRUE(
-            BitEq(cap, t->trunc_gain_cached(ones.data(), cur.data(), m, tau)));
+        EXPECT_TRUE(BitEq(cap, t->trunc_gain_cached(ones.data(), cur.data(),
+                                                    m, tau,
+                                                    {all.data(), all.size()})));
       }
     }
   }

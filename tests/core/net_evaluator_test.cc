@@ -1,6 +1,7 @@
 #include "core/net_evaluator.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -97,6 +98,66 @@ TEST(NetEvaluatorTest, CacheSkippedWhenOverBudget) {
   NetEvaluator eval(&data, &net, all);
   eval.CacheCandidates(all, /*max_entries=*/10);  // 40*64 > 10.
   EXPECT_EQ(eval.cached_row(0), nullptr);
+  const size_t bytes = eval.ResidentBytes();
+  eval.BuildSeedKeys();  // Nothing cached, nothing seeded.
+  EXPECT_FALSE(eval.has_seed_keys());
+  EXPECT_EQ(eval.seed_first_row(), -1);
+  EXPECT_EQ(eval.seed_key_empty(0), -1.0);
+  EXPECT_EQ(eval.ResidentBytes(), bytes);
+}
+
+TEST(NetEvaluatorTest, SeedKeysAreTauOneBoundsAroundPlainGreedysFirstPick) {
+  // The empty-set seed of a cached row is its fresh GainBound at tau = 1,
+  // bit for bit; the first pick is the largest exact gain at tau = 1
+  // (smaller row on ties); the after-pick seeds are GainBound at tau = 1
+  // once that row is added. Uncached rows have no seed. 16 bytes a row.
+  for (uint64_t seed : {41u, 43u, 47u}) {
+    Rng rng(seed);
+    const Dataset data = GenAntiCorrelated(80, 4, &rng);
+    const UtilityNet net = UtilityNet::SampleRandom(4, 203, &rng);
+    std::vector<int> all(80);
+    std::iota(all.begin(), all.end(), 0);
+    std::vector<int> cached;
+    for (int r = 79; r >= 0; r -= 3) cached.push_back(r);
+    for (int threads : {1, 3}) {
+      NetEvaluator eval(&data, &net, all, threads);
+      eval.CacheCandidates(cached);
+      const size_t bytes = eval.ResidentBytes();
+      eval.BuildSeedKeys();
+      ASSERT_TRUE(eval.has_seed_keys());
+      EXPECT_EQ(eval.ResidentBytes(), bytes + cached.size() * 16);
+
+      const TruncatedMhrState empty(&eval);
+      int first = -1;
+      double first_gain = -1.0;
+      for (int row : cached) {
+        const double gain = empty.MarginalGain(row, 1.0);
+        if (gain > first_gain || (gain == first_gain && row < first)) {
+          first_gain = gain;
+          first = row;
+        }
+      }
+      ASSERT_EQ(eval.seed_first_row(), first);
+      TruncatedMhrState after(&eval);
+      after.Add(first);
+      for (int row : all) {
+        SCOPED_TRACE(::testing::Message() << "row " << row);
+        if (eval.cached_row(row) == nullptr) {
+          EXPECT_EQ(eval.seed_key_empty(row), -1.0);
+          EXPECT_EQ(eval.seed_key_after_first(row), -1.0);
+          continue;
+        }
+        const double want = empty.GainBound(row, 1.0);
+        const double got = eval.seed_key_empty(row);
+        EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0);
+        if (row == first) {
+          EXPECT_EQ(eval.seed_key_after_first(row), -1.0);
+        } else {
+          EXPECT_EQ(eval.seed_key_after_first(row), after.GainBound(row, 1.0));
+        }
+      }
+    }
+  }
 }
 
 TEST(TruncatedMhrStateTest, AddMatchesRecompute) {
@@ -182,10 +243,30 @@ TEST(TruncatedMhrStateTest, SubmodularityProperty) {
   }
 }
 
+/// The canonical sum of the truncated gain terms over every direction, in
+/// the kernel layer's order (four lanes striped j % 4, combined as
+/// (p0 + p1) + (p2 + p3), tail after), over m: the reference for a state's
+/// gains, with no quad list.
+double FullRowGain(const std::vector<double>& cur,
+                   const std::vector<double>& h, double tau) {
+  const size_t m = cur.size();
+  const auto term = [&](size_t j) {
+    return std::min(std::max(cur[j], h[j]), tau) - std::min(cur[j], tau);
+  };
+  double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+  const size_t m4 = m & ~static_cast<size_t>(3);
+  for (size_t j = 0; j < m4; ++j) lanes[j % 4] += term(j);
+  double total = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+  for (size_t j = m4; j < m; ++j) total += term(j);
+  return total / static_cast<double>(m);
+}
+
 TEST(TruncatedMhrStateTest, GainBoundIsAtLeastExactGain) {
   // Cached rows (the even ones) bound the exact gain from above; uncached
   // rows have no cached row, so their bound is the exact gain itself. No
-  // bound exceeds GainCap, the gain of a point happy everywhere.
+  // bound exceeds GainCap, the gain of a point happy everywhere. After
+  // every Add, both equal the full-row reference bit for bit: the state
+  // skips only quads whose terms are +0.0.
   for (uint64_t seed : {29u, 31u, 37u}) {
     Rng rng(seed);
     const Dataset data = GenAntiCorrelated(60, 4, &rng);
@@ -200,13 +281,29 @@ TEST(TruncatedMhrStateTest, GainBoundIsAtLeastExactGain) {
     // Ascending taus: computed gains and bounds never fall as tau rises,
     // so a key computed at a larger tau bounds the gain at a smaller one.
     const std::vector<double> taus = {0.05, 0.25, 0.5, 0.7, 0.9, 1.0};
+    std::vector<double> cur(net.size(), 0.0);
+    std::vector<double> h(net.size());
+    std::vector<double> cells(net.size());
+    // h: `row`'s exact happiness per direction; cells: its bound's terms.
+    const auto load_row = [&](int row) {
+      eval.PointHappinessRow(row, h.data());
+      const simd::Cell* hrow = eval.cached_row(row);
+      for (size_t j = 0; j < net.size(); ++j) {
+        cells[j] = hrow != nullptr ? CellValueReference(hrow[j]) : h[j];
+      }
+    };
     for (int step = 0; step < 6; ++step) {
       for (int row : all) {
+        load_row(row);
         double prev_exact = -1.0;
         double prev_bound = -1.0;
         for (double tau : taus) {
           const double exact = state.MarginalGain(row, tau);
           const double bound = state.GainBound(row, tau);
+          EXPECT_EQ(exact, FullRowGain(cur, h, tau))
+              << "row " << row << " tau " << tau;
+          EXPECT_EQ(bound, FullRowGain(cur, cells, tau))
+              << "row " << row << " tau " << tau;
           if (row % 2 == 0) {
             EXPECT_GE(bound, exact) << "row " << row << " tau " << tau;
           } else {
@@ -221,7 +318,20 @@ TEST(TruncatedMhrStateTest, GainBoundIsAtLeastExactGain) {
           prev_bound = bound;
         }
       }
-      state.Add(static_cast<int>(rng.UniformInt(60)));
+      // List the quads at 0.25, then Add: the list the Add prunes must
+      // still match the reference at that tau.
+      (void)state.GainBound(0, 0.25);
+      const int added = static_cast<int>(rng.UniformInt(60));
+      state.Add(added);
+      eval.PointHappinessRow(added, h.data());
+      for (size_t j = 0; j < net.size(); ++j) cur[j] = std::max(cur[j], h[j]);
+      for (int row : all) {
+        load_row(row);
+        EXPECT_EQ(state.MarginalGain(row, 0.25), FullRowGain(cur, h, 0.25))
+            << "row " << row << " after adding " << added;
+        EXPECT_EQ(state.GainBound(row, 0.25), FullRowGain(cur, cells, 0.25))
+            << "row " << row << " after adding " << added;
+      }
     }
   }
 }
