@@ -1,27 +1,20 @@
-// Shared infrastructure for the bench binaries.
-//
-// The paper benches each regenerate one table or figure of the paper: they
-// build the dataset cases (statistical replicas; load the real CSVs via
-// data/csv.h if you have them), run the algorithm roster, and print the
-// same rows/series the paper reports. Pass --full for paper-scale extremes
-// (larger n / d); defaults keep every binary in the seconds-to-minutes
-// range. The perf benches time named passes through the Harness below.
+// The pass-bench harness: bench_kernel, bench_session_amortization,
+// bench_dynamic_updates and bench_snapshot time named passes of one
+// workload through the Harness below. bench_paper, which prints the
+// paper's tables, uses only CheckFlags from here; its dataset cases,
+// rosters and table printing are its own.
 
 #ifndef FAIRHMS_BENCH_BENCH_UTIL_H_
 #define FAIRHMS_BENCH_BENCH_UTIL_H_
 
 #include <functional>
-#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/solver.h"
 #include "cli_util.h"
 #include "common/statusor.h"
-#include "core/solution.h"
-#include "data/dataset.h"
-#include "data/grouping.h"
-#include "fairness/group_bounds.h"
 
 namespace fairhms {
 namespace bench {
@@ -94,8 +87,8 @@ class Harness {
   Harness(const cli::Flags& flags, std::string name);
 
   /// --key as a non-empty comma-separated list, `def` when absent. Int
-  /// entries must be >= 1 and double entries >= 0; a bad list fails
-  /// Start().
+  /// entries must be >= 1 and double entries >= 0; a bad list is recorded
+  /// as a flag error and fails Start().
   std::vector<std::string> Strings(const std::string& key,
                                    const std::string& def);
   std::vector<int> Ints(const std::string& key, const std::string& def);
@@ -113,89 +106,13 @@ class Harness {
   bool Pass(const std::string& pass, int threads, const Body& body);
 
  private:
-  /// Records the first bad flag value; Start() reports it.
+  /// Records a bad flag value through flags_; Start() reports it.
   void Refuse(const std::string& message);
 
   const cli::Flags& flags_;
   std::string name_;
   int reps_;
-  Status error_;
 };
-
-/// One benchmark instance: normalized data + grouping + labels.
-struct DatasetCase {
-  std::string name;      ///< Display name, e.g. "Adult (Gender)".
-  Dataset data{1};       ///< ScaledByMax-normalized numeric attributes.
-  Grouping grouping;
-  std::vector<int> skyline;  ///< Global skyline (evaluation denominators).
-  std::vector<int> pool;     ///< Fair candidate pool (per-group skylines).
-};
-
-/// Builds a dataset case by key:
-///   lawschs:gender lawschs:race adult:gender adult:race adult:g+r
-///   compas:gender compas:isRecid compas:g+ir
-///   credit:job credit:housing credit:wy
-///   anticor (uses n/d/c arguments)
-/// Replica sizes follow Table 2 unless `n_override` > 0.
-DatasetCase MakeCase(const std::string& key, uint64_t seed = 42,
-                     size_t n_override = 0, int anticor_d = 6,
-                     int anticor_c = 3);
-
-/// The ten dataset/group combinations of Figs. 5, 6, 8-11.
-std::vector<std::string> MultiDimCaseKeys();
-
-/// Result row of one algorithm run.
-struct RunResult {
-  bool ok = false;
-  double mhr = 0.0;
-  double ms = 0.0;
-  int violations = 0;
-  std::string note;  ///< Failure reason for skipped bars ("k<d", "OOM"...).
-};
-
-/// A fair algorithm: solves FairHMS on the case under the bounds.
-using FairRunner =
-    std::function<StatusOr<Solution>(const DatasetCase&, const GroupBounds&)>;
-
-/// An unconstrained HMS baseline: solves on the case's global skyline.
-using PlainRunner =
-    std::function<StatusOr<Solution>(const DatasetCase&, int k)>;
-
-/// The paper's fair roster (Figs. 4-7): BiGreedy, BiGreedy+, F-Greedy,
-/// G-Greedy, G-DMM, G-HS, G-Sphere; IntCov included when `with_intcov`.
-std::vector<std::pair<std::string, FairRunner>> FairRoster(bool with_intcov);
-
-/// The unconstrained roster of Fig. 3: Greedy, DMM, HS, Sphere.
-std::vector<std::pair<std::string, PlainRunner>> PlainRoster();
-
-/// Runs a fair algorithm and evaluates its solution with the reference
-/// evaluator (exact 2D / exact LP / high-resolution net as appropriate).
-RunResult RunFair(const FairRunner& runner, const DatasetCase& c,
-                  const GroupBounds& bounds);
-
-/// Runs an unconstrained baseline; violations are measured against `bounds`.
-RunResult RunPlain(const PlainRunner& runner, const DatasetCase& c, int k,
-                   const GroupBounds& bounds);
-
-/// Unconstrained reference MHR ("price of fairness" black line): exact via
-/// IntCov for d = 2, best-of-roster otherwise.
-double UnconstrainedReference(const DatasetCase& c, int k);
-
-/// Reference mhr of a solution (exact when affordable).
-double ReferenceMhr(const DatasetCase& c, const std::vector<int>& rows);
-
-/// Proportional bounds with alpha = 0.1 (the paper's default).
-GroupBounds PaperBounds(const DatasetCase& c, int k);
-
-/// Prints a table header / row with fixed-width columns.
-void PrintHeader(const std::string& title, const std::string& xlabel,
-                 const std::vector<std::string>& series);
-void PrintRow(const std::string& x, const std::vector<std::string>& cells);
-
-/// Formats a RunResult metric ("-" for failures with the note appended).
-std::string FormatMhr(const RunResult& r);
-std::string FormatMs(const RunResult& r);
-std::string FormatErr(const RunResult& r);
 
 }  // namespace bench
 }  // namespace fairhms

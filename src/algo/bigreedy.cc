@@ -347,13 +347,14 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
 
   if (opts.tau_search == TauSearch::kBinary) {
     // Warm path: walk the grid outward from the hinted index, looking for
-    // the smallest certifying index — the same index the cold binary
-    // search below lands on (both rely on certification being monotone in
-    // tau). Successive session queries move the certified index by at most
-    // a step or two, so the walk typically resolves in 2-3 MRGreedy calls
+    // the smallest certifying index. Certification is not monotone in tau
+    // (the greedy builds a different set at each tau), so the walk can stop
+    // at a different index than the cold binary search below and return
+    // other rows; it re-certifies its own answer (ROADMAP item 2).
+    // Successive session queries move the certified index by at most a
+    // step or two, so the walk typically resolves in 2-3 MRGreedy calls
     // versus ~log2(grid) cold. A hint that drifted beyond the walk budget
-    // is discarded and the solve falls through to the cold search, keeping
-    // results bit-identical either way.
+    // is discarded and the solve falls through to the cold search.
     bool resolved = false;
     if (opts.warm_tau_index >= 0 && grid_size > 0) {
       constexpr int kWarmWalkBudget = 4;  // Probes after the first.

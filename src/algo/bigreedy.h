@@ -74,9 +74,10 @@ struct BiGreedyOptions {
   /// Warm-start hint: the certified capped-value grid index of a previous
   /// compatible solution (-1 = cold). Only honored by the binary tau
   /// search, which walks the grid outward from the hint instead of binary
-  /// searching; the walk re-certifies every step, so an accepted warm
-  /// solve lands on the same grid index — and therefore the same rows —
-  /// as the cold search, and a stale hint degrades to the cold search.
+  /// searching, and a stale hint degrades to the cold search. The walk
+  /// re-certifies its own answer but can stop at a different grid index —
+  /// and so return other rows — than the cold binary search, because
+  /// certification is not monotone in tau (ROADMAP item 2).
   int warm_tau_index = -1;
 };
 

@@ -46,8 +46,9 @@ struct AlgoCapabilities {
   bool supports_lambda = false;
   /// Can seed a solve from a previous session solution (via
   /// SolveContext::warm_tau_index) and self-validate the hint, falling
-  /// back to a cold solve when validation fails. Warm results must be
-  /// bit-identical to cold ones.
+  /// back to a cold solve when validation fails. The warm walk re-certifies
+  /// its own answer but can stop at a different grid index than the cold
+  /// binary search, so warm rows can differ from cold ones (ROADMAP item 2).
   bool warm_startable = false;
 };
 
@@ -93,8 +94,8 @@ struct SolveContext {
   ArtifactCache* cache = nullptr;
   /// Warm-start hint for warm_startable algorithms: the certified tau-grid
   /// index of the session's previous compatible solution, or -1 for a cold
-  /// solve. Purely advisory — the algorithm re-validates it and must
-  /// return bit-identical results whether or not the hint is used.
+  /// solve. The algorithm re-certifies whatever the hint leads to, but that
+  /// answer can differ from the cold solve's (ROADMAP item 2).
   int warm_tau_index = -1;
   /// When non-null, the algorithm fills per-solve diagnostics here.
   SolveRunInfo* run_info = nullptr;

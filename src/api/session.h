@@ -18,10 +18,13 @@
 //   auto again = session.Solve(req);    // warm: cache hits
 //   session.cache_stats();              // hits / misses / bytes
 //
-// Guarantee: a warm solve is bit-identical to a cold one — the cache only
-// memoizes pure functions of the pinned objects and restores RNG streams
-// on hits, so Solver::Solve(req) (the one-shot special case, which runs a
-// throwaway session) and session.Solve(req) return identical results.
+// Guarantee: a cache hit never changes an answer — the cache only memoizes
+// pure functions of the pinned objects and restores RNG streams on hits,
+// so Solver::Solve(req) (the one-shot special case, which runs a throwaway
+// session) and session.Solve(req) return identical results. Warm-started
+// re-solves (SolverRequest::allow_warm_start) are the exception: BiGreedy's
+// warm tau walk re-certifies its own answer but can stop at a different
+// grid index than the cold binary search (ROADMAP item 2).
 //
 // Dynamic sessions (CreateDynamic) additionally accept mutations between
 // queries: Insert appends a row (deriving its fairness group from pinned

@@ -60,9 +60,10 @@ struct SolverRequest {
   /// Minimum predicted happiness ratio, only with "auto". 0 = unset.
   double quality_target = 0.0;
   /// Allow warm_startable algorithms to seed from the session's previous
-  /// compatible solution (results stay bit-identical; see
-  /// AlgoCapabilities::warm_startable). One-shot Solver::Solve calls run
-  /// in a throwaway session, so this only matters for held sessions.
+  /// compatible solution (a warm answer is re-certified but can differ
+  /// from the cold one; see AlgoCapabilities::warm_startable). One-shot
+  /// Solver::Solve calls run in a throwaway session, so this only matters
+  /// for held sessions.
   bool allow_warm_start = true;
 };
 
@@ -98,8 +99,8 @@ struct SolverResult {
   /// Planner echo for `algorithm: "auto"` requests (plan.planned == false
   /// otherwise).
   SolverPlanEcho plan;
-  /// The solve was warm-started from the session's previous solution
-  /// (bit-identical to the cold solve it replaced).
+  /// The solve was warm-started from the session's previous solution (its
+  /// rows can differ from the cold solve's; ROADMAP item 2).
   bool warm_start_used = false;
 };
 

@@ -140,8 +140,9 @@ std::string NormalizeTimings(std::string s) {
   // The warm_start telemetry flag is stripped like the timings: whether a
   // solve found a warm memo hint depends on scheduling (a concurrent
   // solve may or may not have published its memo yet), while the seq-
-  // order replay is single-threaded and always sees the memo — the
-  // advisory hint never changes the solution bytes, only this flag.
+  // order replay is single-threaded and always sees the memo. The hint
+  // can change rows in general (ROADMAP item 2); this stream's bigreedy
+  // lines answer the same either way, so only the flag differs.
   static const std::string kWarmStart = ", \"warm_start\": true";
   for (size_t pos; (pos = s.find(kWarmStart)) != std::string::npos;) {
     s.erase(pos, kWarmStart.size());

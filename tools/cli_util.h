@@ -44,10 +44,14 @@ class Flags {
   std::vector<int> GetIntList(const std::string& key) const;
 
   /// First malformed or out-of-range value seen by a numeric getter (a
-  /// present flag whose value failed to parse), or OK. Callers must check
-  /// this before trusting defaults: a typo like --k=1O must not silently
-  /// run with k=10.
+  /// present flag whose value failed to parse) or recorded by Error(), or
+  /// OK. Callers must check this before trusting defaults: a typo like
+  /// --k=1O must not silently run with k=10.
   Status ParseError() const;
+
+  /// Records a value the caller refuses (out of its range, an unknown
+  /// name) as a parse error; the first error recorded is the one reported.
+  void Error(Status status) const;
 
   /// Call once every flag of the taken code path has been looked up:
   /// warns on stderr ("<prog>: warning: ...") about each flag never looked
@@ -57,9 +61,6 @@ class Flags {
                 const std::set<std::string>& documented = {}) const;
 
  private:
-  /// Records the first parse error.
-  void Error(Status status) const;
-
   std::map<std::string, std::string> kv_;
   mutable std::set<std::string> seen_;
   mutable Status parse_error_;
