@@ -164,23 +164,45 @@ using Runner =
     std::function<StatusOr<Solution>(const DatasetCase&, const GroupBounds&)>;
 using Roster = std::vector<std::pair<std::string, Runner>>;
 
+/// An unconstrained HMS algorithm: the full run (rows and its own
+/// evaluation, timed) and the rows alone, which the G-adapter runs.
+struct PlainAlgo {
+  std::string name;
+  std::function<StatusOr<Solution>(const Dataset&, const std::vector<int>&,
+                                   int)>
+      solve;
+  BaseSolver rows;
+};
+
 /// The unconstrained HMS algorithms: Greedy, DMM, HS, Sphere.
-std::vector<std::pair<std::string, BaseSolver>> PlainAlgos() {
+std::vector<PlainAlgo> PlainAlgos() {
   return {{"Greedy",
            [](const Dataset& d, const std::vector<int>& rows, int k) {
              return RdpGreedy(d, rows, k);
+           },
+           [](const Dataset& d, const std::vector<int>& rows, int k) {
+             return RdpGreedyRows(d, rows, k);
            }},
           {"DMM",
            [](const Dataset& d, const std::vector<int>& rows, int k) {
              return Dmm(d, rows, k);
+           },
+           [](const Dataset& d, const std::vector<int>& rows, int k) {
+             return DmmRows(d, rows, k);
            }},
           {"HS",
            [](const Dataset& d, const std::vector<int>& rows, int k) {
              return HittingSet(d, rows, k);
+           },
+           [](const Dataset& d, const std::vector<int>& rows, int k) {
+             return HittingSetRows(d, rows, k);
            }},
           {"Sphere",
            [](const Dataset& d, const std::vector<int>& rows, int k) {
              return SphereAlgo(d, rows, k);
+           },
+           [](const Dataset& d, const std::vector<int>& rows, int k) {
+             return SphereRows(d, rows, k);
            }}};
 }
 
@@ -220,13 +242,14 @@ Roster FairRoster(bool with_intcov) {
   });
   // The G-* baselines: each unconstrained algorithm run inside every
   // group under its quota.
-  for (auto& [name, algo] : PlainAlgos()) {
-    roster.emplace_back("G-" + name, [name = name, algo = algo](
-                                         const DatasetCase& c,
-                                         const GroupBounds& b) {
+  for (PlainAlgo& algo : PlainAlgos()) {
+    roster.emplace_back("G-" + algo.name, [name = algo.name,
+                                           rows = algo.rows](
+                                              const DatasetCase& c,
+                                              const GroupBounds& b) {
       GroupAdapterOptions opts;
       opts.db_rows = c.skyline;
-      return GroupAdapt(algo, name, c.data, c.grouping, b, opts);
+      return GroupAdapt(rows, name, c.data, c.grouping, b, opts);
     });
   }
   return roster;
@@ -235,10 +258,10 @@ Roster FairRoster(bool with_intcov) {
 /// The unconstrained roster of Fig. 3, on the case's global skyline.
 Roster PlainRoster() {
   Roster roster;
-  for (auto& [name, algo] : PlainAlgos()) {
-    roster.emplace_back(name, [algo = algo](const DatasetCase& c,
-                                            const GroupBounds& b) {
-      return algo(c.data, c.skyline, b.k);
+  for (PlainAlgo& algo : PlainAlgos()) {
+    roster.emplace_back(algo.name, [solve = algo.solve](const DatasetCase& c,
+                                                        const GroupBounds& b) {
+      return solve(c.data, c.skyline, b.k);
     });
   }
   return roster;

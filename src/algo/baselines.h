@@ -22,6 +22,11 @@
 // violations reported) and G-adapted ("g_greedy", "g_dmm", "g_sphere",
 // "g_hs" — fair by per-group quotas). Solver::Solve (api/solver.h) is the
 // stable entry point.
+//
+// Each baseline also comes as a *Rows function: the same rows, sorted,
+// without the final exact evaluation (one MhrExactLp over `rows`). The
+// G-adapter runs those per group, since it keeps only the rows and
+// evaluates the union itself.
 
 #ifndef FAIRHMS_ALGO_BASELINES_H_
 #define FAIRHMS_ALGO_BASELINES_H_
@@ -50,6 +55,9 @@ struct RdpGreedyOptions {
 /// RDP-Greedy. `rows` must be non-empty; k >= 1.
 StatusOr<Solution> RdpGreedy(const Dataset& data, const std::vector<int>& rows,
                              int k, const RdpGreedyOptions& opts = {});
+StatusOr<std::vector<int>> RdpGreedyRows(const Dataset& data,
+                                         const std::vector<int>& rows, int k,
+                                         const RdpGreedyOptions& opts = {});
 
 /// Options for Dmm.
 struct DmmOptions {
@@ -71,6 +79,9 @@ struct DmmOptions {
 /// DMM.
 StatusOr<Solution> Dmm(const Dataset& data, const std::vector<int>& rows,
                        int k, const DmmOptions& opts = {});
+StatusOr<std::vector<int>> DmmRows(const Dataset& data,
+                                   const std::vector<int>& rows, int k,
+                                   const DmmOptions& opts = {});
 
 /// Options for SphereAlgo.
 struct SphereOptions {
@@ -88,6 +99,9 @@ struct SphereOptions {
 StatusOr<Solution> SphereAlgo(const Dataset& data,
                               const std::vector<int>& rows, int k,
                               const SphereOptions& opts = {});
+StatusOr<std::vector<int>> SphereRows(const Dataset& data,
+                                      const std::vector<int>& rows, int k,
+                                      const SphereOptions& opts = {});
 
 /// Options for HittingSet.
 struct HittingSetOptions {
@@ -109,6 +123,9 @@ struct HittingSetOptions {
 StatusOr<Solution> HittingSet(const Dataset& data,
                               const std::vector<int>& rows, int k,
                               const HittingSetOptions& opts = {});
+StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
+                                          const std::vector<int>& rows, int k,
+                                          const HittingSetOptions& opts = {});
 
 }  // namespace fairhms
 

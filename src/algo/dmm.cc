@@ -47,12 +47,12 @@ std::vector<double> AngleGrid(int d, int gamma) {
 
 }  // namespace
 
-StatusOr<Solution> Dmm(const Dataset& data, const std::vector<int>& rows,
-                       int k, const DmmOptions& opts) {
+StatusOr<std::vector<int>> DmmRows(const Dataset& data,
+                                   const std::vector<int>& rows, int k,
+                                   const DmmOptions& opts) {
   if (rows.empty()) return Status::InvalidArgument("empty candidate set");
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   const int d = data.dim();
-  Stopwatch timer;
 
   const size_t target = opts.target_net_size > 0
                             ? opts.target_net_size
@@ -203,9 +203,15 @@ StatusOr<Solution> Dmm(const Dataset& data, const std::vector<int>& rows,
     }
   }
 
+  std::sort(best_rows.begin(), best_rows.end());
+  return best_rows;
+}
+
+StatusOr<Solution> Dmm(const Dataset& data, const std::vector<int>& rows,
+                       int k, const DmmOptions& opts) {
+  Stopwatch timer;
   Solution out;
-  out.rows = std::move(best_rows);
-  std::sort(out.rows.begin(), out.rows.end());
+  FAIRHMS_ASSIGN_OR_RETURN(out.rows, DmmRows(data, rows, k, opts));
   out.mhr =
       rows.size() <= 4000 ? MhrExactLp(data, rows, out.rows, opts.threads) : 0.0;
   out.elapsed_ms = timer.ElapsedMillis();
@@ -265,7 +271,7 @@ const AlgorithmRegistrar g_dmm_registrar([] {
     adapter_opts.cache = ctx.cache;
     return GroupAdapt(
         [opts](const Dataset& d, const std::vector<int>& rows, int k) {
-          return Dmm(d, rows, k, opts);
+          return DmmRows(d, rows, k, opts);
         },
         "DMM", *ctx.data, *ctx.grouping, *ctx.bounds, adapter_opts);
   };

@@ -54,7 +54,7 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
                     StrFormat("G-%s failed on group %d: %s", name.c_str(), c,
                               sub.status().message().c_str()));
     }
-    out.rows.insert(out.rows.end(), sub->rows.begin(), sub->rows.end());
+    out.rows.insert(out.rows.end(), sub->begin(), sub->end());
   }
 
   std::sort(out.rows.begin(), out.rows.end());

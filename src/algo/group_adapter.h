@@ -29,8 +29,9 @@ namespace fairhms {
 
 class ArtifactCache;  // core/artifact_cache.h
 
-/// A fairness-unaware HMS solver: (data, candidate rows, k) -> Solution.
-using BaseSolver = std::function<StatusOr<Solution>(
+/// A fairness-unaware HMS solver's rows: (data, candidate rows, k) ->
+/// selected rows (e.g. RdpGreedyRows; algo/baselines.h).
+using BaseSolver = std::function<StatusOr<std::vector<int>>(
     const Dataset&, const std::vector<int>&, int)>;
 
 /// Options for GroupAdapt.

@@ -15,13 +15,12 @@
 
 namespace fairhms {
 
-StatusOr<Solution> HittingSet(const Dataset& data,
-                              const std::vector<int>& rows, int k,
-                              const HittingSetOptions& opts) {
+StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
+                                          const std::vector<int>& rows, int k,
+                                          const HittingSetOptions& opts) {
   if (rows.empty()) return Status::InvalidArgument("empty candidate set");
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   const int d = data.dim();
-  Stopwatch timer;
 
   const size_t m_val = opts.validation_net_size > 0
                            ? opts.validation_net_size
@@ -151,9 +150,16 @@ StatusOr<Solution> HittingSet(const Dataset& data,
     }
   }
 
+  std::sort(best_rows.begin(), best_rows.end());
+  return best_rows;
+}
+
+StatusOr<Solution> HittingSet(const Dataset& data,
+                              const std::vector<int>& rows, int k,
+                              const HittingSetOptions& opts) {
+  Stopwatch timer;
   Solution out;
-  out.rows = std::move(best_rows);
-  std::sort(out.rows.begin(), out.rows.end());
+  FAIRHMS_ASSIGN_OR_RETURN(out.rows, HittingSetRows(data, rows, k, opts));
   out.mhr =
       rows.size() <= 4000 ? MhrExactLp(data, rows, out.rows, opts.threads) : 0.0;
   out.elapsed_ms = timer.ElapsedMillis();
@@ -216,7 +222,7 @@ const AlgorithmRegistrar g_hs_registrar([] {
     adapter_opts.cache = ctx.cache;
     return GroupAdapt(
         [opts](const Dataset& d, const std::vector<int>& rows, int k) {
-          return HittingSet(d, rows, k, opts);
+          return HittingSetRows(d, rows, k, opts);
         },
         "HS", *ctx.data, *ctx.grouping, *ctx.bounds, adapter_opts);
   };

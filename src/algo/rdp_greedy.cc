@@ -27,11 +27,11 @@ std::vector<int> FillerOrder(const Dataset& data, const std::vector<int>& rows) 
 
 }  // namespace
 
-StatusOr<Solution> RdpGreedy(const Dataset& data, const std::vector<int>& rows,
-                             int k, const RdpGreedyOptions& opts) {
+StatusOr<std::vector<int>> RdpGreedyRows(const Dataset& data,
+                                         const std::vector<int>& rows, int k,
+                                         const RdpGreedyOptions& opts) {
   if (rows.empty()) return Status::InvalidArgument("empty candidate set");
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
-  Stopwatch timer;
 
   // Seed with the best point in the first dimension (the original's start).
   int seed_row = rows.front();
@@ -60,10 +60,15 @@ StatusOr<Solution> RdpGreedy(const Dataset& data, const std::vector<int>& rows,
       }
     }
   }
+  std::sort(solution.begin(), solution.end());
+  return solution;
+}
 
+StatusOr<Solution> RdpGreedy(const Dataset& data, const std::vector<int>& rows,
+                             int k, const RdpGreedyOptions& opts) {
+  Stopwatch timer;
   Solution out;
-  out.rows = std::move(solution);
-  std::sort(out.rows.begin(), out.rows.end());
+  FAIRHMS_ASSIGN_OR_RETURN(out.rows, RdpGreedyRows(data, rows, k, opts));
   out.mhr = MhrExactLp(data, rows, out.rows, opts.threads);
   out.elapsed_ms = timer.ElapsedMillis();
   out.algorithm = "Greedy";
@@ -117,7 +122,7 @@ const AlgorithmRegistrar g_greedy_registrar([] {
     adapter_opts.cache = ctx.cache;
     return GroupAdapt(
         [opts](const Dataset& d, const std::vector<int>& rows, int k) {
-          return RdpGreedy(d, rows, k, opts);
+          return RdpGreedyRows(d, rows, k, opts);
         },
         "Greedy", *ctx.data, *ctx.grouping, *ctx.bounds, adapter_opts);
   };

@@ -15,9 +15,14 @@
 
 namespace fairhms {
 
-StatusOr<Solution> SphereAlgo(const Dataset& data,
-                              const std::vector<int>& rows, int k,
-                              const SphereOptions& opts) {
+namespace {
+
+/// Sphere's rows, sorted. `*eval_out`, when given, receives the evaluator
+/// the run built, for SphereAlgo's evaluation of large pools.
+StatusOr<std::vector<int>> SphereSelect(
+    const Dataset& data, const std::vector<int>& rows, int k,
+    const SphereOptions& opts,
+    std::shared_ptr<const NetEvaluator>* eval_out) {
   if (rows.empty()) return Status::InvalidArgument("empty candidate set");
   const int d = data.dim();
   if (k < d) {
@@ -26,7 +31,6 @@ StatusOr<Solution> SphereAlgo(const Dataset& data,
     return Status::InvalidArgument(
         StrFormat("Sphere requires k >= d (k=%d, d=%d)", k, d));
   }
-  Stopwatch timer;
 
   // Phase 1: the "boundary" points — best in each dimension.
   std::vector<int> solution;
@@ -97,11 +101,29 @@ StatusOr<Solution> SphereAlgo(const Dataset& data,
     }
   }
 
+  std::sort(solution.begin(), solution.end());
+  if (eval_out != nullptr) *eval_out = eval_ptr;
+  return solution;
+}
+
+}  // namespace
+
+StatusOr<std::vector<int>> SphereRows(const Dataset& data,
+                                      const std::vector<int>& rows, int k,
+                                      const SphereOptions& opts) {
+  return SphereSelect(data, rows, k, opts, nullptr);
+}
+
+StatusOr<Solution> SphereAlgo(const Dataset& data,
+                              const std::vector<int>& rows, int k,
+                              const SphereOptions& opts) {
+  Stopwatch timer;
+  std::shared_ptr<const NetEvaluator> eval;
   Solution out;
-  out.rows = std::move(solution);
-  std::sort(out.rows.begin(), out.rows.end());
+  FAIRHMS_ASSIGN_OR_RETURN(out.rows,
+                           SphereSelect(data, rows, k, opts, &eval));
   out.mhr = rows.size() <= 4000 ? MhrExactLp(data, rows, out.rows, opts.threads)
-                                : eval.Mhr(out.rows);
+                                : eval->Mhr(out.rows);
   out.elapsed_ms = timer.ElapsedMillis();
   out.algorithm = "Sphere";
   return out;
@@ -160,7 +182,7 @@ const AlgorithmRegistrar g_sphere_registrar([] {
     adapter_opts.cache = ctx.cache;
     return GroupAdapt(
         [opts](const Dataset& d, const std::vector<int>& rows, int k) {
-          return SphereAlgo(d, rows, k, opts);
+          return SphereRows(d, rows, k, opts);
         },
         "Sphere", *ctx.data, *ctx.grouping, *ctx.bounds, adapter_opts);
   };

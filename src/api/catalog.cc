@@ -44,7 +44,7 @@ DatasetCatalog::DatasetCatalog(Options opts)
 Status DatasetCatalog::Commit(const std::string& name, Entry entry) {
   arbiter_.Register(entry.session->cache(), name,
                     [session = entry.session.get()] {
-                      session->ClearCache();
+                      session->EvictLeastRecent();
                     });
   entries_.emplace(name, std::move(entry));
   ++version_;

@@ -239,7 +239,7 @@ void ProtocolService::MaybeRebalance(const std::string& route) {
       return;
     }
   }
-  // Eviction may clear caches other solves are reading — they hold their
+  // Eviction may drop entries other solves are reading — they hold their
   // artifacts by shared_ptr — so the shared catalog lock suffices; it keeps
   // Register and Drop, which change the arbiter's sessions, out.
   ReaderMutexLock catalog_lock(&catalog_mu_);

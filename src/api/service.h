@@ -20,7 +20,7 @@
 //     (queries commute under shared locks; mutations serialize), which is
 //     how the concurrent integration test checks linearizability.
 //   * CacheArbiter calls are serialized by arbiter_mu_; Rebalance — which
-//     may evict *other* sessions' caches — runs under the shared catalog
+//     may evict *other* sessions' entries — runs under the shared catalog
 //     lock, after the serving op released its dataset lock, and only when
 //     the global total exceeds the budget. Evicting next to in-flight
 //     solves is safe: they hold their cached artifacts by shared_ptr.

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <optional>
 #include <utility>
 #include <variant>
 
@@ -560,14 +561,25 @@ void SolverSession::ClearCache() {
   // The 2D projection stays: in-flight solves read it through raw
   // pointers, and the cache keeps its bytes charged.
   cache_->Clear();
-  if (publish_mu_ != nullptr) {
-    // The drop also removed the published SkylineIndex artifacts: reset
-    // the sentinels so the next query republishes them instead of paying
-    // a cold recompute.
-    MutexLock lock(*publish_mu_);
-    published_data_version_ = ~uint64_t{0};
-    published_grouping_version_ = ~uint64_t{0};
+  ResetPublishSentinels();
+}
+
+void SolverSession::EvictLeastRecent() {
+  const std::optional<ArtifactCache::Kind> kind = cache_->EvictLeastRecent();
+  // Nets and evaluators are never published; everything else may be.
+  if (kind.has_value() && *kind != ArtifactCache::Kind::kNet &&
+      *kind != ArtifactCache::Kind::kEvaluator) {
+    ResetPublishSentinels();
   }
+}
+
+void SolverSession::ResetPublishSentinels() {
+  if (publish_mu_ == nullptr) return;  // Static sessions never publish.
+  // The drop may have removed a published SkylineIndex artifact: the next
+  // query republishes instead of paying a cold recompute.
+  MutexLock lock(*publish_mu_);
+  published_data_version_ = ~uint64_t{0};
+  published_grouping_version_ = ~uint64_t{0};
 }
 
 }  // namespace fairhms

@@ -39,9 +39,9 @@
 // Solver::Solve against the mutated dataset.
 //
 // Solve is safe for concurrent callers once registration has finished, and
-// so is ClearCache: solves hold their cached artifacts by shared_ptr, and
-// the 2D projection they may read is never dropped. Insert and Erase must
-// not race in-flight solves.
+// so are ClearCache and EvictLeastRecent: solves hold their cached
+// artifacts by shared_ptr, and the 2D projection they may read is never
+// dropped. Insert and Erase must not race in-flight solves.
 
 #ifndef FAIRHMS_API_SESSION_H_
 #define FAIRHMS_API_SESSION_H_
@@ -179,6 +179,12 @@ class SolverSession {
   /// session-owned 2D projection stays. Safe next to in-flight solves.
   void ClearCache();
 
+  /// Drops the cache's least recently used entry
+  /// (ArtifactCache::EvictLeastRecent); when it is one the SkylineIndex
+  /// publishes, the next query republishes instead of recomputing. The
+  /// catalog's budget eviction hook. Safe next to in-flight solves.
+  void EvictLeastRecent();
+
  private:
   SolverSession(const Dataset* data, const Grouping* grouping);
 
@@ -197,6 +203,10 @@ class SolverSession {
   /// no-op otherwise). Updates themselves stay O(skyline): a burst of
   /// mutations publishes lazily on the next query.
   void PublishIndexIfStale();
+
+  /// Marks the published artifacts stale after an eviction dropped some,
+  /// so the next PublishIndexIfStale puts them back.
+  void ResetPublishSentinels();
 
   /// Last compatible solve of a warm_startable algorithm, keyed by
   /// algorithm name. The hint is advisory (the algorithm re-validates),

@@ -1,8 +1,11 @@
 #include "common/simd.h"
 
+#include <sys/mman.h>
+
 #include <atomic>
 #include <cstdio>
 #include <mutex>
+#include <new>
 
 #include "common/simd_kernels.h"
 #include "common/string_util.h"
@@ -258,23 +261,36 @@ bool AnyWeaklyDominates(const double* const* cols, size_t nrows, size_t d,
 
 namespace {
 
-/// Idle-allocation recycler behind ScratchBuffer. Bounded so evicted
+/// Idle-block recycler behind ScratchBuffer. Bounded (simd.h) so evicted
 /// buffers cannot accumulate invisibly: at most kScratchPoolMaxEntries
-/// allocations and kScratchPoolMaxBytes total. The state is heap-allocated
-/// once and intentionally leaked so ScratchBuffers with static storage
-/// duration can release safely during process teardown.
-constexpr size_t kScratchPoolMaxEntries = 4;
-constexpr size_t kScratchPoolMaxBytes = 256u << 20;  // 256 MiB.
-
+/// blocks and kScratchPoolMaxBytes in all. A release that would pass
+/// either bound first frees the oldest idle blocks. A block only goes out
+/// as a close fit (capacity <= request + request / 8), so a small request
+/// never holds a large block while the artifact cache charges it for the
+/// cells it asked for. Blocks are mapped and unmapped directly: a freed
+/// block leaves the process instead of stranding in a worker thread's
+/// malloc arena. The state is heap-allocated once and intentionally leaked
+/// so ScratchBuffers with static storage duration can release safely
+/// during process teardown.
 struct ScratchPool {
   Mutex mu;
   struct Entry {
     Cell* ptr;
     size_t cap;  // Cells.
   };
+  /// Idle blocks, oldest release first.
   Entry entries[kScratchPoolMaxEntries] FAIRHMS_GUARDED_BY(mu);
   size_t count FAIRHMS_GUARDED_BY(mu) = 0;
   size_t bytes FAIRHMS_GUARDED_BY(mu) = 0;
+
+  /// Removes entries[i], keeping the rest in release order.
+  Entry Take(size_t i) FAIRHMS_REQUIRES(mu) {
+    const Entry entry = entries[i];
+    for (size_t j = i + 1; j < count; ++j) entries[j - 1] = entries[j];
+    --count;
+    bytes -= entry.cap * sizeof(Cell);
+    return entry;
+  }
 };
 
 ScratchPool& Pool() {
@@ -282,45 +298,55 @@ ScratchPool& Pool() {
   return *pool;
 }
 
+/// Page-aligned (so kAlign-aligned) fresh pages.
 Cell* ScratchAlloc(size_t cap) {
-  return static_cast<Cell*>(
-      ::operator new(cap * sizeof(Cell), std::align_val_t(kAlign)));
+  void* ptr = mmap(nullptr, cap * sizeof(Cell), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (ptr == MAP_FAILED) throw std::bad_alloc();
+  return static_cast<Cell*>(ptr);
 }
 
-void ScratchFree(Cell* ptr) {
-  ::operator delete(ptr, std::align_val_t(kAlign));
+void ScratchFree(const ScratchPool::Entry& block) {
+  munmap(block.ptr, block.cap * sizeof(Cell));
 }
 
-/// Smallest pooled allocation with capacity >= n, or nullptr.
+/// The smallest pooled block with n <= capacity <= n + n / 8, or nullptr.
 Cell* PoolAcquire(size_t n, size_t* cap_out) {
   ScratchPool& pool = Pool();
   MutexLock lock(&pool.mu);
   size_t pick = pool.count;
   for (size_t i = 0; i < pool.count; ++i) {
-    if (pool.entries[i].cap < n) continue;
-    if (pick == pool.count || pool.entries[i].cap < pool.entries[pick].cap) {
-      pick = i;
-    }
+    const size_t cap = pool.entries[i].cap;
+    if (cap < n || cap - n > n / 8) continue;
+    if (pick == pool.count || cap < pool.entries[pick].cap) pick = i;
   }
   if (pick == pool.count) return nullptr;
-  const ScratchPool::Entry entry = pool.entries[pick];
-  pool.entries[pick] = pool.entries[--pool.count];
-  pool.bytes -= entry.cap * sizeof(Cell);
+  const ScratchPool::Entry entry = pool.Take(pick);
   *cap_out = entry.cap;
   return entry.ptr;
 }
 
-/// True if the allocation was pooled; false means the caller must free it.
-bool PoolRelease(Cell* ptr, size_t cap) {
+/// Pools the block, freeing the oldest idle blocks it would not fit
+/// beside; a block over the whole byte bound is freed at once.
+void PoolRelease(Cell* ptr, size_t cap) {
   ScratchPool& pool = Pool();
-  MutexLock lock(&pool.mu);
-  if (pool.count == kScratchPoolMaxEntries ||
-      pool.bytes + cap * sizeof(Cell) > kScratchPoolMaxBytes) {
-    return false;
+  const size_t bytes = cap * sizeof(Cell);
+  ScratchPool::Entry freed[kScratchPoolMaxEntries + 1];
+  size_t freed_count = 0;
+  {
+    MutexLock lock(&pool.mu);
+    if (bytes > kScratchPoolMaxBytes) {
+      freed[freed_count++] = {ptr, cap};
+    } else {
+      while (pool.count == kScratchPoolMaxEntries ||
+             pool.bytes + bytes > kScratchPoolMaxBytes) {
+        freed[freed_count++] = pool.Take(0);
+      }
+      pool.entries[pool.count++] = {ptr, cap};
+      pool.bytes += bytes;
+    }
   }
-  pool.entries[pool.count++] = {ptr, cap};
-  pool.bytes += cap * sizeof(Cell);
-  return true;
+  for (size_t i = 0; i < freed_count; ++i) ScratchFree(freed[i]);
 }
 
 }  // namespace
@@ -343,7 +369,7 @@ void ScratchBuffer::ResizeUninitialized(size_t n) {
 }
 
 void ScratchBuffer::Release() {
-  if (data_ != nullptr && !PoolRelease(data_, cap_)) ScratchFree(data_);
+  if (data_ != nullptr) PoolRelease(data_, cap_);
   data_ = nullptr;
   size_ = 0;
   cap_ = 0;
@@ -366,7 +392,7 @@ void ScratchPoolTrim() {
     pool.count = 0;
     pool.bytes = 0;
   }
-  for (size_t i = 0; i < drained_count; ++i) ScratchFree(drained[i].ptr);
+  for (size_t i = 0; i < drained_count; ++i) ScratchFree(drained[i]);
 }
 
 }  // namespace simd

@@ -170,7 +170,9 @@ using AlignedVector = std::vector<double, AlignedAllocator<double>>;
 ///    process-wide pool (see simd.cc), so rebuilding an evaluator does not
 ///    re-pay the page-fault cost of a buffer an evicted evaluator just
 ///    released — first-touch faults on a fresh 100 MB allocation cost more
-///    than the fill kernels themselves.
+///    than the fill kernels themselves. A pooled block is only handed to a
+///    request it fits closely (capacity() <= n + n / 8), so size() stays
+///    an honest measure of the memory held.
 ///
 /// Callers must write every cell they later read; reading an
 /// uninitialized cell is a bug this class makes possible, which is why it
@@ -201,17 +203,20 @@ class ScratchBuffer {
   ScratchBuffer& operator=(const ScratchBuffer&) = delete;
 
   /// Sizes the buffer to n cells with UNINITIALIZED contents (both on
-  /// growth and on reuse of the current allocation). Reuses the current or
-  /// a pooled allocation when one is large enough.
+  /// growth and on reuse of the current allocation). Reuses the current
+  /// allocation when it is large enough, else a pooled block that fits
+  /// closely, else maps a fresh one of exactly n cells.
   void ResizeUninitialized(size_t n);
 
-  /// Returns the allocation to the pool (or frees it when the pool is
-  /// full) and empties the buffer.
+  /// Returns the allocation to the pool (which frees its oldest idle
+  /// blocks to make room) and empties the buffer.
   void Release();
 
   Cell* data() { return data_; }
   const Cell* data() const { return data_; }
   size_t size() const { return size_; }
+  /// Cells in the held block (>= size()).
+  size_t capacity() const { return cap_; }
   bool empty() const { return size_ == 0; }
   Cell& operator[](size_t i) { return data_[i]; }
   const Cell& operator[](size_t i) const { return data_[i]; }
@@ -222,9 +227,13 @@ class ScratchBuffer {
   size_t cap_ = 0;   // Cells, as allocated (>= size_).
 };
 
+/// Bounds on the idle blocks the scratch pool keeps (see simd.cc).
+constexpr size_t kScratchPoolMaxEntries = 4;
+constexpr size_t kScratchPoolMaxBytes = 256u << 20;  // 256 MiB.
+
 /// Bytes currently held idle in the scratch pool. Idle scratch is bounded
-/// (kScratchPoolMaxBytes in simd.cc) and sits outside the artifact-cache
-/// byte accounting, which only tracks live evaluator state.
+/// (the constants above) and sits outside the artifact-cache byte
+/// accounting, which only tracks live evaluator state.
 size_t ScratchPoolIdleBytes();
 
 /// Frees every idle pooled allocation. Memory-pressure and test hook.

@@ -140,6 +140,7 @@ std::shared_ptr<const void> ArtifactCache::GetOrBuildErased(
       if (it->second.value != nullptr) {
         ++counter.hits;
         it->second.stamp = key.version;
+        it->second.last_use = ++use_seq_;
         return it->second.value;
       }
       built_.Wait(mu_);  // Another thread is building this key.
@@ -188,6 +189,7 @@ void ArtifactCache::Store(const Key& key, Entry entry) {
     delta += static_cast<int64_t>(entry.bytes) -
              static_cast<int64_t>(slot.bytes);
     entry.stamp = key.version;
+    entry.last_use = ++use_seq_;
     slot = std::move(entry);
     Settle(delta);
   }
@@ -227,6 +229,24 @@ void ArtifactCache::Clear() {
     it = it->second.value != nullptr ? Drop(it, &delta) : std::next(it);
   }
   Settle(delta);
+}
+
+std::optional<ArtifactCache::Kind> ArtifactCache::EvictLeastRecent() {
+  MutexLock lock(&mu_);
+  auto victim = entries_.end();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->second.value == nullptr) continue;  // Its builder publishes it.
+    if (victim == entries_.end() ||
+        it->second.last_use < victim->second.last_use) {
+      victim = it;
+    }
+  }
+  if (victim == entries_.end()) return std::nullopt;
+  const Kind kind = victim->first.kind;
+  int64_t delta = 0;
+  Drop(victim, &delta);
+  Settle(delta);
+  return kind;
 }
 
 void CacheArbiter::Register(ArtifactCache* cache, std::string name,
@@ -284,13 +304,15 @@ void CacheArbiter::Touch(ArtifactCache* cache) {
 }
 
 void CacheArbiter::Rebalance(ArtifactCache* prefer_keep) {
-  // Evict one victim per pass, callbacks outside the lock (they re-enter
+  // One entry per callback call, callbacks outside the lock (they re-enter
   // OnBytesChanged to refund). Only caches holding unpinned bytes are
-  // candidates; a victim that somehow refunds nothing is remembered so the
-  // loop always terminates, and is not counted.
-  std::set<ArtifactCache*> already;
+  // candidates, and the coldest stays the victim while its calls refund
+  // bytes. A victim whose call refunds nothing (all it has left is pinned
+  // or still being built) is exhausted and skipped from then on, so the
+  // loop always terminates; that call is not counted.
+  std::set<ArtifactCache*> exhausted;
   const auto evictable = [&](ArtifactCache* addr, const Entry& entry) {
-    return entry.charged > entry.pinned && already.count(addr) == 0;
+    return entry.charged > entry.pinned && exhausted.count(addr) == 0;
   };
   for (;;) {
     std::function<void()> evict;
@@ -308,8 +330,8 @@ void CacheArbiter::Rebalance(ArtifactCache* prefer_keep) {
         }
       }
       if (victim == nullptr) {
-        // Everything cold is gone; the preferred cache only goes when it
-        // alone still exceeds the budget.
+        // Everything cold is gone; the preferred cache only loses entries
+        // when it alone still exceeds the budget.
         auto it = prefer_keep != nullptr ? entries_.find(prefer_keep)
                                          : entries_.end();
         if (it == entries_.end() || !evictable(prefer_keep, it->second)) {
@@ -319,12 +341,15 @@ void CacheArbiter::Rebalance(ArtifactCache* prefer_keep) {
       }
       evict = entries_[victim].evict;
       before = entries_[victim].charged;
-      already.insert(victim);
     }
     if (evict) evict();
     MutexLock lock(&mu_);
     const auto it = entries_.find(victim);
-    if (it != entries_.end() && it->second.charged < before) ++evictions_;
+    if (it != entries_.end() && it->second.charged < before) {
+      ++evictions_;
+    } else {
+      exhausted.insert(victim);
+    }
   }
 }
 

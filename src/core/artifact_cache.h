@@ -34,7 +34,9 @@
 // Lookups are safe for concurrent callers, and builds run outside the
 // cache lock. Artifacts are handed out as shared_ptrs, so Clear(), Put and
 // an arbiter's eviction may run at any time: a holder's artifact stays
-// alive until it lets go.
+// alive until it lets go. Every stored entry carries a last-use tick (set
+// on store and on hit); budget eviction drops entries least recently used
+// first, one at a time (EvictLeastRecent).
 
 #ifndef FAIRHMS_CORE_ARTIFACT_CACHE_H_
 #define FAIRHMS_CORE_ARTIFACT_CACHE_H_
@@ -43,6 +45,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -184,6 +187,12 @@ class ArtifactCache {
   /// projection stays charged.
   void Clear() FAIRHMS_EXCLUDES(mu_);
 
+  /// Drops the stored entry used least recently (stored or hit longest
+  /// ago) and refunds its bytes; returns its kind, or nullopt when nothing
+  /// is stored. A pending build is never picked, and the session-owned
+  /// projection is not an entry. Same safety as Clear().
+  std::optional<Kind> EvictLeastRecent() FAIRHMS_EXCLUDES(mu_);
+
   /// Attaches a process-wide arbiter: from now on every change to the
   /// resident byte total is charged/refunded there, in the order the cache
   /// applies it. CacheArbiter::Register does this.
@@ -194,6 +203,7 @@ class ArtifactCache {
     std::shared_ptr<const void> value;  ///< Null while its build runs.
     uint64_t bytes = 0;
     std::pair<uint64_t, uint64_t> stamp{0, 0};
+    uint64_t last_use = 0;  ///< use_seq_ at its store or latest hit.
   };
   using Table = std::map<Key, Entry>;
 
@@ -215,24 +225,26 @@ class ArtifactCache {
   CondVar built_;  ///< Signalled whenever a pending entry is stored.
   CacheStats stats_ FAIRHMS_GUARDED_BY(mu_);
   CacheArbiter* arbiter_ FAIRHMS_GUARDED_BY(mu_) = nullptr;
+  uint64_t use_seq_ FAIRHMS_GUARDED_BY(mu_) = 0;  ///< Recency clock.
   Table entries_ FAIRHMS_GUARDED_BY(mu_);
 };
 
 /// Process-wide cache budget arbitration across many ArtifactCaches (one
 /// per catalog session). Each cache charges/refunds its resident-byte
-/// changes here; when the global total exceeds the budget, Rebalance
-/// evicts whole cold caches — least-recently-Touched first — through the
-/// eviction callback they registered with (typically
-/// SolverSession::ClearCache, so the session's publish sentinels reset
-/// together with the drop).
+/// changes here; when the global total exceeds the budget, Rebalance frees
+/// entries from cold caches — least-recently-Touched cache first, and
+/// within it least recently used entry first — through the eviction
+/// callback each cache registered with. One callback call drops one entry
+/// (typically SolverSession::EvictLeastRecent, which also resets the
+/// session's publish sentinels when a published artifact goes).
 ///
 /// Concurrency contract: OnBytesChanged is pure accounting and safe from
 /// any thread; caches call it under their own lock (lock order cache ->
 /// arbiter, never the reverse). Rebalance invokes eviction callbacks
 /// *outside* the arbiter lock — callbacks re-enter via OnBytesChanged when
-/// the cleared cache refunds its bytes — and may run next to in-flight
-/// solves, which hold their artifacts by shared_ptr. A budget of 0 means
-/// unlimited (never evicts).
+/// the cache refunds the dropped entry's bytes — and may run next to
+/// in-flight solves, which hold their artifacts by shared_ptr. A budget of
+/// 0 means unlimited (never evicts).
 class CacheArbiter {
  public:
   explicit CacheArbiter(uint64_t budget_bytes) : budget_(budget_bytes) {}
@@ -240,9 +252,9 @@ class CacheArbiter {
   CacheArbiter& operator=(const CacheArbiter&) = delete;
 
   /// Starts arbitrating `cache` (attaches this arbiter to it and charges
-  /// its current resident bytes, its projection pinned). `evict` drops the
-  /// cache's artifacts when Rebalance selects it. Re-registering an address
-  /// replaces its entry.
+  /// its current resident bytes, its projection pinned). `evict` drops one
+  /// of the cache's entries (its least recently used) each time Rebalance
+  /// calls it. Re-registering an address replaces its entry.
   void Register(ArtifactCache* cache, std::string name,
                 std::function<void()> evict) FAIRHMS_EXCLUDES(mu_);
 
@@ -260,18 +272,18 @@ class CacheArbiter {
   /// Marks `cache` most-recently-used; Rebalance evicts coldest-first.
   void Touch(ArtifactCache* cache) FAIRHMS_EXCLUDES(mu_);
 
-  /// Evicts cold caches until the charged total fits the budget again.
-  /// `prefer_keep` (the cache that just served a query) is only evicted
-  /// when it alone still exceeds the budget after everything else is gone.
-  /// A cache whose charged bytes are all pinned is never picked: clearing
-  /// it would free nothing.
+  /// Evicts entries until the charged total fits the budget again, from the
+  /// coldest cache first; it stays on a victim while each call refunds
+  /// bytes. `prefer_keep` (the cache that just served a query) only loses
+  /// entries once every other cache is exhausted. A cache whose charged
+  /// bytes are all pinned is never picked: evicting from it frees nothing.
   void Rebalance(ArtifactCache* prefer_keep = nullptr) FAIRHMS_EXCLUDES(mu_);
 
   uint64_t budget_bytes() const FAIRHMS_EXCLUDES(mu_);
   /// Bytes currently charged across every registered cache.
   uint64_t total_bytes() const FAIRHMS_EXCLUDES(mu_);
-  /// Whole-cache evictions performed by Rebalance that refunded bytes
-  /// (telemetry).
+  /// Entries Rebalance evicted (eviction calls that refunded bytes;
+  /// telemetry).
   uint64_t evictions() const FAIRHMS_EXCLUDES(mu_);
 
   /// Per-session charged bytes plus the global total/budget, one line per

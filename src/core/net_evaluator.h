@@ -119,6 +119,12 @@ class NetEvaluator {
            cache_offset_.size() * sizeof(int64_t);
   }
 
+  /// Bytes of the block the candidate cache holds: CandidateCacheBytes'
+  /// cells plus at most an eighth more (simd::ScratchBuffer's close fit).
+  size_t CandidateBlockBytes() const {
+    return cache_.capacity() * sizeof(simd::Cell);
+  }
+
   /// Total resident bytes: denominators, the dimension-major net block, the
   /// packed db rows, the candidate cache and its seed keys. ArtifactCache
   /// charges this.

@@ -15,7 +15,7 @@ using testing::MakeGrouping;
 
 BaseSolver GreedySolver() {
   return [](const Dataset& data, const std::vector<int>& rows, int k) {
-    return RdpGreedy(data, rows, k);
+    return RdpGreedyRows(data, rows, k);
   };
 }
 
@@ -60,7 +60,7 @@ TEST(GroupAdapterTest, PropagatesBaseFailure) {
   const Grouping g = GroupBySumRank(data, 4);
   const GroupBounds bounds = GroupBounds::Proportional(8, g.Counts(), 0.1);
   BaseSolver sphere = [](const Dataset& d, const std::vector<int>& rows,
-                         int k) { return SphereAlgo(d, rows, k); };
+                         int k) { return SphereRows(d, rows, k); };
   auto sol = GroupAdapt(sphere, "Sphere", data, g, bounds);
   EXPECT_FALSE(sol.ok());
   EXPECT_EQ(sol.status().code(), StatusCode::kInvalidArgument);

@@ -1,10 +1,11 @@
 // DatasetCatalog: routed queries are bit-identical to standalone sessions
-// (with and without a global budget forcing whole-cache evictions), the
+// (with and without a global budget forcing cache-entry evictions), the
 // per-session byte accounting agrees with the process-wide arbiter total,
 // a snapshot round trip through Save/Load preserves solve results for
-// every registered algorithm plus the maintained skyline state, and
+// every registered algorithm plus the maintained skyline state,
 // insert-routing provenance survives a restore even for combinations whose
-// rows were all erased.
+// rows were all erased, and budget eviction counts one eviction per
+// dropped entry and lets a dynamic session republish what it evicted.
 
 #include <cstdio>
 #include <string>
@@ -132,6 +133,58 @@ TEST(CatalogTest, GlobalBudgetForcesEvictionNotFailure) {
   // (eviction degrades to recomputation, never to failure).
   RunInterleavedCheck(/*budget_bytes=*/1024, &evictions);
   EXPECT_GT(evictions, 0u);
+}
+
+TEST(CatalogTest, EvictionsCountEntriesAndKeepTheProjection) {
+  // A one-byte budget: the rebalance after a solve evicts every entry of
+  // the serving session, one eviction each, down to its pinned projection.
+  Instance inst = MakeInstance(7);
+  DatasetCatalog catalog(DatasetCatalog::Options{/*cache_budget_bytes=*/1});
+  ASSERT_TRUE(catalog.Register("t", inst.data, inst.grouping).ok());
+  SolverSession* session = catalog.Session("t").value();
+  ASSERT_TRUE(catalog.Solve("t", MakeRequest("bigreedy", 6, inst)).ok());
+  // A net, an evaluator, the skyline and the fair pool at the least.
+  EXPECT_GE(catalog.arbiter()->evictions(), 4u);
+  EXPECT_EQ(session->cache_stats().TotalBytes(),
+            session->cache_stats().projections.bytes);
+  EXPECT_EQ(catalog.arbiter()->total_bytes(),
+            session->cache_stats().TotalBytes());
+}
+
+TEST(CatalogTest, EvictedPublishedArtifactsAreRepublishedNotRecomputed) {
+  // After an insert, the SkylineIndex publishes the skyline, group
+  // skylines and pool into the cache. A one-byte budget evicts them after
+  // every solve; the eviction hook marks them stale, so each next query
+  // republishes them and hits, and no miss is ever counted for them.
+  Instance inst = MakeInstance(8);
+  Instance copy = inst;
+  DatasetCatalog catalog(DatasetCatalog::Options{/*cache_budget_bytes=*/1});
+  ASSERT_TRUE(catalog.Register("t", inst.data, inst.grouping).ok());
+  SolverSession* session = catalog.Session("t").value();
+  ASSERT_TRUE(session->Insert({0.97, 0.95, 0.99}, {}, 1).ok());
+  auto reference = SolverSession::CreateDynamic(&copy.data, &copy.grouping);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->Insert({0.97, 0.95, 0.99}, {}, 1).ok());
+
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string algo : {"bigreedy", "g_greedy"}) {
+      const SolverRequest request = MakeRequest(algo, 6, copy);
+      auto routed = catalog.Solve("t", request);
+      ASSERT_TRUE(routed.ok()) << routed.status().ToString();
+      auto direct = reference->Solve(request);
+      ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+      ExpectResultsEqual(*routed, *direct, algo);
+      const CacheStats stats = session->cache_stats();
+      EXPECT_EQ(stats.skylines.misses, 0u) << algo << " round " << round;
+      EXPECT_EQ(stats.group_skylines.misses, 0u) << algo;
+      EXPECT_EQ(stats.pools.misses, 0u) << algo;
+      EXPECT_EQ(stats.TotalBytes(), stats.projections.bytes);
+    }
+  }
+  const CacheStats stats = session->cache_stats();
+  EXPECT_GT(stats.skylines.hits, 0u);
+  EXPECT_GT(stats.group_skylines.hits, 0u);
+  EXPECT_GT(stats.pools.hits, 0u);
 }
 
 TEST(CatalogTest, SaveLoadPreservesSolveResultsForEveryAlgorithm) {

@@ -713,6 +713,8 @@ TEST(ScratchBufferTest, ResizePreservesDataWithinCapacityAndTracksSize) {
 }
 
 TEST(ScratchBufferTest, ReleaseRecyclesThroughPool) {
+  // A released block serves a later request it fits closely: one of up to
+  // an eighth fewer cells.
   simd::ScratchPoolTrim();
   ASSERT_EQ(simd::ScratchPoolIdleBytes(), 0u);
   simd::Cell* first = nullptr;
@@ -723,12 +725,100 @@ TEST(ScratchBufferTest, ReleaseRecyclesThroughPool) {
   }  // Destructor releases to the pool.
   EXPECT_EQ(simd::ScratchPoolIdleBytes(), (1u << 12) * sizeof(simd::Cell));
   simd::ScratchBuffer reuse;
-  reuse.ResizeUninitialized(1 << 10);  // Smaller request, pooled block fits.
+  reuse.ResizeUninitialized((1 << 12) - (1 << 8));  // 4096 <= 3840 + 480.
   EXPECT_EQ(reuse.data(), first);
+  EXPECT_EQ(reuse.capacity(), 1u << 12);
   EXPECT_EQ(simd::ScratchPoolIdleBytes(), 0u);
   reuse.Release();
   simd::ScratchPoolTrim();
   EXPECT_EQ(simd::ScratchPoolIdleBytes(), 0u);
+}
+
+TEST(ScratchBufferTest, LargeBlockIsNotHandedToSmallRequest) {
+  // A 4x block would hold four times the cells its new owner is charged
+  // for; the request maps a block of its own and the big one stays idle.
+  simd::ScratchPoolTrim();
+  simd::Cell* big = nullptr;
+  {
+    simd::ScratchBuffer buf;
+    buf.ResizeUninitialized(1 << 14);
+    big = buf.data();
+  }
+  simd::ScratchBuffer small;
+  small.ResizeUninitialized(1 << 12);
+  EXPECT_NE(small.data(), big);
+  EXPECT_EQ(small.capacity(), 1u << 12);
+  EXPECT_EQ(simd::ScratchPoolIdleBytes(), (1u << 14) * sizeof(simd::Cell));
+  // Just past the close-fit bound is still too loose.
+  simd::ScratchBuffer loose;
+  loose.ResizeUninitialized((1 << 14) * 8 / 9 - 1);
+  EXPECT_NE(loose.data(), big);
+  simd::ScratchPoolTrim();
+}
+
+TEST(ScratchBufferTest, FullPoolDropsOldestIdleBlock) {
+  // One more release than the pool holds: the oldest idle block is freed
+  // and the new one is pooled, instead of the new one being refused.
+  simd::ScratchPoolTrim();
+  std::vector<size_t> sizes;
+  for (size_t i = 0; i <= simd::kScratchPoolMaxEntries; ++i) {
+    sizes.push_back(size_t{1000} << (2 * i));  // Far apart: no cross fits.
+  }
+  std::vector<simd::Cell*> blocks;
+  for (size_t n : sizes) {
+    simd::ScratchBuffer buf;
+    buf.ResizeUninitialized(n);
+    blocks.push_back(buf.data());
+  }
+  size_t newest_bytes = 0;
+  for (size_t i = 1; i < sizes.size(); ++i) {
+    newest_bytes += sizes[i] * sizeof(simd::Cell);
+  }
+  EXPECT_EQ(simd::ScratchPoolIdleBytes(), newest_bytes);
+  // The newest blocks are still there to reuse.
+  simd::ScratchBuffer newest;
+  newest.ResizeUninitialized(sizes.back());
+  EXPECT_EQ(newest.data(), blocks.back());
+  simd::ScratchBuffer second;
+  second.ResizeUninitialized(sizes[1]);
+  EXPECT_EQ(second.data(), blocks[1]);
+  EXPECT_EQ(simd::ScratchPoolIdleBytes(),
+            newest_bytes - (sizes.back() + sizes[1]) * sizeof(simd::Cell));
+  newest.Release();
+  second.Release();
+  simd::ScratchPoolTrim();
+}
+
+TEST(ScratchBufferTest, EvaluatorAfterLargerOneChargesCloseToItsBlock) {
+  // A candidate cache built right after a larger one was released holds a
+  // block within an eighth of the cells it is charged for: a fresh block
+  // when the released one is too big, the released one when it fits.
+  Rng rng(12);
+  const Dataset data = GenAntiCorrelated(120, 4, &rng);
+  const UtilityNet net = UtilityNet::SampleRandom(4, 300, &rng);
+  std::vector<int> all(data.size());
+  std::iota(all.begin(), all.end(), 0);
+  const auto charged_cells = [&](const NetEvaluator& eval) {
+    return eval.CandidateCacheBytes() - data.size() * sizeof(int64_t);
+  };
+  for (const size_t later_rows : {30u, 110u}) {
+    simd::ScratchPoolTrim();
+    {
+      NetEvaluator larger(&data, &net, all, 1);
+      larger.CacheCandidates(all);
+      EXPECT_EQ(larger.CandidateBlockBytes(), charged_cells(larger));
+    }
+    const std::vector<int> rows(all.begin(),
+                                all.begin() + static_cast<long>(later_rows));
+    NetEvaluator later(&data, &net, all, 1);
+    later.CacheCandidates(rows);
+    const size_t charged = charged_cells(later);
+    EXPECT_EQ(charged, later_rows * net.size() * sizeof(simd::Cell));
+    EXPECT_GE(later.CandidateBlockBytes(), charged) << later_rows;
+    EXPECT_LE(later.CandidateBlockBytes(), charged + charged / 8)
+        << later_rows;
+  }
+  simd::ScratchPoolTrim();
 }
 
 TEST(ScratchBufferTest, MoveTransfersOwnership) {

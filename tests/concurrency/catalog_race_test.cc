@@ -5,7 +5,10 @@
 // read the session-owned 2D projection, so an eviction must never free
 // anything an in-flight solve still reads — the AddressSanitizer leg turns
 // a violation into a heap-use-after-free report — and every answer must
-// equal the one a quiet catalog gives.
+// equal the one a quiet catalog gives. A second case races two solves on
+// one dynamic session under a budget that evicts some of its entries after
+// every solve, while the other solve still reads them and republishes the
+// SkylineIndex artifacts the evictions drop.
 
 #include <map>
 #include <string>
@@ -98,6 +101,67 @@ TEST(CatalogConcurrencyTest, EvictionMidSolveKeepsArtifactsAlive) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_GT(catalog.arbiter()->evictions(), 0u);
+}
+
+/// One dynamic table with an insert behind it (so the SkylineIndex
+/// publishes into the cache), and its bigreedy / g_hs requests.
+void RegisterMutatedTable(DatasetCatalog* catalog) {
+  Rng rng(11);
+  Dataset data = GenAntiCorrelated(1500, 4, &rng).NormalizedMinMax();
+  Grouping grouping = GroupBySumRank(data, 3);
+  ASSERT_TRUE(
+      catalog->Register("t", std::move(data), std::move(grouping)).ok());
+  SolverSession* session = catalog->Session("t").value();
+  ASSERT_TRUE(session->Insert({0.99, 0.98, 0.97, 0.99}, {}, 2).ok());
+}
+
+SolverRequest MutatedTableRequest(DatasetCatalog* catalog, int i) {
+  SolverRequest request =
+      MakeRequest(catalog, "t", i % 2 == 0 ? "bigreedy" : "g_hs");
+  request.seed = static_cast<uint64_t>(1 + i % 3);
+  // The answer must not depend on which solve ran before it.
+  request.allow_warm_start = false;
+  return request;
+}
+
+TEST(CatalogConcurrencyTest, EntryEvictionMidSolveOnOneSession) {
+  constexpr int kShapes = 6;  // (algorithm, seed) pairs MutatedTableRequest
+                              // cycles through.
+  std::vector<std::vector<int>> expected(kShapes);
+  uint64_t working_set = 0;
+  {
+    DatasetCatalog quiet;
+    RegisterMutatedTable(&quiet);
+    for (int i = 0; i < kShapes; ++i) {
+      auto result = quiet.Solve("t", MutatedTableRequest(&quiet, i));
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      expected[static_cast<size_t>(i)] = result->solution.rows;
+    }
+    working_set = quiet.arbiter()->total_bytes();
+  }
+  // Half the quiet working set: every rebalance evicts the least recently
+  // used entries of the one session while the other thread solves on it.
+  DatasetCatalog catalog(
+      DatasetCatalog::Options{/*cache_budget_bytes=*/working_set / 2});
+  RegisterMutatedTable(&catalog);
+  constexpr int kSolvesPerThread = 24;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&catalog, &expected, t] {
+      for (int i = 0; i < kSolvesPerThread; ++i) {
+        const int shape = (i + t) % kShapes;
+        auto result =
+            catalog.Solve("t", MutatedTableRequest(&catalog, shape));
+        ASSERT_TRUE(result.ok()) << result.status().ToString();
+        EXPECT_EQ(result->solution.rows,
+                  expected[static_cast<size_t>(shape)])
+            << "thread " << t << " solve " << i;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_GT(catalog.arbiter()->evictions(), 0u);
+  EXPECT_LE(catalog.arbiter()->total_bytes(), working_set / 2);
 }
 
 }  // namespace

@@ -1,13 +1,18 @@
 // ArtifactCache as a unit: per-kind hit/miss/byte accounting, pruning of
 // superseded versions after dataset mutations, Put publishing, RNG
 // fast-forward on net hits, evaluators that survive a mutation,
-// Clear() refunding exactly what a CacheArbiter was charged, and
-// CacheArbiter::Rebalance leaving alone a cache it cannot shrink.
+// Clear() refunding exactly what a CacheArbiter was charged, per-entry
+// eviction least recently used first, and CacheArbiter::Rebalance
+// evicting entries one at a time while leaving alone a cache it cannot
+// shrink.
 
 #include "core/artifact_cache.h"
 
+#include <future>
 #include <memory>
 #include <numeric>
+#include <optional>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -225,22 +230,127 @@ TEST(ArtifactCacheTest, ClearRefundsExactlyWhatTheArbiterWasCharged) {
   EXPECT_EQ(arbiter.total_bytes(), 0u);
 }
 
+using Kind = ArtifactCache::Kind;
+
+TEST(ArtifactCacheTest, EvictLeastRecentDropsInStoreOrder) {
+  const Instance inst = MakeInstance();
+  ArtifactCache cache;
+  Rng rng(1);
+  (void)GetOrSampleNet(&cache, 3, 32, &rng);
+  (void)GetOrComputeSkyline(&cache, inst.data);
+  (void)GetOrComputeFairPool(&cache, inst.data, inst.grouping);
+  const uint64_t before = cache.stats().TotalBytes();
+
+  EXPECT_EQ(cache.EvictLeastRecent(), std::optional<Kind>(Kind::kNet));
+  EXPECT_EQ(cache.stats().nets.bytes, 0u);
+  EXPECT_EQ(cache.EvictLeastRecent(), std::optional<Kind>(Kind::kSkyline));
+  EXPECT_EQ(cache.EvictLeastRecent(), std::optional<Kind>(Kind::kFairPool));
+  EXPECT_EQ(cache.EvictLeastRecent(), std::nullopt);
+  EXPECT_GT(before, 0u);
+  EXPECT_EQ(cache.stats().TotalBytes(), 0u);
+}
+
+TEST(ArtifactCacheTest, HitRefreshesAnEntry) {
+  const Instance inst = MakeInstance();
+  ArtifactCache cache;
+  (void)GetOrComputeSkyline(&cache, inst.data);
+  (void)GetOrComputeGroupCounts(&cache, inst.data, inst.grouping);
+  (void)GetOrComputeSkyline(&cache, inst.data);  // Hit: now the newest.
+
+  EXPECT_EQ(cache.EvictLeastRecent(),
+            std::optional<Kind>(Kind::kGroupCounts));
+  EXPECT_EQ(cache.EvictLeastRecent(), std::optional<Kind>(Kind::kSkyline));
+  EXPECT_EQ(cache.stats().skylines.hits, 1u);
+}
+
+TEST(ArtifactCacheTest, EvictionSkipsPendingBuilds) {
+  // A build in flight is older than the stored entry but is never picked:
+  // its builder publishes it.
+  const Instance inst = MakeInstance();
+  ArtifactCache cache;
+  std::promise<void> started, release;
+  std::thread builder([&] {
+    (void)cache.GetOrBuild<std::vector<int>>(
+        ArtifactCache::VersionedKey(Kind::kSkyline, inst.data), [&] {
+          started.set_value();
+          release.get_future().wait();
+          return std::make_shared<const std::vector<int>>(
+              ComputeSkyline(inst.data));
+        });
+  });
+  started.get_future().wait();
+  (void)GetOrComputeGroupCounts(&cache, inst.data, inst.grouping);
+
+  EXPECT_EQ(cache.EvictLeastRecent(),
+            std::optional<Kind>(Kind::kGroupCounts));
+  EXPECT_EQ(cache.EvictLeastRecent(), std::nullopt);
+  release.set_value();
+  builder.join();
+  EXPECT_EQ(cache.stats().skylines.bytes,
+            ArtifactBytes(ComputeSkyline(inst.data)));
+  EXPECT_EQ(cache.EvictLeastRecent(), std::optional<Kind>(Kind::kSkyline));
+}
+
+TEST(ArtifactCacheTest, EvictionKeepsThePinnedProjection) {
+  const Instance inst = MakeInstance();
+  CacheArbiter arbiter(/*budget_bytes=*/0);
+  ArtifactCache cache;
+  arbiter.Register(&cache, "unit", [] {});
+  cache.AccountProjection(/*hit=*/false, 4096);
+  (void)GetOrComputeSkyline(&cache, inst.data);
+
+  EXPECT_EQ(cache.EvictLeastRecent(), std::optional<Kind>(Kind::kSkyline));
+  EXPECT_EQ(cache.EvictLeastRecent(), std::nullopt);
+  EXPECT_EQ(cache.stats().TotalBytes(), 4096u);
+  EXPECT_EQ(arbiter.total_bytes(), 4096u);
+  arbiter.Unregister(&cache);
+}
+
+TEST(ArtifactCacheTest, RebalanceEvictsEntriesAndCountsEach) {
+  // Three nets of 3 KiB over a 5 KiB budget: the two oldest go, one
+  // eviction each, and the newest stays.
+  CacheArbiter arbiter(/*budget_bytes=*/5 * 1024);
+  ArtifactCache cache;
+  int calls = 0;
+  arbiter.Register(&cache, "unit", [&] {
+    ++calls;
+    cache.EvictLeastRecent();
+  });
+  std::vector<Rng> streams;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    streams.push_back(rng);
+    (void)GetOrSampleNet(&cache, 3, 128, &rng);
+  }
+  ASSERT_EQ(arbiter.total_bytes(), 3u * 3 * 1024);
+
+  arbiter.Rebalance(&cache);
+  EXPECT_EQ(calls, 2);
+  EXPECT_EQ(arbiter.evictions(), 2u);
+  EXPECT_EQ(arbiter.total_bytes(), 3u * 1024);
+  Rng newest = streams[2];
+  (void)GetOrSampleNet(&cache, 3, 128, &newest);
+  EXPECT_EQ(cache.stats().nets.hits, 1u);
+  arbiter.Unregister(&cache);
+}
+
 TEST(ArtifactCacheTest, RebalanceSkipsCachesHoldingOnlyTheirProjection) {
-  // Cache A's only charge is its session-owned projection, which Clear()
-  // keeps; cache B holds a skyline and a net over the budget. Evicting A
-  // would free nothing, so Rebalance(B) must leave A alone, clear B, and
-  // count exactly that one eviction.
+  // Cache A's only charge is its session-owned projection, which eviction
+  // keeps; cache B holds a net and then a skyline, over the budget.
+  // Evicting from A would free nothing, so Rebalance(B) must leave A alone
+  // and evict B's least recently used entry, the net: one entry, counted
+  // once, after which the total fits.
   const Instance inst = MakeInstance();
   CacheArbiter arbiter(/*budget_bytes=*/8192);
   ArtifactCache a, b;
-  int a_clears = 0, b_clears = 0;
+  int a_calls = 0, b_calls = 0;
   arbiter.Register(&a, "a", [&] {
-    ++a_clears;
-    a.Clear();
+    ++a_calls;
+    a.EvictLeastRecent();
   });
   arbiter.Register(&b, "b", [&] {
-    ++b_clears;
-    b.Clear();
+    ++b_calls;
+    b.EvictLeastRecent();
   });
   a.AccountProjection(/*hit=*/false, 4096);
   arbiter.Touch(&a);
@@ -249,18 +359,24 @@ TEST(ArtifactCacheTest, RebalanceSkipsCachesHoldingOnlyTheirProjection) {
   (void)GetOrComputeSkyline(&b, inst.data);
   arbiter.Touch(&b);
   ASSERT_GT(arbiter.total_bytes(), arbiter.budget_bytes());
+  const uint64_t skyline_bytes = b.stats().skylines.bytes;
+  ASSERT_GT(skyline_bytes, 0u);
 
   arbiter.Rebalance(&b);
-  EXPECT_EQ(a_clears, 0);
-  EXPECT_EQ(b_clears, 1);
+  EXPECT_EQ(a_calls, 0);
+  EXPECT_EQ(b_calls, 1);
   EXPECT_EQ(arbiter.evictions(), 1u);
-  EXPECT_EQ(arbiter.total_bytes(), 4096u);
+  EXPECT_EQ(b.stats().nets.bytes, 0u);
+  EXPECT_EQ(arbiter.total_bytes(), 4096u + skyline_bytes);
 
-  // Over budget on pinned bytes alone: nothing is left to evict.
+  // Over budget on pinned bytes: B's last entry goes, then nothing is
+  // left to evict and A is still never called.
   a.AccountProjection(/*hit=*/false, 8192);
   arbiter.Rebalance();
-  EXPECT_EQ(a_clears, 0);
-  EXPECT_EQ(arbiter.evictions(), 1u);
+  EXPECT_EQ(a_calls, 0);
+  EXPECT_EQ(b_calls, 2);
+  EXPECT_EQ(arbiter.evictions(), 2u);
+  EXPECT_EQ(arbiter.total_bytes(), 4096u + 8192u);
   arbiter.Unregister(&a);
   arbiter.Unregister(&b);
 }

@@ -89,7 +89,7 @@ TEST(EndToEndTest, NativeFairBeatsGroupAdaptedOnAntiCorrelated) {
   ASSERT_TRUE(bg.ok());
   BaseSolver greedy_solver = [](const Dataset& d,
                                 const std::vector<int>& rows,
-                                int kk) { return RdpGreedy(d, rows, kk); };
+                                int kk) { return RdpGreedyRows(d, rows, kk); };
   auto gg = GroupAdapt(greedy_solver, "Greedy", data, g, bounds);
   ASSERT_TRUE(gg.ok()) << gg.status();
 

@@ -91,10 +91,10 @@ TEST(StressTest, GroupAdaptersSurviveOrFailCleanly) {
   Rng rng(77001);
   BaseSolver solvers[] = {
       [](const Dataset& d, const std::vector<int>& rows, int k) {
-        return RdpGreedy(d, rows, k);
+        return RdpGreedyRows(d, rows, k);
       },
       [](const Dataset& d, const std::vector<int>& rows, int k) {
-        return HittingSet(d, rows, k);
+        return HittingSetRows(d, rows, k);
       },
   };
   const char* names[] = {"Greedy", "HS"};

@@ -204,9 +204,9 @@ StatusOr<std::unique_ptr<DatasetCatalog>> BootstrapCatalog(const Flags& flags,
                                                            uint64_t seed) {
   // Process-wide bound on resident cache bytes across every catalog
   // session: an unbounded seed/k sweep would pin a fresh net + evaluator
-  // per line forever. The arbiter evicts the coldest sessions' caches
-  // when the global total crosses it (results are bit-identical either
-  // way); 0 disables.
+  // per line forever. The arbiter evicts cache entries, the coldest
+  // session's least recently used first, when the global total crosses
+  // it (results are bit-identical either way); 0 disables.
   const int64_t budget_mb = flags.GetInt64("global_cache_budget_mb", 1024);
   if (budget_mb < 0) {
     return Status::InvalidArgument("--global_cache_budget_mb must be >= 0");

@@ -171,11 +171,12 @@ Batch serving (many queries over a catalog of named datasets):
   --global_cache_budget_mb=N
                            process-wide cache budget across every catalog
                            session (default 1024; 0 = unbounded). When the
-                           global resident total crosses it, the coldest
-                           sessions' caches are evicted first (the serving
-                           session last), so an undersized budget degrades
-                           to recomputation — results are bit-identical
-                           regardless.
+                           global resident total crosses it, cache entries
+                           are evicted one at a time, the coldest
+                           session's least recently used first (the
+                           serving session last), so an undersized budget
+                           degrades to recomputation — results are
+                           bit-identical regardless.
 
 Snapshots (versioned binary serving state; see data/snapshot.h):
   --snapshot_save=PATH     after the request stream completes, write the
