@@ -3,7 +3,8 @@
 // (kPanels below). Each panel prints its banner, its tables and its
 // closing "Expected shape (paper)" text; the datasets are statistical
 // replicas of the paper's (data/generators.h; load the real CSVs via
-// data/csv.h if you have them).
+// data/csv.h if you have them). The algorithms solve through the
+// AlgorithmRegistry, as the CLI and the daemon serve them (kAlgos).
 //
 //   ./build/bench/bench_paper                        # every panel, in order
 //   ./build/bench/bench_paper --panels=fig4,fig8_9   # a subset, table order
@@ -17,7 +18,6 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -25,14 +25,13 @@
 #include <utility>
 #include <vector>
 
-#include "algo/baselines.h"
 #include "algo/bigreedy.h"
-#include "algo/fair_greedy.h"
-#include "algo/group_adapter.h"
 #include "algo/intcov.h"
+#include "api/session.h"
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "common/string_util.h"
+#include "core/artifact_cache.h"
 #include "core/evaluate.h"
 #include "core/exact_evaluator.h"
 #include "data/generators.h"
@@ -158,113 +157,87 @@ double ReferenceMhr(const DatasetCase& c, const std::vector<int>& rows) {
 // ---------------------------------------------------------------------------
 // Algorithm rosters.
 
-/// Solves a case under the bounds. The unconstrained baselines read only
-/// bounds.k and solve on the case's global skyline.
-using Runner =
-    std::function<StatusOr<Solution>(const DatasetCase&, const GroupBounds&)>;
-using Roster = std::vector<std::pair<std::string, Runner>>;
+/// The rosters: Fig. 4 (k2D), Figs. 5-7 (kFair), Fig. 3 (kViolations) and
+/// UnconstrainedReference's heuristics (kUnconstrained).
+enum RosterBit { k2D = 1, kFair = 2, kViolations = 4, kUnconstrained = 8 };
 
-/// An unconstrained HMS algorithm: the full run (rows and its own
-/// evaluation, timed) and the rows alone, which the G-adapter runs.
-struct PlainAlgo {
-  std::string name;
-  std::function<StatusOr<Solution>(const Dataset&, const std::vector<int>&,
-                                   int)>
-      solve;
-  BaseSolver rows;
+/// One algorithm the panels solve through the registry: its column label,
+/// registry name, request seed and RosterBits. The randomized ones keep
+/// the seeds their entry points default to (BiGreedyOptions 13,
+/// SphereOptions 29, HittingSetOptions 31); the rest ignore the seed.
+struct Algo {
+  const char* label;
+  const char* name;
+  uint64_t seed;
+  int rosters;
 };
 
-/// The unconstrained HMS algorithms: Greedy, DMM, HS, Sphere.
-std::vector<PlainAlgo> PlainAlgos() {
-  return {{"Greedy",
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return RdpGreedy(d, rows, k);
-           },
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return RdpGreedyRows(d, rows, k);
-           }},
-          {"DMM",
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return Dmm(d, rows, k);
-           },
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return DmmRows(d, rows, k);
-           }},
-          {"HS",
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return HittingSet(d, rows, k);
-           },
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return HittingSetRows(d, rows, k);
-           }},
-          {"Sphere",
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return SphereAlgo(d, rows, k);
-           },
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return SphereRows(d, rows, k);
-           }}};
-}
+/// Every roster, in column order. The G-* baselines run an unconstrained
+/// algorithm per group under its quota; the plain ones solve on the global
+/// skyline, the bounds only judging violations.
+const Algo kAlgos[] = {
+    {"IntCov", "intcov", 42, k2D},
+    {"BiGreedy", "bigreedy", 13, k2D | kFair | kViolations | kUnconstrained},
+    {"BiGreedy+", "bigreedy+", 13, k2D | kFair | kViolations},
+    {"F-Greedy", "fair_greedy", 42, k2D | kFair},
+    {"G-Greedy", "g_greedy", 42, k2D | kFair},
+    {"G-DMM", "g_dmm", 42, k2D | kFair},
+    {"G-HS", "g_hs", 31, k2D | kFair},
+    {"G-Sphere", "g_sphere", 29, k2D | kFair},
+    {"Greedy", "rdp_greedy", 42, kViolations | kUnconstrained},
+    {"DMM", "dmm", 42, kViolations | kUnconstrained},
+    {"HS", "hs", 31, kViolations | kUnconstrained},
+    {"Sphere", "sphere", 29, kViolations | kUnconstrained},
+};
 
-/// The paper's fair roster (Figs. 4-7): BiGreedy, BiGreedy+, F-Greedy,
-/// G-Greedy, G-DMM, G-HS, G-Sphere; IntCov first when `with_intcov`.
-Roster FairRoster(bool with_intcov) {
+using Roster = std::vector<const Algo*>;
+
+/// The entries of kAlgos in roster `bit`, in table order.
+Roster RosterOf(RosterBit bit) {
   Roster roster;
-  if (with_intcov) {
-    roster.emplace_back("IntCov", [](const DatasetCase& c,
-                                     const GroupBounds& b) {
-      IntCovOptions opts;
-      opts.pool = c.pool;
-      opts.db_rows = c.skyline;
-      return IntCov(c.data, c.grouping, b, opts);
-    });
-  }
-  roster.emplace_back("BiGreedy", [](const DatasetCase& c,
-                                     const GroupBounds& b) {
-    BiGreedyOptions opts;
-    opts.pool = c.pool;
-    opts.db_rows = c.skyline;
-    return BiGreedy(c.data, c.grouping, b, opts);
-  });
-  roster.emplace_back("BiGreedy+", [](const DatasetCase& c,
-                                      const GroupBounds& b) {
-    BiGreedyPlusOptions opts;
-    opts.base.pool = c.pool;
-    opts.base.db_rows = c.skyline;
-    return BiGreedyPlus(c.data, c.grouping, b, opts);
-  });
-  roster.emplace_back("F-Greedy", [](const DatasetCase& c,
-                                     const GroupBounds& b) {
-    FairGreedyOptions opts;
-    opts.pool = c.pool;
-    opts.db_rows = c.skyline;
-    return FairGreedy(c.data, c.grouping, b, opts);
-  });
-  // The G-* baselines: each unconstrained algorithm run inside every
-  // group under its quota.
-  for (PlainAlgo& algo : PlainAlgos()) {
-    roster.emplace_back("G-" + algo.name, [name = algo.name,
-                                           rows = algo.rows](
-                                              const DatasetCase& c,
-                                              const GroupBounds& b) {
-      GroupAdapterOptions opts;
-      opts.db_rows = c.skyline;
-      return GroupAdapt(rows, name, c.data, c.grouping, b, opts);
-    });
+  for (const Algo& algo : kAlgos) {
+    if (algo.rosters & bit) roster.push_back(&algo);
   }
   return roster;
 }
 
-/// The unconstrained roster of Fig. 3, on the case's global skyline.
-Roster PlainRoster() {
-  Roster roster;
-  for (PlainAlgo& algo : PlainAlgos()) {
-    roster.emplace_back(algo.name, [solve = algo.solve](const DatasetCase& c,
-                                                        const GroupBounds& b) {
-      return solve(c.data, c.skyline, b.k);
-    });
+/// The kAlgos entry with registry name `name`.
+const Algo& ByName(const std::string& name) {
+  for (const Algo& algo : kAlgos) {
+    if (name == algo.name) return algo;
   }
-  return roster;
+  std::abort();  // Called only with names from kAlgos.
+}
+
+/// A throwaway session on (c.data, `grouping`) whose cache holds the case's
+/// skyline and `pool` as the fair pool, published as SolverSession::
+/// PublishIndexIfStale does: its solves build nets and evaluators cold.
+SolverSession SeededSession(const DatasetCase& c, const Grouping& grouping,
+                            const std::vector<int>& pool) {
+  SolverSession session = SolverSession::Create(&c.data, &grouping).value();
+  using Kind = ArtifactCache::Kind;
+  session.cache()->Put(ArtifactCache::VersionedKey(Kind::kSkyline, c.data),
+                       c.skyline);
+  session.cache()->Put(
+      ArtifactCache::VersionedKey(Kind::kFairPool, c.data, &grouping), pool);
+  return session;
+}
+
+/// Solves `algo` under `bounds` in a fresh SeededSession of (`grouping`,
+/// `pool`).
+StatusOr<Solution> Solve(const Algo& algo, const DatasetCase& c,
+                         const Grouping& grouping,
+                         const std::vector<int>& pool,
+                         const GroupBounds& bounds,
+                         const AlgoParams& params = {}) {
+  SolverSession session = SeededSession(c, grouping, pool);
+  SolverRequest req;
+  req.algorithm = algo.name;
+  req.seed = algo.seed;
+  req.bounds = bounds;
+  req.params = params;
+  FAIRHMS_ASSIGN_OR_RETURN(SolverResult result, session.Solve(req));
+  return std::move(result.solution);
 }
 
 /// What a sweep table shows; indexes Cells.
@@ -273,12 +246,12 @@ enum Metric { kMhr, kMs, kErr };
 /// One run's table cells, one per Metric: "-" each for a failed run.
 using Cells = std::array<std::string, 3>;
 
-/// Runs `runner` on the case and formats its answer: the reference mhr
+/// Solves `algo` on the case and formats its answer: the reference mhr
 /// (left empty unless `with_mhr`), the solve time and the violations of
 /// `bounds`.
-Cells Measure(const Runner& runner, const DatasetCase& c,
+Cells Measure(const Algo& algo, const DatasetCase& c,
               const GroupBounds& bounds, bool with_mhr) {
-  auto sol = runner(c, bounds);
+  auto sol = Solve(algo, c, c.grouping, c.pool, bounds);
   if (!sol.ok()) return {"-", "-", "-"};
   const double ms = sol->elapsed_ms;
   return {with_mhr ? StrFormat("%.4f", ReferenceMhr(c, sol->rows)) : "",
@@ -286,28 +259,29 @@ Cells Measure(const Runner& runner, const DatasetCase& c,
           StrFormat("%d", CountViolations(sol->rows, c.grouping, bounds))};
 }
 
-/// Unconstrained reference MHR ("price of fairness" black line): exact via
-/// IntCov for d = 2, best-of-roster otherwise.
+/// The "Unconstr" column of the price-of-fairness tables: for d = 2 the
+/// exact unconstrained optimum (IntCov on one all-rows group), otherwise
+/// the best of the unconstrained heuristics and unconstrained BiGreedy.
+/// That is no upper bound: a fair answer can beat it, so the printed price
+/// of fairness can go negative (fig5 Compas (isRecid) reads 0.7116 at
+/// k = 10 under fair BiGreedy's 0.7323).
 double UnconstrainedReference(const DatasetCase& c, int k) {
   const Grouping single = SingleGroup(c.data.size());
   auto bounds = GroupBounds::Explicit(k, {0}, {k});
   if (!bounds.ok()) return 0.0;
+  // One group of all rows has the global skyline as its fair pool.
+  auto solve = [&](const Algo& algo) {
+    return Solve(algo, c, single, c.skyline, *bounds);
+  };
   if (c.data.dim() == 2) {
-    IntCovOptions opts;
-    opts.db_rows = c.skyline;
-    auto sol = IntCov(c.data, single, *bounds, opts);
+    auto sol = solve(ByName("intcov"));
     if (sol.ok()) return ReferenceMhr(c, sol->rows);
   }
   double best = 0.0;
-  for (const auto& [name, runner] : PlainRoster()) {
-    auto sol = runner(c, *bounds);
+  for (const Algo* algo : RosterOf(kUnconstrained)) {
+    auto sol = solve(*algo);
     if (sol.ok()) best = std::max(best, ReferenceMhr(c, sol->rows));
   }
-  // Unconstrained BiGreedy as well (usually the strongest).
-  BiGreedyOptions opts;
-  opts.db_rows = c.skyline;
-  auto bg = BiGreedy(c.data, single, *bounds, opts);
-  if (bg.ok()) best = std::max(best, ReferenceMhr(c, bg->rows));
   return best;
 }
 
@@ -383,10 +357,11 @@ void Sweep(const Roster& roster, const std::string& xlabel,
   for (const Point& p : points) {
     const GroupBounds bounds = PaperBounds(*p.c, p.k);
     std::vector<Cells>& row = results.emplace_back();
-    for (const auto& [name, runner] : roster) {
-      row.push_back(name == "F-Greedy" && p.c->pool.size() > fgreedy_pool_cap
+    for (const Algo* algo : roster) {
+      row.push_back(std::string(algo->name) == "fair_greedy" &&
+                            p.c->pool.size() > fgreedy_pool_cap
                         ? Cells{"(skip)", "(skip)", "(skip)"}
-                        : Measure(runner, *p.c, bounds, with_mhr));
+                        : Measure(*algo, *p.c, bounds, with_mhr));
     }
     if (unconstrained && with_mhr) {
       reference.push_back(UnconstrainedReference(*p.c, p.k));
@@ -395,7 +370,7 @@ void Sweep(const Roster& roster, const std::string& xlabel,
   for (const Table& t : tables) {
     const bool reference_column = unconstrained && t.metric == kMhr;
     std::vector<std::string> series;
-    for (const auto& [name, runner] : roster) series.push_back(name);
+    for (const Algo* algo : roster) series.push_back(algo->label);
     if (reference_column) series.push_back("Unconstr");
     PrintHeader(t.title, xlabel, series);
     for (size_t i = 0; i < points.size(); ++i) {
@@ -529,9 +504,7 @@ void Table2(const Args& a) {
 // baselines (Greedy, DMM, HS, Sphere) run in their original form on the
 // global skyline; BiGreedy/BiGreedy+ run with the proportional constraint.
 void Fig3(const Args& a) {
-  Roster roster = FairRoster(/*with_intcov=*/false);
-  roster.resize(2);  // BiGreedy, BiGreedy+ (fair; err must be 0).
-  for (auto& entry : PlainRoster()) roster.push_back(std::move(entry));
+  const Roster roster = RosterOf(kViolations);
   const std::vector<int> adult_ks = {10, 12, 14, 16, 18, 20};
   const std::vector<int> wide_ks = a.full
                                        ? std::vector<int>{10, 20, 30, 40, 50}
@@ -550,7 +523,7 @@ void Fig3(const Args& a) {
 // Lawschs (Gender / Race) and AntiCor_2D — versus k, C and n, including the
 // unconstrained-optimum black line ("price of fairness").
 void Fig4(const Args& a) {
-  const Roster roster = FairRoster(/*with_intcov=*/true);
+  const Roster roster = RosterOf(k2D);
   const std::pair<DatasetCase, std::vector<int>> by_k[] = {
       {MakeCase("lawschs:gender", a.seed), {2, 3, 4, 5, 6}},
       {MakeCase("lawschs:race", a.seed), {5, 6, 7, 8, 9, 10}},
@@ -593,7 +566,7 @@ void MultiDimK(const Args& a, const std::string& title, Metric metric) {
     const std::vector<int> ks = key == "adult:gender"
                                     ? std::vector<int>{6, 8, 10, 12, 14, 16}
                                     : std::vector<int>{10, 12, 14, 16, 18, 20};
-    Sweep(FairRoster(/*with_intcov=*/false), "k", VaryK(std::move(c), ks),
+    Sweep(RosterOf(kFair), "k", VaryK(std::move(c), ks),
           {{t, metric}}, /*unconstrained=*/true);
   }
 }
@@ -609,7 +582,7 @@ void Fig7(const Args& a) {
   auto sweep = [&](const char* tag, const std::string& what,
                    const std::string& xlabel,
                    const std::vector<Point>& points) {
-    Sweep(FairRoster(/*with_intcov=*/false), xlabel, points,
+    Sweep(RosterOf(kFair), xlabel, points,
           {{StrFormat("Fig. 7(%s) MHR: ", tag) + what, kMhr},
            {StrFormat("Fig. 7(%s) time (ms): ", tag) + what, kMs}},
           /*unconstrained=*/false, fgreedy_pool_cap);
@@ -655,16 +628,16 @@ void Fig8_9(const Args& a) {
                 "m", {"BG mhr", "BG+ mhr", "BG ms", "BG+ ms", "BG+ m_i"});
     for (double f : {1.25, 2.5, 5.0, 10.0, 20.0, 40.0}) {
       const size_t m = static_cast<size_t>(f * a.k * d);
+      SolverSession bg_session = SeededSession(c, c.grouping, c.pool);
       BiGreedyOptions bg_opts;
       bg_opts.net_size = m;
-      bg_opts.pool = c.pool;
-      bg_opts.db_rows = c.skyline;
+      bg_opts.cache = bg_session.cache();
       auto bg = BiGreedy(c.data, c.grouping, bounds, bg_opts);
 
+      SolverSession bgp_session = SeededSession(c, c.grouping, c.pool);
       BiGreedyPlusOptions bgp_opts;
       bgp_opts.max_net_size = m;
-      bgp_opts.base.pool = c.pool;
-      bgp_opts.base.db_rows = c.skyline;
+      bgp_opts.base.cache = bgp_session.cache();
       BiGreedyRunInfo info;
       auto bgp = BiGreedyPlus(c.data, c.grouping, bounds, bgp_opts, &info);
 
@@ -704,12 +677,11 @@ void Fig10_11(const Args& a) {
       std::vector<std::string>& mhr_cells = mhr_rows.emplace_back();
       std::vector<std::string>& ms_cells = ms_rows.emplace_back();
       for (double eps : grid) {
-        BiGreedyPlusOptions opts;
-        opts.base.eps = eps;
-        opts.lambda = lambda;
-        opts.base.pool = c.pool;
-        opts.base.db_rows = c.skyline;
-        auto sol = BiGreedyPlus(c.data, c.grouping, bounds, opts);
+        AlgoParams params;
+        params.SetDouble("eps", eps);
+        params.SetDouble("lambda", lambda);
+        auto sol = Solve(ByName("bigreedy+"), c, c.grouping, c.pool, bounds,
+                         params);
         mhr_cells.push_back(FormatMhr(sol, c));
         ms_cells.push_back(sol.ok() ? StrFormat("%.1f", sol->elapsed_ms)
                                     : "-");
@@ -745,7 +717,9 @@ void AblationBounds(const Args& a) {
          GroupBounds::Proportional(a.k, c.grouping.Counts(), 0.0)}};
 
     const double unconstrained = UnconstrainedReference(c, a.k);
-    auto greedy = RdpGreedy(c.data, c.skyline, a.k);
+    const Grouping single = SingleGroup(c.data.size());
+    auto greedy = Solve(ByName("rdp_greedy"), c, single, c.skyline,
+                        GroupBounds::Explicit(a.k, {0}, {a.k}).value());
 
     PrintHeader("Bounds-scheme ablation: " + c.name + " (k=" +
                     std::to_string(a.k) + ")",
@@ -755,10 +729,7 @@ void AblationBounds(const Args& a) {
         PrintRow(name, {"-", "-", "-", "no"});
         continue;
       }
-      BiGreedyOptions opts;
-      opts.pool = c.pool;
-      opts.db_rows = c.skyline;
-      auto sol = BiGreedy(c.data, c.grouping, bounds, opts);
+      auto sol = Solve(ByName("bigreedy"), c, c.grouping, c.pool, bounds);
       if (!sol.ok()) {
         PrintRow(name, {"-", "-", "-", "yes"});
         continue;
@@ -783,10 +754,10 @@ void TauAblation(const Args& a) {
     PrintHeader("Ablation - tau search mode: " + c.name, "mode",
                 {"mhr", "ms", "MRG calls"});
     for (TauSearch mode : {TauSearch::kBinary, TauSearch::kLinear}) {
+      SolverSession session = SeededSession(c, c.grouping, c.pool);
       BiGreedyOptions opts;
       opts.tau_search = mode;
-      opts.pool = c.pool;
-      opts.db_rows = c.skyline;
+      opts.cache = session.cache();
       BiGreedyRunInfo info;
       auto sol = BiGreedy(c.data, c.grouping, bounds, opts, &info);
       PrintRow(mode == TauSearch::kBinary ? "binary" : "linear",
@@ -924,6 +895,14 @@ int Run(int argc, char** argv) {
     selected[i] = true;
   }
   if (!bench::CheckFlags(flags, "bench_paper")) return 1;
+  // A misspelt name would only print an all-"-" column (Measure turns every
+  // error into "-") and exit 0, so refuse before any panel runs.
+  for (const Algo& algo : kAlgos) {
+    if (AlgorithmRegistry::Instance().Find(algo.name) == nullptr) {
+      std::fprintf(stderr, "bench_paper: unknown algorithm '%s'\n", algo.name);
+      return 1;
+    }
+  }
 
   for (size_t i = 0; i < std::size(kPanels); ++i) {
     if (!selected[i]) continue;

@@ -8,8 +8,8 @@
 // solver's own candidate-pool/skyline preprocessing (the facade wires no
 // precomputed pool through), identically for both variants — so the
 // BiGreedy-vs-BiGreedy+ comparison is apples to apples. Callers needing
-// shared preprocessing across many solves should use the algorithm entry
-// points' pool/db_rows overrides directly (see algo/bigreedy.h).
+// shared preprocessing across many solves should hold one SolverSession
+// (api/session.h), whose cache keeps the skyline and pool between solves.
 //
 //   $ ./build/examples/scalability_tour [max_n]
 

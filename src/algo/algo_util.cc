@@ -12,8 +12,6 @@ namespace fairhms {
 StatusOr<ProblemInput> PrepareProblem(const Dataset& data,
                                       const Grouping& grouping,
                                       const GroupBounds& bounds,
-                                      std::vector<int> pool_override,
-                                      std::vector<int> db_override,
                                       ArtifactCache* cache) {
   if (grouping.group_of.size() != data.size()) {
     return Status::InvalidArgument("grouping does not match dataset size");
@@ -30,21 +28,10 @@ StatusOr<ProblemInput> PrepareProblem(const Dataset& data,
   input.data = &data;
   input.grouping = &grouping;
   input.bounds = bounds;
-  if (pool_override.empty()) {
-    input.pool = *GetOrComputeFairPool(cache, data, grouping);
-  } else {
-    input.pool = std::move(pool_override);
-  }
-  if (db_override.empty()) {
-    input.db_rows = *GetOrComputeSkyline(cache, data);
-  } else {
-    input.db_rows = std::move(db_override);
-  }
+  input.pool = *GetOrComputeFairPool(cache, data, grouping);
+  input.db_rows = *GetOrComputeSkyline(cache, data);
   input.pool_by_group.assign(static_cast<size_t>(grouping.num_groups), {});
   for (int row : input.pool) {
-    if (row < 0 || static_cast<size_t>(row) >= data.size()) {
-      return Status::OutOfRange(StrFormat("pool row %d out of range", row));
-    }
     input.pool_by_group[static_cast<size_t>(
                             grouping.group_of[static_cast<size_t>(row)])]
         .push_back(row);

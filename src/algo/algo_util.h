@@ -19,23 +19,20 @@ struct ProblemInput {
   const Dataset* data = nullptr;
   const Grouping* grouping = nullptr;
   GroupBounds bounds;
-  /// Candidate rows (default: union of per-group skylines).
+  /// Candidate rows: the union of per-group skylines.
   std::vector<int> pool;
   /// Candidate rows split by group.
   std::vector<std::vector<int>> pool_by_group;
-  /// Rows defining happiness denominators (default: global skyline).
+  /// Rows defining happiness denominators: the global skyline.
   std::vector<int> db_rows;
 };
 
-/// Validates the instance and fills defaults. `pool_override` /
-/// `db_override` may be empty to request the defaults; a non-null `cache`
-/// memoizes the default pool/skyline across queries (bit-identical either
-/// way).
+/// Validates the instance and fills the pool (the fair candidate pool) and
+/// the denominator rows (the global skyline); a non-null `cache` memoizes
+/// both across queries (bit-identical either way).
 StatusOr<ProblemInput> PrepareProblem(const Dataset& data,
                                       const Grouping& grouping,
                                       const GroupBounds& bounds,
-                                      std::vector<int> pool_override = {},
-                                      std::vector<int> db_override = {},
                                       ArtifactCache* cache = nullptr);
 
 /// Extends `solution` (deduplicated) to exactly bounds.k rows satisfying the

@@ -64,13 +64,8 @@ struct DmmOptions {
   /// Target total direction count; the per-axis grid resolution is derived
   /// as ceil(target^(1/(d-1))). 0 derives the 10 * k * d default.
   size_t target_net_size = 0;
-  int min_grid_per_axis = 6;
-  int max_grid_per_axis = 4096;
   /// The happiness matrix (float) must fit here, else ResourceExhausted.
   uint64_t memory_budget_bytes = 2'000'000'000;
-  /// At most this many matrix values become binary-search candidates
-  /// (uniformly strided subsample above).
-  size_t max_threshold_candidates = 2'000'000;
   /// Matrix-fill / evaluation lanes (0 = DefaultThreads(), 1 = exact serial
   /// path); output is bit-identical across thread counts.
   int threads = 0;
@@ -106,10 +101,7 @@ StatusOr<std::vector<int>> SphereRows(const Dataset& data,
 /// Options for HittingSet.
 struct HittingSetOptions {
   size_t validation_net_size = 0;  ///< 0 -> 20 * k * d.
-  size_t initial_directions = 64;
-  size_t violations_per_round = 32;
   int max_rounds = 64;
-  int binary_search_steps = 24;
   uint64_t seed = 31;
   /// Evaluation lanes (0 = DefaultThreads(), 1 = exact serial path); output
   /// is bit-identical across thread counts.

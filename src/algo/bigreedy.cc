@@ -470,8 +470,7 @@ StatusOr<Solution> BiGreedy(const Dataset& data, const Grouping& grouping,
   Stopwatch timer;
   FAIRHMS_ASSIGN_OR_RETURN(
       ProblemInput input,
-      PrepareProblem(data, grouping, bounds, opts.pool, opts.db_rows,
-                     opts.cache));
+      PrepareProblem(data, grouping, bounds, opts.cache));
   const size_t m = DefaultNetSize(opts, bounds.k, data.dim());
   Rng rng(opts.seed);
   const std::shared_ptr<const UtilityNet> net =
@@ -491,8 +490,7 @@ StatusOr<Solution> BiGreedyPlus(const Dataset& data, const Grouping& grouping,
   Stopwatch timer;
   FAIRHMS_ASSIGN_OR_RETURN(
       ProblemInput input,
-      PrepareProblem(data, grouping, bounds, opts.base.pool,
-                     opts.base.db_rows, opts.base.cache));
+      PrepareProblem(data, grouping, bounds, opts.base.cache));
   const int d = data.dim();
   const size_t cap =
       opts.max_net_size > 0

@@ -65,9 +65,6 @@ struct BiGreedyOptions {
   /// cache fill and mhr sweeps (0 = DefaultThreads(), 1 = exact serial
   /// path). Selected rows and mhr are bit-identical across thread counts.
   int threads = 0;
-  /// Candidate pool / denominator overrides (default: fair pool / skyline).
-  std::vector<int> pool;
-  std::vector<int> db_rows;
   /// Cross-query memoization of nets / evaluators / pools (not owned; null
   /// = build per call). Results are bit-identical either way.
   ArtifactCache* cache = nullptr;

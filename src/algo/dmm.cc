@@ -15,6 +15,13 @@ namespace fairhms {
 
 namespace {
 
+/// Bounds on the per-axis grid resolution gamma.
+constexpr int kMinGridPerAxis = 6;
+constexpr int kMaxGridPerAxis = 4096;
+/// At most this many matrix values become binary-search candidates
+/// (uniformly strided subsample above).
+constexpr size_t kMaxThresholdCandidates = 2'000'000;
+
 /// Spherical-coordinate lattice on S^{d-1}_+: gamma steps per angle, all
 /// angles in [0, pi/2]. Returns row-major unit vectors.
 std::vector<double> AngleGrid(int d, int gamma) {
@@ -59,7 +66,7 @@ StatusOr<std::vector<int>> DmmRows(const Dataset& data,
                             : static_cast<size_t>(10) * k * d;
   int gamma = static_cast<int>(std::ceil(
       std::pow(static_cast<double>(target), 1.0 / std::max(1, d - 1))));
-  gamma = std::clamp(gamma, opts.min_grid_per_axis, opts.max_grid_per_axis);
+  gamma = std::clamp(gamma, kMinGridPerAxis, kMaxGridPerAxis);
 
   // The matrix is the method's defining cost: refuse when it cannot fit.
   double m_dirs = 1.0;
@@ -125,7 +132,7 @@ StatusOr<std::vector<int>> DmmRows(const Dataset& data,
   // the matrix is huge).
   std::vector<float> cand;
   const size_t total = n * m;
-  const size_t stride = std::max<size_t>(1, total / opts.max_threshold_candidates);
+  const size_t stride = std::max<size_t>(1, total / kMaxThresholdCandidates);
   cand.reserve(total / stride + 1);
   for (size_t t = 0; t < total; t += stride) cand.push_back(happiness[t]);
   cand.push_back(1.0f);

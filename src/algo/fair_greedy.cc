@@ -19,8 +19,7 @@ StatusOr<Solution> FairGreedy(const Dataset& data, const Grouping& grouping,
   Stopwatch timer;
   FAIRHMS_ASSIGN_OR_RETURN(
       ProblemInput input,
-      PrepareProblem(data, grouping, bounds, opts.pool, opts.db_rows,
-                     opts.cache));
+      PrepareProblem(data, grouping, bounds, opts.cache));
   if (input.pool.empty()) return Status::InvalidArgument("empty pool");
 
   const FairnessMatroid matroid(bounds);

@@ -13,8 +13,6 @@
 #ifndef FAIRHMS_ALGO_FAIR_GREEDY_H_
 #define FAIRHMS_ALGO_FAIR_GREEDY_H_
 
-#include <vector>
-
 #include "common/statusor.h"
 #include "core/solution.h"
 #include "data/dataset.h"
@@ -27,13 +25,11 @@ class ArtifactCache;  // core/artifact_cache.h
 
 /// Options for FairGreedy.
 struct FairGreedyOptions {
-  std::vector<int> pool;     ///< Default: union of per-group skylines.
-  std::vector<int> db_rows;  ///< Default: global skyline.
   double regret_tolerance = 1e-9;
   /// Witness-LP lanes (0 = DefaultThreads(), 1 = exact serial path); output
   /// is bit-identical across thread counts.
   int threads = 0;
-  /// Cross-query memoization of the default pool/skyline (not owned; null =
+  /// Cross-query memoization of the fair pool and skyline (not owned; null =
   /// compute per call). Results are bit-identical either way.
   ArtifactCache* cache = nullptr;
 };

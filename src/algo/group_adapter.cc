@@ -58,15 +58,11 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
   }
 
   std::sort(out.rows.begin(), out.rows.end());
-  std::shared_ptr<const std::vector<int>> skyline;
-  const std::vector<int>& db_rows =
-      !opts.db_rows.empty()
-          ? opts.db_rows
-          : *(skyline = GetOrComputeSkyline(opts.cache, data));
   EvalOptions eval_opts;
   eval_opts.threads = opts.threads;
   eval_opts.cache = opts.cache;
-  out.mhr = EvaluateMhr(data, db_rows, out.rows, eval_opts);
+  out.mhr = EvaluateMhr(data, *GetOrComputeSkyline(opts.cache, data), out.rows,
+                        eval_opts);
   out.elapsed_ms = timer.ElapsedMillis();
   out.algorithm = "G-" + name;
   return out;

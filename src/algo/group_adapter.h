@@ -36,11 +36,9 @@ using BaseSolver = std::function<StatusOr<std::vector<int>>(
 
 /// Options for GroupAdapt.
 struct GroupAdapterOptions {
-  /// Denominator rows for the final MHR evaluation (default: global
-  /// skyline). Does not influence the per-group runs.
-  std::vector<int> db_rows;
-  /// Lanes for the final MHR evaluation (0 = DefaultThreads(), 1 = exact
-  /// serial path). The per-group solvers carry their own threads knobs.
+  /// Lanes for the final MHR evaluation against the global skyline (0 =
+  /// DefaultThreads(), 1 = exact serial path). The per-group solvers carry
+  /// their own threads knobs.
   int threads = 0;
   /// Cross-query memoization of group tables / skylines and the final
   /// evaluation net (not owned; null = compute per call). Results are

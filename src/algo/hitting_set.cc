@@ -21,6 +21,12 @@ StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
   if (rows.empty()) return Status::InvalidArgument("empty candidate set");
   if (k < 1) return Status::InvalidArgument("k must be >= 1");
   const int d = data.dim();
+  // Lazy constraint generation starts from kInitialDirections validation
+  // directions and adds at most kViolationsPerRound violated ones a round;
+  // tau is bisected kBinarySearchSteps times when tau = 1 is infeasible.
+  constexpr size_t kInitialDirections = 64;
+  constexpr size_t kViolationsPerRound = 32;
+  constexpr int kBinarySearchSteps = 24;
 
   const size_t m_val = opts.validation_net_size > 0
                            ? opts.validation_net_size
@@ -75,8 +81,8 @@ StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
   // growing the working set with violated directions.
   auto feasible = [&](double tau, std::vector<int>* out) -> bool {
     std::vector<int> working;
-    working.reserve(opts.initial_directions);
-    for (size_t j = 0; j < std::min(opts.initial_directions, m_val); ++j) {
+    working.reserve(kInitialDirections);
+    for (size_t j = 0; j < std::min(kInitialDirections, m_val); ++j) {
       working.push_back(static_cast<int>(j));
     }
     std::vector<bool> in_working(m_val, false);
@@ -87,7 +93,7 @@ StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
       if (picked.empty()) return false;
       // Validate on the full net.
       size_t added = 0;
-      for (size_t j = 0; j < m_val && added < opts.violations_per_round; ++j) {
+      for (size_t j = 0; j < m_val && added < kViolationsPerRound; ++j) {
         if (in_working[j]) continue;
         double best_h = 0.0;
         for (int r : picked) {
@@ -116,7 +122,7 @@ StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
   if (feasible(1.0, &sol)) {
     best_rows = sol;
   } else {
-    for (int it = 0; it < opts.binary_search_steps; ++it) {
+    for (int it = 0; it < kBinarySearchSteps; ++it) {
       const double mid = 0.5 * (lo + hi);
       if (feasible(mid, &sol)) {
         best_rows = sol;

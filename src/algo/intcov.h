@@ -18,7 +18,6 @@
 #define FAIRHMS_ALGO_INTCOV_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/statusor.h"
 #include "core/solution.h"
@@ -32,10 +31,6 @@ class ArtifactCache;  // core/artifact_cache.h
 
 /// Tuning knobs for IntCov.
 struct IntCovOptions {
-  /// Candidate pool override (default: union of per-group skylines).
-  std::vector<int> pool;
-  /// Denominator rows override (default: global skyline).
-  std::vector<int> db_rows;
   /// Abort when the DP state space prod_c (h_c + 1) exceeds this (the DP is
   /// exponential in the number of groups, as in the paper).
   uint64_t max_states = 50'000'000;
@@ -50,7 +45,7 @@ struct IntCovOptions {
   /// candidate set is sorted and deduplicated, so the selected rows and mhr
   /// are bit-identical across thread counts.
   int threads = 0;
-  /// Cross-query memoization of the default pool/skyline (not owned; null =
+  /// Cross-query memoization of the fair pool and skyline (not owned; null =
   /// compute per call). Results are bit-identical either way.
   ArtifactCache* cache = nullptr;
 };

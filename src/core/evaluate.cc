@@ -11,11 +11,13 @@ namespace fairhms {
 double EvaluateMhr(const Dataset& data, const std::vector<int>& db_rows,
                    const std::vector<int>& solution, const EvalOptions& opts) {
   if (solution.empty() || db_rows.empty()) return 0.0;
+  // kAuto falls back from ExactLp to Net above this witness count.
+  constexpr size_t kLpWitnessLimit = 4000;
   MhrMethod method = opts.method;
   if (method == MhrMethod::kAuto) {
     if (data.dim() == 2) {
       method = MhrMethod::kExact2D;
-    } else if (db_rows.size() <= opts.lp_witness_limit) {
+    } else if (db_rows.size() <= kLpWitnessLimit) {
       method = MhrMethod::kExactLp;
     } else {
       method = MhrMethod::kNet;

@@ -25,8 +25,6 @@ struct EvalOptions {
   MhrMethod method = MhrMethod::kAuto;
   /// Direction count for MhrMethod::kNet.
   size_t net_size = 20000;
-  /// kAuto falls back from ExactLp to Net above this witness count.
-  size_t lp_witness_limit = 4000;
   uint64_t seed = 0xE7A1u;
   /// Evaluation lanes (0 = DefaultThreads(), 1 = exact serial path). The
   /// result is bit-identical across thread counts.

@@ -30,7 +30,6 @@ IncrementalSkyline::IncrementalSkyline(const Dataset* data,
                                        IncrementalSkylineOptions opts)
     : data_(data), opts_(opts) {
   assert(data_ != nullptr);
-  assert(opts_.skyline.exact);
 }
 
 void IncrementalSkyline::Reset(const std::vector<int>& universe_rows) {

@@ -52,8 +52,7 @@ struct IncrementalSkylineOptions {
   /// operations since the last rebuild exceed
   /// `churn_rebuild_factor * max(universe_size, 64)`. 0 disables rebuilds.
   double churn_rebuild_factor = 8.0;
-  /// Options for full (re)builds. `exact` must stay true — an inexact
-  /// superset would diverge from the incrementally maintained set.
+  /// Options for full (re)builds.
   SkylineOptions skyline;
 };
 

@@ -126,12 +126,7 @@ std::vector<int> ComputeSkyline(const Dataset& data,
   const std::vector<int>& input = data.has_tombstones() ? live_rows : rows;
   if (input.empty()) return {};
   if (data.dim() == 2) return Skyline2D(data, input);
-  std::vector<int> filtered = PrefilterByElite(data, input, opts);
-  if (!opts.exact) {
-    std::sort(filtered.begin(), filtered.end());
-    return filtered;
-  }
-  return SkylineBnl(data, std::move(filtered));
+  return SkylineBnl(data, PrefilterByElite(data, input, opts));
 }
 
 std::vector<int> ComputeSkyline(const Dataset& data,

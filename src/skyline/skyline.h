@@ -18,12 +18,6 @@ namespace fairhms {
 
 /// Options for skyline computation.
 struct SkylineOptions {
-  /// When false, only the sample-elite prefilter runs, returning a
-  /// dominance-reduced *superset* of the skyline. This is sound as algorithm
-  /// input (extra dominated points are simply never selected) and avoids the
-  /// quadratic exact pass on huge anti-correlated inputs where nearly every
-  /// point is a skyline point anyway.
-  bool exact = true;
   /// Sample size of the elite prefilter (d >= 3 only).
   size_t prefilter_sample = 2048;
   /// Deterministic seed for the prefilter sample.

@@ -438,9 +438,13 @@ TEST(BiGreedyTest, CachedBoundsNeverDecideASelection) {
   const Grouping g = SingleGroup(3);
   auto bounds = GroupBounds::Explicit(1, {0}, {1});
   ASSERT_TRUE(bounds.ok());
-  auto input = PrepareProblem(data, g, *bounds, /*pool_override=*/{0, 1},
-                              /*db_override=*/{0, 1, 2});
+  auto input = PrepareProblem(data, g, *bounds);
   ASSERT_TRUE(input.ok()) << input.status();
+  // Row 2 dominates both; only rows 0 and 1 are candidates, and all three
+  // define the denominators.
+  input->pool = {0, 1};
+  input->pool_by_group = {{0, 1}};
+  input->db_rows = {0, 1, 2};
   const UtilityNet net = UtilityNet::Grid2D(2);
   NetEvaluator eval(&data, &net, input->db_rows);
   eval.CacheCandidates(input->pool);

@@ -4,13 +4,20 @@
 // projection fallback plus unconstrained-baseline skyline preparation
 // happen inside the facade.
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "algo/baselines.h"
+#include "algo/bigreedy.h"
 #include "algo/fair_greedy.h"
+#include "algo/group_adapter.h"
+#include "algo/intcov.h"
+#include "api/session.h"
 #include "api/solver.h"
+#include "core/artifact_cache.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "data/grouping.h"
@@ -270,21 +277,107 @@ TEST(SolverTest, SkylineExposedWhenTheFacadeComputesIt) {
 }
 
 TEST(SolverTest, FacadeMatchesDirectCall) {
-  // The facade adds no solver logic of its own: going through
-  // Solver::Solve must select the same rows as wiring the algorithm by
-  // hand (here: fair_greedy, deterministic).
-  const Instance inst = MakeInstance(/*dim=*/3, /*k=*/8, /*seed=*/33);
-  SolverRequest req = MakeRequest(inst, "fair_greedy");
-  req.threads = 1;
-  auto via_facade = Solver::Solve(req);
-  ASSERT_TRUE(via_facade.ok()) << via_facade.status().ToString();
+  // The facade adds no solver logic of its own: every algorithm bench_paper
+  // runs, solved through a session whose cache already holds the published
+  // skyline and fair pool, with the bench's seed (the entry point's Options
+  // default), selects the same rows with the same mhr as the entry point
+  // called directly with default Options.
+  using Direct = std::function<StatusOr<Solution>(
+      const Instance&, const std::vector<int>& skyline)>;
+  const auto adapted = [](BaseSolver rows, const char* name) -> Direct {
+    return [rows, name](const Instance& in, const std::vector<int>&) {
+      return GroupAdapt(rows, name, in.data, in.grouping, in.bounds);
+    };
+  };
+  struct Case {
+    const char* algorithm;
+    uint64_t seed;
+    int dim;
+    Direct direct;
+  };
+  const Case cases[] = {
+      {"intcov", 42, 2,
+       [](const Instance& in, const std::vector<int>&) {
+         return IntCov(in.data, in.grouping, in.bounds);
+       }},
+      {"bigreedy", 13, 3,
+       [](const Instance& in, const std::vector<int>&) {
+         return BiGreedy(in.data, in.grouping, in.bounds);
+       }},
+      {"bigreedy+", 13, 3,
+       [](const Instance& in, const std::vector<int>&) {
+         return BiGreedyPlus(in.data, in.grouping, in.bounds);
+       }},
+      {"fair_greedy", 42, 3,
+       [](const Instance& in, const std::vector<int>&) {
+         return FairGreedy(in.data, in.grouping, in.bounds);
+       }},
+      {"g_greedy", 42, 3,
+       adapted(
+           [](const Dataset& d, const std::vector<int>& rows, int k) {
+             return RdpGreedyRows(d, rows, k);
+           },
+           "Greedy")},
+      {"g_dmm", 42, 3,
+       adapted(
+           [](const Dataset& d, const std::vector<int>& rows, int k) {
+             return DmmRows(d, rows, k);
+           },
+           "DMM")},
+      {"g_hs", 31, 3,
+       adapted(
+           [](const Dataset& d, const std::vector<int>& rows, int k) {
+             return HittingSetRows(d, rows, k);
+           },
+           "HS")},
+      {"g_sphere", 29, 3,
+       adapted(
+           [](const Dataset& d, const std::vector<int>& rows, int k) {
+             return SphereRows(d, rows, k);
+           },
+           "Sphere")},
+      {"rdp_greedy", 42, 3,
+       [](const Instance& in, const std::vector<int>& skyline) {
+         return RdpGreedy(in.data, skyline, in.bounds.k);
+       }},
+      {"dmm", 42, 3,
+       [](const Instance& in, const std::vector<int>& skyline) {
+         return Dmm(in.data, skyline, in.bounds.k);
+       }},
+      {"hs", 31, 3,
+       [](const Instance& in, const std::vector<int>& skyline) {
+         return HittingSet(in.data, skyline, in.bounds.k);
+       }},
+      {"sphere", 29, 3,
+       [](const Instance& in, const std::vector<int>& skyline) {
+         return SphereAlgo(in.data, skyline, in.bounds.k);
+       }},
+  };
+  const Instance plane = MakeInstance();
+  const Instance space = MakeInstance(/*dim=*/3, /*k=*/8, /*seed=*/33);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.algorithm);
+    const Instance& inst = c.dim == 2 ? plane : space;
+    const std::vector<int> skyline = ComputeSkyline(inst.data);
+    SolverSession session =
+        SolverSession::Create(&inst.data, &inst.grouping).value();
+    using Kind = ArtifactCache::Kind;
+    session.cache()->Put(ArtifactCache::VersionedKey(Kind::kSkyline, inst.data),
+                         skyline);
+    session.cache()->Put(
+        ArtifactCache::VersionedKey(Kind::kFairPool, inst.data,
+                                    &inst.grouping),
+        ComputeFairCandidatePool(inst.data, inst.grouping));
+    SolverRequest req = MakeRequest(inst, c.algorithm);
+    req.seed = c.seed;
+    auto via_session = session.Solve(req);
+    ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
 
-  FairGreedyOptions opts;
-  opts.threads = 1;
-  auto direct = FairGreedy(inst.data, inst.grouping, inst.bounds, opts);
-  ASSERT_TRUE(direct.ok());
-  EXPECT_EQ(via_facade->solution.rows, direct->rows);
-  EXPECT_EQ(via_facade->solution.mhr, direct->mhr);
+    auto direct = c.direct(inst, skyline);
+    ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+    EXPECT_EQ(via_session->solution.rows, direct->rows);
+    EXPECT_EQ(via_session->solution.mhr, direct->mhr);
+  }
 }
 
 }  // namespace

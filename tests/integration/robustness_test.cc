@@ -96,23 +96,6 @@ TEST(RobustnessTest, CollinearPointsOnDiagonal) {
   EXPECT_EQ(sol->rows, (std::vector<int>{0, 4}));
 }
 
-TEST(RobustnessTest, PoolOverrideRestrictsCandidates) {
-  Rng rng(103);
-  const Dataset data = GenIndependent(100, 3, &rng);
-  const Grouping g = GroupBySumRank(data, 2);
-  const GroupBounds bounds = GroupBounds::Proportional(6, g.Counts(), 0.2);
-  // Restrict the pool to an arbitrary half of the rows.
-  std::vector<int> pool;
-  for (int i = 0; i < 100; i += 2) pool.push_back(i);
-  BiGreedyOptions opts;
-  opts.pool = pool;
-  auto sol = BiGreedy(data, g, bounds, opts);
-  ASSERT_TRUE(sol.ok()) << sol.status();
-  // Padding may reach outside the pool only when the pool cannot satisfy
-  // the bounds; here it can, so all rows must be even.
-  for (int r : sol->rows) EXPECT_EQ(r % 2, 0) << r;
-}
-
 TEST(RobustnessTest, TinyNetStillProducesFairSolution) {
   Rng rng(104);
   const Dataset data = GenAntiCorrelated(200, 4, &rng);

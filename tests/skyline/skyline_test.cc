@@ -88,21 +88,6 @@ TEST(SkylineTest, SubsetOfRowsOnly) {
   EXPECT_EQ(sky, (std::vector<int>{0, 3}));
 }
 
-TEST(SkylineTest, PrefilterModeReturnsSuperset) {
-  Rng rng(19);
-  const Dataset data = GenIndependent(6000, 4, &rng);
-  SkylineOptions approx;
-  approx.exact = false;
-  approx.prefilter_sample = 512;
-  const auto superset = ComputeSkyline(data, approx);
-  const auto exact = ComputeSkyline(data);
-  // Superset contains the whole skyline.
-  EXPECT_TRUE(std::includes(superset.begin(), superset.end(), exact.begin(),
-                            exact.end()));
-  // And the prefilter did remove a substantial share of dominated points.
-  EXPECT_LT(superset.size(), data.size());
-}
-
 TEST(SkylineTest, GroupSkylinesMatchBruteForcePerGroup) {
   Rng rng(29);
   const Dataset data = GenIndependent(300, 3, &rng);
