@@ -160,16 +160,8 @@ int Run(int argc, char** argv) {
         auto result =
             session ? session->Solve(request) : Solver::Solve(request);
         if (!result.ok()) return result.status();
-        // Uncached, the evaluation reuses the facade's skyline when it
-        // produced one.
-        std::shared_ptr<const std::vector<int>> skyline;
-        if (session || result->skyline.empty()) {
-          skyline = GetOrComputeSkyline(session ? session->cache() : nullptr,
-                                        data);
-        } else {
-          skyline = std::make_shared<const std::vector<int>>(
-              std::move(result->skyline));
-        }
+        const std::shared_ptr<const std::vector<int>> skyline =
+            GetOrComputeSkyline(session ? session->cache() : nullptr, data);
         EvalOptions eval_opts;
         eval_opts.method = MhrMethod::kNet;
         eval_opts.net_size = ref_net;

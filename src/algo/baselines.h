@@ -5,28 +5,26 @@
 // global skyline to reproduce the unconstrained runs of Fig. 3, or one
 // group's skyline when driven by the G-adapter (algo/group_adapter.h).
 //
-//  * RdpGreedy — Nanongkai et al. [35]: repeatedly insert the max-regret
-//    witness (one LP per skyline item per iteration).
-//  * Dmm      — Asudeh et al. [5]: discretized matrix of happiness values
+//  * RdpGreedyRows — Nanongkai et al. [35]: repeatedly insert the
+//    max-regret witness (one LP per skyline item per iteration).
+//  * DmmRows — Asudeh et al. [5]: discretized matrix of happiness values
 //    over a per-axis angle grid; binary search over thresholds, greedy set
 //    cover as the feasibility test. Keeps the full matrix in memory, which
 //    is exactly why it dies above d ~ 6-7 (ResourceExhausted), as reported
 //    in the paper.
-//  * SphereAlgo — Xie et al. [55]: dimension-extreme points first (requires
+//  * SphereRows — Xie et al. [55]: dimension-extreme points first (requires
 //    k >= d), then covers the worst-served sampled directions.
-//  * HittingSet — Agarwal et al. / Kumar & Sintos [2, 29]: threshold + greedy
-//    cover with lazy constraint generation over directions (memory-light).
+//  * HittingSetRows — Agarwal et al. / Kumar & Sintos [2, 29]: threshold +
+//    greedy cover with lazy constraint generation over directions
+//    (memory-light).
 //
-// Registered in the unified solver registry (api/registry.h) both plain
-// ("rdp_greedy", "dmm", "sphere", "hs" — run on the global skyline,
+// Each returns the selected rows, sorted; it does not evaluate them. One
+// BaselineRegistrar per baseline (algo/group_adapter.h) registers it both
+// plain ("rdp_greedy", "dmm", "sphere", "hs": the registration looks up the
+// global skyline, solves on it and evaluates the rows with EvaluateMhr,
 // violations reported) and G-adapted ("g_greedy", "g_dmm", "g_sphere",
-// "g_hs" — fair by per-group quotas). Solver::Solve (api/solver.h) is the
+// "g_hs": fair by per-group quotas). Solver::Solve (api/solver.h) is the
 // stable entry point.
-//
-// Each baseline also comes as a *Rows function: the same rows, sorted,
-// without the final exact evaluation (one MhrExactLp over `rows`). The
-// G-adapter runs those per group, since it keeps only the rows and
-// evaluates the union itself.
 
 #ifndef FAIRHMS_ALGO_BASELINES_H_
 #define FAIRHMS_ALGO_BASELINES_H_
@@ -35,14 +33,13 @@
 #include <vector>
 
 #include "common/statusor.h"
-#include "core/solution.h"
 #include "data/dataset.h"
 
 namespace fairhms {
 
 class ArtifactCache;  // core/artifact_cache.h
 
-/// Options for RdpGreedy.
+/// Options for RdpGreedyRows.
 struct RdpGreedyOptions {
   /// Stop early when the max regret drops below this (remaining slots are
   /// filled with the best unused rows by attribute sum).
@@ -53,13 +50,11 @@ struct RdpGreedyOptions {
 };
 
 /// RDP-Greedy. `rows` must be non-empty; k >= 1.
-StatusOr<Solution> RdpGreedy(const Dataset& data, const std::vector<int>& rows,
-                             int k, const RdpGreedyOptions& opts = {});
 StatusOr<std::vector<int>> RdpGreedyRows(const Dataset& data,
                                          const std::vector<int>& rows, int k,
                                          const RdpGreedyOptions& opts = {});
 
-/// Options for Dmm.
+/// Options for DmmRows.
 struct DmmOptions {
   /// Target total direction count; the per-axis grid resolution is derived
   /// as ceil(target^(1/(d-1))). 0 derives the 10 * k * d default.
@@ -72,13 +67,11 @@ struct DmmOptions {
 };
 
 /// DMM.
-StatusOr<Solution> Dmm(const Dataset& data, const std::vector<int>& rows,
-                       int k, const DmmOptions& opts = {});
 StatusOr<std::vector<int>> DmmRows(const Dataset& data,
                                    const std::vector<int>& rows, int k,
                                    const DmmOptions& opts = {});
 
-/// Options for SphereAlgo.
+/// Options for SphereRows.
 struct SphereOptions {
   size_t net_size = 0;  ///< 0 -> 10 * k * d sampled directions.
   uint64_t seed = 29;
@@ -91,14 +84,11 @@ struct SphereOptions {
 };
 
 /// Sphere. Fails with InvalidArgument when k < d (as the original does).
-StatusOr<Solution> SphereAlgo(const Dataset& data,
-                              const std::vector<int>& rows, int k,
-                              const SphereOptions& opts = {});
 StatusOr<std::vector<int>> SphereRows(const Dataset& data,
                                       const std::vector<int>& rows, int k,
                                       const SphereOptions& opts = {});
 
-/// Options for HittingSet.
+/// Options for HittingSetRows.
 struct HittingSetOptions {
   size_t validation_net_size = 0;  ///< 0 -> 20 * k * d.
   int max_rounds = 64;
@@ -112,9 +102,6 @@ struct HittingSetOptions {
 };
 
 /// HS (lazy hitting set).
-StatusOr<Solution> HittingSet(const Dataset& data,
-                              const std::vector<int>& rows, int k,
-                              const HittingSetOptions& opts = {});
 StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
                                           const std::vector<int>& rows, int k,
                                           const HittingSetOptions& opts = {});

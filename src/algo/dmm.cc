@@ -4,11 +4,8 @@
 
 #include "algo/baselines.h"
 #include "algo/group_adapter.h"
-#include "api/registry.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "core/exact_evaluator.h"
 #include "geom/vec.h"
 
 namespace fairhms {
@@ -214,32 +211,18 @@ StatusOr<std::vector<int>> DmmRows(const Dataset& data,
   return best_rows;
 }
 
-StatusOr<Solution> Dmm(const Dataset& data, const std::vector<int>& rows,
-                       int k, const DmmOptions& opts) {
-  Stopwatch timer;
-  Solution out;
-  FAIRHMS_ASSIGN_OR_RETURN(out.rows, DmmRows(data, rows, k, opts));
-  out.mhr =
-      rows.size() <= 4000 ? MhrExactLp(data, rows, out.rows, opts.threads) : 0.0;
-  out.elapsed_ms = timer.ElapsedMillis();
-  out.algorithm = "DMM";
-  return out;
-}
-
 namespace {
 
-DmmOptions DmmOptionsFromContext(const SolveContext& ctx) {
-  DmmOptions opts;
-  opts.target_net_size = static_cast<size_t>(ctx.params->IntOr(
-      "net_size", static_cast<int64_t>(opts.target_net_size)));
-  opts.memory_budget_bytes = static_cast<uint64_t>(ctx.params->IntOr(
-      "memory_budget_bytes", static_cast<int64_t>(opts.memory_budget_bytes)));
-  opts.threads = ctx.threads;
-  return opts;
-}
-
-std::vector<ParamSpec> DmmParamSchema() {
-  return {
+const BaselineRegistrar dmm_registrar([] {
+  BaselineSpec spec;
+  spec.name = "dmm";
+  spec.g_name = "g_dmm";
+  spec.display_name = "DMM";
+  spec.summary =
+      "discretized matrix min-max baseline (unconstrained; memory-bound "
+      "above d ~ 6-7)";
+  spec.g_summary = "DMM run per group and unioned (fair by quotas)";
+  spec.params = {
       {"net_size", ParamType::kInt,
        "target direction count (per-axis grid resolution is derived)",
        "auto (10*k*d)", 1, 1e308, false, false, {}},
@@ -247,42 +230,19 @@ std::vector<ParamSpec> DmmParamSchema() {
        "the happiness matrix must fit here, else ResourceExhausted",
        "2000000000", 1, 1e308, false, false, {}},
   };
-}
-
-const AlgorithmRegistrar dmm_registrar([] {
-  AlgorithmInfo info;
-  info.name = "dmm";
-  info.display_name = "DMM";
-  info.summary =
-      "discretized matrix min-max baseline (unconstrained; memory-bound "
-      "above d ~ 6-7)";
-  info.params = DmmParamSchema();
-  info.solve = [](const SolveContext& ctx) {
-    return Dmm(*ctx.data, *ctx.skyline, ctx.bounds->k,
-               DmmOptionsFromContext(ctx));
+  spec.make_solver = [](const SolveContext& ctx) -> BaseSolver {
+    DmmOptions opts;
+    opts.target_net_size = static_cast<size_t>(ctx.params->IntOr(
+        "net_size", static_cast<int64_t>(opts.target_net_size)));
+    opts.memory_budget_bytes = static_cast<uint64_t>(ctx.params->IntOr(
+        "memory_budget_bytes",
+        static_cast<int64_t>(opts.memory_budget_bytes)));
+    opts.threads = ctx.threads;
+    return [opts](const Dataset& d, const std::vector<int>& rows, int k) {
+      return DmmRows(d, rows, k, opts);
+    };
   };
-  return info;
-}());
-
-const AlgorithmRegistrar g_dmm_registrar([] {
-  AlgorithmInfo info;
-  info.name = "g_dmm";
-  info.display_name = "G-DMM";
-  info.summary = "DMM run per group and unioned (fair by quotas)";
-  info.caps.fairness_aware = true;
-  info.params = DmmParamSchema();
-  info.solve = [](const SolveContext& ctx) {
-    const DmmOptions opts = DmmOptionsFromContext(ctx);
-    GroupAdapterOptions adapter_opts;
-    adapter_opts.threads = ctx.threads;
-    adapter_opts.cache = ctx.cache;
-    return GroupAdapt(
-        [opts](const Dataset& d, const std::vector<int>& rows, int k) {
-          return DmmRows(d, rows, k, opts);
-        },
-        "DMM", *ctx.data, *ctx.grouping, *ctx.bounds, adapter_opts);
-  };
-  return info;
+  return spec;
 }());
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
@@ -66,6 +67,49 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
   out.elapsed_ms = timer.ElapsedMillis();
   out.algorithm = "G-" + name;
   return out;
+}
+
+BaselineRegistrar::BaselineRegistrar(const BaselineSpec& spec) {
+  AlgorithmInfo plain;
+  plain.name = spec.name;
+  plain.display_name = spec.display_name;
+  plain.summary = spec.summary;
+  plain.caps.randomized = spec.randomized;
+  plain.params = spec.params;
+  AlgorithmInfo adapted = plain;
+
+  plain.solve = [make = spec.make_solver](
+                    const SolveContext& ctx) -> StatusOr<Solution> {
+    const BaseSolver solver = make(ctx);
+    const std::shared_ptr<const std::vector<int>> skyline =
+        GetOrComputeSkyline(ctx.cache, *ctx.data);
+    Stopwatch timer;
+    Solution out;
+    FAIRHMS_ASSIGN_OR_RETURN(out.rows,
+                             solver(*ctx.data, *skyline, ctx.bounds->k));
+    EvalOptions eval_opts;
+    eval_opts.threads = ctx.threads;
+    eval_opts.cache = ctx.cache;
+    out.mhr = EvaluateMhr(*ctx.data, *skyline, out.rows, eval_opts);
+    out.elapsed_ms = timer.ElapsedMillis();
+    return out;
+  };
+
+  adapted.name = spec.g_name;
+  adapted.display_name = "G-" + spec.display_name;
+  adapted.summary = spec.g_summary;
+  adapted.caps.fairness_aware = true;
+  adapted.solve = [make = spec.make_solver,
+                   name = spec.display_name](const SolveContext& ctx) {
+    GroupAdapterOptions opts;
+    opts.threads = ctx.threads;
+    opts.cache = ctx.cache;
+    return GroupAdapt(make(ctx), name, *ctx.data, *ctx.grouping, *ctx.bounds,
+                      opts);
+  };
+
+  const AlgorithmRegistrar plain_registrar(std::move(plain));
+  const AlgorithmRegistrar adapted_registrar(std::move(adapted));
 }
 
 }  // namespace fairhms

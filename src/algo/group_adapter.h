@@ -8,9 +8,10 @@
 // adaptation inherits the paper's caveat: per-group selections are mutually
 // redundant, so the union's global MHR trails the native fair algorithms.
 //
-// The adapted variants are registered in the unified solver registry
-// (api/registry.h) as "g_greedy", "g_dmm", "g_sphere" and "g_hs" from the
-// respective baseline .cc files.
+// Each baseline .cc registers itself once, through a BaselineRegistrar: one
+// spec becomes the plain registry entry ("rdp_greedy", "dmm", "sphere",
+// "hs": run on the global skyline, violations reported) and the adapted
+// one ("g_greedy", "g_dmm", "g_sphere", "g_hs").
 
 #ifndef FAIRHMS_ALGO_GROUP_ADAPTER_H_
 #define FAIRHMS_ALGO_GROUP_ADAPTER_H_
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "api/registry.h"
 #include "common/statusor.h"
 #include "core/solution.h"
 #include "data/dataset.h"
@@ -55,6 +57,32 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
                               const Grouping& grouping,
                               const GroupBounds& bounds,
                               const GroupAdapterOptions& opts = {});
+
+/// One prior-art baseline as the registry sees it (algo/baselines.h).
+struct BaselineSpec {
+  std::string name;          ///< Plain registry name, e.g. "rdp_greedy".
+  std::string g_name;        ///< Adapted registry name, e.g. "g_greedy".
+  std::string display_name;  ///< e.g. "Greedy"; the adapted one is "G-Greedy".
+  std::string summary;       ///< --list_algos line of the plain entry.
+  std::string g_summary;     ///< --list_algos line of the adapted entry.
+  bool randomized = false;   ///< AlgoCapabilities::randomized of both.
+  std::vector<ParamSpec> params;  ///< Schema of both entries.
+  /// Binds the context's params, seed, threads and cache into the
+  /// baseline's rows function.
+  std::function<BaseSolver(const SolveContext&)> make_solver;
+};
+
+/// Registers both entries of `spec` at static initialization:
+///   * the plain one solves on GetOrComputeSkyline(ctx.cache, *ctx.data),
+///     timed after that lookup; its mhr is EvaluateMhr over that skyline
+///     with the context's threads and cache — the reference value the
+///     service reports as happiness_ratio;
+///   * the adapted one (fairness_aware) runs GroupAdapt.
+/// Aborts on registration errors, as AlgorithmRegistrar does.
+class BaselineRegistrar {
+ public:
+  explicit BaselineRegistrar(const BaselineSpec& spec);
+};
 
 }  // namespace fairhms
 

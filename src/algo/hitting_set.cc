@@ -1,14 +1,12 @@
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "algo/baselines.h"
 #include "algo/group_adapter.h"
-#include "api/registry.h"
 #include "common/random.h"
-#include "common/stopwatch.h"
 #include "core/artifact_cache.h"
-#include "core/exact_evaluator.h"
 #include "core/net_evaluator.h"
 #include "geom/vec.h"
 #include "utility/utility_net.h"
@@ -160,79 +158,41 @@ StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
   return best_rows;
 }
 
-StatusOr<Solution> HittingSet(const Dataset& data,
-                              const std::vector<int>& rows, int k,
-                              const HittingSetOptions& opts) {
-  Stopwatch timer;
-  Solution out;
-  FAIRHMS_ASSIGN_OR_RETURN(out.rows, HittingSetRows(data, rows, k, opts));
-  out.mhr =
-      rows.size() <= 4000 ? MhrExactLp(data, rows, out.rows, opts.threads) : 0.0;
-  out.elapsed_ms = timer.ElapsedMillis();
-  out.algorithm = "HS";
-  return out;
-}
-
 namespace {
 
-HittingSetOptions HittingSetOptionsFromContext(const SolveContext& ctx) {
-  HittingSetOptions opts;
-  opts.validation_net_size = static_cast<size_t>(ctx.params->IntOr(
-      "net_size", static_cast<int64_t>(opts.validation_net_size)));
-  opts.max_rounds = static_cast<int>(
-      ctx.params->IntOr("max_rounds", opts.max_rounds));
-  opts.seed = ctx.seed;
-  opts.threads = ctx.threads;
-  opts.cache = ctx.cache;
-  return opts;
-}
-
-std::vector<ParamSpec> HittingSetParamSchema() {
-  return {
-      {"net_size", ParamType::kInt, "validation direction-net size",
-       "auto (20*k*d)", 1, 1e308, false, false, {}},
-      {"max_rounds", ParamType::kInt,
-       "lazy constraint-generation round limit", "64", 1, 1e308, false,
-       false, {}},
-  };
-}
-
-const AlgorithmRegistrar hs_registrar([] {
-  AlgorithmInfo info;
-  info.name = "hs";
-  info.display_name = "HS";
-  info.summary =
+const BaselineRegistrar hs_registrar([] {
+  BaselineSpec spec;
+  spec.name = "hs";
+  spec.g_name = "g_hs";
+  spec.display_name = "HS";
+  spec.summary =
       "lazy hitting-set baseline: threshold + greedy cover with constraint "
       "generation (unconstrained, memory-light)";
-  info.caps.randomized = true;
-  info.params = HittingSetParamSchema();
-  info.solve = [](const SolveContext& ctx) {
-    return HittingSet(*ctx.data, *ctx.skyline, ctx.bounds->k,
-                      HittingSetOptionsFromContext(ctx));
+  spec.g_summary = "HS run per group and unioned (fair by quotas)";
+  spec.randomized = true;
+  spec.params = {
+      {"net_size", ParamType::kInt, "validation direction-net size",
+       "auto (20*k*d)", 1, static_cast<double>(UtilityNet::kMaxSize), false,
+       false, {}},
+      {"max_rounds", ParamType::kInt,
+       "lazy constraint-generation round limit", "64", 1,
+       static_cast<double>(std::numeric_limits<int>::max()), false, false,
+       {}},
   };
-  return info;
-}());
-
-const AlgorithmRegistrar g_hs_registrar([] {
-  AlgorithmInfo info;
-  info.name = "g_hs";
-  info.display_name = "G-HS";
-  info.summary = "HS run per group and unioned (fair by quotas)";
-  info.caps.fairness_aware = true;
-  info.caps.randomized = true;
-  info.params = HittingSetParamSchema();
-  info.solve = [](const SolveContext& ctx) {
-    const HittingSetOptions opts = HittingSetOptionsFromContext(ctx);
-    GroupAdapterOptions adapter_opts;
-    adapter_opts.threads = ctx.threads;
-    adapter_opts.cache = ctx.cache;
-    return GroupAdapt(
-        [opts](const Dataset& d, const std::vector<int>& rows, int k) {
-          return HittingSetRows(d, rows, k, opts);
-        },
-        "HS", *ctx.data, *ctx.grouping, *ctx.bounds, adapter_opts);
+  spec.make_solver = [](const SolveContext& ctx) -> BaseSolver {
+    HittingSetOptions opts;
+    opts.validation_net_size = static_cast<size_t>(ctx.params->IntOr(
+        "net_size", static_cast<int64_t>(opts.validation_net_size)));
+    opts.max_rounds =
+        static_cast<int>(ctx.params->IntOr("max_rounds", opts.max_rounds));
+    opts.seed = ctx.seed;
+    opts.threads = ctx.threads;
+    opts.cache = ctx.cache;
+    return [opts](const Dataset& d, const std::vector<int>& rows, int k) {
+      return HittingSetRows(d, rows, k, opts);
+    };
   };
-  return info;
+  return spec;
 }());
 
 }  // namespace

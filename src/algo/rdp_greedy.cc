@@ -3,8 +3,6 @@
 #include "algo/algo_util.h"
 #include "algo/baselines.h"
 #include "algo/group_adapter.h"
-#include "api/registry.h"
-#include "common/stopwatch.h"
 #include "core/exact_evaluator.h"
 #include "geom/vec.h"
 
@@ -64,69 +62,32 @@ StatusOr<std::vector<int>> RdpGreedyRows(const Dataset& data,
   return solution;
 }
 
-StatusOr<Solution> RdpGreedy(const Dataset& data, const std::vector<int>& rows,
-                             int k, const RdpGreedyOptions& opts) {
-  Stopwatch timer;
-  Solution out;
-  FAIRHMS_ASSIGN_OR_RETURN(out.rows, RdpGreedyRows(data, rows, k, opts));
-  out.mhr = MhrExactLp(data, rows, out.rows, opts.threads);
-  out.elapsed_ms = timer.ElapsedMillis();
-  out.algorithm = "Greedy";
-  return out;
-}
-
 namespace {
 
-RdpGreedyOptions RdpGreedyOptionsFromContext(const SolveContext& ctx) {
-  RdpGreedyOptions opts;
-  opts.regret_tolerance =
-      ctx.params->DoubleOr("regret_tolerance", opts.regret_tolerance);
-  opts.threads = ctx.threads;
-  return opts;
-}
-
-std::vector<ParamSpec> RdpGreedyParamSchema() {
-  return {
+const BaselineRegistrar rdp_greedy_registrar([] {
+  BaselineSpec spec;
+  spec.name = "rdp_greedy";
+  spec.g_name = "g_greedy";
+  spec.display_name = "Greedy";
+  spec.summary =
+      "RDP-Greedy baseline: repeatedly insert the max-regret witness "
+      "(unconstrained, runs on the global skyline)";
+  spec.g_summary = "RDP-Greedy run per group and unioned (fair by quotas)";
+  spec.params = {
       {"regret_tolerance", ParamType::kDouble,
        "stop early when the max regret drops below this", "1e-9", 0.0, 1e308,
        false, false, {}},
   };
-}
-
-const AlgorithmRegistrar rdp_greedy_registrar([] {
-  AlgorithmInfo info;
-  info.name = "rdp_greedy";
-  info.display_name = "Greedy";
-  info.summary =
-      "RDP-Greedy baseline: repeatedly insert the max-regret witness "
-      "(unconstrained, runs on the global skyline)";
-  info.params = RdpGreedyParamSchema();
-  info.solve = [](const SolveContext& ctx) {
-    return RdpGreedy(*ctx.data, *ctx.skyline, ctx.bounds->k,
-                     RdpGreedyOptionsFromContext(ctx));
+  spec.make_solver = [](const SolveContext& ctx) -> BaseSolver {
+    RdpGreedyOptions opts;
+    opts.regret_tolerance =
+        ctx.params->DoubleOr("regret_tolerance", opts.regret_tolerance);
+    opts.threads = ctx.threads;
+    return [opts](const Dataset& d, const std::vector<int>& rows, int k) {
+      return RdpGreedyRows(d, rows, k, opts);
+    };
   };
-  return info;
-}());
-
-const AlgorithmRegistrar g_greedy_registrar([] {
-  AlgorithmInfo info;
-  info.name = "g_greedy";
-  info.display_name = "G-Greedy";
-  info.summary = "RDP-Greedy run per group and unioned (fair by quotas)";
-  info.caps.fairness_aware = true;
-  info.params = RdpGreedyParamSchema();
-  info.solve = [](const SolveContext& ctx) {
-    const RdpGreedyOptions opts = RdpGreedyOptionsFromContext(ctx);
-    GroupAdapterOptions adapter_opts;
-    adapter_opts.threads = ctx.threads;
-    adapter_opts.cache = ctx.cache;
-    return GroupAdapt(
-        [opts](const Dataset& d, const std::vector<int>& rows, int k) {
-          return RdpGreedyRows(d, rows, k, opts);
-        },
-        "Greedy", *ctx.data, *ctx.grouping, *ctx.bounds, adapter_opts);
-  };
-  return info;
+  return spec;
 }());
 
 }  // namespace

@@ -3,26 +3,18 @@
 
 #include "algo/baselines.h"
 #include "algo/group_adapter.h"
-#include "api/registry.h"
 #include "common/random.h"
-#include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/artifact_cache.h"
-#include "core/exact_evaluator.h"
 #include "core/net_evaluator.h"
 #include "geom/vec.h"
 #include "utility/utility_net.h"
 
 namespace fairhms {
 
-namespace {
-
-/// Sphere's rows, sorted. `*eval_out`, when given, receives the evaluator
-/// the run built, for SphereAlgo's evaluation of large pools.
-StatusOr<std::vector<int>> SphereSelect(
-    const Dataset& data, const std::vector<int>& rows, int k,
-    const SphereOptions& opts,
-    std::shared_ptr<const NetEvaluator>* eval_out) {
+StatusOr<std::vector<int>> SphereRows(const Dataset& data,
+                                      const std::vector<int>& rows, int k,
+                                      const SphereOptions& opts) {
   if (rows.empty()) return Status::InvalidArgument("empty candidate set");
   const int d = data.dim();
   if (k < d) {
@@ -102,91 +94,40 @@ StatusOr<std::vector<int>> SphereSelect(
   }
 
   std::sort(solution.begin(), solution.end());
-  if (eval_out != nullptr) *eval_out = eval_ptr;
   return solution;
-}
-
-}  // namespace
-
-StatusOr<std::vector<int>> SphereRows(const Dataset& data,
-                                      const std::vector<int>& rows, int k,
-                                      const SphereOptions& opts) {
-  return SphereSelect(data, rows, k, opts, nullptr);
-}
-
-StatusOr<Solution> SphereAlgo(const Dataset& data,
-                              const std::vector<int>& rows, int k,
-                              const SphereOptions& opts) {
-  Stopwatch timer;
-  std::shared_ptr<const NetEvaluator> eval;
-  Solution out;
-  FAIRHMS_ASSIGN_OR_RETURN(out.rows,
-                           SphereSelect(data, rows, k, opts, &eval));
-  out.mhr = rows.size() <= 4000 ? MhrExactLp(data, rows, out.rows, opts.threads)
-                                : eval->Mhr(out.rows);
-  out.elapsed_ms = timer.ElapsedMillis();
-  out.algorithm = "Sphere";
-  return out;
 }
 
 namespace {
 
-SphereOptions SphereOptionsFromContext(const SolveContext& ctx) {
-  SphereOptions opts;
-  opts.net_size = static_cast<size_t>(
-      ctx.params->IntOr("net_size", static_cast<int64_t>(opts.net_size)));
-  opts.seed = ctx.seed;
-  opts.threads = ctx.threads;
-  opts.cache = ctx.cache;
-  return opts;
-}
-
-std::vector<ParamSpec> SphereParamSchema() {
-  return {
+const BaselineRegistrar sphere_registrar([] {
+  BaselineSpec spec;
+  spec.name = "sphere";
+  spec.g_name = "g_sphere";
+  spec.display_name = "Sphere";
+  spec.summary =
+      "Sphere baseline: dimension extremes + worst-served sampled "
+      "directions (unconstrained; needs k >= d)";
+  spec.g_summary =
+      "Sphere run per group and unioned (fair by quotas; needs every "
+      "per-group quota >= d)";
+  spec.randomized = true;
+  spec.params = {
       {"net_size", ParamType::kInt, "sampled direction count",
        "auto (10*k*d)", 1, static_cast<double>(UtilityNet::kMaxSize), false,
        false, {}},
   };
-}
-
-const AlgorithmRegistrar sphere_registrar([] {
-  AlgorithmInfo info;
-  info.name = "sphere";
-  info.display_name = "Sphere";
-  info.summary =
-      "Sphere baseline: dimension extremes + worst-served sampled "
-      "directions (unconstrained; needs k >= d)";
-  info.caps.randomized = true;
-  info.params = SphereParamSchema();
-  info.solve = [](const SolveContext& ctx) {
-    return SphereAlgo(*ctx.data, *ctx.skyline, ctx.bounds->k,
-                      SphereOptionsFromContext(ctx));
+  spec.make_solver = [](const SolveContext& ctx) -> BaseSolver {
+    SphereOptions opts;
+    opts.net_size = static_cast<size_t>(
+        ctx.params->IntOr("net_size", static_cast<int64_t>(opts.net_size)));
+    opts.seed = ctx.seed;
+    opts.threads = ctx.threads;
+    opts.cache = ctx.cache;
+    return [opts](const Dataset& d, const std::vector<int>& rows, int k) {
+      return SphereRows(d, rows, k, opts);
+    };
   };
-  return info;
-}());
-
-const AlgorithmRegistrar g_sphere_registrar([] {
-  AlgorithmInfo info;
-  info.name = "g_sphere";
-  info.display_name = "G-Sphere";
-  info.summary =
-      "Sphere run per group and unioned (fair by quotas; needs every "
-      "per-group quota >= d)";
-  info.caps.fairness_aware = true;
-  info.caps.randomized = true;
-  info.params = SphereParamSchema();
-  info.solve = [](const SolveContext& ctx) {
-    const SphereOptions opts = SphereOptionsFromContext(ctx);
-    GroupAdapterOptions adapter_opts;
-    adapter_opts.threads = ctx.threads;
-    adapter_opts.cache = ctx.cache;
-    return GroupAdapt(
-        [opts](const Dataset& d, const std::vector<int>& rows, int k) {
-          return SphereRows(d, rows, k, opts);
-        },
-        "Sphere", *ctx.data, *ctx.grouping, *ctx.bounds, adapter_opts);
-  };
-  return info;
+  return spec;
 }());
 
 }  // namespace

@@ -30,14 +30,15 @@ namespace fairhms {
 class ArtifactCache;  // core/artifact_cache.h
 
 /// What an algorithm can do / needs. Drives facade behavior (2D projection,
-/// skyline preparation) and the --list_algos capability column.
+/// the unconstrained-baseline note) and the --list_algos capability column.
 struct AlgoCapabilities {
   /// Exact but 2D-only; Solver::Solve transparently solves higher-D
   /// requests on the first-two-attribute projection (with a result note).
   bool exact_2d = false;
   /// Honors the group bounds by construction. When false the algorithm runs
-  /// unconstrained on the global skyline and the bounds are only used for
-  /// the violation report; Solver::Solve prepares the skyline.
+  /// unconstrained (the plain baselines look up the global skyline
+  /// themselves, algo/group_adapter.h) and the bounds are only used for the
+  /// violation report and a note on the result.
   bool fairness_aware = false;
   /// Uses the request seed (randomized direction nets etc.). Runs are still
   /// reproducible for a fixed seed.
@@ -76,15 +77,12 @@ struct SolveRunInfo {
 };
 
 /// Everything Solver::Solve hands an algorithm. `data` is the dataset to
-/// select from (already projected to 2D for exact_2d algorithms);
-/// `skyline` holds the global skyline of `data` for algorithms with
-/// fairness_aware == false (empty otherwise). `params` has been validated
-/// against the algorithm's schema.
+/// select from (already projected to 2D for exact_2d algorithms). `params`
+/// has been validated against the algorithm's schema.
 struct SolveContext {
   const Dataset* data = nullptr;
   const Grouping* grouping = nullptr;
   const GroupBounds* bounds = nullptr;
-  const std::vector<int>* skyline = nullptr;
   uint64_t seed = 42;
   int threads = 0;
   const AlgoParams* params = nullptr;

@@ -467,19 +467,10 @@ StatusOr<SolverResult> SolverSession::Solve(const SolverRequest& request) {
         req.data->attr_names()[1].c_str(), req.data->dim());
   }
 
-  // Unconstrained baselines run on the global skyline (memoized per
-  // projection key); the bounds are only used for the violation report.
-  static const std::vector<int> kNoSkyline;
-  std::shared_ptr<const std::vector<int>> held_skyline;
-  const std::vector<int>* skyline = &kNoSkyline;
-  if (!info->caps.fairness_aware) {
-    held_skyline = GetOrComputeSkyline(cache_.get(), *solve_data);
-    skyline = held_skyline.get();
-    if (result.note.empty()) {
-      result.note =
-          "fairness-unaware baseline; bounds only used for the violation "
-          "report";
-    }
+  // Unconstrained baselines ignore the bounds but for the violation report.
+  if (!info->caps.fairness_aware && result.note.empty()) {
+    result.note =
+        "fairness-unaware baseline; bounds only used for the violation report";
   }
 
   // Warm-start hint: hand a warm_startable algorithm the certified grid
@@ -513,7 +504,6 @@ StatusOr<SolverResult> SolverSession::Solve(const SolverRequest& request) {
   ctx.data = solve_data;
   ctx.grouping = req.grouping;
   ctx.bounds = &req.bounds;
-  ctx.skyline = skyline;
   ctx.seed = req.seed;
   ctx.threads = req.threads;
   ctx.params = &req.params;
@@ -537,9 +527,6 @@ StatusOr<SolverResult> SolverSession::Solve(const SolverRequest& request) {
     memo.grouping_version = grouping_->version;
     memo.params_key = params_key;
   }
-  // Hand the skyline back so callers need not recompute it — but only when
-  // it belongs to the caller's dataset (not a 2D projection).
-  if (solve_data == req.data) result.skyline = *skyline;
   result.group_counts =
       SolutionGroupCounts(result.solution.rows, *req.grouping);
   result.violations =

@@ -4,10 +4,11 @@
 // seed/threads + an AlgoParams bag), call Solver::Solve, get a SolverResult
 // (solution rows, per-group counts versus bounds, the algorithm's mhr
 // estimate, timings). Algorithm resolution, parameter validation against
-// the registered schema, the 2D-projection fallback for exact-2D engines
-// and skyline preparation for unconstrained baselines all happen here, in
-// one place — the CLI, examples, tests and future serving layers are thin
-// wrappers over this facade.
+// the registered schema and the 2D-projection fallback for exact-2D
+// engines all happen here, in one place — the CLI, examples, tests and
+// future serving layers are thin wrappers over this facade. (Unconstrained
+// baselines look up the global skyline in their own registration,
+// algo/group_adapter.h.)
 //
 //   SolverRequest req;
 //   req.data = &data; req.grouping = &groups; req.bounds = bounds;
@@ -90,10 +91,6 @@ struct SolverResult {
   /// Caveats, e.g. the exact-2D projection note or the unconstrained-
   /// baseline disclaimer. Empty when none.
   std::string note;
-  /// The global skyline of request.data when the facade had to compute it
-  /// (unconstrained baselines run on it); empty otherwise. Callers doing a
-  /// reference mhr evaluation can reuse it instead of recomputing.
-  std::vector<int> skyline;
   double solve_ms = 0.0;  ///< Algorithm wall-clock (== solution.elapsed_ms).
   double total_ms = 0.0;  ///< Facade wall-clock incl. skyline/projection.
   /// Planner echo for `algorithm: "auto"` requests (plan.planned == false
@@ -110,8 +107,8 @@ class Solver {
  public:
   /// Validates the request (uniform InvalidArgument messages), resolves the
   /// algorithm via the AlgorithmRegistry, applies the exact-2D projection
-  /// fallback / skyline preparation as the capabilities demand, runs the
-  /// algorithm and assembles the result.
+  /// fallback as the capabilities demand, runs the algorithm and assembles
+  /// the result.
   static StatusOr<SolverResult> Solve(const SolverRequest& request);
 
   /// Request-shape and parameter-schema validation only (everything

@@ -4,6 +4,7 @@
 
 #include "algo/baselines.h"
 #include "common/random.h"
+#include "core/exact_evaluator.h"
 #include "data/generators.h"
 #include "skyline/skyline.h"
 #include "testing/test_util.h"
@@ -37,9 +38,9 @@ TEST(FairGreedyTest, MatchesRdpGreedyWhenUnconstrained) {
   auto bounds = GroupBounds::Explicit(8, {0}, {8});
   ASSERT_TRUE(bounds.ok());
   auto fair = FairGreedy(data, g, *bounds);
-  auto rdp = RdpGreedy(data, sky, 8);
+  auto rdp = RdpGreedyRows(data, sky, 8);
   ASSERT_TRUE(fair.ok() && rdp.ok());
-  EXPECT_NEAR(fair->mhr, rdp->mhr, 0.05);
+  EXPECT_NEAR(fair->mhr, MhrExactLp(data, sky, *rdp), 0.05);
 }
 
 TEST(FairGreedyTest, RespectsTightPerGroupBounds) {

@@ -30,6 +30,7 @@
 #include "common/string_util.h"
 #include "data/generators.h"
 #include "data/grouping.h"
+#include "skyline/skyline.h"
 
 #ifndef FAIRHMS_TEST_SRCDIR
 #error "FAIRHMS_TEST_SRCDIR must point at tests/api (set in CMakeLists)"
@@ -301,6 +302,47 @@ TEST(RenderErrorLineTest, MessagesAreJsonEscaped) {
   ASSERT_TRUE(parsed.ok()) << line;
   EXPECT_EQ(parsed->Find("error")->Find("message")->string_value(),
             "a \"quoted\"\nline");
+}
+
+/// Serves one default-bounds query line for `algorithm` through `service`.
+Response ServeQuery(ProtocolService* service, const std::string& algorithm,
+                    int k) {
+  Request request;
+  request.id = "1";
+  request.query.algorithm = algorithm;
+  request.query.k = k;
+  return service->Execute(request);
+}
+
+TEST(ServedEstimateTest, BaselineEstimateIsTheReferenceRatio) {
+  // A baseline's own estimate is the reference value the service reports,
+  // plain or G-adapted, exact (2-D envelope, witness LPs) or, above 4000
+  // skyline rows, the reference net.
+  const std::vector<std::string> baselines = {
+      "rdp_greedy", "dmm",   "sphere",   "hs",
+      "g_greedy",   "g_dmm", "g_sphere", "g_hs"};
+  const auto serve = [](int n, int dim, const std::vector<std::string>& algos,
+                        int k, size_t min_skyline) {
+    DatasetCatalog catalog;
+    Rng rng(static_cast<uint64_t>(dim));
+    Dataset data = GenAntiCorrelated(static_cast<size_t>(n), dim, &rng)
+                       .NormalizedMinMax();
+    ASSERT_GT(ComputeSkyline(data).size(), min_skyline);
+    Grouping grouping = GroupBySumRank(data, 2);
+    ASSERT_TRUE(
+        catalog.Register("default", std::move(data), std::move(grouping))
+            .ok());
+    ProtocolService service(&catalog, ServiceOptions());
+    for (const std::string& algo : algos) {
+      const Response r = ServeQuery(&service, algo, k);
+      ASSERT_TRUE(r.ok) << algo << " d=" << dim << ": " << r.error.ToString();
+      EXPECT_EQ(r.query.algo_mhr_estimate, r.query.happiness_ratio)
+          << algo << " d=" << dim;
+    }
+  };
+  serve(400, 2, baselines, 8, 0);
+  serve(400, 3, baselines, 8, 0);
+  serve(8000, 5, {"dmm", "hs"}, 6, 4000);
 }
 
 }  // namespace

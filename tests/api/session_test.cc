@@ -54,7 +54,6 @@ void ExpectSameResult(const SolverResult& a, const SolverResult& b,
   EXPECT_EQ(a.group_counts, b.group_counts) << label;
   EXPECT_EQ(a.violations, b.violations) << label;
   EXPECT_EQ(a.note, b.note) << label;
-  EXPECT_EQ(a.skyline, b.skyline) << label;
 }
 
 TEST(SolverSessionTest, CreateValidatesPinnedObjects) {

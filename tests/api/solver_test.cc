@@ -1,10 +1,10 @@
 // Solver::Solve facade: every registered algorithm solves a small synthetic
 // instance end to end, request validation rejects malformed shapes and
 // parameters with uniform InvalidArgument messages, and the exact-2D
-// projection fallback plus unconstrained-baseline skyline preparation
-// happen inside the facade.
+// projection fallback happens inside the facade.
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,6 +18,7 @@
 #include "api/session.h"
 #include "api/solver.h"
 #include "core/artifact_cache.h"
+#include "core/evaluate.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "data/grouping.h"
@@ -185,6 +186,22 @@ TEST(SolverTest, ParamValidationIsUniform) {
   EXPECT_EQ(huge_sphere_st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(huge_sphere_st.message().find("'net_size'"), std::string::npos)
       << huge_sphere_st.message();
+  SolverRequest huge_hs = MakeRequest(inst, "hs");
+  huge_hs.params.SetInt("net_size", 100000000000);
+  const Status huge_hs_st = Solver::Validate(huge_hs);
+  EXPECT_EQ(huge_hs_st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge_hs_st.message().find("'net_size'"), std::string::npos)
+      << huge_hs_st.message();
+  // max_rounds is an int: larger values would be narrowed, not honored.
+  SolverRequest huge_rounds = MakeRequest(inst, "g_hs");
+  huge_rounds.params.SetInt("max_rounds", 100000000000);
+  const Status huge_rounds_st = Solver::Validate(huge_rounds);
+  EXPECT_EQ(huge_rounds_st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(huge_rounds_st.message().find("'max_rounds'"), std::string::npos)
+      << huge_rounds_st.message();
+  SolverRequest max_rounds = MakeRequest(inst, "g_hs");
+  max_rounds.params.SetInt("max_rounds", std::numeric_limits<int>::max());
+  EXPECT_TRUE(Solver::Validate(max_rounds).ok());
   SolverRequest huge_max = MakeRequest(inst, "bigreedy+");
   huge_max.params.SetInt("max_net_size", 100000000000);
   const Status huge_max_st = Solver::Validate(huge_max);
@@ -263,19 +280,6 @@ TEST(SolverTest, InfeasibleBoundsRejectedBeforeSolving) {
   ASSERT_FALSE(result.ok());
 }
 
-TEST(SolverTest, SkylineExposedWhenTheFacadeComputesIt) {
-  const Instance inst = MakeInstance();
-  // Unconstrained baselines run on the global skyline; the facade hands it
-  // back so callers can reuse it for reference evaluation.
-  auto unaware = Solver::Solve(MakeRequest(inst, "rdp_greedy"));
-  ASSERT_TRUE(unaware.ok()) << unaware.status().ToString();
-  EXPECT_EQ(unaware->skyline, ComputeSkyline(inst.data));
-  // Fairness-aware algorithms never needed one — stays empty.
-  auto fair = Solver::Solve(MakeRequest(inst, "bigreedy"));
-  ASSERT_TRUE(fair.ok());
-  EXPECT_TRUE(fair->skyline.empty());
-}
-
 TEST(SolverTest, FacadeMatchesDirectCall) {
   // The facade adds no solver logic of its own: every algorithm bench_paper
   // runs, solved through a session whose cache already holds the published
@@ -284,11 +288,28 @@ TEST(SolverTest, FacadeMatchesDirectCall) {
   // called directly with default Options.
   using Direct = std::function<StatusOr<Solution>(
       const Instance&, const std::vector<int>& skyline)>;
+  const auto plain = [](BaseSolver rows) -> Direct {
+    return [rows](const Instance& in,
+                  const std::vector<int>& skyline) -> StatusOr<Solution> {
+      Solution out;
+      FAIRHMS_ASSIGN_OR_RETURN(out.rows, rows(in.data, skyline, in.bounds.k));
+      out.mhr = EvaluateMhr(in.data, skyline, out.rows);
+      return out;
+    };
+  };
   const auto adapted = [](BaseSolver rows, const char* name) -> Direct {
     return [rows, name](const Instance& in, const std::vector<int>&) {
       return GroupAdapt(rows, name, in.data, in.grouping, in.bounds);
     };
   };
+  const BaseSolver greedy = [](const Dataset& d, const std::vector<int>& rows,
+                               int k) { return RdpGreedyRows(d, rows, k); };
+  const BaseSolver dmm = [](const Dataset& d, const std::vector<int>& rows,
+                            int k) { return DmmRows(d, rows, k); };
+  const BaseSolver hs = [](const Dataset& d, const std::vector<int>& rows,
+                           int k) { return HittingSetRows(d, rows, k); };
+  const BaseSolver sphere = [](const Dataset& d, const std::vector<int>& rows,
+                               int k) { return SphereRows(d, rows, k); };
   struct Case {
     const char* algorithm;
     uint64_t seed;
@@ -312,46 +333,14 @@ TEST(SolverTest, FacadeMatchesDirectCall) {
        [](const Instance& in, const std::vector<int>&) {
          return FairGreedy(in.data, in.grouping, in.bounds);
        }},
-      {"g_greedy", 42, 3,
-       adapted(
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return RdpGreedyRows(d, rows, k);
-           },
-           "Greedy")},
-      {"g_dmm", 42, 3,
-       adapted(
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return DmmRows(d, rows, k);
-           },
-           "DMM")},
-      {"g_hs", 31, 3,
-       adapted(
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return HittingSetRows(d, rows, k);
-           },
-           "HS")},
-      {"g_sphere", 29, 3,
-       adapted(
-           [](const Dataset& d, const std::vector<int>& rows, int k) {
-             return SphereRows(d, rows, k);
-           },
-           "Sphere")},
-      {"rdp_greedy", 42, 3,
-       [](const Instance& in, const std::vector<int>& skyline) {
-         return RdpGreedy(in.data, skyline, in.bounds.k);
-       }},
-      {"dmm", 42, 3,
-       [](const Instance& in, const std::vector<int>& skyline) {
-         return Dmm(in.data, skyline, in.bounds.k);
-       }},
-      {"hs", 31, 3,
-       [](const Instance& in, const std::vector<int>& skyline) {
-         return HittingSet(in.data, skyline, in.bounds.k);
-       }},
-      {"sphere", 29, 3,
-       [](const Instance& in, const std::vector<int>& skyline) {
-         return SphereAlgo(in.data, skyline, in.bounds.k);
-       }},
+      {"g_greedy", 42, 3, adapted(greedy, "Greedy")},
+      {"g_dmm", 42, 3, adapted(dmm, "DMM")},
+      {"g_hs", 31, 3, adapted(hs, "HS")},
+      {"g_sphere", 29, 3, adapted(sphere, "Sphere")},
+      {"rdp_greedy", 42, 3, plain(greedy)},
+      {"dmm", 42, 3, plain(dmm)},
+      {"hs", 31, 3, plain(hs)},
+      {"sphere", 29, 3, plain(sphere)},
   };
   const Instance plane = MakeInstance();
   const Instance space = MakeInstance(/*dim=*/3, /*k=*/8, /*seed=*/33);

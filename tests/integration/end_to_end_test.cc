@@ -64,9 +64,9 @@ TEST(EndToEndTest, UnconstrainedBaselinesViolateOnAdult) {
 
   // The unconstrained greedy baseline picks mostly from the gain-heavy male
   // group -> violations (Fig. 3's phenomenon).
-  auto greedy = RdpGreedy(data, sky, k);
+  auto greedy = RdpGreedyRows(data, sky, k);
   ASSERT_TRUE(greedy.ok());
-  EXPECT_GT(CountViolations(greedy->rows, *gender, bounds), 0);
+  EXPECT_GT(CountViolations(*greedy, *gender, bounds), 0);
 
   // The fair algorithms do not.
   auto bg = BiGreedy(data, *gender, bounds);

@@ -130,9 +130,9 @@ TEST(RobustnessTest, DmmMatchesIntCovBallparkOn2D) {
   ASSERT_TRUE(bounds.ok());
   auto exact = IntCov(data, single, *bounds);
   ASSERT_TRUE(exact.ok());
-  auto dmm = Dmm(data, sky, 6);
+  auto dmm = DmmRows(data, sky, 6);
   ASSERT_TRUE(dmm.ok());
-  const double dmm_mhr = MhrExact2D(data, sky, dmm->rows);
+  const double dmm_mhr = MhrExact2D(data, sky, *dmm);
   EXPECT_LE(dmm_mhr, exact->mhr + 1e-9);
   EXPECT_GE(dmm_mhr, exact->mhr - 0.1);  // Coarse but not broken.
 }

@@ -133,19 +133,19 @@ TEST(StressTest, UnfairBaselinesHandleArbitraryPools) {
     const Dataset data = GenAntiCorrelated(100 + rng.UniformInt(100), d, &rng);
     const auto sky = ComputeSkyline(data);
     const int k = 1 + static_cast<int>(rng.UniformInt(12));
-    auto g = RdpGreedy(data, sky, k);
+    auto g = RdpGreedyRows(data, sky, k);
     ASSERT_TRUE(g.ok());
-    EXPECT_LE(g->rows.size(), static_cast<size_t>(k));
-    auto h = HittingSet(data, sky, k);
+    EXPECT_LE(g->size(), static_cast<size_t>(k));
+    auto h = HittingSetRows(data, sky, k);
     ASSERT_TRUE(h.ok());
-    auto m = Dmm(data, sky, k);
+    auto m = DmmRows(data, sky, k);
     if (m.ok()) {
-      EXPECT_LE(m->rows.size(), static_cast<size_t>(k));
+      EXPECT_LE(m->size(), static_cast<size_t>(k));
     } else {
       EXPECT_EQ(m.status().code(), StatusCode::kResourceExhausted);
     }
     if (k >= d) {
-      auto s = SphereAlgo(data, sky, k);
+      auto s = SphereRows(data, sky, k);
       ASSERT_TRUE(s.ok());
     }
   }
