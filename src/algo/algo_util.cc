@@ -21,10 +21,10 @@ StatusOr<ProblemInput> PrepareProblem(const Dataset& data,
         StrFormat("bounds cover %d groups but grouping has %d",
                   bounds.num_groups(), grouping.num_groups));
   }
-  FAIRHMS_RETURN_IF_ERROR(
-      bounds.Validate(grouping.LiveCounts(data), &grouping.names));
-
   ProblemInput input;
+  input.group_counts = *GetOrComputeGroupCounts(cache, data, grouping);
+  FAIRHMS_RETURN_IF_ERROR(bounds.Validate(input.group_counts, &grouping.names));
+
   input.data = &data;
   input.grouping = &grouping;
   input.bounds = bounds;
@@ -67,8 +67,6 @@ Status PadSolution(const ProblemInput& input, std::vector<int>* solution) {
   }
 
   // Target counts: start from max(count, lower), then distribute the rest.
-  // Live members only: padding must never resurrect an erased row.
-  const std::vector<std::vector<int>> members = grouping.MembersLive(data);
   std::vector<int> target(static_cast<size_t>(c_num));
   long long total = 0;
   for (int c = 0; c < c_num; ++c) {
@@ -83,7 +81,7 @@ Status PadSolution(const ProblemInput& input, std::vector<int>* solution) {
   for (int c = 0; c < c_num && remaining > 0; ++c) {
     const int cap =
         std::min(bounds.upper[static_cast<size_t>(c)],
-                 static_cast<int>(members[static_cast<size_t>(c)].size()));
+                 input.group_counts[static_cast<size_t>(c)]);
     const int take = std::min<long long>(remaining,
                                          cap - target[static_cast<size_t>(c)]);
     if (take > 0) {
@@ -96,8 +94,9 @@ Status PadSolution(const ProblemInput& input, std::vector<int>* solution) {
   }
 
   // Fill each group to its target: pool members first (they are group
-  // skyline points), then arbitrary members, both by descending attribute
-  // sum for a deterministic, quality-leaning choice.
+  // skyline points), then, only once those run out, the group's other
+  // members, both by descending attribute sum for a deterministic,
+  // quality-leaning choice.
   std::unordered_set<int> chosen(solution->begin(), solution->end());
   const size_t d = static_cast<size_t>(data.dim());
   auto sum_desc = [&](int a, int b) {
@@ -106,20 +105,30 @@ Status PadSolution(const ProblemInput& input, std::vector<int>* solution) {
     if (sa != sb) return sa > sb;
     return a < b;
   };
+  auto take = [&](std::vector<int> candidates, int* need) {
+    std::sort(candidates.begin(), candidates.end(), sum_desc);
+    for (int r : candidates) {
+      if (*need == 0) break;
+      if (chosen.insert(r).second) {
+        solution->push_back(r);
+        --*need;
+      }
+    }
+  };
   for (int c = 0; c < c_num; ++c) {
     int need = target[static_cast<size_t>(c)] - counts[static_cast<size_t>(c)];
     if (need <= 0) continue;
-    std::vector<int> candidates = input.pool_by_group[static_cast<size_t>(c)];
-    std::sort(candidates.begin(), candidates.end(), sum_desc);
-    std::vector<int> fallback = members[static_cast<size_t>(c)];
-    std::sort(fallback.begin(), fallback.end(), sum_desc);
-    candidates.insert(candidates.end(), fallback.begin(), fallback.end());
-    for (int r : candidates) {
-      if (need == 0) break;
-      if (chosen.insert(r).second) {
-        solution->push_back(r);
-        --need;
+    take(input.pool_by_group[static_cast<size_t>(c)], &need);
+    if (need > 0) {
+      // Live members only: padding must never resurrect an erased row.
+      std::vector<int> rest;
+      for (size_t r = 0; r < grouping.group_of.size(); ++r) {
+        if (grouping.group_of[r] == c && data.live(r) &&
+            !chosen.count(static_cast<int>(r))) {
+          rest.push_back(static_cast<int>(r));
+        }
       }
+      take(std::move(rest), &need);
     }
     if (need > 0) {
       return Status::Internal(

@@ -25,18 +25,22 @@ struct ProblemInput {
   std::vector<std::vector<int>> pool_by_group;
   /// Rows defining happiness denominators: the global skyline.
   std::vector<int> db_rows;
+  /// Live rows per group (grouping.LiveCounts(*data)).
+  std::vector<int> group_counts;
 };
 
-/// Validates the instance and fills the pool (the fair candidate pool) and
-/// the denominator rows (the global skyline); a non-null `cache` memoizes
-/// both across queries (bit-identical either way).
+/// Validates the instance and fills the pool (the fair candidate pool), the
+/// denominator rows (the global skyline) and the live group counts; a
+/// non-null `cache` memoizes all three across queries (bit-identical either
+/// way).
 StatusOr<ProblemInput> PrepareProblem(const Dataset& data,
                                       const Grouping& grouping,
                                       const GroupBounds& bounds,
                                       ArtifactCache* cache = nullptr);
 
 /// Extends `solution` (deduplicated) to exactly bounds.k rows satisfying the
-/// group bounds, drawing first from the pool and then from any group member.
+/// group bounds, drawing first from the pool and then, only for a group whose
+/// pool rows run out, from its other live members.
 /// Padding never decreases mhr. Fails only when the instance itself is
 /// infeasible.
 Status PadSolution(const ProblemInput& input, std::vector<int>* solution);

@@ -76,16 +76,17 @@ StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
       if (max_y > 0) cand.push_back(std::min(1.0, y / max_y));
     }
     // Pairwise line crossings, fanned out over a fixed partition of the
-    // outer rows. Each block collects into its own vector, concatenated
-    // afterwards; the sort + unique below makes the candidate set
-    // bit-identical for every thread count.
+    // outer rows. Block 0 appends straight to `cand` (reserved above), every
+    // other block to its own vector, concatenated afterwards. The search
+    // below selects by rank, which does not depend on the candidates' order,
+    // so the answer is bit-identical for every thread count.
     {
       const size_t blocks = std::min<size_t>(
           pool_n, static_cast<size_t>(ResolveThreads(opts.threads)));
       std::vector<std::vector<double>> block_cand(blocks);
       ParallelFor(opts.threads, blocks, [&](size_t b0, size_t b1) {
         for (size_t b = b0; b < b1; ++b) {
-          std::vector<double>& local = block_cand[b];
+          std::vector<double>& local = b == 0 ? cand : block_cand[b];
           for (size_t i = pool_n * b / blocks; i < pool_n * (b + 1) / blocks;
                ++i) {
             const double xi = data.at(static_cast<size_t>(input.pool[i]), 0);
@@ -105,21 +106,23 @@ StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
           }
         }
       });
-      for (const std::vector<double>& local : block_cand) {
-        cand.insert(cand.end(), local.begin(), local.end());
+      for (size_t b = 1; b < blocks; ++b) {
+        cand.insert(cand.end(), block_cand[b].begin(), block_cand[b].end());
       }
     }
     cand.push_back(1.0);
-    std::sort(cand.begin(), cand.end());
-    cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
 
-    // Binary search for the largest feasible candidate (feasibility is
-    // monotone decreasing in tau).
+    // Binary search over the ranks of the candidate multiset for the largest
+    // feasible candidate (feasibility is monotone decreasing in tau). Each
+    // probe is placed by rank selection on the live subrange, which always
+    // holds exactly the ranks lo..hi: about 2N work instead of a full sort.
     int64_t lo = 0;
     int64_t hi = static_cast<int64_t>(cand.size()) - 1;
     std::vector<int> sol;
     while (lo <= hi) {
       const int64_t mid = lo + (hi - lo) / 2;
+      std::nth_element(cand.begin() + lo, cand.begin() + mid,
+                       cand.begin() + hi + 1);
       if (decide(cand[static_cast<size_t>(mid)], &sol)) {
         best_tau = cand[static_cast<size_t>(mid)];
         best_solution = sol;
@@ -162,7 +165,7 @@ StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
   Solution out;
   out.rows = std::move(best_solution);
   std::sort(out.rows.begin(), out.rows.end());
-  out.mhr = MhrExact2D(data, input.db_rows, out.rows);
+  out.mhr = MinHappinessRatio2D(env_db, BuildEnvelope2D(data, out.rows));
   out.elapsed_ms = timer.ElapsedMillis();
   out.algorithm = "IntCov";
   return out;

@@ -5,10 +5,11 @@
 // lambda-interval where its score line clears the tau-envelope; a fair set
 // with mhr >= tau exists iff a fair selection of intervals covers [0, 1].
 // The decision problem is solved by a dynamic program over per-group
-// selection counts; the optimal tau is found by binary search over the
-// O(n^2) candidate MHR values (single-point happiness at the axis utilities
-// plus every pairwise line crossing — Asudeh et al. Thm 2 guarantees the
-// optimum is among them).
+// selection counts; the optimal tau is found by binary search over the ranks
+// of the O(n^2) candidate MHR values (single-point happiness at the axis
+// utilities plus every pairwise line crossing — Asudeh et al. Thm 2
+// guarantees the optimum is among them), each probe placed by rank
+// selection.
 //
 // Registered in the unified solver registry (api/registry.h) as "intcov";
 // prefer Solver::Solve (api/solver.h) over calling IntCov directly — the
@@ -40,13 +41,13 @@ struct IntCovOptions {
   uint64_t max_pair_candidates = 20'000'000;
   /// Coverage / eligibility tolerance.
   double tolerance = 1e-9;
-  /// Lanes for the O(n^2) pairwise candidate enumeration and the final
-  /// exact evaluation (0 = DefaultThreads(), 1 = exact serial path). The
-  /// candidate set is sorted and deduplicated, so the selected rows and mhr
-  /// are bit-identical across thread counts.
+  /// Lanes for the O(n^2) pairwise candidate enumeration (0 =
+  /// DefaultThreads(), 1 = exact serial path). The search selects probes by
+  /// rank, which does not depend on the order the lanes emit candidates in,
+  /// so the selected rows and mhr are bit-identical across thread counts.
   int threads = 0;
-  /// Cross-query memoization of the fair pool and skyline (not owned; null =
-  /// compute per call). Results are bit-identical either way.
+  /// Cross-query memoization of the fair pool, skyline and group counts (not
+  /// owned; null = compute per call). Results are bit-identical either way.
   ArtifactCache* cache = nullptr;
 };
 
