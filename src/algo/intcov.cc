@@ -1,24 +1,117 @@
 #include "algo/intcov.h"
 
 #include <algorithm>
-
-#include "api/registry.h"
-#include <cassert>
 #include <cmath>
+#include <limits>
+#include <optional>
 
 #include "algo/algo_util.h"
 #include "algo/fair_interval_cover.h"
+#include "api/registry.h"
 #include "common/stopwatch.h"
-#include "common/string_util.h"
-#include "common/thread_pool.h"
 #include "core/exact_evaluator.h"
 #include "geom/envelope2d.h"
 
 namespace fairhms {
 
-StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
-                          const GroupBounds& bounds,
-                          const IntCovOptions& opts) {
+namespace {
+
+// Bisection steps on tau over [0, 1] before any candidate is listed. The
+// bracket they leave is 2^-12 wide; few rows reach its lower end and few
+// candidates fall inside it.
+constexpr int kBracketSteps = 12;
+
+// Slack between a row's peak and a threshold, in ratio units per unit of
+// coordinate scale (see PoolLines).
+constexpr double kPeakSlack = 1e-9;
+
+/// A fair-pool row as the search reads it: the score line
+/// y + (x - y) * lambda, and `peak`, the highest ratio that line reaches
+/// against the database envelope over lambda in [0, 1].
+struct PoolLine {
+  double x;
+  double y;
+  int row;
+  int group;
+  double peak;
+};
+
+/// The pool's lines in pool order, each with its peak, and in *margin the
+/// slack a comparison of a peak with a threshold allows.
+///
+/// On each envelope piece the ratio line / envelope is a Moebius function of
+/// lambda, hence monotone, so the peak is reached at a piece end: one pass
+/// over the breakpoints per row finds it. Each breakpoint takes the lower of
+/// its two pieces' values, so the peak also bounds whichever piece
+/// Envelope2D::Eval picks there.
+///
+/// Why the margin makes pruning safe:
+///   * Listing. A crossing candidate of rows i and j is f_i(lambda) /
+///     env(lambda) at the computed crossing lambda in [0, 1], so it is at
+///     most peak_i, up to rounding. Against row j: rounding puts lambda off
+///     the true crossing by a relative error of about
+///     u * (|slope_i| + |slope_j|) / |denom|, and the lines' gap there is
+///     |denom| times that miss, so a few ulps of the coordinates whatever
+///     denom is. At the smallest denom the 1e-15 cut lets through, lambda is
+///     noise, but the lines are nearly parallel: lambda in [0, 1] means
+///     |yj - yi| <= |denom|, so they differ by at most 2|denom| anywhere on
+///     [0, 1]. Either way the candidate is at most peak_j plus a few ulps
+///     of the coordinates over the envelope.
+///   * Decision. Envelope2D::IntervalAbove accepts a line with kEps = 1e-12
+///     of slack in value and in lambda, so an accepted line clears
+///     tau * envelope at some piece end to within (2 + 4M) * kEps, M the
+///     largest coordinate: its peak is at least tau - 6e-12 * max(1, M) /
+///     min envelope.
+/// kPeakSlack * max(1, M) / min envelope is far above both, so a row whose
+/// peak is below a threshold by more than the margin has no interval there
+/// and no candidate at or above it. Where the envelope reaches 0 the ratio
+/// is unbounded: the margin is +inf and nothing is pruned.
+std::vector<PoolLine> PoolLines(const Dataset& data, const Grouping& grouping,
+                                const std::vector<int>& pool,
+                                const Envelope2D& env, double* margin) {
+  std::vector<double> at;
+  std::vector<double> env_at;
+  for (const Envelope2D::Piece& p : env.pieces()) {
+    const double lo_value = p.intercept + p.slope * p.lo;
+    if (!at.empty() && at.back() == p.lo) {
+      env_at.back() = std::min(env_at.back(), lo_value);
+    } else {
+      at.push_back(p.lo);
+      env_at.push_back(lo_value);
+    }
+    at.push_back(p.hi);
+    env_at.push_back(p.intercept + p.slope * p.hi);
+  }
+  const double env_min = *std::min_element(env_at.begin(), env_at.end());
+  double scale = std::max(1.0, *std::max_element(env_at.begin(), env_at.end()));
+
+  std::vector<PoolLine> lines;
+  lines.reserve(pool.size());
+  for (int row : pool) {
+    const double x = data.at(static_cast<size_t>(row), 0);
+    const double y = data.at(static_cast<size_t>(row), 1);
+    scale = std::max({scale, std::fabs(x), std::fabs(y)});
+    double peak = std::numeric_limits<double>::infinity();
+    if (env_min > 0.0) {
+      peak = -std::numeric_limits<double>::infinity();
+      for (size_t b = 0; b < at.size(); ++b) {
+        peak = std::max(peak, (y + (x - y) * at[b]) / env_at[b]);
+      }
+    }
+    lines.push_back(
+        {x, y, row, grouping.group_of[static_cast<size_t>(row)], peak});
+  }
+  *margin = env_min > 0.0 ? kPeakSlack * scale / env_min
+                          : std::numeric_limits<double>::infinity();
+  return lines;
+}
+
+/// IntCov over the candidates in [floor, 1], or, without a given floor, in
+/// the window a bisection on tau brackets; every candidate is relisted when
+/// none in the window is accepted.
+StatusOr<Solution> Solve(const Dataset& data, const Grouping& grouping,
+                         const GroupBounds& bounds, const IntCovOptions& opts,
+                         std::optional<double> given_floor) {
   if (data.dim() != 2) {
     return Status::InvalidArgument("IntCov requires a 2-dimensional dataset");
   }
@@ -34,20 +127,24 @@ StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
       FairIntervalCoverDp::Create(bounds, opts.max_states));
 
   const Envelope2D env_db = BuildEnvelope2D(data, input.db_rows);
+  double margin = 0.0;
+  const std::vector<PoolLine> lines =
+      PoolLines(data, grouping, input.pool, env_db, &margin);
 
-  // Decision procedure for one tau.
+  // Decision procedure for one tau. Rows whose peak is below tau by more
+  // than the margin have no interval and are skipped; the rest keep pool
+  // order, so every group index gets the intervals it would get unpruned.
   std::vector<GroupIntervalIndex> group_index(static_cast<size_t>(c_num));
   std::vector<std::vector<CoverInterval>> group_intervals(
       static_cast<size_t>(c_num));
   auto decide = [&](double tau, std::vector<int>* solution) -> bool {
     for (auto& v : group_intervals) v.clear();
-    for (int row : input.pool) {
-      const double x = data.at(static_cast<size_t>(row), 0);
-      const double y = data.at(static_cast<size_t>(row), 1);
+    for (const PoolLine& line : lines) {
+      if (line.peak < tau - margin) continue;
       double lo, hi;
-      if (env_db.IntervalAbove(x, y, tau, &lo, &hi)) {
-        const int g = grouping.group_of[static_cast<size_t>(row)];
-        group_intervals[static_cast<size_t>(g)].push_back({lo, hi, row});
+      if (env_db.IntervalAbove(line.x, line.y, tau, &lo, &hi)) {
+        group_intervals[static_cast<size_t>(line.group)].push_back(
+            {lo, hi, line.row});
       }
     }
     for (int c = 0; c < c_num; ++c) {
@@ -58,67 +155,53 @@ StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
     return dp.Decide(group_index, opts.tolerance, solution);
   };
 
-  std::vector<int> best_solution;
-  double best_tau = -1.0;
-
-  const uint64_t pool_n = input.pool.size();
-  const uint64_t pair_count = pool_n * (pool_n - 1) / 2;
-  if (pair_count <= opts.max_pair_candidates) {
-    // Exact candidate enumeration (paper Algorithm 1, lines 1-8).
+  // The candidate MHR values in [lo, hi] (paper Algorithm 1, lines 1-8):
+  // the axis values, 1.0, and the pairwise crossings of the rows that can
+  // reach lo, each computed exactly as over the whole pool. [0, 1] lists
+  // every candidate.
+  auto list = [&](double lo, double hi) {
     std::vector<double> cand;
-    cand.reserve(pool_n * 2 + pair_count + 1);
+    auto keep = [&](double v) {
+      if (v >= lo && v <= hi) cand.push_back(v);
+    };
     const double max_x = env_db.Eval(1.0);
     const double max_y = env_db.Eval(0.0);
-    for (int row : input.pool) {
-      const double x = data.at(static_cast<size_t>(row), 0);
-      const double y = data.at(static_cast<size_t>(row), 1);
-      if (max_x > 0) cand.push_back(std::min(1.0, x / max_x));
-      if (max_y > 0) cand.push_back(std::min(1.0, y / max_y));
+    std::vector<const PoolLine*> reach;
+    for (const PoolLine& line : lines) {
+      if (max_x > 0) keep(std::min(1.0, line.x / max_x));
+      if (max_y > 0) keep(std::min(1.0, line.y / max_y));
+      if (lo <= 0.0 || line.peak >= lo - margin) reach.push_back(&line);
     }
-    // Pairwise line crossings, fanned out over a fixed partition of the
-    // outer rows. Block 0 appends straight to `cand` (reserved above), every
-    // other block to its own vector, concatenated afterwards. The search
-    // below selects by rank, which does not depend on the candidates' order,
-    // so the answer is bit-identical for every thread count.
-    {
-      const size_t blocks = std::min<size_t>(
-          pool_n, static_cast<size_t>(ResolveThreads(opts.threads)));
-      std::vector<std::vector<double>> block_cand(blocks);
-      ParallelFor(opts.threads, blocks, [&](size_t b0, size_t b1) {
-        for (size_t b = b0; b < b1; ++b) {
-          std::vector<double>& local = b == 0 ? cand : block_cand[b];
-          for (size_t i = pool_n * b / blocks; i < pool_n * (b + 1) / blocks;
-               ++i) {
-            const double xi = data.at(static_cast<size_t>(input.pool[i]), 0);
-            const double yi = data.at(static_cast<size_t>(input.pool[i]), 1);
-            for (size_t j = i + 1; j < pool_n; ++j) {
-              const double xj = data.at(static_cast<size_t>(input.pool[j]), 0);
-              const double yj = data.at(static_cast<size_t>(input.pool[j]), 1);
-              const double denom = (xi - yi) - (xj - yj);
-              if (std::fabs(denom) < 1e-15) continue;
-              const double lambda = (yj - yi) / denom;
-              if (lambda < 0.0 || lambda > 1.0) continue;
-              const double env = env_db.Eval(lambda);
-              if (env <= 0.0) continue;
-              const double score = yi + (xi - yi) * lambda;
-              local.push_back(std::clamp(score / env, 0.0, 1.0));
-            }
-          }
-        }
-      });
-      for (size_t b = 1; b < blocks; ++b) {
-        cand.insert(cand.end(), block_cand[b].begin(), block_cand[b].end());
+    for (size_t i = 0; i < reach.size(); ++i) {
+      const double xi = reach[i]->x;
+      const double yi = reach[i]->y;
+      for (size_t j = i + 1; j < reach.size(); ++j) {
+        const double xj = reach[j]->x;
+        const double yj = reach[j]->y;
+        const double denom = (xi - yi) - (xj - yj);
+        if (std::fabs(denom) < 1e-15) continue;
+        const double lambda = (yj - yi) / denom;
+        if (lambda < 0.0 || lambda > 1.0) continue;
+        const double env = env_db.Eval(lambda);
+        if (env <= 0.0) continue;
+        const double score = yi + (xi - yi) * lambda;
+        keep(std::clamp(score / env, 0.0, 1.0));
       }
     }
-    cand.push_back(1.0);
+    keep(1.0);
+    return cand;
+  };
 
-    // Binary search over the ranks of the candidate multiset for the largest
-    // feasible candidate (feasibility is monotone decreasing in tau). Each
-    // probe is placed by rank selection on the live subrange, which always
-    // holds exactly the ranks lo..hi: about 2N work instead of a full sort.
+  // Binary search over the ranks of the candidate multiset for the largest
+  // feasible candidate (feasibility is monotone decreasing in tau). Each
+  // probe is placed by rank selection on the live subrange, which always
+  // holds exactly the ranks lo..hi: about 2N work instead of a full sort.
+  std::vector<int> best_solution;
+  double best_tau = -1.0;
+  std::vector<int> sol;
+  auto search = [&](std::vector<double> cand) {
     int64_t lo = 0;
     int64_t hi = static_cast<int64_t>(cand.size()) - 1;
-    std::vector<int> sol;
     while (lo <= hi) {
       const int64_t mid = lo + (hi - lo) / 2;
       std::nth_element(cand.begin() + lo, cand.begin() + mid,
@@ -131,31 +214,26 @@ StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
         hi = mid - 1;
       }
     }
-  } else {
-    // Continuous bisection fallback for very large pools.
-    double lo = 0.0;
-    double hi = 1.0;
-    std::vector<int> sol;
-    if (decide(1.0, &sol)) {
-      best_tau = 1.0;
-      best_solution = sol;
-    } else {
-      for (int it = 0; it < 45; ++it) {
-        const double mid = 0.5 * (lo + hi);
-        if (decide(mid, &sol)) {
-          best_tau = mid;
-          best_solution = sol;
-          lo = mid;
-        } else {
-          hi = mid;
-        }
-      }
-      if (best_tau < 0.0 && decide(0.0, &sol)) {
-        best_tau = 0.0;
-        best_solution = sol;
+  };
+
+  // Bracket the optimum: the last accepted tau is a floor (the optimum is a
+  // candidate at or above it), the last rejected one a ceiling.
+  double floor = given_floor.value_or(0.0);
+  double ceil = 1.0;
+  if (!given_floor) {
+    for (int step = 0; step < kBracketSteps; ++step) {
+      const double mid = 0.5 * (floor + ceil);
+      if (decide(mid, &sol)) {
+        floor = mid;
+      } else {
+        ceil = mid;
       }
     }
   }
+  search(list(floor, ceil));
+  // Rounding can leave the optimum's computed value just outside the
+  // window; then nothing in it is accepted, and the full list decides.
+  if (best_tau < 0.0 && (floor > 0.0 || ceil < 1.0)) search(list(0.0, 1.0));
 
   if (best_tau < 0.0) {
     return Status::Infeasible("no fair solution found at any threshold");
@@ -171,16 +249,32 @@ StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
   return out;
 }
 
+}  // namespace
+
+StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
+                          const GroupBounds& bounds,
+                          const IntCovOptions& opts) {
+  return Solve(data, grouping, bounds, opts, std::nullopt);
+}
+
+namespace internal {
+
+StatusOr<Solution> IntCovAboveFloor(const Dataset& data,
+                                    const Grouping& grouping,
+                                    const GroupBounds& bounds, double floor,
+                                    const IntCovOptions& opts) {
+  return Solve(data, grouping, bounds, opts, floor);
+}
+
+}  // namespace internal
+
 namespace {
 
 IntCovOptions IntCovOptionsFromContext(const SolveContext& ctx) {
   IntCovOptions opts;
   opts.max_states = static_cast<uint64_t>(ctx.params->IntOr(
       "max_states", static_cast<int64_t>(opts.max_states)));
-  opts.max_pair_candidates = static_cast<uint64_t>(ctx.params->IntOr(
-      "max_pair_candidates", static_cast<int64_t>(opts.max_pair_candidates)));
   opts.tolerance = ctx.params->DoubleOr("tolerance", opts.tolerance);
-  opts.threads = ctx.threads;
   opts.cache = ctx.cache;
   return opts;
 }
@@ -198,9 +292,6 @@ const AlgorithmRegistrar intcov_registrar([] {
       {"max_states", ParamType::kInt,
        "abort when the DP state space exceeds this", "50000000", 1, 1e308,
        false, false, {}},
-      {"max_pair_candidates", ParamType::kInt,
-       "above this many pairwise tau candidates, fall back to bisection",
-       "20000000", 1, 1e308, false, false, {}},
       {"tolerance", ParamType::kDouble, "coverage/eligibility tolerance",
        "1e-9", 0.0, 1.0, true, false, {}},
   };

@@ -5,11 +5,16 @@
 // lambda-interval where its score line clears the tau-envelope; a fair set
 // with mhr >= tau exists iff a fair selection of intervals covers [0, 1].
 // The decision problem is solved by a dynamic program over per-group
-// selection counts; the optimal tau is found by binary search over the ranks
-// of the O(n^2) candidate MHR values (single-point happiness at the axis
-// utilities plus every pairwise line crossing — Asudeh et al. Thm 2
-// guarantees the optimum is among them), each probe placed by rank
-// selection.
+// selection counts. The optimal tau is the largest candidate MHR value the
+// decision accepts; the candidates are the single-point happiness at the
+// axis utilities plus every pairwise line crossing (Asudeh et al. Thm 2
+// guarantees the optimum is among them). IntCov first brackets the optimum
+// by a fixed number of bisection steps on tau, then lists only the
+// candidates inside the bracket, from the rows whose ratio to the envelope
+// can reach its lower end, and binary-searches their ranks, each probe
+// placed by rank selection. When rounding leaves the optimum's computed
+// value outside the bracket, it searches the full candidate list instead,
+// so the answer is the same as a search over all O(n^2) candidates.
 //
 // Registered in the unified solver registry (api/registry.h) as "intcov";
 // prefer Solver::Solve (api/solver.h) over calling IntCov directly — the
@@ -35,17 +40,8 @@ struct IntCovOptions {
   /// Abort when the DP state space prod_c (h_c + 1) exceeds this (the DP is
   /// exponential in the number of groups, as in the paper).
   uint64_t max_states = 50'000'000;
-  /// When the pool would generate more pairwise crossing candidates than
-  /// this, fall back to continuous bisection on tau (precision ~1e-12
-  /// instead of exact rational candidates; memory stays bounded).
-  uint64_t max_pair_candidates = 20'000'000;
   /// Coverage / eligibility tolerance.
   double tolerance = 1e-9;
-  /// Lanes for the O(n^2) pairwise candidate enumeration (0 =
-  /// DefaultThreads(), 1 = exact serial path). The search selects probes by
-  /// rank, which does not depend on the order the lanes emit candidates in,
-  /// so the selected rows and mhr are bit-identical across thread counts.
-  int threads = 0;
   /// Cross-query memoization of the fair pool, skyline and group counts (not
   /// owned; null = compute per call). Results are bit-identical either way.
   ArtifactCache* cache = nullptr;
@@ -56,6 +52,20 @@ struct IntCovOptions {
 StatusOr<Solution> IntCov(const Dataset& data, const Grouping& grouping,
                           const GroupBounds& bounds,
                           const IntCovOptions& opts = {});
+
+namespace internal {
+
+/// IntCov without the bracket: searches the candidates in [floor, 1], listed
+/// from the rows that can reach `floor`, and the full candidate list when
+/// none of them is accepted. IntCov runs the same search on the bracket's
+/// window; tests call this with a floor above the optimum to drive the full
+/// relist.
+StatusOr<Solution> IntCovAboveFloor(const Dataset& data,
+                                    const Grouping& grouping,
+                                    const GroupBounds& bounds, double floor,
+                                    const IntCovOptions& opts = {});
+
+}  // namespace internal
 
 }  // namespace fairhms
 

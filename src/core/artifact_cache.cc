@@ -108,7 +108,13 @@ ArtifactCache::Key ArtifactCache::VersionedKey(Kind kind, const Dataset& data,
                                                const Grouping* grouping) {
   const std::pair<uint64_t, uint64_t> version{
       data.version(), grouping != nullptr ? grouping->version : 0};
-  return {kind, &data, grouping, {version.first, version.second}, version};
+  // Group tables read only which rows are live, and a 2-D projection has its
+  // source's rows, tombstones and version: keyed by the grouping alone, the
+  // projection's lookups read the source's entries.
+  const bool group_table =
+      kind == Kind::kGroupCounts || kind == Kind::kGroupMembers;
+  return {kind, group_table ? nullptr : &data, grouping,
+          {version.first, version.second}, version};
 }
 
 void ArtifactCache::SetArbiter(CacheArbiter* arbiter) {
@@ -174,7 +180,7 @@ void ArtifactCache::Store(const Key& key, Entry entry) {
     int64_t delta = 0;
     // Same kind and owners sort together; drop the stored entries stamped
     // at older versions (nets have no owner and never go stale).
-    if (key.data != nullptr) {
+    if (key.data != nullptr || key.grouping != nullptr) {
       auto it =
           entries_.lower_bound({key.kind, key.data, key.grouping, {}, {}});
       while (it != entries_.end() && it->first.kind == key.kind &&

@@ -18,8 +18,9 @@
 //     bit-identical across thread counts;
 //   * skylines / pools / group tables are pure functions of the pinned
 //     dataset and grouping, which the cache identifies by (address,
-//     version) — every keyed object must outlive the cache, and a mutation
-//     (Dataset::AppendRows/ErasePoints, Grouping::AppendRow/AddGroup)
+//     version) (group tables by the grouping's address alone, see
+//     VersionedKey) — every keyed object must outlive the cache, and a
+//     mutation (Dataset::AppendRows/ErasePoints, Grouping::AppendRow/AddGroup)
 //     makes the stale entries unreachable. Storing a fresh version prunes
 //     the superseded one, so a churning dataset does not accumulate dead
 //     artifacts. Group tables are *live* views (erased rows excluded).
@@ -133,6 +134,10 @@ class ArtifactCache {
 
   /// The key of a pure function of `data` (and `grouping`, when given) at
   /// their current versions, which are both its identity and its stamp.
+  /// Group counts and members are identified by the grouping alone, so a
+  /// table and its 2-D projection (same rows, tombstones and version) share
+  /// them; one grouping must not be used with two tables that reach the same
+  /// version with different tombstones.
   static Key VersionedKey(Kind kind, const Dataset& data,
                           const Grouping* grouping = nullptr);
 

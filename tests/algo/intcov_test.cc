@@ -152,20 +152,6 @@ TEST(IntCovTest, StateSpaceGuard) {
             StatusCode::kResourceExhausted);
 }
 
-TEST(IntCovTest, ContinuousFallbackMatchesExactPath) {
-  Rng rng(17);
-  const Dataset data = GenIndependent(40, 2, &rng);
-  const Grouping g = GroupBySumRank(data, 2);
-  auto bounds = GroupBounds::Explicit(4, {1, 1}, {3, 3});
-  ASSERT_TRUE(bounds.ok());
-  auto exact = IntCov(data, g, *bounds);
-  IntCovOptions opts;
-  opts.max_pair_candidates = 0;  // Force bisection fallback.
-  auto approx = IntCov(data, g, *bounds, opts);
-  ASSERT_TRUE(exact.ok() && approx.ok());
-  EXPECT_NEAR(exact->mhr, approx->mhr, 1e-6);
-}
-
 TEST(IntCovTest, KEqualsOneSelectsBestSinglePoint) {
   Rng rng(19);
   const Dataset data = GenIndependent(15, 2, &rng);

@@ -233,6 +233,22 @@ TEST(SolverTest, ParamValidationIsUniform) {
             StatusCode::kInvalidArgument);
 }
 
+TEST(SolverTest, IntCovRefusesTheRetiredPairCap) {
+  // IntCov no longer caps its candidate list, so a request that still sets
+  // the old cap is refused by name, with the parameters that remain.
+  const Instance inst = MakeInstance();
+  SolverRequest req = MakeRequest(inst, "intcov");
+  req.params.SetInt("max_pair_candidates", 20000000);
+  const Status st = Solver::Solve(req).status();
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("unknown parameter 'max_pair_candidates'"),
+            std::string::npos)
+      << st.message();
+  EXPECT_NE(st.message().find("(valid: max_states, tolerance)"),
+            std::string::npos)
+      << st.message();
+}
+
 TEST(SolverTest, ValidParamsReachTheAlgorithm) {
   const Instance inst = MakeInstance();
   SolverRequest req = MakeRequest(inst, "bigreedy");

@@ -131,6 +131,38 @@ TEST(ArtifactCacheTest, MutationsPruneSupersededVersions) {
   EXPECT_EQ(*skyline, std::vector<int>{static_cast<int>(data.size()) - 1});
 }
 
+TEST(ArtifactCacheTest, ProjectionReadsItsSourcesGroupTables) {
+  // A 2-D projection has its source's rows, tombstones and version, so its
+  // group counts and members are the source's entries, not recomputed.
+  Instance inst = MakeInstance();
+  ASSERT_TRUE(inst.data.ErasePoints({3, 7}).ok());
+  ArtifactCache cache;
+  const auto counts = GetOrComputeGroupCounts(&cache, inst.data,
+                                              inst.grouping);
+  const auto members = GetOrComputeGroupMembers(&cache, inst.data,
+                                                inst.grouping);
+  const Dataset projection = inst.data.Project2D();
+  EXPECT_EQ(GetOrComputeGroupCounts(&cache, projection, inst.grouping),
+            counts);
+  EXPECT_EQ(GetOrComputeGroupMembers(&cache, projection, inst.grouping),
+            members);
+  CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.groups.misses, 2u);
+  EXPECT_EQ(stats.groups.hits, 2u);
+  EXPECT_EQ(stats.groups.bytes,
+            ArtifactBytes(*counts) + ArtifactBytes(*members));
+
+  // A mutation's counts replace the superseded version's.
+  ASSERT_TRUE(inst.data.ErasePoints({11}).ok());
+  const auto after = GetOrComputeGroupCounts(&cache, inst.data,
+                                             inst.grouping);
+  EXPECT_EQ(*after, inst.grouping.LiveCounts(inst.data));
+  stats = cache.stats();
+  EXPECT_EQ(stats.groups.misses, 3u);
+  EXPECT_EQ(stats.groups.bytes,
+            ArtifactBytes(*after) + ArtifactBytes(*members));
+}
+
 TEST(ArtifactCacheTest, PutIsNeitherHitNorMissAndPrunesOldVersion) {
   Instance inst = MakeInstance();
   ArtifactCache cache;
