@@ -10,7 +10,7 @@
 //     evaluation (skylines, fair pools, nets and evaluator precomputes
 //     rebuilt from scratch per query: the pre-dynamic serving story);
 //   * incremental — the same ops through one dynamic SolverSession, whose
-//     SkylineIndex maintains the skylines/pools/group tables per update
+//     SkylineIndex maintains the skylines/pools/group counts per update
 //     and republishes them into the session cache (nets survive,
 //     evaluators rebuild lazily).
 //

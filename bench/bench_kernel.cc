@@ -3,7 +3,7 @@
 // matrix) and mhr_sweep (batched min-over-net sweeps of one solution) — in
 // three named passes over the same anti-correlated data, net and candidates:
 //
-//   legacy  — the pre-refactor loops (row-major Dot() per direction),
+//   legacy  — the pre-refactor loops (one Dot() chain per direction),
 //             frozen here as the baseline, one thread;
 //   scalar  — the kernel layer with FAIRHMS_SIMD=off semantics
 //             (SetMode(kOff)), one thread;
@@ -39,7 +39,6 @@
 #include "common/string_util.h"
 #include "core/net_evaluator.h"
 #include "data/generators.h"
-#include "geom/vec.h"
 #include "skyline/skyline.h"
 #include "utility/utility_net.h"
 
@@ -56,19 +55,18 @@ std::string DigestOf(const T* values, size_t count) {
 }
 
 // ---------------------------------------------------------------------------
-// The legacy pass: the pre-refactor implementations, frozen. Row-major
-// coordinate reads, one Dot() per (direction, row), per-row division in the
-// sweep.
+// The legacy pass: the pre-refactor implementations, frozen. One
+// UtilityNet::DotWith (Dot()'s chain, read from the net's columns) per
+// (direction, row), per-row division in the sweep.
 
 void LegacyNetBuild(const Dataset& data, const UtilityNet& net,
                     const std::vector<int>& rows, std::vector<double>* best) {
   const size_t m = net.size();
-  const size_t d = static_cast<size_t>(data.dim());
   best->assign(m, 0.0);
   for (size_t j = 0; j < m; ++j) {
     double b = 0.0;
     for (int r : rows) {
-      b = std::max(b, Dot(net.vec(j), data.point(static_cast<size_t>(r)), d));
+      b = std::max(b, net.DotWith(j, data.point(static_cast<size_t>(r))));
     }
     (*best)[j] = b;
   }
@@ -78,13 +76,12 @@ void LegacyHappinessRow(const Dataset& data, const UtilityNet& net,
                         const std::vector<double>& best, int row,
                         double* out) {
   const size_t m = net.size();
-  const size_t d = static_cast<size_t>(data.dim());
   const double* p = data.point(static_cast<size_t>(row));
   for (size_t j = 0; j < m; ++j) {
     if (best[j] <= kEps) {
       out[j] = 1.0;
     } else {
-      out[j] = std::min(1.0, Dot(net.vec(j), p, d) / best[j]);
+      out[j] = std::min(1.0, net.DotWith(j, p) / best[j]);
     }
   }
 }
@@ -93,7 +90,6 @@ double LegacyMhr(const Dataset& data, const UtilityNet& net,
                  const std::vector<double>& best,
                  const std::vector<int>& rows) {
   const size_t m = net.size();
-  const size_t d = static_cast<size_t>(data.dim());
   double mhr = 1.0;
   for (size_t j = 0; j < m; ++j) {
     double hr;
@@ -102,7 +98,7 @@ double LegacyMhr(const Dataset& data, const UtilityNet& net,
     } else {
       hr = 0.0;
       for (int r : rows) {
-        const double s = Dot(net.vec(j), data.point(static_cast<size_t>(r)), d);
+        const double s = net.DotWith(j, data.point(static_cast<size_t>(r)));
         hr = std::max(hr, std::min(1.0, s / best[j]));
       }
     }

@@ -1,9 +1,11 @@
 // Google-benchmark micro suite for the substrates: LP solver, skyline,
-// delta-net sampling, net evaluation, envelope construction, lazy vs plain
-// greedy. Not a paper artifact — used to track library performance.
+// delta-net sampling, net evaluation (the evaluator build and per-direction
+// scores read from the net's column store), envelope construction, lazy vs
+// plain greedy. Not a paper artifact — used to track library performance.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "common/random.h"
@@ -77,6 +79,26 @@ void BM_NetEvaluatorBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NetEvaluatorBuild)->Arg(2000)->Arg(8000);
+
+void BM_PointHappiness(benchmark::State& state) {
+  // One direction's score read from the net's columns (UtilityNet::DotWith),
+  // the per-(direction, row) path of the Sphere and HS baselines.
+  Rng rng(9);
+  const Dataset data = GenAntiCorrelated(2000, 6, &rng);
+  const auto sky = ComputeSkyline(data);
+  const UtilityNet net = UtilityNet::SampleRandom(6, 1200, &rng);
+  const NetEvaluator eval(&data, &net, sky);
+  size_t j = 0;
+  for (auto _ : state) {
+    double best = 0.0;
+    for (int row : sky) best = std::max(best, eval.PointHappiness(j, row));
+    benchmark::DoNotOptimize(best);
+    j = (j + 1) % net.size();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(sky.size()));
+}
+BENCHMARK(BM_PointHappiness);
 
 void BM_TruncatedMarginalGain(benchmark::State& state) {
   Rng rng(6);

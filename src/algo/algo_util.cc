@@ -49,6 +49,23 @@ void DedupRows(std::vector<int>* rows) {
   rows->swap(out);
 }
 
+void FillBySum(const Dataset& data, std::vector<int> candidates, size_t size,
+               std::vector<int>* rows) {
+  if (rows->size() >= size) return;
+  const size_t d = static_cast<size_t>(data.dim());
+  std::sort(candidates.begin(), candidates.end(), [&](int a, int b) {
+    const double sa = SumCoords(data.point(static_cast<size_t>(a)), d);
+    const double sb = SumCoords(data.point(static_cast<size_t>(b)), d);
+    if (sa != sb) return sa > sb;
+    return a < b;
+  });
+  std::unordered_set<int> have(rows->begin(), rows->end());
+  for (int r : candidates) {
+    if (rows->size() >= size) break;
+    if (have.insert(r).second) rows->push_back(r);
+  }
+}
+
 Status PadSolution(const ProblemInput& input, std::vector<int>* solution) {
   DedupRows(solution);
   const Grouping& grouping = *input.grouping;
@@ -95,42 +112,20 @@ Status PadSolution(const ProblemInput& input, std::vector<int>* solution) {
 
   // Fill each group to its target: pool members first (they are group
   // skyline points), then, only once those run out, the group's other
-  // members, both by descending attribute sum for a deterministic,
-  // quality-leaning choice.
-  std::unordered_set<int> chosen(solution->begin(), solution->end());
-  const size_t d = static_cast<size_t>(data.dim());
-  auto sum_desc = [&](int a, int b) {
-    const double sa = SumCoords(data.point(static_cast<size_t>(a)), d);
-    const double sb = SumCoords(data.point(static_cast<size_t>(b)), d);
-    if (sa != sb) return sa > sb;
-    return a < b;
-  };
-  auto take = [&](std::vector<int> candidates, int* need) {
-    std::sort(candidates.begin(), candidates.end(), sum_desc);
-    for (int r : candidates) {
-      if (*need == 0) break;
-      if (chosen.insert(r).second) {
-        solution->push_back(r);
-        --*need;
-      }
-    }
-  };
+  // members, both in FillBySum's order for a deterministic, quality-leaning
+  // choice.
   for (int c = 0; c < c_num; ++c) {
-    int need = target[static_cast<size_t>(c)] - counts[static_cast<size_t>(c)];
+    const int need =
+        target[static_cast<size_t>(c)] - counts[static_cast<size_t>(c)];
     if (need <= 0) continue;
-    take(input.pool_by_group[static_cast<size_t>(c)], &need);
-    if (need > 0) {
+    const size_t want = solution->size() + static_cast<size_t>(need);
+    FillBySum(data, input.pool_by_group[static_cast<size_t>(c)], want,
+              solution);
+    if (solution->size() < want) {
       // Live members only: padding must never resurrect an erased row.
-      std::vector<int> rest;
-      for (size_t r = 0; r < grouping.group_of.size(); ++r) {
-        if (grouping.group_of[r] == c && data.live(r) &&
-            !chosen.count(static_cast<int>(r))) {
-          rest.push_back(static_cast<int>(r));
-        }
-      }
-      take(std::move(rest), &need);
+      FillBySum(data, grouping.MembersLive(data, c), want, solution);
     }
-    if (need > 0) {
+    if (solution->size() < want) {
       return Status::Internal(
           StrFormat("group %d ran out of members while padding", c));
     }

@@ -3,6 +3,7 @@
 #ifndef FAIRHMS_ALGO_ALGO_UTIL_H_
 #define FAIRHMS_ALGO_ALGO_UTIL_H_
 
+#include <cstddef>
 #include <vector>
 
 #include "common/statusor.h"
@@ -44,6 +45,13 @@ StatusOr<ProblemInput> PrepareProblem(const Dataset& data,
 /// Padding never decreases mhr. Fails only when the instance itself is
 /// infeasible.
 Status PadSolution(const ProblemInput& input, std::vector<int>* solution);
+
+/// Appends the rows of `candidates` that `*rows` lacks, by descending
+/// attribute sum with ties to the smaller row, until `*rows` holds `size`
+/// rows or the candidates run out: the one order every "pad with the best
+/// unused rows" step uses.
+void FillBySum(const Dataset& data, std::vector<int> candidates, size_t size,
+               std::vector<int>* rows);
 
 /// Removes duplicate rows, preserving first occurrence order.
 void DedupRows(std::vector<int>* rows);

@@ -2,6 +2,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "algo/algo_util.h"
 #include "algo/baselines.h"
 #include "algo/group_adapter.h"
 #include "common/string_util.h"
@@ -189,23 +190,7 @@ StatusOr<std::vector<int>> DmmRows(const Dataset& data,
   }
 
   // Pad to k with the best unused rows by attribute sum.
-  if (static_cast<int>(best_rows.size()) < k) {
-    std::vector<int> order = rows;
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const double sa =
-          SumCoords(data.point(static_cast<size_t>(a)), static_cast<size_t>(d));
-      const double sb =
-          SumCoords(data.point(static_cast<size_t>(b)), static_cast<size_t>(d));
-      if (sa != sb) return sa > sb;
-      return a < b;
-    });
-    for (int r : order) {
-      if (static_cast<int>(best_rows.size()) >= k) break;
-      if (std::find(best_rows.begin(), best_rows.end(), r) == best_rows.end()) {
-        best_rows.push_back(r);
-      }
-    }
-  }
+  FillBySum(data, rows, static_cast<size_t>(k), &best_rows);
 
   std::sort(best_rows.begin(), best_rows.end());
   return best_rows;

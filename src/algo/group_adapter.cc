@@ -32,24 +32,23 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
   FAIRHMS_ASSIGN_OR_RETURN(std::vector<int> quotas,
                            AllocateQuotas(bounds, weights, group_counts));
 
-  // Group tables and skylines are pure functions of (data, grouping);
-  // borrow the session's copies when a cache is attached.
+  // Group skylines are a pure function of (data, grouping); borrow the
+  // session's copy when a cache is attached.
   const auto group_skylines =
       GetOrComputeGroupSkylines(opts.cache, data, grouping);
-  const auto members = GetOrComputeGroupMembers(opts.cache, data, grouping);
 
   Solution out;
   for (int c = 0; c < grouping.num_groups; ++c) {
     const int kc = quotas[static_cast<size_t>(c)];
     if (kc == 0) continue;
-    // Candidates: the group skyline, widened to all members when the
-    // skyline alone cannot fill the quota.
+    // Candidates: the group skyline, widened to the group's live members
+    // (gathered here, the only reader) when the skyline alone cannot fill
+    // the quota.
     const std::vector<int>& skyline_c =
         (*group_skylines)[static_cast<size_t>(c)];
-    const std::vector<int>& pool = static_cast<int>(skyline_c.size()) >= kc
-                                       ? skyline_c
-                                       : (*members)[static_cast<size_t>(c)];
-    auto sub = solver(data, pool, kc);
+    auto sub = static_cast<int>(skyline_c.size()) >= kc
+                   ? solver(data, skyline_c, kc)
+                   : solver(data, grouping.MembersLive(data, c), kc);
     if (!sub.ok()) {
       return Status(sub.status().code(),
                     StrFormat("G-%s failed on group %d: %s", name.c_str(), c,

@@ -42,7 +42,7 @@ struct GroupAdapterOptions {
   /// DefaultThreads(), 1 = exact serial path). The per-group solvers carry
   /// their own threads knobs.
   int threads = 0;
-  /// Cross-query memoization of group tables / skylines and the final
+  /// Cross-query memoization of group counts / skylines and the final
   /// evaluation net (not owned; null = compute per call). Results are
   /// bit-identical either way.
   ArtifactCache* cache = nullptr;

@@ -4,26 +4,8 @@
 #include "algo/baselines.h"
 #include "algo/group_adapter.h"
 #include "core/exact_evaluator.h"
-#include "geom/vec.h"
 
 namespace fairhms {
-
-namespace {
-
-/// Unused rows sorted by descending attribute sum (deterministic filler).
-std::vector<int> FillerOrder(const Dataset& data, const std::vector<int>& rows) {
-  std::vector<int> order = rows;
-  const size_t d = static_cast<size_t>(data.dim());
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double sa = SumCoords(data.point(static_cast<size_t>(a)), d);
-    const double sb = SumCoords(data.point(static_cast<size_t>(b)), d);
-    if (sa != sb) return sa > sb;
-    return a < b;
-  });
-  return order;
-}
-
-}  // namespace
 
 StatusOr<std::vector<int>> RdpGreedyRows(const Dataset& data,
                                          const std::vector<int>& rows, int k,
@@ -50,14 +32,7 @@ StatusOr<std::vector<int>> RdpGreedyRows(const Dataset& data,
   }
 
   // Zero regret (or exhausted witnesses): fill remaining slots.
-  if (static_cast<int>(solution.size()) < target) {
-    for (int r : FillerOrder(data, rows)) {
-      if (static_cast<int>(solution.size()) >= target) break;
-      if (std::find(solution.begin(), solution.end(), r) == solution.end()) {
-        solution.push_back(r);
-      }
-    }
-  }
+  FillBySum(data, rows, static_cast<size_t>(target), &solution);
   std::sort(solution.begin(), solution.end());
   return solution;
 }

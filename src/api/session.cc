@@ -9,6 +9,7 @@
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "plan/planner.h"
+#include "skyline/skyline.h"
 
 namespace fairhms {
 
@@ -265,12 +266,15 @@ void SolverSession::PublishIndexIfStale() {
   const auto key = [this](Kind kind) {
     return ArtifactCache::VersionedKey(kind, *data_, grouping_);
   };
+  // The group skylines and the pool are fresh copies moved into the cache,
+  // which then holds their only resident copy.
+  std::vector<std::vector<int>> group_skylines = index_->group_skylines();
+  std::vector<int> pool = UnionOfGroupSkylines(group_skylines);
   cache_->Put(ArtifactCache::VersionedKey(Kind::kSkyline, *data_),
               index_->skyline());
-  cache_->Put(key(Kind::kGroupSkylines), index_->group_skylines());
-  cache_->Put(key(Kind::kFairPool), index_->fair_pool());
+  cache_->Put(key(Kind::kGroupSkylines), std::move(group_skylines));
+  cache_->Put(key(Kind::kFairPool), std::move(pool));
   cache_->Put(key(Kind::kGroupCounts), index_->live_counts());
-  cache_->Put(key(Kind::kGroupMembers), index_->live_members());
   published_data_version_ = data_->version();
   published_grouping_version_ = grouping_->version;
 }

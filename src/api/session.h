@@ -30,7 +30,7 @@
 // queries: Insert appends a row (deriving its fairness group from pinned
 // categorical columns, or taking an explicit id), Erase tombstones rows.
 // A SkylineIndex keeps the global/per-group skylines, fair pool and live
-// group tables current incrementally and republishes them into the cache
+// group counts current incrementally and republishes them into the cache
 // under the new dataset version, so an update only dirties what it must:
 // utility nets survive untouched, evaluator precomputes rebuild lazily
 // when the skyline rows under them change, and the 2D projection extends

@@ -253,6 +253,21 @@ class ColumnBlock {
   explicit ColumnBlock(int dim) : dim_(dim), cols_(static_cast<size_t>(dim)) {
     RefreshPtrs();
   }
+  /// A copy points at its own columns (cols() is rebuilt); a move keeps
+  /// the buffers, so the moved pointers stay valid.
+  ColumnBlock(const ColumnBlock& o)
+      : dim_(o.dim_), rows_(o.rows_), cols_(o.cols_) {
+    RefreshPtrs();
+  }
+  ColumnBlock& operator=(const ColumnBlock& o) {
+    dim_ = o.dim_;
+    rows_ = o.rows_;
+    cols_ = o.cols_;
+    RefreshPtrs();
+    return *this;
+  }
+  ColumnBlock(ColumnBlock&&) = default;
+  ColumnBlock& operator=(ColumnBlock&&) = default;
 
   int dim() const { return dim_; }
   size_t rows() const { return rows_; }
@@ -266,11 +281,6 @@ class ColumnBlock {
     rows_ = 0;
     for (auto& c : cols_) c.clear();
     RefreshPtrs();
-  }
-
-  void Reserve(size_t rows) {
-    const size_t cap = RoundUp(rows);
-    for (auto& c : cols_) c.reserve(cap);
   }
 
   /// Appends one row (p[0..dim)). Amortized O(dim).

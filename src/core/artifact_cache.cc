@@ -35,7 +35,6 @@ CacheStats::Counter CacheStats::*SlotOf(ArtifactCache::Kind kind) {
     case ArtifactCache::Kind::kFairPool:
       return &CacheStats::pools;
     case ArtifactCache::Kind::kGroupCounts:
-    case ArtifactCache::Kind::kGroupMembers:
       return &CacheStats::groups;
   }
   return &CacheStats::nets;  // Unreachable.
@@ -92,10 +91,10 @@ uint64_t ArtifactBytes(const SampledNet& net) {
 }
 
 uint64_t ArtifactBytes(const NetEvaluator& evaluator) {
-  // Covers the denominators, the dimension-major net block, the packed db
-  // rows, and whatever CacheCandidates and BuildSeedKeys actually
-  // allocated (caching declines oversized pools), so the stats never
-  // overstate memory.
+  // Covers the denominators and whatever CacheCandidates and BuildSeedKeys
+  // actually allocated (caching declines oversized pools), so the stats
+  // never overstate memory. The net it reads is the kNet entry's and is
+  // counted there, once.
   return evaluator.ResidentBytes();
 }
 
@@ -108,12 +107,10 @@ ArtifactCache::Key ArtifactCache::VersionedKey(Kind kind, const Dataset& data,
                                                const Grouping* grouping) {
   const std::pair<uint64_t, uint64_t> version{
       data.version(), grouping != nullptr ? grouping->version : 0};
-  // Group tables read only which rows are live, and a 2-D projection has its
+  // Group counts read only which rows are live, and a 2-D projection has its
   // source's rows, tombstones and version: keyed by the grouping alone, the
   // projection's lookups read the source's entries.
-  const bool group_table =
-      kind == Kind::kGroupCounts || kind == Kind::kGroupMembers;
-  return {kind, group_table ? nullptr : &data, grouping,
+  return {kind, kind == Kind::kGroupCounts ? nullptr : &data, grouping,
           {version.first, version.second}, version};
 }
 
@@ -514,13 +511,6 @@ std::shared_ptr<const std::vector<int>> GetOrComputeGroupCounts(
   return GetOrCompute<std::vector<int>>(
       cache, ArtifactCache::Kind::kGroupCounts, data, &grouping,
       [&] { return grouping.LiveCounts(data); });
-}
-
-std::shared_ptr<const std::vector<std::vector<int>>> GetOrComputeGroupMembers(
-    ArtifactCache* cache, const Dataset& data, const Grouping& grouping) {
-  return GetOrCompute<std::vector<std::vector<int>>>(
-      cache, ArtifactCache::Kind::kGroupMembers, data, &grouping,
-      [&] { return grouping.MembersLive(data); });
 }
 
 }  // namespace fairhms

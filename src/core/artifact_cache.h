@@ -1,7 +1,7 @@
 // ArtifactCache: cross-query memoization of the expensive, immutable
 // artifacts FairHMS solves keep rebuilding — sampled utility nets, the
 // NetEvaluator denominator/candidate precomputes, global and per-group
-// skylines, fair candidate pools and group tables.
+// skylines, fair candidate pools and live group counts.
 //
 // A SolverSession (api/session.h) owns one cache and pins it to a dataset +
 // grouping; algorithms reach it through SolveContext::cache (or their
@@ -16,14 +16,16 @@
 //   * evaluators are keyed by (net identity, denominator rows, cached
 //     candidate rows, thread lanes) and their precomputes are already
 //     bit-identical across thread counts;
-//   * skylines / pools / group tables are pure functions of the pinned
+//   * skylines / pools / group counts are pure functions of the pinned
 //     dataset and grouping, which the cache identifies by (address,
-//     version) (group tables by the grouping's address alone, see
+//     version) (group counts by the grouping's address alone, see
 //     VersionedKey) — every keyed object must outlive the cache, and a
 //     mutation (Dataset::AppendRows/ErasePoints, Grouping::AppendRow/AddGroup)
 //     makes the stale entries unreachable. Storing a fresh version prunes
 //     the superseded one, so a churning dataset does not accumulate dead
-//     artifacts. Group tables are *live* views (erased rows excluded).
+//     artifacts. Group counts are *live* (erased rows excluded). No group
+//     member table is stored: G-* gathers a group's live members only when
+//     its skyline cannot fill its quota.
 //
 // Every kind lives in one keyed table behind one GetOrBuild / Put pair.
 // Dynamic sessions avoid even the one recompute per version: SkylineIndex
@@ -73,7 +75,7 @@ struct CacheStats {
   Counter skylines;        ///< Global skylines (one per projection key).
   Counter group_skylines;  ///< Per-group skylines.
   Counter pools;           ///< Fair candidate pools.
-  Counter groups;          ///< Group counts + member tables.
+  Counter groups;          ///< Live group counts.
   Counter projections;     ///< Prepared 2D projections (session-owned).
 
   uint64_t TotalHits() const;
@@ -106,8 +108,8 @@ uint64_t ArtifactBytes(const NetEvaluator& evaluator);
 
 class ArtifactCache {
  public:
-  /// The artifact classes. Each reports into one CacheStats counter
-  /// (group counts and member tables share `groups`).
+  /// The artifact classes, each reporting into one CacheStats counter
+  /// (kGroupCounts into `groups`).
   enum class Kind : uint8_t {
     kNet,
     kEvaluator,
@@ -115,7 +117,6 @@ class ArtifactCache {
     kGroupSkylines,
     kFairPool,
     kGroupCounts,
-    kGroupMembers,
   };
 
   /// One table key. Identity is (kind, data, grouping, id): `data` and
@@ -134,10 +135,10 @@ class ArtifactCache {
 
   /// The key of a pure function of `data` (and `grouping`, when given) at
   /// their current versions, which are both its identity and its stamp.
-  /// Group counts and members are identified by the grouping alone, so a
-  /// table and its 2-D projection (same rows, tombstones and version) share
-  /// them; one grouping must not be used with two tables that reach the same
-  /// version with different tombstones.
+  /// Group counts are identified by the grouping alone, so a table and its
+  /// 2-D projection (same rows, tombstones and version) share them; one
+  /// grouping must not be used with two tables that reach the same version
+  /// with different tombstones.
   static Key VersionedKey(Kind kind, const Dataset& data,
                           const Grouping* grouping = nullptr);
 
@@ -350,9 +351,6 @@ std::shared_ptr<const std::vector<int>> GetOrComputeFairPool(
     ArtifactCache* cache, const Dataset& data, const Grouping& grouping);
 /// grouping.LiveCounts(data).
 std::shared_ptr<const std::vector<int>> GetOrComputeGroupCounts(
-    ArtifactCache* cache, const Dataset& data, const Grouping& grouping);
-/// grouping.MembersLive(data).
-std::shared_ptr<const std::vector<std::vector<int>>> GetOrComputeGroupMembers(
     ArtifactCache* cache, const Dataset& data, const Grouping& grouping);
 
 }  // namespace fairhms

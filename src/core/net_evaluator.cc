@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/thread_pool.h"
-#include "geom/vec.h"
 
 namespace fairhms {
 
@@ -18,21 +17,16 @@ size_t TileCount(size_t m) { return (m + kTile - 1) / kTile; }
 }  // namespace
 
 NetEvaluator::NetEvaluator(const Dataset* data, const UtilityNet* net,
-                           std::vector<int> db_rows, int threads)
-    : data_(data),
-      net_(net),
-      threads_(ResolveThreads(threads)),
-      db_rows_(std::move(db_rows)),
-      net_cols_(data->dim()) {
+                           const std::vector<int>& db_rows, int threads)
+    : data_(data), net_(net), threads_(ResolveThreads(threads)) {
   assert(data_->dim() == net_->dim());
   const size_t m = net_->size();
   const size_t d = static_cast<size_t>(data_->dim());
-  // Dimension-major net block: column k holds attribute k of every
+  // The net is dimension-major: column k holds attribute k of every
   // direction, so a direction tile (d * kDirTile doubles) stays L1-resident
-  // while candidate rows stream past it.
-  net_cols_.Reserve(m);
-  for (size_t j = 0; j < m; ++j) net_cols_.Append(net_->vec(j));
-  db_pts_ = data_->PackRows(db_rows_);
+  // while the packed db rows stream past it.
+  const double* const* net_cols = net_->columns().cols();
+  const simd::AlignedVector db_pts = data_->PackRows(db_rows);
   best_.assign(m, 0.0);
   // Lanes own disjoint direction tiles (tile boundaries are cache-line
   // aligned in best_, so lanes never share a written line); within a tile
@@ -43,22 +37,20 @@ NetEvaluator::NetEvaluator(const Dataset* data, const UtilityNet* net,
     for (size_t t = t0; t < t1; ++t) {
       const size_t j0 = t * kTile;
       const size_t j1 = std::min(m, j0 + kTile);
-      simd::NetBestRange(net_cols_.cols(), j0, j1, db_pts_.data(),
-                         db_rows_.size(), d, best_.data());
+      simd::NetBestRange(net_cols, j0, j1, db_pts.data(), db_rows.size(), d,
+                         best_.data());
     }
   });
 }
 
 double NetEvaluator::PointHappiness(size_t j, int row) const {
   if (best_[j] <= kDegenerate) return 1.0;
-  const double s =
-      Dot(net_->vec(j), data_->point(static_cast<size_t>(row)),
-          static_cast<size_t>(data_->dim()));
+  const double s = net_->DotWith(j, data_->point(static_cast<size_t>(row)));
   return std::min(1.0, s / best_[j]);
 }
 
 void NetEvaluator::PointHappinessRow(int row, double* out) const {
-  simd::HappinessRange(net_cols_.cols(), 0, net_->size(),
+  simd::HappinessRange(net_columns().cols(), 0, net_->size(),
                        data_->point(static_cast<size_t>(row)),
                        static_cast<size_t>(data_->dim()), best_.data(),
                        kDegenerate, out);
@@ -87,7 +79,7 @@ double NetEvaluator::Mhr(const std::vector<int>& rows) const {
     for (size_t t = t0; t < t1; ++t) {
       const size_t j0 = t * kTile;
       const size_t j1 = std::min(m, j0 + kTile);
-      tile_min[t] = simd::MhrRange(net_cols_.cols(), j0, j1, best_.data(),
+      tile_min[t] = simd::MhrRange(net_columns().cols(), j0, j1, best_.data(),
                                    kDegenerate, pts.data(), rows.size(), d);
       if (tile_min[t] <= 0.0) break;
     }
@@ -119,7 +111,7 @@ void NetEvaluator::CacheCandidates(const std::vector<int>& rows,
       const size_t j0 = t * kTile;
       const size_t j1 = std::min(m, j0 + kTile);
       for (size_t i = 0; i < rows.size(); ++i) {
-        simd::HappinessRangeUp(net_cols_.cols(), j0, j1, &pts[i * d], d,
+        simd::HappinessRangeUp(net_columns().cols(), j0, j1, &pts[i * d], d,
                                best_.data(), kDegenerate, &cache_[i * m]);
       }
     }

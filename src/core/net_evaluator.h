@@ -20,10 +20,12 @@ namespace fairhms {
 /// `db_rows` defines the denominator population — pass the global skyline
 /// (scores of dominated points never attain the max, so this is exact).
 ///
-/// Storage is structure-of-arrays: net directions live in a dimension-major
-/// ColumnBlock and candidate coordinates in dense row-major packs, so the
-/// hot loops (denominator fill, candidate-cache fill, mhr sweep) run on the
-/// common/simd.h kernel layer in L1-sized direction tiles (simd::kDirTile).
+/// Storage is structure-of-arrays: the kernels read the net's own
+/// dimension-major ColumnBlock in place (UtilityNet::columns(); the
+/// evaluator keeps no copy) and candidate coordinates from dense row-major
+/// packs, so the hot loops (denominator fill, candidate-cache fill, mhr
+/// sweep) run on the common/simd.h kernel layer in L1-sized direction tiles
+/// (simd::kDirTile).
 /// Every result is bit-identical across thread counts AND across SIMD
 /// dispatch levels (see the bit-identity contract in common/simd.h);
 /// threads = 1 takes the exact serial path.
@@ -40,8 +42,10 @@ class NetEvaluator {
   /// at or below this evaluate to happiness 1.0.
   static constexpr double kDegenerate = 1e-12;
 
+  /// `net` must outlive the evaluator, which reads its directions in
+  /// place; `db_rows` is read only here.
   NetEvaluator(const Dataset* data, const UtilityNet* net,
-               std::vector<int> db_rows, int threads = 0);
+               const std::vector<int>& db_rows, int threads = 0);
 
   const Dataset& data() const { return *data_; }
   const UtilityNet& net() const { return *net_; }
@@ -52,9 +56,9 @@ class NetEvaluator {
   double best(size_t j) const { return best_[j]; }
   /// Dense denominator array (net_size() doubles).
   const double* best_data() const { return best_.data(); }
-  /// Dimension-major net directions (column j of the block holds attribute
-  /// j of every direction).
-  const simd::ColumnBlock& net_columns() const { return net_cols_; }
+  /// Dimension-major net directions: the net's own block (column i holds
+  /// attribute i of every direction).
+  const simd::ColumnBlock& net_columns() const { return net_->columns(); }
 
   /// Happiness of a single point under direction j:
   /// <u_j, p> / best(j), clamped to [0, 1]; 1 on degenerate directions.
@@ -125,13 +129,11 @@ class NetEvaluator {
     return cache_.capacity() * sizeof(simd::Cell);
   }
 
-  /// Total resident bytes: denominators, the dimension-major net block, the
-  /// packed db rows, the candidate cache and its seed keys. ArtifactCache
-  /// charges this.
+  /// Total resident bytes: denominators, the candidate cache and its seed
+  /// keys. The net is its own cache entry and the db rows are not kept.
+  /// ArtifactCache charges this.
   size_t ResidentBytes() const {
-    return best_.capacity() * sizeof(double) + net_cols_.bytes() +
-           db_pts_.capacity() * sizeof(double) +
-           db_rows_.capacity() * sizeof(int) + CandidateCacheBytes() +
+    return best_.capacity() * sizeof(double) + CandidateCacheBytes() +
            (seed_empty_.capacity() + seed_after_first_.capacity()) *
                sizeof(double);
   }
@@ -140,9 +142,6 @@ class NetEvaluator {
   const Dataset* data_;
   const UtilityNet* net_;
   int threads_;  ///< Effective lane count (already resolved, >= 1).
-  std::vector<int> db_rows_;
-  simd::ColumnBlock net_cols_;  ///< Dimension-major net directions.
-  simd::AlignedVector db_pts_;  ///< db_rows_ coords, dense row-major.
   simd::AlignedVector best_;
   std::vector<int64_t> cache_offset_;  // Per dataset row; -1 = not cached.
   /// Concatenated rounded-up happiness rows. A pooled ScratchBuffer, not a

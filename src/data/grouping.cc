@@ -44,6 +44,17 @@ std::vector<std::vector<int>> Grouping::MembersLive(const Dataset& data) const {
   return members;
 }
 
+std::vector<int> Grouping::MembersLive(const Dataset& data, int group) const {
+  assert(group_of.size() == data.size());
+  std::vector<int> members;
+  for (size_t i = 0; i < group_of.size(); ++i) {
+    if (group_of[i] == group && data.live(i)) {
+      members.push_back(static_cast<int>(i));
+    }
+  }
+  return members;
+}
+
 void Grouping::AppendRow(int group) {
   assert(group >= 0 && group < num_groups);
   group_of.push_back(group);

@@ -35,6 +35,10 @@ struct Grouping {
   /// Members() while `data` has no tombstones.
   std::vector<std::vector<int>> MembersLive(const Dataset& data) const;
 
+  /// Live row indices of `data` in group `group`, ascending: one entry of
+  /// MembersLive(data), gathered in one pass over the rows.
+  std::vector<int> MembersLive(const Dataset& data, int group) const;
+
   /// Extends the partition by one row in group `group` (must exist).
   void AppendRow(int group);
 

@@ -242,13 +242,10 @@ SkylineIndex::SkylineIndex(const Dataset* data, const Grouping* grouping,
   assert(data_ != nullptr && grouping_ != nullptr);
   assert(grouping_->group_of.size() == data_->size());
   global_.Reset(data_->LiveRows());
-  live_counts_.assign(static_cast<size_t>(grouping_->num_groups), 0);
-  live_members_ = grouping_->MembersLive(*data_);
-  for (int c = 0; c < grouping_->num_groups; ++c) {
+  for (const std::vector<int>& members : grouping_->MembersLive(*data_)) {
     per_group_.emplace_back(data_, opts_);
-    per_group_.back().Reset(live_members_[static_cast<size_t>(c)]);
-    live_counts_[static_cast<size_t>(c)] =
-        static_cast<int>(live_members_[static_cast<size_t>(c)].size());
+    per_group_.back().Reset(members);
+    live_counts_.push_back(static_cast<int>(members.size()));
   }
   data_version_ = data_->version();
   grouping_version_ = grouping_->version;
@@ -295,13 +292,14 @@ StatusOr<std::unique_ptr<SkylineIndex>> SkylineIndex::Restore(
         StrFormat("global skyline state covers %zu rows, dataset has %zu live",
                   index->global_.universe_size(), live_total));
   }
-  index->live_members_ = grouping->MembersLive(*data);
-  index->live_counts_.assign(static_cast<size_t>(grouping->num_groups), 0);
+  index->live_counts_ = grouping->LiveCounts(*data);
   for (int c = 0; c < grouping->num_groups; ++c) {
     const size_t ci = static_cast<size_t>(c);
-    const std::vector<int>& members = index->live_members_[ci];
+    // Rows are checked live and unique by RestoreState, so a group match
+    // plus an exact count match means exact coverage of the live members.
     auto in_group = [&](int r) -> Status {
-      if (!std::binary_search(members.begin(), members.end(), r)) {
+      if (r < 0 || static_cast<size_t>(r) >= grouping->group_of.size() ||
+          grouping->group_of[static_cast<size_t>(r)] != c) {
         return Status::InvalidArgument(StrFormat(
             "group %d skyline state claims row %d of another group", c, r));
       }
@@ -317,14 +315,14 @@ StatusOr<std::unique_ptr<SkylineIndex>> SkylineIndex::Restore(
     index->per_group_.emplace_back(data, opts);
     FAIRHMS_RETURN_IF_ERROR(
         index->per_group_.back().RestoreState(state.per_group[ci]));
-    if (index->per_group_.back().universe_size() != members.size()) {
+    const size_t group_size = static_cast<size_t>(index->live_counts_[ci]);
+    if (index->per_group_.back().universe_size() != group_size) {
       return Status::InvalidArgument(
           StrFormat("group %d skyline state covers %zu rows, group has %zu "
                     "live members",
                     c, index->per_group_.back().universe_size(),
-                    members.size()));
+                    group_size));
     }
-    index->live_counts_[ci] = static_cast<int>(members.size());
   }
   index->data_version_ = data->version();
   index->grouping_version_ = grouping->version;
@@ -335,7 +333,6 @@ void SkylineIndex::SyncGroupCount() {
   while (per_group_.size() < static_cast<size_t>(grouping_->num_groups)) {
     per_group_.emplace_back(data_, opts_);
     live_counts_.push_back(0);
-    live_members_.emplace_back();
   }
 }
 
@@ -355,14 +352,10 @@ Status SkylineIndex::OnAppend(size_t first, size_t end) {
     const int row = static_cast<int>(i);
     global_.Insert(row);
     per_group_[static_cast<size_t>(g)].Insert(row);
-    // Appended rows carry the largest indices, so push_back keeps the
-    // member lists ascending.
-    live_members_[static_cast<size_t>(g)].push_back(row);
     ++live_counts_[static_cast<size_t>(g)];
   }
   data_version_ = data_->version();
   grouping_version_ = grouping_->version;
-  views_dirty_ = true;
   return Status::OK();
 }
 
@@ -382,35 +375,21 @@ Status SkylineIndex::OnErase(const std::vector<int>& rows) {
   for (size_t g = 0; g < by_group.size(); ++g) {
     if (by_group[g].empty()) continue;
     FAIRHMS_RETURN_IF_ERROR(per_group_[g].EraseBatch(by_group[g]));
-    for (int r : by_group[g]) {
-      RemoveSorted(&live_members_[g], r);
-      --live_counts_[g];
-    }
+    live_counts_[g] -= static_cast<int>(by_group[g].size());
   }
   data_version_ = data_->version();
-  views_dirty_ = true;
   return Status::OK();
 }
 
-const std::vector<std::vector<int>>& SkylineIndex::group_skylines() const {
-  if (views_dirty_) {
-    group_skylines_view_.assign(per_group_.size(), {});
-    fair_pool_view_.clear();
-    for (size_t c = 0; c < per_group_.size(); ++c) {
-      group_skylines_view_[c] = per_group_[c].skyline();
-      fair_pool_view_.insert(fair_pool_view_.end(),
-                             group_skylines_view_[c].begin(),
-                             group_skylines_view_[c].end());
-    }
-    std::sort(fair_pool_view_.begin(), fair_pool_view_.end());
-    views_dirty_ = false;
-  }
-  return group_skylines_view_;
+std::vector<std::vector<int>> SkylineIndex::group_skylines() const {
+  std::vector<std::vector<int>> skylines;
+  skylines.reserve(per_group_.size());
+  for (const auto& g : per_group_) skylines.push_back(g.skyline());
+  return skylines;
 }
 
-const std::vector<int>& SkylineIndex::fair_pool() const {
-  group_skylines();  // Assembles both views.
-  return fair_pool_view_;
+std::vector<int> SkylineIndex::fair_pool() const {
+  return UnionOfGroupSkylines(group_skylines());
 }
 
 size_t SkylineIndex::rebuilds() const {

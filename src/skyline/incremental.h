@@ -24,10 +24,12 @@
 // unique; tests/skyline/incremental_test.cc holds this invariant over
 // thousands of interleaved ops).
 //
-// SkylineIndex bundles the global skyline, the per-group skylines, the
-// fair candidate pool and the live group tables for one (Dataset,
-// Grouping) pair — exactly the artifact set ArtifactCache memoizes — and
-// keeps them all current under AppendRows/ErasePoints.
+// SkylineIndex maintains the global skyline, one skyline per group and the
+// live group counts for one (Dataset, Grouping) pair under
+// AppendRows/ErasePoints. It hands out the group skylines and the fair
+// candidate pool (their union) by value, for the session to move into
+// ArtifactCache, which then holds the only resident copy; it keeps no
+// member lists (G-* gathers a group's members only when it needs them).
 
 #ifndef FAIRHMS_SKYLINE_INCREMENTAL_H_
 #define FAIRHMS_SKYLINE_INCREMENTAL_H_
@@ -131,15 +133,15 @@ class IncrementalSkyline {
 
 /// Portable snapshot of a whole SkylineIndex: the global skyline plus one
 /// state per group, in group-id order. Restoring re-derives the live group
-/// tables from the Dataset/Grouping pair (cheap, no dominance tests).
+/// counts from the Dataset/Grouping pair (cheap, no dominance tests).
 struct SkylineIndexState {
   IncrementalSkylineState global;
   std::vector<IncrementalSkylineState> per_group;
 };
 
 /// Every skyline-derived artifact of one (Dataset, Grouping) pair, kept
-/// current under mutation: global skyline, per-group skylines, the fair
-/// candidate pool and the live group count/member tables.
+/// current under mutation: global skyline, per-group skylines (hence the
+/// fair candidate pool) and the live group counts.
 class SkylineIndex {
  public:
   /// Builds from the current live rows. `data` and `grouping` are not
@@ -165,16 +167,13 @@ class SkylineIndex {
   Status OnErase(const std::vector<int>& rows);
 
   const std::vector<int>& skyline() const { return global_.skyline(); }
-  /// Per-group skylines, indexed by group id (empty for empty groups).
-  const std::vector<std::vector<int>>& group_skylines() const;
-  /// Union of the per-group skylines, ascending.
-  const std::vector<int>& fair_pool() const;
+  /// Per-group skylines, indexed by group id (empty for empty groups): a
+  /// fresh copy per call.
+  std::vector<std::vector<int>> group_skylines() const;
+  /// Union of the per-group skylines, ascending (UnionOfGroupSkylines).
+  std::vector<int> fair_pool() const;
   /// Live rows per group, like Grouping::LiveCounts.
   const std::vector<int>& live_counts() const { return live_counts_; }
-  /// Live member rows per group, ascending, like Grouping::MembersLive.
-  const std::vector<std::vector<int>>& live_members() const {
-    return live_members_;
-  }
 
   /// Dataset version the index reflects (== data->version() after every
   /// routed mutation).
@@ -198,13 +197,8 @@ class SkylineIndex {
   IncrementalSkyline global_;
   std::vector<IncrementalSkyline> per_group_;
   std::vector<int> live_counts_;
-  std::vector<std::vector<int>> live_members_;
   uint64_t data_version_ = 0;
   uint64_t grouping_version_ = 0;
-  /// Assembled lazily; invalidated by every mutation.
-  mutable std::vector<std::vector<int>> group_skylines_view_;
-  mutable std::vector<int> fair_pool_view_;
-  mutable bool views_dirty_ = true;
 };
 
 }  // namespace fairhms

@@ -148,15 +148,20 @@ std::vector<std::vector<int>> ComputeGroupSkylines(const Dataset& data,
   return result;
 }
 
-std::vector<int> ComputeFairCandidatePool(const Dataset& data,
-                                          const Grouping& grouping,
-                                          const SkylineOptions& opts) {
+std::vector<int> UnionOfGroupSkylines(
+    const std::vector<std::vector<int>>& group_skylines) {
   std::vector<int> pool;
-  for (const auto& sky : ComputeGroupSkylines(data, grouping, opts)) {
+  for (const auto& sky : group_skylines) {
     pool.insert(pool.end(), sky.begin(), sky.end());
   }
   std::sort(pool.begin(), pool.end());
   return pool;
+}
+
+std::vector<int> ComputeFairCandidatePool(const Dataset& data,
+                                          const Grouping& grouping,
+                                          const SkylineOptions& opts) {
+  return UnionOfGroupSkylines(ComputeGroupSkylines(data, grouping, opts));
 }
 
 }  // namespace fairhms

@@ -40,6 +40,12 @@ std::vector<std::vector<int>> ComputeGroupSkylines(
     const Dataset& data, const Grouping& grouping,
     const SkylineOptions& opts = {});
 
+/// Union of per-group skylines (disjoint, as groups are), sorted ascending:
+/// the fair candidate pool. ComputeFairCandidatePool and SkylineIndex both
+/// assemble their pool here.
+std::vector<int> UnionOfGroupSkylines(
+    const std::vector<std::vector<int>>& group_skylines);
+
 /// Union of the per-group skylines, sorted ascending — the fair candidate
 /// pool used by every FairHMS algorithm.
 std::vector<int> ComputeFairCandidatePool(const Dataset& data,

@@ -3,26 +3,27 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-
-#include "geom/vec.h"
+#include <vector>
 
 namespace fairhms {
 
 UtilityNet UtilityNet::SampleRandom(int d, size_t m, Rng* rng) {
   assert(d >= 1 && m >= 1);
   UtilityNet net(d, m);
+  std::vector<double> v(static_cast<size_t>(d));
   for (size_t j = 0; j < m; ++j) {
-    double* v = &net.vecs_[j * static_cast<size_t>(d)];
     double norm_sq = 0.0;
     do {
       norm_sq = 0.0;
-      for (int i = 0; i < d; ++i) {
+      for (size_t i = 0; i < v.size(); ++i) {
         v[i] = std::fabs(rng->Normal());
         norm_sq += v[i] * v[i];
       }
     } while (norm_sq <= 1e-30);
     const double inv = 1.0 / std::sqrt(norm_sq);
-    for (int i = 0; i < d; ++i) v[i] *= inv;
+    for (int i = 0; i < d; ++i) {
+      net.cols_.mutable_col(i)[j] = v[static_cast<size_t>(i)] * inv;
+    }
   }
   return net;
 }
@@ -34,8 +35,8 @@ UtilityNet UtilityNet::Grid2D(size_t m) {
     const double theta =
         (static_cast<double>(j) / static_cast<double>(m - 1)) *
         (3.14159265358979323846 / 2.0);
-    net.vecs_[2 * j] = std::sin(theta);      // Weight on attribute 0.
-    net.vecs_[2 * j + 1] = std::cos(theta);  // Weight on attribute 1.
+    net.cols_.mutable_col(0)[j] = std::sin(theta);  // Attribute 0's weight.
+    net.cols_.mutable_col(1)[j] = std::cos(theta);  // Attribute 1's weight.
   }
   return net;
 }
@@ -74,9 +75,7 @@ double UtilityNet::MhrErrorBound(double delta, int d) {
 
 double UtilityNet::CoverageCos(const double* u) const {
   double best = -1.0;
-  for (size_t j = 0; j < m_; ++j) {
-    best = std::max(best, Dot(u, vec(j), static_cast<size_t>(d_)));
-  }
+  for (size_t j = 0; j < size(); ++j) best = std::max(best, DotWith(j, u));
   return best;
 }
 

@@ -10,13 +10,15 @@
 #define FAIRHMS_UTILITY_UTILITY_NET_H_
 
 #include <cstddef>
-#include <vector>
 
 #include "common/random.h"
+#include "common/simd.h"
 
 namespace fairhms {
 
-/// An immutable set of unit utility vectors in R^d_+ (row-major flat).
+/// An immutable set of unit utility vectors in R^d_+, stored once,
+/// dimension-major: column i of columns() holds attribute i of every
+/// direction, the layout the common/simd.h kernels read.
 class UtilityNet {
  public:
   /// Largest net size a request may ask for or a delta may derive:
@@ -45,22 +47,28 @@ class UtilityNet {
   /// most 2*delta*d / (1 + delta*d).
   static double MhrErrorBound(double delta, int d);
 
-  size_t size() const { return m_; }
-  int dim() const { return d_; }
-  const double* vec(size_t j) const { return &vecs_[j * static_cast<size_t>(d_)]; }
+  size_t size() const { return cols_.rows(); }
+  int dim() const { return cols_.dim(); }
+  /// The directions, dimension-major (column i, row j = u_j[i]).
+  const simd::ColumnBlock& columns() const { return cols_; }
+
+  /// <u_j, p>: the products u_j[i] * p[i] summed for i = 0, 1, ... in order,
+  /// bit for bit Dot(u_j, p, dim()) (geom/vec.h).
+  double DotWith(size_t j, const double* p) const {
+    const double* const* cols = cols_.cols();
+    double s = 0.0;
+    for (int i = 0; i < dim(); ++i) s += cols[i][j] * p[i];
+    return s;
+  }
 
   /// max over the net of <u, v> — used by tests to verify net coverage of a
   /// direction u (compare against cos(delta)).
   double CoverageCos(const double* u) const;
 
  private:
-  UtilityNet(int d, size_t m) : d_(d), m_(m) {
-    vecs_.resize(m * static_cast<size_t>(d));
-  }
+  UtilityNet(int d, size_t m) : cols_(d) { cols_.ResizeRows(m); }
 
-  int d_;
-  size_t m_;
-  std::vector<double> vecs_;
+  simd::ColumnBlock cols_;
 };
 
 }  // namespace fairhms

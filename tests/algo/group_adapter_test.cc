@@ -1,10 +1,16 @@
 #include "algo/group_adapter.h"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "algo/baselines.h"
+#include "api/session.h"
+#include "api/solver.h"
 #include "common/random.h"
 #include "data/generators.h"
+#include "skyline/skyline.h"
 #include "testing/test_util.h"
 
 namespace fairhms {
@@ -82,6 +88,69 @@ TEST(GroupAdapterTest, SmallGroupSkylineWidenedToMembers) {
   ASSERT_TRUE(sol.ok()) << sol.status();
   EXPECT_EQ(sol->rows.size(), 4u);
   EXPECT_EQ(CountViolations(sol->rows, g, *bounds), 0);
+}
+
+TEST(GroupAdapterTest, ErasuresShrinkGroupSkylineBelowQuotaInSession) {
+  // Group 1 starts with a 3-row skyline (T0, T1, T2) over a dominated
+  // diagonal chain, and its quota is 3. Erasing T0, T2 and the chain's top
+  // two rows leaves a 2-row live skyline, so G-Greedy must widen group 1 to
+  // its live members, gathered after the erasures.
+  Rng rng(31);
+  std::vector<std::vector<double>> pts;
+  std::vector<int> group_of;
+  for (int i = 0; i < 30; ++i) {
+    pts.push_back({rng.Uniform(), rng.Uniform()});
+    group_of.push_back(i % 2 == 0 ? 0 : 2);
+  }
+  const int t0 = static_cast<int>(pts.size());
+  pts.push_back({0.95, 0.5});
+  pts.push_back({0.5, 0.95});
+  pts.push_back({0.8, 0.8});
+  const int chain = static_cast<int>(pts.size());
+  for (int i = 0; i < 11; ++i) {
+    const double t = 0.7 - 0.05 * i;
+    pts.push_back({t, t});
+  }
+  group_of.resize(pts.size(), 1);
+  Dataset data = MakeDataset(pts);
+  Grouping grouping = MakeGrouping(group_of, 3);
+
+  auto session = SolverSession::CreateDynamic(&data, &grouping);
+  ASSERT_TRUE(session.ok()) << session.status();
+  auto bounds = GroupBounds::Explicit(7, {2, 3, 2}, {2, 3, 2});
+  ASSERT_TRUE(bounds.ok());
+  SolverRequest request;
+  request.algorithm = "g_greedy";
+  request.threads = 1;
+  request.bounds = *bounds;
+  ASSERT_EQ(ComputeGroupSkylines(data, grouping)[1].size(), 3u);
+  ASSERT_TRUE(session->Solve(request).ok());  // Warm the cache first.
+
+  const std::vector<int> erased = {t0, t0 + 2, chain, chain + 1};
+  ASSERT_TRUE(session->Erase(erased).ok());
+  const std::vector<int> live_sky = ComputeGroupSkylines(data, grouping)[1];
+  ASSERT_EQ(live_sky.size(), 2u);
+
+  auto warm = session->Solve(request);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  SolverRequest cold_req = request;
+  cold_req.data = &data;
+  cold_req.grouping = &grouping;
+  auto cold = Solver::Solve(cold_req);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(warm->solution.rows, cold->solution.rows);
+  EXPECT_EQ(warm->solution.mhr, cold->solution.mhr);
+  EXPECT_EQ(warm->violations, 0);
+
+  int widened = 0;
+  for (int row : warm->solution.rows) {
+    EXPECT_TRUE(data.live(static_cast<size_t>(row))) << "erased row " << row;
+    if (grouping.group_of[static_cast<size_t>(row)] == 1 &&
+        !std::binary_search(live_sky.begin(), live_sky.end(), row)) {
+      ++widened;
+    }
+  }
+  EXPECT_GE(widened, 1) << "group 1 was not widened past its skyline";
 }
 
 TEST(GroupAdapterTest, MismatchedInputsRejected) {

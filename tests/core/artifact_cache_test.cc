@@ -61,31 +61,26 @@ TEST(ArtifactCacheTest, EveryKindMissesThenHitsAndCountsItsBytes) {
         GetOrComputeGroupSkylines(&cache, data, grouping);
     const auto pool = GetOrComputeFairPool(&cache, data, grouping);
     const auto counts = GetOrComputeGroupCounts(&cache, data, grouping);
-    const auto members = GetOrComputeGroupMembers(&cache, data, grouping);
 
     EXPECT_EQ(*skyline, ComputeSkyline(data));
     EXPECT_EQ(*group_skylines, ComputeGroupSkylines(data, grouping));
     EXPECT_EQ(*pool, ComputeFairCandidatePool(data, grouping));
     EXPECT_EQ(*counts, grouping.LiveCounts(data));
-    EXPECT_EQ(*members, grouping.MembersLive(data));
 
     const uint64_t hits = static_cast<uint64_t>(pass);
     const CacheStats stats = cache.stats();
     for (const CacheStats::Counter* c :
          {&stats.nets, &stats.evaluators, &stats.skylines,
-          &stats.group_skylines, &stats.pools}) {
+          &stats.group_skylines, &stats.pools, &stats.groups}) {
       EXPECT_EQ(c->misses, 1u);
       EXPECT_EQ(c->hits, hits);
     }
-    EXPECT_EQ(stats.groups.misses, 2u);  // Counts and members share it.
-    EXPECT_EQ(stats.groups.hits, 2 * hits);
     EXPECT_EQ(stats.nets.bytes, 64u * 3 * sizeof(double));
     EXPECT_EQ(stats.evaluators.bytes, eval->ResidentBytes());
     EXPECT_EQ(stats.skylines.bytes, ArtifactBytes(*skyline));
     EXPECT_EQ(stats.group_skylines.bytes, ArtifactBytes(*group_skylines));
     EXPECT_EQ(stats.pools.bytes, ArtifactBytes(*pool));
-    EXPECT_EQ(stats.groups.bytes,
-              ArtifactBytes(*counts) + ArtifactBytes(*members));
+    EXPECT_EQ(stats.groups.bytes, ArtifactBytes(*counts));
     EXPECT_EQ(stats.projections.misses + stats.projections.hits, 0u);
   }
 }
@@ -133,24 +128,19 @@ TEST(ArtifactCacheTest, MutationsPruneSupersededVersions) {
 
 TEST(ArtifactCacheTest, ProjectionReadsItsSourcesGroupTables) {
   // A 2-D projection has its source's rows, tombstones and version, so its
-  // group counts and members are the source's entries, not recomputed.
+  // group counts are the source's entry, not recomputed.
   Instance inst = MakeInstance();
   ASSERT_TRUE(inst.data.ErasePoints({3, 7}).ok());
   ArtifactCache cache;
   const auto counts = GetOrComputeGroupCounts(&cache, inst.data,
                                               inst.grouping);
-  const auto members = GetOrComputeGroupMembers(&cache, inst.data,
-                                                inst.grouping);
   const Dataset projection = inst.data.Project2D();
   EXPECT_EQ(GetOrComputeGroupCounts(&cache, projection, inst.grouping),
             counts);
-  EXPECT_EQ(GetOrComputeGroupMembers(&cache, projection, inst.grouping),
-            members);
   CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.groups.misses, 2u);
-  EXPECT_EQ(stats.groups.hits, 2u);
-  EXPECT_EQ(stats.groups.bytes,
-            ArtifactBytes(*counts) + ArtifactBytes(*members));
+  EXPECT_EQ(stats.groups.misses, 1u);
+  EXPECT_EQ(stats.groups.hits, 1u);
+  EXPECT_EQ(stats.groups.bytes, ArtifactBytes(*counts));
 
   // A mutation's counts replace the superseded version's.
   ASSERT_TRUE(inst.data.ErasePoints({11}).ok());
@@ -158,9 +148,8 @@ TEST(ArtifactCacheTest, ProjectionReadsItsSourcesGroupTables) {
                                              inst.grouping);
   EXPECT_EQ(*after, inst.grouping.LiveCounts(inst.data));
   stats = cache.stats();
-  EXPECT_EQ(stats.groups.misses, 3u);
-  EXPECT_EQ(stats.groups.bytes,
-            ArtifactBytes(*after) + ArtifactBytes(*members));
+  EXPECT_EQ(stats.groups.misses, 2u);
+  EXPECT_EQ(stats.groups.bytes, ArtifactBytes(*after));
 }
 
 TEST(ArtifactCacheTest, PutIsNeitherHitNorMissAndPrunesOldVersion) {
@@ -203,8 +192,10 @@ TEST(ArtifactCacheTest, NetHitLeavesRngWhereAFreshSampleWould) {
   const UtilityNet reference = UtilityNet::SampleRandom(4, 50, &fresh);
   EXPECT_EQ(again.StateKey(), fresh.StateKey());
   EXPECT_EQ(again.Next64(), fresh.Next64());
-  for (size_t j = 0; j < reference.size(); ++j) {
-    for (int i = 0; i < 4; ++i) EXPECT_EQ(hit->vec(j)[i], reference.vec(j)[i]);
+  for (int i = 0; i < 4; ++i) {
+    for (size_t j = 0; j < reference.size(); ++j) {
+      EXPECT_EQ(hit->columns().col(i)[j], reference.columns().col(i)[j]);
+    }
   }
 }
 
@@ -246,7 +237,7 @@ TEST(ArtifactCacheTest, ClearRefundsExactlyWhatTheArbiterWasCharged) {
   const auto net = GetOrSampleNet(&cache, 3, 32, &rng);
   const auto skyline = GetOrComputeSkyline(&cache, inst.data);
   (void)GetOrBuildEvaluator(&cache, inst.data, net, *skyline, *skyline, 1);
-  (void)GetOrComputeGroupMembers(&cache, inst.data, inst.grouping);
+  (void)GetOrComputeGroupCounts(&cache, inst.data, inst.grouping);
   cache.AccountProjection(/*hit=*/false, 4096);
   EXPECT_EQ(arbiter.total_bytes(), cache.stats().TotalBytes());
 

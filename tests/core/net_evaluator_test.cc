@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "data/generators.h"
+#include "geom/vec.h"
 #include "skyline/skyline.h"
 #include "testing/test_util.h"
 
@@ -357,6 +358,51 @@ TEST(NetEvaluatorTest, DenominatorUsesDbRowsOnly) {
   const NetEvaluator eval(&data, &net, {0});
   EXPECT_NEAR(eval.PointHappiness(2, 1), 1.0, 1e-12);  // Clamped.
   EXPECT_NEAR(eval.PointHappiness(2, 0), 1.0, 1e-12);
+}
+
+TEST(NetEvaluatorTest, ResidentBytesAreDenominatorsCellsAndSeedKeysOnly) {
+  Rng rng(21);
+  const Dataset data = GenAntiCorrelated(300, 4, &rng).NormalizedMinMax();
+  const std::vector<int> sky = ComputeSkyline(data);
+  const UtilityNet net = UtilityNet::SampleRandom(4, 500, &rng);
+  NetEvaluator eval(&data, &net, sky, 2);
+  // The kernels read the net's own block in place: no second copy.
+  EXPECT_EQ(&eval.net_columns(), &net.columns());
+  // Denominators only: no net copy, no packed or listed db rows.
+  const size_t denominators = net.size() * sizeof(double);
+  EXPECT_EQ(eval.ResidentBytes(), denominators);
+
+  ASSERT_GE(sky.size(), 40u);
+  const std::vector<int> cand(sky.begin(), sky.begin() + 40);
+  eval.CacheCandidates(cand);
+  eval.BuildSeedKeys();
+  ASSERT_TRUE(eval.has_seed_keys());
+  // Candidate cells plus the per-row offsets, then two seed keys per row.
+  const size_t cells = cand.size() * net.size() * sizeof(simd::Cell) +
+                       data.size() * sizeof(int64_t);
+  EXPECT_EQ(eval.CandidateCacheBytes(), cells);
+  EXPECT_EQ(eval.ResidentBytes(),
+            denominators + cells + 2 * cand.size() * sizeof(double));
+}
+
+TEST(NetEvaluatorTest, PointHappinessReadsTheColumnsLikeDot) {
+  // PointHappiness's score is Dot(u_j, p) bit for bit, read from the net's
+  // columns.
+  Rng rng(23);
+  const Dataset data = GenIndependent(50, 5, &rng);
+  const UtilityNet net = UtilityNet::SampleRandom(5, 120, &rng);
+  std::vector<int> all(50);
+  std::iota(all.begin(), all.end(), 0);
+  const NetEvaluator eval(&data, &net, all);
+  for (size_t j = 0; j < net.size(); ++j) {
+    double u[5];
+    for (int i = 0; i < 5; ++i) u[i] = net.columns().col(i)[j];
+    for (int row : all) {
+      const double s = Dot(u, data.point(static_cast<size_t>(row)), 5);
+      ASSERT_EQ(eval.PointHappiness(j, row), std::min(1.0, s / eval.best(j)))
+          << j << "," << row;
+    }
+  }
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "utility/utility_net.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,78 @@
 namespace fairhms {
 namespace {
 
+/// Direction j of `net`, gathered from its columns.
+std::vector<double> Direction(const UtilityNet& net, size_t j) {
+  std::vector<double> u(static_cast<size_t>(net.dim()));
+  for (int i = 0; i < net.dim(); ++i) {
+    u[static_cast<size_t>(i)] = net.columns().col(i)[j];
+  }
+  return u;
+}
+
 TEST(UtilityNetTest, RandomVectorsAreUnitAndNonnegative) {
   Rng rng(1);
   const UtilityNet net = UtilityNet::SampleRandom(5, 500, &rng);
   EXPECT_EQ(net.size(), 500u);
   EXPECT_EQ(net.dim(), 5);
+  EXPECT_EQ(net.columns().rows(), 500u);
+  EXPECT_EQ(net.columns().dim(), 5);
   for (size_t j = 0; j < net.size(); ++j) {
-    EXPECT_NEAR(NormL2(net.vec(j), 5), 1.0, 1e-9);
-    for (int i = 0; i < 5; ++i) EXPECT_GE(net.vec(j)[i], 0.0);
+    const std::vector<double> u = Direction(net, j);
+    EXPECT_NEAR(NormL2(u.data(), 5), 1.0, 1e-9);
+    for (int i = 0; i < 5; ++i) EXPECT_GE(u[static_cast<size_t>(i)], 0.0);
+  }
+}
+
+TEST(UtilityNetTest, SampleMatchesRowMajorReference) {
+  // The columns hold exactly the directions a row-major sampler writes:
+  // same Rng draws, same normalization, bit for bit.
+  Rng rng(11), ref(11);
+  const int d = 4;
+  const UtilityNet net = UtilityNet::SampleRandom(d, 300, &rng);
+  for (size_t j = 0; j < net.size(); ++j) {
+    double v[d];
+    double norm_sq = 0.0;
+    do {
+      norm_sq = 0.0;
+      for (int i = 0; i < d; ++i) {
+        v[i] = std::fabs(ref.Normal());
+        norm_sq += v[i] * v[i];
+      }
+    } while (norm_sq <= 1e-30);
+    const double inv = 1.0 / std::sqrt(norm_sq);
+    for (int i = 0; i < d; ++i) {
+      EXPECT_EQ(net.columns().col(i)[j], v[i] * inv) << j << "," << i;
+    }
+  }
+  EXPECT_EQ(rng.StateKey(), ref.StateKey());
+}
+
+TEST(UtilityNetTest, DotWithIsDotOverTheDirection) {
+  Rng rng(13);
+  const UtilityNet net = UtilityNet::SampleRandom(6, 200, &rng);
+  double p[6];
+  for (double& x : p) x = rng.Uniform();
+  for (size_t j = 0; j < net.size(); ++j) {
+    EXPECT_EQ(net.DotWith(j, p), Dot(Direction(net, j).data(), p, 6)) << j;
+  }
+}
+
+TEST(UtilityNetTest, ColumnsAreSizedOnceAndCopiesOwnTheirColumns) {
+  Rng rng(17);
+  const UtilityNet net = UtilityNet::SampleRandom(3, 100, &rng);
+  // One padded allocation per column, no doubling slack.
+  EXPECT_EQ(net.columns().padded_rows(), 104u);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(net.columns().cols()[i], net.columns().col(i));
+  }
+  const UtilityNet copy = net;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_NE(copy.columns().cols()[i], net.columns().cols()[i]);
+    EXPECT_EQ(copy.columns().cols()[i], copy.columns().col(i));
+    for (size_t j = 0; j < net.size(); ++j) {
+      EXPECT_EQ(copy.columns().col(i)[j], net.columns().col(i)[j]);
+    }
   }
 }
 
@@ -26,7 +91,7 @@ TEST(UtilityNetTest, DeterministicGivenSeed) {
   const UtilityNet n2 = UtilityNet::SampleRandom(3, 50, &b);
   for (size_t j = 0; j < 50; ++j) {
     for (int i = 0; i < 3; ++i) {
-      EXPECT_DOUBLE_EQ(n1.vec(j)[i], n2.vec(j)[i]);
+      EXPECT_DOUBLE_EQ(n1.columns().col(i)[j], n2.columns().col(i)[j]);
     }
   }
 }
@@ -34,12 +99,14 @@ TEST(UtilityNetTest, DeterministicGivenSeed) {
 TEST(UtilityNetTest, Grid2DEndpointsAreAxes) {
   const UtilityNet net = UtilityNet::Grid2D(11);
   EXPECT_EQ(net.size(), 11u);
-  EXPECT_NEAR(net.vec(0)[0], 0.0, 1e-12);  // theta=0 -> (0,1).
-  EXPECT_NEAR(net.vec(0)[1], 1.0, 1e-12);
-  EXPECT_NEAR(net.vec(10)[0], 1.0, 1e-12);  // theta=pi/2 -> (1,0).
-  EXPECT_NEAR(net.vec(10)[1], 0.0, 1e-12);
+  const double* x = net.columns().col(0);
+  const double* y = net.columns().col(1);
+  EXPECT_NEAR(x[0], 0.0, 1e-12);  // theta=0 -> (0,1).
+  EXPECT_NEAR(y[0], 1.0, 1e-12);
+  EXPECT_NEAR(x[10], 1.0, 1e-12);  // theta=pi/2 -> (1,0).
+  EXPECT_NEAR(y[10], 0.0, 1e-12);
   for (size_t j = 0; j < net.size(); ++j) {
-    EXPECT_NEAR(NormL2(net.vec(j), 2), 1.0, 1e-12);
+    EXPECT_NEAR(NormL2(Direction(net, j).data(), 2), 1.0, 1e-12);
   }
 }
 
