@@ -11,7 +11,7 @@
 //     rebuilt from scratch per query: the pre-dynamic serving story);
 //   * incremental — the same ops through one dynamic SolverSession, whose
 //     SkylineIndex maintains the skylines/pools/group counts per update
-//     and republishes them into the session cache (nets survive,
+//     and serves the session cache's misses on them (nets survive,
 //     evaluators rebuild lazily).
 //
 // Ops `update`, `query` and `update_query` (their sum) in passes `rebuild`

@@ -210,8 +210,8 @@ const Algo& ByName(const std::string& name) {
 }
 
 /// A throwaway session on (c.data, `grouping`) whose cache holds the case's
-/// skyline and `pool` as the fair pool, published as SolverSession::
-/// PublishIndexIfStale does: its solves build nets and evaluators cold.
+/// skyline and `pool` as the fair pool (stored with ArtifactCache::Put):
+/// its solves build nets and evaluators cold.
 SolverSession SeededSession(const DatasetCase& c, const Grouping& grouping,
                             const std::vector<int>& pool) {
   SolverSession session = SolverSession::Create(&c.data, &grouping).value();

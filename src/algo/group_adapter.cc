@@ -4,6 +4,7 @@
 #include <memory>
 #include <utility>
 
+#include "algo/algo_util.h"
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "core/artifact_cache.h"
@@ -16,26 +17,18 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
                               const Grouping& grouping,
                               const GroupBounds& bounds,
                               const GroupAdapterOptions& opts) {
-  if (grouping.group_of.size() != data.size()) {
-    return Status::InvalidArgument("grouping does not match dataset size");
-  }
-  if (bounds.num_groups() != grouping.num_groups) {
-    return Status::InvalidArgument("bounds/grouping group count mismatch");
-  }
   Stopwatch timer;
-  const std::vector<int> group_counts =
-      *GetOrComputeGroupCounts(opts.cache, data, grouping);
-  FAIRHMS_RETURN_IF_ERROR(bounds.Validate(group_counts, &grouping.names));
+  // The pool regrouped is each group's ascending skyline; the global
+  // skyline evaluates the union.
+  FAIRHMS_ASSIGN_OR_RETURN(const ProblemInput input,
+                           PrepareProblem(data, grouping, bounds, opts.cache));
 
   // Quotas proportional to group sizes, capped by what each group holds.
-  std::vector<double> weights(group_counts.begin(), group_counts.end());
-  FAIRHMS_ASSIGN_OR_RETURN(std::vector<int> quotas,
-                           AllocateQuotas(bounds, weights, group_counts));
-
-  // Group skylines are a pure function of (data, grouping); borrow the
-  // session's copy when a cache is attached.
-  const auto group_skylines =
-      GetOrComputeGroupSkylines(opts.cache, data, grouping);
+  std::vector<double> weights(input.group_counts.begin(),
+                              input.group_counts.end());
+  FAIRHMS_ASSIGN_OR_RETURN(
+      std::vector<int> quotas,
+      AllocateQuotas(bounds, weights, input.group_counts));
 
   Solution out;
   for (int c = 0; c < grouping.num_groups; ++c) {
@@ -45,7 +38,7 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
     // (gathered here, the only reader) when the skyline alone cannot fill
     // the quota.
     const std::vector<int>& skyline_c =
-        (*group_skylines)[static_cast<size_t>(c)];
+        input.pool_by_group[static_cast<size_t>(c)];
     auto sub = static_cast<int>(skyline_c.size()) >= kc
                    ? solver(data, skyline_c, kc)
                    : solver(data, grouping.MembersLive(data, c), kc);
@@ -61,8 +54,7 @@ StatusOr<Solution> GroupAdapt(const BaseSolver& solver,
   EvalOptions eval_opts;
   eval_opts.threads = opts.threads;
   eval_opts.cache = opts.cache;
-  out.mhr = EvaluateMhr(data, *GetOrComputeSkyline(opts.cache, data), out.rows,
-                        eval_opts);
+  out.mhr = EvaluateMhr(data, input.db_rows, out.rows, eval_opts);
   out.elapsed_ms = timer.ElapsedMillis();
   out.algorithm = "G-" + name;
   return out;

@@ -3,8 +3,9 @@
 // "G-" prefix: G-Greedy, G-DMM, G-Sphere, G-HS).
 //
 // Per-group budgets k_c are allocated within [l_c, h_c] proportionally to
-// group sizes (sum k_c = k), each instance runs on its group's skyline with
-// group-local happiness denominators, and the union is returned. The
+// group sizes (sum k_c = k), each instance runs on its group's skyline (its
+// share of the fair candidate pool) with group-local happiness
+// denominators, and the union is returned. The
 // adaptation inherits the paper's caveat: per-group selections are mutually
 // redundant, so the union's global MHR trails the native fair algorithms.
 //
@@ -42,9 +43,9 @@ struct GroupAdapterOptions {
   /// DefaultThreads(), 1 = exact serial path). The per-group solvers carry
   /// their own threads knobs.
   int threads = 0;
-  /// Cross-query memoization of group counts / skylines and the final
-  /// evaluation net (not owned; null = compute per call). Results are
-  /// bit-identical either way.
+  /// Cross-query memoization of group counts, the fair pool, the global
+  /// skyline and the final evaluation net (not owned; null = compute per
+  /// call). Results are bit-identical either way.
   ArtifactCache* cache = nullptr;
 };
 

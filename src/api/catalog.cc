@@ -42,10 +42,8 @@ DatasetCatalog::DatasetCatalog(Options opts)
     : arbiter_(opts.cache_budget_bytes) {}
 
 Status DatasetCatalog::Commit(const std::string& name, Entry entry) {
-  arbiter_.Register(entry.session->cache(), name,
-                    [session = entry.session.get()] {
-                      session->EvictLeastRecent();
-                    });
+  ArtifactCache* cache = entry.session->cache();
+  arbiter_.Register(cache, name, [cache] { cache->EvictLeastRecent(); });
   entries_.emplace(name, std::move(entry));
   ++version_;
   return Status::OK();

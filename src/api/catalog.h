@@ -12,11 +12,13 @@
 // Memory: the catalog runs one CacheArbiter (core/artifact_cache.h) over
 // every session's ArtifactCache. Each solve touches its session; Solve()
 // rebalances afterwards, evicting cache entries — the coldest session's
-// least recently used first (SolverSession::EvictLeastRecent) — until the
+// least recently used first (ArtifactCache::EvictLeastRecent) — until the
 // global total fits the budget again, so a budget smaller than the sum of
-// per-dataset working sets degrades to recomputation, never to failure.
-// Eviction may drop an entry another thread is solving against: that
-// solve holds its artifacts by shared_ptr and finishes unaffected.
+// per-dataset working sets degrades to recomputation, never to failure: a
+// dynamic session copies an evicted skyline, pool or group counts back out
+// of its SkylineIndex, everything else is rebuilt. Eviction may drop an
+// entry another thread is solving against: that solve holds its artifacts
+// by shared_ptr and finishes unaffected.
 //
 // Persistence: Save() serializes a session's full serving state through
 // data/snapshot.h (table + partition + insert-routing provenance +

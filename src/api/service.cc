@@ -195,10 +195,7 @@ Status ProtocolService::ExecutePerDataset(const Request& request,
     SolverSession* session = *session_or;
     // Serving marks this session hot; the global budget settles after the
     // op (MaybeRebalance), outside the dataset lock.
-    {
-      MutexLock arbiter_lock(&arbiter_mu_);
-      catalog_->arbiter()->Touch(session->cache());
-    }
+    catalog_->arbiter()->Touch(session->cache());
     switch (request.op) {
       case ProtocolOp::kQuery:
         status = ExecuteQuery(request.query, session, &response->query);
@@ -231,19 +228,17 @@ std::shared_ptr<SharedMutex> ProtocolService::LockFor(
 }
 
 void ProtocolService::MaybeRebalance(const std::string& route) {
-  {
-    MutexLock arbiter_lock(&arbiter_mu_);
-    const CacheArbiter* arbiter = catalog_->arbiter();
-    if (arbiter->budget_bytes() == 0 ||
-        arbiter->total_bytes() <= arbiter->budget_bytes()) {
-      return;
-    }
+  const CacheArbiter* arbiter = catalog_->arbiter();
+  if (arbiter->budget_bytes() == 0 ||
+      arbiter->total_bytes() <= arbiter->budget_bytes()) {
+    return;
   }
   // Eviction may drop entries other solves are reading — they hold their
   // artifacts by shared_ptr — so the shared catalog lock suffices; it keeps
-  // Register and Drop, which change the arbiter's sessions, out.
+  // Register and Drop, which change the arbiter's sessions, out. The
+  // arbiter locks each call itself: two rebalances racing here at worst
+  // evict one entry more than the budget needs.
   ReaderMutexLock catalog_lock(&catalog_mu_);
-  MutexLock arbiter_lock(&arbiter_mu_);
   auto session_or = catalog_->Session(route);
   catalog_->arbiter()->Rebalance(
       session_or.ok() ? (*session_or)->cache() : nullptr);
@@ -480,35 +475,24 @@ void ProtocolService::ExecuteStats(StatsResponse* out) {
     ds.cache_hits = cache.TotalHits();
     ds.cache_misses = cache.TotalMisses();
     ds.cache_bytes = cache.TotalBytes();
-    const std::pair<const char*, const CacheStats::Counter*> classes[] = {
-        {"nets", &cache.nets},
-        {"evaluators", &cache.evaluators},
-        {"skylines", &cache.skylines},
-        {"group_skylines", &cache.group_skylines},
-        {"pools", &cache.pools},
-        {"groups", &cache.groups},
-        {"projections", &cache.projections},
-    };
-    for (const auto& [cls_name, counter] : classes) {
+    for (const CacheClass& c : kCacheClasses) {
+      const CacheStats::Counter& counter = cache.*c.counter;
       StatsResponse::DatasetStats::CacheClassStats cls;
-      cls.name = cls_name;
-      cls.hits = counter->hits;
-      cls.misses = counter->misses;
-      cls.bytes = counter->bytes;
+      cls.name = c.name;
+      cls.hits = counter.hits;
+      cls.misses = counter.misses;
+      cls.bytes = counter.bytes;
       ds.cache_classes.push_back(std::move(cls));
     }
     out->datasets.push_back(std::move(ds));
   }
-  {
-    MutexLock arbiter_lock(&arbiter_mu_);
-    const CacheArbiter* arbiter = catalog_->arbiter();
-    out->cache_budget_bytes = arbiter->budget_bytes();
-    out->cache_total_bytes = arbiter->total_bytes();
-    out->cache_evictions = arbiter->evictions();
-    for (const CacheArbiter::LedgerEntry& entry : arbiter->Ledger()) {
-      out->cache_sessions.push_back(
-          {entry.name, entry.charged_bytes, entry.last_touch});
-    }
+  const CacheArbiter* arbiter = catalog_->arbiter();
+  out->cache_budget_bytes = arbiter->budget_bytes();
+  out->cache_total_bytes = arbiter->total_bytes();
+  out->cache_evictions = arbiter->evictions();
+  for (const CacheArbiter::LedgerEntry& entry : arbiter->Ledger()) {
+    out->cache_sessions.push_back(
+        {entry.name, entry.charged_bytes, entry.last_touch});
   }
   const OpMetrics::Snapshot metrics = metrics_.snapshot();
   out->served = metrics.served;

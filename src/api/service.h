@@ -19,11 +19,13 @@
 //     order through a fresh service reproduces the exact responses
 //     (queries commute under shared locks; mutations serialize), which is
 //     how the concurrent integration test checks linearizability.
-//   * CacheArbiter calls are serialized by arbiter_mu_; Rebalance — which
-//     may evict *other* sessions' entries — runs under the shared catalog
-//     lock, after the serving op released its dataset lock, and only when
-//     the global total exceeds the budget. Evicting next to in-flight
-//     solves is safe: they hold their cached artifacts by shared_ptr.
+//   * CacheArbiter calls take no service lock: the arbiter locks each call
+//     itself. Rebalance — which may evict *other* sessions' entries — runs
+//     under the shared catalog lock, after the serving op released its
+//     dataset lock, and only when the global total exceeds the budget; two
+//     racing rebalances at worst evict one entry more than needed.
+//     Evicting next to in-flight solves is safe: they hold their cached
+//     artifacts by shared_ptr.
 
 #ifndef FAIRHMS_API_SERVICE_H_
 #define FAIRHMS_API_SERVICE_H_
@@ -94,7 +96,7 @@ class ProtocolService {
   /// Settles the global cache budget after a per-dataset op, outside that
   /// op's locks; prefers keeping `route`'s cache when it must evict.
   void MaybeRebalance(const std::string& route)
-      FAIRHMS_EXCLUDES(catalog_mu_, arbiter_mu_);
+      FAIRHMS_EXCLUDES(catalog_mu_);
 
   /// The locked body of a per-dataset op: session lookup, arbiter Touch,
   /// dispatch, and the seq / catalog_version stamp — all while the caller
@@ -120,15 +122,12 @@ class ProtocolService {
   OpMetrics metrics_;
 
   // Lock order (docs/concurrency.md): catalog_mu_ -> locks_mu_, and
-  // catalog_mu_ -> (per-dataset lock) -> arbiter_mu_. locks_mu_ and
-  // arbiter_mu_ are leaves of their chains and never nest with each other.
-  SharedMutex catalog_mu_ FAIRHMS_ACQUIRED_BEFORE(locks_mu_, arbiter_mu_);
+  // catalog_mu_ -> (per-dataset lock). locks_mu_ is a leaf; the arbiter's
+  // and the caches' own locks come after any of these.
+  SharedMutex catalog_mu_ FAIRHMS_ACQUIRED_BEFORE(locks_mu_);
   Mutex locks_mu_;
   std::map<std::string, std::shared_ptr<SharedMutex>> dataset_locks_
       FAIRHMS_GUARDED_BY(locks_mu_);
-  /// Serializes the arbiter's Touch/Rebalance decision windows; the
-  /// CacheArbiter itself is internally locked.
-  Mutex arbiter_mu_;
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> failed_{0};

@@ -2,14 +2,12 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <optional>
 #include <utility>
 #include <variant>
 
 #include "common/stopwatch.h"
 #include "common/string_util.h"
 #include "plan/planner.h"
-#include "skyline/skyline.h"
 
 namespace fairhms {
 
@@ -163,7 +161,6 @@ StatusOr<SolverSession> SolverSession::CreateDynamic(
     FAIRHMS_ASSIGN_OR_RETURN(int col, data->FindCategorical(name));
     session.group_cols_.push_back(col);
   }
-  session.publish_mu_ = std::make_unique<Mutex>();
   // The combo table and SkylineIndex are built lazily on the first actual
   // mutation (EnsureDynamicState): an update-free dynamic session costs
   // exactly what a static one does.
@@ -196,11 +193,12 @@ StatusOr<SolverSession> SolverSession::RestoreDynamic(
           "combination table maps one combination to two groups");
     }
   }
-  // An adopted index replaces the lazy build entirely; the first query
-  // publishes its artifacts (the publish sentinels start stale). Without
-  // one, the seeded combination table simply gets revalidated and merged
-  // by the replay on the first mutation.
+  // An adopted index replaces the lazy build entirely: cache misses copy
+  // from it from the first query on. Without one, the seeded combination
+  // table simply gets revalidated and merged by the replay on the first
+  // mutation.
   session.index_ = std::move(index);
+  session.cache_->SetIndex(session.index_.get());
   return session;
 }
 
@@ -249,38 +247,11 @@ Status SolverSession::EnsureDynamicState() {
     }
   }
   index_ = std::make_unique<SkylineIndex>(data_, grouping_);
+  cache_->SetIndex(index_.get());
   return Status::OK();
 }
 
-void SolverSession::PublishIndexIfStale() {
-  // Nothing to publish before the first mutation builds the index; the
-  // cache computes (version-keyed) artifacts on miss just like a static
-  // session's.
-  if (!dynamic() || index_ == nullptr) return;
-  MutexLock lock(*publish_mu_);
-  if (published_data_version_ == data_->version() &&
-      published_grouping_version_ == grouping_->version) {
-    return;
-  }
-  using Kind = ArtifactCache::Kind;
-  const auto key = [this](Kind kind) {
-    return ArtifactCache::VersionedKey(kind, *data_, grouping_);
-  };
-  // The group skylines and the pool are fresh copies moved into the cache,
-  // which then holds their only resident copy.
-  std::vector<std::vector<int>> group_skylines = index_->group_skylines();
-  std::vector<int> pool = UnionOfGroupSkylines(group_skylines);
-  cache_->Put(ArtifactCache::VersionedKey(Kind::kSkyline, *data_),
-              index_->skyline());
-  cache_->Put(key(Kind::kGroupSkylines), std::move(group_skylines));
-  cache_->Put(key(Kind::kFairPool), std::move(pool));
-  cache_->Put(key(Kind::kGroupCounts), index_->live_counts());
-  published_data_version_ = data_->version();
-  published_grouping_version_ = grouping_->version;
-}
-
 std::vector<int> SolverSession::group_counts() {
-  PublishIndexIfStale();
   return *GetOrComputeGroupCounts(cache_.get(), *data_, *grouping_);
 }
 
@@ -415,10 +386,6 @@ StatusOr<SolverResult> SolverSession::Solve(const SolverRequest& request) {
         "request.grouping does not match the session's pinned grouping");
   }
 
-  // Mutations since the last query publish their incrementally maintained
-  // artifacts now, so the cache lookups below hit instead of recomputing.
-  PublishIndexIfStale();
-
   // Captured before the solve touches the cache: the cost model records
   // each observation under the warmth the solve actually started from.
   const bool cache_warm = cache_->stats().TotalBytes() > 0;
@@ -552,25 +519,6 @@ void SolverSession::ClearCache() {
   // The 2D projection stays: in-flight solves read it through raw
   // pointers, and the cache keeps its bytes charged.
   cache_->Clear();
-  ResetPublishSentinels();
-}
-
-void SolverSession::EvictLeastRecent() {
-  const std::optional<ArtifactCache::Kind> kind = cache_->EvictLeastRecent();
-  // Nets and evaluators are never published; everything else may be.
-  if (kind.has_value() && *kind != ArtifactCache::Kind::kNet &&
-      *kind != ArtifactCache::Kind::kEvaluator) {
-    ResetPublishSentinels();
-  }
-}
-
-void SolverSession::ResetPublishSentinels() {
-  if (publish_mu_ == nullptr) return;  // Static sessions never publish.
-  // The drop may have removed a published SkylineIndex artifact: the next
-  // query republishes instead of paying a cold recompute.
-  MutexLock lock(*publish_mu_);
-  published_data_version_ = ~uint64_t{0};
-  published_grouping_version_ = ~uint64_t{0};
 }
 
 }  // namespace fairhms

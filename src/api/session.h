@@ -30,18 +30,20 @@
 // queries: Insert appends a row (deriving its fairness group from pinned
 // categorical columns, or taking an explicit id), Erase tombstones rows.
 // A SkylineIndex keeps the global/per-group skylines, fair pool and live
-// group counts current incrementally and republishes them into the cache
-// under the new dataset version, so an update only dirties what it must:
+// group counts current incrementally, and the session's cache copies them
+// out of it on a miss under the new dataset version instead of recomputing
+// (ArtifactCache::SetIndex), so an update only dirties what it must:
 // utility nets survive untouched, evaluator precomputes rebuild lazily
-// when the skyline rows under them change, and the 2D projection extends
-// in place. The warm-equals-cold guarantee extends across mutations —
-// after any update a session query is bit-identical to a cold
+// when the skyline rows under them change, and the 2D projection is
+// rebuilt by the first exact-2D query after the update
+// (Dataset::Project2D). The warm-equals-cold guarantee extends across
+// mutations — after any update a session query is bit-identical to a cold
 // Solver::Solve against the mutated dataset.
 //
 // Solve is safe for concurrent callers once registration has finished, and
-// so are ClearCache and EvictLeastRecent: solves hold their cached
-// artifacts by shared_ptr, and the 2D projection they may read is never
-// dropped. Insert and Erase must not race in-flight solves.
+// so are ClearCache and the cache's EvictLeastRecent: solves hold their
+// cached artifacts by shared_ptr, and the 2D projection they may read is
+// never dropped. Insert and Erase must not race in-flight solves.
 
 #ifndef FAIRHMS_API_SESSION_H_
 #define FAIRHMS_API_SESSION_H_
@@ -177,13 +179,9 @@ class SolverSession {
 
   /// Drops every cached artifact (hit/miss history survives); the
   /// session-owned 2D projection stays. Safe next to in-flight solves.
+  /// Artifacts the SkylineIndex maintains are copied back out of it on
+  /// their next miss, not recomputed.
   void ClearCache();
-
-  /// Drops the cache's least recently used entry
-  /// (ArtifactCache::EvictLeastRecent); when it is one the SkylineIndex
-  /// publishes, the next query republishes instead of recomputing. The
-  /// catalog's budget eviction hook. Safe next to in-flight solves.
-  void EvictLeastRecent();
 
  private:
   SolverSession(const Dataset* data, const Grouping* grouping);
@@ -195,18 +193,8 @@ class SolverSession {
 
   /// Builds the dynamic machinery (combo table + SkylineIndex) on the
   /// first actual mutation, so update-free dynamic sessions cost exactly
-  /// what a static session does.
+  /// what a static session does, and attaches the index to the cache.
   Status EnsureDynamicState();
-
-  /// Pushes the SkylineIndex's artifacts into the cache under the current
-  /// versions, once per version (dynamic sessions that have mutated only;
-  /// no-op otherwise). Updates themselves stay O(skyline): a burst of
-  /// mutations publishes lazily on the next query.
-  void PublishIndexIfStale();
-
-  /// Marks the published artifacts stale after an eviction dropped some,
-  /// so the next PublishIndexIfStale puts them back.
-  void ResetPublishSentinels();
 
   /// Last compatible solve of a warm_startable algorithm, keyed by
   /// algorithm name. The hint is advisory (the algorithm re-validates),
@@ -239,12 +227,8 @@ class SolverSession {
   Grouping* mutable_grouping_ = nullptr;
   std::vector<int> group_cols_;  ///< Categorical column indices.
   std::map<std::vector<int>, int> combo_to_group_;
+  /// Attached to cache_ (ArtifactCache::SetIndex) once it exists.
   std::unique_ptr<SkylineIndex> index_;
-  std::unique_ptr<Mutex> publish_mu_;
-  uint64_t published_data_version_ FAIRHMS_GUARDED_BY(*publish_mu_) =
-      ~uint64_t{0};
-  uint64_t published_grouping_version_ FAIRHMS_GUARDED_BY(*publish_mu_) =
-      ~uint64_t{0};
 };
 
 namespace internal {

@@ -9,6 +9,7 @@
 
 #include "common/simd.h"
 #include "common/string_util.h"
+#include "skyline/incremental.h"
 #include "skyline/skyline.h"
 
 namespace fairhms {
@@ -23,66 +24,49 @@ std::string CounterLine(const char* name, const CacheStats::Counter& c) {
 }
 
 CacheStats::Counter CacheStats::*SlotOf(ArtifactCache::Kind kind) {
-  switch (kind) {
-    case ArtifactCache::Kind::kNet:
-      return &CacheStats::nets;
-    case ArtifactCache::Kind::kEvaluator:
-      return &CacheStats::evaluators;
-    case ArtifactCache::Kind::kSkyline:
-      return &CacheStats::skylines;
-    case ArtifactCache::Kind::kGroupSkylines:
-      return &CacheStats::group_skylines;
-    case ArtifactCache::Kind::kFairPool:
-      return &CacheStats::pools;
-    case ArtifactCache::Kind::kGroupCounts:
-      return &CacheStats::groups;
+  return kCacheClasses[static_cast<size_t>(kind)].counter;
+}
+static_assert(kCacheClasses[static_cast<size_t>(
+                                ArtifactCache::Kind::kGroupCounts)]
+                      .counter == &CacheStats::groups,
+              "kCacheClasses must list the Kinds first, in order");
+
+uint64_t Sum(const CacheStats& stats, uint64_t CacheStats::Counter::*field) {
+  uint64_t total = 0;
+  for (const CacheClass& c : kCacheClasses) {
+    total += (stats.*c.counter).*field;
   }
-  return &CacheStats::nets;  // Unreachable.
+  return total;
 }
 
 }  // namespace
 
 uint64_t CacheStats::TotalHits() const {
-  return nets.hits + evaluators.hits + skylines.hits + group_skylines.hits +
-         pools.hits + groups.hits + projections.hits;
+  return Sum(*this, &Counter::hits);
 }
 
 uint64_t CacheStats::TotalMisses() const {
-  return nets.misses + evaluators.misses + skylines.misses +
-         group_skylines.misses + pools.misses + groups.misses +
-         projections.misses;
+  return Sum(*this, &Counter::misses);
 }
 
 uint64_t CacheStats::TotalBytes() const {
-  return nets.bytes + evaluators.bytes + skylines.bytes +
-         group_skylines.bytes + pools.bytes + groups.bytes +
-         projections.bytes;
+  return Sum(*this, &Counter::bytes);
 }
 
 std::string CacheStats::ToString() const {
-  std::string out = CounterLine("nets", nets);
-  out += "; " + CounterLine("evaluators", evaluators);
-  out += "; " + CounterLine("skylines", skylines);
-  out += "; " + CounterLine("group_skylines", group_skylines);
-  out += "; " + CounterLine("pools", pools);
-  out += "; " + CounterLine("groups", groups);
-  out += "; " + CounterLine("projections", projections);
+  std::string out;
+  for (const CacheClass& c : kCacheClasses) {
+    out += CounterLine(c.name, this->*c.counter) + "; ";
+  }
   Counter total;
   total.hits = TotalHits();
   total.misses = TotalMisses();
   total.bytes = TotalBytes();
-  out += "; " + CounterLine("total", total);
-  return out;
+  return out + CounterLine("total", total);
 }
 
 uint64_t ArtifactBytes(const std::vector<int>& rows) {
   return rows.size() * sizeof(int);
-}
-
-uint64_t ArtifactBytes(const std::vector<std::vector<int>>& rows) {
-  uint64_t bytes = 0;
-  for (const auto& inner : rows) bytes += ArtifactBytes(inner);
-  return bytes;
 }
 
 uint64_t ArtifactBytes(const SampledNet& net) {
@@ -112,6 +96,23 @@ ArtifactCache::Key ArtifactCache::VersionedKey(Kind kind, const Dataset& data,
   // projection's lookups read the source's entries.
   return {kind, kind == Kind::kGroupCounts ? nullptr : &data, grouping,
           {version.first, version.second}, version};
+}
+
+void ArtifactCache::SetIndex(const SkylineIndex* index) {
+  MutexLock lock(&mu_);
+  index_ = index;
+}
+
+const SkylineIndex* ArtifactCache::IndexFor(const Key& key,
+                                            const Dataset& data) const {
+  MutexLock lock(&mu_);
+  const bool describes =
+      index_ != nullptr && index_->data() == &data &&
+      index_->data_version() == key.version.first &&
+      (key.grouping == nullptr ||
+       (index_->grouping() == key.grouping &&
+        index_->grouping_version() == key.version.second));
+  return describes ? index_ : nullptr;
 }
 
 void ArtifactCache::SetArbiter(CacheArbiter* arbiter) {
@@ -440,17 +441,23 @@ struct EvalWithNet {
 };
 
 /// GetOrBuild for the pure functions of (data, grouping), or `compute()`
-/// wrapped in a shared_ptr without a cache.
-template <class T, class Compute>
+/// wrapped in a shared_ptr without a cache. A miss reads `copy(index)`
+/// instead when the cache's SkylineIndex describes the key.
+template <class T, class Compute, class Copy>
 std::shared_ptr<const T> GetOrCompute(ArtifactCache* cache,
                                       ArtifactCache::Kind kind,
                                       const Dataset& data,
                                       const Grouping* grouping,
-                                      const Compute& compute) {
-  auto build = [&] { return std::make_shared<const T>(compute()); };
-  if (cache == nullptr) return build();
-  return cache->GetOrBuild<T>(
-      ArtifactCache::VersionedKey(kind, data, grouping), build);
+                                      const Compute& compute,
+                                      const Copy& copy) {
+  if (cache == nullptr) return std::make_shared<const T>(compute());
+  const ArtifactCache::Key key =
+      ArtifactCache::VersionedKey(kind, data, grouping);
+  return cache->GetOrBuild<T>(key, [&] {
+    const SkylineIndex* index = cache->IndexFor(key, data);
+    return std::make_shared<const T>(index != nullptr ? copy(*index)
+                                                      : compute());
+  });
 }
 
 }  // namespace
@@ -487,30 +494,26 @@ std::shared_ptr<const NetEvaluator> GetOrBuildEvaluator(
 
 std::shared_ptr<const std::vector<int>> GetOrComputeSkyline(
     ArtifactCache* cache, const Dataset& data) {
-  return GetOrCompute<std::vector<int>>(cache, ArtifactCache::Kind::kSkyline,
-                                        data, nullptr,
-                                        [&] { return ComputeSkyline(data); });
-}
-
-std::shared_ptr<const std::vector<std::vector<int>>> GetOrComputeGroupSkylines(
-    ArtifactCache* cache, const Dataset& data, const Grouping& grouping) {
-  return GetOrCompute<std::vector<std::vector<int>>>(
-      cache, ArtifactCache::Kind::kGroupSkylines, data, &grouping,
-      [&] { return ComputeGroupSkylines(data, grouping); });
+  return GetOrCompute<std::vector<int>>(
+      cache, ArtifactCache::Kind::kSkyline, data, nullptr,
+      [&] { return ComputeSkyline(data); },
+      [](const SkylineIndex& index) { return index.skyline(); });
 }
 
 std::shared_ptr<const std::vector<int>> GetOrComputeFairPool(
     ArtifactCache* cache, const Dataset& data, const Grouping& grouping) {
   return GetOrCompute<std::vector<int>>(
       cache, ArtifactCache::Kind::kFairPool, data, &grouping,
-      [&] { return ComputeFairCandidatePool(data, grouping); });
+      [&] { return ComputeFairCandidatePool(data, grouping); },
+      [](const SkylineIndex& index) { return index.fair_pool(); });
 }
 
 std::shared_ptr<const std::vector<int>> GetOrComputeGroupCounts(
     ArtifactCache* cache, const Dataset& data, const Grouping& grouping) {
   return GetOrCompute<std::vector<int>>(
       cache, ArtifactCache::Kind::kGroupCounts, data, &grouping,
-      [&] { return grouping.LiveCounts(data); });
+      [&] { return grouping.LiveCounts(data); },
+      [](const SkylineIndex& index) { return index.live_counts(); });
 }
 
 }  // namespace fairhms

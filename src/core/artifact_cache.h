@@ -1,7 +1,7 @@
 // ArtifactCache: cross-query memoization of the expensive, immutable
 // artifacts FairHMS solves keep rebuilding — sampled utility nets, the
-// NetEvaluator denominator/candidate precomputes, global and per-group
-// skylines, fair candidate pools and live group counts.
+// NetEvaluator denominator/candidate precomputes, global skylines, fair
+// candidate pools and live group counts.
 //
 // A SolverSession (api/session.h) owns one cache and pins it to a dataset +
 // grouping; algorithms reach it through SolveContext::cache (or their
@@ -23,16 +23,19 @@
 //     mutation (Dataset::AppendRows/ErasePoints, Grouping::AppendRow/AddGroup)
 //     makes the stale entries unreachable. Storing a fresh version prunes
 //     the superseded one, so a churning dataset does not accumulate dead
-//     artifacts. Group counts are *live* (erased rows excluded). No group
-//     member table is stored: G-* gathers a group's live members only when
-//     its skyline cannot fill its quota.
+//     artifacts. Group counts are *live* (erased rows excluded). The fair
+//     pool is the one per-group skyline artifact: it is the union of the
+//     group skylines, so regrouping it by group gives each group's skyline
+//     back (G-* does), and no group member table is stored either.
 //
-// Every kind lives in one keyed table behind one GetOrBuild / Put pair.
-// Dynamic sessions avoid even the one recompute per version: SkylineIndex
-// maintains these artifacts incrementally and publishes them via Put; nets
-// are version-free (they never read the dataset) and survive every
-// mutation, while evaluators are keyed by their exact row sets and simply
-// rebuild lazily when the skyline under them changes.
+// Every kind lives in one keyed table behind one GetOrBuild. Dynamic
+// sessions avoid even the one recompute per version: SkylineIndex
+// maintains the skyline, pool and counts incrementally, and once a session
+// attaches it (SetIndex) a miss on its table copies the artifact out of
+// the index instead of computing it; nets are version-free (they never
+// read the dataset) and survive every mutation, while evaluators are keyed
+// by their exact row sets and simply rebuild lazily when the skyline under
+// them changes.
 //
 // Lookups are safe for concurrent callers, and builds run outside the
 // cache lock. Artifacts are handed out as shared_ptrs, so Clear(), Put and
@@ -70,13 +73,12 @@ struct CacheStats {
     uint64_t misses = 0;
     uint64_t bytes = 0;  ///< Resident payload bytes of live entries.
   };
-  Counter nets;            ///< Sampled utility nets.
-  Counter evaluators;      ///< NetEvaluator denominator + candidate caches.
-  Counter skylines;        ///< Global skylines (one per projection key).
-  Counter group_skylines;  ///< Per-group skylines.
-  Counter pools;           ///< Fair candidate pools.
-  Counter groups;          ///< Live group counts.
-  Counter projections;     ///< Prepared 2D projections (session-owned).
+  Counter nets;         ///< Sampled utility nets.
+  Counter evaluators;   ///< NetEvaluator denominator + candidate caches.
+  Counter skylines;     ///< Global skylines (one per projection key).
+  Counter pools;        ///< Fair candidate pools (per-group skylines).
+  Counter groups;       ///< Live group counts.
+  Counter projections;  ///< Prepared 2D projections (session-owned).
 
   uint64_t TotalHits() const;
   uint64_t TotalMisses() const;
@@ -89,7 +91,27 @@ struct CacheStats {
   std::string ToString() const;
 };
 
+/// One artifact class of CacheStats: its report name and its counter.
+struct CacheClass {
+  const char* name;
+  CacheStats::Counter CacheStats::*counter;
+};
+
+/// Every CacheStats class in report order — the one list the totals,
+/// ToString, the stats op and the cache's per-Kind slots read. The first
+/// entries follow ArtifactCache::Kind (entry i counts Kind i); the
+/// session-owned projections come last and have no Kind.
+inline constexpr CacheClass kCacheClasses[] = {
+    {"nets", &CacheStats::nets},
+    {"evaluators", &CacheStats::evaluators},
+    {"skylines", &CacheStats::skylines},
+    {"pools", &CacheStats::pools},
+    {"groups", &CacheStats::groups},
+    {"projections", &CacheStats::projections},
+};
+
 class CacheArbiter;
+class SkylineIndex;  // skyline/incremental.h
 
 /// A sampled utility net plus the generator state right after sampling: a
 /// cache hit restores that state, so the caller's stream continues as if
@@ -102,19 +124,17 @@ struct SampledNet {
 /// Resident payload bytes of each artifact type the cache stores: the
 /// figures CacheStats reports and a CacheArbiter charges.
 uint64_t ArtifactBytes(const std::vector<int>& rows);
-uint64_t ArtifactBytes(const std::vector<std::vector<int>>& rows);
 uint64_t ArtifactBytes(const SampledNet& net);
 uint64_t ArtifactBytes(const NetEvaluator& evaluator);
 
 class ArtifactCache {
  public:
-  /// The artifact classes, each reporting into one CacheStats counter
-  /// (kGroupCounts into `groups`).
+  /// The artifact classes, each reporting into the CacheStats counter at
+  /// its position in kCacheClasses (kGroupCounts into `groups`).
   enum class Kind : uint8_t {
     kNet,
     kEvaluator,
     kSkyline,
-    kGroupSkylines,
     kFairPool,
     kGroupCounts,
   };
@@ -163,9 +183,10 @@ class ArtifactCache {
         }));
   }
 
-  /// Publishes an artifact maintained elsewhere (SkylineIndex) under `key`,
-  /// so the next lookup hits instead of recomputing. Counted as neither hit
-  /// nor miss; prunes older versions like a stored build.
+  /// Stores an artifact computed elsewhere under `key`, so the next lookup
+  /// hits instead of recomputing (bench_paper seeds each throwaway session
+  /// with its case's skyline and pool this way). Counted as neither hit nor
+  /// miss; prunes older versions like a stored build.
   template <class T>
   void Put(const Key& key, T value) FAIRHMS_EXCLUDES(mu_) {
     auto shared = std::make_shared<const T>(std::move(value));
@@ -189,7 +210,7 @@ class ArtifactCache {
 
   /// Drops every stored entry and refunds its bytes (hit/miss history
   /// survives). Safe next to in-flight solves: holders keep their
-  /// artifacts alive, and builds in flight still publish. The session-owned
+  /// artifacts alive, and builds in flight still store. The session-owned
   /// projection stays charged.
   void Clear() FAIRHMS_EXCLUDES(mu_);
 
@@ -198,6 +219,22 @@ class ArtifactCache {
   /// is stored. A pending build is never picked, and the session-owned
   /// projection is not an entry. Same safety as Clear().
   std::optional<Kind> EvictLeastRecent() FAIRHMS_EXCLUDES(mu_);
+
+  /// Attaches the SkylineIndex maintained over the pinned (data, grouping)
+  /// pair, or detaches with null. From then on a miss on that table's
+  /// skyline, fair pool or group counts copies the index's value (counted
+  /// as a miss like any build) as long as the index's data and grouping
+  /// versions equal the lookup key's; any other table — a 2-D projection,
+  /// say — computes as without an index. The index must outlive the cache
+  /// (or be detached first) and must not change while a lookup may read
+  /// it: mutations must not race lookups. SolverSession sets it once its
+  /// dynamic state exists.
+  void SetIndex(const SkylineIndex* index) FAIRHMS_EXCLUDES(mu_);
+
+  /// The attached index when it describes `data` (and the key's grouping)
+  /// at exactly the key's versions, else null.
+  const SkylineIndex* IndexFor(const Key& key, const Dataset& data) const
+      FAIRHMS_EXCLUDES(mu_);
 
   /// Attaches a process-wide arbiter: from now on every change to the
   /// resident byte total is charged/refunded there, in the order the cache
@@ -216,7 +253,7 @@ class ArtifactCache {
   std::shared_ptr<const void> GetOrBuildErased(
       const Key& key, const std::function<Entry()>& build)
       FAIRHMS_EXCLUDES(mu_);
-  /// Stores a built or published `entry` under `key` (waiters wake to it),
+  /// Stores a built or put `entry` under `key` (waiters wake to it),
   /// stamped key.version, and prunes older versions.
   void Store(const Key& key, Entry entry) FAIRHMS_EXCLUDES(mu_);
   /// Erases a stored entry, refunding its bytes into `*delta`.
@@ -231,6 +268,7 @@ class ArtifactCache {
   CondVar built_;  ///< Signalled whenever a pending entry is stored.
   CacheStats stats_ FAIRHMS_GUARDED_BY(mu_);
   CacheArbiter* arbiter_ FAIRHMS_GUARDED_BY(mu_) = nullptr;
+  const SkylineIndex* index_ FAIRHMS_GUARDED_BY(mu_) = nullptr;
   uint64_t use_seq_ FAIRHMS_GUARDED_BY(mu_) = 0;  ///< Recency clock.
   Table entries_ FAIRHMS_GUARDED_BY(mu_);
 };
@@ -241,8 +279,7 @@ class ArtifactCache {
 /// entries from cold caches — least-recently-Touched cache first, and
 /// within it least recently used entry first — through the eviction
 /// callback each cache registered with. One callback call drops one entry
-/// (typically SolverSession::EvictLeastRecent, which also resets the
-/// session's publish sentinels when a published artifact goes).
+/// (the catalog registers the cache's own EvictLeastRecent).
 ///
 /// Concurrency contract: OnBytesChanged is pure accounting and safe from
 /// any thread; caches call it under their own lock (lock order cache ->
@@ -340,12 +377,10 @@ std::shared_ptr<const NetEvaluator> GetOrBuildEvaluator(
     ArtifactCache* cache, const Dataset& data,
     std::shared_ptr<const UtilityNet> net, const std::vector<int>& db_rows,
     const std::vector<int>& cache_rows, int threads);
-/// ComputeSkyline(data).
+/// ComputeSkyline(data). This and the two below copy a miss out of the
+/// cache's attached SkylineIndex when it describes `data` (SetIndex).
 std::shared_ptr<const std::vector<int>> GetOrComputeSkyline(
     ArtifactCache* cache, const Dataset& data);
-/// ComputeGroupSkylines(data, grouping).
-std::shared_ptr<const std::vector<std::vector<int>>> GetOrComputeGroupSkylines(
-    ArtifactCache* cache, const Dataset& data, const Grouping& grouping);
 /// ComputeFairCandidatePool(data, grouping).
 std::shared_ptr<const std::vector<int>> GetOrComputeFairPool(
     ArtifactCache* cache, const Dataset& data, const Grouping& grouping);

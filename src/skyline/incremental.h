@@ -27,9 +27,10 @@
 // SkylineIndex maintains the global skyline, one skyline per group and the
 // live group counts for one (Dataset, Grouping) pair under
 // AppendRows/ErasePoints. It hands out the group skylines and the fair
-// candidate pool (their union) by value, for the session to move into
-// ArtifactCache, which then holds the only resident copy; it keeps no
-// member lists (G-* gathers a group's members only when it needs them).
+// candidate pool (their union) by value: a session's ArtifactCache copies
+// the skyline, pool and counts out of it on a miss (ArtifactCache::
+// SetIndex). It keeps no member lists (G-* gathers a group's members only
+// when it needs them).
 
 #ifndef FAIRHMS_SKYLINE_INCREMENTAL_H_
 #define FAIRHMS_SKYLINE_INCREMENTAL_H_
@@ -175,6 +176,9 @@ class SkylineIndex {
   /// Live rows per group, like Grouping::LiveCounts.
   const std::vector<int>& live_counts() const { return live_counts_; }
 
+  /// The (Dataset, Grouping) pair the index maintains.
+  const Dataset* data() const { return data_; }
+  const Grouping* grouping() const { return grouping_; }
   /// Dataset version the index reflects (== data->version() after every
   /// routed mutation).
   uint64_t data_version() const { return data_version_; }

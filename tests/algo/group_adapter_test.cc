@@ -153,6 +153,40 @@ TEST(GroupAdapterTest, ErasuresShrinkGroupSkylineBelowQuotaInSession) {
   EXPECT_GE(widened, 1) << "group 1 was not widened past its skyline";
 }
 
+TEST(GroupAdapterTest, SessionComputesGroupSkylinesOnceAcrossPoolReaders) {
+  // BiGreedy reads the fair pool; G-Greedy regroups the same pool into its
+  // group skylines, so a session computes them once and then hits.
+  Rng rng(41);
+  const Dataset data = GenAntiCorrelated(3000, 3, &rng).NormalizedMinMax();
+  const Grouping grouping = GroupBySumRank(data, 3);
+  auto session = SolverSession::Create(&data, &grouping);
+  ASSERT_TRUE(session.ok()) << session.status();
+  SolverRequest request;
+  request.threads = 1;
+  request.bounds = GroupBounds::Proportional(9, grouping.Counts(), 0.2);
+
+  request.algorithm = "bigreedy";
+  ASSERT_TRUE(session->Solve(request).ok());
+  CacheStats stats = session->cache_stats();
+  EXPECT_EQ(stats.pools.misses, 1u);
+  EXPECT_EQ(stats.pools.hits, 0u);
+
+  request.algorithm = "g_greedy";
+  auto warm = session->Solve(request);
+  ASSERT_TRUE(warm.ok()) << warm.status();
+  stats = session->cache_stats();
+  EXPECT_EQ(stats.pools.misses, 1u);
+  EXPECT_GE(stats.pools.hits, 1u);
+
+  SolverRequest cold_req = request;
+  cold_req.data = &data;
+  cold_req.grouping = &grouping;
+  auto cold = Solver::Solve(cold_req);
+  ASSERT_TRUE(cold.ok()) << cold.status();
+  EXPECT_EQ(warm->solution.rows, cold->solution.rows);
+  EXPECT_EQ(warm->solution.mhr, cold->solution.mhr);
+}
+
 TEST(GroupAdapterTest, MismatchedInputsRejected) {
   const Dataset data = MakeDataset({{1, 0}});
   const Grouping g = MakeGrouping({0, 0}, 1);

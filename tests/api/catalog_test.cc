@@ -5,7 +5,8 @@
 // every registered algorithm plus the maintained skyline state,
 // insert-routing provenance survives a restore even for combinations whose
 // rows were all erased, and budget eviction counts one eviction per
-// dropped entry and lets a dynamic session republish what it evicted.
+// dropped entry and lets a dynamic session copy what it evicted back out
+// of its skyline index.
 
 #include <cstdio>
 #include <string>
@@ -152,10 +153,10 @@ TEST(CatalogTest, EvictionsCountEntriesAndKeepTheProjection) {
 }
 
 TEST(CatalogTest, EvictedPublishedArtifactsAreRepublishedNotRecomputed) {
-  // After an insert, the SkylineIndex publishes the skyline, group
-  // skylines and pool into the cache. A one-byte budget evicts them after
-  // every solve; the eviction hook marks them stale, so each next query
-  // republishes them and hits, and no miss is ever counted for them.
+  // After an insert the session's SkylineIndex maintains the skyline, pool
+  // and group counts. A one-byte budget evicts them after every solve, so
+  // each next query misses them once and copies them back out of the index
+  // (ArtifactCache::SetIndex): answers stay equal to a quiet session's.
   Instance inst = MakeInstance(8);
   Instance copy = inst;
   DatasetCatalog catalog(DatasetCatalog::Options{/*cache_budget_bytes=*/1});
@@ -166,6 +167,7 @@ TEST(CatalogTest, EvictedPublishedArtifactsAreRepublishedNotRecomputed) {
   ASSERT_TRUE(reference.ok());
   ASSERT_TRUE(reference->Insert({0.97, 0.95, 0.99}, {}, 1).ok());
 
+  uint64_t solves = 0;
   for (int round = 0; round < 3; ++round) {
     for (const std::string algo : {"bigreedy", "g_greedy"}) {
       const SolverRequest request = MakeRequest(algo, 6, copy);
@@ -174,17 +176,14 @@ TEST(CatalogTest, EvictedPublishedArtifactsAreRepublishedNotRecomputed) {
       auto direct = reference->Solve(request);
       ASSERT_TRUE(direct.ok()) << direct.status().ToString();
       ExpectResultsEqual(*routed, *direct, algo);
+      ++solves;
       const CacheStats stats = session->cache_stats();
-      EXPECT_EQ(stats.skylines.misses, 0u) << algo << " round " << round;
-      EXPECT_EQ(stats.group_skylines.misses, 0u) << algo;
-      EXPECT_EQ(stats.pools.misses, 0u) << algo;
+      // One miss per solve: the previous rebalance evicted them.
+      EXPECT_EQ(stats.skylines.misses, solves) << algo << " round " << round;
+      EXPECT_EQ(stats.pools.misses, solves) << algo << " round " << round;
       EXPECT_EQ(stats.TotalBytes(), stats.projections.bytes);
     }
   }
-  const CacheStats stats = session->cache_stats();
-  EXPECT_GT(stats.skylines.hits, 0u);
-  EXPECT_GT(stats.group_skylines.hits, 0u);
-  EXPECT_GT(stats.pools.hits, 0u);
 }
 
 TEST(CatalogTest, SaveLoadPreservesSolveResultsForEveryAlgorithm) {

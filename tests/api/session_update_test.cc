@@ -2,8 +2,9 @@
 // query after any mix of inserts/deletes is bit-identical to a cold
 // Solver::Solve against the mutated dataset — for every registered
 // algorithm. Also covers the update API surface itself (group routing,
-// new-group creation, error paths) and the empty-group-after-deletes
-// regression end to end.
+// new-group creation, error paths), the empty-group-after-deletes
+// regression end to end, and cache misses that copy from the skyline index
+// only for the table it maintains.
 
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "data/generators.h"
 #include "data/grouping.h"
 #include "fairness/group_bounds.h"
+#include "skyline/skyline.h"
 
 namespace fairhms {
 namespace {
@@ -119,6 +121,68 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, SessionUpdateTest,
                            }
                            return name;
                          });
+
+TEST(SessionUpdateTest, ClearedCacheCopiesOnlyThePinnedTableFromTheIndex) {
+  Instance inst = MakeInstance(/*seed=*/505, /*n=*/400, /*dim=*/3);
+  auto session = SolverSession::CreateDynamic(&inst.data, &inst.grouping);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Rng rng(606);
+  Churn(&*session, &inst.data, &rng, /*inserts=*/12, /*deletes=*/9);
+  session->ClearCache();
+  const SkylineIndex* index = session->index();
+  ASSERT_NE(index, nullptr);
+  ArtifactCache* cache = session->cache();
+  const Dataset& data = inst.data;
+  const Grouping& grouping = inst.grouping;
+
+  // Each lookup misses (the cache was cleared) and reads the index.
+  const std::vector<int> skyline = *GetOrComputeSkyline(cache, data);
+  const std::vector<int> pool = *GetOrComputeFairPool(cache, data, grouping);
+  const std::vector<int> counts =
+      *GetOrComputeGroupCounts(cache, data, grouping);
+  EXPECT_EQ(skyline, index->skyline());
+  EXPECT_EQ(skyline, ComputeSkyline(data));
+  EXPECT_EQ(pool, index->fair_pool());
+  EXPECT_EQ(pool, ComputeFairCandidatePool(data, grouping));
+  EXPECT_EQ(counts, index->live_counts());
+  EXPECT_EQ(counts, grouping.LiveCounts(data));
+  CacheStats stats = session->cache_stats();
+  EXPECT_EQ(stats.skylines.misses, 1u);
+  EXPECT_EQ(stats.pools.misses, 1u);
+  EXPECT_EQ(stats.groups.misses, 1u);
+
+  // The 2-D projection shares the pinned table's version and tombstones,
+  // but the index does not describe it: its skyline and pool are computed.
+  const Dataset projection = data.Project2D();
+  ASSERT_EQ(projection.version(), data.version());
+  const std::vector<int> projected_skyline =
+      *GetOrComputeSkyline(cache, projection);
+  const std::vector<int> projected_pool =
+      *GetOrComputeFairPool(cache, projection, grouping);
+  EXPECT_EQ(projected_skyline, ComputeSkyline(projection));
+  EXPECT_EQ(projected_pool, ComputeFairCandidatePool(projection, grouping));
+  ASSERT_NE(projected_skyline, skyline);
+  ASSERT_NE(projected_pool, pool);
+  stats = session->cache_stats();
+  EXPECT_EQ(stats.skylines.misses, 2u);
+  EXPECT_EQ(stats.pools.misses, 2u);
+
+  // A query on the projection (intcov on 3-D data) stays a cold solve's.
+  SolverRequest request;
+  request.algorithm = "intcov";
+  request.threads = 1;
+  request.bounds = GroupBounds::Proportional(
+      8, grouping.LiveCounts(data), 0.2);
+  auto warm = session->Solve(request);
+  ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+  SolverRequest cold_req = request;
+  cold_req.data = &inst.data;
+  cold_req.grouping = &inst.grouping;
+  auto cold = Solver::Solve(cold_req);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  EXPECT_EQ(warm->solution.rows, cold->solution.rows);
+  EXPECT_EQ(warm->solution.mhr, cold->solution.mhr);
+}
 
 TEST(SessionUpdateTest, RegistryCoversUpdateSuite) {
   std::vector<std::string> expected(std::begin(kAlgorithms),

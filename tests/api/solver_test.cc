@@ -298,7 +298,7 @@ TEST(SolverTest, InfeasibleBoundsRejectedBeforeSolving) {
 
 TEST(SolverTest, FacadeMatchesDirectCall) {
   // The facade adds no solver logic of its own: every algorithm bench_paper
-  // runs, solved through a session whose cache already holds the published
+  // runs, solved through a session whose cache already holds the stored
   // skyline and fair pool, with the bench's seed (the entry point's Options
   // default), selects the same rows with the same mhr as the entry point
   // called directly with default Options.

@@ -1,14 +1,15 @@
 // DatasetCatalog::Solve from several threads under a one-byte cache budget:
 // every solve's post-solve rebalance evicts the other sessions' whole
 // caches while their solves are still running. Solves hold their cached
-// artifacts (skylines, group tables, nets, evaluators) by shared_ptr and
-// read the session-owned 2D projection, so an eviction must never free
-// anything an in-flight solve still reads — the AddressSanitizer leg turns
-// a violation into a heap-use-after-free report — and every answer must
-// equal the one a quiet catalog gives. A second case races two solves on
-// one dynamic session under a budget that evicts some of its entries after
-// every solve, while the other solve still reads them and republishes the
-// SkylineIndex artifacts the evictions drop.
+// artifacts (skylines, pools, group counts, nets, evaluators) by
+// shared_ptr and read the session-owned 2D projection, so an eviction must
+// never free anything an in-flight solve still reads — the AddressSanitizer
+// leg turns a violation into a heap-use-after-free report — and every
+// answer must equal the one a quiet catalog gives. A second case races two
+// solves on one dynamic session under a budget that evicts some of its
+// entries after every solve, while the other solve still reads them and
+// copies the skyline, pool and counts the evictions drop back out of the
+// session's SkylineIndex.
 
 #include <map>
 #include <string>
@@ -103,8 +104,8 @@ TEST(CatalogConcurrencyTest, EvictionMidSolveKeepsArtifactsAlive) {
   EXPECT_GT(catalog.arbiter()->evictions(), 0u);
 }
 
-/// One dynamic table with an insert behind it (so the SkylineIndex
-/// publishes into the cache), and its bigreedy / g_hs requests.
+/// One dynamic table with an insert behind it (so its cache misses copy
+/// from the SkylineIndex), and its bigreedy / g_hs requests.
 void RegisterMutatedTable(DatasetCatalog* catalog) {
   Rng rng(11);
   Dataset data = GenAntiCorrelated(1500, 4, &rng).NormalizedMinMax();

@@ -60,7 +60,7 @@ TEST(CacheArbiterConcurrencyTest, AccountingStaysConsistentUnderRaces) {
         Rng rng(static_cast<uint64_t>(t) * 1000 + i + 1);
         (void)GetOrSampleNet(mine, 3, 16 + static_cast<size_t>(t), &rng);
         (void)GetOrComputeSkyline(mine, data);
-        (void)GetOrComputeGroupSkylines(other, data, grouping);
+        (void)GetOrComputeGroupCounts(other, data, grouping);
         (void)GetOrComputeFairPool(other, data, grouping);
         mine->AccountProjection(i % 2 == 0, 64);
         arbiter.Touch(mine);

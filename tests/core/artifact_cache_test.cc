@@ -1,5 +1,6 @@
 // ArtifactCache as a unit: per-kind hit/miss/byte accounting, pruning of
-// superseded versions after dataset mutations, Put publishing, RNG
+// superseded versions after dataset mutations, Put storing, misses served
+// from an attached SkylineIndex only at its versions, RNG
 // fast-forward on net hits, evaluators that survive a mutation,
 // Clear() refunding exactly what a CacheArbiter was charged, per-entry
 // eviction least recently used first, and CacheArbiter::Rebalance
@@ -21,6 +22,7 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "data/grouping.h"
+#include "skyline/incremental.h"
 #include "skyline/skyline.h"
 
 namespace fairhms {
@@ -57,28 +59,24 @@ TEST(ArtifactCacheTest, EveryKindMissesThenHitsAndCountsItsBytes) {
     const auto eval = GetOrBuildEvaluator(&cache, data, net, FirstRows(50),
                                           FirstRows(20), 1);
     const auto skyline = GetOrComputeSkyline(&cache, data);
-    const auto group_skylines =
-        GetOrComputeGroupSkylines(&cache, data, grouping);
     const auto pool = GetOrComputeFairPool(&cache, data, grouping);
     const auto counts = GetOrComputeGroupCounts(&cache, data, grouping);
 
     EXPECT_EQ(*skyline, ComputeSkyline(data));
-    EXPECT_EQ(*group_skylines, ComputeGroupSkylines(data, grouping));
     EXPECT_EQ(*pool, ComputeFairCandidatePool(data, grouping));
     EXPECT_EQ(*counts, grouping.LiveCounts(data));
 
     const uint64_t hits = static_cast<uint64_t>(pass);
     const CacheStats stats = cache.stats();
     for (const CacheStats::Counter* c :
-         {&stats.nets, &stats.evaluators, &stats.skylines,
-          &stats.group_skylines, &stats.pools, &stats.groups}) {
+         {&stats.nets, &stats.evaluators, &stats.skylines, &stats.pools,
+          &stats.groups}) {
       EXPECT_EQ(c->misses, 1u);
       EXPECT_EQ(c->hits, hits);
     }
     EXPECT_EQ(stats.nets.bytes, 64u * 3 * sizeof(double));
     EXPECT_EQ(stats.evaluators.bytes, eval->ResidentBytes());
     EXPECT_EQ(stats.skylines.bytes, ArtifactBytes(*skyline));
-    EXPECT_EQ(stats.group_skylines.bytes, ArtifactBytes(*group_skylines));
     EXPECT_EQ(stats.pools.bytes, ArtifactBytes(*pool));
     EXPECT_EQ(stats.groups.bytes, ArtifactBytes(*counts));
     EXPECT_EQ(stats.projections.misses + stats.projections.hits, 0u);
@@ -176,6 +174,41 @@ TEST(ArtifactCacheTest, PutIsNeitherHitNorMissAndPrunesOldVersion) {
   cache.Put(ArtifactCache::VersionedKey(Kind::kSkyline, inst.data),
             published);
   EXPECT_EQ(cache.stats().skylines.bytes, ArtifactBytes(published));
+}
+
+TEST(ArtifactCacheTest, IndexServesItsTableOnlyAtItsVersions) {
+  Instance inst = MakeInstance();
+  Dataset& data = inst.data;
+  Grouping& grouping = inst.grouping;
+  SkylineIndex index(&data, &grouping);
+  ArtifactCache cache;
+  cache.SetIndex(&index);
+  EXPECT_EQ(*GetOrComputeSkyline(&cache, data), index.skyline());
+  EXPECT_EQ(*GetOrComputeFairPool(&cache, data, grouping), index.fair_pool());
+  EXPECT_EQ(cache.stats().skylines.misses, 1u);
+
+  // A mutation the index has not seen: the versions differ, so the miss
+  // computes from the table instead of copying the stale index.
+  ASSERT_TRUE(data.AppendRows({{1.0, 1.0, 1.0}}, {{}}).ok());
+  grouping.AppendRow(0);
+  const std::vector<int> stale = index.skyline();
+  const std::vector<int> skyline = *GetOrComputeSkyline(&cache, data);
+  EXPECT_EQ(skyline, ComputeSkyline(data));
+  EXPECT_NE(skyline, stale);
+  EXPECT_EQ(*GetOrComputeFairPool(&cache, data, grouping),
+            ComputeFairCandidatePool(data, grouping));
+
+  // Routed, the index describes the table again and serves the next
+  // version's misses.
+  ASSERT_TRUE(index.OnAppend(data.size() - 1, data.size()).ok());
+  ASSERT_TRUE(data.ErasePoints({static_cast<int>(data.size()) - 1}).ok());
+  ASSERT_TRUE(index.OnErase({static_cast<int>(data.size()) - 1}).ok());
+  EXPECT_EQ(*GetOrComputeGroupCounts(&cache, data, grouping),
+            grouping.LiveCounts(data));
+  EXPECT_EQ(*GetOrComputeSkyline(&cache, data), index.skyline());
+  EXPECT_EQ(index.skyline(), ComputeSkyline(data));
+
+  cache.SetIndex(nullptr);
 }
 
 TEST(ArtifactCacheTest, NetHitLeavesRngWhereAFreshSampleWould) {
