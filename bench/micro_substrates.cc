@@ -6,6 +6,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/random.h"
@@ -33,6 +34,40 @@ void BM_SimplexWitnessLp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexWitnessLp)->Args({2, 10})->Args({6, 10})->Args({6, 40})
     ->Args({9, 20});
+
+// A G-Greedy pick's witness sweep: 200 witnesses against |S| rows, serial.
+// All points lie on the positive unit sphere, so none is weakly dominated
+// and every witness solves its LP; one call amortizes the call overhead
+// that dominates BM_SimplexWitnessLp. Items are LPs.
+void BM_SimplexWitnessSweep(benchmark::State& state) {
+  const int d = static_cast<int>(state.range(0));
+  const int s_size = static_cast<int>(state.range(1));
+  constexpr int kWitnesses = 200;
+  Rng rng(1);
+  Dataset data(d);
+  std::vector<double> p(static_cast<size_t>(d));
+  for (int i = 0; i < kWitnesses + s_size; ++i) {
+    double norm = 0.0;
+    for (double& v : p) {
+      v = std::fabs(rng.Normal()) + 1e-3;
+      norm += v * v;
+    }
+    for (double& v : p) v /= std::sqrt(norm);
+    data.AddPoint(p);
+  }
+  std::vector<int> witnesses(kWitnesses);
+  std::iota(witnesses.begin(), witnesses.end(), 0);
+  std::vector<int> solution(static_cast<size_t>(s_size));
+  std::iota(solution.begin(), solution.end(), kWitnesses);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        AllWitnessRegretsLp(data, witnesses, solution, /*threads=*/1));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          kWitnesses);
+}
+BENCHMARK(BM_SimplexWitnessSweep)->Args({2, 3})->Args({2, 12})
+    ->Args({6, 10});
 
 void BM_Skyline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -20,16 +20,27 @@ struct WitnessLpResult {
   std::vector<double> utility;  ///< Maximizing utility (size d), if optimal.
 };
 
-/// Solves the witness LP for `w` against S, or returns a non-optimal result
-/// when the witness is skippable (member of S, weakly dominated, or
-/// non-positive). `sol_block` is S packed dimension-major (the weak-
-/// dominance skip runs on the SIMD kernel layer; a member of S weakly
-/// dominates itself, so the membership check is subsumed). Pure function of
-/// its arguments — safe to run per-witness in parallel.
+/// One lane's witness-LP workspace: the problem each of the lane's witnesses
+/// is solved in (Reset per witness, so after the first the LP path
+/// allocates nothing) and the constraint row being assembled.
+struct WitnessLane {
+  explicit WitnessLane(int d)
+      : lp(d + 1), row(static_cast<size_t>(d + 1), 0.0) {}
+  LpProblem lp;
+  std::vector<double> row;
+};
+
+/// Solves the witness LP for `w` against S in `lane`, or returns a
+/// non-optimal result when the witness is skippable (member of S, weakly
+/// dominated, or non-positive). `sol_block` is S packed dimension-major (the
+/// weak-dominance skip runs on the SIMD kernel layer; a member of S weakly
+/// dominates itself, so the membership check is subsumed). The result
+/// depends on the arguments only, never on what the lane solved before, so
+/// lanes may run in parallel as long as each has its own.
 WitnessLpResult SolveWitnessLp(const Dataset& data, int w,
                                const std::vector<int>& solution,
                                const simd::ColumnBlock& sol_block,
-                               bool want_utility) {
+                               WitnessLane* lane, bool want_utility) {
   WitnessLpResult out;
   const int d = data.dim();
   const double* pw = data.point(static_cast<size_t>(w));
@@ -42,28 +53,33 @@ WitnessLpResult SolveWitnessLp(const Dataset& data, int w,
   if (SumCoords(pw, static_cast<size_t>(d)) <= 0.0) return out;
 
   // Variables: u[0..d-1], x. Maximize x.
-  LpProblem lp(d + 1);
-  std::vector<double> obj(static_cast<size_t>(d + 1), 0.0);
-  obj[static_cast<size_t>(d)] = 1.0;
-  lp.SetObjective(obj);
+  LpProblem& lp = lane->lp;
+  double* row = lane->row.data();
+  lp.Reset(d + 1);
+  std::fill(row, row + d, 0.0);
+  row[d] = 1.0;
+  lp.SetObjective(row);
 
-  std::vector<double> row(static_cast<size_t>(d + 1), 0.0);
-  for (int j = 0; j < d; ++j) row[static_cast<size_t>(j)] = pw[j];
-  row[static_cast<size_t>(d)] = 0.0;
+  for (int j = 0; j < d; ++j) row[j] = pw[j];
+  row[d] = 0.0;
   lp.AddConstraint(row, RelOp::kEq, 1.0);  // <u, w> = 1.
 
   for (int s : solution) {
     const double* ps = data.point(static_cast<size_t>(s));
-    for (int j = 0; j < d; ++j) row[static_cast<size_t>(j)] = ps[j];
-    row[static_cast<size_t>(d)] = 1.0;
+    for (int j = 0; j < d; ++j) row[j] = ps[j];
+    row[d] = 1.0;
     lp.AddConstraint(row, RelOp::kLe, 1.0);  // <u, s> + x <= 1.
   }
 
-  const LpResult res = lp.Solve();
+  LpResult res =
+      lp.Solve(want_utility ? LpOutput::kPrimal : LpOutput::kObjective);
   if (res.status != LpStatus::kOptimal) return out;
   out.optimal = true;
   out.objective = res.objective;
-  if (want_utility) out.utility.assign(res.x.begin(), res.x.begin() + d);
+  if (want_utility) {
+    out.utility = std::move(res.x);
+    out.utility.resize(static_cast<size_t>(d));
+  }
   return out;
 }
 
@@ -111,9 +127,10 @@ RegretWitness MaxRegretWitnessLp(const Dataset& data,
   const simd::ColumnBlock sol_block = data.PackColumns(solution);
   std::vector<WitnessLpResult> results(db_rows.size());
   ParallelFor(threads, db_rows.size(), [&](size_t begin, size_t end) {
+    WitnessLane lane(d);
     for (size_t i = begin; i < end; ++i) {
       results[i] = SolveWitnessLp(data, db_rows[i], solution, sol_block,
-                                  /*want_utility=*/false);
+                                  &lane, /*want_utility=*/false);
     }
   });
   for (size_t i = 0; i < db_rows.size(); ++i) {
@@ -123,7 +140,8 @@ RegretWitness MaxRegretWitnessLp(const Dataset& data,
     }
   }
   if (best.row >= 0) {
-    best.utility = SolveWitnessLp(data, best.row, solution, sol_block,
+    WitnessLane lane(d);
+    best.utility = SolveWitnessLp(data, best.row, solution, sol_block, &lane,
                                   /*want_utility=*/true)
                        .utility;
   }
@@ -148,9 +166,11 @@ std::vector<double> AllWitnessRegretsLp(const Dataset& data,
   }
   const simd::ColumnBlock sol_block = data.PackColumns(solution);
   ParallelFor(threads, witnesses.size(), [&](size_t begin, size_t end) {
+    WitnessLane lane(data.dim());
     for (size_t i = begin; i < end; ++i) {
-      const WitnessLpResult res = SolveWitnessLp(
-          data, witnesses[i], solution, sol_block, /*want_utility=*/false);
+      const WitnessLpResult res =
+          SolveWitnessLp(data, witnesses[i], solution, sol_block, &lane,
+                         /*want_utility=*/false);
       if (res.optimal) regrets[i] = std::clamp(res.objective, 0.0, 1.0);
     }
   });

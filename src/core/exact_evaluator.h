@@ -38,9 +38,13 @@ struct RegretWitness {
 /// of S or weakly dominated by a member of S are skipped (regret 0).
 ///
 /// The witness LPs are independent and fan out over `threads` lanes
-/// (0 = DefaultThreads(), 1 = exact serial path); the winning witness is
-/// picked by a serial first-maximum scan, so the result is bit-identical
-/// for every thread count.
+/// (0 = DefaultThreads(), 1 = exact serial path). Each lane (one
+/// ParallelFor chunk) owns one LpProblem and Resets it per witness, so
+/// after its first witness a lane solves without allocating; a witness's
+/// LP depends only on the witness and S, never on what its lane solved
+/// before. Only the winner's re-solve asks for the primal solution. The
+/// winning witness is picked by a serial first-maximum scan, so the result
+/// is bit-identical for every thread count.
 RegretWitness MaxRegretWitnessLp(const Dataset& data,
                                  const std::vector<int>& db_rows,
                                  const std::vector<int>& solution,

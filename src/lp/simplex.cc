@@ -11,13 +11,12 @@ namespace {
 
 constexpr double kEps = 1e-9;
 
-/// Dense simplex tableau with an explicit basis. Columns are
-/// [structural | slack/surplus | artificial | rhs].
+/// Dense simplex tableau with an explicit basis, over storage the caller
+/// owns. Columns are [structural | slack/surplus | artificial | rhs].
 class Tableau {
  public:
-  Tableau(int rows, int cols) : rows_(rows), cols_(cols),
-                                a_(static_cast<size_t>(rows) * cols, 0.0),
-                                basis_(rows, -1) {}
+  Tableau(int rows, int cols, double* a, int* basis)
+      : rows_(rows), cols_(cols), a_(a), basis_(basis) {}
 
   double& At(int r, int c) { return a_[static_cast<size_t>(r) * cols_ + c]; }
   double At(int r, int c) const {
@@ -26,8 +25,8 @@ class Tableau {
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
-  int basis(int r) const { return basis_[static_cast<size_t>(r)]; }
-  void set_basis(int r, int col) { basis_[static_cast<size_t>(r)] = col; }
+  int basis(int r) const { return basis_[r]; }
+  void set_basis(int r, int col) { basis_[r] = col; }
 
   /// Gauss-Jordan pivot on (pr, pc).
   void Pivot(int pr, int pc) {
@@ -46,22 +45,23 @@ class Tableau {
       for (int c = 0; c < cols_; ++c) At(r, c) -= factor * At(pr, c);
       At(r, pc) = 0.0;  // Exact.
     }
-    basis_[static_cast<size_t>(pr)] = pc;
+    basis_[pr] = pc;
   }
 
  private:
   int rows_;
   int cols_;
-  std::vector<double> a_;
-  std::vector<int> basis_;
+  double* a_;
+  int* basis_;
 };
 
 /// One simplex phase: maximize obj over the tableau's feasible basis.
-/// `allowed_cols` marks columns eligible to enter. Returns the phase status.
-LpStatus RunPhase(Tableau* t, std::vector<double>* obj, double* obj_value,
-                  const std::vector<bool>& allowed_cols, int max_iterations) {
+/// `obj` holds one reduced cost per non-rhs column; `allowed_cols` marks
+/// columns eligible to enter. Returns the phase status.
+LpStatus RunPhase(Tableau* t, double* obj, double* obj_value,
+                  const char* allowed_cols, int max_iterations) {
   const int m = t->rows();
-  const int ncols = static_cast<int>(obj->size());  // Excludes rhs column.
+  const int ncols = t->cols() - 1;  // Excludes rhs column.
   const int rhs_col = t->cols() - 1;
 
   int stall_count = 0;
@@ -77,8 +77,8 @@ LpStatus RunPhase(Tableau* t, std::vector<double>* obj, double* obj_value,
     int enter = -1;
     double best = kEps;
     for (int j = 0; j < ncols; ++j) {
-      if (!allowed_cols[static_cast<size_t>(j)]) continue;
-      const double rc = (*obj)[static_cast<size_t>(j)];
+      if (!allowed_cols[j]) continue;
+      const double rc = obj[j];
       if (rc > kEps) {
         if (use_bland) { enter = j; break; }
         if (rc > best) { best = rc; enter = j; }
@@ -106,12 +106,10 @@ LpStatus RunPhase(Tableau* t, std::vector<double>* obj, double* obj_value,
     t->Pivot(leave, enter);
 
     // Price out the objective row against the new pivot row.
-    const double factor = (*obj)[static_cast<size_t>(enter)];
-    for (int c = 0; c < ncols; ++c) {
-      (*obj)[static_cast<size_t>(c)] -= factor * t->At(leave, c);
-    }
+    const double factor = obj[enter];
+    for (int c = 0; c < ncols; ++c) obj[c] -= factor * t->At(leave, c);
     *obj_value += factor * t->At(leave, rhs_col);
-    (*obj)[static_cast<size_t>(enter)] = 0.0;
+    obj[enter] = 0.0;
 
     if (*obj_value <= last_obj + kEps) {
       ++stall_count;
@@ -121,6 +119,31 @@ LpStatus RunPhase(Tableau* t, std::vector<double>* obj, double* obj_value,
     }
   }
   return LpStatus::kIterationLimit;
+}
+
+/// Prices the objective row `obj` out against every basic column whose
+/// objective coefficient is nonzero, accumulating the basic solution's
+/// objective into *obj_value.
+void PriceOutBasis(Tableau* t, double* obj, double* obj_value) {
+  const int total = t->cols() - 1;
+  for (int r = 0; r < t->rows(); ++r) {
+    const int b = t->basis(r);
+    if (b < total && obj[b] != 0.0) {
+      const double f = obj[b];
+      for (int c = 0; c < total; ++c) obj[c] -= f * t->At(r, c);
+      *obj_value += f * t->At(r, total);
+      obj[b] = 0.0;
+    }
+  }
+}
+
+/// The relation a row keeps once Solve has negated it to a nonnegative rhs.
+RelOp NormalizedOp(RelOp op, double rhs) {
+  if (rhs < 0) {
+    if (op == RelOp::kLe) return RelOp::kGe;
+    if (op == RelOp::kGe) return RelOp::kLe;
+  }
+  return op;
 }
 
 }  // namespace
@@ -135,57 +158,75 @@ const char* LpStatusToString(LpStatus s) {
   return "Unknown";
 }
 
-LpProblem::LpProblem(int num_vars) : num_vars_(num_vars) {
+LpProblem::LpProblem(int num_vars) { Reset(num_vars); }
+
+void LpProblem::Reset(int num_vars) {
   assert(num_vars > 0);
+  num_vars_ = num_vars;
   objective_.assign(static_cast<size_t>(num_vars), 0.0);
+  coeffs_.clear();
+  ops_.clear();
+  rhs_.clear();
 }
 
-void LpProblem::SetObjective(std::vector<double> c) {
+void LpProblem::SetObjective(const std::vector<double>& c) {
   assert(static_cast<int>(c.size()) == num_vars_);
-  objective_ = std::move(c);
+  SetObjective(c.data());
 }
 
-void LpProblem::AddConstraint(std::vector<double> coeffs, RelOp op,
+void LpProblem::SetObjective(const double* c) {
+  std::copy(c, c + num_vars_, objective_.begin());
+}
+
+void LpProblem::AddConstraint(const std::vector<double>& coeffs, RelOp op,
                               double rhs) {
   assert(static_cast<int>(coeffs.size()) == num_vars_);
-  rows_.push_back({std::move(coeffs), op, rhs});
+  AddConstraint(coeffs.data(), op, rhs);
 }
 
-LpResult LpProblem::Solve(int max_iterations) const {
-  const int m = static_cast<int>(rows_.size());
+void LpProblem::AddConstraint(const double* coeffs, RelOp op, double rhs) {
+  coeffs_.insert(coeffs_.end(), coeffs, coeffs + num_vars_);
+  ops_.push_back(op);
+  rhs_.push_back(rhs);
+}
+
+LpResult LpProblem::Solve(LpOutput output, int max_iterations) {
+  const int m = num_constraints();
   const int n = num_vars_;
 
-  // Normalize rows to nonnegative rhs.
-  std::vector<Row> rows = rows_;
-  for (Row& r : rows) {
-    if (r.rhs < 0) {
-      for (double& c : r.coeffs) c = -c;
-      r.rhs = -r.rhs;
-      if (r.op == RelOp::kLe) r.op = RelOp::kGe;
-      else if (r.op == RelOp::kGe) r.op = RelOp::kLe;
-    }
-  }
-
-  // Count auxiliary columns.
+  // Count auxiliary columns of the rows normalized to nonnegative rhs.
   int num_slack = 0;
   int num_artificial = 0;
-  for (const Row& r : rows) {
-    if (r.op != RelOp::kEq) ++num_slack;
-    if (r.op != RelOp::kLe) ++num_artificial;
+  for (int r = 0; r < m; ++r) {
+    const RelOp op = NormalizedOp(ops_[static_cast<size_t>(r)],
+                                  rhs_[static_cast<size_t>(r)]);
+    if (op != RelOp::kEq) ++num_slack;
+    if (op != RelOp::kLe) ++num_artificial;
   }
 
   const int total = n + num_slack + num_artificial;
-  Tableau t(m, total + 1);  // +1 rhs column.
   const int rhs_col = total;
+  tableau_.assign(static_cast<size_t>(m) * static_cast<size_t>(total + 1),
+                  0.0);
+  basis_.assign(static_cast<size_t>(m), -1);
+  Tableau t(m, total + 1, tableau_.data(), basis_.data());
 
+  // Each row enters the tableau negated when its rhs is negative, so every
+  // rhs is nonnegative.
   int slack_at = n;
   int art_at = n + num_slack;
-  std::vector<int> artificial_cols;
+  artificial_cols_.clear();
   for (int r = 0; r < m; ++r) {
-    const Row& row = rows[static_cast<size_t>(r)];
-    for (int j = 0; j < n; ++j) t.At(r, j) = row.coeffs[static_cast<size_t>(j)];
-    t.At(r, rhs_col) = row.rhs;
-    switch (row.op) {
+    const double* coeffs = coeffs_.data() + static_cast<size_t>(r) * n;
+    const double rhs = rhs_[static_cast<size_t>(r)];
+    if (rhs < 0) {
+      for (int j = 0; j < n; ++j) t.At(r, j) = -coeffs[j];
+      t.At(r, rhs_col) = -rhs;
+    } else {
+      for (int j = 0; j < n; ++j) t.At(r, j) = coeffs[j];
+      t.At(r, rhs_col) = rhs;
+    }
+    switch (NormalizedOp(ops_[static_cast<size_t>(r)], rhs)) {
       case RelOp::kLe:
         t.At(r, slack_at) = 1.0;
         t.set_basis(r, slack_at);
@@ -196,13 +237,13 @@ LpResult LpProblem::Solve(int max_iterations) const {
         ++slack_at;
         t.At(r, art_at) = 1.0;
         t.set_basis(r, art_at);
-        artificial_cols.push_back(art_at);
+        artificial_cols_.push_back(art_at);
         ++art_at;
         break;
       case RelOp::kEq:
         t.At(r, art_at) = 1.0;
         t.set_basis(r, art_at);
-        artificial_cols.push_back(art_at);
+        artificial_cols_.push_back(art_at);
         ++art_at;
         break;
     }
@@ -212,21 +253,15 @@ LpResult LpProblem::Solve(int max_iterations) const {
 
   // ---- Phase 1: drive artificials to zero (maximize -sum artificials). ----
   if (num_artificial > 0) {
-    std::vector<double> obj(static_cast<size_t>(total), 0.0);
-    for (int c : artificial_cols) obj[static_cast<size_t>(c)] = -1.0;
+    obj_row_.assign(static_cast<size_t>(total), 0.0);
+    double* obj = obj_row_.data();
+    for (int c : artificial_cols_) obj[c] = -1.0;
     // Price out initial basis (artificials are basic with coefficient -1).
     double obj_value = 0.0;
-    for (int r = 0; r < m; ++r) {
-      const int b = t.basis(r);
-      if (obj[static_cast<size_t>(b)] != 0.0) {
-        const double f = obj[static_cast<size_t>(b)];
-        for (int c = 0; c < total; ++c) obj[static_cast<size_t>(c)] -= f * t.At(r, c);
-        obj_value += f * t.At(r, rhs_col);
-        obj[static_cast<size_t>(b)] = 0.0;
-      }
-    }
-    std::vector<bool> allowed(static_cast<size_t>(total), true);
-    const LpStatus st = RunPhase(&t, &obj, &obj_value, allowed, max_iterations);
+    PriceOutBasis(&t, obj, &obj_value);
+    allowed_.assign(static_cast<size_t>(total), 1);
+    const LpStatus st =
+        RunPhase(&t, obj, &obj_value, allowed_.data(), max_iterations);
     if (st == LpStatus::kIterationLimit) {
       result.status = st;
       return result;
@@ -251,29 +286,25 @@ LpResult LpProblem::Solve(int max_iterations) const {
   }
 
   // ---- Phase 2: original objective, artificial columns frozen. ----
-  std::vector<double> obj(static_cast<size_t>(total), 0.0);
-  for (int j = 0; j < n; ++j) obj[static_cast<size_t>(j)] = objective_[static_cast<size_t>(j)];
+  obj_row_.assign(static_cast<size_t>(total), 0.0);
+  double* obj = obj_row_.data();
+  std::copy(objective_.begin(), objective_.end(), obj);
   double obj_value = 0.0;
-  for (int r = 0; r < m; ++r) {
-    const int b = t.basis(r);
-    if (b < total && obj[static_cast<size_t>(b)] != 0.0) {
-      const double f = obj[static_cast<size_t>(b)];
-      for (int c = 0; c < total; ++c) obj[static_cast<size_t>(c)] -= f * t.At(r, c);
-      obj_value += f * t.At(r, rhs_col);
-      obj[static_cast<size_t>(b)] = 0.0;
-    }
-  }
-  std::vector<bool> allowed(static_cast<size_t>(total), true);
-  for (int c : artificial_cols) allowed[static_cast<size_t>(c)] = false;
-  const LpStatus st = RunPhase(&t, &obj, &obj_value, allowed, max_iterations);
+  PriceOutBasis(&t, obj, &obj_value);
+  allowed_.assign(static_cast<size_t>(total), 1);
+  for (int c : artificial_cols_) allowed_[static_cast<size_t>(c)] = 0;
+  const LpStatus st =
+      RunPhase(&t, obj, &obj_value, allowed_.data(), max_iterations);
   result.status = st;
   if (st != LpStatus::kOptimal) return result;
 
-  result.x.assign(static_cast<size_t>(n), 0.0);
-  for (int r = 0; r < m; ++r) {
-    const int b = t.basis(r);
-    if (b >= 0 && b < n) {
-      result.x[static_cast<size_t>(b)] = t.At(r, rhs_col);
+  if (output == LpOutput::kPrimal) {
+    result.x.assign(static_cast<size_t>(n), 0.0);
+    for (int r = 0; r < m; ++r) {
+      const int b = t.basis(r);
+      if (b >= 0 && b < n) {
+        result.x[static_cast<size_t>(b)] = t.At(r, rhs_col);
+      }
     }
   }
   result.objective = obj_value;

@@ -1,5 +1,8 @@
 #include "core/exact_evaluator.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -7,6 +10,8 @@
 #include "common/random.h"
 #include "core/net_evaluator.h"
 #include "data/generators.h"
+#include "geom/dominance.h"
+#include "lp/simplex.h"
 #include "skyline/skyline.h"
 #include "testing/test_util.h"
 
@@ -163,6 +168,123 @@ TEST(AllWitnessRegretsTest, EmptySolutionAllOnes) {
   const Dataset data = MakeDataset({{1, 0}, {0, 1}});
   const auto regrets = AllWitnessRegretsLp(data, {0, 1}, {});
   EXPECT_EQ(regrets, (std::vector<double>{1.0, 1.0}));
+}
+
+
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+/// The witness LP of `w` against S built the way every witness was built
+/// before lanes reused one problem: a fresh LpProblem through the vector
+/// API. Non-optimal when w is weakly dominated by S or non-positive.
+LpResult FreshWitnessLp(const Dataset& data, int w,
+                        const std::vector<int>& solution) {
+  const int d = data.dim();
+  const double* pw = data.point(static_cast<size_t>(w));
+  LpResult skipped;
+  skipped.status = LpStatus::kInfeasible;
+  for (int s : solution) {
+    if (WeaklyDominates(data.point(static_cast<size_t>(s)), pw,
+                        static_cast<size_t>(d))) {
+      return skipped;
+    }
+  }
+  double sum = 0.0;
+  for (int j = 0; j < d; ++j) sum += pw[j];
+  if (sum <= 0.0) return skipped;
+  LpProblem lp(d + 1);
+  std::vector<double> obj(static_cast<size_t>(d + 1), 0.0);
+  obj[static_cast<size_t>(d)] = 1.0;
+  lp.SetObjective(obj);
+  std::vector<double> row(pw, pw + d);
+  row.push_back(0.0);
+  lp.AddConstraint(row, RelOp::kEq, 1.0);
+  for (int s : solution) {
+    const double* ps = data.point(static_cast<size_t>(s));
+    row.assign(ps, ps + d);
+    row.push_back(1.0);
+    lp.AddConstraint(row, RelOp::kLe, 1.0);
+  }
+  return lp.Solve();
+}
+
+/// Data with duplicated rows: `base` plus a copy of every third row.
+Dataset WithDuplicates(const Dataset& base) {
+  Dataset data(base.dim());
+  for (size_t i = 0; i < base.size(); ++i) {
+    data.AddPoint(std::vector<double>(base.point(i),
+                                      base.point(i) + base.dim()));
+  }
+  for (size_t i = 0; i < base.size(); i += 3) {
+    data.AddPoint(std::vector<double>(base.point(i),
+                                      base.point(i) + base.dim()));
+  }
+  return data;
+}
+
+// The witness sweeps, whose lanes Reset one LpProblem per witness, equal bit
+// for bit a fresh problem per witness: the regrets, the winning row and the
+// utility of its re-solve, at 1 and 4 threads.
+TEST(WitnessLaneTest, SweepsMatchFreshProblemPerWitness) {
+  Rng rng(61);
+  int compared = 0;
+  for (int anticorrelated = 0; anticorrelated < 2; ++anticorrelated) {
+    for (int d : {2, 3, 6}) {
+      const Dataset base = anticorrelated ? GenAntiCorrelated(90, d, &rng)
+                                          : GenIndependent(90, d, &rng);
+      const Dataset data = WithDuplicates(base);
+      // Witnesses: the skyline, duplicated rows and dominated rows.
+      std::vector<int> witnesses = ComputeSkyline(data);
+      for (int i = 0; i < static_cast<int>(data.size()); i += 4) {
+        witnesses.push_back(i);
+      }
+      for (size_t s_size : {1u, 5u, 20u}) {
+        std::vector<int> solution;
+        for (size_t i = 0; i < s_size; ++i) {
+          solution.push_back(witnesses[(i * 7) % witnesses.size()]);
+        }
+        std::vector<double> want_regrets(witnesses.size(), 0.0);
+        int want_row = -1;
+        double want_regret = 0.0;
+        std::vector<double> want_utility;
+        for (size_t i = 0; i < witnesses.size(); ++i) {
+          const LpResult res = FreshWitnessLp(data, witnesses[i], solution);
+          if (res.status != LpStatus::kOptimal) continue;
+          want_regrets[i] = std::clamp(res.objective, 0.0, 1.0);
+          if (res.objective > want_regret) {
+            want_regret = res.objective;
+            want_row = witnesses[i];
+            want_utility.assign(res.x.begin(), res.x.begin() + d);
+          }
+        }
+        want_regret = std::clamp(want_regret, 0.0, 1.0);
+        for (int threads : {1, 4}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "anticorrelated " << anticorrelated << " d " << d
+                       << " |S| " << s_size << " threads " << threads);
+          const std::vector<double> regrets =
+              AllWitnessRegretsLp(data, witnesses, solution, threads);
+          ASSERT_EQ(regrets.size(), want_regrets.size());
+          for (size_t i = 0; i < regrets.size(); ++i) {
+            ASSERT_EQ(Bits(regrets[i]), Bits(want_regrets[i])) << "i " << i;
+          }
+          const RegretWitness w =
+              MaxRegretWitnessLp(data, witnesses, solution, threads);
+          ASSERT_EQ(w.row, want_row);
+          ASSERT_EQ(Bits(w.regret), Bits(want_regret));
+          ASSERT_EQ(w.utility.size(), want_utility.size());
+          for (size_t j = 0; j < want_utility.size(); ++j) {
+            ASSERT_EQ(Bits(w.utility[j]), Bits(want_utility[j])) << "u" << j;
+          }
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 36);
 }
 
 }  // namespace

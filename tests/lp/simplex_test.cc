@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -180,6 +182,137 @@ TEST(SimplexTest, StatusToString) {
   EXPECT_STREQ(LpStatusToString(LpStatus::kInfeasible), "Infeasible");
   EXPECT_STREQ(LpStatusToString(LpStatus::kUnbounded), "Unbounded");
   EXPECT_STREQ(LpStatusToString(LpStatus::kIterationLimit), "IterationLimit");
+}
+
+
+uint64_t Bits(double v) {
+  uint64_t u;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+/// One LP of a reuse sequence, kept in plain vectors.
+struct LpSpec {
+  int n = 1;
+  std::vector<double> c;
+  std::vector<std::vector<double>> rows;
+  std::vector<RelOp> ops;
+  std::vector<double> rhs;
+};
+
+/// Random LPs on a 0.1 grid (so ties and degenerate vertices are common):
+/// 1..6 variables, 0..7 rows of every relation, rhs of both signs (a
+/// negative rhs flips its row), zero coefficients included.
+LpSpec RandomSpec(Rng* rng) {
+  auto grid = [&](double lo, double hi) {
+    return std::round(rng->Uniform(lo, hi) * 10) / 10;
+  };
+  LpSpec spec;
+  spec.n = 1 + static_cast<int>(rng->UniformInt(6));
+  const int m = static_cast<int>(rng->UniformInt(8));
+  for (int j = 0; j < spec.n; ++j) {
+    spec.c.push_back(rng->Bernoulli(0.2) ? 0.0 : grid(-2, 2));
+  }
+  for (int i = 0; i < m; ++i) {
+    std::vector<double> a;
+    for (int j = 0; j < spec.n; ++j) {
+      a.push_back(rng->Bernoulli(0.3) ? 0.0 : grid(-1, 2));
+    }
+    spec.rows.push_back(a);
+    const int op = static_cast<int>(rng->UniformInt(3));
+    spec.ops.push_back(op == 0 ? RelOp::kLe : op == 1 ? RelOp::kGe
+                                                      : RelOp::kEq);
+    spec.rhs.push_back(grid(-2, 3));
+  }
+  return spec;
+}
+
+/// Loads `spec` into `lp` (already sized for spec.n), alternating the
+/// vector and the pointer constraint APIs.
+void Load(const LpSpec& spec, LpProblem* lp) {
+  lp->SetObjective(spec.c);
+  for (size_t i = 0; i < spec.rows.size(); ++i) {
+    if (i % 2 == 0) {
+      lp->AddConstraint(spec.rows[i], spec.ops[i], spec.rhs[i]);
+    } else {
+      lp->AddConstraint(spec.rows[i].data(), spec.ops[i], spec.rhs[i]);
+    }
+  }
+}
+
+// One problem Reset across a sequence of LPs returns, for each, the status,
+// objective bits and x bits of a fresh problem. Sizes go up and down so a
+// stale row, op, rhs or workspace cell would show.
+TEST(SimplexTest, ResetReuseMatchesFreshProblem) {
+  Rng rng(77);
+  std::vector<LpSpec> specs;
+  // Fixed cases first: degenerate (duplicate and scaled rows through one
+  // vertex), negative rhs, infeasible, unbounded.
+  {
+    LpSpec degenerate;
+    degenerate.n = 3;
+    degenerate.c = {10, 1, 0};
+    degenerate.rows = {{1, 0, 0}, {1, 0, 0}, {2, 0, 0}, {20, 1, 0},
+                       {200, 20, 1}};
+    degenerate.ops = {RelOp::kLe, RelOp::kLe, RelOp::kLe, RelOp::kLe,
+                      RelOp::kLe};
+    degenerate.rhs = {1, 1, 2, 100, 10000};
+    specs.push_back(degenerate);
+    LpSpec flipped;
+    flipped.n = 1;
+    flipped.c = {-1};
+    flipped.rows = {{-1}};
+    flipped.ops = {RelOp::kLe};
+    flipped.rhs = {-2};
+    specs.push_back(flipped);
+    LpSpec infeasible;
+    infeasible.n = 2;
+    infeasible.c = {1, 0};
+    infeasible.rows = {{1, 1}, {1, 1}};
+    infeasible.ops = {RelOp::kEq, RelOp::kEq};
+    infeasible.rhs = {1, 2};
+    specs.push_back(infeasible);
+    LpSpec unbounded;
+    unbounded.n = 2;
+    unbounded.c = {1, 0};
+    unbounded.rows = {{0, 1}};
+    unbounded.ops = {RelOp::kLe};
+    unbounded.rhs = {1};
+    specs.push_back(unbounded);
+  }
+  for (int i = 0; i < 3000; ++i) specs.push_back(RandomSpec(&rng));
+
+  LpProblem reused(1);
+  int seen[4] = {0, 0, 0, 0};
+  for (size_t k = 0; k < specs.size(); ++k) {
+    const LpSpec& spec = specs[k];
+    LpProblem fresh(spec.n);
+    Load(spec, &fresh);
+    const LpResult want = fresh.Solve();
+
+    reused.Reset(spec.n);
+    Load(spec, &reused);
+    ASSERT_EQ(reused.num_vars(), spec.n);
+    ASSERT_EQ(reused.num_constraints(), static_cast<int>(spec.rows.size()));
+    const LpResult got = reused.Solve();
+    ASSERT_EQ(want.status, got.status) << "lp " << k;
+    ASSERT_EQ(Bits(want.objective), Bits(got.objective)) << "lp " << k;
+    ASSERT_EQ(want.x.size(), got.x.size()) << "lp " << k;
+    for (size_t j = 0; j < want.x.size(); ++j) {
+      ASSERT_EQ(Bits(want.x[j]), Bits(got.x[j])) << "lp " << k << " x" << j;
+    }
+    // The objective-only solve of the same problem agrees and leaves x empty.
+    const LpResult objective_only = reused.Solve(LpOutput::kObjective);
+    ASSERT_EQ(want.status, objective_only.status) << "lp " << k;
+    ASSERT_EQ(Bits(want.objective), Bits(objective_only.objective))
+        << "lp " << k;
+    ASSERT_TRUE(objective_only.x.empty()) << "lp " << k;
+    ++seen[static_cast<int>(got.status)];
+  }
+  // The sequence exercises every terminal state but the iteration limit.
+  EXPECT_GT(seen[static_cast<int>(LpStatus::kOptimal)], 300);
+  EXPECT_GT(seen[static_cast<int>(LpStatus::kInfeasible)], 300);
+  EXPECT_GT(seen[static_cast<int>(LpStatus::kUnbounded)], 300);
 }
 
 }  // namespace
