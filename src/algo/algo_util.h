@@ -53,6 +53,40 @@ Status PadSolution(const ProblemInput& input, std::vector<int>* solution);
 void FillBySum(const Dataset& data, std::vector<int> candidates, size_t size,
                std::vector<int>* rows);
 
+/// Greedy set cover of the directions in `uncovered`: up to `k` times,
+/// picks the candidate in [0, num_candidates) that `covers` the most
+/// still-uncovered directions (the first such candidate on ties), until
+/// none is left uncovered. Returns the picked candidates in pick order, or
+/// empty when some direction stays uncovered. `covers(candidate,
+/// direction)` is a template parameter so the inner test stays inlined.
+template <class Covers>
+std::vector<int> GreedyCover(size_t num_candidates, std::vector<int> uncovered,
+                             int k, const Covers& covers) {
+  std::vector<int> picked;
+  while (!uncovered.empty() && static_cast<int>(picked.size()) < k) {
+    size_t best = 0;
+    size_t best_cnt = 0;
+    for (size_t i = 0; i < num_candidates; ++i) {
+      size_t cnt = 0;
+      for (int j : uncovered) {
+        if (covers(i, j)) ++cnt;
+      }
+      if (cnt > best_cnt) {
+        best_cnt = cnt;
+        best = i;
+      }
+    }
+    if (best_cnt == 0) return {};  // Some direction is unreachable.
+    picked.push_back(static_cast<int>(best));
+    size_t w = 0;
+    for (int j : uncovered) {
+      if (!covers(best, j)) uncovered[w++] = j;
+    }
+    uncovered.resize(w);
+  }
+  return uncovered.empty() ? picked : std::vector<int>{};
+}
+
 /// Removes duplicate rows, preserving first occurrence order.
 void DedupRows(std::vector<int>* rows);
 

@@ -139,35 +139,15 @@ StatusOr<std::vector<int>> DmmRows(const Dataset& data,
 
   // Greedy set cover at threshold tau; returns rows or empty when > k sets
   // are needed.
-  std::vector<int> uncovered;
+  std::vector<int> all_dirs(m);
+  std::iota(all_dirs.begin(), all_dirs.end(), 0);
   auto cover_at = [&](float tau) -> std::vector<int> {
-    uncovered.resize(m);
-    std::iota(uncovered.begin(), uncovered.end(), 0);
-    std::vector<int> picked;
-    while (!uncovered.empty() && static_cast<int>(picked.size()) < k) {
-      size_t best_i = 0;
-      size_t best_cnt = 0;
-      for (size_t i = 0; i < n; ++i) {
-        const float* hrow = &happiness[i * m];
-        size_t cnt = 0;
-        for (int j : uncovered) {
-          if (hrow[static_cast<size_t>(j)] >= tau) ++cnt;
-        }
-        if (cnt > best_cnt) {
-          best_cnt = cnt;
-          best_i = i;
-        }
-      }
-      if (best_cnt == 0) return {};  // Some direction unreachable at tau.
-      picked.push_back(rows[best_i]);
-      const float* hrow = &happiness[best_i * m];
-      size_t w = 0;
-      for (int j : uncovered) {
-        if (hrow[static_cast<size_t>(j)] < tau) uncovered[w++] = j;
-      }
-      uncovered.resize(w);
-    }
-    return uncovered.empty() ? picked : std::vector<int>{};
+    std::vector<int> picked =
+        GreedyCover(n, all_dirs, k, [&](size_t i, int j) {
+          return happiness[i * m + static_cast<size_t>(j)] >= tau;
+        });
+    for (int& i : picked) i = rows[static_cast<size_t>(i)];
+    return picked;
   };
 
   // Binary search the largest feasible threshold.

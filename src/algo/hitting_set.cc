@@ -42,37 +42,12 @@ StatusOr<std::vector<int>> HittingSetRows(const Dataset& data,
   // = more than k points needed.
   auto cover = [&](const std::vector<int>& dirs,
                    double tau) -> std::vector<int> {
-    std::vector<int> uncovered = dirs;
-    std::vector<int> picked;
-    while (!uncovered.empty() && static_cast<int>(picked.size()) < k) {
-      int best_row = -1;
-      size_t best_cnt = 0;
-      for (int r : rows) {
-        if (std::find(picked.begin(), picked.end(), r) != picked.end()) {
-          continue;
-        }
-        size_t cnt = 0;
-        for (int j : uncovered) {
-          if (eval.PointHappiness(static_cast<size_t>(j), r) >= tau) {
-            ++cnt;
-          }
-        }
-        if (cnt > best_cnt) {
-          best_cnt = cnt;
-          best_row = r;
-        }
-      }
-      if (best_row < 0) return {};
-      picked.push_back(best_row);
-      size_t w = 0;
-      for (int j : uncovered) {
-        if (eval.PointHappiness(static_cast<size_t>(j), best_row) < tau) {
-          uncovered[w++] = j;
-        }
-      }
-      uncovered.resize(w);
-    }
-    return uncovered.empty() ? picked : std::vector<int>{};
+    std::vector<int> picked =
+        GreedyCover(rows.size(), dirs, k, [&](size_t i, int j) {
+          return eval.PointHappiness(static_cast<size_t>(j), rows[i]) >= tau;
+        });
+    for (int& i : picked) i = rows[static_cast<size_t>(i)];
+    return picked;
   };
 
   // Lazy constraint generation: certify tau against the full validation net,

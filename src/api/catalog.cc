@@ -18,6 +18,11 @@ std::string CostModelSidecarPath(const std::string& snapshot_path) {
   return snapshot_path + ".plan";
 }
 
+Status UnknownDataset(const std::string& name) {
+  return Status::NotFound(
+      StrFormat("no dataset named '%s' in the catalog", name.c_str()));
+}
+
 }  // namespace
 
 StatusOr<Snapshot> SnapshotSession(SolverSession* session) {
@@ -111,10 +116,7 @@ Status DatasetCatalog::Load(const std::string& name, const std::string& path) {
 
 Status DatasetCatalog::Save(const std::string& name, const std::string& path) {
   auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return Status::NotFound(
-        StrFormat("no dataset named '%s' in the catalog", name.c_str()));
-  }
+  if (it == entries_.end()) return UnknownDataset(name);
   FAIRHMS_ASSIGN_OR_RETURN(Snapshot snapshot,
                            SnapshotSession(it->second.session.get()));
   FAIRHMS_RETURN_IF_ERROR(WriteSnapshotFile(snapshot, path));
@@ -132,10 +134,7 @@ Status DatasetCatalog::Save(const std::string& name, const std::string& path) {
 
 Status DatasetCatalog::Drop(const std::string& name) {
   auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return Status::NotFound(
-        StrFormat("no dataset named '%s' in the catalog", name.c_str()));
-  }
+  if (it == entries_.end()) return UnknownDataset(name);
   arbiter_.Unregister(it->second.session->cache());
   entries_.erase(it);
   ++version_;
@@ -152,29 +151,22 @@ std::vector<std::string> DatasetCatalog::List() const {
   return names;
 }
 
-StatusOr<SolverSession*> DatasetCatalog::Session(const std::string& name) {
+StatusOr<DatasetCatalog::Handle> DatasetCatalog::Find(
+    const std::string& name) {
   auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return Status::NotFound(
-        StrFormat("no dataset named '%s' in the catalog", name.c_str()));
-  }
-  return it->second.session.get();
+  if (it == entries_.end()) return UnknownDataset(name);
+  return Handle{it->second.session.get(), it->second.mu.get()};
+}
+
+StatusOr<SolverSession*> DatasetCatalog::Session(const std::string& name) {
+  FAIRHMS_ASSIGN_OR_RETURN(const Handle handle, Find(name));
+  return handle.session;
 }
 
 StatusOr<SolverResult> DatasetCatalog::Solve(const std::string& name,
                                              const SolverRequest& request) {
-  auto it = entries_.find(name);
-  if (it == entries_.end()) {
-    return Status::NotFound(
-        StrFormat("no dataset named '%s' in the catalog", name.c_str()));
-  }
-  SolverSession* session = it->second.session.get();
-  arbiter_.Touch(session->cache());
-  StatusOr<SolverResult> result = session->Solve(request);
-  // Settle the budget after the solve; the serving session is evicted
-  // last — it is the one demonstrably hot.
-  arbiter_.Rebalance(session->cache());
-  return result;
+  FAIRHMS_ASSIGN_OR_RETURN(SolverSession * session, Session(name));
+  return Serve(session, [&] { return session->Solve(request); });
 }
 
 }  // namespace fairhms

@@ -10,8 +10,8 @@
 // oversubscribe the machine C times.
 //
 // Memory: the catalog runs one CacheArbiter (core/artifact_cache.h) over
-// every session's ArtifactCache. Each solve touches its session; Solve()
-// rebalances afterwards, evicting cache entries — the coldest session's
+// every session's ArtifactCache. Serve() touches the serving session, runs
+// the op, then rebalances, evicting cache entries — the coldest session's
 // least recently used first (ArtifactCache::EvictLeastRecent) — until the
 // global total fits the budget again, so a budget smaller than the sum of
 // per-dataset working sets degrades to recomputation, never to failure: a
@@ -26,10 +26,14 @@
 // single dominance test. A failed Load never partially mutates the
 // catalog: every validation runs before the name is inserted.
 //
-// The catalog is single-writer: Register/Load/Drop/Save and the mutation
-// accessors must not race each other or in-flight solves. Solve() itself
-// is safe for concurrent callers once registration is done, including
-// their post-solve rebalances.
+// The catalog is single-writer: Register/Load/Drop/Save must not race
+// each other or anything that serves a dataset. Each entry carries a
+// SharedMutex, created by Register/Load and destroyed by Drop, that Find()
+// hands out with the session: concurrent callers take it shared to read
+// the session (queries) and exclusive to mutate it (Insert/Erase). The
+// catalog itself never takes it. Solve() and Serve() are safe for
+// concurrent callers once registration is done, including their
+// rebalances.
 
 #ifndef FAIRHMS_API_CATALOG_H_
 #define FAIRHMS_API_CATALOG_H_
@@ -43,6 +47,7 @@
 #include "api/session.h"
 #include "api/solver.h"
 #include "common/statusor.h"
+#include "common/thread_annotations.h"
 #include "core/artifact_cache.h"
 #include "data/dataset.h"
 #include "data/grouping.h"
@@ -95,16 +100,37 @@ class DatasetCatalog {
   /// Registered names, sorted.
   std::vector<std::string> List() const;
 
+  /// A registered dataset as Find() hands it out: its session and the lock
+  /// its entry carries. Both live until Drop.
+  struct Handle {
+    SolverSession* session = nullptr;
+    SharedMutex* mu = nullptr;
+  };
+
+  /// The entry registered under `name` (NotFound otherwise). A miss
+  /// allocates nothing that outlives the call.
+  StatusOr<Handle> Find(const std::string& name);
+
   /// The session serving `name` (NotFound otherwise). Callers may mutate
   /// through it (Insert/Erase) under the single-writer contract; prefer
-  /// Solve() for queries so budget arbitration runs.
+  /// Solve() or Serve() so budget arbitration runs.
   StatusOr<SolverSession*> Session(const std::string& name);
 
-  /// Routes one query to `name`: marks its session most-recently-used,
-  /// solves, then rebalances the global budget (preferring the session
-  /// that just served). Results are bit-identical to a standalone session
-  /// pinned to the same data — the catalog adds routing and arbitration,
-  /// never a different code path.
+  /// Touch → serve → settle, the one budget step of every per-dataset op:
+  /// marks `session` most-recently-used, runs `serve()`, then rebalances
+  /// the global budget, evicting from `session`'s cache last (it is the one
+  /// demonstrably hot). Returns what `serve()` returns.
+  template <class Fn>
+  auto Serve(SolverSession* session, Fn&& serve) -> decltype(serve()) {
+    arbiter_.Touch(session->cache());
+    auto result = serve();
+    arbiter_.Rebalance(session->cache());
+    return result;
+  }
+
+  /// Routes one query to `name` through Serve(). Results are bit-identical
+  /// to a standalone session pinned to the same data — the catalog adds
+  /// routing and arbitration, never a different code path.
   StatusOr<SolverResult> Solve(const std::string& name,
                                const SolverRequest& request);
 
@@ -124,6 +150,8 @@ class DatasetCatalog {
     std::unique_ptr<Dataset> data;
     std::unique_ptr<Grouping> grouping;
     std::unique_ptr<SolverSession> session;
+    /// The lock Find() hands out (see the single-writer note above).
+    std::unique_ptr<SharedMutex> mu = std::make_unique<SharedMutex>();
   };
 
   /// Shared tail of Register/Load: builds the session over an

@@ -96,13 +96,6 @@ std::string AlgoParams::StringOr(const std::string& name,
   return def;
 }
 
-std::vector<std::string> AlgoParams::Keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(values_.size());
-  for (const auto& [k, v] : values_) keys.push_back(k);
-  return keys;
-}
-
 Status ValidateParams(const std::string& algorithm,
                       const std::vector<ParamSpec>& schema,
                       const AlgoParams& params) {

@@ -68,9 +68,6 @@ class AlgoParams {
   bool BoolOr(const std::string& name, bool def) const;
   std::string StringOr(const std::string& name, const std::string& def) const;
 
-  /// Keys in sorted order (std::map iteration order).
-  std::vector<std::string> Keys() const;
-
   const std::map<std::string, Value>& values() const { return values_; }
 
  private:

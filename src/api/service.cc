@@ -115,31 +115,27 @@ Response ProtocolService::Execute(const Request& request) {
   if (IsPerDatasetOp(request.op)) {
     // The envelope labels the routed dataset even when the op fails.
     response.dataset = request.dataset;
-    bool mutated = false;
-    {
-      ReaderMutexLock catalog_lock(&catalog_mu_);
-      const std::shared_ptr<SharedMutex> dataset_mu = LockFor(request.dataset);
+    ReaderMutexLock catalog_lock(&catalog_mu_);
+    StatusOr<DatasetCatalog::Handle> found = catalog_->Find(request.dataset);
+    if (!found.ok()) {
+      status = found.status();
+      Stamp(&response);
+    } else if (request.op == ProtocolOp::kQuery) {
       // Queries share the dataset lock (the session's cache lookups are
       // internally synchronized); mutations hold it exclusively. Two
       // explicit lock scopes around one shared body — the thread-safety
       // analysis cannot follow a lock acquired on only one branch.
-      if (request.op == ProtocolOp::kQuery) {
-        ReaderMutexLock dataset_lock(dataset_mu.get());
-        status = ExecutePerDataset(request, &response, &mutated);
-      } else {
-        WriterMutexLock dataset_lock(dataset_mu.get());
-        status = ExecutePerDataset(request, &response, &mutated);
-      }
+      ReaderMutexLock dataset_lock(found->mu);
+      status = ExecutePerDataset(request, found->session, &response);
+    } else {
+      WriterMutexLock dataset_lock(found->mu);
+      status = ExecutePerDataset(request, found->session, &response);
+      if (status.ok()) ++updates_;
     }
-    MaybeRebalance(request.dataset);
-    if (mutated) ++updates_;
   } else if (request.op == ProtocolOp::kList) {
     ReaderMutexLock catalog_lock(&catalog_mu_);
     response.list.datasets = catalog_->List();
-    response.has_seq = true;
-    response.seq = ++seq_;
-    response.has_catalog_version = true;
-    response.catalog_version = catalog_->version();
+    Stamp(&response);
   } else {
     // Catalog-shape ops quiesce every dataset: register/drop change the
     // entry map under live sessions, save needs a stable table, and stats
@@ -168,10 +164,7 @@ Response ProtocolService::Execute(const Request& request) {
         ExecuteStats(&response.stats);
         break;
     }
-    response.has_seq = true;
-    response.seq = ++seq_;
-    response.has_catalog_version = true;
-    response.catalog_version = catalog_->version();
+    Stamp(&response);
   }
 
   if (status.ok()) {
@@ -185,63 +178,30 @@ Response ProtocolService::Execute(const Request& request) {
   return response;
 }
 
-Status ProtocolService::ExecutePerDataset(const Request& request,
-                                          Response* response, bool* mutated) {
-  Status status;
-  auto session_or = catalog_->Session(request.dataset);
-  if (!session_or.ok()) {
-    status = session_or.status();
-  } else {
-    SolverSession* session = *session_or;
-    // Serving marks this session hot; the global budget settles after the
-    // op (MaybeRebalance), outside the dataset lock.
-    catalog_->arbiter()->Touch(session->cache());
-    switch (request.op) {
-      case ProtocolOp::kQuery:
-        status = ExecuteQuery(request.query, session, &response->query);
-        break;
-      case ProtocolOp::kInsert:
-        status = ExecuteInsert(request.insert, session, &response->insert);
-        *mutated = status.ok();
-        break;
-      default:
-        status = ExecuteDelete(request.erase, session, &response->erase);
-        *mutated = status.ok();
-        break;
-    }
-  }
-  // seq is drawn while the serving locks are still held — the
-  // linearization contract replay depends on (docs/concurrency.md).
+void ProtocolService::Stamp(Response* response) {
   response->has_seq = true;
   response->seq = ++seq_;
   response->has_catalog_version = true;
   response->catalog_version = catalog_->version();
+}
+
+Status ProtocolService::ExecutePerDataset(const Request& request,
+                                          SolverSession* session,
+                                          Response* response) {
+  const Status status = catalog_->Serve(session, [&] {
+    switch (request.op) {
+      case ProtocolOp::kQuery:
+        return ExecuteQuery(request.query, session, &response->query);
+      case ProtocolOp::kInsert:
+        return ExecuteInsert(request.insert, session, &response->insert);
+      default:
+        return ExecuteDelete(request.erase, session, &response->erase);
+    }
+  });
+  // seq is drawn while the serving locks are still held — the
+  // linearization contract replay depends on (docs/concurrency.md).
+  Stamp(response);
   return status;
-}
-
-std::shared_ptr<SharedMutex> ProtocolService::LockFor(
-    const std::string& name) {
-  MutexLock lock(&locks_mu_);
-  std::shared_ptr<SharedMutex>& slot = dataset_locks_[name];
-  if (slot == nullptr) slot = std::make_shared<SharedMutex>();
-  return slot;
-}
-
-void ProtocolService::MaybeRebalance(const std::string& route) {
-  const CacheArbiter* arbiter = catalog_->arbiter();
-  if (arbiter->budget_bytes() == 0 ||
-      arbiter->total_bytes() <= arbiter->budget_bytes()) {
-    return;
-  }
-  // Eviction may drop entries other solves are reading — they hold their
-  // artifacts by shared_ptr — so the shared catalog lock suffices; it keeps
-  // Register and Drop, which change the arbiter's sessions, out. The
-  // arbiter locks each call itself: two rebalances racing here at worst
-  // evict one entry more than the budget needs.
-  ReaderMutexLock catalog_lock(&catalog_mu_);
-  auto session_or = catalog_->Session(route);
-  catalog_->arbiter()->Rebalance(
-      session_or.ok() ? (*session_or)->cache() : nullptr);
 }
 
 Status ProtocolService::ExecuteQuery(const QueryRequest& request,
@@ -428,26 +388,12 @@ Status ProtocolService::ExecuteRegister(const RegisterRequest& request,
     FAIRHMS_ASSIGN_OR_RETURN(Dataset data,
                              NormalizeDatasetByName(request.normalize,
                                                     std::move(raw)));
-    std::vector<std::string> group_columns;
-    Grouping grouping;
-    if (request.has_group_by) {
-      group_columns = request.group_by;
-      FAIRHMS_ASSIGN_OR_RETURN(grouping,
-                               GroupByCategoricalProduct(data, group_columns));
-    } else {
-      if (request.groups < 1 ||
-          request.groups > static_cast<int64_t>(data.size())) {
-        return Status::InvalidArgument(StrFormat(
-            "\"groups\" must be in [1, %zu]", data.size()));
-      }
-      if (request.groups == 1) {
-        grouping = SingleGroup(data.size());
-      } else {
-        grouping = GroupBySumRank(data, static_cast<int>(request.groups));
-      }
-    }
+    FAIRHMS_ASSIGN_OR_RETURN(
+        Grouping grouping,
+        BuildGrouping(data, request.has_group_by ? &request.group_by : nullptr,
+                      request.groups));
     FAIRHMS_RETURN_IF_ERROR(catalog_->Register(
-        request.name, std::move(data), std::move(grouping), group_columns));
+        request.name, std::move(data), std::move(grouping), request.group_by));
   }
   FAIRHMS_ASSIGN_OR_RETURN(SolverSession * session,
                            catalog_->Session(request.name));

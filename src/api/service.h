@@ -11,29 +11,29 @@
 //     drop / stats / snapshot-reload) take it exclusively; per-dataset ops
 //     and list take it shared, so solves on distinct datasets proceed in
 //     parallel but never race a registration.
-//   * one shared_mutex per dataset name — queries take it shared (solves
-//     on the same dataset may share its ArtifactCache read paths),
-//     insert/delete take it exclusively.
+//   * the routed dataset's lock, which its catalog entry carries
+//     (DatasetCatalog::Find hands it out with the session) — queries take
+//     it shared (solves on the same dataset may share its ArtifactCache
+//     read paths), insert/delete take it exclusively. A line naming an
+//     unknown dataset takes none and leaves nothing behind.
 //   * seq_ — every response is stamped with a global sequence number drawn
 //     while its locks are held. Replaying a merged multi-client log in seq
 //     order through a fresh service reproduces the exact responses
 //     (queries commute under shared locks; mutations serialize), which is
 //     how the concurrent integration test checks linearizability.
 //   * CacheArbiter calls take no service lock: the arbiter locks each call
-//     itself. Rebalance — which may evict *other* sessions' entries — runs
-//     under the shared catalog lock, after the serving op released its
-//     dataset lock, and only when the global total exceeds the budget; two
-//     racing rebalances at worst evict one entry more than needed.
-//     Evicting next to in-flight solves is safe: they hold their cached
-//     artifacts by shared_ptr.
+//     itself. Each per-dataset op runs through DatasetCatalog::Serve
+//     (touch → serve → settle) under both of its locks; the settle step's
+//     Rebalance may evict *other* sessions' entries, and two racing
+//     rebalances at worst evict one entry more than needed. Evicting next
+//     to in-flight solves is safe: they hold their cached artifacts by
+//     shared_ptr.
 
 #ifndef FAIRHMS_API_SERVICE_H_
 #define FAIRHMS_API_SERVICE_H_
 
 #include <atomic>
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
@@ -91,20 +91,17 @@ class ProtocolService {
   Status SnapshotReload(const std::string& dir) FAIRHMS_EXCLUDES(catalog_mu_);
 
  private:
-  std::shared_ptr<SharedMutex> LockFor(const std::string& name)
-      FAIRHMS_EXCLUDES(locks_mu_);
-  /// Settles the global cache budget after a per-dataset op, outside that
-  /// op's locks; prefers keeping `route`'s cache when it must evict.
-  void MaybeRebalance(const std::string& route)
-      FAIRHMS_EXCLUDES(catalog_mu_);
+  /// Stamps `response` with the next seq and the catalog version; the
+  /// caller holds the locks that serve it (the linearization contract).
+  void Stamp(Response* response) FAIRHMS_REQUIRES_SHARED(catalog_mu_);
 
-  /// The locked body of a per-dataset op: session lookup, arbiter Touch,
-  /// dispatch, and the seq / catalog_version stamp — all while the caller
-  /// holds the catalog lock shared AND the routed dataset's lock (shared
-  /// for queries, exclusive for mutations; the dataset lock is dynamic,
-  /// so only the catalog capability is expressible here).
-  Status ExecutePerDataset(const Request& request, Response* response,
-                           bool* mutated)
+  /// The locked body of a per-dataset op on `session`: dispatch through
+  /// DatasetCatalog::Serve, then the stamp — all while the caller holds
+  /// the catalog lock shared AND the dataset's lock (shared for queries,
+  /// exclusive for mutations; the dataset lock is dynamic, so only the
+  /// catalog capability is expressible here).
+  Status ExecutePerDataset(const Request& request, SolverSession* session,
+                           Response* response)
       FAIRHMS_REQUIRES_SHARED(catalog_mu_);
 
   Status ExecuteQuery(const QueryRequest& request, SolverSession* session,
@@ -121,13 +118,10 @@ class ProtocolService {
   const ServiceOptions opts_;
   OpMetrics metrics_;
 
-  // Lock order (docs/concurrency.md): catalog_mu_ -> locks_mu_, and
-  // catalog_mu_ -> (per-dataset lock). locks_mu_ is a leaf; the arbiter's
-  // and the caches' own locks come after any of these.
-  SharedMutex catalog_mu_ FAIRHMS_ACQUIRED_BEFORE(locks_mu_);
-  Mutex locks_mu_;
-  std::map<std::string, std::shared_ptr<SharedMutex>> dataset_locks_
-      FAIRHMS_GUARDED_BY(locks_mu_);
+  // Lock order (docs/concurrency.md): catalog_mu_ -> (the dataset lock
+  // its catalog entry carries); the arbiter's and the caches' own locks
+  // come after both.
+  SharedMutex catalog_mu_;
   std::atomic<uint64_t> seq_{0};
   std::atomic<uint64_t> served_{0};
   std::atomic<uint64_t> failed_{0};

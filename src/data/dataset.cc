@@ -288,26 +288,6 @@ size_t Dataset::CoordBytes() const {
   return bytes;
 }
 
-Dataset Dataset::Subset(const std::vector<int>& rows) const {
-  Dataset out(attr_names_);
-  for (const auto& c : cats_) {
-    out.AddCategoricalColumn(c.name, c.labels);
-  }
-  out.Reserve(rows.size());
-  std::vector<double> coords(static_cast<size_t>(dim_));
-  std::vector<int> codes(cats_.size());
-  for (int r : rows) {
-    assert(r >= 0 && static_cast<size_t>(r) < n_);
-    const double* p = point(static_cast<size_t>(r));
-    std::copy(p, p + dim_, coords.begin());
-    for (size_t c = 0; c < cats_.size(); ++c) {
-      codes[c] = cats_[c].codes[static_cast<size_t>(r)];
-    }
-    out.AddRow(coords, codes);
-  }
-  return out;
-}
-
 Dataset Dataset::Project2D() const {
   assert(dim_ >= 2);
   Dataset out(std::vector<std::string>{attr_names_[0], attr_names_[1]});

@@ -145,13 +145,9 @@ class Dataset {
   /// map to 0.
   Dataset ScaledByMax() const;
 
-  /// Returns the subset given by `rows` (row order preserved, categorical
-  /// columns carried over). Out-of-range rows are a programming error.
-  Dataset Subset(const std::vector<int>& rows) const;
-
-  /// Returns the first two attributes of every row (dim() >= 2). Unlike
-  /// Subset, row indices, tombstones and version() carry over, so the
-  /// projection's live view and cache keys follow this table's.
+  /// Returns the first two attributes of every row (dim() >= 2). Row
+  /// indices, tombstones and version() carry over, so the projection's live
+  /// view and cache keys follow this table's.
   Dataset Project2D() const;
 
  private:

@@ -141,4 +141,16 @@ Grouping GroupBySumRank(const Dataset& data, int num_groups) {
   return g;
 }
 
+StatusOr<Grouping> BuildGrouping(const Dataset& data,
+                                 const std::vector<std::string>* group_by,
+                                 int64_t groups) {
+  if (group_by != nullptr) return GroupByCategoricalProduct(data, *group_by);
+  if (groups < 1 || groups > static_cast<int64_t>(data.size())) {
+    return Status::InvalidArgument(
+        StrFormat("\"groups\" must be in [1, %zu]", data.size()));
+  }
+  if (groups == 1) return SingleGroup(data.size());
+  return GroupBySumRank(data, static_cast<int>(groups));
+}
+
 }  // namespace fairhms

@@ -3,6 +3,7 @@
 #ifndef FAIRHMS_DATA_GROUPING_H_
 #define FAIRHMS_DATA_GROUPING_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,14 @@ StatusOr<Grouping> GroupByCategoricalProduct(
 /// The paper's synthetic-data scheme: sort rows by the sum of their numeric
 /// attributes and split into C equal-sized groups.
 Grouping GroupBySumRank(const Dataset& data, int num_groups);
+
+/// The grouping rule of every dataset source (CLI flags, the register op):
+/// the categorical product of `*group_by` when given (non-null), otherwise
+/// `groups` sum-rank groups, one group being SingleGroup. InvalidArgument
+/// unless `groups` is in [1, n].
+StatusOr<Grouping> BuildGrouping(const Dataset& data,
+                                 const std::vector<std::string>* group_by,
+                                 int64_t groups);
 
 }  // namespace fairhms
 

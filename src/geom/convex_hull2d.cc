@@ -13,39 +13,7 @@ double Cross(const IndexedPoint2& o, const IndexedPoint2& a,
   return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x);
 }
 
-bool LexLess(const IndexedPoint2& a, const IndexedPoint2& b) {
-  if (a.x != b.x) return a.x < b.x;
-  return a.y < b.y;
-}
-
-bool SamePoint(const IndexedPoint2& a, const IndexedPoint2& b) {
-  return a.x == b.x && a.y == b.y;
-}
-
 }  // namespace
-
-std::vector<IndexedPoint2> ConvexHull(std::vector<IndexedPoint2> pts) {
-  std::sort(pts.begin(), pts.end(), LexLess);
-  pts.erase(std::unique(pts.begin(), pts.end(), SamePoint), pts.end());
-  const size_t n = pts.size();
-  if (n <= 2) return pts;
-
-  std::vector<IndexedPoint2> hull(2 * n);
-  size_t h = 0;
-  // Lower chain.
-  for (size_t i = 0; i < n; ++i) {
-    while (h >= 2 && Cross(hull[h - 2], hull[h - 1], pts[i]) <= 0) --h;
-    hull[h++] = pts[i];
-  }
-  // Upper chain.
-  const size_t lower_size = h + 1;
-  for (size_t i = n - 1; i-- > 0;) {
-    while (h >= lower_size && Cross(hull[h - 2], hull[h - 1], pts[i]) <= 0) --h;
-    hull[h++] = pts[i];
-  }
-  hull.resize(h - 1);  // Last point equals the first.
-  return hull;
-}
 
 std::vector<IndexedPoint2> UpperRightHull(std::vector<IndexedPoint2> pts) {
   if (pts.empty()) return pts;

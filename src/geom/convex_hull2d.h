@@ -1,5 +1,5 @@
-// 2D convex hull (Andrew's monotone chain) and the upper-right chain that
-// contains every maximizer of a nonnegative linear utility function.
+// The upper-right 2D hull chain: every maximizer of a nonnegative linear
+// utility function (the owners of Envelope2D's pieces).
 
 #ifndef FAIRHMS_GEOM_CONVEX_HULL2D_H_
 #define FAIRHMS_GEOM_CONVEX_HULL2D_H_
@@ -15,12 +15,6 @@ struct IndexedPoint2 {
   double y;
   int index;
 };
-
-/// Full convex hull in counter-clockwise order, starting from the
-/// lexicographically smallest point. Collinear points on hull edges are
-/// dropped. Duplicates are handled. Returns input unchanged for size <= 2
-/// (after dedup).
-std::vector<IndexedPoint2> ConvexHull(std::vector<IndexedPoint2> pts);
 
 /// The "upper-right" hull chain ordered by decreasing x / increasing y:
 /// exactly the points that maximize lambda*x + (1-lambda)*y for some

@@ -113,7 +113,11 @@ bool Envelope2D::IntervalAbove(double x, double y, double tau, double* lo,
   }
   if (!found) return false;
   // line - tau*envelope is concave, so the union of per-piece solutions is
-  // one interval; min/max accumulation reproduces it exactly.
+  // one interval; min/max accumulation reproduces it exactly. A piece
+  // accepted only through the slack has its seg_lo past its seg_hi; when no
+  // other piece widens the union, the line only touches tau * envelope and
+  // the interval collapses to the point hi.
+  best_lo = std::min(best_lo, best_hi);
   *lo = std::clamp(best_lo, 0.0, 1.0);
   *hi = std::clamp(best_hi, 0.0, 1.0);
   return true;

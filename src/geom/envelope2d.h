@@ -46,9 +46,10 @@ class Envelope2D {
   std::vector<double> Breakpoints() const;
 
   /// Computes the maximal lambda-interval [*lo, *hi] on which the line of
-  /// point (x, y) lies on or above tau * envelope. Returns false when the
-  /// line is strictly below everywhere in [0, 1]. (line - tau * envelope is
-  /// concave, so the feasible set is a single interval.)
+  /// point (x, y) lies on or above tau * envelope, with *lo <= *hi. Returns
+  /// false when the line is strictly below everywhere in [0, 1]. (line -
+  /// tau * envelope is concave, so the feasible set is a single interval; a
+  /// line that only touches it within the 1e-12 slack gets a point.)
   bool IntervalAbove(double x, double y, double tau, double* lo,
                      double* hi) const;
 

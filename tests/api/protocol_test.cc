@@ -345,5 +345,41 @@ TEST(ServedEstimateTest, BaselineEstimateIsTheReferenceRatio) {
   serve(8000, 5, {"dmm", "hs"}, 6, 4000);
 }
 
+TEST(ProtocolServiceTest, UnknownDatasetLinesAnswerNotFound) {
+  // A query, an insert and a delete naming an unregistered dataset: each
+  // answers NotFound, echoes the dataset and draws a seq, and leaves the
+  // catalog as it was.
+  DatasetCatalog catalog;
+  Rng rng(1234);
+  Dataset data = GenIndependent(60, 3, &rng).NormalizedMinMax();
+  Grouping grouping = GroupBySumRank(data, 2);
+  ASSERT_TRUE(
+      catalog.Register("default", std::move(data), std::move(grouping)).ok());
+  ProtocolService service(&catalog, ServiceOptions());
+  const std::vector<std::pair<std::string, std::string>> lines = {
+      {R"({"id": "q", "dataset": "ghost", "algorithm": "intcov", "k": 4})",
+       R"({"id": "q", "ok": false, "protocol_version": 1, "seq": 1, )"
+       R"("dataset": "ghost", "error": {"code": "NotFound", "message": )"
+       R"("no dataset named 'ghost' in the catalog"}})"},
+      {R"({"id": "i", "dataset": "ghost", "op": "insert", )"
+       R"("point": [0.5, 0.5, 0.5], "group": 0})",
+       R"({"id": "i", "ok": false, "protocol_version": 1, "seq": 2, )"
+       R"("dataset": "ghost", "error": {"code": "NotFound", "message": )"
+       R"("no dataset named 'ghost' in the catalog"}})"},
+      {R"({"id": "d", "dataset": "ghost", "op": "delete", "rows": [3]})",
+       R"({"id": "d", "ok": false, "protocol_version": 1, "seq": 3, )"
+       R"("dataset": "ghost", "error": {"code": "NotFound", "message": )"
+       R"("no dataset named 'ghost' in the catalog"}})"},
+  };
+  uint64_t line_no = 0;
+  for (const auto& [request, reply] : lines) {
+    EXPECT_EQ(service.HandleLine(request, ++line_no), reply);
+  }
+  EXPECT_EQ(catalog.List(), std::vector<std::string>{"default"});
+  EXPECT_EQ(catalog.version(), 1u);
+  EXPECT_EQ(service.failed(), 3u);
+  EXPECT_EQ(service.updates(), 0u);
+}
+
 }  // namespace
 }  // namespace fairhms

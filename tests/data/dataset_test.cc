@@ -111,20 +111,6 @@ TEST(DatasetTest, ScaledByMaxZeroColumn) {
   EXPECT_DOUBLE_EQ(s.at(0, 0), 0.0);
 }
 
-TEST(DatasetTest, SubsetPreservesRowsAndCategoricals) {
-  Dataset data(2);
-  data.AddCategoricalColumn("g", {"a", "b"});
-  data.AddRow({1, 2}, {0});
-  data.AddRow({3, 4}, {1});
-  data.AddRow({5, 6}, {0});
-  const Dataset sub = data.Subset({2, 0});
-  ASSERT_EQ(sub.size(), 2u);
-  EXPECT_DOUBLE_EQ(sub.at(0, 0), 5.0);
-  EXPECT_DOUBLE_EQ(sub.at(1, 1), 2.0);
-  EXPECT_EQ(sub.categorical(0).codes[0], 0);
-  EXPECT_EQ(sub.categorical(0).labels[1], "b");
-}
-
 TEST(DatasetTest, ReserveDoesNotChangeSize) {
   Dataset data(2);
   data.Reserve(100);

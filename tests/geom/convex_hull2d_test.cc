@@ -19,27 +19,6 @@ std::vector<IndexedPoint2> Pts(const std::vector<std::pair<double, double>>& v) 
   return out;
 }
 
-TEST(ConvexHullTest, Square) {
-  const auto hull = ConvexHull(Pts({{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0.5, 0.5}}));
-  EXPECT_EQ(hull.size(), 4u);
-}
-
-TEST(ConvexHullTest, CollinearPointsDropped) {
-  const auto hull = ConvexHull(Pts({{0, 0}, {1, 1}, {2, 2}, {0, 2}}));
-  EXPECT_EQ(hull.size(), 3u);
-}
-
-TEST(ConvexHullTest, DuplicatesHandled) {
-  const auto hull = ConvexHull(Pts({{0, 0}, {0, 0}, {1, 0}, {1, 1}, {1, 1}}));
-  EXPECT_EQ(hull.size(), 3u);
-}
-
-TEST(ConvexHullTest, TinyInputs) {
-  EXPECT_EQ(ConvexHull(Pts({{0.5, 0.5}})).size(), 1u);
-  EXPECT_EQ(ConvexHull(Pts({{0, 0}, {1, 1}})).size(), 2u);
-  EXPECT_TRUE(ConvexHull({}).empty());
-}
-
 TEST(UpperRightHullTest, SimpleStaircase) {
   // (1,0) and (0,1) are the extremes; (0.9,0.9) dominates the middle.
   const auto chain =

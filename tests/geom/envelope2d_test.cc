@@ -113,6 +113,57 @@ TEST(Envelope2DTest, IntervalAboveMatchesDenseScan) {
   }
 }
 
+/// Up to five points near (0.4, 0.6) or (0.5, 0.5), each coordinate nudged
+/// by a multiple of 1e-13: nearly parallel lines whose crossings round, so
+/// some rows clear tau * envelope only through IntervalAbove's slack.
+std::vector<IndexedPoint2> NearlyParallelPts(Rng* rng) {
+  const int n = 2 + static_cast<int>(rng->Uniform() * 4);
+  std::vector<IndexedPoint2> pts;
+  for (int i = 0; i < n; ++i) {
+    const bool upper = rng->Uniform() < 0.5;
+    const double ex = (static_cast<int>(rng->Uniform() * 7) - 3) * 1e-13;
+    const double ey = (static_cast<int>(rng->Uniform() * 7) - 3) * 1e-13;
+    pts.push_back({(upper ? 0.4 : 0.5) + ex, (upper ? 0.6 : 0.5) + ey, i});
+  }
+  return pts;
+}
+
+TEST(Envelope2DTest, IntervalAboveSlackTouchIsAPoint) {
+  // Found by the search below (seed 2024, trial 372). The row clears the
+  // envelope only through the slack: the first piece's root lies past that
+  // piece's end, so the union was once returned as [0.50000000000025013,
+  // 0.50000000000000011]. It collapses to the point hi.
+  const Envelope2D env =
+      Envelope2D::Build({{0.50000000000029998, 0.49999999999979999, 0},
+                         {0.49999999999970002, 0.50000000000029998, 1},
+                         {0.49999999999979999, 0.49999999999979999, 2},
+                         {0.4000000000003, 0.59999999999980003, 3}});
+  ASSERT_EQ(env.pieces().size(), 2u);
+  EXPECT_EQ(env.pieces()[0].hi, 0.50000000000000011);
+  double lo, hi;
+  ASSERT_TRUE(env.IntervalAbove(0.49999999999970002, 0.50000000000029998,
+                                1.0, &lo, &hi));
+  EXPECT_EQ(lo, 0.50000000000000011);
+  EXPECT_EQ(hi, 0.50000000000000011);
+}
+
+TEST(Envelope2DTest, IntervalAboveNeverInvertsOnNearlyParallelLines) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::vector<IndexedPoint2> pts = NearlyParallelPts(&rng);
+    const Envelope2D env = Envelope2D::Build(pts);
+    for (const IndexedPoint2& q : pts) {
+      for (const double tau : {1.0, 1.0 - 1e-13, 0.999}) {
+        double lo, hi;
+        if (env.IntervalAbove(q.x, q.y, tau, &lo, &hi)) {
+          EXPECT_LE(lo, hi) << "trial " << trial << " row " << q.index
+                            << " tau " << tau;
+        }
+      }
+    }
+  }
+}
+
 TEST(MinHappinessRatio2DTest, FullSetHasRatioOne) {
   Rng rng(3);
   const auto pts = RandomPts(&rng, 30);

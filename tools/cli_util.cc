@@ -186,18 +186,6 @@ StatusOr<Dataset> LoadDataset(const Flags& flags, uint64_t seed) {
                               &rng);
 }
 
-StatusOr<Grouping> MakeGrouping(const Flags& flags, const Dataset& data) {
-  const auto by = flags.GetList("group_by");
-  if (!by.empty()) return GroupByCategoricalProduct(data, by);
-  const int c_num = flags.GetInt("groups", 1);
-  if (c_num < 1) return Status::InvalidArgument("--groups must be >= 1");
-  if (c_num > static_cast<int64_t>(data.size())) {
-    return Status::InvalidArgument("--groups exceeds dataset size");
-  }
-  if (c_num == 1) return SingleGroup(data.size());
-  return GroupBySumRank(data, c_num);
-}
-
 }  // namespace
 
 StatusOr<std::unique_ptr<DatasetCatalog>> BootstrapCatalog(const Flags& flags,
@@ -229,10 +217,16 @@ StatusOr<std::unique_ptr<DatasetCatalog>> BootstrapCatalog(const Flags& flags,
   FAIRHMS_ASSIGN_OR_RETURN(
       Dataset data, NormalizeDatasetByName(
                         flags.GetString("normalize", "minmax"), std::move(raw)));
-  FAIRHMS_ASSIGN_OR_RETURN(Grouping grouping, MakeGrouping(flags, data));
+  // --groups is read only without --group_by, so Finish() reports it as
+  // having no effect next to --group_by.
+  const std::vector<std::string> group_by = flags.GetList("group_by");
+  const bool by_columns = !group_by.empty();
+  FAIRHMS_ASSIGN_OR_RETURN(
+      Grouping grouping,
+      BuildGrouping(data, by_columns ? &group_by : nullptr,
+                    by_columns ? 1 : flags.GetInt("groups", 1)));
   FAIRHMS_RETURN_IF_ERROR(catalog->Register("default", std::move(data),
-                                            std::move(grouping),
-                                            flags.GetList("group_by")));
+                                            std::move(grouping), group_by));
   return catalog;
 }
 
