@@ -1,7 +1,8 @@
 // Google-benchmark micro suite for the substrates: LP solver, skyline,
 // delta-net sampling, net evaluation (the evaluator build and per-direction
-// scores read from the net's column store), envelope construction, lazy vs
-// plain greedy. Not a paper artifact — used to track library performance.
+// scores read from the net's column store), BiGreedy on a cached evaluator,
+// envelope construction, lazy vs plain greedy. Not a paper artifact — used
+// to track library performance.
 
 #include <benchmark/benchmark.h>
 
@@ -9,10 +10,14 @@
 #include <cmath>
 #include <numeric>
 
+#include "algo/bigreedy.h"
 #include "common/random.h"
+#include "core/artifact_cache.h"
 #include "core/exact_evaluator.h"
 #include "core/net_evaluator.h"
 #include "data/generators.h"
+#include "data/grouping.h"
+#include "fairness/group_bounds.h"
 #include "geom/envelope2d.h"
 #include "lp/simplex.h"
 #include "skyline/skyline.h"
@@ -157,6 +162,42 @@ void BM_TruncatedMarginalGain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TruncatedMarginalGain)->Arg(0)->Arg(1);
+
+// One BiGreedyOnNet call on a seeded, cached evaluator built outside the
+// timed loop: md_warm's per-round work once its net and evaluator hit the
+// cache (anticorrelated n = 20000, d = 6, 3 groups, proportional alpha =
+// 0.1, k = 10). Arg: net size m (30 is BiGreedy+'s first round at k = 10,
+// 600 the default 10 * k * d). Serial, so the lazy greedy loop dominates.
+void BM_BiGreedyOnCachedEvaluator(benchmark::State& state) {
+  const size_t m = static_cast<size_t>(state.range(0));
+  Rng rng(12);
+  const Dataset data = GenAntiCorrelated(20000, 6, &rng);
+  const Grouping grouping = GroupBySumRank(data, 3);
+  const GroupBounds bounds =
+      GroupBounds::Proportional(10, grouping.Counts(), 0.1);
+  const auto input = PrepareProblem(data, grouping, bounds);
+  if (!input.ok()) {
+    state.SkipWithError(input.status().ToString().c_str());
+    return;
+  }
+  Rng net_rng(13);
+  const auto net = std::make_shared<const UtilityNet>(
+      UtilityNet::SampleRandom(6, m, &net_rng));
+  const auto eval = GetOrBuildEvaluator(nullptr, data, net, input->db_rows,
+                                        input->pool, /*threads=*/1);
+  BiGreedyOptions opts;
+  opts.threads = 1;
+  BiGreedyRunInfo info;
+  for (auto _ : state) {
+    auto sol = BiGreedyOnNet(*input, eval.get(), opts, &info);
+    benchmark::DoNotOptimize(sol);
+  }
+  state.counters["mrgreedy_calls"] = static_cast<double>(info.mrgreedy_calls);
+  state.counters["bound_rows"] = static_cast<double>(info.bound_rows);
+  state.counters["exact_gains"] = static_cast<double>(info.exact_gains);
+}
+BENCHMARK(BM_BiGreedyOnCachedEvaluator)->Arg(30)->Arg(600)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Envelope2DBuild(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -17,25 +17,11 @@ namespace fairhms {
 
 namespace {
 
-/// Lazy-greedy heap entry: an upper bound on a candidate's marginal gain,
-/// the selection size it was computed at, and whether it is the exact gain
-/// there (a cached-cell bound is not; an uncached row's bound is).
-struct LazyEntry {
-  double key;
-  int row;
-  int stamp;
-  bool exact;
-  bool operator<(const LazyEntry& other) const {
-    if (key != other.key) return key < other.key;
-    return row > other.row;  // Deterministic tie-break: smaller row first.
-  }
-};
-
 /// Stamp of a key carried in from another tau: it never equals a
 /// selection size, so the loop refreshes the key before trusting it.
 constexpr int kCarriedStamp = -1;
 
-/// Heap keys right after the first pick `row`, computed at `tau`.
+/// Lazy keys right after the first pick `row`, computed at `tau`.
 struct AfterFirstKeys {
   double tau = -1.0;
   int row = -1;
@@ -44,7 +30,7 @@ struct AfterFirstKeys {
   bool Serves(int pick, double at) const { return pick == row && at <= tau; }
 };
 
-/// Round-1 heap keys carried across the tau probes of one BiGreedyOnNet
+/// Round-1 lazy keys carried across the tau probes of one BiGreedyOnNet
 /// call, where every probe's round 1 runs over `input.pool` under the same
 /// matroid. Each gain term min(max(c, h), tau) - min(c, tau) is
 /// nondecreasing in tau under IEEE rounding and the canonical sum is
@@ -95,39 +81,62 @@ bool Beats(double gain, int row, double best_gain, int best_row) {
          (gain == best_gain && best_row >= 0 && row < best_row);
 }
 
-/// Pulls a cached row towards L1 ahead of its gain evaluation.
-void PrefetchRow(const simd::Cell* row, size_t m) {
-  if (row == nullptr) return;
-  constexpr size_t kLine = 64 / sizeof(simd::Cell);
-  for (size_t j = 0; j < m; j += kLine) __builtin_prefetch(row + j);
-}
+/// The lazy greedy's state, by candidate position: an upper bound on each
+/// candidate's marginal gain (`key`), the selection size it was computed
+/// at (`stamp`; fresh when it equals the current size) and whether it is
+/// the exact gain there (`exact`: a cached-cell bound is not, an uncached
+/// row's bound is). One per BiGreedyOnNet call, handed to every probe, so
+/// only the first Greedy call of a solve allocates.
+struct LazyWorkspace {
+  std::vector<double> key;
+  std::vector<int> stamp;
+  std::vector<char> exact;
+  /// Candidate positions still addable and not picked, in candidate order.
+  std::vector<int> live;
+  /// Positions whose keys are fresh at the current selection size.
+  std::vector<int> fresh;
+  std::vector<int> group_row;  ///< One candidate row per group, or -1.
+  std::vector<char> open;      ///< Per group: the matroid still accepts it.
+};
 
 /// Greedy maximization of mhr_tau over `candidates` under the fairness
 /// matroid: adds the best feasible candidate to `sel` and `state` until the
 /// selection is maximal or no feasible candidate is left. The pick is
 /// always the largest exact gain, smaller row on ties.
 ///
-/// Lazy: a heap of upper bounds (GainBound, over the cell cache). A stale
-/// entry is refreshed to min(key, bound); a fresh bound is verified with
-/// the exact gain; only a fresh exact entry is selected. Every key stays
-/// at or above its row's exact gain, because bounds are never below exact
-/// gains and neither rises as the set grows, so a fresh exact top is the
-/// plain scan's pick and only rows near the top pay an exact evaluation.
-/// The first pick lowers nearly every gain, so right after it the heap is
-/// rebuilt in one pass over `candidates` in their given order (the order
-/// CacheCandidates laid the cell rows out) rather than one pop at a time;
-/// when the pick already holds every direction at tau, no gain is left and
-/// the keys drop to 0 instead. With `carried` (round 1 over the pool), a
-/// probe whose tau is at most a stored one starts from the stored keys
-/// instead of either pass; keys from the evaluator's seeds serve every
-/// tau. Stale keys only order the heap: a row is verified on a fresh
-/// bound, so looser stale keys change neither the picks nor which rows
-/// are verified, only how many bounds are refreshed.
+/// Lazy: every candidate keeps an upper bound on its gain (GainBound, over
+/// the cell cache). A stale key is refreshed to min(key, bound); a fresh
+/// bound is verified with the exact gain; only a fresh exact key is
+/// selected. Every key stays at or above its row's exact gain, because
+/// bounds are never below exact gains and neither rises as the set grows,
+/// so a fresh exact best is the plain scan's pick and only rows near the
+/// top pay an exact evaluation. Each selection step sweeps the live
+/// candidates in their given order (the order CacheCandidates laid the
+/// cell rows out) and refreshes a stale key only when it ranks above the
+/// best fresh key seen so far (larger key, then smaller row): a key left
+/// stale bounds a fresh value below that best, so after the sweep the best
+/// fresh key is the largest of the fresh values. After a verification the
+/// next best comes from the step's fresh keys, and the candidates are swept
+/// again only when a key the sweeps left stale ranks above it. A row's
+/// fresh key at a size is the minimum of its bound there and its exact
+/// gains at earlier sizes, whenever it is refreshed, so the rows verified
+/// and picked do not depend on which stale keys a sweep refreshed. A group
+/// the matroid refuses stays refused as the set grows, so its rows leave
+/// the live list at once.
+/// The first pick lowers nearly every gain, so right after it every key is
+/// recomputed in one pass; when the pick already holds every direction at
+/// tau, no gain is left and the keys drop to 0 instead. With `carried`
+/// (round 1 over the pool), a probe whose tau is at most a stored one
+/// starts from the stored keys instead of either pass; keys from the
+/// evaluator's seeds serve every tau. Stale keys only order the sweeps, so
+/// looser stale keys change neither the picks nor which rows are verified,
+/// only how many bounds are refreshed.
 /// Plain (the ablation): a full scan per insertion that verifies exactly
 /// only the candidates whose bound can beat its running best.
-void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
-            const NetEvaluator* eval, TruncatedMhrState* state,
-            FairSelection* sel, CarriedKeys* carried, BiGreedyRunInfo* run) {
+void Greedy(const std::vector<int>& candidates, const Grouping& grouping,
+            double tau, bool lazy, const NetEvaluator* eval,
+            TruncatedMhrState* state, FairSelection* sel, CarriedKeys* carried,
+            LazyWorkspace* work, BiGreedyRunInfo* run) {
   const auto bound_is_exact = [eval](int row) {
     return eval->cached_row(row) == nullptr;
   };
@@ -163,83 +172,173 @@ void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
     }
     return;
   }
-  std::vector<LazyEntry> heap;
-  heap.reserve(candidates.size());
-  // Fresh keys for every candidate except `picked` that is still addable
-  // (a row the matroid refuses now stays refused as the set grows), also
-  // written to `keep` by candidate position when given.
-  const auto bound_pass = [&](int picked, std::vector<double>* keep) {
-    heap.clear();
-    if (keep != nullptr) keep->assign(candidates.size(), -1.0);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const int row = candidates[i];
-      if (row == picked || !sel->CanAdd(row)) continue;
-      const double key = bound(row);
-      heap.push_back({key, row, sel->size(), bound_is_exact(row)});
-      if (keep != nullptr) (*keep)[i] = key;
+  const size_t n = candidates.size();
+  std::vector<double>& key = work->key;
+  std::vector<int>& stamp = work->stamp;
+  std::vector<char>& is_exact = work->exact;
+  std::vector<int>& live = work->live;
+  std::vector<int>& fresh = work->fresh;
+  std::vector<int>& group_row = work->group_row;
+  std::vector<char>& open = work->open;
+  key.resize(n);
+  stamp.resize(n);
+  is_exact.resize(n);
+  const auto group_of = [&grouping](int row) {
+    return static_cast<size_t>(grouping.group_of[static_cast<size_t>(row)]);
+  };
+  // Every candidate of a group the matroid accepts is live. Acceptance
+  // depends only on the group, so one row per group tells.
+  group_row.assign(static_cast<size_t>(grouping.num_groups), -1);
+  open.assign(static_cast<size_t>(grouping.num_groups), 0);
+  live.clear();
+  for (size_t i = 0; i < n; ++i) {
+    const size_t g = group_of(candidates[i]);
+    if (group_row[g] < 0) {
+      group_row[g] = candidates[i];
+      open[g] = sel->CanAdd(candidates[i]);
+    }
+    if (open[g]) live.push_back(static_cast<int>(i));
+  }
+  // Drops the picked position from the live list and, when the pick made
+  // the matroid refuse a group (for good: the set only grows), that
+  // group's rows with it.
+  const auto drop = [&](int picked) {
+    bool closed = false;
+    for (size_t g = 0; g < open.size(); ++g) {
+      if (open[g] && !sel->CanAdd(group_row[g])) {
+        open[g] = 0;
+        closed = true;
+      }
+    }
+    if (!closed) {
+      live.erase(std::find(live.begin(), live.end(), picked));
+      return;
+    }
+    live.erase(std::remove_if(live.begin(), live.end(),
+                              [&](int p) {
+                                return p == picked ||
+                                       !open[group_of(candidates[
+                                           static_cast<size_t>(p)])];
+                              }),
+               live.end());
+  };
+  // Fresh keys for every live candidate, also written to `keep` by
+  // candidate position (-1 for the rest) when given.
+  const auto bound_pass = [&](std::vector<double>* keep) {
+    if (keep != nullptr) keep->assign(n, -1.0);
+    for (int p : live) {
+      const int row = candidates[static_cast<size_t>(p)];
+      key[static_cast<size_t>(p)] = bound(row);
+      stamp[static_cast<size_t>(p)] = sel->size();
+      is_exact[static_cast<size_t>(p)] = bound_is_exact(row);
+      if (keep != nullptr) {
+        (*keep)[static_cast<size_t>(p)] = key[static_cast<size_t>(p)];
+      }
     }
   };
   // No row gains more than a point happy under every direction, so a
   // carried key from a much larger tau is clipped to that cap: at small
   // tau most rows reach it, and the clipped keys tie instead of each
-  // waiting for a refresh.
+  // waiting for a refresh. Rows the keys left out leave the live list.
   const auto load = [&](const std::vector<double>& keys, double cap) {
-    heap.clear();
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (keys[i] < 0.0) continue;
-      heap.push_back(
-          {std::min(keys[i], cap), candidates[i], kCarriedStamp, false});
+    size_t kept = 0;
+    for (int p : live) {
+      if (keys[static_cast<size_t>(p)] < 0.0) continue;
+      key[static_cast<size_t>(p)] = std::min(keys[static_cast<size_t>(p)], cap);
+      stamp[static_cast<size_t>(p)] = kCarriedStamp;
+      live[kept++] = p;
     }
+    live.resize(kept);
   };
   if (carried != nullptr && tau <= carried->initial_tau) {
     load(carried->initial, state->GainCap(tau));
   } else {
-    bound_pass(-1, carried != nullptr ? &carried->initial : nullptr);
+    bound_pass(carried != nullptr ? &carried->initial : nullptr);
     if (carried != nullptr) carried->initial_tau = tau;
   }
-  std::make_heap(heap.begin(), heap.end());
-  while (!heap.empty() && !sel->IsMaximal()) {
-    std::pop_heap(heap.begin(), heap.end());
-    LazyEntry top = heap.back();
-    heap.pop_back();
-    if (!heap.empty()) {
-      PrefetchRow(eval->cached_row(heap.front().row), eval->net_size());
-    }
-    if (!sel->CanAdd(top.row)) continue;  // Permanently infeasible now.
-    if (top.stamp != sel->size()) {
-      top.key = std::min(top.key, bound(top.row));
-      top.stamp = sel->size();
-      top.exact = bound_is_exact(top.row);
-    } else if (!top.exact) {
-      top.key = exact(top.row);
-      top.exact = true;
-    } else {
-      sel->Add(top.row);
-      state->Add(top.row);
-      if (sel->size() == 1 && !sel->IsMaximal()) {
-        const double cap = state->GainCap(tau);
-        if (cap == 0.0) {
-          // The pick holds every direction at tau, so every gain is 0:
-          // the stale keys drop to 0 without reading a row.
-          for (LazyEntry& e : heap) e.key = 0.0;
-        } else if (const AfterFirstKeys* after =
-                       carried != nullptr ? carried->After(top.row, tau)
-                                          : nullptr) {
-          load(after->keys, cap);
-        } else {
-          bound_pass(top.row,
-                     carried != nullptr ? &carried->last.keys : nullptr);
-          if (carried != nullptr) {
-            carried->last.tau = tau;
-            carried->last.row = top.row;
+  while (!live.empty() && !sel->IsMaximal()) {
+    const int size = sel->size();
+    // The best fresh key (position `best`) and the best key a sweep left
+    // stale, each with its row; -1 rows: none yet.
+    int best = -1;
+    double best_key = -1.0;
+    int best_row = -1;
+    double stale_key = -1.0;
+    int stale_row = -1;
+    fresh.clear();
+    // The step's first sweep lists the keys a pass left fresh; a later one
+    // starts from `best` and meets only fresh keys already listed.
+    const auto sweep = [&](bool first) {
+      stale_key = -1.0;
+      stale_row = -1;
+      for (int p : live) {
+        const size_t i = static_cast<size_t>(p);
+        if (stamp[i] != size) {
+          // Keys are never negative, so a -1 best or stale key ranks below
+          // every key; rows are read only on ties.
+          const double k = key[i];
+          if (k < best_key ||
+              (k == best_key && candidates[i] > best_row)) {
+            if (k > stale_key ||
+                (k == stale_key && candidates[i] < stale_row)) {
+              stale_key = k;
+              stale_row = candidates[i];
+            }
+            continue;
           }
+          key[i] = std::min(k, bound(candidates[i]));
+          stamp[i] = size;
+          is_exact[i] = bound_is_exact(candidates[i]);
+        } else if (!first) {
+          continue;
         }
-        std::make_heap(heap.begin(), heap.end());
+        fresh.push_back(p);
+        if (Beats(key[i], candidates[i], best_key, best_row)) {
+          best = p;
+          best_key = key[i];
+          best_row = candidates[i];
+        }
       }
-      continue;
+    };
+    sweep(/*first=*/true);
+    while (!is_exact[static_cast<size_t>(best)]) {
+      key[static_cast<size_t>(best)] = exact(best_row);
+      is_exact[static_cast<size_t>(best)] = 1;
+      best_key = -1.0;
+      best_row = -1;
+      for (int p : fresh) {
+        const size_t i = static_cast<size_t>(p);
+        if (Beats(key[i], candidates[i], best_key, best_row)) {
+          best = p;
+          best_key = key[i];
+          best_row = candidates[i];
+        }
+      }
+      if (Beats(stale_key, stale_row, best_key, best_row)) {
+        sweep(/*first=*/false);
+      }
     }
-    heap.push_back(top);
-    std::push_heap(heap.begin(), heap.end());
+    const int row = best_row;
+    sel->Add(row);
+    state->Add(row);
+    drop(best);
+    if (sel->size() == 1 && !sel->IsMaximal()) {
+      const double cap = state->GainCap(tau);
+      if (cap == 0.0) {
+        // The pick holds every direction at tau, so every gain is 0: the
+        // stale keys drop to 0 without reading a row.
+        for (int p : live) key[static_cast<size_t>(p)] = 0.0;
+      } else if (const AfterFirstKeys* after =
+                     carried != nullptr ? carried->After(row, tau) : nullptr) {
+        load(after->keys, cap);
+      } else {
+        bound_pass(carried != nullptr ? &carried->last.keys : nullptr);
+        if (carried != nullptr) {
+          carried->last.tau = tau;
+          carried->last.row = row;
+        }
+      }
+    }
   }
 }
 
@@ -252,7 +351,7 @@ void Greedy(const std::vector<int>& candidates, double tau, bool lazy,
 /// round 1 only, the one round whose candidates are the whole pool.
 bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
               int gamma, double eps, bool strict, bool lazy,
-              CarriedKeys* carried, BiGreedyRunInfo* run,
+              CarriedKeys* carried, LazyWorkspace* work, BiGreedyRunInfo* run,
               std::vector<int>* out_rows, int* rounds_used) {
   const Grouping& grouping = *input.grouping;
   const FairnessMatroid matroid(input.bounds);
@@ -272,8 +371,8 @@ bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
     for (int row : input.pool) {
       if (!used[static_cast<size_t>(row)]) candidates.push_back(row);
     }
-    Greedy(candidates, tau, lazy, eval, &round_state, &sel,
-           round == 1 ? carried : nullptr, run);
+    Greedy(candidates, grouping, tau, lazy, eval, &round_state, &sel,
+           round == 1 ? carried : nullptr, work, run);
 
     for (int row : sel.rows()) {
       used[static_cast<size_t>(row)] = true;
@@ -294,11 +393,13 @@ bool MrGreedy(const ProblemInput& input, const NetEvaluator* eval, double tau,
 /// a single matroid-greedy fill on the untruncated average happiness.
 /// It runs over the pool like every probe's round 1, so `carried` serves it.
 std::vector<int> GreedyFill(const ProblemInput& input, const NetEvaluator* eval,
-                            CarriedKeys* carried, BiGreedyRunInfo* run) {
+                            CarriedKeys* carried, LazyWorkspace* work,
+                            BiGreedyRunInfo* run) {
   const FairnessMatroid matroid(input.bounds);
   FairSelection sel(&matroid, input.grouping);
   TruncatedMhrState state(eval);
-  Greedy(input.pool, 1.0, /*lazy=*/true, eval, &state, &sel, carried, run);
+  Greedy(input.pool, *input.grouping, 1.0, /*lazy=*/true, eval, &state, &sel,
+         carried, work, run);
   return sel.rows();
 }
 
@@ -338,11 +439,12 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
   int best_rounds = 0;
 
   CarriedKeys carried = SeededKeys(*eval, input.pool);
+  LazyWorkspace work;
   auto attempt = [&](int j, std::vector<int>* rows, int* rounds) {
     ++run.mrgreedy_calls;
     return MrGreedy(input, eval, tau_at(j), gamma, opts.eps,
-                    opts.strict_feasible, opts.lazy, &carried, &run, rows,
-                    rounds);
+                    opts.strict_feasible, opts.lazy, &carried, &work, &run,
+                    rows, rounds);
   };
 
   if (opts.tau_search == TauSearch::kBinary) {
@@ -441,7 +543,7 @@ StatusOr<Solution> BiGreedyOnNet(const ProblemInput& input,
   }
 
   if (best_tau < 0.0) {
-    best_rows = GreedyFill(input, eval, &carried, &run);
+    best_rows = GreedyFill(input, eval, &carried, &work, &run);
     best_tau = 0.0;
     best_rounds = 1;
   }

@@ -54,11 +54,12 @@ struct BiGreedyOptions {
   /// size <= gamma * k with gamma-scaled bounds (the bicriteria object of
   /// Lemma 4.5).
   bool strict_feasible = true;
-  /// Lazy greedy: a priority queue of upper bounds on the marginal gains
-  /// (read from the evaluator's fixed-point candidate cache), each verified
-  /// with the exact gain before it is selected. The plain variant re-scans every
-  /// candidate per insertion, verifying exactly only those whose bound can
-  /// beat its running best. Identical output; kept as an ablation knob.
+  /// Lazy greedy: an upper bound on each candidate's marginal gain (read
+  /// from the evaluator's fixed-point candidate cache), refreshed only when
+  /// it could rank first and verified with the exact gain before it is
+  /// selected. The plain variant re-scans every candidate per insertion,
+  /// verifying exactly only those whose bound can beat its running best.
+  /// Identical output; kept as an ablation knob.
   bool lazy = true;
   uint64_t seed = 13;
   /// Evaluation-engine lanes for the net denominator precompute, candidate
@@ -101,7 +102,7 @@ struct BiGreedyRunInfo {
   int tau_index = -1;     ///< Certified grid index (-1 = greedy fallback).
   bool warm_start_used = false;  ///< Warm hint accepted; cold search skipped.
   /// Work in the greedy loop over every MRGreedy call and the fallback:
-  /// GainBound evaluations (heap passes included) and MarginalGain
+  /// GainBound evaluations (the full passes included) and MarginalGain
   /// evaluations. Deterministic per instance. The seed passes
   /// (NetEvaluator::BuildSeedKeys) run when the evaluator is built, not
   /// in the loop, and are not counted.

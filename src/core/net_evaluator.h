@@ -33,9 +33,9 @@ namespace fairhms {
 /// The optional candidate cache holds each cached row's happiness as
 /// 16-bit fixed-point cells rounded up (simd::Cell), a quarter of the
 /// bytes of doubles. Its cells are upper bounds, never answers:
-/// TruncatedMhrState::GainBound reads them to order a lazy-greedy heap,
-/// and every gain a caller acts on, every Add and every mhr is computed
-/// exactly from the coordinates.
+/// TruncatedMhrState::GainBound reads them to order the lazy greedy's
+/// candidates, and every gain a caller acts on, every Add and every mhr is
+/// computed exactly from the coordinates.
 class NetEvaluator {
  public:
   /// Degenerate-denominator cutoff: directions whose best database score is

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -219,13 +220,13 @@ TEST(BiGreedyTest, LazyAndPlainGreedyEquivalent) {
 }
 
 TEST(BiGreedyTest, BoundLoopMatchesPlainScanAcrossModes) {
-  // The lazy loop orders its heap by cached-cell bounds, verifies only the
-  // top exactly, rebuilds the heap in one pass after the first pick and
+  // The lazy loop ranks candidates by cached-cell bounds, verifies only the
+  // best exactly, recomputes every key in one pass after the first pick and
   // carries round-1 keys down the tau grid; the plain scan verifies every
   // candidate whose bound can beat its running best. Both must pick exactly
   // what a scan over exact gains picks, in every search and feasibility
-  // mode, from every warm hint, and when rows leave the heap at the first
-  // pick (every group capped at 1).
+  // mode, from every warm hint, and when rows leave the live list at the
+  // first pick (every group capped at 1).
   struct Case {
     Dataset data;
     Grouping grouping;
@@ -302,11 +303,13 @@ TEST(BiGreedyTest, BoundLoopMatchesPlainScanAcrossModes) {
             const bool binary = search == TauSearch::kBinary;
             EXPECT_EQ(lazy_info.exact_gains, binary ? 49 : 693);
             // Bound reads: 24716 (binary) and 34398 (linear) before the
-            // seeds and dead-quad skipping; 13029 and 30129 with them.
+            // seeds and dead-quad skipping; 13029 and 30129 with them and
+            // a heap-ordered loop; 13743 and 31336 with the candidate-order
+            // sweeps, which refresh a few more stale keys.
             EXPECT_LT(lazy_info.bound_rows, binary ? 24716 : 34398);
           }
           if (search == TauSearch::kLinear && strict) {
-            // Carried keys spare later probes the heap passes.
+            // Carried keys spare later probes the full passes.
             EXPECT_LT(lazy_info.bound_rows, lazy_info.mrgreedy_calls * pool);
           }
           if (hints[h] < 0) {
@@ -333,7 +336,7 @@ TEST(BiGreedyTest, SeededEvaluatorMatchesUnseeded) {
   // An evaluator from GetOrBuildEvaluator carries seed keys (tau = 1
   // bounds on the empty set and after plain greedy's first pick); one
   // built by hand with CacheCandidates alone does not. The seeds only
-  // loosen stale heap keys, so both give the same rows, mhr, certified
+  // loosen stale keys, so both give the same rows, mhr, certified
   // index and exact evaluations, cold and from every warm hint, in both
   // feasibility modes; the seeds spare bound reads.
   Rng rng(31);
@@ -379,6 +382,94 @@ TEST(BiGreedyTest, SeededEvaluatorMatchesUnseeded) {
         }
       }
     }
+  }
+}
+
+TEST(BiGreedyTest, LazyLoopPathsKeepTheirVerificationCounts) {
+  // One instance per path of the lazy loop: a group whose upper bound is 1
+  // (it closes at its first pick), lower-bound reservation (a group closes
+  // while its upper bound is still open), an evaluator without a candidate
+  // cache (every bound is the exact gain), a 3-direction net (the first
+  // pick holds every direction, so no gain is left right after it), union
+  // mode (rounds after the first run without carried keys) and the linear
+  // tau search (every probe after the first starts from carried keys).
+  // Rows, certified index, MRGreedy calls and exact evaluations were
+  // measured with the heap-ordered loop this one replaced; only bound
+  // reads may differ.
+  Rng rng(47);
+  const Dataset data = GenAntiCorrelated(1200, 5, &rng);
+  const Grouping g = GroupBySumRank(data, 3);
+  const GroupBounds prop = GroupBounds::Proportional(6, g.Counts(), 0.2);
+  auto upper_one = GroupBounds::Explicit(6, {0, 0, 0}, {1, 4, 4});
+  auto reserve = GroupBounds::Explicit(6, {2, 2, 2}, {4, 4, 4});
+  ASSERT_TRUE(upper_one.ok() && reserve.ok());
+  struct Pin {
+    std::string name;
+    GroupBounds bounds;
+    size_t net_size;
+    bool cached;
+    bool strict;
+    TauSearch search;
+    std::vector<int> rows;
+    int tau_index;
+    int mrgreedy_calls;
+    int64_t exact_gains;
+  };
+  const std::vector<Pin> pins = {
+      {"upper=1", *upper_one, 200, true, true, TauSearch::kBinary,
+       {6, 88, 114, 707, 716, 862}, 4, 7, 42},
+      {"reserve", *reserve, 200, true, true, TauSearch::kBinary,
+       {3, 194, 251, 349, 862, 961}, 5, 7, 42},
+      {"uncached", prop, 200, false, true, TauSearch::kBinary,
+       {6, 114, 549, 716, 862, 908}, 4, 7, 0},
+      {"m=3", prop, 3, true, true, TauSearch::kBinary,
+       {0, 2, 338, 862, 1020, 1179}, 0, 4, 24},
+      {"union", prop, 200, true, false, TauSearch::kBinary,
+       {24,   74,   80,   99,   114,  117,  168,  173,  190,  196,  236,
+        246,  251,  273,  314,  322,  338,  341,  429,  434,  454,  462,
+        482,  505,  520,  544,  545,  562,  563,  613,  632,  633,  651,
+        677,  704,  707,  716,  739,  746,  750,  754,  829,  844,  845,
+        856,  862,  866,  868,  907,  908,  946,  971,  993,  996,  1020,
+        1029, 1030, 1031, 1053, 1060, 1063, 1068, 1131, 1168, 1179, 1185},
+       1, 7, 193},
+      {"linear", prop, 200, true, true, TauSearch::kLinear,
+       {6, 114, 549, 716, 862, 908}, 4, 105, 630},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    auto input = PrepareProblem(data, g, pin.bounds);
+    ASSERT_TRUE(input.ok()) << input.status();
+    Rng net_rng(17);
+    auto net = std::make_shared<const UtilityNet>(
+        UtilityNet::SampleRandom(5, pin.net_size, &net_rng));
+    std::shared_ptr<const NetEvaluator> eval;
+    if (pin.cached) {
+      eval = GetOrBuildEvaluator(nullptr, data, net, input->db_rows,
+                                 input->pool, 1);
+      ASSERT_TRUE(eval->has_seed_keys());
+    } else {
+      eval = std::make_shared<const NetEvaluator>(&data, net.get(),
+                                                  input->db_rows, 1);
+      ASSERT_EQ(eval->cached_row(input->pool[0]), nullptr);
+    }
+    BiGreedyOptions opts;
+    opts.eps = 0.1;
+    opts.strict_feasible = pin.strict;
+    opts.tau_search = pin.search;
+    BiGreedyRunInfo info;
+    auto sol = BiGreedyOnNet(*input, eval.get(), opts, &info);
+    ASSERT_TRUE(sol.ok()) << sol.status();
+    EXPECT_EQ(sol->rows, pin.rows);
+    EXPECT_EQ(info.tau_index, pin.tau_index);
+    EXPECT_EQ(info.mrgreedy_calls, pin.mrgreedy_calls);
+    EXPECT_EQ(info.exact_gains, pin.exact_gains);
+    if (!pin.strict) {
+      EXPECT_GE(info.rounds_used, 2);
+    }
+    opts.lazy = false;
+    auto plain = BiGreedyOnNet(*input, eval.get(), opts, nullptr);
+    ASSERT_TRUE(plain.ok()) << plain.status();
+    EXPECT_EQ(plain->rows, pin.rows);
   }
 }
 
