@@ -699,8 +699,9 @@ std::vector<ParamSpec> BiGreedyParamSchema() {
       {"strict_feasible", ParamType::kBool,
        "only accept single-round (exactly k, fair) solutions", "true", -1e308,
        1e308, false, false, {}},
-      {"lazy", ParamType::kBool, "priority-queue marginal gains", "true",
-       -1e308, 1e308, false, false, {}},
+      {"lazy", ParamType::kBool,
+       "stale gain bounds, refreshed only when they can win", "true", -1e308,
+       1e308, false, false, {}},
   };
 }
 

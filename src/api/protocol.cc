@@ -305,188 +305,170 @@ Status ParseName(const JsonValue& line, const char* op, std::string* name) {
 }
 
 // ---------------------------------------------------------------------------
-// Rendering.
+// Rendering: each body writes its members into the envelope's open object.
 
-std::string RenderIntList(const std::vector<int>& values) {
-  std::string out = "[";
-  for (size_t i = 0; i < values.size(); ++i) {
-    out += StrFormat("%s%d", i == 0 ? "" : ", ", values[i]);
-  }
-  out += "]";
-  return out;
+void WriteInts(const std::vector<int>& values, JsonWriter* w) {
+  w->BeginArray();
+  for (const int v : values) w->Int(v);
+  w->EndArray();
 }
 
-std::string RenderQueryBody(const QueryResponse& r) {
-  std::string out = StrFormat(
-      "\"algorithm\": \"%s\", \"k\": %d, \"seed\": %llu, \"threads\": %d, "
-      "\"solution_size\": %zu, \"rows\": ",
-      JsonEscape(r.algorithm).c_str(), r.k,
-      static_cast<unsigned long long>(r.seed), r.threads, r.rows.size());
-  out += RenderIntList(r.rows);
-  out += StrFormat(
-      ", \"happiness_ratio\": %.17g, \"algo_mhr_estimate\": %.17g, "
-      "\"violations\": %d, \"group_counts\": ",
-      r.happiness_ratio, r.algo_mhr_estimate, r.violations);
-  out += RenderIntList(r.group_counts);
-  if (!r.note.empty()) {
-    out += StrFormat(", \"note\": \"%s\"", JsonEscape(r.note).c_str());
-  }
+void WriteQueryBody(const QueryResponse& r, JsonWriter* w) {
+  w->Key("algorithm").String(r.algorithm);
+  w->Key("k").Int(r.k);
+  w->Key("seed").UInt(r.seed);
+  w->Key("threads").Int(r.threads);
+  w->Key("solution_size").UInt(r.rows.size());
+  w->Key("rows");
+  WriteInts(r.rows, w);
+  w->Key("happiness_ratio").Double(r.happiness_ratio);
+  w->Key("algo_mhr_estimate").Double(r.algo_mhr_estimate);
+  w->Key("violations").Int(r.violations);
+  w->Key("group_counts");
+  WriteInts(r.group_counts, w);
+  if (!r.note.empty()) w->Key("note").String(r.note);
   if (r.planned) {
     // Prediction and actual cost side by side, so clients can judge the
     // model without correlating fields across the payload.
-    out += StrFormat(
-        ", \"plan\": {\"requested\": \"auto\", \"algorithm\": \"%s\", "
-        "\"predicted_ms\": %.3f, \"predicted_hr\": %.17g, "
-        "\"actual_ms\": %.3f, \"reason\": \"%s\"",
-        JsonEscape(r.algorithm).c_str(), r.predicted_ms, r.predicted_hr,
-        r.solve_ms, JsonEscape(r.plan_reason).c_str());
-    if (!r.plan_params.empty()) {
-      out += StrFormat(", \"params\": \"%s\"",
-                       JsonEscape(r.plan_params).c_str());
-    }
-    out += "}";
+    w->Key("plan").BeginObject();
+    w->Key("requested").String("auto");
+    w->Key("algorithm").String(r.algorithm);
+    w->Key("predicted_ms").Fixed(r.predicted_ms, 3);
+    w->Key("predicted_hr").Double(r.predicted_hr);
+    w->Key("actual_ms").Fixed(r.solve_ms, 3);
+    w->Key("reason").String(r.plan_reason);
+    if (!r.plan_params.empty()) w->Key("params").String(r.plan_params);
+    w->EndObject();
   }
-  if (r.warm_start) out += ", \"warm_start\": true";
-  out += StrFormat(", \"solve_ms\": %.3f, \"total_ms\": %.3f", r.solve_ms,
-                   r.total_ms);
-  return out;
+  if (r.warm_start) w->Key("warm_start").Bool(true);
+  w->Key("solve_ms").Fixed(r.solve_ms, 3);
+  w->Key("total_ms").Fixed(r.total_ms, 3);
 }
 
-std::string RenderInsertBody(const InsertResponse& r) {
-  return StrFormat(
-      "\"op\": \"insert\", \"row\": %d, \"group\": %d, "
-      "\"group_name\": \"%s\", \"version\": %llu, \"live_rows\": %zu",
-      r.row, r.group, JsonEscape(r.group_name).c_str(),
-      static_cast<unsigned long long>(r.version),
-      static_cast<size_t>(r.live_rows));
+void WriteInsertBody(const InsertResponse& r, JsonWriter* w) {
+  w->Key("op").String("insert");
+  w->Key("row").Int(r.row);
+  w->Key("group").Int(r.group);
+  w->Key("group_name").String(r.group_name);
+  w->Key("version").UInt(r.version);
+  w->Key("live_rows").UInt(r.live_rows);
 }
 
-std::string RenderDeleteBody(const DeleteResponse& r) {
-  return StrFormat(
-      "\"op\": \"delete\", \"erased\": %zu, \"version\": %llu, "
-      "\"live_rows\": %zu",
-      static_cast<size_t>(r.erased),
-      static_cast<unsigned long long>(r.version),
-      static_cast<size_t>(r.live_rows));
+void WriteDeleteBody(const DeleteResponse& r, JsonWriter* w) {
+  w->Key("op").String("delete");
+  w->Key("erased").UInt(r.erased);
+  w->Key("version").UInt(r.version);
+  w->Key("live_rows").UInt(r.live_rows);
 }
 
-std::string RenderRegisterBody(const RegisterResponse& r) {
-  return StrFormat(
-      "\"op\": \"register\", \"name\": \"%s\", \"rows\": %zu, \"dim\": %d, "
-      "\"groups\": %d",
-      JsonEscape(r.name).c_str(), static_cast<size_t>(r.rows), r.dim,
-      r.groups);
+void WriteRegisterBody(const RegisterResponse& r, JsonWriter* w) {
+  w->Key("op").String("register");
+  w->Key("name").String(r.name);
+  w->Key("rows").UInt(r.rows);
+  w->Key("dim").Int(r.dim);
+  w->Key("groups").Int(r.groups);
 }
 
-std::string RenderSaveBody(const SaveResponse& r) {
-  return StrFormat("\"op\": \"save\", \"name\": \"%s\", \"path\": \"%s\"",
-                   JsonEscape(r.name).c_str(), JsonEscape(r.path).c_str());
+void WriteSaveBody(const SaveResponse& r, JsonWriter* w) {
+  w->Key("op").String("save");
+  w->Key("name").String(r.name);
+  w->Key("path").String(r.path);
 }
 
-std::string RenderDropBody(const DropResponse& r) {
-  return StrFormat("\"op\": \"drop\", \"name\": \"%s\"",
-                   JsonEscape(r.name).c_str());
+void WriteDropBody(const DropResponse& r, JsonWriter* w) {
+  w->Key("op").String("drop");
+  w->Key("name").String(r.name);
 }
 
-std::string RenderListBody(const ListResponse& r) {
-  std::string out = "\"op\": \"list\", \"datasets\": [";
-  bool first = true;
-  for (const std::string& name : r.datasets) {
-    out += StrFormat("%s\"%s\"", first ? "" : ", ",
-                     JsonEscape(name).c_str());
-    first = false;
-  }
-  out += "]";
-  return out;
+void WriteListBody(const ListResponse& r, JsonWriter* w) {
+  w->Key("op").String("list");
+  w->Key("datasets").BeginArray();
+  for (const std::string& name : r.datasets) w->String(name);
+  w->EndArray();
 }
 
-std::string RenderStatsBody(const StatsResponse& r) {
-  std::string out = StrFormat(
-      "\"op\": \"stats\", \"uptime_ms\": %.3f, \"served\": %llu, "
-      "\"failed\": %llu, \"qps\": %.3f, "
-      "\"simd_level\": \"%s\", \"simd_mode\": \"%s\", \"datasets\": [",
-      r.uptime_ms, static_cast<unsigned long long>(r.served),
-      static_cast<unsigned long long>(r.failed), r.qps,
-      JsonEscape(r.simd_level).c_str(), JsonEscape(r.simd_mode).c_str());
-  for (size_t i = 0; i < r.datasets.size(); ++i) {
-    const StatsResponse::DatasetStats& d = r.datasets[i];
-    out += StrFormat(
-        "%s{\"name\": \"%s\", \"live_rows\": %llu, \"rows\": %llu, "
-        "\"dim\": %d, \"groups\": %d, \"version\": %llu, "
-        "\"coord_bytes\": %llu, "
-        "\"cache_hits\": %llu, \"cache_misses\": %llu, \"cache_bytes\": %llu",
-        i == 0 ? "" : ", ", JsonEscape(d.name).c_str(),
-        static_cast<unsigned long long>(d.live_rows),
-        static_cast<unsigned long long>(d.total_rows), d.dim, d.groups,
-        static_cast<unsigned long long>(d.version),
-        static_cast<unsigned long long>(d.coord_bytes),
-        static_cast<unsigned long long>(d.cache_hits),
-        static_cast<unsigned long long>(d.cache_misses),
-        static_cast<unsigned long long>(d.cache_bytes));
+void WriteStatsBody(const StatsResponse& r, JsonWriter* w) {
+  w->Key("op").String("stats");
+  w->Key("uptime_ms").Fixed(r.uptime_ms, 3);
+  w->Key("served").UInt(r.served);
+  w->Key("failed").UInt(r.failed);
+  w->Key("qps").Fixed(r.qps, 3);
+  w->Key("simd_level").String(r.simd_level);
+  w->Key("simd_mode").String(r.simd_mode);
+  w->Key("datasets").BeginArray();
+  for (const StatsResponse::DatasetStats& d : r.datasets) {
+    w->BeginObject();
+    w->Key("name").String(d.name);
+    w->Key("live_rows").UInt(d.live_rows);
+    w->Key("rows").UInt(d.total_rows);
+    w->Key("dim").Int(d.dim);
+    w->Key("groups").Int(d.groups);
+    w->Key("version").UInt(d.version);
+    w->Key("coord_bytes").UInt(d.coord_bytes);
+    w->Key("cache_hits").UInt(d.cache_hits);
+    w->Key("cache_misses").UInt(d.cache_misses);
+    w->Key("cache_bytes").UInt(d.cache_bytes);
     if (!d.cache_classes.empty()) {
-      out += ", \"cache_classes\": {";
-      for (size_t c = 0; c < d.cache_classes.size(); ++c) {
-        const auto& cls = d.cache_classes[c];
-        out += StrFormat(
-            "%s\"%s\": {\"hits\": %llu, \"misses\": %llu, \"bytes\": %llu}",
-            c == 0 ? "" : ", ", JsonEscape(cls.name).c_str(),
-            static_cast<unsigned long long>(cls.hits),
-            static_cast<unsigned long long>(cls.misses),
-            static_cast<unsigned long long>(cls.bytes));
+      w->Key("cache_classes").BeginObject();
+      for (const auto& cls : d.cache_classes) {
+        w->Key(cls.name).BeginObject();
+        w->Key("hits").UInt(cls.hits);
+        w->Key("misses").UInt(cls.misses);
+        w->Key("bytes").UInt(cls.bytes);
+        w->EndObject();
       }
-      out += "}";
+      w->EndObject();
     }
-    out += "}";
+    w->EndObject();
   }
-  out += StrFormat(
-      "], \"cache\": {\"budget_bytes\": %llu, \"total_bytes\": %llu, "
-      "\"evictions\": %llu, \"sessions\": [",
-      static_cast<unsigned long long>(r.cache_budget_bytes),
-      static_cast<unsigned long long>(r.cache_total_bytes),
-      static_cast<unsigned long long>(r.cache_evictions));
-  for (size_t i = 0; i < r.cache_sessions.size(); ++i) {
-    const StatsResponse::CacheSessionStats& s = r.cache_sessions[i];
-    out += StrFormat(
-        "%s{\"name\": \"%s\", \"charged_bytes\": %llu, \"last_touch\": %llu}",
-        i == 0 ? "" : ", ", JsonEscape(s.name).c_str(),
-        static_cast<unsigned long long>(s.charged_bytes),
-        static_cast<unsigned long long>(s.last_touch));
+  w->EndArray();
+  w->Key("cache").BeginObject();
+  w->Key("budget_bytes").UInt(r.cache_budget_bytes);
+  w->Key("total_bytes").UInt(r.cache_total_bytes);
+  w->Key("evictions").UInt(r.cache_evictions);
+  w->Key("sessions").BeginArray();
+  for (const StatsResponse::CacheSessionStats& s : r.cache_sessions) {
+    w->BeginObject();
+    w->Key("name").String(s.name);
+    w->Key("charged_bytes").UInt(s.charged_bytes);
+    w->Key("last_touch").UInt(s.last_touch);
+    w->EndObject();
   }
-  out += "]}, \"ops\": [";
-  for (size_t i = 0; i < r.ops.size(); ++i) {
-    const StatsResponse::OpStats& o = r.ops[i];
-    out += StrFormat(
-        "%s{\"op\": \"%s\", \"count\": %llu, \"errors\": %llu, "
-        "\"total_ms\": %.3f, \"p50_ms\": %.3f, \"p99_ms\": %.3f}",
-        i == 0 ? "" : ", ", ProtocolOpName(o.op),
-        static_cast<unsigned long long>(o.count),
-        static_cast<unsigned long long>(o.errors), o.total_ms, o.p50_ms,
-        o.p99_ms);
+  w->EndArray();
+  w->EndObject();
+  w->Key("ops").BeginArray();
+  for (const StatsResponse::OpStats& o : r.ops) {
+    w->BeginObject();
+    w->Key("op").String(ProtocolOpName(o.op));
+    w->Key("count").UInt(o.count);
+    w->Key("errors").UInt(o.errors);
+    w->Key("total_ms").Fixed(o.total_ms, 3);
+    w->Key("p50_ms").Fixed(o.p50_ms, 3);
+    w->Key("p99_ms").Fixed(o.p99_ms, 3);
+    w->EndObject();
   }
-  out += "]";
-  return out;
+  w->EndArray();
 }
 
-std::string RenderBody(const Response& r) {
+void WriteBody(const Response& r, JsonWriter* w) {
   switch (r.op) {
     case ProtocolOp::kQuery:
-      return RenderQueryBody(r.query);
+      return WriteQueryBody(r.query, w);
     case ProtocolOp::kInsert:
-      return RenderInsertBody(r.insert);
+      return WriteInsertBody(r.insert, w);
     case ProtocolOp::kDelete:
-      return RenderDeleteBody(r.erase);
+      return WriteDeleteBody(r.erase, w);
     case ProtocolOp::kRegister:
-      return RenderRegisterBody(r.reg);
+      return WriteRegisterBody(r.reg, w);
     case ProtocolOp::kSave:
-      return RenderSaveBody(r.save);
+      return WriteSaveBody(r.save, w);
     case ProtocolOp::kDrop:
-      return RenderDropBody(r.drop);
+      return WriteDropBody(r.drop, w);
     case ProtocolOp::kList:
-      return RenderListBody(r.list);
+      return WriteListBody(r.list, w);
     case ProtocolOp::kStats:
-      return RenderStatsBody(r.stats);
+      return WriteStatsBody(r.stats, w);
   }
-  return std::string();
 }
 
 }  // namespace
@@ -517,15 +499,12 @@ namespace {
 
 /// The rendered id token of a parsed line, or "" when absent / non-scalar.
 std::string IdToken(const JsonValue& line) {
+  JsonWriter token;
   if (const JsonValue* id_field = line.Find("id"); id_field != nullptr) {
-    if (id_field->is_string()) {
-      return "\"" + JsonEscape(id_field->string_value()) + "\"";
-    }
-    if (id_field->is_number()) {
-      return StrFormat("%.17g", id_field->number_value());
-    }
+    if (id_field->is_string()) token.String(id_field->string_value());
+    if (id_field->is_number()) token.Double(id_field->number_value());
   }
-  return std::string();
+  return token.Take();
 }
 
 }  // namespace
@@ -535,9 +514,7 @@ std::string RenderRequestId(std::string_view line, uint64_t line_no) {
   if (auto parsed = ParseJson(line); parsed.ok() && parsed->is_object()) {
     id = IdToken(*parsed);
   }
-  if (id.empty()) {
-    id = StrFormat("%llu", static_cast<unsigned long long>(line_no));
-  }
+  if (id.empty()) id = JsonWriter().UInt(line_no).Take();
   return id;
 }
 
@@ -605,34 +582,26 @@ Status ParseRequest(const JsonValue& line, Request* out) {
 
 std::string RenderResponse(const Response& response,
                            const EnvelopeOptions& envelope) {
-  std::string out = StrFormat("{\"id\": %s, \"ok\": %s, "
-                              "\"protocol_version\": %d, ",
-                              response.id.c_str(),
-                              response.ok ? "true" : "false",
-                              kProtocolVersion);
-  if (envelope.emit_seq && response.has_seq) {
-    out += StrFormat("\"seq\": %llu, ",
-                     static_cast<unsigned long long>(response.seq));
-  }
-  if (!response.dataset.empty()) {
-    out += StrFormat("\"dataset\": \"%s\", ",
-                     JsonEscape(response.dataset).c_str());
-  }
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("id").Raw(response.id);
+  w.Key("ok").Bool(response.ok);
+  w.Key("protocol_version").Int(kProtocolVersion);
+  if (envelope.emit_seq && response.has_seq) w.Key("seq").UInt(response.seq);
+  if (!response.dataset.empty()) w.Key("dataset").String(response.dataset);
   if (!response.ok) {
-    out += StrFormat(
-        "\"error\": {\"code\": \"%s\", \"message\": \"%s\"}}",
-        StatusCodeToString(response.error.code()),
-        JsonEscape(response.error.message()).c_str());
-    return out;
+    w.Key("error").BeginObject();
+    w.Key("code").String(StatusCodeToString(response.error.code()));
+    w.Key("message").String(response.error.message());
+    w.EndObject();
+  } else {
+    if (response.has_catalog_version) {
+      w.Key("catalog_version").UInt(response.catalog_version);
+    }
+    WriteBody(response, &w);
   }
-  if (response.has_catalog_version) {
-    out += StrFormat("\"catalog_version\": %llu, ",
-                     static_cast<unsigned long long>(
-                         response.catalog_version));
-  }
-  out += RenderBody(response);
-  out += "}";
-  return out;
+  w.EndObject();
+  return w.Take();
 }
 
 std::string RenderErrorLine(const std::string& id, const Status& error,

@@ -1,30 +1,70 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdio>
 
 #include "common/string_util.h"
 
 namespace fairhms {
 
+namespace {
+
+/// Appends `s` JSON-escaped (no surrounding quotes); runs of plain bytes go
+/// in one append.
+void AppendEscaped(std::string_view s, std::string* out) {
+  size_t plain = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    const char* escape = nullptr;
+    switch (c) {
+      case '"': escape = "\\\""; break;
+      case '\\': escape = "\\\\"; break;
+      case '\n': escape = "\\n"; break;
+      case '\r': escape = "\\r"; break;
+      case '\t': escape = "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out->append(s.substr(plain, i - plain));
+    if (escape != nullptr) {
+      out->append(escape);
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      out->append(buf);
+    }
+    plain = i + 1;
+  }
+  out->append(s.substr(plain));
+}
+
+template <typename T>
+void AppendInteger(T v, std::string* out) {
+  char buf[24];
+  const char* end = std::to_chars(buf, buf + sizeof(buf), v).ptr;
+  out->append(buf, static_cast<size_t>(end - buf));
+}
+
+/// Appends one printf conversion of a double.
+template <typename... Args>
+void AppendFormatted(std::string* out, const char* fmt, Args... args) {
+  char buf[32];
+  const int len = std::snprintf(buf, sizeof(buf), fmt, args...);
+  if (len >= 0 && static_cast<size_t>(len) < sizeof(buf)) {
+    out->append(buf, static_cast<size_t>(len));
+  } else {  // %f of a large magnitude.
+    out->append(StrFormat(fmt, args...));
+  }
+}
+
+}  // namespace
+
 std::string JsonEscape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
+  AppendEscaped(s, &out);
   return out;
 }
 
@@ -268,64 +308,6 @@ StatusOr<JsonValue> ParseJson(std::string_view text) {
   return JsonParser(text).Parse();
 }
 
-namespace {
-
-void WriteValue(const JsonValue& value, std::string* out) {
-  switch (value.kind()) {
-    case JsonValue::Kind::kNull:
-      *out += "null";
-      return;
-    case JsonValue::Kind::kBool:
-      *out += value.bool_value() ? "true" : "false";
-      return;
-    case JsonValue::Kind::kNumber:
-      if (std::isfinite(value.number_value())) {
-        *out += StrFormat("%.17g", value.number_value());
-      } else {
-        *out += "null";
-      }
-      return;
-    case JsonValue::Kind::kString:
-      *out += '"';
-      *out += JsonEscape(value.string_value());
-      *out += '"';
-      return;
-    case JsonValue::Kind::kArray: {
-      *out += '[';
-      bool first = true;
-      for (const JsonValue& item : value.items()) {
-        if (!first) *out += ", ";
-        first = false;
-        WriteValue(item, out);
-      }
-      *out += ']';
-      return;
-    }
-    case JsonValue::Kind::kObject: {
-      *out += '{';
-      bool first = true;
-      for (const auto& [key, member] : value.members()) {
-        if (!first) *out += ", ";
-        first = false;
-        *out += '"';
-        *out += JsonEscape(key);
-        *out += "\": ";
-        WriteValue(member, out);
-      }
-      *out += '}';
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-std::string WriteJson(const JsonValue& value) {
-  std::string out;
-  WriteValue(value, &out);
-  return out;
-}
-
 void JsonWriter::BeforeValue() {
   if (after_key_) {
     after_key_ = false;
@@ -369,7 +351,7 @@ JsonWriter& JsonWriter::Key(std::string_view name) {
   if (!has_value_.empty() && has_value_.back()) out_ += ", ";
   if (!has_value_.empty()) has_value_.back() = true;
   out_ += '"';
-  out_ += JsonEscape(std::string(name));
+  AppendEscaped(name, &out_);
   out_ += "\": ";
   after_key_ = true;
   return *this;
@@ -378,7 +360,7 @@ JsonWriter& JsonWriter::Key(std::string_view name) {
 JsonWriter& JsonWriter::String(const std::string& v) {
   BeforeValue();
   out_ += '"';
-  out_ += JsonEscape(v);
+  AppendEscaped(v, &out_);
   out_ += '"';
   return *this;
 }
@@ -397,26 +379,33 @@ JsonWriter& JsonWriter::Null() {
 
 JsonWriter& JsonWriter::Int(int64_t v) {
   BeforeValue();
-  out_ += StrFormat("%lld", static_cast<long long>(v));
+  AppendInteger(v, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::UInt(uint64_t v) {
   BeforeValue();
-  out_ += StrFormat("%llu", static_cast<unsigned long long>(v));
+  AppendInteger(v, &out_);
   return *this;
 }
 
 JsonWriter& JsonWriter::Double(double v) {
   BeforeValue();
-  out_ += std::isfinite(v) ? StrFormat("%.17g", v) : std::string("null");
+  if (std::isfinite(v)) {
+    AppendFormatted(&out_, "%.17g", v);
+  } else {
+    out_ += "null";
+  }
   return *this;
 }
 
 JsonWriter& JsonWriter::Fixed(double v, int precision) {
   BeforeValue();
-  out_ += std::isfinite(v) ? StrFormat("%.*f", precision, v)
-                           : std::string("null");
+  if (std::isfinite(v)) {
+    AppendFormatted(&out_, "%.*f", precision, v);
+  } else {
+    out_ += "null";
+  }
   return *this;
 }
 

@@ -1,6 +1,5 @@
-// Minimal JSON layer of the FairHMS library: a value tree + parser (moved
-// up from tools/cli_util, where it served only the --queries batch driver)
-// and a deterministic writer.
+// Minimal JSON layer of the FairHMS library: a value tree + parser and one
+// writer, JsonWriter.
 //
 // This is the wire format of the serving surface — api/protocol.h builds
 // the versioned request/response envelope on top of it, and both the
@@ -10,11 +9,13 @@
 // comments, no NaN/Infinity), which is exactly what newline-delimited
 // request streams need.
 //
-// Writer determinism: WriteJson and JsonWriter emit one canonical byte
-// sequence per value — object members in insertion order, numbers via
-// %.17g (round-trip exact for doubles), `", "` / `": "` separators — so
-// responses can be compared byte-for-byte across runs, threads and
-// transports.
+// JsonWriter is the serving surface's one JSON writer: every protocol line
+// (RenderResponse, RenderErrorLine, the echoed request id) and the request
+// line fairhms_cli builds from its flags go through it. It emits one canonical
+// byte sequence per document — members in call order, doubles via %.17g
+// (round-trip exact), non-finite doubles as null, `", "` / `": "`
+// separators — so responses can be compared byte-for-byte across runs,
+// threads and transports.
 
 #ifndef FAIRHMS_COMMON_JSON_H_
 #define FAIRHMS_COMMON_JSON_H_
@@ -80,13 +81,10 @@ class JsonValue {
 /// error). Supports the JSON core: no comments, no NaN/Infinity literals.
 StatusOr<JsonValue> ParseJson(std::string_view text);
 
-/// Serializes a value tree deterministically (see the header comment).
-std::string WriteJson(const JsonValue& value);
-
-/// Streaming builder for JSON documents with the same spacing WriteJson
-/// uses (`{"a": 1, "b": [2, 3]}`), plus formatting control the protocol
-/// envelope needs: Double emits %.17g (bit round-trip), Fixed emits %.*f
-/// (human-scale timings), Raw splices a pre-rendered fragment. The builder
+/// Streaming writer for JSON documents with the envelope's spacing
+/// (`{"a": 1, "b": [2, 3]}`) and the formatting control it needs: Double
+/// emits %.17g (bit round-trip), Fixed emits %.*f (human-scale timings),
+/// Raw splices a pre-rendered fragment (the id token). The writer
 /// trusts its caller to call Key exactly once before every object value;
 /// it asserts nothing and simply concatenates, so misuse yields malformed
 /// JSON rather than UB.

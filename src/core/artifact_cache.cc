@@ -8,20 +8,12 @@
 #include <utility>
 
 #include "common/simd.h"
-#include "common/string_util.h"
 #include "skyline/incremental.h"
 #include "skyline/skyline.h"
 
 namespace fairhms {
 
 namespace {
-
-std::string CounterLine(const char* name, const CacheStats::Counter& c) {
-  return StrFormat("%s: %llu hits, %llu misses, %.1f KiB",
-                   name, static_cast<unsigned long long>(c.hits),
-                   static_cast<unsigned long long>(c.misses),
-                   static_cast<double>(c.bytes) / 1024.0);
-}
 
 CacheStats::Counter CacheStats::*SlotOf(ArtifactCache::Kind kind) {
   return kCacheClasses[static_cast<size_t>(kind)].counter;
@@ -51,18 +43,6 @@ uint64_t CacheStats::TotalMisses() const {
 
 uint64_t CacheStats::TotalBytes() const {
   return Sum(*this, &Counter::bytes);
-}
-
-std::string CacheStats::ToString() const {
-  std::string out;
-  for (const CacheClass& c : kCacheClasses) {
-    out += CounterLine(c.name, this->*c.counter) + "; ";
-  }
-  Counter total;
-  total.hits = TotalHits();
-  total.misses = TotalMisses();
-  total.bytes = TotalBytes();
-  return out + CounterLine("total", total);
 }
 
 uint64_t ArtifactBytes(const std::vector<int>& rows) {
@@ -370,25 +350,6 @@ uint64_t CacheArbiter::total_bytes() const {
 uint64_t CacheArbiter::evictions() const {
   MutexLock lock(&mu_);
   return evictions_;
-}
-
-std::string CacheArbiter::ToString() const {
-  MutexLock lock(&mu_);
-  std::string out = StrFormat(
-      "global cache: %.1f KiB charged across %zu sessions, budget %s, "
-      "%llu evictions",
-      static_cast<double>(total_) / 1024.0, entries_.size(),
-      budget_ == 0
-          ? std::string("unlimited").c_str()
-          : StrFormat("%.1f KiB", static_cast<double>(budget_) / 1024.0)
-                .c_str(),
-      static_cast<unsigned long long>(evictions_));
-  for (const auto& [addr, entry] : entries_) {
-    (void)addr;
-    out += StrFormat("\n  %s: %.1f KiB charged", entry.name.c_str(),
-                     static_cast<double>(entry.charged) / 1024.0);
-  }
-  return out;
 }
 
 std::vector<CacheArbiter::LedgerEntry> CacheArbiter::Ledger() const {

@@ -83,12 +83,6 @@ struct CacheStats {
   uint64_t TotalHits() const;
   uint64_t TotalMisses() const;
   uint64_t TotalBytes() const;
-
-  /// One entry per artifact class plus a trailing total, e.g.
-  /// "nets: 5 hits, 3 misses, 1.2 KiB; ...; total: 8 hits, 4 misses,
-  /// 3.4 KiB" — the same byte total a CacheArbiter charges globally, so
-  /// per-session and process-wide reports always agree.
-  std::string ToString() const;
 };
 
 /// One artifact class of CacheStats: its report name and its counter.
@@ -328,11 +322,6 @@ class CacheArbiter {
   /// Entries Rebalance evicted (eviction calls that refunded bytes;
   /// telemetry).
   uint64_t evictions() const FAIRHMS_EXCLUDES(mu_);
-
-  /// Per-session charged bytes plus the global total/budget, one line per
-  /// registered cache — the process-wide counterpart of
-  /// CacheStats::ToString (the per-session byte figures agree).
-  std::string ToString() const FAIRHMS_EXCLUDES(mu_);
 
   /// Structured form of the ledger for the `stats` op: one entry per
   /// registered cache, sorted by name. `last_touch` is the logical

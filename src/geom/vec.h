@@ -38,14 +38,6 @@ inline void NormalizeL2(double* a, size_t d) {
   }
 }
 
-/// Scales `a` to unit l1 norm in place (assumes nonnegative coordinates).
-inline void NormalizeL1(double* a, size_t d) {
-  const double n = SumCoords(a, d);
-  if (n > 0.0) {
-    for (size_t i = 0; i < d; ++i) a[i] /= n;
-  }
-}
-
 }  // namespace fairhms
 
 #endif  // FAIRHMS_GEOM_VEC_H_

@@ -11,10 +11,12 @@
 // and review the diff like any other code change.
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -379,6 +381,258 @@ TEST(ProtocolServiceTest, UnknownDatasetLinesAnswerNotFound) {
   EXPECT_EQ(catalog.version(), 1u);
   EXPECT_EQ(service.failed(), 3u);
   EXPECT_EQ(service.updates(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// RenderResponse, byte for byte, on shapes the served battery does not
+// reach.
+
+/// A served query with every optional member unset.
+Response QueryFixture() {
+  Response r;
+  r.id = "\"q\"";
+  r.ok = true;
+  r.op = ProtocolOp::kQuery;
+  r.dataset = "default";
+  r.has_catalog_version = true;
+  r.catalog_version = 3;
+  r.has_seq = true;
+  r.seq = 12;
+  QueryResponse& q = r.query;
+  q.algorithm = "bigreedy";
+  q.k = 4;
+  q.seed = 7;
+  q.threads = 1;
+  q.rows = {2, 5, 6, 17};
+  q.happiness_ratio = 0.8125;
+  q.algo_mhr_estimate = 0.1;
+  q.violations = 0;
+  q.group_counts = {1, 3};
+  q.solve_ms = 1.23456;
+  q.total_ms = 2.5;
+  return r;
+}
+
+/// A stats payload with two datasets (one with per-class cache counters)
+/// and two ledger sessions.
+Response StatsFixture() {
+  Response r;
+  r.id = "7";
+  r.ok = true;
+  r.op = ProtocolOp::kStats;
+  r.has_catalog_version = true;
+  r.catalog_version = 2;
+  StatsResponse& s = r.stats;
+  s.uptime_ms = 1500.25;
+  s.served = 9;
+  s.failed = 1;
+  s.qps = 6.0;
+  s.simd_level = "avx2";
+  s.simd_mode = "auto";
+  StatsResponse::DatasetStats a;
+  a.name = "default";
+  a.live_rows = 58;
+  a.total_rows = 60;
+  a.dim = 3;
+  a.groups = 2;
+  a.version = 4;
+  a.coord_bytes = 1440;
+  a.cache_hits = 5;
+  a.cache_misses = 3;
+  a.cache_bytes = 4096;
+  a.cache_classes = {{"nets", 2, 1, 1024}, {"evaluators", 3, 2, 3072}};
+  StatsResponse::DatasetStats b;
+  b.name = "t\"x";
+  b.live_rows = 10;
+  b.total_rows = 10;
+  b.dim = 2;
+  b.groups = 1;
+  b.version = 1;
+  b.coord_bytes = 160;
+  s.datasets = {a, b};
+  s.cache_budget_bytes = 1073741824;
+  s.cache_total_bytes = 4096;
+  s.cache_evictions = 0;
+  s.cache_sessions = {{"default", 4096, 11}, {"t\"x", 0, 2}};
+  StatsResponse::OpStats query;
+  query.op = ProtocolOp::kQuery;
+  query.count = 8;
+  query.errors = 1;
+  query.total_ms = 20.5;
+  query.p50_ms = 2.25;
+  query.p99_ms = 4.0;
+  StatsResponse::OpStats insert;
+  insert.op = ProtocolOp::kInsert;
+  insert.count = 1;
+  insert.total_ms = 0.125;
+  insert.p50_ms = 0.125;
+  insert.p99_ms = 0.125;
+  s.ops = {query, insert};
+  return r;
+}
+
+TEST(RenderPinnedTest, PlannedQueryEchoesTheParams) {
+  Response r = QueryFixture();
+  r.query.planned = true;
+  r.query.predicted_ms = 0.75;
+  r.query.predicted_hr = 0.9;
+  r.query.plan_reason = "capability default (cold model)";
+  r.query.plan_params = "net_size=400";
+  EXPECT_EQ(RenderResponse(r, EnvelopeOptions()),
+            R"-({"id": "q", "ok": true, "protocol_version": 1, "seq": 12, )-"
+            R"-("dataset": "default", "catalog_version": 3, )-"
+            R"-("algorithm": "bigreedy", "k": 4, "seed": 7, "threads": 1, )-"
+            R"-("solution_size": 4, "rows": [2, 5, 6, 17], )-"
+            R"-("happiness_ratio": 0.8125, )-"
+            R"-("algo_mhr_estimate": 0.10000000000000001, )-"
+            R"-("violations": 0, "group_counts": [1, 3], )-"
+            R"-("plan": {"requested": "auto", "algorithm": "bigreedy", )-"
+            R"-("predicted_ms": 0.750, )-"
+            R"-("predicted_hr": 0.90000000000000002, "actual_ms": 1.235, )-"
+            R"-("reason": "capability default (cold model)", )-"
+            R"-("params": "net_size=400"}, "solve_ms": 1.235, )-"
+            R"-("total_ms": 2.500})-");
+}
+
+TEST(RenderPinnedTest, NoteAndWarmStart) {
+  Response r = QueryFixture();
+  r.query.note = "solved on a \"2-D\" projection";
+  r.query.warm_start = true;
+  EXPECT_EQ(RenderResponse(r, EnvelopeOptions()),
+            R"-({"id": "q", "ok": true, "protocol_version": 1, "seq": 12, )-"
+            R"-("dataset": "default", "catalog_version": 3, )-"
+            R"-("algorithm": "bigreedy", "k": 4, "seed": 7, "threads": 1, )-"
+            R"-("solution_size": 4, "rows": [2, 5, 6, 17], )-"
+            R"-("happiness_ratio": 0.8125, )-"
+            R"-("algo_mhr_estimate": 0.10000000000000001, )-"
+            R"-("violations": 0, "group_counts": [1, 3], )-"
+            R"-("note": "solved on a \"2-D\" projection", )-"
+            R"-("warm_start": true, "solve_ms": 1.235, "total_ms": 2.500})-");
+}
+
+TEST(RenderPinnedTest, EnvelopeWithoutSeq) {
+  // perfbench's replay renders with emit_seq = false: the seq a response
+  // carries stays off the line, on ok and error lines alike.
+  EnvelopeOptions no_seq;
+  no_seq.emit_seq = false;
+  Response r;
+  r.id = "4";
+  r.ok = true;
+  r.op = ProtocolOp::kInsert;
+  r.dataset = "default";
+  r.has_catalog_version = true;
+  r.catalog_version = 1;
+  r.has_seq = true;
+  r.seq = 9;
+  r.insert = {61, 1, "g1", 5, 59};
+  EXPECT_EQ(RenderResponse(r, no_seq),
+            R"-({"id": 4, "ok": true, "protocol_version": 1, )-"
+            R"-("dataset": "default", "catalog_version": 1, )-"
+            R"-("op": "insert", "row": 61, "group": 1, )-"
+            R"-("group_name": "g1", "version": 5, "live_rows": 59})-");
+  Response error;
+  error.id = "5";
+  error.has_seq = true;
+  error.seq = 10;
+  error.dataset = "ghost";
+  error.error = Status::NotFound("no dataset named 'ghost'");
+  EXPECT_EQ(RenderResponse(error, no_seq),
+            R"-({"id": 5, "ok": false, "protocol_version": 1, )-"
+            R"-("dataset": "ghost", "error": {"code": "NotFound", )-"
+            R"-("message": "no dataset named 'ghost'"}})-");
+}
+
+TEST(RenderPinnedTest, StatsWithTwoDatasetsAndTwoSessions) {
+  EXPECT_EQ(RenderResponse(StatsFixture(), EnvelopeOptions()),
+            R"-({"id": 7, "ok": true, "protocol_version": 1, )-"
+            R"-("catalog_version": 2, "op": "stats", )-"
+            R"-("uptime_ms": 1500.250, "served": 9, "failed": 1, )-"
+            R"-("qps": 6.000, "simd_level": "avx2", "simd_mode": "auto", )-"
+            R"-("datasets": [{"name": "default", "live_rows": 58, )-"
+            R"-("rows": 60, "dim": 3, "groups": 2, "version": 4, )-"
+            R"-("coord_bytes": 1440, "cache_hits": 5, "cache_misses": 3, )-"
+            R"-("cache_bytes": 4096, )-"
+            R"-("cache_classes": {"nets": {"hits": 2, "misses": 1, )-"
+            R"-("bytes": 1024}, "evaluators": {"hits": 3, "misses": 2, )-"
+            R"-("bytes": 3072}}}, {"name": "t\"x", "live_rows": 10, )-"
+            R"-("rows": 10, "dim": 2, "groups": 1, "version": 1, )-"
+            R"-("coord_bytes": 160, "cache_hits": 0, "cache_misses": 0, )-"
+            R"-("cache_bytes": 0}], "cache": {"budget_bytes": 1073741824, )-"
+            R"-("total_bytes": 4096, "evictions": 0, )-"
+            R"-("sessions": [{"name": "default", "charged_bytes": 4096, )-"
+            R"-("last_touch": 11}, {"name": "t\"x", "charged_bytes": 0, )-"
+            R"-("last_touch": 2}]}, "ops": [{"op": "query", "count": 8, )-"
+            R"-("errors": 1, "total_ms": 20.500, "p50_ms": 2.250, )-"
+            R"-("p99_ms": 4.000}, {"op": "insert", "count": 1, )-"
+            R"-("errors": 0, "total_ms": 0.125, "p50_ms": 0.125, )-"
+            R"-("p99_ms": 0.125}]})-");
+}
+
+TEST(RenderResponseTest, EveryResponseIsValidJson) {
+  // Every op's payload, every status code on an error line, and non-finite
+  // doubles in the query's three quality fields. JSON has no NaN or
+  // Infinity: those render as null. The renderer before JsonWriter printed
+  // nan / inf / -inf, so the NaN case fails against it.
+  std::vector<Response> responses;
+  responses.push_back(QueryFixture());
+  Response planned = QueryFixture();
+  planned.query.planned = true;
+  planned.query.plan_reason = "r";
+  planned.query.plan_params = "net_size=400";
+  responses.push_back(planned);
+  Response op = QueryFixture();
+  op.query = QueryResponse();
+  op.op = ProtocolOp::kInsert;
+  op.insert = {61, 1, "g\n1", 5, 59};
+  responses.push_back(op);
+  op.op = ProtocolOp::kDelete;
+  op.erase = {2, 6, 57};
+  responses.push_back(op);
+  op.op = ProtocolOp::kRegister;
+  op.reg = {"x", 500, 3, 2};
+  responses.push_back(op);
+  op.op = ProtocolOp::kSave;
+  op.save = {"x", "dir/x.snap"};
+  responses.push_back(op);
+  op.op = ProtocolOp::kDrop;
+  op.drop = {"x"};
+  responses.push_back(op);
+  op.op = ProtocolOp::kList;
+  op.dataset.clear();
+  op.list.datasets = {"default", "x"};
+  responses.push_back(op);
+  responses.push_back(StatsFixture());
+  for (int code = 0; code <= static_cast<int>(StatusCode::kUnavailable);
+       ++code) {
+    Response error;
+    error.id = "\"e\"";
+    error.error = Status(static_cast<StatusCode>(code), "bad \"line\"");
+    responses.push_back(error);
+  }
+  const double kNonFinite[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity()};
+  for (const double v : kNonFinite) {
+    Response r = planned;
+    r.query.happiness_ratio = v;
+    r.query.algo_mhr_estimate = v;
+    r.query.predicted_hr = v;
+    responses.push_back(r);
+  }
+  for (const Response& r : responses) {
+    const std::string line = RenderResponse(r, EnvelopeOptions());
+    auto parsed = ParseJson(line);
+    ASSERT_TRUE(parsed.ok()) << line;
+    ASSERT_TRUE(parsed->is_object()) << line;
+    EXPECT_EQ(parsed->Find("ok")->bool_value(), r.ok) << line;
+    if (r.ok && r.op == ProtocolOp::kQuery &&
+        !std::isfinite(r.query.happiness_ratio)) {
+      EXPECT_TRUE(parsed->Find("happiness_ratio")->is_null()) << line;
+      EXPECT_TRUE(parsed->Find("algo_mhr_estimate")->is_null()) << line;
+      EXPECT_TRUE(parsed->Find("plan")->Find("predicted_hr")->is_null())
+          << line;
+    }
+  }
 }
 
 }  // namespace

@@ -95,9 +95,22 @@ TEST(JsonEscapeTest, EscapesControlAndSpecialCharacters) {
 TEST(JsonWriteTest, RoundTripsThroughParse) {
   const std::string doc =
       R"({"name": "d\"x", "rows": [1, 2, 3], "ok": true, "note": null})";
-  auto v = ParseJson(doc);
+  JsonWriter w;
+  w.BeginObject().Key("name").String("d\"x");
+  w.Key("rows").BeginArray().Int(1).Int(2).Int(3).EndArray();
+  w.Key("ok").Bool(true).Key("note").Null().EndObject();
+  EXPECT_EQ(w.str(), doc);
+  auto v = ParseJson(w.str());
   ASSERT_TRUE(v.ok());
-  EXPECT_EQ(WriteJson(*v), doc);
+  ASSERT_EQ(v->members().size(), 4u);
+  EXPECT_EQ(v->members()[0].first, "name");
+  EXPECT_EQ(v->Find("name")->string_value(), "d\"x");
+  const JsonValue* rows = v->Find("rows");
+  ASSERT_TRUE(rows->is_array());
+  ASSERT_EQ(rows->items().size(), 3u);
+  EXPECT_EQ(*rows->items()[2].AsInt64(), 3);
+  EXPECT_TRUE(v->Find("ok")->bool_value());
+  EXPECT_TRUE(v->Find("note")->is_null());
 }
 
 TEST(JsonWriteTest, LegacyEnvelopeSpacing) {
@@ -119,6 +132,10 @@ TEST(JsonWriteTest, FixedUsesRequestedPrecision) {
   JsonWriter w;
   w.Fixed(1.23456, 3);
   EXPECT_EQ(w.str(), "1.235");
+  // Wider than the writer's stack buffer: every digit still arrives.
+  JsonWriter wide;
+  wide.Fixed(1e30, 3);
+  EXPECT_EQ(wide.str(), "1000000000000000019884624838656.000");
 }
 
 TEST(JsonWriteTest, NonFiniteRendersNull) {

@@ -67,7 +67,6 @@ TEST(CacheArbiterConcurrencyTest, AccountingStaysConsistentUnderRaces) {
         (void)mine->stats();
         (void)arbiter.total_bytes();
         (void)arbiter.Ledger();
-        (void)arbiter.ToString();
       }
     });
   }

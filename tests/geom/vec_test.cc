@@ -39,12 +39,5 @@ TEST(VecTest, NormalizeL2ZeroVectorNoop) {
   EXPECT_DOUBLE_EQ(a[1], 0.0);
 }
 
-TEST(VecTest, NormalizeL1MakesUnitSum) {
-  double a[] = {2.0, 6.0};
-  NormalizeL1(a, 2);
-  EXPECT_NEAR(a[0], 0.25, 1e-12);
-  EXPECT_NEAR(a[1], 0.75, 1e-12);
-}
-
 }  // namespace
 }  // namespace fairhms

@@ -231,13 +231,13 @@ StatusOr<std::unique_ptr<DatasetCatalog>> BootstrapCatalog(const Flags& flags,
 }
 
 void PrintCacheReport(const char* prog, const std::string& summary,
-                      DatasetCatalog* catalog) {
-  // Per-session bytes and the arbiter's charged total are printed side by
-  // side so they can be checked against each other.
+                      ProtocolService* service) {
+  // The totals line is summed before the stats call below, so its counts
+  // exclude that call.
+  DatasetCatalog* catalog = service->catalog();
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t bytes = 0;
-  std::string detail;
   for (const std::string& name : catalog->List()) {
     auto s = catalog->Session(name);
     if (!s.ok()) continue;
@@ -245,18 +245,23 @@ void PrintCacheReport(const char* prog, const std::string& summary,
     hits += stats.TotalHits();
     misses += stats.TotalMisses();
     bytes += stats.TotalBytes();
-    detail += StrFormat("%s: cache detail [%s]: %s\n", prog, name.c_str(),
-                        stats.ToString().c_str());
   }
   std::fprintf(stderr,
                "%s: %s; cache: %llu hits, %llu misses, %.1f KiB resident, "
-               "%llu budget evictions\n%s%s: %s\n",
+               "%llu budget evictions\n",
                prog, summary.c_str(), static_cast<unsigned long long>(hits),
                static_cast<unsigned long long>(misses),
                static_cast<double>(bytes) / 1024.0,
                static_cast<unsigned long long>(
-                   catalog->arbiter()->evictions()),
-               detail.c_str(), prog, catalog->arbiter()->ToString().c_str());
+                   catalog->arbiter()->evictions()));
+  // The per-session, per-class detail and the arbiter's ledger: the stats
+  // op's own response line.
+  Request stats;
+  stats.id = "\"exit_report\"";
+  stats.op = ProtocolOp::kStats;
+  const std::string line =
+      RenderResponse(service->Execute(stats), EnvelopeOptions());
+  std::fprintf(stderr, "%s\n", line.c_str());
 }
 
 }  // namespace cli

@@ -90,10 +90,11 @@ StatusOr<std::unique_ptr<DatasetCatalog>> BootstrapCatalog(const Flags& flags,
                                                            uint64_t seed);
 
 /// Prints the end-of-run report to stderr: "<prog>: <summary>; cache: ..."
-/// with the totals over every session, one cache-detail line per session,
-/// then the arbiter's global ledger.
+/// with the cache totals over every session, then the rendered response
+/// line of a `stats` request (id "exit_report"): per-session and per-class
+/// cache counters, the arbiter's ledger and the per-op latencies.
 void PrintCacheReport(const char* prog, const std::string& summary,
-                      DatasetCatalog* catalog);
+                      ProtocolService* service);
 
 }  // namespace cli
 }  // namespace fairhms

@@ -390,7 +390,7 @@ int Run(int argc, char** argv) {
                 static_cast<unsigned long long>(service.updates()),
                 static_cast<unsigned long long>(service.failed()),
                 total.ElapsedMillis()),
-      catalog->get());
+      &service);
   return service.failed() == 0 ? 0 : 3;
 }
 

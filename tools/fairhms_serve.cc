@@ -375,7 +375,7 @@ int RunDaemon(const cli::Flags& flags) {
                     server.connections_accepted()),
                 static_cast<unsigned long long>(server.rejected()),
                 static_cast<unsigned long long>(server.cancelled())),
-      catalog->get());
+      &service);
   return 0;
 }
 

@@ -99,6 +99,10 @@ wait "$PID"
 rc=$?
 [ "$rc" -eq 0 ] || fail "daemon exited $rc after SIGTERM"
 grep -q "served" "$ERR" || fail "no final report on stderr"
+# The drain report ends with the rendered stats response; it must parse.
+grep '"op": "stats"' "$ERR" | tail -n 1 | \
+  python3 -c 'import json,sys; json.loads(sys.stdin.read())' || \
+  fail "drain report's stats line is not JSON"
 [ -S "$SOCK" ] && fail "unix socket not removed on drain"
 
 echo "serve_smoke: PASS"
